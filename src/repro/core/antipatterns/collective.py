@@ -45,10 +45,10 @@ def infer_cascade_root(
     involved = {m for m in earliest if m in graph}
     if len(involved) < 2:
         return None
-    reach: dict[str, set[str]] = {}
-    for micro in involved:
-        downstream = graph.downstream_dependencies(micro, max_depth=max_hops)
-        reach[micro] = (set(downstream) | {micro}) & involved
+    reach = {
+        micro: (graph.downstream_within(micro, max_hops) | {micro}) & involved
+        for micro in involved
+    }
     order = sorted(involved, key=lambda m: earliest[m])
     position = {micro: index for index, micro in enumerate(order)}
     n = len(order)

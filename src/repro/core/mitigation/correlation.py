@@ -42,6 +42,8 @@ class DependencyRuleBook:
 
     def __init__(self) -> None:
         self._pairs: set[tuple[str, str]] = set()
+        # Mutation counter, the same contract as ``DependencyGraph.version``.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -53,6 +55,7 @@ class DependencyRuleBook:
         if source_strategy == derived_strategy:
             raise ValidationError("a strategy cannot derive from itself")
         self._pairs.add((source_strategy, derived_strategy))
+        self.version += 1
 
     def related(self, strategy_a: str, strategy_b: str) -> bool:
         """Whether a rule links the two strategies (either direction)."""
@@ -93,14 +96,18 @@ class CorrelationAnalyzer:
         require_positive(max_hops, "max_hops")
         require_positive(time_window, "time_window")
         self._graph = graph
-        self._rulebook = rulebook or DependencyRuleBook()
+        # ``is None``, not truthiness: an empty book is falsy, and rules
+        # added to it later must reach this analyzer.
+        self._rulebook = rulebook if rulebook is not None else DependencyRuleBook()
         self._max_hops = int(max_hops)
         self._window = float(time_window)
         self._use_topology = use_topology
         self._related_cache: dict[tuple[str, str], bool] = {}
+        self._related_version = graph.version
 
     def correlate(self, alerts: list[Alert]) -> list[AlertCluster]:
         """Cluster ``alerts``; singletons are returned as size-1 clusters."""
+        self._drop_stale_cache()
         ordered = sorted(alerts, key=lambda a: a.occurred_at)
         n = len(ordered)
         parent = list(range(n))
@@ -141,8 +148,15 @@ class CorrelationAnalyzer:
         """Seconds within which two alerts may correlate."""
         return self._window
 
+    @property
+    def evidence_version(self) -> int:
+        """Moves whenever the graph or the rule book is mutated: a caller
+        that memoises :meth:`pair_evidence` verdicts drops them then."""
+        return self._graph.version + self._rulebook.version
+
     def pair_evidence(self, first: Alert, second: Alert) -> bool:
         """Whether rule-book or topological evidence links the two alerts."""
+        self._drop_stale_cache()
         return self._evidence(first, second)
 
     def build_cluster(self, alerts: list[Alert]) -> AlertCluster:
@@ -152,6 +166,13 @@ class CorrelationAnalyzer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _drop_stale_cache(self) -> None:
+        # Checked at the public entry points only: nothing mutates the
+        # graph from inside a sweep, and ``_related`` is the hot loop.
+        if self._graph.version != self._related_version:
+            self._related_cache.clear()
+            self._related_version = self._graph.version
+
     def _evidence(self, first: Alert, second: Alert) -> bool:
         if first.region != second.region:
             return False

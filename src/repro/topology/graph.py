@@ -18,11 +18,18 @@ __all__ = ["DependencyGraph"]
 
 
 class DependencyGraph:
-    """An acyclic caller→callee graph over microservice names."""
+    """An acyclic caller→callee graph over microservice names.
+
+    ``version`` counts mutations (it only ever grows): anything that
+    caches answers derived from the graph compares it against the value
+    it saw when the cache was filled and drops the cache when it moved.
+    """
 
     def __init__(self) -> None:
         self._graph = nx.DiGraph()
+        self.version = 0
         self._neighbourhoods: dict[tuple[str, int | None], frozenset[str]] = {}
+        self._downstream: dict[tuple[str, int | None], frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -32,6 +39,7 @@ class DependencyGraph:
         if not name:
             raise ValidationError("microservice name must be non-empty")
         self._graph.add_node(name, **attributes)
+        self._mutated()
 
     def add_dependency(self, caller: str, callee: str) -> None:
         """Add ``caller -> callee``; rejects self-loops, unknown nodes, and cycles."""
@@ -44,7 +52,7 @@ class DependencyGraph:
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(caller, callee)
             raise ValidationError(f"dependency {caller!r} -> {callee!r} would create a cycle")
-        self._neighbourhoods.clear()
+        self._mutated()
 
     # ------------------------------------------------------------------
     # queries
@@ -118,9 +126,20 @@ class DependencyGraph:
         key = (name, max_depth)
         cached = self._neighbourhoods.get(key)
         if cached is None:
-            cached = frozenset(self._bfs(name, forward=True, max_depth=max_depth)) | \
+            cached = self.downstream_within(name, max_depth) | \
                 frozenset(self._bfs(name, forward=False, max_depth=max_depth))
             self._neighbourhoods[key] = cached
+        return cached
+
+    def downstream_within(self, name: str, max_depth: int | None = None) -> frozenset[str]:
+        """The nodes :meth:`downstream_dependencies` reaches, cached like
+        :meth:`related_within` — cluster finalisation asks for the same
+        few nodes' callees once per cluster."""
+        key = (name, max_depth)
+        cached = self._downstream.get(key)
+        if cached is None:
+            cached = frozenset(self._bfs(name, forward=True, max_depth=max_depth))
+            self._downstream[key] = cached
         return cached
 
     def are_related(self, first: str, second: str, max_depth: int | None = None) -> bool:
@@ -147,6 +166,11 @@ class DependencyGraph:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _mutated(self) -> None:
+        self.version += 1
+        self._neighbourhoods.clear()
+        self._downstream.clear()
+
     def _require(self, name: str) -> None:
         if name not in self._graph:
             raise ValidationError(f"unknown microservice {name!r}")

@@ -1,0 +1,183 @@
+"""Property: the online correlator's fast scan is indistinguishable from
+a naive one.
+
+``OnlineCorrelator.add`` answers "same component?" from a quick-find
+table and "evidence?" from a per-signature memo.  The reference below
+does neither: it visits every retained representative, asks
+``pair_evidence`` directly for every in-window same-region pair, and
+merges with the same rule (smaller member list into the larger, the
+older side winning ties).  Under timestamp ties, out-of-order arrival,
+several regions, a random rule book, interleaved finalisation and
+export → adopt into a fresh correlator, both must emit the same clusters
+— member order, root alert, root microservice, coverage — and the batch
+sweep must agree on the partition.
+"""
+
+from __future__ import annotations
+
+import bisect
+
+from hypothesis import given, settings, strategies as st
+
+from repro.alerting.alert import Alert
+from repro.core.mitigation.correlation import (
+    AlertCluster,
+    CorrelationAnalyzer,
+    DependencyRuleBook,
+)
+from repro.streaming.correlator import OnlineCorrelator
+from tests.streaming.conftest import make_alert
+
+_REGIONS = ("region-A", "region-B", "region-C")
+_STRATEGIES = tuple(f"s-{index}" for index in range(4))
+_WINDOW = 900.0
+
+
+class _NaiveCorrelator:
+    """Reference scan: no find structure, no memo."""
+
+    def __init__(self, analyzer: CorrelationAnalyzer) -> None:
+        self.analyzer = analyzer
+        self.seq = 0
+        # Sorted (occurred_at, seq, alert); seq is unique, so the alert
+        # itself is never compared.
+        self.retained: list[tuple[float, int, Alert]] = []
+        # seq -> the member list its whole component shares.
+        self.component: dict[int, list[tuple[int, Alert]]] = {}
+
+    def _retain(self, alert: Alert, members: list[tuple[int, Alert]]) -> int:
+        seq, self.seq = self.seq, self.seq + 1
+        members.append((seq, alert))
+        self.component[seq] = members
+        bisect.insort(self.retained, (alert.occurred_at, seq, alert))
+        return seq
+
+    def add(self, alert: Alert) -> None:
+        seq = self._retain(alert, [])
+        for time, other_seq, other in list(self.retained):
+            if other_seq == seq or other.region != alert.region:
+                continue
+            if not alert.occurred_at - _WINDOW <= time <= alert.occurred_at + _WINDOW:
+                continue
+            theirs, mine = self.component[other_seq], self.component[seq]
+            if theirs is mine or not self.analyzer.pair_evidence(other, alert):
+                continue
+            if len(theirs) < len(mine):
+                theirs, mine = mine, theirs
+            theirs.extend(mine)
+            for member_seq, _ in mine:
+                self.component[member_seq] = theirs
+
+    def _components(self) -> list[list[tuple[int, Alert]]]:
+        """Distinct member lists, in first-retained order."""
+        distinct: dict[int, list[tuple[int, Alert]]] = {}
+        for _, seq, _ in self.retained:
+            members = self.component[seq]
+            distinct.setdefault(id(members), members)
+        return list(distinct.values())
+
+    def migrate(self) -> None:
+        """The renumbering ``export_region`` → ``adopt_region`` documents:
+        per region, components in first-retained order, members in union
+        order, fresh sequence numbers."""
+        components = self._components()
+        self.retained, self.component = [], {}
+        for region in _REGIONS:
+            for members in components:
+                if members[0][1].region == region:
+                    fresh: list[tuple[int, Alert]] = []
+                    for _, alert in members:
+                        self._retain(alert, fresh)
+
+    def finalize(self, safe_before: float | None = None) -> list[AlertCluster]:
+        ready = [
+            members for members in self._components()
+            if safe_before is None
+            or max(alert.occurred_at for _, alert in members) < safe_before
+        ]
+        for members in ready:
+            for seq, _ in members:
+                del self.component[seq]
+        self.retained = [item for item in self.retained if item[1] in self.component]
+        return [self.analyzer.build_cluster([alert for _, alert in members])
+                for members in ready]
+
+
+def _emitted(clusters: list[AlertCluster]) -> list[tuple]:
+    return sorted(
+        (tuple(a.alert_id for a in c.alerts), c.root_alert.alert_id,
+         c.root_microservice, c.coverage)
+        for c in clusters
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """(rule pairs, alert draws in arrival order, one op per arrival)."""
+    rules = draw(st.sets(
+        st.tuples(st.sampled_from(_STRATEGIES), st.sampled_from(_STRATEGIES))
+        .filter(lambda pair: pair[0] != pair[1]),
+        max_size=4,
+    ))
+    n = draw(st.integers(0, 60))  # a drawn length: plain lists skew short
+    arrivals = draw(st.lists(
+        st.tuples(
+            st.integers(0, 40),                    # x 100 s: ties are common
+            st.sampled_from(_STRATEGIES),
+            st.integers(0, 5),                     # microservice index
+            st.sampled_from(_REGIONS),
+        ),
+        min_size=n, max_size=n,
+    ))  # drawn order is arrival order: timestamps go back and forth
+    ops = draw(st.lists(
+        st.sampled_from(("none", "none", "finalize", "migrate")),
+        min_size=n, max_size=n,
+    ))
+    return rules, arrivals, ops
+
+
+class TestOnlineCorrelatorAgainstNaiveScan:
+    @settings(max_examples=120, deadline=None)
+    @given(scenario=scenarios())
+    def test_same_clusters_as_naive_scan_and_batch_partition(
+        self, scenario, small_topology,
+    ):
+        rules, arrivals, ops = scenario
+        rulebook = DependencyRuleBook()
+        for source, derived in sorted(rules):
+            rulebook.add(source, derived)
+        analyzer = CorrelationAnalyzer(small_topology.graph, rulebook=rulebook,
+                                       max_hops=2, time_window=_WINDOW)
+        # Few microservices and strategies, so the same signature pair
+        # recurs with and without a rule behind it.
+        micros = sorted(small_topology.graph.microservices)[:6]
+        alerts = [
+            make_alert(100.0 * tick, strategy_id=strategy, microservice=micros[micro],
+                       service=small_topology.service_of[micros[micro]], region=region)
+            for tick, strategy, micro, region in arrivals
+        ]
+        online, naive = OnlineCorrelator(analyzer), _NaiveCorrelator(analyzer)
+        got: list[AlertCluster] = []
+        want: list[AlertCluster] = []
+        for index, (alert, op) in enumerate(zip(alerts, ops)):
+            online.add(alert)
+            naive.add(alert)
+            pending = alerts[index + 1:]
+            if op == "finalize" and pending:
+                # The true safety horizon: nothing still to arrive is older.
+                watermark = min(a.occurred_at for a in pending)
+                got += online.finalize_ready(watermark, min_open_first=None)
+                want += naive.finalize(watermark - _WINDOW)
+            elif op == "migrate":
+                fresh = OnlineCorrelator(analyzer)
+                for region in _REGIONS:
+                    fresh.adopt_region(region, online.export_region(region))
+                assert online.retained == 0 and online.active_components == 0
+                online = fresh
+                naive.migrate()
+        got += online.drain()
+        want += naive.finalize()
+        assert _emitted(got) == _emitted(want)
+        batch = analyzer.correlate(list(alerts))
+        assert sorted(sorted(a.alert_id for a in c.alerts) for c in got) == \
+            sorted(sorted(a.alert_id for a in c.alerts) for c in batch)

@@ -1,9 +1,15 @@
 """Online correlation: exact batch parity and safe finalisation."""
 
+import itertools
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.core.mitigation.correlation import CorrelationAnalyzer, DependencyRuleBook
+from repro.streaming import correlator as correlator_module
 from repro.streaming.correlator import OnlineCorrelator
+from repro.topology.graph import DependencyGraph
 from tests.streaming.conftest import make_alert
 
 
@@ -108,3 +114,154 @@ class TestFinalisation:
         online.drain()
         assert online.retained == 0
         assert online.active_components == 0
+
+
+def _multi_region_storm(topology, n_alerts=600, seed=11):
+    """A fixed dense storm: 3 regions, two strategies per microservice."""
+    rng = random.Random(seed)
+    micros = sorted(topology.graph.microservices)
+    alerts = []
+    for _ in range(n_alerts):
+        micro = rng.choice(micros)
+        alerts.append(make_alert(
+            float(rng.randrange(0, 6000, 20)),
+            strategy_id=f"s-{micro}-{rng.randrange(2)}",
+            microservice=micro,
+            service=topology.service_of[micro],
+            region=rng.choice(("region-A", "region-B", "region-C")),
+        ))
+    return alerts
+
+
+class TestEvidenceMemo:
+    def test_evidence_asked_once_per_signature_pair(self, small_topology):
+        analyzer = CorrelationAnalyzer(small_topology.graph, max_hops=2, time_window=900.0)
+        alerts = _multi_region_storm(small_topology)
+        pairs_present = {
+            frozenset(((a.strategy_id, a.microservice), (b.strategy_id, b.microservice)))
+            for a, b in itertools.combinations(alerts, 2)
+            if a.region == b.region and abs(a.occurred_at - b.occurred_at) <= 900.0
+        }
+        calls = 0
+        pair_evidence = analyzer.pair_evidence
+
+        def counting(first, second):
+            nonlocal calls
+            calls += 1
+            return pair_evidence(first, second)
+
+        analyzer.pair_evidence = counting
+        online = OnlineCorrelator(analyzer)
+        for alert in alerts:
+            online.add(alert)
+        clusters = online.drain()
+        assert 0 < calls <= len(pairs_present)
+        assert sorted(map(_cluster_signature, clusters)) == \
+            sorted(map(_cluster_signature, analyzer.correlate(list(alerts))))
+
+    def test_memo_is_bounded_on_a_stream_that_churns_strategy_ids(
+        self, small_topology, monkeypatch,
+    ):
+        micros = sorted(small_topology.graph.microservices)
+        alerts = [
+            # Bursts of 8 a window apart, so components keep finalising.
+            make_alert(120.0 * index + 5000.0 * (index // 8), strategy_id=f"s-{index}",
+                       microservice=micros[index % len(micros)],
+                       service=small_topology.service_of[micros[index % len(micros)]])
+            for index in range(400)
+        ]
+        analyzer = CorrelationAnalyzer(small_topology.graph, max_hops=2, time_window=900.0)
+
+        def run(observe):
+            online = OnlineCorrelator(analyzer, retain_finalized=True)
+            for alert in alerts:
+                online.add(alert)
+                online.finalize_ready(watermark=alert.occurred_at, min_open_first=None)
+                observe(len(online._signatures))
+            online.drain()
+            return [
+                ([a.alert_id for a in c.alerts], c.root_alert.alert_id, c.coverage)
+                for c in online.finalized
+            ]
+
+        uncapped_sizes, capped_sizes = [], []
+        uncapped = run(uncapped_sizes.append)
+        monkeypatch.setattr(correlator_module, "_MAX_SIGNATURES", 32)
+        capped = run(capped_sizes.append)
+        assert max(uncapped_sizes) == len(alerts)  # the stream does churn
+        assert max(capped_sizes) <= 32
+        assert capped == uncapped
+
+
+class TestStaleEvidence:
+    """Mutating the graph or the rule book after construction must reach
+    both the batch analyzer's cache and the online memo."""
+
+    @staticmethod
+    def _graph():
+        graph = DependencyGraph()
+        for name in ("front", "back", "island"):
+            graph.add_microservice(name)
+        return graph
+
+    def _flips(self, analyzer, first, second, mutate):
+        """``first``/``second`` are unlinked until ``mutate()`` runs."""
+        online = OnlineCorrelator(analyzer)
+        online.add(first)
+        online.add(second)  # memoises "no" for the signature pair
+        assert not analyzer.pair_evidence(first, second)
+        assert len(analyzer.correlate([first, second])) == 2
+        assert online.active_components == 2
+        mutate()
+        assert analyzer.pair_evidence(first, second)
+        later = [replace(first, alert_id="later-1", occurred_at=first.occurred_at + 50.0),
+                 replace(second, alert_id="later-2", occurred_at=second.occurred_at + 50.0)]
+        for alert in later:
+            online.add(alert)
+        batch = analyzer.correlate([first, second, *later])
+        assert len(batch) == 1
+        assert sorted(map(_cluster_signature, online.drain())) == \
+            sorted(map(_cluster_signature, batch))
+
+    def test_new_dependency_edge_flips_batch_and_online(self):
+        graph = self._graph()
+        analyzer = CorrelationAnalyzer(graph, max_hops=2, time_window=900.0)
+        self._flips(
+            analyzer,
+            make_alert(0.0, strategy_id="s-front", microservice="front"),
+            make_alert(10.0, strategy_id="s-back", microservice="back"),
+            lambda: graph.add_dependency("front", "back"),
+        )
+
+    def test_new_rule_flips_batch_and_online(self):
+        rulebook = DependencyRuleBook()  # empty, hence falsy, at construction
+        analyzer = CorrelationAnalyzer(self._graph(), rulebook=rulebook,
+                                       max_hops=2, time_window=900.0)
+        self._flips(
+            analyzer,
+            make_alert(0.0, strategy_id="s-front", microservice="front"),
+            make_alert(10.0, strategy_id="s-island", microservice="island"),
+            lambda: rulebook.add("s-front", "s-island"),
+        )
+
+    def test_new_microservice_is_seen(self):
+        graph = self._graph()
+        analyzer = CorrelationAnalyzer(graph, max_hops=2, time_window=900.0)
+        first = make_alert(0.0, strategy_id="s-front", microservice="front")
+        second = make_alert(10.0, strategy_id="s-new", microservice="new")
+        assert not analyzer.pair_evidence(first, second)  # unknown node: cached "no"
+        graph.add_microservice("new")
+        graph.add_dependency("new", "front")
+        assert analyzer.pair_evidence(first, second)
+
+
+class TestFinalizeTouchesOnlyShrunkRegions:
+    def test_other_regions_timelines_are_left_alone(self, analyzer):
+        online = OnlineCorrelator(analyzer)
+        online.add(make_alert(0.0, region="region-A"))
+        online.add(make_alert(5_000.0, region="region-B"))
+        untouched = online._timelines["region-B"]
+        closed = online.finalize_ready(watermark=5_000.0, min_open_first=None)
+        assert [c.alerts[0].region for c in closed] == ["region-A"]
+        assert online._timelines == {"region-B": untouched}
+        assert online._timelines["region-B"] is untouched  # not rebuilt

@@ -72,6 +72,25 @@ class TestQueries:
     def test_downstream_dependencies(self, chain):
         assert chain.downstream_dependencies("frontend") == {"middle": 1, "backend": 2}
 
+    def test_downstream_within_matches_the_uncached_walk(self, chain):
+        for name in chain.microservices:
+            for depth in (None, 1, 2):
+                assert chain.downstream_within(name, depth) == \
+                    frozenset(chain.downstream_dependencies(name, depth))
+        with pytest.raises(ValidationError):
+            chain.downstream_within("ghost")
+
+    def test_mutation_moves_version_and_drops_cached_reach(self, chain):
+        before = chain.version
+        assert chain.downstream_within("backend") == frozenset()
+        assert "backend" not in chain.related_within("frontend", 1)
+        chain.add_microservice("store")
+        chain.add_dependency("backend", "store")
+        chain.add_dependency("frontend", "backend")
+        assert chain.version > before
+        assert chain.downstream_within("backend") == {"store"}
+        assert "backend" in chain.related_within("frontend", 1)
+
     def test_topological_order(self, chain):
         order = chain.topological_order()
         assert order.index("frontend") < order.index("middle") < order.index("backend")
