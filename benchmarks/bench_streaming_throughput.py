@@ -16,9 +16,9 @@ replays two storm-heavy traces through the full configuration matrix:
   multi-core machines the planes run concurrently.
 
 Assertions along the way: every configuration reconciles *exactly* with
-the batch pipeline; a pooled backend still clears 2x the per-event
+the batch pipeline; batched execution still clears 2x the per-event
 serial baseline (the PR-2 bar); and the plane-parallel path beats the
-gateway-serial (one-plane pooled) path on the multi-region trace.
+gateway-serial (one-plane) path on the multi-region trace.
 Results land in the usual text report plus
 ``benchmarks/results/streaming_throughput.json``.
 
@@ -60,7 +60,6 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 BACKEND_CONFIGS = (
     ("serial/event", "serial", True, None),
     ("serial/batch", "serial", False, 512),
-    ("thread/batch", "thread", False, 512),
     ("process/batch", "process", False, 1024),
 )
 
@@ -147,7 +146,7 @@ def run_scale_probe(
     blocker,
     rulebook,
     report,
-    backend: str = "thread",
+    backend: str = "serial",
     n_planes: int = 4,
     flush_size: int = 512,
     rounds: int = 3,
@@ -232,22 +231,20 @@ def run_plane_sweep(
     trace, topology, blocker, rulebook, report,
     plane_counts=_PLANE_COUNTS, n_shards: int = 4, flush_size: int = 512,
 ) -> dict[str, dict[str, float]]:
-    """Sweep plane counts on serial and pooled execution, asserting parity.
+    """Sweep plane counts on the serial backend, asserting parity.
 
-    Returns measurements keyed ``{backend}/p{planes}``; ``thread/p1`` is
+    Returns measurements keyed ``serial/p{planes}``; ``serial/p1`` is
     the PR-2 gateway-serial equivalent (R3/R4 on one execution context).
     """
     measurements: dict[str, dict[str, float]] = {}
-    for backend in ("serial", "thread"):
-        for n_planes in plane_counts:
-            stats = run_config(
-                trace, topology, blocker, rulebook,
-                backend=backend, n_shards=n_shards, n_planes=n_planes,
-                flush_size=flush_size,
-            )
-            label = f"{backend}/p{n_planes}"
-            assert stats.reconcile(report) == {}, f"{label} must stay exact"
-            measurements[label] = _measure(stats)
+    for n_planes in plane_counts:
+        stats = run_config(
+            trace, topology, blocker, rulebook,
+            n_shards=n_shards, n_planes=n_planes, flush_size=flush_size,
+        )
+        label = f"serial/p{n_planes}"
+        assert stats.reconcile(report) == {}, f"{label} must stay exact"
+        measurements[label] = _measure(stats)
     return measurements
 
 
@@ -272,16 +269,16 @@ def test_streaming_throughput_scaling(
 
     by_backend = run_backend_sweep(trace, topology, blocker, rulebook, report)
 
-    # The PR-2 acceptance bar, still enforced: batching + a worker pool
-    # must at least double the per-event serial baseline, even on a
-    # single core — where the gain is amortisation, not parallelism.
+    # The PR-2 acceptance bar, still enforced: batched execution must at
+    # least double the per-event serial baseline, even on a single core
+    # — where the gain is amortisation, not parallelism.
     baseline = by_backend["serial/event"]["alerts_per_sec"]
     best_pooled = max(
-        by_backend["thread/batch"]["alerts_per_sec"],
+        by_backend["serial/batch"]["alerts_per_sec"],
         by_backend["process/batch"]["alerts_per_sec"],
     )
     assert best_pooled >= 2.0 * baseline, (
-        f"pooled backend at {_N_WORKERS} workers reached only "
+        f"batched execution reached only "
         f"{best_pooled / baseline:.2f}x the per-event serial baseline"
     )
 
@@ -309,8 +306,8 @@ def test_streaming_throughput_scaling(
             for _ in range(rounds)
         )
 
-    gateway_serial = _best_of("thread", 1)
-    best_planes = max(_best_of("serial", 4), _best_of("thread", 4))
+    gateway_serial = _best_of("serial", 1)
+    best_planes = _best_of("serial", 4)
     assert best_planes > gateway_serial, (
         f"4-plane execution reached only {best_planes / gateway_serial:.2f}x "
         f"the one-plane (PR-2 gateway-serial) path on the multi-region trace"
@@ -334,10 +331,10 @@ def test_streaming_throughput_scaling(
         / by_planes["serial/p1"]["alerts_per_sec"]
     )
 
-    # The timed figure-of-record: thread backend, 4 planes, end-to-end.
+    # The timed figure-of-record: serial backend, 4 planes, end-to-end.
     stats = benchmark(lambda: run_config(
         mr_trace, topology, mr_blocker, mr_rulebook,
-        backend="thread", n_planes=4, flush_size=512,
+        backend="serial", n_planes=4, flush_size=512,
     ))
     assert stats.input_alerts == len(mr_trace)
 
@@ -382,8 +379,6 @@ def test_streaming_throughput_scaling(
         "shards": {str(k): v for k, v in by_shards.items()},
         "planes": by_planes,
         "speedup_vs_per_event": best_pooled / baseline,
-        "speedup_vs_serial_batch":
-            best_pooled / by_backend["serial/batch"]["alerts_per_sec"],
         "plane_speedup_vs_gateway_serial": best_planes / gateway_serial,
         "plane_locality_speedup": locality,
         "scale_probe": scale_probe,

@@ -6,7 +6,7 @@
     repro-alerts mine     --trace trace-dir
     repro-alerts mitigate --trace trace-dir
     repro-alerts stream   --trace trace-dir --shards 4 --reconcile
-    repro-alerts stream   --trace trace-dir --backend thread --workers 4
+    repro-alerts stream   --trace trace-dir --backend process --workers 4
     repro-alerts serve    --trace trace-dir --data-dir svc-dir
     repro-alerts ops      --data-dir svc-dir
     repro-alerts qoa      --trace trace-dir
@@ -21,6 +21,7 @@ reports the benchmark harness records.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,8 +37,8 @@ from repro.core.qoa import evaluate_qoa_pipeline
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.io import load_trace, save_trace
 from repro.streaming import (
-    BACKEND_NAMES,
     AlertGateway,
+    GatewayConfig,
     LearnerConfig,
     rule_set_divergence,
 )
@@ -140,6 +141,80 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
     return host, port
 
 
+#: The gateway flags ``stream`` and ``serve`` share, one row per flag:
+#: ``(flag, GatewayConfig field, argparse type, help)``.  Defaults and
+#: ``choices`` come from the field; a ``bool`` row is a switch.
+_GATEWAY_FLAGS = (
+    ("--shards", "n_shards", int,
+     "shards per plane on the consistent-hash ring"),
+    ("--planes", "n_planes", int,
+     "region-partitioned execution planes (parallelism unit for R3/R4)"),
+    ("--backend", "backend", str, "plane execution backend"),
+    ("--workers", "n_workers", int,
+     "worker processes for the process backend (clamped to --planes)"),
+    ("--flush-size", "flush_size", int,
+     "micro-batch size per flush (default: 1 serial, 512 process)"),
+    ("--ingress-lanes", "ingress_lanes", int,
+     "partitioned ingest lane threads feeding planes directly (clamped "
+     "to --planes; 1 = classic single-threaded ingress)"),
+    ("--lane-transport", "lane_transport", str,
+     "lane->worker hand-off on the process backend: zero-copy "
+     "shared-memory rings or the classic pickled pipe"),
+    ("--worker-recovery", "worker_recovery", bool,
+     "on the process backend, detect dead workers, respawn them, and "
+     "replay their planes from snapshot+journal (identical accounting)"),
+    ("--worker-checkpoint-every", "worker_checkpoint_every", int,
+     "journaled batches between per-worker plane snapshots when "
+     "--worker-recovery is on"),
+    ("--worker-timeout", "worker_timeout", float,
+     "seconds to wait on a live-but-silent worker before raising "
+     "WorkerTimeoutError"),
+    ("--window", "aggregation_window", float,
+     "aggregation/correlation window in seconds"),
+    ("--learn-rules", "learn_rules", bool,
+     "learn R1 blocking rules online from streaming A4/A5 detection "
+     "instead of batch derivation"),
+    ("--qoa", "enable_qoa", bool,
+     "score per-strategy alert quality live from gateway counters"),
+    ("--detect", "detect_antipatterns", bool,
+     "run the online anti-pattern detectors (A1-A3 + sketch-R4) from "
+     "per-plane detection digests at flush barriers"),
+)
+
+
+def _add_gateway_flags(command: argparse.ArgumentParser) -> None:
+    """Add the shared gateway flags; each lands on its field's name."""
+    fields = {spec.name: spec for spec in dataclasses.fields(GatewayConfig)}
+    for flag, name, kind, help_text in _GATEWAY_FLAGS:
+        spec = fields[name]
+        if kind is bool:
+            command.add_argument(flag, dest=name, action="store_true",
+                                 help=help_text)
+        else:
+            if spec.default is not None:
+                help_text += f" (default: {spec.default})"
+            command.add_argument(
+                flag, dest=name, type=kind, default=spec.default,
+                choices=spec.metadata.get("choices"), help=help_text,
+            )
+    command.add_argument("--adaptive-thresholds", action="store_true",
+                         help="with --learn-rules: judge noisiness against "
+                              "per-(service, region) EWMA baselines instead "
+                              "of the global static cut-offs")
+
+
+def _gateway_options(args) -> dict:
+    """The ``AlertGateway`` options the shared gateway flags select."""
+    options = {name: getattr(args, name) for _, name, _, _ in _GATEWAY_FLAGS}
+    options["correlation_window"] = options["aggregation_window"]
+    options["retain_artifacts"] = False
+    if args.adaptive_thresholds:
+        if not args.learn_rules:
+            raise SystemExit("--adaptive-thresholds requires --learn-rules")
+        options["learner_config"] = LearnerConfig(adaptive=True)
+    return options
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-alerts",
@@ -172,40 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--trace", required=True, help="trace directory")
     stream.add_argument("--seed", type=int, default=None,
                         help="topology seed (default: the trace's seed)")
-    stream.add_argument("--shards", type=int, default=4,
-                        help="shards per plane on the consistent-hash ring")
-    stream.add_argument("--planes", type=int, default=1,
-                        help="region-partitioned execution planes "
-                             "(parallelism unit for R3/R4)")
-    stream.add_argument("--backend", choices=BACKEND_NAMES, default="serial",
-                        help="plane execution backend (default: serial)")
-    stream.add_argument("--workers", type=int, default=None,
-                        help="worker threads/processes for pooled backends "
-                             "(clamped to --planes)")
-    stream.add_argument("--flush-size", type=int, default=None,
-                        help="micro-batch size per flush "
-                             "(default: 1 serial, 512 pooled)")
-    stream.add_argument("--ingress-lanes", type=int, default=1,
-                        help="partitioned ingest lane threads feeding planes "
-                             "directly (clamped to --planes; 1 = classic "
-                             "single-threaded ingress)")
-    stream.add_argument("--lane-transport", choices=("ring", "pipe"),
-                        default="ring",
-                        help="lane->worker hand-off on the process backend: "
-                             "zero-copy shared-memory rings (default) or the "
-                             "classic pickled pipe")
-    stream.add_argument("--worker-recovery", action="store_true",
-                        help="on the process backend, detect dead workers, "
-                             "respawn them, and replay their planes from "
-                             "snapshot+journal (identical accounting)")
-    stream.add_argument("--worker-checkpoint-every", type=int, default=64,
-                        help="journaled batches between per-worker plane "
-                             "snapshots when --worker-recovery is on")
-    stream.add_argument("--worker-timeout", type=float, default=30.0,
-                        help="seconds to wait on a live-but-silent worker "
-                             "before raising WorkerTimeoutError")
-    stream.add_argument("--window", type=float, default=900.0,
-                        help="aggregation/correlation window in seconds")
+    _add_gateway_flags(stream)
     stream.add_argument("--rebalance-to", type=int, default=None,
                         help="re-shard to this count halfway through the stream")
     stream.add_argument("--scale-at", action="append", default=None,
@@ -215,20 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "planes once EVENTIDX events have been ingested, "
                              "migrating moved regions' whole plane state "
                              "(repeatable for a multi-step schedule)")
-    stream.add_argument("--learn-rules", action="store_true",
-                        help="learn R1 blocking rules online from streaming "
-                             "A4/A5 detection instead of batch derivation")
-    stream.add_argument("--qoa", action="store_true",
-                        help="score per-strategy alert quality live from "
-                             "gateway counters")
-    stream.add_argument("--detect", action="store_true",
-                        help="run the online anti-pattern detectors "
-                             "(A1-A3 + sketch-R4) from per-plane detection "
-                             "digests at flush barriers")
-    stream.add_argument("--adaptive-thresholds", action="store_true",
-                        help="with --learn-rules: judge noisiness against "
-                             "per-(service, region) EWMA baselines instead "
-                             "of the global static cut-offs")
     stream.add_argument("--reconcile", action="store_true",
                         help="also run the batch pipeline and verify exact "
                              "parity (with --learn-rules: report the "
@@ -248,33 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "it already holds state)")
     serve.add_argument("--seed", type=int, default=None,
                        help="topology seed (default: the trace's seed)")
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--planes", type=int, default=1)
-    serve.add_argument("--backend", choices=BACKEND_NAMES, default="serial")
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--flush-size", type=int, default=None)
-    serve.add_argument("--ingress-lanes", type=int, default=1,
-                       help="partitioned ingest lane threads (clamped to "
-                            "--planes; 1 = classic single-threaded ingress)")
-    serve.add_argument("--lane-transport", choices=("ring", "pipe"),
-                       default="ring",
-                       help="lane->worker hand-off on the process backend: "
-                            "zero-copy shared-memory rings (default) or the "
-                            "classic pickled pipe")
-    serve.add_argument("--worker-recovery", action="store_true",
-                       help="on the process backend, respawn dead workers "
-                            "and replay their planes from snapshot+journal")
-    serve.add_argument("--worker-checkpoint-every", type=int, default=64)
-    serve.add_argument("--worker-timeout", type=float, default=30.0)
-    serve.add_argument("--window", type=float, default=900.0)
-    serve.add_argument("--learn-rules", action="store_true")
-    serve.add_argument("--qoa", action="store_true")
-    serve.add_argument("--detect", action="store_true",
-                       help="run the online anti-pattern detectors "
-                            "(state survives checkpoint/restore)")
-    serve.add_argument("--adaptive-thresholds", action="store_true",
-                       help="with --learn-rules: per-(service, region) "
-                            "adaptive noisiness baselines")
+    _add_gateway_flags(serve)
     serve.add_argument("--checkpoint-every", type=int, default=4096,
                        help="snapshot cadence in ingested events (written at "
                             "the next natural flush barrier)")
@@ -287,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "kill), batch (write-ahead per batch, survives "
                             "process death), sync (fsync everything, survives "
                             "host death)")
-    serve.add_argument("--sync-journal", action="store_true",
-                       help="shorthand for --journal-mode sync")
     serve.add_argument("--batch-size", type=int, default=256,
                        help="ingest batch size for replay/stdin sources")
     serve.add_argument("--limit", type=int, default=None,
@@ -379,15 +379,6 @@ def _cmd_mitigate(args) -> int:
     return 0
 
 
-def _learner_config_for(args) -> LearnerConfig | None:
-    """Adaptive-threshold learner config, or ``None`` for the defaults."""
-    if not getattr(args, "adaptive_thresholds", False):
-        return None
-    if not args.learn_rules:
-        raise SystemExit("--adaptive-thresholds requires --learn-rules")
-    return LearnerConfig(adaptive=True)
-
-
 def _cmd_stream(args) -> int:
     trace, topology = _load(args)
     rulebook = rulebook_from_ground_truth(trace, coverage=0.6, seed=trace.seed)
@@ -396,26 +387,8 @@ def _cmd_stream(args) -> int:
     batch_blocker = MitigationPipeline.derive_blocker(trace)
     blocker = AlertBlocker() if args.learn_rules else batch_blocker
     gateway = AlertGateway(
-        topology.graph,
-        blocker=blocker,
-        rulebook=rulebook,
-        n_shards=args.shards,
-        n_planes=args.planes,
-        backend=args.backend,
-        n_workers=args.workers,
-        flush_size=args.flush_size,
-        ingress_lanes=args.ingress_lanes,
-        lane_transport=args.lane_transport,
-        worker_recovery=args.worker_recovery,
-        worker_checkpoint_every=args.worker_checkpoint_every,
-        worker_timeout=args.worker_timeout,
-        aggregation_window=args.window,
-        correlation_window=args.window,
-        retain_artifacts=False,
-        learn_rules=args.learn_rules,
-        learner_config=_learner_config_for(args),
-        enable_qoa=args.qoa,
-        detect_antipatterns=args.detect,
+        topology.graph, blocker=blocker, rulebook=rulebook,
+        **_gateway_options(args),
     )
     schedule: list[tuple[str, int, int]] = []
     if args.scale_at:
@@ -447,8 +420,8 @@ def _cmd_stream(args) -> int:
         report = MitigationPipeline(
             topology.graph,
             rulebook=rulebook,
-            aggregation_window=args.window,
-            correlation_window=args.window,
+            aggregation_window=args.aggregation_window,
+            correlation_window=args.aggregation_window,
         ).run(trace, blocker=batch_blocker)
         if args.learn_rules:
             # Online-learned rules legitimately diverge from batch-derived
@@ -493,24 +466,7 @@ def _cmd_serve(args) -> int:
         checkpoint_every=args.checkpoint_every,
         retain_checkpoints=args.retain,
         journal_mode=args.journal_mode,
-        sync_journal=args.sync_journal,
-        n_shards=args.shards,
-        n_planes=args.planes,
-        backend=args.backend,
-        n_workers=args.workers,
-        flush_size=args.flush_size,
-        ingress_lanes=args.ingress_lanes,
-        lane_transport=args.lane_transport,
-        worker_recovery=args.worker_recovery,
-        worker_checkpoint_every=args.worker_checkpoint_every,
-        worker_timeout=args.worker_timeout,
-        aggregation_window=args.window,
-        correlation_window=args.window,
-        retain_artifacts=False,
-        learn_rules=args.learn_rules,
-        learner_config=_learner_config_for(args),
-        enable_qoa=args.qoa,
-        detect_antipatterns=args.detect,
+        **_gateway_options(args),
     )
     outcome = service.start()
     position = service.input_alerts

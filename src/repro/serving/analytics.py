@@ -289,7 +289,7 @@ def render_ops_report(status: dict) -> str:
                 f"  journal {journal['path']} ({journal['records']:,} records)"
             )
     backend = gateway["backend"]
-    if backend in ("thread", "process"):
+    if backend == "process":
         backend += f" x{gateway['n_workers']} workers"
     throughput = gateway.get("throughput")
     lines += [

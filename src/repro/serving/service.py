@@ -66,7 +66,8 @@ from repro.serving.checkpoint import (
     checkpoint_of_gateway,
 )
 from repro.serving.journal import JournalWriter, journal_files, read_journal
-from repro.serving.state import build_gateway, restore_gateway
+from repro.serving.state import restore_gateway
+from repro.streaming.config import GatewayConfig
 from repro.streaming.gateway import AlertGateway
 from repro.streaming.stats import GatewayStats
 from repro.telemetry.runtime import RuntimeMetrics
@@ -90,15 +91,12 @@ class AlertGatewayService:
         checkpoint_every: int = 4096,
         retain_checkpoints: int = 3,
         journal_mode: str = "lazy",
-        sync_journal: bool = False,
         history_limit: int = 288,
         metrics: RuntimeMetrics | None = None,
-        **gateway_kwargs,
+        **gateway_options,
     ) -> None:
         if checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be at least 1")
-        if sync_journal:
-            journal_mode = "sync"
         if journal_mode not in ("lazy", "batch", "sync"):
             raise ValidationError(
                 f"journal_mode must be 'lazy', 'batch' or 'sync', "
@@ -111,7 +109,8 @@ class AlertGatewayService:
         self.checkpoint_every = int(checkpoint_every)
         self.journal_mode = journal_mode
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        self._gateway_kwargs = dict(gateway_kwargs)
+        #: The gateway's configuration (validated here, before any boot).
+        self.config = GatewayConfig(**gateway_options)
         self.gateway: AlertGateway | None = None
         self._writer = CheckpointWriter(
             self.data_dir, retain=retain_checkpoints,
@@ -154,20 +153,14 @@ class AlertGatewayService:
         with self._lock:
             if self.gateway is not None:
                 raise ValidationError("service already started")
-            # The fresh gateway is built first either way: it is the
-            # boot path when no snapshot exists, and the configuration
-            # reference for drift detection when one does.
-            fresh = build_gateway(
-                self.graph,
-                self._fresh_config(),
-                blocker=self.blocker,
-                rulebook=self.rulebook,
-            )
             checkpoint = self._loader.latest()
             if checkpoint is None:
                 # No snapshot — but a crash before the first checkpoint
                 # still leaves journal records at epoch 0 to replay.
-                self.gateway = fresh
+                self.gateway = AlertGateway(
+                    self.graph, blocker=self.blocker, rulebook=self.rulebook,
+                    **vars(self.config),
+                )
                 self._epoch = 0
                 self.replayed_events = self._replay_journals(0)
                 if self.replayed_events:
@@ -177,12 +170,11 @@ class AlertGatewayService:
                 else:
                     outcome = "fresh"
             else:
-                expected = fresh.checkpoint_config()
-                fresh.close()
                 started = time.perf_counter()
+                # Drift reference: what a fresh boot would record.
                 self.gateway = restore_gateway(
                     checkpoint, self.graph, rulebook=self.rulebook,
-                    expected_config=expected,
+                    expected_config=self.config.resolved().record(),
                 )
                 self._epoch = checkpoint.seq
                 self.recovered_from = checkpoint.seq
@@ -196,15 +188,6 @@ class AlertGatewayService:
             self._since_checkpoint = 0
             self._draining = False
             return outcome
-
-    def _fresh_config(self) -> dict:
-        """The gateway kwargs as a recorded-config-shaped dict."""
-        probe = AlertGateway(
-            self.graph, blocker=AlertBlocker(), **self._gateway_kwargs,
-        )
-        config = probe.checkpoint_config()
-        probe.close()
-        return config
 
     def _replay_journals(self, from_epoch: int) -> int:
         """Replay every journal record newer than the restored snapshot."""

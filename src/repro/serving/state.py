@@ -4,10 +4,11 @@ A checkpoint stores *dynamic* state only.  The static inputs — the
 dependency graph and the correlation rulebook — are code-and-config,
 supplied by the caller at restore time exactly as at first boot; the
 checkpoint records the gateway's construction parameters
-(:meth:`~repro.streaming.gateway.AlertGateway.checkpoint_config`) so
+(:meth:`~repro.streaming.gateway.AlertGateway.checkpoint_config`, the
+record form of :class:`~repro.streaming.config.GatewayConfig`) so
 :func:`restore_gateway` can rebuild an identically-configured gateway
-and verify the caller did not silently change topology-shaped knobs the
-wire blobs depend on.
+and verify the caller did not silently change a *strict* option — one
+the wire blobs, the flush schedule or the carried accounting depend on.
 """
 
 from __future__ import annotations
@@ -16,25 +17,11 @@ from repro.common.errors import ValidationError
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import DependencyRuleBook
 from repro.serving.checkpoint import GatewayCheckpoint
-from repro.streaming import AlertGateway, LearnerConfig
+from repro.streaming.config import GatewayConfig
+from repro.streaming.gateway import AlertGateway
 from repro.topology.graph import DependencyGraph
 
 __all__ = ["build_gateway", "restore_gateway"]
-
-#: Construction knobs a restore must reproduce exactly: they shape the
-#: wire blobs (shard rings, windows), the flush schedule (learner
-#: judgment positions), or the accounting the checkpoint carries.
-_STRICT_CONFIG = (
-    "backend", "n_planes", "n_shards", "flush_size", "flush_interval",
-    "aggregation_window", "correlation_window", "correlation_max_hops",
-    "enable_storm_detection", "retain_artifacts", "finalize_every",
-    "learn_rules", "enable_qoa", "detect_antipatterns",
-)
-
-#: Strict knobs that gained existence after the first release: absent
-#: from older checkpoints, which could only have been written with the
-#: feature off — so absence compares equal to the off value.
-_STRICT_DEFAULTS = {"detect_antipatterns": False}
 
 
 def build_gateway(
@@ -43,52 +30,13 @@ def build_gateway(
     blocker: AlertBlocker | None = None,
     rulebook: DependencyRuleBook | None = None,
 ) -> AlertGateway:
-    """Construct a gateway from a recorded configuration dict."""
-    learner_config = config.get("learner_config")
-    return AlertGateway(
-        graph,
-        blocker=blocker,
-        rulebook=rulebook,
-        n_shards=config["n_shards"],
-        n_planes=config["n_planes"],
-        aggregation_window=config["aggregation_window"],
-        correlation_window=config["correlation_window"],
-        correlation_max_hops=config["correlation_max_hops"],
-        enable_storm_detection=config["enable_storm_detection"],
-        retain_artifacts=config["retain_artifacts"],
-        finalize_every=config["finalize_every"],
-        backend=config["backend"],
-        n_workers=config["n_workers"],
-        flush_size=config["flush_size"],
-        flush_interval=config["flush_interval"],
-        learn_rules=config["learn_rules"],
-        learner_config=(
-            LearnerConfig(**learner_config) if learner_config else None
-        ),
-        enable_qoa=config["enable_qoa"],
-        # ``get``: absent from pre-online-detection checkpoints, which
-        # could only have been written with detection off.  Strictness
-        # still holds — the _STRICT_CONFIG check compares the *recorded*
-        # values, and adopt_checkpoint re-verifies against the state.
-        detect_antipatterns=config.get("detect_antipatterns", False),
-        sketch_buckets=config.get("sketch_buckets", 4096),
-        # Not strict: lanes change where work runs, never what is
-        # counted (the lane parity harness pins that down), so a restore
-        # may use a different lane count than the checkpoint recorded.
-        # Likewise the lane transport and ring geometry: ring vs pipe
-        # (and slot sizing) only moves bytes differently, so pre-ring
-        # checkpoints restore with the defaults.
-        ingress_lanes=config.get("ingress_lanes", 1),
-        lane_transport=config.get("lane_transport", "ring"),
-        ring_slot_size=config.get("ring_slot_size"),
-        ring_slots=config.get("ring_slots"),
-        # Worker recovery is likewise non-strict: snapshot/journal replay
-        # reproduces the exact same accounting, so pre-fleet checkpoints
-        # restore with recovery off and current services may opt in.
-        worker_recovery=config.get("worker_recovery", False),
-        worker_checkpoint_every=config.get("worker_checkpoint_every", 64),
-        worker_timeout=config.get("worker_timeout", 30.0),
-    )
+    """Construct a gateway from a recorded configuration dict.
+
+    Keys an older checkpoint lacks take the
+    :class:`~repro.streaming.config.GatewayConfig` field defaults.
+    """
+    options = vars(GatewayConfig.from_record(config))
+    return AlertGateway(graph, blocker=blocker, rulebook=rulebook, **options)
 
 
 def restore_gateway(
@@ -99,22 +47,16 @@ def restore_gateway(
 ) -> AlertGateway:
     """Rebuild a live gateway from a checkpoint (bit-identical continue).
 
-    ``expected_config`` is the configuration the caller *would* use for
-    a fresh boot; when given, any strict-knob drift against the
-    checkpoint fails loudly instead of resuming a stream whose flush
+    ``expected_config`` is the configuration record the caller *would*
+    use for a fresh boot; when given, drift on any strict field against
+    the checkpoint fails loudly instead of resuming a stream whose flush
     schedule or shard rings no longer match its own history.
     """
     config = checkpoint.config
     if expected_config is not None:
-        drift = {
-            key: (
-                config.get(key, _STRICT_DEFAULTS.get(key)),
-                expected_config.get(key, _STRICT_DEFAULTS.get(key)),
-            )
-            for key in _STRICT_CONFIG
-            if config.get(key, _STRICT_DEFAULTS.get(key))
-            != expected_config.get(key, _STRICT_DEFAULTS.get(key))
-        }
+        drift = GatewayConfig.from_record(config).drift(
+            GatewayConfig.from_record(expected_config)
+        )
         if drift:
             details = ", ".join(
                 f"{key}: checkpoint={have!r} requested={want!r}"

@@ -20,9 +20,6 @@ Choosing a backend (``AlertGateway(backend=...)``):
   Pair with ``ingest_batch`` + ``flush_size`` ≥ 256 to amortise
   per-event overhead; on multi-region streams add planes so R4 sees
   contiguous per-region runs instead of interleavings.
-* ``thread`` — planes of each flush cycle run on a worker pool.  Plane
-  state stays in-process, so rebalancing and draining stay cheap; R3/R4
-  execute on pool threads, off the gateway loop.
 * ``process`` — planes partitioned across worker processes; batches
   cross the pipe in the struct-packed :mod:`~repro.streaming.wire`
   format and flush replies are bare counters.  Escapes the GIL
@@ -48,14 +45,12 @@ lane-aware flush barrier — identical learned timelines to one lane.
 """
 
 from repro.streaming.backends import (
-    BACKEND_NAMES,
-    LANE_TRANSPORTS,
     PlaneBackend,
     ProcessPlaneBackend,
     SerialPlaneBackend,
-    ThreadPlaneBackend,
     make_backend,
 )
+from repro.streaming.config import BACKEND_NAMES, LANE_TRANSPORTS, GatewayConfig
 from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OnlineAggregator, OpenSession
 from repro.streaming.detectors import STORM_HOUR_THRESHOLD, StreamingDetectorSuite
@@ -117,13 +112,13 @@ from repro.streaming.wire import (
 
 __all__ = [
     "AlertGateway",
+    "GatewayConfig",
     "GatewaySnapshot",
     "GatewayStats",
     "StreamProcessor",
     "BACKEND_NAMES",
     "PlaneBackend",
     "SerialPlaneBackend",
-    "ThreadPlaneBackend",
     "ProcessPlaneBackend",
     "make_backend",
     "PlaneConfig",

@@ -4,13 +4,10 @@ The gateway routes events to region-partitioned execution planes; a
 *backend* decides where each :class:`~repro.streaming.plane.RegionPlane`
 lives and what executes it:
 
-* ``serial`` — all planes in the calling thread, one after another.
-  Zero coordination overhead; the baseline every other backend must
+* ``serial`` — all planes in-process: in the calling thread, one after
+  another, or (with ``ingress_lanes > 1``) each on the lane thread that
+  owns it.  Zero coordination overhead; the baseline ``process`` must
   reconcile against.
-* ``thread`` — a worker pool runs the planes of one flush cycle
-  concurrently.  Plane state stays in-process, so rebalancing, draining
-  and artifact collection are plain method calls; R3 correlation and R4
-  detection execute on pool threads, off the gateway loop.
 * ``process`` — planes are partitioned across worker processes
   (``plane % n_workers``); event batches cross the pipe in the
   struct-packed :mod:`~repro.streaming.wire` format and flush replies
@@ -18,14 +15,20 @@ lives and what executes it:
   a dictionary-encoded column write, not a pickled object graph.  True
   parallelism regardless of the GIL.
 
-Every backend speaks the same protocol — ``flush`` with a barrier per
+Both backends speak the same protocol — ``flush`` with a barrier per
 call, ``snapshots`` for introspection, ``rebalance`` for live per-plane
-re-sharding, ``drain``/``close`` for shutdown — and every backend
-produces *bitwise identical* volume accounting: a plane's reaction chain
+re-sharding, ``drain``/``close`` for shutdown — and both
+produce *bitwise identical* volume accounting: a plane's reaction chain
 only ever sees its own regions' events in arrival order, so where it
 runs cannot change what it counts.  The parity harness in
 ``tests/streaming/test_backends.py`` pins that invariant down for every
 backend × plane count × shard count.
+
+A backend is built from the gateway's one
+:class:`~repro.streaming.config.GatewayConfig` (which backend, how many
+planes and workers, lane transport, worker supervision) plus the
+:class:`~repro.streaming.plane.PlaneConfig` derived from it that every
+plane — and every worker process at spawn — receives.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import dataclasses
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, Sequence
 
 from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
+from repro.streaming.config import GatewayConfig
 from repro.streaming.fleet import (
     CircuitBreaker,
     WorkerDiedError,
@@ -73,31 +76,17 @@ from repro.streaming.wire import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "LANE_TRANSPORTS",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "DEFAULT_WORKER_TIMEOUT",
     "PlaneBatch",
     "PlaneBackend",
     "SerialPlaneBackend",
-    "ThreadPlaneBackend",
     "ProcessPlaneBackend",
     "make_backend",
 ]
-
-BACKEND_NAMES = ("serial", "thread", "process")
 
 #: Poll slice for bounded worker-pipe waits: short enough that a dead
 #: worker is noticed within a slice or two, long enough that the liveness
 #: check is amortised away on the hot path.
 _POLL_SLICE = 0.05
-
-#: Parent-side wait for a worker reply before declaring a wedge.
-DEFAULT_WORKER_TIMEOUT = 30.0
-
-#: Journaled data batches per worker between full-plane recovery
-#: snapshots (the replay-tail bound when a worker dies).
-DEFAULT_CHECKPOINT_EVERY = 64
 
 #: Revive attempts per request: a batch that reliably kills its worker
 #: must surface as a death, not respawn forever.
@@ -105,12 +94,6 @@ _MAX_REVIVES = 2
 
 #: Transient pipe-error retries per request (worker still alive).
 _MAX_TRANSIENT_RETRIES = 3
-
-#: Ingress-lane hand-off transports for the ``process`` backend:
-#: ``ring`` writes encoded batches into per-(lane, worker) shared-memory
-#: rings (zero-copy, the default); ``pipe`` ships them pickled over the
-#: worker pipe (the PR-7 path, kept for comparison and as a fallback).
-LANE_TRANSPORTS = ("ring", "pipe")
 
 #: One plane's slice of a flush cycle: (plane id, in-order alerts,
 #: number of leading events inside the gateway-global novelty warmup).
@@ -121,6 +104,8 @@ class PlaneBackend(Protocol):
     """The execution contract the gateway programs against."""
 
     name: str
+    #: Worker processes executing the planes (1: the caller itself).
+    n_workers: int
 
     @property
     def n_planes(self) -> int:
@@ -211,10 +196,6 @@ class PlaneBackend(Protocol):
         ...
 
 
-def _build_planes(n_planes: int, config: PlaneConfig) -> list[RegionPlane]:
-    return [RegionPlane(plane, config) for plane in range(n_planes)]
-
-
 def _checkpoint_region(plane: RegionPlane, region: str) -> bytes:
     """Pack one region's plane state without disturbing the plane.
 
@@ -238,11 +219,12 @@ class SerialPlaneBackend:
     """All planes execute inline in the calling thread."""
 
     name = "serial"
+    n_workers = 1
 
     def __init__(self, n_planes: int, config: PlaneConfig) -> None:
         require_positive(n_planes, "n_planes")
         self._config = config
-        self.planes = _build_planes(n_planes, config)
+        self.planes = [RegionPlane(plane, config) for plane in range(n_planes)]
 
     @property
     def n_planes(self) -> int:
@@ -352,88 +334,6 @@ class SerialPlaneBackend:
 
     def close(self) -> None:
         pass
-
-
-class ThreadPlaneBackend(SerialPlaneBackend):
-    """Planes of one flush cycle run on a thread pool.
-
-    Plane state still lives in-process (introspection, rebalance and
-    drain are inherited verbatim) — only ``flush`` fans out.  Each cycle
-    touches each plane at most once, so no two tasks ever share a plane,
-    and the whole reaction chain — R1/R2 shard work plus R3 correlation
-    and R4 detection — executes on pool threads instead of the gateway
-    loop.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, n_planes: int, config: PlaneConfig, n_workers: int = 4,
-    ) -> None:
-        super().__init__(n_planes, config)
-        require_positive(n_workers, "n_workers")
-        self._requested_workers = int(n_workers)
-        self.n_workers = min(self._requested_workers, n_planes)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def flush(
-        self, batches: Sequence[PlaneBatch], watermark: float | None,
-    ) -> list[PlaneFlushResult]:
-        if len(batches) <= 1:
-            return super().flush(batches, watermark)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="plane"
-            )
-        planes = self.planes
-        return list(self._pool.map(
-            lambda item: planes[item[0]].process_batch(item[1], item[2], watermark),
-            batches,
-        ))
-
-    def resize(self, n_workers: int) -> None:
-        """Swap the pool for one with ``n_workers`` threads."""
-        require_positive(n_workers, "n_workers")
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._requested_workers = int(n_workers)
-        self.n_workers = min(self._requested_workers, self.n_planes)
-
-    def scale(
-        self,
-        n_planes: int,
-        moved: dict[str, tuple[int, int]],
-        n_shards: int,
-    ) -> list[PlaneSnapshot]:
-        snapshots = super().scale(n_planes, moved, n_shards)
-        # Re-clamp the pool to the new plane count: a scale-out can use
-        # the workers the construction-time clamp withheld.
-        workers = min(self._requested_workers, n_planes)
-        if workers != self.n_workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self.n_workers = workers
-        if self.n_workers > 1 and n_planes > 1 and self._pool is None:
-            # Spawn the pool threads inside the scale barrier: the cost
-            # of growing the worker fleet is part of the scale event,
-            # not of the first post-scale flush cycle.
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="plane"
-            )
-            barrier = threading.Barrier(self.n_workers)
-            for future in [
-                self._pool.submit(barrier.wait, timeout=5.0)
-                for _ in range(self.n_workers)
-            ]:
-                future.result()
-        return snapshots
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def _plane_worker_loop(connection, plane_ids, config: PlaneConfig) -> None:
@@ -640,29 +540,9 @@ class ProcessPlaneBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        n_planes: int,
-        config: PlaneConfig,
-        n_workers: int = 4,
-        lane_transport: str = "ring",
-        ring_slot_size: int | None = None,
-        ring_slots: int | None = None,
-        worker_recovery: bool = False,
-        worker_checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-    ) -> None:
-        require_positive(n_planes, "n_planes")
-        require_positive(n_workers, "n_workers")
-        require_positive(worker_checkpoint_every, "worker_checkpoint_every")
-        require_positive(worker_timeout, "worker_timeout")
-        if lane_transport not in LANE_TRANSPORTS:
-            raise ValidationError(
-                f"unknown lane transport {lane_transport!r}; expected one "
-                f"of {', '.join(LANE_TRANSPORTS)}"
-            )
-        self._n_planes = int(n_planes)
-        self._requested_workers = int(n_workers)
+    def __init__(self, options: GatewayConfig, config: PlaneConfig) -> None:
+        self._n_planes = options.n_planes
+        self._requested_workers = options.requested_workers
         self.n_workers = min(self._requested_workers, self._n_planes)
         self._config = config
         self._workers: list[multiprocessing.Process] | None = None
@@ -673,9 +553,9 @@ class ProcessPlaneBackend:
         # last full-plane snapshot plus the journal of mutating messages
         # since.  All per-worker supervision state — snapshot, journal,
         # breaker — is accessed only under that worker's pipe lock.
-        self.worker_recovery = bool(worker_recovery)
-        self._checkpoint_every = int(worker_checkpoint_every)
-        self._worker_timeout = float(worker_timeout)
+        self.worker_recovery = options.worker_recovery
+        self._checkpoint_every = options.worker_checkpoint_every
+        self._worker_timeout = options.worker_timeout
         self._breakers: list[CircuitBreaker] = []
         #: Per-worker ``(snapshot rows, rule table at capture)``; rows
         #: are ``(plane, region, blob)`` in deterministic order.
@@ -699,16 +579,9 @@ class ProcessPlaneBackend:
         # that worker (under the worker's pipe lock) and unlinked at
         # close.  ``ring_spills`` counts batches that fell back to the
         # pipe (oversized for a slot, or no free slot).
-        self.lane_transport = lane_transport
-        self._ring_slot_size = (
-            int(ring_slot_size) if ring_slot_size is not None
-            else DEFAULT_SLOT_SIZE
-        )
-        self._ring_slots = (
-            int(ring_slots) if ring_slots is not None else DEFAULT_SLOT_COUNT
-        )
-        require_positive(self._ring_slot_size, "ring_slot_size")
-        require_positive(self._ring_slots, "ring_slots")
+        self.lane_transport = options.lane_transport
+        self._ring_slot_size = options.ring_slot_size or DEFAULT_SLOT_SIZE
+        self._ring_slots = options.ring_slots or DEFAULT_SLOT_COUNT
         self._rings: dict[tuple[int, int], SpscRing] = {}
         #: Per-(lane, worker) spill counts; each key is written by
         #: exactly one lane thread, so no lock is needed to sum them.
@@ -1029,30 +902,6 @@ class ProcessPlaneBackend:
         finally:
             for lock in locks:
                 lock.release()
-
-    def lane_feed_encoded(
-        self,
-        plane: int,
-        blob: bytes,
-        in_warmup: int,
-        watermark: float | None,
-    ) -> PlaneFlushResult:
-        """One lane-dispatched, pre-encoded batch straight to its worker.
-
-        The ingress-lane fast path: ``blob`` arrives already wire-packed
-        (encoded once, at the lane), so the gateway side ships bytes and
-        reads back a counter tuple — no re-encode anywhere.  Lanes
-        feeding different workers run fully in parallel; lanes sharing a
-        worker serialise only on that worker's pipe lock.
-        """
-        if self._closed:
-            raise ValidationError("process backend already closed")
-        self._ensure_started()
-        worker_id = self._worker_of(plane)
-        message = ("flush", ([(plane, blob, in_warmup)], watermark))
-        with self._locks[worker_id]:
-            payload = self._exchange(worker_id, message, journal=True)
-        return payload[0]
 
     @property
     def ring_spills(self) -> int:
@@ -1379,10 +1228,6 @@ class ProcessPlaneBackend:
                 lock.release()
         self._refresh_snapshots()
 
-    #: ``rebalance(n_workers=...)``-compatible alias (the thread backend
-    #: spells pool resizing ``resize``).
-    resize = resize_workers
-
     def apply_rules(self, delta: RuleDelta) -> None:
         """Ship a learned rule delta to every worker's shared blocker.
 
@@ -1527,40 +1372,13 @@ class ProcessPlaneBackend:
             pass
 
 
-def make_backend(
-    name: str,
-    n_planes: int,
-    config: PlaneConfig,
-    n_workers: int | None = None,
-    lane_transport: str = "ring",
-    ring_slot_size: int | None = None,
-    ring_slots: int | None = None,
-    worker_recovery: bool = False,
-    worker_checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-) -> PlaneBackend:
-    """Build the named backend; ``n_workers`` defaults to 4 for pools.
+def make_backend(options: GatewayConfig, config: PlaneConfig) -> PlaneBackend:
+    """Build the backend ``options.backend`` names.
 
-    The lane-transport knobs shape only the ``process`` backend's
-    ingress-lane hand-off (shared-memory rings vs the classic pipe), and
-    the worker-fleet supervision knobs (recovery, snapshot cadence,
-    reply timeout) only its pipes; in-process backends have neither a
-    hand-off nor a fleet to supervise and ignore them.
+    The lane-transport and worker-supervision options shape only the
+    ``process`` backend's hand-off and fleet; ``serial`` has neither and
+    takes just the plane count.
     """
-    workers = 4 if n_workers is None else n_workers
-    if name == "serial":
-        return SerialPlaneBackend(n_planes, config)
-    if name == "thread":
-        return ThreadPlaneBackend(n_planes, config, n_workers=workers)
-    if name == "process":
-        return ProcessPlaneBackend(
-            n_planes, config, n_workers=workers,
-            lane_transport=lane_transport,
-            ring_slot_size=ring_slot_size, ring_slots=ring_slots,
-            worker_recovery=worker_recovery,
-            worker_checkpoint_every=worker_checkpoint_every,
-            worker_timeout=worker_timeout,
-        )
-    raise ValidationError(
-        f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
-    )
+    if options.backend == "serial":
+        return SerialPlaneBackend(options.n_planes, config)
+    return ProcessPlaneBackend(options, config)

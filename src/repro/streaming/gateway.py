@@ -14,8 +14,9 @@ partition:
   :class:`~repro.streaming.plane.RegionPlane` runs R1-R4 end to end for
   its regions with no cross-plane coordination — including its own
   :class:`OnlineCorrelator` and :class:`OnlineStormDetector`, which
-  therefore execute inside the worker threads/processes of the pluggable
-  :mod:`~repro.streaming.backends`, not on the gateway loop;
+  therefore execute wherever the pluggable
+  :mod:`~repro.streaming.backends` (or an ingress lane) runs the plane,
+  not on the gateway loop;
 * **level 2 — shards**: within a plane, a consistent-hash ring on
   ``(service, title template)`` spreads R1/R2 work across the plane's
   shard processors.
@@ -24,15 +25,17 @@ What remains on the gateway loop is deliberately thin: route to a plane
 buffer, track the watermark and the global novelty-warmup prefix, flush
 buffered batches to the backend, and merge per-plane snapshots/stats.
 
-Ingestion has two paths with identical end-of-run accounting:
+Ingestion is one partition pass: :meth:`ingest_batch` routes events into
+per-plane buffers and flushes them to the backend ``flush_size`` events
+at a time (or whenever event time advances ``flush_interval`` seconds);
+:meth:`ingest` is the same pass over a single event, processed
+immediately at the ``serial`` default ``flush_size=1``.
 
-* :meth:`ingest` — one event, processed immediately at the default
-  ``flush_size=1``;
-* :meth:`ingest_batch` — events are routed into per-plane buffers and
-  flushed to the backend ``flush_size`` events at a time (or whenever
-  event time advances ``flush_interval`` seconds).
+Every scalar option is a field of
+:class:`~repro.streaming.config.GatewayConfig` — declared there once,
+with its default and whether a restore must reproduce it.
 
-With ``ingress_lanes > 1`` both paths hand over to partitioned ingest
+With ``ingress_lanes > 1`` the pass hands over to partitioned ingest
 lanes (:mod:`~repro.streaming.lanes`): the caller's thread keeps only
 routing and stream-global accounting, while lane threads run (or
 wire-encode and ship) per-plane flushes concurrently — same end-of-run
@@ -77,11 +80,10 @@ are processed best-effort and counted in ``late_events``.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Iterable
-
-import dataclasses
 
 from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
@@ -89,18 +91,11 @@ from repro.common.validation import require_positive
 from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.blocking import AlertBlocker, rule_from_dict, rule_to_dict
 from repro.core.mitigation.correlation import AlertCluster, DependencyRuleBook
-from repro.streaming.backends import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_WORKER_TIMEOUT,
-    LANE_TRANSPORTS,
-    PlaneBackend,
-    make_backend,
-)
-from repro.core.antipatterns.base import DetectorThresholds
-from repro.ml.sketch import DEFAULT_SKETCH_BUCKETS
+from repro.streaming.backends import PlaneBackend, make_backend
+from repro.streaming.config import GatewayConfig
 from repro.streaming.detectors import StreamingDetectorSuite
 from repro.streaming.lanes import LaneIngress
-from repro.streaming.learning import LearnerConfig, OnlineRuleLearner
+from repro.streaming.learning import OnlineRuleLearner
 from repro.streaming.plane import PlaneConfig, PlaneSnapshot
 from repro.streaming.processor import StreamProcessor
 from repro.streaming.qoa import StreamQoAScorer
@@ -111,9 +106,6 @@ from repro.streaming.storm import DEFAULT_WARMUP_ALERTS
 from repro.topology.graph import DependencyGraph
 
 __all__ = ["AlertGateway", "GatewaySnapshot"]
-
-#: Default per-shard micro-batch size for the buffered backends.
-DEFAULT_BATCH_FLUSH = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,107 +146,43 @@ class AlertGateway:
         graph: DependencyGraph,
         blocker: AlertBlocker | None = None,
         rulebook: DependencyRuleBook | None = None,
-        n_shards: int = 4,
-        n_planes: int = 1,
-        aggregation_window: float = 900.0,
-        correlation_window: float = 900.0,
-        correlation_max_hops: int = 4,
-        enable_storm_detection: bool = True,
-        retain_artifacts: bool = True,
-        finalize_every: int = 256,
-        backend: str = "serial",
-        n_workers: int | None = None,
-        flush_size: int | None = None,
-        flush_interval: float | None = None,
-        learn_rules: bool = False,
-        learner_config: LearnerConfig | None = None,
-        enable_qoa: bool = False,
-        detect_antipatterns: bool = False,
-        detector_thresholds: DetectorThresholds | None = None,
-        sketch_buckets: int = DEFAULT_SKETCH_BUCKETS,
-        ingress_lanes: int = 1,
-        lane_transport: str = "ring",
-        ring_slot_size: int | None = None,
-        ring_slots: int | None = None,
-        worker_recovery: bool = False,
-        worker_checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
+        **options,
     ) -> None:
-        require_positive(n_planes, "n_planes")
-        require_positive(finalize_every, "finalize_every")
-        require_positive(ingress_lanes, "ingress_lanes")
-        if flush_size is not None:
-            require_positive(flush_size, "flush_size")
-        if flush_interval is not None:
-            require_positive(flush_interval, "flush_interval")
-        if lane_transport not in LANE_TRANSPORTS:
-            raise ValidationError(
-                f"unknown lane transport {lane_transport!r}; "
-                f"choose from {', '.join(LANE_TRANSPORTS)}"
-            )
+        #: The configuration as given (validated); see ``checkpoint_config``
+        #: for the record with live topology and effective values.
+        self.options = options = GatewayConfig(**options)
+        resolved = options.resolved()
         self._blocker = blocker or AlertBlocker()
         self.learner = (
-            OnlineRuleLearner(learner_config) if learn_rules else None
+            OnlineRuleLearner(options.learner_config)
+            if options.learn_rules else None
         )
-        self.qoa = StreamQoAScorer() if enable_qoa else None
-        detector_thresholds = detector_thresholds or DetectorThresholds()
+        self.qoa = StreamQoAScorer() if options.enable_qoa else None
         self.detectors = (
             StreamingDetectorSuite(
-                thresholds=detector_thresholds,
-                sketch_buckets=sketch_buckets,
+                thresholds=options.detector_thresholds,
+                sketch_buckets=options.sketch_buckets,
             )
-            if detect_antipatterns else None
+            if options.detect_antipatterns else None
         )
-        self._sketch_buckets = int(sketch_buckets)
-        self._config = PlaneConfig(
-            graph=graph,
-            blocker=self._blocker,
-            rulebook=rulebook,
-            n_shards=n_shards,
-            aggregation_window=float(aggregation_window),
-            correlation_window=float(correlation_window),
-            correlation_max_hops=int(correlation_max_hops),
-            enable_storm_detection=enable_storm_detection,
-            retain_artifacts=retain_artifacts,
-            finalize_every=int(finalize_every),
-            collect_observations=learn_rules or enable_qoa,
-            collect_detection=detect_antipatterns,
-            # No process boundary, no wire round trip: the in-process
-            # backends hand the digest tuple straight to the suite.
-            detection_inline=backend in ("serial", "thread"),
-            sketch_buckets=int(sketch_buckets),
-            detection_times_cap=detector_thresholds.repeat_window_count,
-            intermittent_threshold=detector_thresholds.intermittent_threshold,
+        self._config = PlaneConfig.from_options(
+            options, graph, self._blocker, rulebook,
         )
-        self._backend_name = backend
-        self._lane_transport = lane_transport
-        self._ring_slot_size = ring_slot_size
-        self._ring_slots = ring_slots
-        self._worker_recovery = bool(worker_recovery)
-        self._worker_checkpoint_every = int(worker_checkpoint_every)
-        self._worker_timeout = float(worker_timeout)
         # Fleet counters restored from a checkpoint: the rebuilt
         # backend's own counters restart at zero, so the totals fold
         # adds this baseline to stay monotone across restores.
         self._fleet_baseline = (0, 0)
+        n_planes = options.n_planes
         self._plane_router = PlaneRouter(n_planes)
-        self._backend: PlaneBackend = make_backend(
-            backend, n_planes=n_planes, config=self._config, n_workers=n_workers,
-            lane_transport=lane_transport, ring_slot_size=ring_slot_size,
-            ring_slots=ring_slots, worker_recovery=worker_recovery,
-            worker_checkpoint_every=worker_checkpoint_every,
-            worker_timeout=worker_timeout,
-        )
+        self._backend: PlaneBackend = make_backend(options, self._config)
         # The one stream-global piece of R4 state: the novelty warmup is
         # defined over the first N *gateway* events, so the gateway counts
         # the warmup prefix of every plane buffer and hands it down.
-        self._warmup_limit = DEFAULT_WARMUP_ALERTS if enable_storm_detection else 0
-        # Per-event ingestion processes immediately by default; buffered
-        # backends amortise hand-off over bigger flush cycles.
-        if flush_size is None:
-            flush_size = 1 if backend == "serial" else DEFAULT_BATCH_FLUSH
-        self._flush_size = int(flush_size)
-        self._flush_interval = flush_interval
+        self._warmup_limit = (
+            DEFAULT_WARMUP_ALERTS if options.enable_storm_detection else 0
+        )
+        self._flush_size = resolved.flush_size
+        self._flush_interval = options.flush_interval
         self._buffers: list[list[Alert]] = [[] for _ in range(n_planes)]
         self._warmup_pending: list[int] = [0] * n_planes
         self._buffered = 0
@@ -269,28 +197,20 @@ class AlertGateway:
         # judgment schedule to one lane) and the lanes only parallelise
         # each flush cycle's execution via ``flush_batches``.
         self._lanes: LaneIngress | None = None
-        if min(int(ingress_lanes), int(n_planes)) > 1:
+        if resolved.ingress_lanes > 1:
             self._lanes = LaneIngress(
-                self._backend,
-                self._plane_router,
-                n_planes=n_planes,
-                n_lanes=ingress_lanes,
-                flush_size=self._flush_size,
-                flush_interval=flush_interval,
-                warmup_limit=self._warmup_limit,
-                barrier_mode=learn_rules or enable_qoa or detect_antipatterns,
+                self._backend, self._plane_router, resolved, self._warmup_limit,
             )
-        self._retain = retain_artifacts
         self._drained = False
         self.stats = GatewayStats(
-            n_shards=n_shards,
+            n_shards=options.n_shards,
             n_planes=n_planes,
-            backend=backend,
-            n_workers=getattr(self._backend, "n_workers", 1),
+            backend=options.backend,
+            n_workers=self._backend.n_workers,
             flush_size=self._flush_size,
-            learning=learn_rules,
-            qoa_enabled=enable_qoa,
-            detect_enabled=detect_antipatterns,
+            learning=options.learn_rules,
+            qoa_enabled=options.enable_qoa,
+            detect_enabled=options.detect_antipatterns,
         )
         self.aggregates: list[AggregatedAlert] = []
         self.clusters: list[AlertCluster] = []
@@ -301,56 +221,17 @@ class AlertGateway:
     def ingest(self, alert: Alert) -> list[AggregatedAlert]:
         """Process one alert; returns aggregates the resulting flush closed.
 
-        With the default ``flush_size=1`` the event is processed before
-        this returns; larger flush sizes buffer it and return the
-        emissions of whatever flush the event happened to trigger.  The
-        ``process`` backend keeps emissions worker-side and returns
-        ``[]`` (use ``stats``/:meth:`snapshot` for progress, or drain to
-        collect retained artifacts).
+        With the ``serial`` default ``flush_size=1`` the event is
+        processed before this returns; larger flush sizes buffer it and
+        return the emissions of whatever flush the event happened to
+        trigger.  The ``process`` backend and free-running ingress lanes
+        keep emissions plane-side and return ``[]`` (use
+        ``stats``/:meth:`snapshot` for progress, or drain to collect
+        retained artifacts).
         """
-        if self._drained:
-            raise ValidationError("gateway already drained; create a new one")
-        if self._lanes is not None and not self._lanes.barrier_mode:
-            # Lane emissions stay plane-side (counters only); the return
-            # contract matches the process backend's.
-            self._lanes.ingest((alert,), self.stats)
-            return []
-        started = time.perf_counter()
-        stats = self.stats
-        stats.input_alerts += 1
-        if stats.watermark is None or alert.occurred_at >= stats.watermark:
-            stats.watermark = alert.occurred_at
-        else:
-            stats.late_events += 1
-            if (
-                self._flush_interval is not None
-                and self._last_flush_watermark is not None
-                and alert.occurred_at < self._last_flush_watermark
-            ):
-                # Late events must count against the interval trigger:
-                # after a forward watermark jump, an all-late tail keeps
-                # `watermark - last_flush` at zero and would stall
-                # interval flushes indefinitely.  Clamping the anchor to
-                # the late event's time re-arms the trigger.
-                self._last_flush_watermark = alert.occurred_at
-        plane = self._plane_router.plane_of(alert.region)
-        self._buffers[plane].append(alert)
-        if stats.input_alerts <= self._warmup_limit:
-            self._warmup_pending[plane] += 1
-        self._buffered += 1
-        if self._last_flush_watermark is None:
-            self._last_flush_watermark = alert.occurred_at
-        if self._buffered >= self._flush_size or (
-            self._flush_interval is not None
-            and stats.watermark - self._last_flush_watermark >= self._flush_interval
-        ):
-            flushed = self._buffered
-            emitted = self._flush(observe_latency=False)
-            # Amortise over the whole flush: with flush_size=1 this is
-            # exactly one per-event observation.
-            stats.observe_flush(time.perf_counter() - started, flushed)
-            return emitted
-        return []
+        emitted: list[AggregatedAlert] = []
+        self._ingest((alert,), emitted)
+        return emitted
 
     def ingest_many(self, alerts: Iterable[Alert]) -> int:
         """Feed a source one event at a time; returns the count."""
@@ -361,7 +242,7 @@ class AlertGateway:
         return count
 
     def ingest_batch(self, alerts: Iterable[Alert]) -> int:
-        """Feed a micro-batch (or a whole source) through the batched path.
+        """Feed a micro-batch (or a whole source) through the partition pass.
 
         Events are routed into per-plane buffers and handed to the
         execution backend ``flush_size`` at a time; end-of-run accounting
@@ -369,9 +250,21 @@ class AlertGateway:
         Buffered events persist across calls until a flush triggers or
         the gateway is drained.
         """
+        return self._ingest(alerts, None)
+
+    def _ingest(
+        self, alerts: Iterable[Alert], emitted: list[AggregatedAlert] | None,
+    ) -> int:
+        """The one partition pass: route, watermark, warmup, flush trigger.
+
+        ``emitted`` (per-event :meth:`ingest` only) collects what each
+        triggered flush closed; it is consulted once per flush, never
+        per alert.
+        """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
         if self._lanes is not None and not self._lanes.barrier_mode:
+            # Lane emissions stay plane-side (counters only).
             return self._lanes.ingest(alerts, self.stats)
         stats = self.stats
         buffers = self._buffers
@@ -402,9 +295,12 @@ class AlertGateway:
                         and self._last_flush_watermark is not None
                         and occurred_at < self._last_flush_watermark
                     ):
-                        # Same stall fix as the per-event path: a late
-                        # tail after a watermark jump must still be able
-                        # to fire the interval trigger.
+                        # Late events must count against the interval
+                        # trigger: after a forward watermark jump, an
+                        # all-late tail keeps `watermark - last_flush`
+                        # at zero and would stall interval flushes
+                        # indefinitely.  Clamping the anchor to the late
+                        # event's time re-arms the trigger.
                         self._last_flush_watermark = occurred_at
                 plane = plane_cache.get(alert.region)
                 if plane is None:
@@ -430,7 +326,9 @@ class AlertGateway:
                     # raises, _flush has already consumed the buffers and
                     # the finally must not resurrect the stale count.
                     buffered = 0
-                    self._flush()
+                    flushed = self._flush()
+                    if emitted is not None:
+                        emitted.extend(flushed)
                     buffered = self._buffered
                     buffers = self._buffers
                     warmup_pending = self._warmup_pending
@@ -452,10 +350,10 @@ class AlertGateway:
         results.sort(key=lambda result: result.plane_id)
         for result in results:
             self._set_plane_counters(result.plane_id, result.counters())
-            if self._retain:
+            if self.options.retain_artifacts:
                 self.aggregates.extend(result.retained_aggregates)
                 self.clusters.extend(result.retained_clusters)
-        if self._retain:
+        if self.options.retain_artifacts:
             # Planes finish independently; merge deterministically.
             self.aggregates.sort(
                 key=lambda a: (a.window.start, a.strategy_id, a.region)
@@ -518,59 +416,53 @@ class AlertGateway:
         region, not shard, and are untouched.  Volume accounting is exact
         across the transition.
 
-        ``n_workers`` resizes the ``thread`` pool, or — since the worker
-        fleet became elastic — live-resizes the ``process`` fleet by
-        re-homing planes as packed state (see :meth:`resize_workers`).
+        ``n_workers`` first live-resizes the ``process`` fleet (see
+        :meth:`resize_workers`, failure semantics included).
         """
         require_positive(n_shards, "n_shards")
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
-        self._flush()
         if n_workers is not None:
-            resize = getattr(self._backend, "resize", None)
-            if resize is None:
-                raise ValidationError(
-                    f"the {self._backend_name} backend has no worker pool "
-                    f"to resize"
-                )
-            resize(n_workers)
-            self.stats.n_workers = self._backend.n_workers
+            self.resize_workers(n_workers)
+        self._flush()
         self._backend.rebalance(n_shards)
         self.stats.n_shards = n_shards
         self.stats.rebalances += 1
 
     def resize_workers(self, n_workers: int) -> None:
-        """Grow or shrink the execution worker pool, live.
+        """Grow or shrink the ``process`` backend's worker fleet, live.
 
-        A barrier (pending buffers flush first).  On the ``thread``
-        backend this swaps the pool; on the ``process`` backend it
-        re-homes every plane whose ``plane % n_workers`` assignment
-        changes, migrating whole-plane state between worker processes
-        with the same ``pack_plane_state`` round trip ``scale_planes``
-        uses — volume accounting is exact across the transition.  A
-        failure mid-migration poisons the gateway (like a failed plane
-        scale): detached state may not have reached its destination, so
-        further ingestion would be silently wrong.
+        A barrier (pending buffers flush first).  Every plane whose
+        ``plane % n_workers`` assignment changes is re-homed, migrating
+        whole-plane state between worker processes with the same
+        ``pack_plane_state`` round trip ``scale_planes`` uses — volume
+        accounting is exact across the transition.  A failure
+        mid-migration poisons the gateway (like a failed plane scale):
+        detached state may not have reached its destination, so further
+        ingestion would be silently wrong.
         """
         require_positive(n_workers, "n_workers")
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
-        resize = getattr(self._backend, "resize", None)
-        if resize is None:
+        if self.options.backend == "serial":
             raise ValidationError(
-                f"the {self._backend_name} backend has no worker pool to resize"
+                "the serial backend has no worker pool to resize"
             )
         self._flush()
         try:
-            resize(n_workers)
+            self._backend.resize_workers(n_workers)
         except BaseException:
-            self._drained = True
-            try:
-                self._backend.close()
-            except Exception:
-                pass
+            self._poison()
             raise
         self.stats.n_workers = self._backend.n_workers
+
+    def _poison(self) -> None:
+        """Refuse all further use: a migration failed part-way."""
+        self._drained = True
+        try:
+            self._backend.close()
+        except Exception:
+            pass
 
     def scale_planes(self, n_planes: int) -> dict[str, tuple[int, int]]:
         """Re-plane the live gateway to ``n_planes``, migrating state.
@@ -609,18 +501,14 @@ class AlertGateway:
             # further ingestion would silently split open sessions
             # across planes.  Poison the gateway so the failure stays
             # loud, then re-raise.
-            self._drained = True
-            try:
-                self._backend.close()
-            except Exception:
-                pass
+            self._poison()
             raise
         self._buffers = [[] for _ in range(n_planes)]
         self._warmup_pending = [0] * n_planes
         if self._lanes is not None:
             self._lanes.rescale(n_planes)
         stats.n_planes = n_planes
-        stats.n_workers = getattr(self._backend, "n_workers", 1)
+        stats.n_workers = self._backend.n_workers
         stats.plane_scales += 1
         stats.scales.append({
             "at_input": stats.input_alerts,
@@ -670,43 +558,23 @@ class AlertGateway:
         return self._flush()
 
     def checkpoint_config(self) -> dict:
-        """The construction-time configuration, JSON-safe.
+        """The configuration record (:meth:`GatewayConfig.record`), JSON-safe.
 
         Recorded in every checkpoint so a restore can rebuild an
         identically-configured gateway (the topology graph and rulebook
-        are the caller's static inputs and stay outside the snapshot).
+        are the caller's static inputs and stay outside the snapshot):
+        the options as given, with the *live* topology and the effective
+        flush size and lane count.
         """
-        config = self._config
         stats = self.stats
-        return {
-            "backend": self._backend_name,
-            "n_planes": stats.n_planes,
-            "n_shards": stats.n_shards,
-            "n_workers": stats.n_workers,
-            "flush_size": self._flush_size,
-            "flush_interval": self._flush_interval,
-            "ingress_lanes": self.ingress_lanes,
-            "lane_transport": self._lane_transport,
-            "ring_slot_size": self._ring_slot_size,
-            "ring_slots": self._ring_slots,
-            "worker_recovery": self._worker_recovery,
-            "worker_checkpoint_every": self._worker_checkpoint_every,
-            "worker_timeout": self._worker_timeout,
-            "aggregation_window": config.aggregation_window,
-            "correlation_window": config.correlation_window,
-            "correlation_max_hops": config.correlation_max_hops,
-            "enable_storm_detection": config.enable_storm_detection,
-            "retain_artifacts": config.retain_artifacts,
-            "finalize_every": config.finalize_every,
-            "learn_rules": self.learner is not None,
-            "enable_qoa": self.qoa is not None,
-            "detect_antipatterns": self.detectors is not None,
-            "sketch_buckets": self._sketch_buckets,
-            "learner_config": (
-                dataclasses.asdict(self.learner.config)
-                if self.learner is not None else None
-            ),
-        }
+        return dataclasses.replace(
+            self.options,
+            n_planes=stats.n_planes,
+            n_shards=stats.n_shards,
+            n_workers=stats.n_workers,
+            flush_size=self._flush_size,
+            ingress_lanes=self.ingress_lanes,
+        ).record()
 
     def checkpoint_state(self) -> dict:
         """Capture the gateway's complete dynamic state (non-destructive).
@@ -881,7 +749,7 @@ class AlertGateway:
 
     @property
     def backend_name(self) -> str:
-        """The execution backend in use (``serial``/``thread``/``process``)."""
+        """The execution backend in use (``serial``/``process``)."""
         return self._backend.name
 
     @property
@@ -906,7 +774,7 @@ class AlertGateway:
 
     @property
     def processors(self) -> list[StreamProcessor]:
-        """Every shard processor (read-only use; in-process backends only)."""
+        """Every shard processor (read-only use; ``serial`` backend only)."""
         processors = getattr(self._backend, "processors", None)
         if processors is None:
             raise ValidationError(
@@ -918,7 +786,7 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _flush(self, observe_latency: bool = True) -> list[AggregatedAlert]:
+    def _flush(self) -> list[AggregatedAlert]:
         """Hand every buffered per-plane batch to the backend (a barrier)."""
         lanes = self._lanes
         if lanes is not None and not lanes.barrier_mode:
@@ -959,8 +827,7 @@ class AlertGateway:
         stats.flushes += 1
         self._last_flush_watermark = stats.watermark
         self._refresh_totals()
-        if observe_latency:
-            stats.observe_flush(time.perf_counter() - started, flushed)
+        stats.observe_flush(time.perf_counter() - started, flushed)
         return emitted_all
 
     def _lane_barrier(self) -> list[AggregatedAlert]:

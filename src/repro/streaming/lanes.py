@@ -15,9 +15,9 @@ accounting (watermark, late events, the novelty-warmup prefix).  Full
 per-plane batches are handed to lane worker threads, which do the
 expensive part off the ingress thread:
 
-* in-process backends (``serial``/``thread``): the lane thread runs the
-  plane's whole reaction chain via ``backend.lane_feed`` — the lane *is*
-  the plane's worker;
+* the ``serial`` backend: the lane thread runs the plane's whole
+  reaction chain via ``backend.lane_feed`` — the lane *is* the plane's
+  worker;
 * the ``process`` backend: the lane thread wire-encodes the batch with a
   reusable :class:`~repro.streaming.wire.AlertBatchBuilder` (encode once
   at the lane, zero re-encode downstream) and hands the encoder's output
@@ -72,6 +72,7 @@ import time
 from typing import Iterable, Sequence
 
 from repro.alerting.alert import Alert
+from repro.streaming.config import GatewayConfig
 from repro.streaming.plane import PlaneFlushResult
 from repro.streaming.routing import PlaneRouter
 from repro.streaming.stats import GatewayStats
@@ -98,24 +99,24 @@ class LaneIngress:
         self,
         backend,
         router: PlaneRouter,
-        n_planes: int,
-        n_lanes: int,
-        flush_size: int,
-        flush_interval: float | None,
+        config: GatewayConfig,
         warmup_limit: int,
-        barrier_mode: bool = False,
     ) -> None:
+        """``config`` is the gateway's *resolved* configuration."""
+        n_planes = config.n_planes
         self._backend = backend
         self._router = router
-        self._n_lanes = min(int(n_lanes), int(n_planes))
-        self._flush_size = int(flush_size)
-        self._flush_interval = flush_interval
+        self._n_lanes = config.ingress_lanes
+        self._flush_size = config.flush_size
+        self._flush_interval = config.flush_interval
         self._warmup_limit = int(warmup_limit)
-        #: Barrier mode (rule learning / QoA): the gateway owns the
-        #: buffers and the classic global flush trigger; lanes only run
-        #: :meth:`flush_batches` cycles.  See the module docstring.
-        self.barrier_mode = bool(barrier_mode)
-        self._encoded = hasattr(backend, "lane_feed_encoded")
+        #: Barrier mode (rule learning / QoA / online detection): the
+        #: gateway owns the buffers and the classic global flush
+        #: trigger; lanes only run :meth:`flush_batches` cycles.  See
+        #: the module docstring.
+        self.barrier_mode = (
+            config.learn_rules or config.enable_qoa or config.detect_antipatterns
+        )
         self._parts_feed = getattr(backend, "lane_feed_parts", None)
         self._buffers: list[list[Alert]] = [[] for _ in range(n_planes)]
         self._warmup_pending: list[int] = [0] * n_planes
@@ -258,9 +259,8 @@ class LaneIngress:
 
     def _lane_loop(self, lane: int) -> None:
         backend = self._backend
-        encoded = self._encoded
         feed_parts = self._parts_feed
-        builder = AlertBatchBuilder() if encoded else None
+        builder = AlertBatchBuilder() if feed_parts is not None else None
         work = self._queues[lane]
         results = self._last_results
         cycle = self._cycle_results
@@ -280,11 +280,6 @@ class LaneIngress:
                     result = feed_parts(
                         lane, plane, builder.finish_parts(),
                         in_warmup, watermark,
-                    )
-                elif encoded:
-                    builder.extend(batch)
-                    result = backend.lane_feed_encoded(
-                        plane, builder.finish(), in_warmup, watermark,
                     )
                 else:
                     result = backend.lane_feed(

@@ -19,8 +19,8 @@ disjoint set of regions:
   gateway).
 
 Because a plane touches nothing outside itself, the execution backends
-can run whole planes on worker threads or processes: R3 correlation and
-R4 detection execute inside the workers, off the gateway loop — the
+can run whole planes on lane threads or worker processes: R3 correlation
+and R4 detection execute there, off the gateway loop — the
 gateway is reduced to routing, watermark tracking, and snapshot/stat
 merging.
 
@@ -49,6 +49,7 @@ from repro.core.mitigation.correlation import (
     CorrelationAnalyzer,
     DependencyRuleBook,
 )
+from repro.streaming.config import GatewayConfig
 from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OpenSession
 from repro.streaming.processor import StreamProcessor
@@ -110,6 +111,37 @@ class PlaneConfig:
     #: run, so nothing beyond it ever needs shipping; defaulted from the
     #: batch thresholds' single source of truth.
     detection_times_cap: int = DetectorThresholds().repeat_window_count
+
+    @classmethod
+    def from_options(
+        cls,
+        options: GatewayConfig,
+        graph: DependencyGraph,
+        blocker: AlertBlocker,
+        rulebook: DependencyRuleBook | None,
+    ) -> PlaneConfig:
+        """The plane-side view of a gateway configuration."""
+        thresholds = options.detector_thresholds
+        return cls(
+            graph=graph,
+            blocker=blocker,
+            rulebook=rulebook,
+            n_shards=options.n_shards,
+            aggregation_window=float(options.aggregation_window),
+            correlation_window=float(options.correlation_window),
+            correlation_max_hops=int(options.correlation_max_hops),
+            enable_storm_detection=options.enable_storm_detection,
+            retain_artifacts=options.retain_artifacts,
+            finalize_every=int(options.finalize_every),
+            collect_observations=options.learn_rules or options.enable_qoa,
+            collect_detection=options.detect_antipatterns,
+            # No process boundary, no wire round trip: the in-process
+            # backend hands the digest tuple straight to the suite.
+            detection_inline=options.backend == "serial",
+            sketch_buckets=int(options.sketch_buckets),
+            detection_times_cap=thresholds.repeat_window_count,
+            intermittent_threshold=thresholds.intermittent_threshold,
+        )
 
 
 @dataclass(slots=True)

@@ -313,7 +313,7 @@ class GatewayStats:
     def render(self) -> str:
         """Human-readable gateway summary."""
         backend = self.backend
-        if backend in ("thread", "process"):
+        if backend == "process":
             backend += f" x{self.n_workers} workers"
         lines = [
             f"planes:              {self.n_planes:>8}  x {self.n_shards} shards "

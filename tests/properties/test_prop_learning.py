@@ -16,7 +16,7 @@ Three invariants over randomized noisy traces:
   exactly: learned-rule *application* is the ordinary batch R1
   semantics, only the rule table's evolution is new.
 * **Backend invariance** — the learned timeline and the volume
-  accounting are identical on serial, thread, and process backends for
+  accounting are identical on the serial and process backends for
   every plane count, shard count, and flush size: learning happens at
   the gateway from deterministic per-plane digests, and deltas land at
   flush barriers, so where planes execute cannot change what is learned.
@@ -179,23 +179,6 @@ class TestReplayEquivalence:
 
 
 class TestBackendInvariance:
-    @given(noisy_traces(),
-           st.sampled_from([1, 2]),
-           st.sampled_from([1, 3]),
-           st.sampled_from([4, 16, 64]))
-    @settings(max_examples=25, deadline=None)
-    def test_thread_learns_identically_to_serial(
-        self, alerts, n_planes, n_shards, flush_size
-    ):
-        serial_gw, serial = _run_learning(
-            alerts, "serial", flush_size, n_shards, n_planes,
-        )
-        thread_gw, threaded = _run_learning(
-            alerts, "thread", flush_size, n_shards, n_planes,
-        )
-        assert _counts(serial) == _counts(threaded)
-        assert _event_log(serial_gw) == _event_log(thread_gw)
-
     @given(noisy_traces(), st.sampled_from([1, 2]))
     @settings(max_examples=4, deadline=None)
     def test_process_learns_identically_to_serial(self, alerts, n_planes):

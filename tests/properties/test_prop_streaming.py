@@ -2,7 +2,7 @@
 
 Randomized alert traces (arbitrary strategies, regions, severities,
 bursts and gaps) must produce *identical* volume accounting no matter
-how the gateway executes: serial vs thread vs process backends, any
+how the gateway executes: serial vs process backends, any
 plane count (the region partition), batched vs per-event ingestion, any
 flush size, and with or without a mid-stream per-plane rebalance.  Each
 property also cross-checks the batch ``MitigationPipeline`` on the same
@@ -123,17 +123,6 @@ def _batch_counts(alerts, blocker, window=600.0) -> tuple:
 
 
 class TestBackendEquivalence:
-    @given(alert_traces(), blockers(),
-           st.sampled_from([1, 3, 17, 128]),
-           st.sampled_from([1, 2, 5]))
-    @settings(max_examples=40, deadline=None)
-    def test_serial_and_thread_count_identically(
-        self, alerts, blocker, flush_size, n_shards
-    ):
-        serial = _run(alerts, blocker, "serial", flush_size, n_shards)
-        threaded = _run(alerts, blocker, "thread", flush_size, n_shards)
-        assert _counts(serial) == _counts(threaded)
-
     @given(alert_traces(), blockers())
     @settings(max_examples=5, deadline=None)
     def test_process_backend_counts_identically(self, alerts, blocker):
@@ -191,17 +180,6 @@ class TestPlaneEquivalence:
             stats.aggregates_emitted,
             stats.clusters_finalized,
         ) == _batch_counts(alerts, blocker)
-
-    @given(alert_traces(), blockers(), st.sampled_from([2, 4]))
-    @settings(max_examples=25, deadline=None)
-    def test_planes_and_threads_count_identically(
-        self, alerts, blocker, n_planes
-    ):
-        serial = _run(alerts, blocker, "serial", flush_size=16,
-                      n_planes=n_planes)
-        threaded = _run(alerts, blocker, "thread", flush_size=16,
-                        n_planes=n_planes)
-        assert _counts(serial) == _counts(threaded)
 
     @given(alert_traces(), blockers())
     @settings(max_examples=5, deadline=None)

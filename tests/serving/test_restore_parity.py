@@ -62,7 +62,6 @@ def _service(graph, data_dir, **kwargs):
 class TestKillRestoreMatrix:
     @pytest.mark.parametrize("backend,backend_kwargs", [
         ("serial", {}),
-        ("thread", {"n_workers": 2}),
         ("process", {"n_workers": 2}),
     ])
     @pytest.mark.parametrize("n_planes", [1, 3])

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.core.antipatterns.base import DetectorThresholds
 from repro.io.traces import alert_to_dict
 from repro.serving import AlertGatewayService, CheckpointLoader
 from repro.serving.journal import journal_files
@@ -135,6 +137,57 @@ class TestLifecycle:
             "journals older than every retained snapshot must be pruned"
         )
         service.stop()
+
+
+class TestConfiguredOptionsReachTheGateway:
+    """Every option is a ``GatewayConfig`` field, so the service path —
+    fresh boot, checkpoint record, restore, drift check — carries it.
+    ``detector_thresholds`` was the option the hand-mirrored copies had
+    dropped: a service given custom thresholds silently ran the defaults."""
+
+    THRESHOLDS = dataclasses.replace(
+        DetectorThresholds(), intermittent_threshold=1.0, repeat_window_count=3,
+    )
+
+    def _service(self, graph, data_dir, thresholds):
+        return _service(
+            graph, data_dir, journal_mode="batch",
+            detect_antipatterns=True, detector_thresholds=thresholds,
+        )
+
+    def _assert_thresholds(self, service):
+        gateway = service.gateway
+        assert gateway.options.detector_thresholds == self.THRESHOLDS
+        assert gateway._config.intermittent_threshold == 1.0
+        assert gateway._config.detection_times_cap == 3
+        assert gateway.detectors._thresholds == self.THRESHOLDS
+
+    def test_detector_thresholds_survive_boot_restore_and_gate_drift(
+        self, serving_graph, storm_alerts, tmp_path,
+    ):
+        service = self._service(serving_graph, tmp_path, self.THRESHOLDS)
+        assert service.start() == "fresh"
+        self._assert_thresholds(service)
+        service.ingest(storm_alerts[:128])
+        assert service.checkpoints_written == 1
+        service.ingest(storm_alerts[128:160])  # journal tail past the snapshot
+        service.abort()
+
+        restored = self._service(serving_graph, tmp_path, self.THRESHOLDS)
+        assert restored.start() == "restored"
+        assert restored.input_alerts == 160
+        self._assert_thresholds(restored)
+        restored.abort()
+
+        drifted = self._service(serving_graph, tmp_path, DetectorThresholds())
+        with pytest.raises(ValidationError, match="drift.*detector_thresholds"):
+            drifted.start()
+
+    def test_invalid_option_fails_at_construction(self, serving_graph, tmp_path):
+        with pytest.raises(ValidationError, match="unknown backend"):
+            _service(serving_graph, tmp_path, backend="thread")
+        with pytest.raises(TypeError, match="sync_journal"):
+            _service(serving_graph, tmp_path, sync_journal=True)
 
 
 class TestStatus:

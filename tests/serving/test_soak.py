@@ -49,7 +49,6 @@ def _golden_service(data_dir, **kwargs):
 
 @pytest.mark.parametrize("backend,backend_kwargs", [
     ("serial", {}),
-    ("thread", {"n_workers": 2, "n_planes": 2}),
     ("process", {"n_workers": 2, "n_planes": 2}),
 ])
 def test_killed_and_restored_service_matches_golden_fixture(

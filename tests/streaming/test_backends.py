@@ -17,10 +17,10 @@ from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import rulebook_from_ground_truth
 from repro.streaming import (
     AlertGateway,
+    GatewayConfig,
     PlaneConfig,
     ProcessPlaneBackend,
     SerialPlaneBackend,
-    ThreadPlaneBackend,
     make_backend,
 )
 from repro.topology.graph import DependencyGraph
@@ -65,17 +65,16 @@ def _plane_config(n_shards: int = 2, **overrides) -> PlaneConfig:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("n_planes", [1, 2])
     @pytest.mark.parametrize("n_shards", [1, 4, 16])
     @pytest.mark.parametrize("flush_size", [1, 64, 512])
     def test_batched_ingestion_reconciles_exactly(
-        self, storm_setup, backend, n_planes, n_shards, flush_size
+        self, storm_setup, n_planes, n_shards, flush_size
     ):
         trace, _, _, _, report = storm_setup
         gateway = _gateway(
-            storm_setup, backend=backend, n_planes=n_planes,
-            n_shards=n_shards, flush_size=flush_size, n_workers=4,
+            storm_setup, backend="serial", n_planes=n_planes,
+            n_shards=n_shards, flush_size=flush_size,
         )
         gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
@@ -97,7 +96,7 @@ class TestBackendParity:
         stats = gateway.drain()
         assert stats.reconcile(report) == {}
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("new_shards", [2, 8])
     @pytest.mark.parametrize("n_planes", [1, 2])
     def test_rebalance_mid_stream_stays_exact(
@@ -208,7 +207,7 @@ class TestRebalanceMechanics:
         stats = gateway.drain()
         assert stats.aggregates_emitted == 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_rebalance_then_immediate_drain_keeps_sessions(
         self, small_topology, backend
     ):
@@ -249,38 +248,37 @@ class TestRebalanceMechanics:
         assert gateway.stats.n_workers == 1
         gateway.drain()
 
-    def test_thread_backend_resizes_workers(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_planes=4, n_shards=2,
-                               backend="thread", n_workers=2)
-        gateway.ingest(make_alert(1.0))
-        gateway.rebalance(2, n_workers=3)
-        assert gateway.stats.n_workers == 3
-        gateway.drain()
-
 
 class TestBackendMechanics:
-    def test_factory_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_backend_is_rejected(self, name):
+        # "thread": a name older callers and checkpoint records may
+        # still carry; it gets no special handling.
         with pytest.raises(ValidationError, match="unknown backend"):
-            make_backend("gpu", n_planes=2, config=_plane_config())
+            GatewayConfig(backend=name)
 
     def test_factory_builds_each_backend(self):
         config = _plane_config()
-        assert isinstance(make_backend("serial", 2, config), SerialPlaneBackend)
-        assert isinstance(make_backend("thread", 2, config), ThreadPlaneBackend)
-        process = make_backend("process", 2, config)
+        serial = make_backend(GatewayConfig(n_planes=2), config)
+        assert isinstance(serial, SerialPlaneBackend)
+        assert (serial.n_planes, serial.n_workers) == (2, 1)
+        process = make_backend(GatewayConfig(backend="process", n_planes=2), config)
         assert isinstance(process, ProcessPlaneBackend)
         process.close()
 
     def test_worker_pools_clamp_to_plane_count(self):
-        config = _plane_config()
-        thread = make_backend("thread", 2, config, n_workers=8)
-        assert thread.n_workers == 2
-        process = make_backend("process", 3, config, n_workers=8)
+        process = make_backend(
+            GatewayConfig(backend="process", n_planes=3, n_workers=8),
+            _plane_config(),
+        )
         assert process.n_workers == 3
         process.close()
 
     def test_process_backend_spawns_lazily_and_closes(self):
-        backend = ProcessPlaneBackend(2, _plane_config(), n_workers=2)
+        backend = ProcessPlaneBackend(
+            GatewayConfig(backend="process", n_planes=2, n_workers=2),
+            _plane_config(),
+        )
         assert backend._workers is None  # nothing spawned yet
         backend.flush([(0, [make_alert(1.0)], 1)], 1.0)
         assert backend._workers is not None
@@ -300,7 +298,10 @@ class TestBackendMechanics:
         for alert in alerts:
             batches[int(alert.region[-1])][1].append(alert)
         serial = SerialPlaneBackend(3, _plane_config())
-        process = ProcessPlaneBackend(3, _plane_config(), n_workers=2)
+        process = ProcessPlaneBackend(
+            GatewayConfig(backend="process", n_planes=3, n_workers=2),
+            _plane_config(),
+        )
         try:
             serial_results = {
                 r.plane_id: r for r in serial.flush(batches, alerts[-1].occurred_at)
@@ -321,18 +322,6 @@ class TestBackendMechanics:
                 assert expected.emitted is not None
         finally:
             process.close()
-
-    def test_thread_backend_is_deterministic(self, storm_setup):
-        trace = storm_setup[0]
-        counts = set()
-        for _ in range(2):
-            gateway = _gateway(storm_setup, backend="thread", n_planes=2,
-                               n_shards=8, flush_size=256, n_workers=4)
-            gateway.ingest_batch(trace.iter_ordered())
-            stats = gateway.drain()
-            counts.add((stats.blocked_alerts, stats.aggregates_emitted,
-                        stats.clusters_finalized))
-        assert len(counts) == 1
 
     def test_processors_not_addressable_for_process_backend(self, small_topology):
         gateway = AlertGateway(small_topology.graph, n_shards=2,

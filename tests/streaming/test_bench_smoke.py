@@ -115,10 +115,8 @@ def test_plane_sweep_reconciles_each_plane_count(multi_region_setup):
         trace, topology, blocker, rulebook, report,
     )
     _require_samples(measurements, "plane sweep")
-    for backend in ("serial", "thread"):
-        for n_planes in bench._PLANE_COUNTS:
-            assert f"{backend}/p{n_planes}" in measurements
-            assert measurements[f"{backend}/p{n_planes}"]["alerts_per_sec"] > 0
+    for n_planes in bench._PLANE_COUNTS:
+        assert measurements[f"serial/p{n_planes}"]["alerts_per_sec"] > 0
 
 
 def test_plane_parallel_beats_gateway_serial_path(multi_region_setup):
@@ -132,19 +130,19 @@ def test_plane_parallel_beats_gateway_serial_path(multi_region_setup):
     stable on loaded CI runners."""
     trace, topology, blocker, rulebook, report = multi_region_setup
 
-    def best_of(n_planes: int, backend: str, rounds: int = 3) -> float:
+    def best_of(n_planes: int, rounds: int = 3) -> float:
         best = 0.0
         for _ in range(rounds):
             stats = bench.run_config(
                 trace, topology, blocker, rulebook,
-                backend=backend, n_planes=n_planes, flush_size=512,
+                n_planes=n_planes, flush_size=512,
             )
             assert stats.reconcile(report) == {}
             best = max(best, stats.throughput)
         return best
 
-    gateway_serial = best_of(1, "thread")
-    plane_parallel = best_of(4, "serial")
+    gateway_serial = best_of(1)
+    plane_parallel = best_of(4)
     assert plane_parallel > gateway_serial, (
         f"plane-parallel path ran at {plane_parallel:,.0f} alerts/s "
         f"vs {gateway_serial:,.0f} for the gateway-serial path"
@@ -161,10 +159,7 @@ def test_scale_probe_reconciles_and_stays_under_one_flush(multi_region_setup):
     measurement down, so best-of approximates the true costs and keeps
     the ordering assertable on loaded CI runners."""
     trace, topology, blocker, rulebook, report = multi_region_setup
-    # Serial backend: the timed barrier is pure state migration, with no
-    # worker-pool spawn riding along (the thread backend grows its pool
-    # inside the barrier by design; the bench's throughput-ratio probe
-    # covers that path).
+    # Serial backend: the timed barrier is pure state migration.
     probe = bench.run_scale_probe(
         trace, topology, blocker, rulebook, report,
         backend="serial", n_planes=4, flush_size=512,

@@ -212,7 +212,6 @@ class TestExactnessWithLearningDisabled:
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
         ("serial", {"n_planes": 2}),
-        ("thread", {"n_planes": 2, "n_workers": 2}),
     ])
     def test_gateway_reconciles_exactly(self, drifting, backend, kwargs):
         trace, graph = drifting

@@ -29,6 +29,7 @@ from repro.common.errors import ValidationError
 from repro.streaming import (
     AlertGateway,
     CircuitBreaker,
+    GatewayConfig,
     PlaneRouter,
     ProcessPlaneBackend,
     WorkerDiedError,
@@ -353,6 +354,27 @@ class TestResizeWorkers:
         gateway.ingest_batch(alerts[160:])
         gateway.drain()
 
+    @pytest.mark.parametrize("spelling", ["resize_workers", "rebalance"])
+    def test_failed_resize_poisons_the_gateway(self, monkeypatch, spelling):
+        # A resize that dies mid-migration may have detached plane state
+        # that never reached its destination: both spellings must leave
+        # the gateway refusing ingest, not silently wrong.
+        alerts = _storm_trace()
+        gateway = _gateway()
+        gateway.ingest_batch(alerts[:160])
+
+        def exploding_resize(n_workers):
+            raise RuntimeError("worker died mid-migration")
+
+        monkeypatch.setattr(gateway._backend, "resize_workers", exploding_resize)
+        with pytest.raises(RuntimeError, match="mid-migration"):
+            if spelling == "rebalance":
+                gateway.rebalance(4, n_workers=4)
+            else:
+                gateway.resize_workers(4)
+        with pytest.raises(ValidationError, match="drained"):
+            gateway.ingest_batch(alerts[160:])
+
     def test_serial_backend_has_no_pool_to_resize(self):
         gateway = AlertGateway(golden_graph(), blocker=_blocker())
         with pytest.raises(ValidationError, match="no worker pool"):
@@ -430,8 +452,7 @@ class TestLaneLoudClose:
         monkeypatch.setattr(lanes_module, "LANE_JOIN_TIMEOUT", 0.1)
         backend = _BlockingBackend()
         ingress = LaneIngress(
-            backend, PlaneRouter(1), n_planes=1, n_lanes=1,
-            flush_size=1, flush_interval=None, warmup_limit=0,
+            backend, PlaneRouter(1), GatewayConfig(flush_size=1), warmup_limit=0,
         )
         ingress.ingest([make_alert(0.0)], GatewayStats())
         try:
@@ -444,8 +465,7 @@ class TestLaneLoudClose:
         backend = _BlockingBackend()
         backend.release.set()
         ingress = LaneIngress(
-            backend, PlaneRouter(1), n_planes=1, n_lanes=1,
-            flush_size=1, flush_interval=None, warmup_limit=0,
+            backend, PlaneRouter(1), GatewayConfig(flush_size=1), warmup_limit=0,
         )
         ingress.ingest([make_alert(0.0)], GatewayStats())
         ingress.barrier(0.0)

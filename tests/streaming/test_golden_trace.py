@@ -205,8 +205,6 @@ class TestGoldenTrace:
         ("serial", {"flush_size": 64}),
         ("serial", {"flush_size": 64, "n_planes": 2}),
         ("serial", {"n_planes": 4}),
-        ("thread", {"flush_size": 64, "n_workers": 2}),
-        ("thread", {"flush_size": 64, "n_workers": 2, "n_planes": 2}),
         ("process", {"flush_size": 64, "n_workers": 2}),
         ("process", {"flush_size": 64, "n_workers": 2, "n_planes": 2}),
     ])
@@ -230,7 +228,6 @@ class TestGoldenTrace:
         )
 
     @pytest.mark.parametrize("backend,kwargs", [
-        ("thread", {"n_workers": 2, "n_planes": 2}),
         ("process", {"n_workers": 2, "n_planes": 2}),
     ])
     def test_learned_rule_timeline_is_backend_invariant(
@@ -249,7 +246,6 @@ class TestGoldenTrace:
 
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
-        ("thread", {"n_workers": 2}),
         ("process", {"n_workers": 2}),
     ])
     def test_scaled_trace_bookkeeping_is_frozen(self, alerts, backend, kwargs):

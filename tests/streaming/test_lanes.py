@@ -228,8 +228,6 @@ class TestLaneParity:
     @pytest.mark.parametrize("backend,lanes", [
         ("serial", 2),
         ("serial", 4),
-        ("thread", 2),
-        ("thread", 4),
         ("process", 4),
     ])
     def test_lane_drain_parity(self, golden_alerts, baseline, backend, lanes):
@@ -374,26 +372,6 @@ class TestLaneConfig:
             AlertGateway(
                 golden_graph(), blocker=golden_blocker(), ingress_lanes=0,
             )
-
-    def test_checkpoint_config_records_lanes(self):
-        gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(),
-            n_planes=4, ingress_lanes=2,
-        )
-        assert gateway.checkpoint_config()["ingress_lanes"] == 2
-        gateway.close()
-
-    def test_checkpoint_config_records_ring_knobs(self):
-        gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(),
-            n_planes=4, ingress_lanes=2,
-            lane_transport="pipe", ring_slot_size=4096, ring_slots=2,
-        )
-        config = gateway.checkpoint_config()
-        assert config["lane_transport"] == "pipe"
-        assert config["ring_slot_size"] == 4096
-        assert config["ring_slots"] == 2
-        gateway.close()
 
     def test_backpressure_stalls_are_counted(self, monkeypatch):
         """A full bounded lane queue blocks ingest and counts the stall."""

@@ -183,7 +183,7 @@ class TestGatewayPlaneSemantics:
             for region in plane_regions:
                 assert assignments[region] == plane.plane_id
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_per_plane_accounting_matches_regional_batch_runs(
         self, storm_trace, backend
     ):

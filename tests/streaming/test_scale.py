@@ -10,7 +10,7 @@ the final plane count from the start — on every backend.
 Two layers pin that down:
 
 * deterministic schedules over a storm-heavy multi-region trace,
-  parametrized across serial/thread/process × shard counts × flush
+  parametrized across serial/process × shard counts × flush
   sizes (the full matrix the acceptance criteria name);
 * a hypothesis chaos property (marked ``scale_chaos``; CI runs it as a
   dedicated job with the seeded ``scale_chaos`` profile) generating
@@ -197,7 +197,7 @@ def _mirrored(schedule: Schedule, final: int) -> Schedule:
 # ----------------------------------------------------------------------
 # deterministic schedules, full backend x shard x flush matrix
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("n_shards,flush_size", [(1, 1), (2, 32), (4, 128)])
 class TestScaleInvisibility:
     def test_scale_out_matches_fixed_final(self, backend, n_shards, flush_size):
@@ -254,7 +254,7 @@ class TestScaleInvisibility:
         _assert_planes_partition(scaled)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_scale_invisibility_with_learning(backend):
     """Learned-rule timeline and QoA survive migrations bit-identically.
 
@@ -500,16 +500,12 @@ def test_chaos_schedule_parity(alerts, schedule, initial_planes, flush_size,
 @pytest.mark.scale_chaos
 @settings(max_examples=_POOLED_EXAMPLES, deadline=None,
           derandomize=_CHAOS_PROFILE)
-@given(
-    alerts=chaos_traces(),
-    schedule=chaos_schedules(),
-    backend=st.sampled_from(("thread", "process")),
-)
-def test_chaos_schedule_backend_equivalence(alerts, schedule, backend):
-    """The same chaos schedule is backend-invariant: pooled and process
-    execution reproduce the serial run exactly, migrations included."""
+@given(alerts=chaos_traces(), schedule=chaos_schedules())
+def test_chaos_schedule_backend_equivalence(alerts, schedule):
+    """The same chaos schedule is backend-invariant: process execution
+    reproduces the serial run exactly, migrations included."""
     serial_gw, serial = _run_schedule(alerts, schedule, 2, "serial")
-    pooled_gw, pooled = _run_schedule(alerts, schedule, 2, backend)
+    pooled_gw, pooled = _run_schedule(alerts, schedule, 2, "process")
     assert _counts(serial) == _counts(pooled)
     assert _aggregate_fingerprint(serial_gw) == _aggregate_fingerprint(pooled_gw)
     assert _cluster_fingerprint(serial_gw) == _cluster_fingerprint(pooled_gw)

@@ -67,7 +67,6 @@ def _assert_snapshot_agrees(stats) -> None:
 @pytest.mark.parametrize("backend,kwargs", [
     ("serial", {"n_planes": 1}),
     ("serial", {"n_planes": 4}),
-    ("thread", {"n_planes": 2, "n_workers": 2}),
     ("process", {"n_planes": 2, "n_workers": 2}),
 ])
 class TestPlaneMergePartitionsTotals:
@@ -120,7 +119,6 @@ class TestPlaneMergePartitionsTotals:
 @pytest.mark.parametrize("backend,kwargs", [
     ("serial", {"n_planes": 1}),
     ("serial", {"n_planes": 4}),
-    ("thread", {"n_planes": 2, "n_workers": 2}),
     ("process", {"n_planes": 2, "n_workers": 2}),
 ])
 class TestPlaneMergeSurvivesMigration:

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _GATEWAY_FLAGS, _build_parser, main
+from repro.streaming import GatewayConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +53,12 @@ class TestAnalyses:
         out = capsys.readouterr().out
         assert "matches batch pipeline exactly" in out
 
-    def test_stream_thread_backend_reconciles(self, trace_dir, capsys):
-        assert main(["stream", "--trace", str(trace_dir), "--backend", "thread",
+    def test_stream_process_backend_reconciles(self, trace_dir, capsys):
+        assert main(["stream", "--trace", str(trace_dir), "--backend", "process",
                      "--planes", "2", "--workers", "2", "--flush-size", "256",
                      "--reconcile"]) == 0
         out = capsys.readouterr().out
-        assert "thread x2 workers" in out
+        assert "process x2 workers" in out
         assert "matches batch pipeline exactly" in out
         assert "per-plane accounting:" in out
         assert "plane 1 [" in out
@@ -77,6 +81,53 @@ class TestAnalyses:
         assert main(["qoa", "--trace", str(trace_dir)]) == 0
         out = capsys.readouterr().out
         assert "QoA model" in out
+
+
+class TestSharedGatewayFlags:
+    """``stream`` and ``serve`` configure the same gateway: one flag
+    block, defaults and choices read from the ``GatewayConfig`` fields."""
+
+    def _actions(self, command):
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        shared = {flag for flag, *_ in _GATEWAY_FLAGS} | {"--adaptive-thresholds"}
+        return {
+            action.option_strings[0]:
+                (action.dest, action.default, action.choices, action.help)
+            for action in subparsers.choices[command]._actions
+            if action.option_strings and action.option_strings[0] in shared
+        }
+
+    def _help(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_both_commands_carry_the_same_flags_and_defaults(self):
+        stream, serve = self._actions("stream"), self._actions("serve")
+        assert stream == serve
+        assert len(stream) == len(_GATEWAY_FLAGS) + 1
+        fields = {spec.name: spec for spec in dataclasses.fields(GatewayConfig)}
+        for flag, name, kind, _ in _GATEWAY_FLAGS:
+            dest, default, choices, _ = stream[flag]
+            assert dest == name
+            assert default == (False if kind is bool else fields[name].default)
+            assert choices == fields[name].metadata.get("choices")
+
+    def test_help_lists_the_flags_with_their_defaults(self, capsys):
+        for command in ("stream", "serve"):
+            text = self._help(command, capsys)
+            for flag, *_ in _GATEWAY_FLAGS:
+                assert flag in text, (command, flag)
+            assert "--backend {serial,process}" in text
+            assert "--lane-transport {ring,pipe}" in text
+            for default in ("(default: 4)", "(default: serial)", "(default: 64)",
+                            "(default: 30.0)", "(default: 900.0)"):
+                assert default in text, (command, default)
+            assert "--sync-journal" not in text
 
 
 class TestStandalone:
