@@ -30,8 +30,10 @@ Choosing a backend (``AlertGateway(backend=...)``):
 Tuning ``n_planes``: planes partition by region, shards by alert key —
 add planes to parallelise R3 correlation and R4 detection (they are
 plane-local), add shards to spread R1/R2 key skew within a plane.
-``flush_size`` trades emission staleness for amortisation exactly as
-before; ``flush_interval`` bounds staleness in event time.
+``flush_size`` trades emission staleness for amortisation — R2 folds a
+flush grouped by ``(strategy, region)`` and by its end has closed every
+session per-event ingestion would have; ``flush_interval`` bounds
+staleness in event time.
 ``rebalance(n)`` re-shards every live plane without losing window state.
 ``ingress_lanes=N`` (with ``n_planes >= N``) moves the buffered ingest
 path onto partitioned lane threads (:mod:`~repro.streaming.lanes`) so

@@ -2,14 +2,17 @@
 
 The batch :class:`~repro.core.mitigation.aggregation.AlertAggregator`
 sorts a finished trace and sessionises per ``(strategy, region)``.  The
-online aggregator reaches the *identical* partition one event at a time:
-it keeps one open session per active key, extends it while the gap stays
+online aggregator reaches the *identical* partition incrementally: it
+keeps one open session per active key, extends it while the gap stays
 within the window, and emits the finished
-:class:`~repro.core.mitigation.aggregation.AggregatedAlert` the moment
-the watermark proves no future in-order alert can extend it.
+:class:`~repro.core.mitigation.aggregation.AggregatedAlert` once the
+watermark proves no future in-order alert can extend it.  A micro-batch
+is folded grouped by key: one session probe per key, one expiry sweep
+per batch.
 
-Memory is bounded by the number of keys active within one window (plus a
-lazily-compacted expiry heap), never by stream length.
+Memory is bounded by the number of keys active within one window, never
+by stream length: the expiry heap holds exactly one entry per open
+session (``len(_expiry) == open_sessions`` after every public call).
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from repro.core.mitigation.aggregation import AggregatedAlert
 
 __all__ = ["OpenSession", "OnlineAggregator"]
 
+_NEVER = float("-inf")
+
 
 @dataclass(slots=True)
 class OpenSession:
@@ -37,24 +42,6 @@ class OpenSession:
     count: int
     representative: Alert
     alert_ids: list[str] = field(default_factory=list)
-
-    def absorb(self, alert: Alert) -> None:
-        """Fold one more alert into the session.
-
-        min/max keep the window valid even for late (out-of-order)
-        events, which the gateway processes best-effort.
-        """
-        self.first_at = min(self.first_at, alert.occurred_at)
-        self.last_at = max(self.last_at, alert.occurred_at)
-        self.count += 1
-        self.alert_ids.append(alert.alert_id)
-        # Same tie-break as the batch aggregator's representative pick:
-        # most severe wins, earliest breaks ties.
-        if (alert.severity.value, alert.occurred_at) < (
-            self.representative.severity.value,
-            self.representative.occurred_at,
-        ):
-            self.representative = alert
 
     def emit(self) -> AggregatedAlert:
         """The finished aggregate record."""
@@ -77,9 +64,10 @@ class OnlineAggregator:
         require_positive(window_seconds, "window_seconds")
         self._window = float(window_seconds)
         self._sessions: dict[tuple[str, str], OpenSession] = {}
-        # (last_at + window, tiebreak, key): lazily invalidated on extension.
-        self._expiry: list[tuple[float, int, tuple[str, str]]] = []
-        self._sequence = 0
+        # (expiry, key), exactly one per open session.  The time is a
+        # lower bound of ``last_at + window``: an extension leaves it
+        # alone and :meth:`_expire` re-keys it when it surfaces.
+        self._expiry: list[tuple[float, tuple[str, str]]] = []
 
     @property
     def window_seconds(self) -> float:
@@ -99,76 +87,38 @@ class OnlineAggregator:
 
     def ingest(self, alert: Alert) -> list[AggregatedAlert]:
         """Feed one alert; returns the aggregates this event closed."""
-        emitted = self._expire(alert.occurred_at)
-        key = (alert.strategy_id, alert.region)
-        session = self._sessions.get(key)
-        if session is not None:
-            # _expire already closed any session with a gap beyond the
-            # window, so a surviving session is always extendable.
-            session.absorb(alert)
-            self._push_expiry(key, session)
-            return emitted
-        self._sessions[key] = session = OpenSession(
-            strategy_id=alert.strategy_id,
-            region=alert.region,
-            first_at=alert.occurred_at,
-            last_at=alert.occurred_at,
-            count=1,
-            representative=alert,
-            alert_ids=[alert.alert_id],
-        )
-        self._push_expiry(key, session)
-        return emitted
+        return self.ingest_batch([alert])
 
     def ingest_batch(self, alerts: list[Alert]) -> list[AggregatedAlert]:
-        """Feed a micro-batch; equivalent to ``ingest`` per event.
+        """Feed a micro-batch; returns the aggregates it closed.
 
-        The batch path compresses *runs* — consecutive events of one
-        ``(strategy, region)`` key, the common shape inside an alert
-        storm — into a single dict lookup and a single expiry-heap push,
-        instead of one of each per event.  Session boundaries are
-        identical to the per-event path: a session closes exactly when
-        the gap to the key's next event exceeds the window, and expiry
-        of *other* keys' sessions only ever happens later than it would
-        per-event, which delays emission but never changes it.
+        The batch is bucketed by ``(strategy, region)`` in first-seen
+        order and each key folded once, so a storm that interleaves
+        strategies pays one session probe per key, not per alert.  By the
+        end of a call exactly the aggregates that feeding the same alerts
+        one at a time would have emitted are out: a session closes when
+        any alert's time passes ``last_at + window``, which within a
+        stretch of non-decreasing times is decided by the key's own next
+        alert or else by the stretch's last time.  A late alert ends the
+        stretch: what precedes it is folded first.
         """
         emitted: list[AggregatedAlert] = []
-        window = self._window
-        index = 0
-        total = len(alerts)
-        while index < total:
-            first = alerts[index]
-            strategy, region = first.strategy_id, first.region
-            stop = index + 1
-            while (
-                stop < total
-                and alerts[stop].strategy_id == strategy
-                and alerts[stop].region == region
-            ):
-                stop += 1
-            emitted.extend(self._expire(first.occurred_at))
-            key = (strategy, region)
-            session = self._sessions.get(key)
-            for position in range(index, stop):
-                alert = alerts[position]
-                if session is not None and session.last_at + window < alert.occurred_at:
-                    emitted.append(session.emit())
-                    session = None
-                if session is None:
-                    session = OpenSession(
-                        strategy_id=strategy,
-                        region=region,
-                        first_at=alert.occurred_at,
-                        last_at=alert.occurred_at,
-                        count=1,
-                        representative=alert,
-                        alert_ids=[alert.alert_id],
-                    )
-                else:
-                    session.absorb(alert)
-            self._sessions[key] = session
-            self._push_expiry(key, session)
-            index = stop
+        groups: dict[tuple[str, str], list[Alert]] = {}
+        high = _NEVER
+        for alert in alerts:
+            at = alert.occurred_at
+            if at < high:
+                self._fold(groups, high, emitted)
+                groups = {}
+            high = at
+            key = (alert.strategy_id, alert.region)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [alert]
+            else:
+                group.append(alert)
+        if groups:
+            self._fold(groups, high, emitted)
         return emitted
 
     def export_sessions(self) -> list[OpenSession]:
@@ -187,13 +137,15 @@ class OnlineAggregator:
         """Hand over the open sessions of one region (plane migration).
 
         Sessions key on ``(strategy, region)``, so a region's slice is
-        exact.  Their expiry-heap entries are left behind as stale
-        tombstones — :meth:`_expire` already skips entries whose session
-        is gone, so no heap rebuild is needed.  Deterministic key order.
+        exact; its expiry entries leave with it (this runs only when
+        planes are rescaled, so a heap rebuild is affordable).
+        Deterministic key order.
         """
         keys = sorted(
             key for key in self._sessions if key[1] == region
         )
+        self._expiry = [e for e in self._expiry if e[1][1] != region]
+        heapq.heapify(self._expiry)
         return [self._sessions.pop(key) for key in keys]
 
     def adopt(self, sessions: list[OpenSession]) -> None:
@@ -203,7 +155,7 @@ class OnlineAggregator:
             if key in self._sessions:
                 raise ValidationError(f"session for {key} already open")
             self._sessions[key] = session
-            self._push_expiry(key, session)
+            heapq.heappush(self._expiry, (session.last_at + self._window, key))
 
     def drain(self) -> list[AggregatedAlert]:
         """Close and emit every open session (end of stream)."""
@@ -218,18 +170,83 @@ class OnlineAggregator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _push_expiry(self, key: tuple[str, str], session: OpenSession) -> None:
-        self._sequence += 1
-        heapq.heappush(self._expiry, (session.last_at + self._window, self._sequence, key))
+    def _fold(
+        self,
+        groups: dict[tuple[str, str], list[Alert]],
+        watermark: float,
+        emitted: list[AggregatedAlert],
+    ) -> None:
+        """Fold the per-key groups of one non-decreasing stretch, then expire.
 
-    def _expire(self, watermark: float) -> list[AggregatedAlert]:
-        """Emit sessions no in-order event at ``watermark`` can still extend."""
-        emitted: list[AggregatedAlert] = []
-        while self._expiry and self._expiry[0][0] < watermark:
-            expiry, _, key = heapq.heappop(self._expiry)
-            session = self._sessions.get(key)
-            if session is None or session.last_at + self._window != expiry:
-                continue  # stale entry: session was extended or already closed
-            emitted.append(session.emit())
-            del self._sessions[key]
-        return emitted
+        One ``_sessions`` probe per key; the fields every alert moves
+        live in locals across the group.  min/max keep the window valid
+        when the stretch starts below the session's ``last_at`` (late
+        events, which the gateway processes best-effort).  The
+        representative is the batch aggregator's pick: most severe wins
+        (``Severity`` is an ``IntEnum``, compared as the int it is),
+        earliest breaks ties.
+        """
+        sessions = self._sessions
+        window = self._window
+        for key, group in groups.items():
+            session = sessions.get(key)
+            if session is None:
+                # The key's one heap entry; -inf sends the group's first
+                # alert down the open-a-session branch.
+                heapq.heappush(self._expiry, (group[0].occurred_at + window, key))
+                last_at = _NEVER
+            else:
+                first_at, last_at = session.first_at, session.last_at
+                count, alert_ids = session.count, session.alert_ids
+                best = session.representative
+                best_severity, best_at = best.severity, best.occurred_at
+            for alert in group:
+                at = alert.occurred_at
+                severity = alert.severity
+                if at > last_at:
+                    if at > last_at + window:
+                        # Gap beyond the window: close (the key keeps its
+                        # heap entry) and open the next session.
+                        if session is not None:
+                            session.last_at, session.count = last_at, count
+                            emitted.append(session.emit())
+                        count, alert_ids = 0, []
+                        session = sessions[key] = OpenSession(
+                            key[0], key[1], at, at, 0, alert, alert_ids,
+                        )
+                        first_at = best_at = at
+                        best_severity = severity
+                    last_at = at
+                elif at < first_at:
+                    first_at = session.first_at = at
+                count += 1
+                alert_ids.append(alert.alert_id)
+                if severity < best_severity or (
+                    severity == best_severity and at < best_at
+                ):
+                    session.representative = alert
+                    best_severity, best_at = severity, at
+            session.last_at, session.count = last_at, count
+        self._expire(watermark, emitted)
+
+    def _expire(self, watermark: float, emitted: list[AggregatedAlert]) -> None:
+        """Emit sessions no in-order event at ``watermark`` can still extend.
+
+        An entry whose session has moved on since it was keyed is put
+        back at the session's true expiry instead, so a session that is
+        still due is met again in this sweep and emission order is
+        ``(true expiry, key)`` — a function of the sessions alone.
+        """
+        expiry = self._expiry
+        sessions = self._sessions
+        window = self._window
+        while expiry and expiry[0][0] < watermark:
+            due, key = expiry[0]
+            session = sessions[key]
+            actual = session.last_at + window
+            if actual != due:
+                heapq.heapreplace(expiry, (actual, key))
+            else:
+                heapq.heappop(expiry)
+                del sessions[key]
+                emitted.append(session.emit())

@@ -47,7 +47,6 @@ class StreamProcessor:
         self.seen = 0
         self.blocked = 0
         self.emitted = 0
-        self.last_event_at: float | None = None
 
     @property
     def open_sessions(self) -> int:
@@ -58,30 +57,15 @@ class StreamProcessor:
         """Earliest open-session start (feeds the correlator's horizon)."""
         return self._aggregator.min_open_first()
 
-    def ingest(self, alert: Alert) -> tuple[bool, list[AggregatedAlert]]:
-        """Process one event.
-
-        Returns ``(blocked, emitted)``: whether R1 dropped the event, and
-        the aggregates whose sessions this event closed.
-        """
-        self.seen += 1
-        self.last_event_at = alert.occurred_at
-        if self._blocker.is_blocked(alert):
-            self.blocked += 1
-            return True, []
-        emitted = self._aggregator.ingest(alert)
-        self.emitted += len(emitted)
-        return False, emitted
-
     def ingest_batch(
         self,
         alerts: list[Alert],
         blocked_by_region: dict[str, int] | None = None,
     ) -> tuple[int, list[AggregatedAlert]]:
-        """Process one micro-batch; equivalent to ``ingest`` per event.
+        """Process one micro-batch.
 
         Returns ``(blocked_count, emitted)``.  R1 skips the rule scan for
-        strategies no rule targets, and R2 takes the run-compressed path.
+        strategies no rule targets; R2 folds the survivors grouped by key.
         ``blocked_by_region``, when given, accumulates the per-region
         blocked counts (one dict increment per *blocked* alert only) —
         the owning plane's migration-grade accounting.
@@ -108,8 +92,6 @@ class StreamProcessor:
         self.seen += len(alerts)
         self.blocked += blocked
         self.emitted += len(emitted)
-        if alerts:
-            self.last_event_at = alerts[-1].occurred_at
         return blocked, emitted
 
     def export_sessions(self) -> list[OpenSession]:

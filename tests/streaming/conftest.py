@@ -42,6 +42,15 @@ def make_alert(
     return alert
 
 
+def aggregate_row(aggregate) -> tuple:
+    """Everything an ``AggregatedAlert`` says, as a sortable tuple."""
+    return (
+        aggregate.strategy_id, aggregate.region, aggregate.count,
+        aggregate.alert_ids, aggregate.representative.alert_id,
+        aggregate.window.start, aggregate.window.end,
+    )
+
+
 @pytest.fixture(scope="session")
 def storm_trace(topology):
     """The deterministic Figure 3 storm used by the parity tests."""

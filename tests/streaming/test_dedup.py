@@ -3,18 +3,7 @@
 from repro.alerting.alert import Severity
 from repro.core.mitigation.aggregation import AlertAggregator
 from repro.streaming.dedup import OnlineAggregator
-from tests.streaming.conftest import make_alert
-
-
-def _aggregate_key(aggregate):
-    return (
-        aggregate.strategy_id,
-        aggregate.region,
-        aggregate.count,
-        round(aggregate.window.start, 6),
-        aggregate.representative.alert_id,
-        aggregate.alert_ids,
-    )
+from tests.streaming.conftest import aggregate_row, make_alert
 
 
 def _mixed_stream():
@@ -47,7 +36,7 @@ class TestBatchParity:
         for alert in alerts:
             emitted.extend(online.ingest(alert))
         emitted.extend(online.drain())
-        assert sorted(map(_aggregate_key, emitted)) == sorted(map(_aggregate_key, batch))
+        assert sorted(map(aggregate_row, emitted)) == sorted(map(aggregate_row, batch))
 
     def test_representative_prefers_severity_then_time(self):
         online = OnlineAggregator(900.0)
@@ -106,7 +95,7 @@ class TestBatchIngestion:
         batched = OnlineAggregator(900.0)
         b = list(batched.ingest_batch(alerts))
         b.extend(batched.drain())
-        assert sorted(map(_aggregate_key, a)) == sorted(map(_aggregate_key, b))
+        assert sorted(map(aggregate_row, a)) == sorted(map(aggregate_row, b))
 
     def test_ingest_batch_splits_runs_on_window_gaps(self):
         online = OnlineAggregator(900.0)
@@ -130,7 +119,71 @@ class TestBatchIngestion:
         for start in range(0, len(alerts), 7):
             b.extend(chunked.ingest_batch(alerts[start:start + 7]))
         b.extend(chunked.drain())
-        assert sorted(map(_aggregate_key, a)) == sorted(map(_aggregate_key, b))
+        assert sorted(map(aggregate_row, a)) == sorted(map(aggregate_row, b))
+
+
+class _CountingDict(dict):
+    """A ``_sessions`` table that counts its lookups."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+class TestPinnedWork:
+    def test_batch_probes_sessions_once_per_key_not_per_alert(self):
+        online = OnlineAggregator(900.0)
+        online._sessions = table = _CountingDict()
+        # 300 alerts, 10 strategies strictly interleaved: no two
+        # consecutive alerts share a key.
+        first = [make_alert(float(i), strategy_id=f"s-{i % 10}") for i in range(300)]
+        assert online.ingest_batch(first) == []
+        assert table.probes == 10
+        # Half the keys return past the window: one probe each, the close
+        # happens in the fold.  The sweep then meets every key's entry,
+        # all keyed at the session's first alert: the returning half is
+        # re-keyed (5), the idle half re-keyed and then closed (2 x 5).
+        table.probes = 0
+        second = [
+            make_alert(2000.0 + i, strategy_id=f"s-{i % 5}") for i in range(150)
+        ]
+        closed = online.ingest_batch(second)
+        assert len(closed) == 10
+        assert table.probes == 5 + 5 + 2 * 5
+
+    def test_expiry_heap_holds_one_entry_per_open_session(self):
+        online = OnlineAggregator(900.0)
+        for i in range(10_000):
+            online.ingest(make_alert(i * 30.0, strategy_id="s-hot"))
+            assert len(online._expiry) == online.open_sessions == 1
+        # A split reuses the key's entry rather than pushing a second.
+        online.ingest_batch([
+            make_alert(400_000.0, strategy_id="s-hot"),
+            make_alert(500_000.0, strategy_id="s-hot"),
+        ])
+        assert len(online._expiry) == online.open_sessions == 1
+
+    def test_export_region_leaves_no_tombstones(self):
+        online = OnlineAggregator(900.0)
+        online.ingest_batch([
+            make_alert(float(i), strategy_id=f"s-{i}", region=f"region-{'AB'[i % 2]}")
+            for i in range(8)
+        ])
+        moved = online.export_region("region-A")
+        assert len(moved) == 4
+        assert len(online._expiry) == online.open_sessions == 4
+        assert online.ingest(make_alert(5000.0, strategy_id="s-late")) != []
+        assert len(online._expiry) == online.open_sessions == 1
 
 
 class TestSessionMigration:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
+from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import rulebook_from_ground_truth
 from repro.io import save_trace
 from repro.sim import SimulationEngine
@@ -13,7 +14,8 @@ from repro.streaming import (
     iter_jsonl_alerts,
     merge_ordered,
 )
-from tests.streaming.conftest import make_alert
+from repro.workload import StormConfig, build_multi_region_storm
+from tests.streaming.conftest import aggregate_row, make_alert
 
 
 def _gateway_for(trace, topology, **kwargs):
@@ -49,6 +51,55 @@ class TestBatchParity:
         stats = gateway.drain()
         assert len(gateway.aggregates) == stats.aggregates_emitted
         assert len(gateway.clusters) == stats.clusters_finalized
+
+
+@pytest.fixture(scope="module")
+def multi_region_report(storm_trace):
+    """Four concurrent regional storms, nothing blocked, and the batch
+    pipeline's artefacts on them (R2 and R3 see every alert)."""
+    _, topology = storm_trace
+    trace = build_multi_region_storm(StormConfig(seed=42), topology)
+    rulebook = rulebook_from_ground_truth(trace, coverage=0.6, seed=trace.seed)
+    report = MitigationPipeline(topology.graph, rulebook=rulebook).run(
+        trace, blocker=AlertBlocker(),
+    )
+    return trace, topology, rulebook, report
+
+
+def _cluster_rows(clusters):
+    return sorted(
+        (
+            tuple(alert.alert_id for alert in c.alerts),
+            c.root_alert.alert_id, c.root_microservice, c.coverage,
+        )
+        for c in clusters
+    )
+
+
+class TestArtefactParity:
+    """The retained aggregates and clusters themselves — member order,
+    ``root_alert``, coverage — equal the batch pipeline's, not just
+    their counts, however the stream is cut and partitioned."""
+
+    @pytest.mark.parametrize("n_planes", [1, 4])
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("flush_size", [1, 7, 512])
+    def test_artefacts_match_pipeline(
+        self, multi_region_report, flush_size, n_shards, n_planes,
+    ):
+        trace, topology, rulebook, report = multi_region_report
+        gateway = AlertGateway(
+            topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
+            retain_artifacts=True, flush_size=flush_size,
+            n_shards=n_shards, n_planes=n_planes,
+        )
+        gateway.ingest_many(trace.iter_ordered())
+        stats = gateway.drain()
+        assert stats.reconcile(report) == {}
+        assert sorted(map(aggregate_row, gateway.aggregates)) == sorted(
+            map(aggregate_row, report.aggregates)
+        )
+        assert _cluster_rows(gateway.clusters) == _cluster_rows(report.clusters)
 
 
 class TestStreamingBehaviour:
