@@ -130,7 +130,7 @@ def run_lane_config(
     for _ in range(rounds):
         gateway = AlertGateway(
             topology.graph, blocker=AlertBlocker(blocker.rules),
-            rulebook=rulebook, n_shards=4, n_planes=n_planes,
+            rulebook=rulebook, n_planes=n_planes,
             backend=backend, n_workers=n_workers, flush_size=flush_size,
             ingress_lanes=ingress_lanes, lane_transport=lane_transport,
             retain_artifacts=False,

@@ -139,7 +139,7 @@ def run_checkpoint_probe(
         for round_index in range(rounds):
             gateway = AlertGateway(
                 topology.graph, blocker=AlertBlocker(blocker.rules),
-                rulebook=rulebook, n_shards=4, n_planes=n_planes,
+                rulebook=rulebook, n_planes=n_planes,
                 backend=backend, flush_size=flush_size,
                 retain_artifacts=False,
             )
@@ -147,7 +147,7 @@ def run_checkpoint_probe(
             service = AlertGatewayService(
                 topology.graph, round_dir, blocker=AlertBlocker(blocker.rules),
                 rulebook=rulebook, checkpoint_every=checkpoint_every,
-                n_shards=4, n_planes=n_planes, backend=backend,
+                n_planes=n_planes, backend=backend,
                 flush_size=flush_size, retain_artifacts=False,
             )
             service.start()
@@ -177,7 +177,7 @@ def run_checkpoint_probe(
             revived = AlertGatewayService(
                 topology.graph, round_dir, blocker=AlertBlocker(blocker.rules),
                 rulebook=rulebook, checkpoint_every=checkpoint_every,
-                n_shards=4, n_planes=n_planes, backend=backend,
+                n_planes=n_planes, backend=backend,
                 flush_size=flush_size, retain_artifacts=False,
             )
             started = time.perf_counter()

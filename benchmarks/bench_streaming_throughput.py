@@ -1,11 +1,10 @@
-"""Streaming gateway throughput across backends, shard counts, and planes.
+"""Streaming gateway throughput across backends and plane counts.
 
 The gateway's pitch is hardware-speed online mitigation: this bench
 replays two storm-heavy traces through the full configuration matrix:
 
 * a single-region trace (three stacked Figure 3 storms — repeats,
-  cascade, long tail) through every execution backend and a shard-count
-  sweep — the PR-2 axes;
+  cascade, long tail) through every execution backend — the PR-2 axis;
 * a **multi-region** trace (four concurrent Figure 3 storms, one per
   region, merged alert-by-alert — the adversarial interleaving for any
   region-keyed reaction) through a **plane-count sweep (1/2/4)** — the
@@ -51,7 +50,6 @@ from repro.workload import (
     build_representative_storm,
 )
 
-_SHARD_COUNTS = (1, 4, 16)
 _PLANE_COUNTS = (1, 2, 4)
 _N_WORKERS = 4
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -90,7 +88,6 @@ def run_config(
     blocker,
     rulebook,
     backend: str = "serial",
-    n_shards: int = 4,
     n_planes: int = 1,
     per_event: bool = False,
     flush_size: int | None = None,
@@ -101,7 +98,6 @@ def run_config(
         topology.graph,
         blocker=blocker,
         rulebook=rulebook,
-        n_shards=n_shards,
         n_planes=n_planes,
         backend=backend,
         n_workers=n_workers,
@@ -125,15 +121,14 @@ def _measure(stats) -> dict[str, float]:
 
 
 def run_backend_sweep(
-    trace, topology, blocker, rulebook, report, n_shards: int = 4,
+    trace, topology, blocker, rulebook, report,
 ) -> dict[str, dict[str, float]]:
     """Run every backend config, asserting exact batch parity for each."""
     measurements: dict[str, dict[str, float]] = {}
     for label, backend, per_event, flush_size in BACKEND_CONFIGS:
         stats = run_config(
             trace, topology, blocker, rulebook,
-            backend=backend, n_shards=n_shards,
-            per_event=per_event, flush_size=flush_size,
+            backend=backend, per_event=per_event, flush_size=flush_size,
         )
         assert stats.reconcile(report) == {}, f"{label} must stay exact"
         measurements[label] = _measure(stats)
@@ -181,7 +176,7 @@ def run_scale_probe(
     for _ in range(rounds):
         fixed = AlertGateway(
             topology.graph, blocker=blocker, rulebook=rulebook,
-            n_shards=4, n_planes=n_planes, backend=backend,
+            n_planes=n_planes, backend=backend,
             n_workers=_N_WORKERS, flush_size=flush_size,
             retain_artifacts=False,
         )
@@ -198,7 +193,7 @@ def run_scale_probe(
 
         gateway = AlertGateway(
             topology.graph, blocker=blocker, rulebook=rulebook,
-            n_shards=4, n_planes=1, backend=backend, n_workers=_N_WORKERS,
+            n_planes=1, backend=backend, n_workers=_N_WORKERS,
             flush_size=flush_size, retain_artifacts=False,
         )
         gateway.ingest_batch(alerts[:midpoint])
@@ -229,7 +224,7 @@ def run_scale_probe(
 
 def run_plane_sweep(
     trace, topology, blocker, rulebook, report,
-    plane_counts=_PLANE_COUNTS, n_shards: int = 4, flush_size: int = 512,
+    plane_counts=_PLANE_COUNTS, flush_size: int = 512,
 ) -> dict[str, dict[str, float]]:
     """Sweep plane counts on the serial backend, asserting parity.
 
@@ -240,7 +235,7 @@ def run_plane_sweep(
     for n_planes in plane_counts:
         stats = run_config(
             trace, topology, blocker, rulebook,
-            n_shards=n_shards, n_planes=n_planes, flush_size=flush_size,
+            n_planes=n_planes, flush_size=flush_size,
         )
         label = f"serial/p{n_planes}"
         assert stats.reconcile(report) == {}, f"{label} must stay exact"
@@ -257,15 +252,6 @@ def test_streaming_throughput_scaling(
     report = MitigationPipeline(topology.graph, rulebook=rulebook).run(
         trace, blocker=blocker
     )
-
-    by_shards: dict[int, dict[str, float]] = {}
-    for n_shards in _SHARD_COUNTS:
-        stats = run_config(
-            trace, topology, blocker, rulebook,
-            n_shards=n_shards, flush_size=512,
-        )
-        assert stats.reconcile(report) == {}, "gateway must stay exact at scale"
-        by_shards[n_shards] = _measure(stats)
 
     by_backend = run_backend_sweep(trace, topology, blocker, rulebook, report)
 
@@ -343,13 +329,7 @@ def test_streaming_throughput_scaling(
     ]
     for label, m in by_backend.items():
         rows.append(ComparisonRow(
-            f"{label:>13}", f"(4 shards, {_N_WORKERS} workers)",
-            f"{m['alerts_per_sec']:>9,.0f} alerts/s  "
-            f"p50 {m['latency_p50_us']:.1f} us  p99 {m['latency_p99_us']:.1f} us",
-        ))
-    for n_shards, m in by_shards.items():
-        rows.append(ComparisonRow(
-            f"{n_shards:>2} shard(s)", "(serial/batch)",
+            f"{label:>13}", f"({_N_WORKERS} workers)",
             f"{m['alerts_per_sec']:>9,.0f} alerts/s  "
             f"p50 {m['latency_p50_us']:.1f} us  p99 {m['latency_p99_us']:.1f} us",
         ))
@@ -376,7 +356,6 @@ def test_streaming_throughput_scaling(
         "multi_region_alerts": len(mr_trace),
         "batch_clusters": len(report.clusters),
         "backends": by_backend,
-        "shards": {str(k): v for k, v in by_shards.items()},
         "planes": by_planes,
         "speedup_vs_per_event": best_pooled / baseline,
         "plane_speedup_vs_gateway_serial": best_planes / gateway_serial,

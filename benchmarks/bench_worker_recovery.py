@@ -99,7 +99,7 @@ def run_recovery_config(
     for _ in range(rounds):
         gateway = AlertGateway(
             topology.graph, blocker=AlertBlocker(blocker.rules),
-            rulebook=rulebook, n_shards=4, n_planes=n_planes,
+            rulebook=rulebook, n_planes=n_planes,
             backend="process", n_workers=n_workers, flush_size=flush_size,
             ingress_lanes=ingress_lanes, lane_transport=lane_transport,
             worker_recovery=worker_recovery,

@@ -36,12 +36,12 @@ def main() -> None:
     blocker = MitigationPipeline.derive_blocker(storm)
     gateway = AlertGateway(
         topology.graph, blocker=blocker, rulebook=rulebook,
-        n_planes=len(REGIONS), n_shards=4,
+        n_planes=len(REGIONS),
     )
 
     # --- live ingestion on the simulation kernel ------------------------
     print(f"streaming {len(storm)} storm alerts from {len(REGIONS)} regions "
-          f"through {gateway.n_planes} planes x {gateway.n_shards} shards...\n")
+          f"through {gateway.n_planes} planes...\n")
     print(f"{'sim clock':>9}  {'in':>6}  {'blocked':>7}  {'groups':>6}  "
           f"{'clusters':>8}  {'storms':>6}  {'reduction':>9}")
 

@@ -49,7 +49,7 @@ from repro.core.mitigation import (
     MitigationPipeline,
 )
 from repro.core.governance import GuidelineChecker, PeriodicReview
-from repro.streaming import AlertGateway, GatewayStats, ShardRouter, drive_gateway
+from repro.streaming import AlertGateway, GatewayStats, drive_gateway
 from repro.core.incidents import Incident, IncidentEscalator
 from repro.core.qoa import QoAModel, evaluate_qoa_pipeline, measure_qoa
 from repro.faults import CascadeModel, FaultInjector, FaultKind
@@ -113,7 +113,6 @@ __all__ = [
     # streaming gateway
     "AlertGateway",
     "GatewayStats",
-    "ShardRouter",
     "drive_gateway",
     # core: governance & incidents
     "GuidelineChecker",

@@ -17,6 +17,8 @@ from repro.common.timeutil import format_timestamp
 
 __all__ = ["Severity", "AlertState", "Alert"]
 
+_INF = float("inf")
+
 
 class Severity(enum.IntEnum):
     """Alert severity levels, ordered most severe first.
@@ -74,11 +76,18 @@ class Alert:
     tags: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.occurred_at < 0:
-            raise ValidationError(f"occurred_at must be >= 0, got {self.occurred_at}")
-        if self.cleared_at is not None and self.cleared_at < self.occurred_at:
+        # Chained comparisons: NaN fails every comparison, so it is
+        # refused here rather than passing a single ``<`` test.
+        if not 0.0 <= self.occurred_at < _INF:
             raise ValidationError(
-                f"cleared_at {self.cleared_at} precedes occurred_at {self.occurred_at}"
+                f"occurred_at must be finite and >= 0, got {self.occurred_at}"
+            )
+        if self.cleared_at is not None and not (
+            self.occurred_at <= self.cleared_at < _INF
+        ):
+            raise ValidationError(
+                f"cleared_at {self.cleared_at} must be finite and not precede "
+                f"occurred_at {self.occurred_at}"
             )
 
     # ------------------------------------------------------------------
@@ -97,9 +106,10 @@ class Alert:
         """
         if not self.is_active:
             raise ValidationError(f"alert {self.alert_id} is already cleared")
-        if at < self.occurred_at:
+        if not self.occurred_at <= at < _INF:
             raise ValidationError(
-                f"clear time {at} precedes occurrence {self.occurred_at}"
+                f"clear time {at} must be finite and not precede "
+                f"occurrence {self.occurred_at}"
             )
         self.cleared_at = at
         self.state = AlertState.CLEARED_MANUAL if manual else AlertState.CLEARED_AUTO

@@ -5,7 +5,7 @@
     repro-alerts generate --out trace-dir --days 60
     repro-alerts mine     --trace trace-dir
     repro-alerts mitigate --trace trace-dir
-    repro-alerts stream   --trace trace-dir --shards 4 --reconcile
+    repro-alerts stream   --trace trace-dir --planes 4 --reconcile
     repro-alerts stream   --trace trace-dir --backend process --workers 4
     repro-alerts serve    --trace trace-dir --data-dir svc-dir
     repro-alerts ops      --data-dir svc-dir
@@ -145,8 +145,6 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
 #: ``(flag, GatewayConfig field, argparse type, help)``.  Defaults and
 #: ``choices`` come from the field; a ``bool`` row is a switch.
 _GATEWAY_FLAGS = (
-    ("--shards", "n_shards", int,
-     "shards per plane on the consistent-hash ring"),
     ("--planes", "n_planes", int,
      "region-partitioned execution planes (parallelism unit for R3/R4)"),
     ("--backend", "backend", str, "plane execution backend"),
@@ -248,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--seed", type=int, default=None,
                         help="topology seed (default: the trace's seed)")
     _add_gateway_flags(stream)
-    stream.add_argument("--rebalance-to", type=int, default=None,
-                        help="re-shard to this count halfway through the stream")
     stream.add_argument("--scale-at", action="append", default=None,
                         type=_parse_scale_spec,
                         metavar="EVENTIDX:PLANES",
@@ -390,27 +386,17 @@ def _cmd_stream(args) -> int:
         topology.graph, blocker=blocker, rulebook=rulebook,
         **_gateway_options(args),
     )
-    schedule: list[tuple[str, int, int]] = []
     if args.scale_at:
-        # Specs are validated (and parsed to tuples) by argparse.
-        for event_index, planes in args.scale_at:
-            schedule.append(("scale", event_index, planes))
-    if args.rebalance_to is not None or schedule:
         alerts = list(trace.iter_ordered())
-        if args.rebalance_to is not None:
-            schedule.append(("rebalance", len(alerts) // 2, args.rebalance_to))
-        schedule.sort(key=lambda item: item[1])
         cursor = 0
-        for action, event_index, target in schedule:
+        # Specs are validated (and parsed to tuples) by argparse.
+        for event_index, planes in sorted(args.scale_at, key=lambda s: s[0]):
             cut = min(max(event_index, cursor), len(alerts))
             gateway.ingest_batch(alerts[cursor:cut])
             cursor = cut
-            if action == "scale":
-                moved = gateway.scale_planes(target)
-                print(f"scaled to {target} plane(s) at event {cut}: "
-                      f"{len(moved)} region(s) migrated")
-            else:
-                gateway.rebalance(target)
+            moved = gateway.scale_planes(planes)
+            print(f"scaled to {planes} plane(s) at event {cut}: "
+                  f"{len(moved)} region(s) migrated")
         gateway.ingest_batch(alerts[cursor:])
     else:
         gateway.ingest_batch(trace.iter_ordered())

@@ -88,7 +88,8 @@ def alert_to_dict(alert: Alert) -> dict:
 
 
 def alert_from_dict(record: dict) -> Alert:
-    alert = Alert(
+    cleared = record.get("cleared_at")
+    return Alert(
         alert_id=record["alert_id"],
         strategy_id=record["strategy_id"],
         strategy_name=record["strategy_name"],
@@ -101,13 +102,11 @@ def alert_from_dict(record: dict) -> Alert:
         datacenter=record["datacenter"],
         channel=record["channel"],
         occurred_at=float(record["occurred_at"]),
+        state=AlertState(record["state"]),
+        cleared_at=float(cleared) if cleared is not None else None,
         fault_id=record.get("fault_id"),
         tags=dict(record.get("tags", {})),
     )
-    alert.state = AlertState(record["state"])
-    cleared = record.get("cleared_at")
-    alert.cleared_at = float(cleared) if cleared is not None else None
-    return alert
 
 
 def _strategy_to_dict(strategy: AlertStrategy) -> dict:

@@ -76,7 +76,6 @@ def status_of_checkpoint(checkpoint: GatewayCheckpoint) -> dict:
     gateway = {
         "backend": config["backend"],
         "n_planes": config["n_planes"],
-        "n_shards": config["n_shards"],
         "n_workers": config["n_workers"],
         "flush_size": config["flush_size"],
         "input_alerts": stats["input_alerts"],
@@ -87,7 +86,6 @@ def status_of_checkpoint(checkpoint: GatewayCheckpoint) -> dict:
         "emerging_flags": stats["emerging_flags"],
         "late_events": stats["late_events"],
         "flushes": stats["flushes"],
-        "rebalances": stats["rebalances"],
         "plane_scales": stats["plane_scales"],
         "scales": stats["scales"],
         "watermark": stats["watermark"],
@@ -294,7 +292,7 @@ def render_ops_report(status: dict) -> str:
     throughput = gateway.get("throughput")
     lines += [
         "gateway",
-        f"  planes {gateway['n_planes']} x {gateway['n_shards']} shards "
+        f"  planes {gateway['n_planes']} "
         f"({backend}, flush {gateway['flush_size']})",
         f"  input {gateway['input_alerts']:,}  "
         f"blocked {gateway['blocked_alerts']:,}  "

@@ -50,7 +50,7 @@ def restore_gateway(
     ``expected_config`` is the configuration record the caller *would*
     use for a fresh boot; when given, drift on any strict field against
     the checkpoint fails loudly instead of resuming a stream whose flush
-    schedule or shard rings no longer match its own history.
+    schedule or plane topology no longer match its own history.
     """
     config = checkpoint.config
     if expected_config is not None:

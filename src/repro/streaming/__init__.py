@@ -2,16 +2,14 @@
 
 The streaming counterpart of the batch mitigation pipeline (paper
 §III-C run continuously, as the production system the paper studies
-does): alerts enter one at a time or in micro-batches and flow through a
-two-level partition — regions map to execution planes, keys map to
-shards within a plane — running incremental versions of the whole
-reaction chain *inside the planes*: R1 blocking and R2 session-window
-dedup per shard, R3 windowed correlation over each plane's merged
-representative stream, R4 storm/emerging detection on each plane's
-ring-buffer counters.  End-of-run volume accounting reconciles exactly
-with :class:`~repro.core.mitigation.pipeline.MitigationReport` on the
-same in-order trace — for every backend, plane count, shard count, and
-flush size.
+does): alerts enter one at a time or in micro-batches, regions map to
+execution planes, and incremental versions of the whole reaction chain
+run *inside the planes*: R1 blocking and R2 session-window dedup in one
+processor per plane, R3 windowed correlation over its representative
+stream, R4 storm/emerging detection on each plane's ring-buffer
+counters.  End-of-run volume accounting reconciles exactly with
+:class:`~repro.core.mitigation.pipeline.MitigationReport` on the same
+in-order trace — for every backend, plane count, and flush size.
 
 Choosing a backend (``AlertGateway(backend=...)``):
 
@@ -27,14 +25,12 @@ Choosing a backend (``AlertGateway(backend=...)``):
   unit), so pair it with as many planes as you have busy regions and
   prefer big ``flush_size`` (≥ 1024).
 
-Tuning ``n_planes``: planes partition by region, shards by alert key —
-add planes to parallelise R3 correlation and R4 detection (they are
-plane-local), add shards to spread R1/R2 key skew within a plane.
+Tuning ``n_planes``: planes partition by region — add planes to
+parallelise the whole chain (every reaction is plane-local).
 ``flush_size`` trades emission staleness for amortisation — R2 folds a
 flush grouped by ``(strategy, region)`` and by its end has closed every
 session per-event ingestion would have; ``flush_interval`` bounds
 staleness in event time.
-``rebalance(n)`` re-shards every live plane without losing window state.
 ``ingress_lanes=N`` (with ``n_planes >= N``) moves the buffered ingest
 path onto partitioned lane threads (:mod:`~repro.streaming.lanes`) so
 the feed itself stops being the bottleneck — identical end-of-run
@@ -83,7 +79,7 @@ from repro.streaming.plane import (
 )
 from repro.streaming.processor import StreamProcessor
 from repro.streaming.rings import RingError, SpscRing
-from repro.streaming.routing import PlaneRouter, ShardRouter, shard_key, template_of
+from repro.streaming.routing import PlaneRouter
 from repro.streaming.sources import (
     iter_jsonl_alerts,
     merge_ordered,
@@ -130,9 +126,6 @@ __all__ = [
     "PlaneRegionState",
     "RegionPlane",
     "PlaneRouter",
-    "ShardRouter",
-    "shard_key",
-    "template_of",
     "OnlineAggregator",
     "OpenSession",
     "OnlineCorrelator",

@@ -16,13 +16,12 @@ lives and what executes it:
   parallelism regardless of the GIL.
 
 Both backends speak the same protocol — ``flush`` with a barrier per
-call, ``snapshots`` for introspection, ``rebalance`` for live per-plane
-re-sharding, ``drain``/``close`` for shutdown — and both
-produce *bitwise identical* volume accounting: a plane's reaction chain
-only ever sees its own regions' events in arrival order, so where it
-runs cannot change what it counts.  The parity harness in
-``tests/streaming/test_backends.py`` pins that invariant down for every
-backend × plane count × shard count.
+call, ``snapshots`` for introspection, ``scale`` for live re-planing,
+``drain``/``close`` for shutdown — and both produce *bitwise identical*
+volume accounting: a plane's reaction chain only ever sees its own
+regions' events in arrival order, so where it runs cannot change what it
+counts.  The parity harness in ``tests/streaming/test_backends.py`` pins
+that invariant down for every backend × plane count × flush size.
 
 A backend is built from the gateway's one
 :class:`~repro.streaming.config.GatewayConfig` (which backend, how many
@@ -33,7 +32,6 @@ plane — and every worker process at spawn — receives.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import threading
 import time
@@ -127,15 +125,8 @@ class PlaneBackend(Protocol):
         """Per-plane progress views (as of the last barrier)."""
         ...
 
-    def rebalance(self, n_shards: int) -> None:
-        """Re-shard every plane onto ``n_shards`` shards, live."""
-        ...
-
     def scale(
-        self,
-        n_planes: int,
-        moved: dict[str, tuple[int, int]],
-        n_shards: int,
+        self, n_planes: int, moved: dict[str, tuple[int, int]],
     ) -> list[PlaneSnapshot]:
         """Re-plane to ``n_planes``, migrating each moved region's state.
 
@@ -144,12 +135,10 @@ class PlaneBackend(Protocol):
         has its *entire* plane state — open R2 sessions, R3 window +
         union-find, R4 counters and novelty state, lifetime counter
         slice, retained artifacts — detached from its old plane and
-        installed on its new one.  New planes are born on ``n_shards``
-        (the gateway's current ring size, which may differ from the
-        spawn-time config after live rebalances); dropped planes must
-        have had all their regions exported, which the round-robin
-        rescale guarantees.  Returns post-migration snapshots of every
-        plane, the gateway's new per-plane accounting baseline.
+        installed on its new one.  Dropped planes must have had all their
+        regions exported, which the round-robin rescale guarantees.
+        Returns post-migration snapshots of every plane, the gateway's
+        new per-plane accounting baseline.
         """
         ...
 
@@ -232,8 +221,8 @@ class SerialPlaneBackend:
 
     @property
     def processors(self) -> list[StreamProcessor]:
-        """Every shard processor across planes (read-only introspection)."""
-        return [p for plane in self.planes for p in plane.processors]
+        """Every plane's processor (read-only introspection)."""
+        return [plane.processor for plane in self.planes]
 
     def flush(
         self, batches: Sequence[PlaneBatch], watermark: float | None,
@@ -246,19 +235,10 @@ class SerialPlaneBackend:
     def snapshots(self) -> list[PlaneSnapshot]:
         return [plane.snapshot() for plane in self.planes]
 
-    def rebalance(self, n_shards: int) -> None:
-        require_positive(n_shards, "n_shards")
-        for plane in self.planes:
-            plane.rebalance(n_shards)
-
     def scale(
-        self,
-        n_planes: int,
-        moved: dict[str, tuple[int, int]],
-        n_shards: int,
+        self, n_planes: int, moved: dict[str, tuple[int, int]],
     ) -> list[PlaneSnapshot]:
         require_positive(n_planes, "n_planes")
-        require_positive(n_shards, "n_shards")
         planes = self.planes
         # Export everything first, then adopt: the round-robin rescale
         # can swap regions between two surviving planes.
@@ -272,12 +252,10 @@ class SerialPlaneBackend:
             # repair here; it exists for payloads that cross a process
             # boundary (or a future fresh-worker spawn).
             state.rules = []
-        if n_planes > len(planes):
-            config = dataclasses.replace(self._config, n_shards=n_shards)
-            planes.extend(
-                RegionPlane(plane, config)
-                for plane in range(len(planes), n_planes)
-            )
+        planes.extend(
+            RegionPlane(plane, self._config)
+            for plane in range(len(planes), n_planes)
+        )
         dropped = planes[n_planes:]
         del planes[n_planes:]
         # Adopt before the dropped-plane emptiness check: if the check
@@ -407,10 +385,6 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 connection.send(("ok", [
                     planes[plane].snapshot() for plane in sorted(planes)
                 ]))
-            elif kind == "rebalance":
-                for plane in planes.values():
-                    plane.rebalance(payload)
-                connection.send(("ok", None))
             elif kind == "export_regions":
                 # One packed blob per (plane, region), request order —
                 # state crosses the pipe wire-packed, never pickled.
@@ -419,16 +393,12 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                     for plane, region in payload
                 ]))
             elif kind == "scale":
-                n_shards, create, drop, adopt = payload
+                create, drop, adopt = payload
                 dropped = [(plane_id, planes.pop(plane_id)) for plane_id in drop]
-                if create:
-                    # Born on the *current* ring size, which live
-                    # rebalances may have moved off the spawn-time
-                    # config; the blocker object is shared, so new
-                    # planes see every rule delta this worker applied.
-                    born_config = dataclasses.replace(config, n_shards=n_shards)
-                    for plane_id in create:
-                        planes[plane_id] = RegionPlane(plane_id, born_config)
+                # The blocker object is shared, so new planes see every
+                # rule delta this worker applied.
+                for plane_id in create:
+                    planes[plane_id] = RegionPlane(plane_id, config)
                 for plane_id, blob in adopt:
                     planes[plane_id].adopt_region(unpack_plane_state(blob))
                 # Checked only after adoption: a failure here is loud
@@ -491,13 +461,10 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 connection.send(("ok", rows))
             elif kind == "install_planes":
                 # Worker-fleet resize, round 2: create the planes this
-                # worker now homes (born on the current ring size) and
-                # adopt their migrated region state.
-                n_shards, create, adopt = payload
-                if create:
-                    born_config = dataclasses.replace(config, n_shards=n_shards)
-                    for plane_id in create:
-                        planes[plane_id] = RegionPlane(plane_id, born_config)
+                # worker now homes and adopt their migrated region state.
+                create, adopt = payload
+                for plane_id in create:
+                    planes[plane_id] = RegionPlane(plane_id, config)
                 for plane_id, blob in adopt:
                     planes[plane_id].adopt_region(unpack_plane_state(blob))
                 connection.send(("ok", None))
@@ -532,8 +499,8 @@ class ProcessPlaneBackend:
     Workers are spawned lazily on first use, so constructing a gateway
     costs nothing until events flow.  Plane ``p`` lives in worker
     ``p % n_workers`` for the backend's whole lifetime — the distribution
-    unit is the plane, so parallelism scales with plane count, not shard
-    count.  Ingress batches cross the pipe struct-packed
+    unit is the plane, so parallelism scales with plane count.  Ingress
+    batches cross the pipe struct-packed
     (:func:`~repro.streaming.wire.pack_alerts`); flush replies are
     counter tuples; retained artifacts come back packed once, at drain.
     """
@@ -570,9 +537,6 @@ class ProcessPlaneBackend:
         # sane transport if exactly one request is in flight on it.
         self._locks: list[threading.Lock] = []
         self._start_lock = threading.Lock()
-        # Last-barrier snapshots so idle introspection of a never-started
-        # backend needs no round trip.
-        self._n_shards = config.n_shards
         self._closed = False
         # Zero-copy lane hand-off: one SPSC shared-memory ring per
         # (lane, worker) pair, created lazily on a lane's first feed to
@@ -612,18 +576,14 @@ class ProcessPlaneBackend:
     def _spawn_worker(self, worker_id: int):
         """Fork one worker for its current plane set; returns (proc, pipe).
 
-        Planes are born on the *current* ring size (live rebalances may
-        have moved it off the spawn-time config), and the fork inherits
-        the parent-side blocker mirror — the always-current rule table.
+        The fork inherits the parent-side blocker mirror — the
+        always-current rule table.
         """
         context = multiprocessing.get_context()
         parent_end, child_end = context.Pipe()
-        config = self._config
-        if config.n_shards != self._n_shards:
-            config = dataclasses.replace(config, n_shards=self._n_shards)
         worker = context.Process(
             target=_plane_worker_loop,
-            args=(child_end, self._planes_of(worker_id), config),
+            args=(child_end, self._planes_of(worker_id), self._config),
             daemon=True,
         )
         worker.start()
@@ -815,16 +775,15 @@ class ProcessPlaneBackend:
         corpse.  The dead process's partial state is discarded
         wholesale: the fresh worker adopts the last full-plane snapshot,
         has its rule table rewound to that snapshot's capture, and then
-        replays the journaled messages since — the same batches, rule
-        deltas and rebalances, in the same order, under the same rule
-        tables — so its accounting lands exactly where an unkilled
-        worker's would.  (Shard placement and finalize cadence are
-        accounting-invariant, which the backend/shard parity harness
-        pins down; per-batch warmup prefixes and watermarks ride in the
-        journaled messages themselves.)  The in-flight message that
-        observed the death is deliberately NOT in the journal: the
-        caller re-sends it after this returns, so it is applied exactly
-        once.
+        replays the journaled messages since — the same batches and rule
+        deltas, in the same order, under the same rule tables — so its
+        accounting lands exactly where an unkilled worker's would.
+        (Finalize cadence is accounting-invariant, which the backend
+        parity harness pins down; per-batch warmup prefixes and
+        watermarks ride in the journaled messages themselves.)  The
+        in-flight message that observed the death is deliberately NOT in
+        the journal: the caller re-sends it after this returns, so it is
+        applied exactly once.
         """
         try:
             self._connections[worker_id].close()
@@ -1017,9 +976,9 @@ class ProcessPlaneBackend:
         if self._workers is None:
             return [
                 PlaneSnapshot(
-                    plane_id=plane, n_shards=self._n_shards, processed=0,
-                    blocked=0, aggregates=0, clusters=0, storm_episodes=0,
-                    emerging_flags=0, open_sessions=0, active_components=0,
+                    plane_id=plane, processed=0, blocked=0, aggregates=0,
+                    clusters=0, storm_episodes=0, emerging_flags=0,
+                    open_sessions=0, active_components=0,
                     retained_representatives=0, min_open_first=None,
                 )
                 for plane in range(self._n_planes)
@@ -1032,30 +991,12 @@ class ProcessPlaneBackend:
         snapshots.sort(key=lambda snapshot: snapshot.plane_id)
         return snapshots
 
-    def rebalance(self, n_shards: int) -> None:
-        require_positive(n_shards, "n_shards")
-        self._n_shards = int(n_shards)
-        if self._workers is None:
-            # Planes don't exist yet; they will be born on the new ring.
-            self._config = dataclasses.replace(self._config, n_shards=n_shards)
-            return
-        worker_ids = list(range(self.n_workers))
-        self._roundtrip(
-            worker_ids, [("rebalance", n_shards)] * self.n_workers,
-            journal=True,
-        )
-
     def scale(
-        self,
-        n_planes: int,
-        moved: dict[str, tuple[int, int]],
-        n_shards: int,
+        self, n_planes: int, moved: dict[str, tuple[int, int]],
     ) -> list[PlaneSnapshot]:
         require_positive(n_planes, "n_planes")
-        require_positive(n_shards, "n_shards")
         if self._closed:
             raise ValidationError("process backend already closed")
-        self._n_shards = int(n_shards)
         old_planes = self._n_planes
         self._n_planes = int(n_planes)
         if self._workers is None:
@@ -1064,7 +1005,6 @@ class ProcessPlaneBackend:
             # and since the fleet hasn't spawned yet, the worker clamp
             # can still follow the new plane count.
             self.n_workers = min(self._requested_workers, self._n_planes)
-            self._config = dataclasses.replace(self._config, n_shards=n_shards)
             return self.snapshots()
         # Round 1 — export: each source worker detaches its moved
         # regions' plane state and hands it back as packed bytes.
@@ -1104,7 +1044,7 @@ class ProcessPlaneBackend:
             )
         worker_ids = list(range(self.n_workers))
         replies = self._roundtrip(worker_ids, [
-            ("scale", (self._n_shards, creates[w], drops[w], adopts[w]))
+            ("scale", (creates[w], drops[w], adopts[w]))
             for w in worker_ids
         ], recoverable=False)
         snapshots: list[PlaneSnapshot] = []
@@ -1175,8 +1115,7 @@ class ProcessPlaneBackend:
                 if create or adopts[worker_id]:
                     self._exchange(
                         worker_id,
-                        ("install_planes",
-                         (self._n_shards, create, adopts[worker_id])),
+                        ("install_planes", (create, adopts[worker_id])),
                         recoverable=False,
                     )
             # Round 2b — shrink: surplus workers own nothing now; stop

@@ -56,7 +56,6 @@ class GatewayConfig:
     ``vars(config)`` is the keyword form ``AlertGateway`` accepts.
     """
 
-    n_shards: int = _option(4, strict=True)
     n_planes: int = _option(1, strict=True)
     aggregation_window: float = _option(900.0, strict=True)
     correlation_window: float = _option(900.0, strict=True)

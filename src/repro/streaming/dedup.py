@@ -121,18 +121,6 @@ class OnlineAggregator:
             self._fold(groups, high, emitted)
         return emitted
 
-    def export_sessions(self) -> list[OpenSession]:
-        """Hand over every open session (shard rebalancing).
-
-        The aggregator is left empty; the caller re-installs the
-        sessions on their new shards via :meth:`adopt`.  Deterministic
-        key order, so rebalancing is reproducible.
-        """
-        sessions = [session for _, session in sorted(self._sessions.items())]
-        self._sessions.clear()
-        self._expiry.clear()
-        return sessions
-
     def export_region(self, region: str) -> list[OpenSession]:
         """Hand over the open sessions of one region (plane migration).
 

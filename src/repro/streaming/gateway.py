@@ -3,23 +3,17 @@
 This is the streaming counterpart of
 :class:`~repro.core.mitigation.pipeline.MitigationPipeline`: instead of
 re-running the reaction chain over a finished trace, the gateway accepts
-one alert at a time (or micro-batches) and routes it through a two-level
-partition:
-
-* **level 1 — planes**: a :class:`~repro.streaming.routing.PlaneRouter`
-  assigns each *region* to one of ``n_planes`` execution planes.  The
-  whole mitigation chain is region-local (R2 sessions key on
-  ``(strategy, region)``, R3 evidence requires equal regions, R4 flood
-  rates are per ``(hour, region)``), so each
-  :class:`~repro.streaming.plane.RegionPlane` runs R1-R4 end to end for
-  its regions with no cross-plane coordination — including its own
-  :class:`OnlineCorrelator` and :class:`OnlineStormDetector`, which
-  therefore execute wherever the pluggable
-  :mod:`~repro.streaming.backends` (or an ingress lane) runs the plane,
-  not on the gateway loop;
-* **level 2 — shards**: within a plane, a consistent-hash ring on
-  ``(service, title template)`` spreads R1/R2 work across the plane's
-  shard processors.
+one alert at a time (or micro-batches) and routes it to a plane: a
+:class:`~repro.streaming.routing.PlaneRouter` assigns each *region* to
+one of ``n_planes`` execution planes.  The whole mitigation chain is
+region-local (R2 sessions key on ``(strategy, region)``, R3 evidence
+requires equal regions, R4 flood rates are per ``(hour, region)``), so
+each :class:`~repro.streaming.plane.RegionPlane` runs R1-R4 end to end
+for its regions with no cross-plane coordination — its own
+:class:`StreamProcessor`, :class:`OnlineCorrelator` and
+:class:`OnlineStormDetector`, which therefore execute wherever the
+pluggable :mod:`~repro.streaming.backends` (or an ingress lane) runs the
+plane, not on the gateway loop.
 
 What remains on the gateway loop is deliberately thin: route to a plane
 buffer, track the watermark and the global novelty-warmup prefix, flush
@@ -50,11 +44,6 @@ trigger (so the learner's judgment schedule is identical to one lane)
 and the lanes parallelise each flush cycle's execution, quiescing
 before observations reach the learner.
 
-:meth:`rebalance` re-shards every plane live: open R2 sessions migrate
-across each plane's rebuilt consistent-hash ring without leaving the
-plane (or its worker process), so no window state is lost and no state
-crosses the wire.
-
 With ``learn_rules=True`` the gateway also *derives* its R1 rules
 online: planes report per-flush observation digests, the
 :class:`~repro.streaming.learning.OnlineRuleLearner` promotes/renews/
@@ -69,7 +58,7 @@ off.
 On an in-order stream the end-of-run volume accounting (blocked,
 aggregates, clusters) is *exactly* the batch pipeline's — the
 reconciliation invariant ``GatewayStats.reconcile`` checks, for every
-backend, plane count, shard count, and flush size.  Out-of-order events
+backend, plane count, and flush size.  Out-of-order events
 are processed best-effort and counted in ``late_events``.
 
 >>> gateway = AlertGateway(graph, blocker=blocker, n_planes=4,   # doctest: +SKIP
@@ -203,7 +192,6 @@ class AlertGateway:
             )
         self._drained = False
         self.stats = GatewayStats(
-            n_shards=options.n_shards,
             n_planes=n_planes,
             backend=options.backend,
             n_workers=self._backend.n_workers,
@@ -403,32 +391,8 @@ class AlertGateway:
         self._backend.close()
 
     # ------------------------------------------------------------------
-    # rebalancing
+    # topology changes
     # ------------------------------------------------------------------
-    def rebalance(self, n_shards: int, n_workers: int | None = None) -> None:
-        """Re-shard every live plane onto an ``n_shards`` consistent-hash ring.
-
-        Pending buffers are flushed, then each plane exports its open R2
-        sessions, rebuilds its ring, and re-adopts the sessions on the
-        shards that now own their strategies — entirely inside the plane
-        (and, for the ``process`` backend, inside its worker, so nothing
-        crosses the wire).  Correlators and storm detectors partition by
-        region, not shard, and are untouched.  Volume accounting is exact
-        across the transition.
-
-        ``n_workers`` first live-resizes the ``process`` fleet (see
-        :meth:`resize_workers`, failure semantics included).
-        """
-        require_positive(n_shards, "n_shards")
-        if self._drained:
-            raise ValidationError("gateway already drained; create a new one")
-        if n_workers is not None:
-            self.resize_workers(n_workers)
-        self._flush()
-        self._backend.rebalance(n_shards)
-        self.stats.n_shards = n_shards
-        self.stats.rebalances += 1
-
     def resize_workers(self, n_workers: int) -> None:
         """Grow or shrink the ``process`` backend's worker fleet, live.
 
@@ -494,7 +458,7 @@ class AlertGateway:
         from_planes = stats.n_planes
         moved = self._plane_router.rescale(n_planes)
         try:
-            snapshots = self._backend.scale(n_planes, moved, stats.n_shards)
+            snapshots = self._backend.scale(n_planes, moved)
         except BaseException:
             # The router already routes to the new topology and the
             # backend may have migrated some regions but not others;
@@ -570,7 +534,6 @@ class AlertGateway:
         return dataclasses.replace(
             self.options,
             n_planes=stats.n_planes,
-            n_shards=stats.n_shards,
             n_workers=stats.n_workers,
             flush_size=self._flush_size,
             ingress_lanes=self.ingress_lanes,
@@ -710,7 +673,6 @@ class AlertGateway:
                 planes=tuple(
                     PlaneSnapshot(
                         plane_id=plane["plane_id"],
-                        n_shards=stats.n_shards,
                         processed=plane["processed"],
                         blocked=plane["blocked"],
                         aggregates=plane["aggregates"],
@@ -758,11 +720,6 @@ class AlertGateway:
         return self._backend.n_planes
 
     @property
-    def n_shards(self) -> int:
-        """Shards per plane on the current consistent-hash rings."""
-        return self.stats.n_shards
-
-    @property
     def ingress_lanes(self) -> int:
         """Effective ingest lane count (1 = classic single-threaded path)."""
         return self._lanes.n_lanes if self._lanes is not None else 1
@@ -774,11 +731,11 @@ class AlertGateway:
 
     @property
     def processors(self) -> list[StreamProcessor]:
-        """Every shard processor (read-only use; ``serial`` backend only)."""
+        """Every plane's processor (read-only use; ``serial`` backend only)."""
         processors = getattr(self._backend, "processors", None)
         if processors is None:
             raise ValidationError(
-                "shard processors live in worker processes and are not "
+                "plane processors live in worker processes and are not "
                 "addressable from the parent; use snapshot() instead"
             )
         return list(processors)

@@ -4,12 +4,10 @@ A :class:`RegionPlane` is the unit of parallelism of the refactored
 gateway.  It owns everything needed to run the mitigation chain for a
 disjoint set of regions:
 
-* a bank of per-shard :class:`~repro.streaming.processor.StreamProcessor`
-  instances behind the plane's own consistent-hash
-  :class:`~repro.streaming.routing.ShardRouter` (R1 blocking + R2
-  session-window dedup, partitioned by ``(service, title template)``);
+* one :class:`~repro.streaming.processor.StreamProcessor` (R1 blocking
+  + R2 session-window dedup over the plane's whole sub-stream);
 * one :class:`~repro.streaming.correlator.OnlineCorrelator` over the
-  plane's merged aggregate-representative stream (R3 — exact, because
+  processor's aggregate-representative stream (R3 — exact, because
   correlation evidence requires equal regions, so no component can span
   planes);
 * one :class:`~repro.streaming.storm.OnlineStormDetector` over the
@@ -53,7 +51,6 @@ from repro.streaming.config import GatewayConfig
 from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OpenSession
 from repro.streaming.processor import StreamProcessor
-from repro.streaming.routing import ShardRouter
 from repro.streaming.storm import OnlineStormDetector, RegionStormState
 from repro.streaming.wire import pack_detection
 from repro.topology.graph import DependencyGraph
@@ -75,7 +72,6 @@ class PlaneConfig:
     graph: DependencyGraph
     blocker: AlertBlocker
     rulebook: DependencyRuleBook | None
-    n_shards: int
     aggregation_window: float
     correlation_window: float
     correlation_max_hops: int
@@ -126,7 +122,6 @@ class PlaneConfig:
             graph=graph,
             blocker=blocker,
             rulebook=rulebook,
-            n_shards=options.n_shards,
             aggregation_window=float(options.aggregation_window),
             correlation_window=float(options.correlation_window),
             correlation_max_hops=int(options.correlation_max_hops),
@@ -220,12 +215,6 @@ class PlaneRegionState:
     retained_clusters: list[AlertCluster] = field(default_factory=list)
     #: Live R1 rules at export time (learned TTL'd ones included).
     rules: list[BlockingRule] = field(default_factory=list)
-    #: The source plane's sticky strategy → shard pins.  Rings are
-    #: content-identical across planes for one shard count, so carried
-    #: pins stay valid on the destination; adopting them (never
-    #: overwriting existing ones) spares the new plane a blake2b
-    #: re-route per strategy after a migration.
-    shard_pins: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +222,6 @@ class PlaneSnapshot:
     """A point-in-time view of one plane's progress."""
 
     plane_id: int
-    n_shards: int
     processed: int
     blocked: int
     aggregates: int
@@ -324,14 +312,12 @@ def _digest_rows(digest: dict[tuple[str, str], list]) -> list[tuple]:
 
 
 class RegionPlane:
-    """One execution plane: sharded R1/R2 plus plane-local R3/R4."""
+    """One execution plane: R1/R2 plus plane-local R3/R4."""
 
     __slots__ = (
         "plane_id",
         "_config",
-        "_router",
-        "_shard_of",
-        "processors",
+        "processor",
         "_correlator",
         "_detector",
         "_retain",
@@ -349,12 +335,9 @@ class RegionPlane:
     def __init__(self, plane_id: int, config: PlaneConfig) -> None:
         self.plane_id = plane_id
         self._config = config
-        self._router = ShardRouter(config.n_shards)
-        self._shard_of: dict[str, int] = {}
-        self.processors = [
-            StreamProcessor(shard, config.blocker, config.aggregation_window)
-            for shard in range(config.n_shards)
-        ]
+        self.processor = StreamProcessor(
+            config.blocker, config.aggregation_window,
+        )
         self._correlator = OnlineCorrelator(CorrelationAnalyzer(
             config.graph,
             rulebook=config.rulebook,
@@ -366,8 +349,7 @@ class RegionPlane:
         )
         self._retain = config.retain_artifacts
         self._since_finalize = 0
-        # Lifetime counters live on the plane, not the processors, so a
-        # rebalance (which rebuilds the processor bank) cannot reset them.
+        # Lifetime counters (the processor keeps only open state).
         self.processed = 0
         self.blocked = 0
         self.aggregates_emitted = 0
@@ -388,11 +370,6 @@ class RegionPlane:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def n_shards(self) -> int:
-        """Shards on this plane's ring."""
-        return len(self.processors)
-
-    @property
     def storm_episodes(self) -> int:
         """Lifetime storm episodes detected on this plane's regions."""
         return self._detector.episode_count if self._detector is not None else 0
@@ -404,16 +381,12 @@ class RegionPlane:
 
     @property
     def open_sessions(self) -> int:
-        """In-flight R2 sessions across this plane's shards."""
-        return sum(p.open_sessions for p in self.processors)
+        """In-flight R2 sessions on this plane."""
+        return self.processor.open_sessions
 
     def min_open_first(self) -> float | None:
         """Earliest open-session start on this plane (R3 safety horizon)."""
-        opens = [
-            first for first in (p.min_open_first() for p in self.processors)
-            if first is not None
-        ]
-        return min(opens) if opens else None
+        return self.processor.min_open_first()
 
     def regions(self) -> list[str]:
         """Regions with recorded history on this plane, sorted.
@@ -428,7 +401,6 @@ class RegionPlane:
         """A consistent view of this plane's progress."""
         return PlaneSnapshot(
             plane_id=self.plane_id,
-            n_shards=self.n_shards,
             processed=self.processed,
             blocked=self.blocked,
             aggregates=self.aggregates_emitted,
@@ -487,35 +459,10 @@ class RegionPlane:
                 stop += 1
             region_counts[region][0] += stop - index
             index = stop
-        # Level-2 routing: partition the in-order run into per-shard
-        # batches.  Strategies are pinned to the shard their first alert
-        # hashes to, so sessions never straddle shards even when titles
-        # drift non-numerically within one strategy.
-        shard_of = self._shard_of
-        route = self._router.route
-        batches: dict[int, list[Alert]] = {}
-        for alert in alerts:
-            strategy = alert.strategy_id
-            shard = shard_of.get(strategy)
-            if shard is None:
-                shard = route(alert)
-                shard_of[strategy] = shard
-            batch = batches.get(shard)
-            if batch is None:
-                batches[shard] = [alert]
-            else:
-                batch.append(alert)
-        blocked = 0
         blocked_by_region: dict[str, int] = {}
-        emitted_all: list[AggregatedAlert] = []
-        processors = self.processors
-        for shard in sorted(batches):
-            shard_blocked, emitted = processors[shard].ingest_batch(
-                batches[shard], blocked_by_region,
-            )
-            blocked += shard_blocked
-            if emitted:
-                emitted_all.extend(emitted)
+        blocked, emitted_all = self.processor.ingest_batch(
+            alerts, blocked_by_region,
+        )
         for region, count in blocked_by_region.items():
             region_counts[region][1] += count
         correlator = self._correlator
@@ -556,9 +503,9 @@ class RegionPlane:
 
         Measured on the *pre-R1* stream: the learner's evidence must not
         depend on its own blocking decisions.  The blocked count re-tests
-        the shared blocker — identical rules to the shard pass, because
-        rule deltas only ever land between flushes — and skips the scan
-        entirely for unruled strategies, mirroring the shard fast path.
+        the shared blocker — identical rules to the processor's pass,
+        because rule deltas only ever land between flushes — and skips
+        the scan entirely for unruled strategies, mirroring its fast path.
         Each row also records the strategy's service (from its first
         alert of the batch), the key the learner's adaptive per-
         (service, region) baselines aggregate by.
@@ -742,40 +689,10 @@ class RegionPlane:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def rebalance(self, n_shards: int) -> None:
-        """Re-shard this plane onto an ``n_shards`` consistent-hash ring.
-
-        Open R2 sessions are exported from the old shards and adopted by
-        the shards that now own their strategies; each migrated strategy
-        is re-pinned to its session's new home.  The plane's correlator
-        and detector are untouched — they partition by region, not by
-        shard — so accounting is exact across the transition.
-        """
-        sessions = []
-        for processor in self.processors:
-            sessions.extend(processor.export_sessions())
-        config = self._config
-        self._router = self._router.with_shards(n_shards)
-        self._shard_of.clear()
-        self.processors = [
-            StreamProcessor(shard, config.blocker, config.aggregation_window)
-            for shard in range(n_shards)
-        ]
-        shard_of = self._shard_of
-        by_shard: dict[int, list] = {}
-        for session in sorted(sessions, key=lambda s: (s.strategy_id, s.region)):
-            shard = shard_of.get(session.strategy_id)
-            if shard is None:
-                shard = self._router.route(session.representative)
-                shard_of[session.strategy_id] = shard
-            by_shard.setdefault(shard, []).append(session)
-        for shard, adopted in by_shard.items():
-            self.processors[shard].adopt_sessions(adopted)
-
     def export_region(self, region: str) -> PlaneRegionState:
         """Detach one region's entire slice of this plane (scale-out).
 
-        Open R2 sessions leave their shards, open R3 components leave
+        Open R2 sessions leave the processor, open R3 components leave
         the correlator, the R4 region state leaves the detector, and the
         region's lifetime counter slice (plus its retained artifacts,
         when artifacts are retained) is subtracted from this plane's
@@ -783,10 +700,7 @@ class RegionPlane:
         regions it still owns, and the adopting plane continues the
         region's stream exactly where it left off.
         """
-        sessions: list[OpenSession] = []
-        for processor in self.processors:
-            sessions.extend(processor.export_region(region))
-        sessions.sort(key=lambda session: (session.strategy_id, session.region))
+        sessions = self.processor.export_region(region)
         components = self._correlator.export_region(region)
         storm = (
             self._detector.export_region(region)
@@ -821,39 +735,20 @@ class RegionPlane:
             retained_aggregates=retained_aggregates,
             retained_clusters=retained_clusters,
             rules=self._config.blocker.rules,
-            shard_pins=dict(self._shard_of),
         )
 
     def adopt_region(self, state: PlaneRegionState) -> None:
         """Install a region's slice exported from another plane.
 
-        Sessions land on the shards this plane's ring assigns their
-        strategies (pinning them exactly as a first alert would have);
-        components and R4 state are re-installed verbatim; the counter
-        slice joins this plane's totals.  The carried rule snapshot is
-        only *verified* against this plane's blocker — rule tables are
-        synchronised across backends at flush barriers, so any rule the
-        snapshot carries and the blocker lacks is repaired (added once),
-        and nothing is ever double-applied.
+        Sessions, components and R4 state are re-installed verbatim; the
+        counter slice joins this plane's totals.  The carried rule
+        snapshot is only *verified* against this plane's blocker — rule
+        tables are synchronised across backends at flush barriers, so any
+        rule the snapshot carries and the blocker lacks is repaired
+        (added once), and nothing is ever double-applied.
         """
         region = state.region
-        shard_of = self._shard_of
-        n_shards = self.n_shards
-        # Carried pins first (never overwriting): an existing pin may
-        # anchor an open session of a region this plane already owns,
-        # and sessions must stay co-located with their strategy's pin.
-        for strategy, shard in state.shard_pins.items():
-            if strategy not in shard_of and shard < n_shards:
-                shard_of[strategy] = shard
-        by_shard: dict[int, list[OpenSession]] = {}
-        for session in state.sessions:
-            shard = shard_of.get(session.strategy_id)
-            if shard is None:
-                shard = self._router.route(session.representative)
-                shard_of[session.strategy_id] = shard
-            by_shard.setdefault(shard, []).append(session)
-        for shard, adopted in by_shard.items():
-            self.processors[shard].adopt_sessions(adopted)
+        self.processor.adopt(state.sessions)
         self._correlator.adopt_region(region, state.components)
         if self._detector is not None and state.storm is not None:
             self._detector.adopt_region(state.storm)
@@ -875,9 +770,7 @@ class RegionPlane:
 
     def drain(self, watermark: float | None) -> PlaneDrainResult:
         """Flush all open state at end of stream and report final totals."""
-        emitted_all: list[AggregatedAlert] = []
-        for processor in self.processors:
-            emitted_all.extend(processor.drain())
+        emitted_all = self.processor.drain()
         correlator = self._correlator
         region_counts = self._region_counts
         for aggregate in emitted_all:

@@ -1,6 +1,6 @@
-"""Two-level routing for the online alert gateway.
+"""Region routing for the online alert gateway.
 
-Level 1 — :class:`PlaneRouter` — partitions by **region**: the whole
+:class:`PlaneRouter` partitions the stream by **region**: the whole
 mitigation chain is region-local (R2 sessions key on ``(strategy,
 region)``, R3 evidence requires equal regions, R4 flood rates are per
 ``(hour, region)``), so a region is the natural unit of an execution
@@ -8,79 +8,22 @@ plane that can run R1-R4 end to end without coordination.  Regions are
 assigned to planes sticky round-robin in first-seen order: deterministic
 for a given stream, perfectly balanced for small region populations
 (where a hash ring would leave planes empty), and never revisited — a
-region's plane owns all of its state for the gateway's lifetime.
-
-Level 2 — :class:`ShardRouter` — partitions a plane's keys by
-``(service, title template)`` on a consistent-hash ring (each shard owns
-``replicas`` virtual points): every alert of one strategy carries the
-strategy's service and title, so all alerts a session-window
-deduplicator must see land on the same shard, while hot services spread
-their strategies across the plane's shards.  Growing a plane from N to
-N+1 shards remaps only ~1/(N+1) of its key space, the property live
-``rebalance`` relies on.  Hashing is ``blake2b``-based — Python's
-builtin ``hash`` is salted per process and would break cross-run
-determinism.
+region's plane owns all of its state until a live ``scale_planes``
+re-plans the whole map.
 """
 
 from __future__ import annotations
 
-import bisect
-import re
-from functools import lru_cache
-from hashlib import blake2b
 from typing import Iterable
 
-from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
 
-__all__ = ["template_of", "shard_key", "PlaneRouter", "ShardRouter"]
-
-_NUMERIC = re.compile(r"\d+")
-
-
-def template_of(title: str) -> str:
-    """Collapse a concrete alert title to its template.
-
-    Numeric fragments (counts, thresholds, instance indices) become a
-    ``#`` placeholder so "queue depth 1042 on node-3" and "queue depth 7
-    on node-9" route identically.
-    """
-    return _NUMERIC.sub("#", title.strip().lower())
-
-
-def shard_key(alert: Alert) -> str:
-    """The routing key of one alert: ``service|title-template``."""
-    return f"{alert.service}|{template_of(alert.title)}"
-
-
-def _point(token: str) -> int:
-    return int.from_bytes(blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-@lru_cache(maxsize=64)
-def _build_ring(
-    n_shards: int, replicas: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted ring for one (shard count, replica count) shape.
-
-    Rings are pure functions of their shape, so every plane's router —
-    and every plane born during a live scale-out — shares one immutable
-    instance instead of re-hashing ``n_shards * replicas`` points.
-    """
-    ring: list[tuple[int, int]] = []
-    for shard in range(n_shards):
-        for replica in range(replicas):
-            ring.append((_point(f"shard-{shard}:{replica}"), shard))
-    ring.sort()
-    return (
-        tuple(point for point, _ in ring),
-        tuple(shard for _, shard in ring),
-    )
+__all__ = ["PlaneRouter"]
 
 
 class PlaneRouter:
-    """Level-1 router: region → execution plane, sticky round-robin.
+    """Region → execution plane, sticky round-robin.
 
     The first distinct region observed goes to plane 0, the next to
     plane 1, and so on, wrapping around — an assignment is made exactly
@@ -198,60 +141,3 @@ class PlaneRouter:
                 self._plane_of[region] = new_plane
         self._n_planes = n
         return moved
-
-
-class ShardRouter:
-    """Consistent-hash ring mapping routing keys to shard ids."""
-
-    def __init__(self, n_shards: int, replicas: int = 64) -> None:
-        require_positive(n_shards, "n_shards")
-        require_positive(replicas, "replicas")
-        self._n_shards = int(n_shards)
-        self._replicas = int(replicas)
-        self._points, self._shards = _build_ring(self._n_shards, self._replicas)
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards on the ring."""
-        return self._n_shards
-
-    @property
-    def replicas(self) -> int:
-        """Virtual points per shard."""
-        return self._replicas
-
-    def with_shards(self, n_shards: int) -> "ShardRouter":
-        """A ring over ``n_shards`` with the same replica count.
-
-        This is the rebalancing constructor: consistent hashing
-        guarantees only ~|N - M| / max(N, M) of the key space moves
-        between the old ring and the new one.
-        """
-        return ShardRouter(n_shards, replicas=self._replicas)
-
-    def moved_fraction(self, other: "ShardRouter", keys: list[str]) -> float:
-        """Fraction of ``keys`` that map to a different shard on ``other``."""
-        if not keys:
-            return 0.0
-        moved = sum(
-            1 for key in keys if self.route_key(key) != other.route_key(key)
-        )
-        return moved / len(keys)
-
-    def route_key(self, key: str) -> int:
-        """The shard owning ``key`` (first ring point at or after its hash)."""
-        index = bisect.bisect_left(self._points, _point(key))
-        if index == len(self._points):
-            index = 0
-        return self._shards[index]
-
-    def route(self, alert: Alert) -> int:
-        """The shard owning ``alert``."""
-        return self.route_key(shard_key(alert))
-
-    def distribution(self, keys: list[str]) -> dict[int, int]:
-        """Key counts per shard — load-balance introspection."""
-        counts: dict[int, int] = {shard: 0 for shard in range(self._n_shards)}
-        for key in keys:
-            counts[self.route_key(key)] += 1
-        return counts

@@ -37,7 +37,6 @@ def _deep_copy_jsonish(value):
 class GatewayStats:
     """Running counters of one gateway instance."""
 
-    n_shards: int = 1
     n_planes: int = 1
     backend: str = "serial"
     n_workers: int = 1
@@ -50,7 +49,6 @@ class GatewayStats:
     emerging_flags: int = 0
     late_events: int = 0
     flushes: int = 0
-    rebalances: int = 0
     #: Live plane scale events (``gateway.scale_planes``): count plus a
     #: log of ``{at_input, from_planes, to_planes, moved_regions}`` rows.
     plane_scales: int = 0
@@ -150,14 +148,14 @@ class GatewayStats:
 
     # -- checkpointing --------------------------------------------------
     #: Counter fields that survive a checkpoint/restore cycle.  The
-    #: construction-time topology fields (backend, plane/shard/worker
+    #: construction-time topology fields (backend, plane/worker
     #: counts, flush size, learning/qoa flags) are deliberately absent:
     #: a restored gateway is *built* with them and the serving layer
     #: verifies they match the checkpoint's recorded configuration.
     _RESTORABLE = (
         "input_alerts", "blocked_alerts", "aggregates_emitted",
         "clusters_finalized", "storm_episodes", "emerging_flags",
-        "late_events", "flushes", "rebalances", "plane_scales",
+        "late_events", "flushes", "plane_scales",
         "watermark", "rules_promoted", "rules_renewed", "rules_demoted",
         "rules_expired", "rules_active",
     )
@@ -236,7 +234,6 @@ class GatewayStats:
         return {
             "backend": self.backend,
             "n_planes": self.n_planes,
-            "n_shards": self.n_shards,
             "n_workers": self.n_workers,
             "flush_size": self.flush_size,
             "input_alerts": self.input_alerts,
@@ -247,7 +244,6 @@ class GatewayStats:
             "emerging_flags": self.emerging_flags,
             "late_events": self.late_events,
             "flushes": self.flushes,
-            "rebalances": self.rebalances,
             "plane_scales": self.plane_scales,
             "lane_stalls": self.lane_stalls,
             "worker_deaths": self.worker_deaths,
@@ -316,7 +312,7 @@ class GatewayStats:
         if backend == "process":
             backend += f" x{self.n_workers} workers"
         lines = [
-            f"planes:              {self.n_planes:>8}  x {self.n_shards} shards "
+            f"planes:              {self.n_planes:>8}  "
             f"({backend}, flush {self.flush_size})",
             f"input alerts:        {self.input_alerts:>8,}",
             f"after R1 blocking:   {self.after_blocking:>8,} "
@@ -364,8 +360,6 @@ class GatewayStats:
                    if self.breaker_open else "")
                 + ")"
             )
-        if self.rebalances:
-            lines.append(f"shard rebalances:    {self.rebalances:>8}")
         if self.plane_scales:
             moved = sum(scale["moved_regions"] for scale in self.scales)
             lines.append(

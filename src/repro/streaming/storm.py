@@ -96,9 +96,9 @@ class OnlineStormDetector:
     All detector state is keyed by region (rate counters, episodes) or by
     ``(strategy, region)`` (novelty), so the detector partitions cleanly
     along region boundaries: one instance per execution plane is exact as
-    long as every alert of a region reaches the same instance.  Per-*shard*
-    instances would still be wrong — shards split within a region and
-    would dilute its rate against the flood threshold.  The one global
+    long as every alert of a region reaches the same instance.  Instances
+    that split a region's alerts would be wrong — each would see a
+    diluted rate against the flood threshold.  The one global
     coupling is the warmup count, which callers that partition the stream
     thread through as an explicit ``in_warmup`` prefix (see
     :meth:`ingest_batch`).

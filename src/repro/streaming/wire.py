@@ -773,17 +773,16 @@ def pack_plane_state(state) -> bytes:
     writer.section(pack_aggregates(state.retained_aggregates))
     writer.section(pack_clusters(state.retained_clusters))
     writer.section(pack_rules(state.rules))
-    # -- sticky strategy -> shard pins -----------------------------------
-    pins = sorted(state.shard_pins.items())
-    writer.section(_array_bytes(
-        "I", [writer.ref(strategy) for strategy, _ in pins]
-    ))
-    writer.section(_array_bytes("I", [shard for _, shard in pins]))
     return writer.finish()
 
 
 def unpack_plane_state(data: bytes):
-    """Decode a snapshot produced by :func:`pack_plane_state`."""
+    """Decode a snapshot produced by :func:`pack_plane_state`.
+
+    Blobs written while planes were sharded end in two more sections
+    (strategy → shard pins); sections are read front to back and
+    trailing bytes are never checked, so those decode unchanged.
+    """
     from repro.streaming.dedup import OpenSession
     from repro.streaming.plane import PlaneRegionState
     from repro.streaming.storm import RegionStormState
@@ -847,8 +846,6 @@ def unpack_plane_state(data: bytes):
     retained_aggregates = unpack_aggregates(reader.section())
     retained_clusters = unpack_clusters(reader.section())
     rules = unpack_rules(reader.section())
-    pin_refs = _read_array("I", reader.section())
-    pin_shards = _read_array("I", reader.section())
     return PlaneRegionState(
         region=strings[region_ref],
         counters=list(counters),
@@ -858,8 +855,4 @@ def unpack_plane_state(data: bytes):
         retained_aggregates=retained_aggregates,
         retained_clusters=retained_clusters,
         rules=rules,
-        shard_pins={
-            strings[ref]: pin_shards[index]
-            for index, ref in enumerate(pin_refs)
-        },
     )

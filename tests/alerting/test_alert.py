@@ -5,6 +5,9 @@ import pytest
 from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.common.timeutil import MINUTE
+from repro.io.traces import alert_from_dict, alert_to_dict
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def make_alert(**overrides):
@@ -77,6 +80,34 @@ class TestLifecycle:
     def test_negative_occurrence_rejected(self):
         with pytest.raises(ValidationError):
             make_alert(occurred_at=-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_occurrence_rejected(self, value):
+        with pytest.raises(ValidationError, match="occurred_at"):
+            make_alert(occurred_at=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_clearance_rejected(self, value):
+        with pytest.raises(ValidationError, match="cleared_at"):
+            make_alert(state=AlertState.CLEARED_AUTO, cleared_at=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_clear_time_rejected(self, value):
+        alert = make_alert()
+        with pytest.raises(ValidationError):
+            alert.clear(value, manual=False)
+        assert alert.is_active
+
+    @pytest.mark.parametrize("field", ["occurred_at", "cleared_at"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_record_rejected(self, field, value):
+        alert = make_alert()
+        alert.clear(2000.0, manual=False)
+        record = alert_to_dict(alert)
+        assert alert_from_dict(record) == alert
+        record[field] = value
+        with pytest.raises(ValidationError, match=field):
+            alert_from_dict(record)
 
 
 class TestDerived:

@@ -17,7 +17,7 @@ Three invariants over randomized noisy traces:
   semantics, only the rule table's evolution is new.
 * **Backend invariance** — the learned timeline and the volume
   accounting are identical on the serial and process backends for
-  every plane count, shard count, and flush size: learning happens at
+  every plane count and flush size: learning happens at
   the gateway from deterministic per-plane digests, and deltas land at
   flush barriers, so where planes execute cannot change what is learned.
 """
@@ -88,8 +88,8 @@ def noisy_traces(draw):
     return alerts
 
 
-def _run_learning(alerts, backend="serial", flush_size=16, n_shards=2,
-                  n_planes=1, rule_ttl=_LEARNER.rule_ttl):
+def _run_learning(alerts, backend="serial", flush_size=16, n_planes=1,
+                  rule_ttl=_LEARNER.rule_ttl):
     config = LearnerConfig(
         window_seconds=_LEARNER.window_seconds,
         min_alerts=_LEARNER.min_alerts,
@@ -100,7 +100,7 @@ def _run_learning(alerts, backend="serial", flush_size=16, n_shards=2,
     )
     gateway = AlertGateway(
         _GRAPH, blocker=AlertBlocker(), backend=backend, n_workers=2,
-        n_shards=n_shards, n_planes=n_planes, flush_size=flush_size,
+        n_planes=n_planes, flush_size=flush_size,
         aggregation_window=300.0, correlation_window=300.0,
         learn_rules=True, learner_config=config, retain_artifacts=False,
     )

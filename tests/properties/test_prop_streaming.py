@@ -3,8 +3,8 @@
 Randomized alert traces (arbitrary strategies, regions, severities,
 bursts and gaps) must produce *identical* volume accounting no matter
 how the gateway executes: serial vs process backends, any
-plane count (the region partition), batched vs per-event ingestion, any
-flush size, and with or without a mid-stream per-plane rebalance.  Each
+plane count (the region partition), batched vs per-event ingestion, and
+any flush size.  Each
 property also cross-checks the batch ``MitigationPipeline`` on the same
 trace — the reconciliation invariant under adversarial inputs rather
 than the curated storm fixture.
@@ -90,19 +90,14 @@ def _counts(stats) -> tuple:
     )
 
 
-def _run(alerts, blocker, backend="serial", flush_size=None, n_shards=4,
-         n_planes=1, per_event=False, rebalance_to=None, window=600.0):
+def _run(alerts, blocker, backend="serial", flush_size=None, n_planes=1,
+         per_event=False, window=600.0):
     gateway = AlertGateway(
-        _GRAPH, blocker=blocker, n_shards=n_shards, n_planes=n_planes,
-        backend=backend, n_workers=2, flush_size=flush_size,
+        _GRAPH, blocker=blocker, n_planes=n_planes, backend=backend,
+        n_workers=2, flush_size=flush_size,
         aggregation_window=window, correlation_window=window,
     )
-    if rebalance_to is not None:
-        midpoint = len(alerts) // 2
-        gateway.ingest_batch(alerts[:midpoint])
-        gateway.rebalance(rebalance_to)
-        gateway.ingest_batch(alerts[midpoint:])
-    elif per_event:
+    if per_event:
         gateway.ingest_many(alerts)
     else:
         gateway.ingest_batch(alerts)
@@ -140,17 +135,6 @@ class TestBackendEquivalence:
         assert _counts(per_event) == _counts(batched)
         assert per_event.watermark == batched.watermark
         assert per_event.late_events == batched.late_events
-
-    @given(alert_traces(), blockers(), st.sampled_from([1, 3, 8]),
-           st.sampled_from([1, 2]))
-    @settings(max_examples=25, deadline=None)
-    def test_rebalance_is_invisible_in_accounting(
-        self, alerts, blocker, new_shards, n_planes
-    ):
-        straight = _run(alerts, blocker, flush_size=16, n_planes=n_planes)
-        rebalanced = _run(alerts, blocker, flush_size=16, n_planes=n_planes,
-                          rebalance_to=new_shards)
-        assert _counts(straight) == _counts(rebalanced)
 
 
 class TestPlaneEquivalence:
@@ -204,10 +188,10 @@ class TestPlaneEquivalence:
 
 
 class TestBatchReconciliation:
-    @given(alert_traces(), blockers(), st.sampled_from([1, 4]))
+    @given(alert_traces(), blockers())
     @settings(max_examples=40, deadline=None)
-    def test_gateway_reconciles_with_pipeline(self, alerts, blocker, n_shards):
-        stats = _run(alerts, blocker, n_shards=n_shards, flush_size=32)
+    def test_gateway_reconciles_with_pipeline(self, alerts, blocker):
+        stats = _run(alerts, blocker, flush_size=32)
         assert (
             stats.input_alerts,
             stats.blocked_alerts,
@@ -218,7 +202,7 @@ class TestBatchReconciliation:
     @given(alert_traces())
     @settings(max_examples=25, deadline=None)
     def test_aggregate_counts_partition_the_survivors(self, alerts):
-        gateway = AlertGateway(_GRAPH, n_shards=3, flush_size=16,
+        gateway = AlertGateway(_GRAPH, flush_size=16,
                                aggregation_window=600.0,
                                correlation_window=600.0)
         gateway.ingest_batch(alerts)

@@ -36,6 +36,5 @@ def make_gateway(graph, **kwargs) -> AlertGateway:
     """A gateway with the serving tests' default shape."""
     kwargs.setdefault("blocker", serving_blocker())
     kwargs.setdefault("n_planes", 2)
-    kwargs.setdefault("n_shards", 2)
     kwargs.setdefault("flush_size", 64)
     return AlertGateway(graph, **kwargs)

@@ -106,7 +106,7 @@ class TestRoundTripFuzz:
         def build():
             return AlertGateway(
                 golden_graph(), blocker=_ttl_blocker(), n_planes=n_planes,
-                n_shards=2, flush_size=1,
+                flush_size=1,
             )
 
         # Reference: the uninterrupted run.

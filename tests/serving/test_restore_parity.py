@@ -55,7 +55,7 @@ def _service(graph, data_dir, **kwargs):
         graph, data_dir, blocker=serving_blocker(), checkpoint_every=100,
         journal_mode=kwargs.pop("journal_mode", "batch"),
         retain_artifacts=True, n_planes=kwargs.pop("n_planes", 2),
-        n_shards=2, flush_size=FLUSH, **kwargs,
+        flush_size=FLUSH, **kwargs,
     )
 
 

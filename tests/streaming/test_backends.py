@@ -3,10 +3,9 @@
 The core correctness invariant of the streaming subsystem is that the
 gateway's end-of-run volume accounting reproduces the batch
 ``MitigationPipeline`` *exactly*.  This module pins that invariant
-across every execution backend, plane count, shard count, and flush
-size — including a consistent-hash rebalance in the middle of the
-stream — plus the mechanics the plane backends themselves must honour
-(plane-local rebalance, worker lifecycle, deterministic results).
+across every execution backend, plane count, and flush size, plus the
+mechanics the plane backends themselves must honour (worker lifecycle,
+deterministic results).
 """
 
 import pytest
@@ -47,12 +46,11 @@ def _gateway(setup, **kwargs):
     )
 
 
-def _plane_config(n_shards: int = 2, **overrides) -> PlaneConfig:
+def _plane_config(**overrides) -> PlaneConfig:
     defaults = dict(
         graph=DependencyGraph(),
         blocker=AlertBlocker(),
         rulebook=None,
-        n_shards=n_shards,
         aggregation_window=900.0,
         correlation_window=900.0,
         correlation_max_hops=4,
@@ -66,79 +64,40 @@ def _plane_config(n_shards: int = 2, **overrides) -> PlaneConfig:
 
 class TestBackendParity:
     @pytest.mark.parametrize("n_planes", [1, 2])
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
     @pytest.mark.parametrize("flush_size", [1, 64, 512])
     def test_batched_ingestion_reconciles_exactly(
-        self, storm_setup, n_planes, n_shards, flush_size
+        self, storm_setup, n_planes, flush_size
     ):
         trace, _, _, _, report = storm_setup
         gateway = _gateway(
             storm_setup, backend="serial", n_planes=n_planes,
-            n_shards=n_shards, flush_size=flush_size,
+            flush_size=flush_size,
         )
         gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
         assert stats.reconcile(report) == {}
         assert stats.total_reduction == pytest.approx(report.total_reduction)
 
-    @pytest.mark.parametrize("n_planes,n_shards,n_workers", [
-        (1, 2, 2), (2, 5, 2), (4, 2, 2),
-    ])
+    @pytest.mark.parametrize("n_planes,n_workers", [(1, 2), (2, 2), (4, 2)])
     def test_process_backend_reconciles_exactly(
-        self, storm_setup, n_planes, n_shards, n_workers
+        self, storm_setup, n_planes, n_workers
     ):
         trace, _, _, _, report = storm_setup
         gateway = _gateway(
             storm_setup, backend="process", n_planes=n_planes,
-            n_shards=n_shards, n_workers=n_workers, flush_size=512,
+            n_workers=n_workers, flush_size=512,
         )
         gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
-        assert stats.reconcile(report) == {}
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    @pytest.mark.parametrize("new_shards", [2, 8])
-    @pytest.mark.parametrize("n_planes", [1, 2])
-    def test_rebalance_mid_stream_stays_exact(
-        self, storm_setup, backend, new_shards, n_planes
-    ):
-        trace, _, _, _, report = storm_setup
-        gateway = _gateway(
-            storm_setup, backend=backend, n_planes=n_planes, n_shards=4,
-            flush_size=256, n_workers=2,
-        )
-        alerts = list(trace.iter_ordered())
-        midpoint = len(alerts) // 2
-        gateway.ingest_batch(alerts[:midpoint])
-        gateway.rebalance(new_shards)
-        assert gateway.n_shards == new_shards
-        gateway.ingest_batch(alerts[midpoint:])
-        stats = gateway.drain()
-        assert stats.rebalances == 1
-        assert stats.n_shards == new_shards
-        assert stats.reconcile(report) == {}
-
-    def test_double_rebalance_stays_exact(self, storm_setup):
-        trace, _, _, _, report = storm_setup
-        gateway = _gateway(storm_setup, n_planes=2, n_shards=1, flush_size=128)
-        alerts = list(trace.iter_ordered())
-        third = len(alerts) // 3
-        gateway.ingest_batch(alerts[:third])
-        gateway.rebalance(8)
-        gateway.ingest_batch(alerts[third:2 * third])
-        gateway.rebalance(3)
-        gateway.ingest_batch(alerts[2 * third:])
-        stats = gateway.drain()
-        assert stats.rebalances == 2
         assert stats.reconcile(report) == {}
 
 
 class TestIngestionPaths:
     def test_ingest_batch_matches_per_event_ingest(self, storm_setup):
         trace = storm_setup[0]
-        per_event = _gateway(storm_setup, n_planes=2, n_shards=4)
+        per_event = _gateway(storm_setup, n_planes=2)
         per_event.ingest_many(trace.iter_ordered())
-        batched = _gateway(storm_setup, n_planes=2, n_shards=4, flush_size=512)
+        batched = _gateway(storm_setup, n_planes=2, flush_size=512)
         batched.ingest_batch(trace.iter_ordered())
         a, b = per_event.drain(), batched.drain()
         for field in ("input_alerts", "blocked_alerts", "aggregates_emitted",
@@ -148,7 +107,7 @@ class TestIngestionPaths:
 
     def test_ingest_honours_flush_size(self, storm_setup):
         trace = storm_setup[0]
-        gateway = _gateway(storm_setup, n_shards=2, flush_size=100)
+        gateway = _gateway(storm_setup, flush_size=100)
         for alert in list(trace.iter_ordered())[:250]:
             gateway.ingest(alert)
         # 250 buffered events cross the 100-event threshold twice.
@@ -158,15 +117,14 @@ class TestIngestionPaths:
 
     def test_per_event_ingest_latency_counts_every_event(self, small_topology):
         """A flush of N events must add N to the latency count, not 1."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2, flush_size=50)
+        gateway = AlertGateway(small_topology.graph, flush_size=50)
         for step in range(200):
             gateway.ingest(make_alert(float(step)))
         assert gateway.stats.latency.count == 200
 
     def test_flush_interval_bounds_staleness(self, small_topology):
         gateway = AlertGateway(
-            small_topology.graph, n_shards=2, flush_size=10_000,
-            flush_interval=60.0,
+            small_topology.graph, flush_size=10_000, flush_interval=60.0,
         )
         for step in range(100):
             gateway.ingest(make_alert(float(step * 10)))
@@ -176,77 +134,12 @@ class TestIngestionPaths:
         gateway.drain()
 
     def test_buffered_events_surface_in_snapshot(self, small_topology):
-        gateway = AlertGateway(
-            small_topology.graph, n_shards=2, flush_size=10_000,
-        )
+        gateway = AlertGateway(small_topology.graph, flush_size=10_000)
         gateway.ingest_batch([make_alert(float(i)) for i in range(50)])
         snapshot = gateway.snapshot()  # snapshot flushes pending buffers
         assert snapshot.input_alerts == 50
         assert gateway.stats.flushes == 1
         assert snapshot.open_sessions > 0
-
-
-class TestRebalanceMechanics:
-    def test_open_sessions_migrate(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_shards=4)
-        for index in range(8):
-            gateway.ingest(make_alert(100.0 + index, strategy_id=f"s-{index}"))
-        before = gateway.snapshot().open_sessions
-        assert before == 8
-        gateway.rebalance(2)
-        assert gateway.snapshot().open_sessions == before
-        stats = gateway.drain()
-        assert stats.aggregates_emitted == 8
-
-    def test_sessions_keep_extending_after_rebalance(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_shards=4,
-                               aggregation_window=900.0)
-        gateway.ingest(make_alert(100.0, strategy_id="s-x"))
-        gateway.rebalance(7)
-        gateway.ingest(make_alert(500.0, strategy_id="s-x"))  # same session
-        stats = gateway.drain()
-        assert stats.aggregates_emitted == 1
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_rebalance_then_immediate_drain_keeps_sessions(
-        self, small_topology, backend
-    ):
-        """Open sessions must survive a rebalance straight into a drain."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2, n_planes=2,
-                               backend=backend, n_workers=2)
-        for index in range(3):
-            gateway.ingest(make_alert(100.0 + index, strategy_id=f"s-{index}",
-                                      region=f"region-{index % 2}"))
-        gateway.rebalance(4)
-        stats = gateway.drain()
-        assert stats.aggregates_emitted == 3
-
-    def test_rebalance_before_first_flush_takes_effect(self, small_topology):
-        """A never-started process backend re-shards its config, not workers."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2,
-                               backend="process", n_workers=2,
-                               flush_size=10_000)
-        gateway.rebalance(5)
-        gateway.ingest(make_alert(1.0))
-        snapshot = gateway.snapshot()
-        assert snapshot.planes[0].n_shards == 5
-        gateway.drain()
-
-    def test_rebalance_after_drain_rejected(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_shards=2)
-        gateway.drain()
-        with pytest.raises(ValidationError):
-            gateway.rebalance(4)
-
-    def test_process_backend_resizes_workers_live(self, small_topology):
-        # Pinned the old "fixed at construction" limitation until PR 9
-        # taught the fleet to resize live via plane-state migration.
-        gateway = AlertGateway(small_topology.graph, n_planes=2, n_shards=2,
-                               backend="process", n_workers=2)
-        gateway.ingest(make_alert(1.0))
-        gateway.rebalance(4, n_workers=1)
-        assert gateway.stats.n_workers == 1
-        gateway.drain()
 
 
 class TestBackendMechanics:
@@ -323,14 +216,22 @@ class TestBackendMechanics:
         finally:
             process.close()
 
-    def test_processors_not_addressable_for_process_backend(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_shards=2,
+    def test_process_backend_resizes_workers_live(self, small_topology):
+        gateway = AlertGateway(small_topology.graph, n_planes=2,
                                backend="process", n_workers=2)
+        gateway.ingest(make_alert(1.0))
+        gateway.resize_workers(1)
+        assert gateway.stats.n_workers == 1
+        gateway.drain()
+
+    def test_processors_not_addressable_for_process_backend(self, small_topology):
+        gateway = AlertGateway(small_topology.graph, backend="process",
+                               n_workers=2)
         with pytest.raises(ValidationError, match="worker processes"):
             gateway.processors
         gateway.drain()
 
     def test_processors_flatten_across_planes(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_planes=3, n_shards=2)
-        assert len(gateway.processors) == 6
+        gateway = AlertGateway(small_topology.graph, n_planes=3)
+        assert len(gateway.processors) == 3
         gateway.drain()

@@ -97,18 +97,6 @@ def test_backend_sweep_runs_and_reports_every_config(bench_setup):
         assert metrics["latency_p99_us"] >= metrics["latency_p50_us"], label
 
 
-def test_run_config_reconciles_each_shard_count(bench_setup):
-    trace, topology, blocker, rulebook, report = bench_setup
-    if not bench._SHARD_COUNTS:
-        pytest.skip("shard-count sweep is empty - nothing would be verified")
-    for n_shards in bench._SHARD_COUNTS:
-        stats = bench.run_config(
-            trace, topology, blocker, rulebook,
-            n_shards=n_shards, flush_size=256,
-        )
-        assert stats.reconcile(report) == {}
-
-
 def test_plane_sweep_reconciles_each_plane_count(multi_region_setup):
     trace, topology, blocker, rulebook, report = multi_region_setup
     measurements = bench.run_plane_sweep(

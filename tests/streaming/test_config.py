@@ -23,7 +23,6 @@ FIELDS = {spec.name: spec for spec in dataclasses.fields(GatewayConfig)}
 
 #: One non-default value per field.
 NON_DEFAULT = {
-    "n_shards": 3,
     "n_planes": 3,
     "aggregation_window": 600.0,
     "correlation_window": 450.0,
@@ -61,9 +60,10 @@ COMPANIONS = {
     "learner_config": {"learn_rules": True},
 }
 
-#: Every key a record written before ingress lanes (PR 7) carried.
+#: Every key a record written before ingress lanes (PR 7) carried that
+#: is still a field (those records also carried ``n_shards``).
 PRE_LANES_KEYS = {
-    "backend", "n_planes", "n_shards", "n_workers", "flush_size",
+    "backend", "n_planes", "n_workers", "flush_size",
     "flush_interval", "aggregation_window", "correlation_window",
     "correlation_max_hops", "enable_storm_detection", "retain_artifacts",
     "finalize_every", "learn_rules", "enable_qoa", "learner_config",
@@ -98,7 +98,8 @@ def test_non_default_value_survives_record_round_trip(name):
 
 
 def test_pre_lanes_record_builds_the_field_defaults():
-    """Absent keys take field defaults: old checkpoints need no shims."""
+    """Absent keys take field defaults and retired keys are ignored: old
+    checkpoints need no shims and raise no drift."""
     gateway = AlertGateway(golden_graph())
     record = gateway.checkpoint_config()
     gateway.close()
@@ -107,9 +108,13 @@ def test_pre_lanes_record_builds_the_field_defaults():
         "ingress_lanes", "lane_transport", "ring_slots", "worker_recovery",
         "detect_antipatterns", "sketch_buckets", "detector_thresholds",
     } & set(old)
+    old["n_shards"] = 8
     rebuilt = build_gateway(golden_graph(), old)
     assert rebuilt.checkpoint_config() == record
     rebuilt.close()
+    assert GatewayConfig.from_record(old).drift(
+        GatewayConfig.from_record(record)
+    ) == {}
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +142,7 @@ def test_restore_refuses_drift_on_strict_fields_only(default_checkpoint, name):
 
 def test_strict_set_is_the_parent_tuple_plus_thresholds():
     assert {n for n, spec in FIELDS.items() if spec.metadata["strict"]} == {
-        "backend", "n_planes", "n_shards", "flush_size", "flush_interval",
+        "backend", "n_planes", "flush_size", "flush_interval",
         "aggregation_window", "correlation_window", "correlation_max_hops",
         "enable_storm_detection", "retain_artifacts", "finalize_every",
         "learn_rules", "enable_qoa", "detect_antipatterns",

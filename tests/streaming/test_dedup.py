@@ -191,7 +191,7 @@ class TestSessionMigration:
         source = OnlineAggregator(900.0)
         source.ingest(make_alert(100.0, strategy_id="s-a"))
         source.ingest(make_alert(200.0, strategy_id="s-b"))
-        sessions = source.export_sessions()
+        sessions = source.export_region("region-A")
         assert source.open_sessions == 0
         assert [s.strategy_id for s in sessions] == ["s-a", "s-b"]
         target = OnlineAggregator(900.0)
@@ -211,7 +211,7 @@ class TestSessionMigration:
 
         source = OnlineAggregator(900.0)
         source.ingest(make_alert(100.0, strategy_id="s-a"))
-        sessions = source.export_sessions()
+        sessions = source.export_region("region-A")
         target = OnlineAggregator(900.0)
         target.ingest(make_alert(50.0, strategy_id="s-a"))
         with pytest.raises(ValidationError):

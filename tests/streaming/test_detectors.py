@@ -214,7 +214,6 @@ class TestGatewayIntegration:
         return list(trace.iter_ordered()), topology
 
     def _gateway(self, topology, **kwargs):
-        kwargs.setdefault("n_shards", 2)
         kwargs.setdefault("flush_size", 64)
         return AlertGateway(topology.graph, detect_antipatterns=True, **kwargs)
 
@@ -263,7 +262,7 @@ class TestGatewayIntegration:
         source.ingest_many(alerts[:128])
         state = source.checkpoint_state()
         source.close()
-        plain = AlertGateway(topology.graph, n_shards=2, flush_size=64)
+        plain = AlertGateway(topology.graph, flush_size=64)
         with pytest.raises(ValidationError):
             plain.adopt_checkpoint(state)
         plain.close()

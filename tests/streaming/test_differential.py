@@ -264,7 +264,7 @@ def detection_runs(default_trace, topology):
     """The 60-day default trace through a detect-enabled gateway, plus
     the batch detectors over the finished trace."""
     gateway = AlertGateway(
-        topology.graph, n_shards=4, n_planes=2, flush_size=256,
+        topology.graph, n_planes=2, flush_size=256,
         detect_antipatterns=True, retain_artifacts=False,
     )
     gateway.ingest_many(default_trace.iter_ordered())

@@ -55,7 +55,6 @@ def _gateway(**overrides) -> AlertGateway:
         blocker=_blocker(),
         backend="process",
         n_planes=4,
-        n_shards=2,
         n_workers=2,
         flush_size=32,
         retain_artifacts=True,
@@ -344,21 +343,10 @@ class TestResizeWorkers:
                 _cluster_fingerprint(gateway)) == base
         assert stats.worker_recoveries == 1
 
-    def test_rebalance_can_carry_a_worker_resize(self):
-        alerts = _storm_trace()
-        gateway = _gateway()
-        gateway.ingest_batch(alerts[:160])
-        gateway.rebalance(4, n_workers=4)
-        assert gateway.stats.n_workers == 4
-        assert gateway.stats.n_shards == 4
-        gateway.ingest_batch(alerts[160:])
-        gateway.drain()
-
-    @pytest.mark.parametrize("spelling", ["resize_workers", "rebalance"])
-    def test_failed_resize_poisons_the_gateway(self, monkeypatch, spelling):
+    def test_failed_resize_poisons_the_gateway(self, monkeypatch):
         # A resize that dies mid-migration may have detached plane state
-        # that never reached its destination: both spellings must leave
-        # the gateway refusing ingest, not silently wrong.
+        # that never reached its destination: the gateway must refuse
+        # ingest afterwards, not stay silently wrong.
         alerts = _storm_trace()
         gateway = _gateway()
         gateway.ingest_batch(alerts[:160])
@@ -368,10 +356,7 @@ class TestResizeWorkers:
 
         monkeypatch.setattr(gateway._backend, "resize_workers", exploding_resize)
         with pytest.raises(RuntimeError, match="mid-migration"):
-            if spelling == "rebalance":
-                gateway.rebalance(4, n_workers=4)
-            else:
-                gateway.resize_workers(4)
+            gateway.resize_workers(4)
         with pytest.raises(ValidationError, match="drained"):
             gateway.ingest_batch(alerts[160:])
 

@@ -27,10 +27,9 @@ def _gateway_for(trace, topology, **kwargs):
 
 
 class TestBatchParity:
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
-    def test_storm_trace_counts_match_pipeline(self, storm_trace, n_shards):
+    def test_storm_trace_counts_match_pipeline(self, storm_trace):
         trace, topology = storm_trace
-        gateway, rulebook = _gateway_for(trace, topology, n_shards=n_shards)
+        gateway, rulebook = _gateway_for(trace, topology)
         gateway.ingest_many(trace.iter_ordered())
         stats = gateway.drain()
         report = MitigationPipeline(topology.graph, rulebook=rulebook).run(trace)
@@ -38,7 +37,7 @@ class TestBatchParity:
         assert stats.total_reduction == pytest.approx(report.total_reduction)
 
     def test_smoke_trace_counts_match_pipeline(self, smoke_trace, topology):
-        gateway, rulebook = _gateway_for(smoke_trace, topology, n_shards=4)
+        gateway, rulebook = _gateway_for(smoke_trace, topology)
         gateway.ingest_many(smoke_trace.iter_ordered())
         stats = gateway.drain()
         report = MitigationPipeline(topology.graph, rulebook=rulebook).run(smoke_trace)
@@ -46,7 +45,7 @@ class TestBatchParity:
 
     def test_retained_artifacts_match_counts(self, storm_trace):
         trace, topology = storm_trace
-        gateway, _ = _gateway_for(trace, topology, n_shards=4)
+        gateway, _ = _gateway_for(trace, topology)
         gateway.ingest_many(trace.iter_ordered())
         stats = gateway.drain()
         assert len(gateway.aggregates) == stats.aggregates_emitted
@@ -82,16 +81,14 @@ class TestArtefactParity:
     their counts, however the stream is cut and partitioned."""
 
     @pytest.mark.parametrize("n_planes", [1, 4])
-    @pytest.mark.parametrize("n_shards", [1, 4])
     @pytest.mark.parametrize("flush_size", [1, 7, 512])
     def test_artefacts_match_pipeline(
-        self, multi_region_report, flush_size, n_shards, n_planes,
+        self, multi_region_report, flush_size, n_planes,
     ):
         trace, topology, rulebook, report = multi_region_report
         gateway = AlertGateway(
             topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
-            retain_artifacts=True, flush_size=flush_size,
-            n_shards=n_shards, n_planes=n_planes,
+            retain_artifacts=True, flush_size=flush_size, n_planes=n_planes,
         )
         gateway.ingest_many(trace.iter_ordered())
         stats = gateway.drain()
@@ -106,8 +103,7 @@ class TestStreamingBehaviour:
     def test_memory_stays_bounded_during_storm(self, storm_trace):
         """In-flight state must stay far below the number of ingested events."""
         trace, topology = storm_trace
-        gateway, _ = _gateway_for(trace, topology, n_shards=4,
-                                  retain_artifacts=False)
+        gateway, _ = _gateway_for(trace, topology, retain_artifacts=False)
         peak_open = 0
         peak_retained = 0
         for alert in trace.iter_ordered():
@@ -122,14 +118,14 @@ class TestStreamingBehaviour:
 
     def test_storm_is_detected_online(self, storm_trace):
         trace, topology = storm_trace
-        gateway, _ = _gateway_for(trace, topology, n_shards=4)
+        gateway, _ = _gateway_for(trace, topology)
         gateway.ingest_many(trace.iter_ordered())
         stats = gateway.drain()
         assert stats.storm_episodes >= 1
 
     def test_snapshot_progresses_monotonically(self, storm_trace):
         trace, topology = storm_trace
-        gateway, _ = _gateway_for(trace, topology, n_shards=2)
+        gateway, _ = _gateway_for(trace, topology)
         previous = 0
         for index, alert in enumerate(trace.iter_ordered()):
             gateway.ingest(alert)
@@ -145,7 +141,7 @@ class TestStreamingBehaviour:
 
         topology = generate_topology(TopologyConfig(seed=7, n_microservices=24,
                                                     n_regions=2))
-        gateway = AlertGateway(topology.graph, n_shards=2)
+        gateway = AlertGateway(topology.graph)
         gateway.ingest(make_alert(0.0))
         first = gateway.drain()
         second = gateway.drain()
@@ -154,7 +150,7 @@ class TestStreamingBehaviour:
             gateway.ingest(make_alert(1.0))
 
     def test_late_events_are_counted_not_dropped(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_shards=2)
+        gateway = AlertGateway(small_topology.graph)
         gateway.ingest(make_alert(1000.0))
         gateway.ingest(make_alert(500.0))  # out of order
         stats = gateway.drain()
@@ -169,8 +165,8 @@ class TestStreamingBehaviour:
         tail kept ``watermark - last_flush_watermark`` at ~0 forever, so
         the interval trigger never fired and events piled up until drain.
         The late-event clamp re-arms the trigger."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2,
-                               flush_size=10**6, flush_interval=60.0)
+        gateway = AlertGateway(small_topology.graph, flush_size=10**6,
+                               flush_interval=60.0)
         late = [make_alert(100.0 + i) for i in range(5)]
         if batched:
             gateway.ingest_batch([make_alert(10_000.0)])
@@ -191,7 +187,7 @@ class TestStreamingBehaviour:
         self, small_topology, backend
     ):
         """Post-drain snapshots must report the frozen totals, not zeros."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2, n_planes=2,
+        gateway = AlertGateway(small_topology.graph, n_planes=2,
                                backend=backend, n_workers=2, flush_size=16)
         gateway.ingest_batch([
             make_alert(float(i) * 10.0, strategy_id=f"s-{i % 4}",
@@ -212,8 +208,7 @@ class TestStreamingBehaviour:
         self, small_topology
     ):
         """A source that dies mid-iteration must not desync the accounting."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2,
-                               flush_size=1000)
+        gateway = AlertGateway(small_topology.graph, flush_size=1000)
 
         def flaky_source():
             for index in range(25):
@@ -234,7 +229,7 @@ class TestStreamingBehaviour:
     ):
         """A backend that raises during a flush must not leave a phantom
         buffered count behind (the next flush would record ghost events)."""
-        gateway = AlertGateway(small_topology.graph, n_shards=2, flush_size=10)
+        gateway = AlertGateway(small_topology.graph, flush_size=10)
 
         original_flush = gateway._backend.flush
         calls = []
@@ -260,7 +255,7 @@ class TestStreamingBehaviour:
 class TestSimulationDriver:
     def test_periodic_process_drives_gateway(self, storm_trace):
         trace, topology = storm_trace
-        gateway, _ = _gateway_for(trace, topology, n_shards=4)
+        gateway, _ = _gateway_for(trace, topology)
         engine = SimulationEngine()
         batches = []
         process = drive_gateway(
@@ -278,7 +273,7 @@ class TestSimulationDriver:
 
     def test_driver_parity_with_direct_ingestion(self, storm_trace):
         trace, topology = storm_trace
-        gateway, rulebook = _gateway_for(trace, topology, n_shards=4)
+        gateway, rulebook = _gateway_for(trace, topology)
         engine = SimulationEngine()
         drive_gateway(engine, gateway, trace.iter_ordered(), interval=60.0,
                       drain_on_exhaust=True)

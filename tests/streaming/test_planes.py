@@ -55,7 +55,7 @@ class TestPlaneRouter:
 class TestRegionPlane:
     def _config(self, graph, **overrides) -> PlaneConfig:
         defaults = dict(
-            graph=graph, blocker=AlertBlocker(), rulebook=None, n_shards=2,
+            graph=graph, blocker=AlertBlocker(), rulebook=None,
             aggregation_window=900.0, correlation_window=900.0,
             correlation_max_hops=4, enable_storm_detection=True,
             retain_artifacts=True, finalize_every=256,
@@ -74,18 +74,6 @@ class TestRegionPlane:
         drained = plane.drain(alerts[-1].occurred_at)
         assert drained.aggregates == 3
         assert sum(a.count for a in drained.retained_aggregates) == 30
-
-    def test_rebalance_preserves_counters_and_sessions(self, small_topology):
-        plane = RegionPlane(0, self._config(small_topology.graph))
-        alerts = [make_alert(100.0 + i, strategy_id=f"s-{i}") for i in range(6)]
-        plane.process_batch(alerts, 0, alerts[-1].occurred_at)
-        assert plane.open_sessions == 6
-        plane.rebalance(5)
-        assert plane.n_shards == 5
-        assert plane.open_sessions == 6       # sessions migrated, none lost
-        assert plane.processed == 6           # lifetime counters survive
-        drained = plane.drain(200.0)
-        assert drained.aggregates == 6
 
     def test_warmup_prefix_suppresses_emerging_flags(self, small_topology):
         config = self._config(small_topology.graph)
@@ -175,12 +163,7 @@ class TestGatewayPlaneSemantics:
         assignments = gateway.plane_assignments
         assert len(assignments) == 5
         for plane in gateway._backend.planes:
-            plane_regions = {
-                session.region
-                for processor in plane.processors
-                for session in processor.export_sessions()
-            }
-            for region in plane_regions:
+            for region in plane.regions():
                 assert assignments[region] == plane.plane_id
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
@@ -199,7 +182,7 @@ class TestGatewayPlaneSemantics:
         blocker = MitigationPipeline.derive_blocker(trace)
         gateway = AlertGateway(
             topology.graph, blocker=blocker, rulebook=rulebook,
-            n_planes=2, n_shards=4, backend=backend, n_workers=2,
+            n_planes=2, backend=backend, n_workers=2,
             flush_size=256, retain_artifacts=False,
         )
         gateway.ingest_batch(trace.iter_ordered())

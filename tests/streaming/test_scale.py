@@ -1,8 +1,8 @@
 """Chaos-schedule parity harness for live plane scale-out.
 
 ``gateway.scale_planes(n)`` promises *bit-identical invisibility*: any
-schedule of scale events interleaved with ingestion, shard rebalances,
-and mid-stream snapshots must drain to exactly the same volume
+schedule of scale events interleaved with ingestion and mid-stream
+snapshots must drain to exactly the same volume
 accounting, aggregates, clusters, storm verdicts, and (with learning
 enabled) learned-rule timeline and QoA scores as a gateway built with
 the final plane count from the start — on every backend.
@@ -10,12 +10,11 @@ the final plane count from the start — on every backend.
 Two layers pin that down:
 
 * deterministic schedules over a storm-heavy multi-region trace,
-  parametrized across serial/process × shard counts × flush
-  sizes (the full matrix the acceptance criteria name);
+  parametrized across serial/process × flush sizes;
 * a hypothesis chaos property (marked ``scale_chaos``; CI runs it as a
   dedicated job with the seeded ``scale_chaos`` profile) generating
   arbitrary interleavings of ``ingest_batch`` / ``scale_planes`` /
-  ``rebalance`` / ``snapshot`` over randomized traces.
+  ``snapshot`` over randomized traces.
 
 With rule learning **off**, the reference run is completely clean — no
 barriers at all — so the assertion is the strongest form: any chaos
@@ -23,9 +22,9 @@ schedule ≡ a plain fixed-topology run.  With learning **on**, the
 learner's judgment positions follow the flush schedule by design (every
 flush is a judgment round), so the reference run mirrors the schedule's
 flush barriers: each ``scale_planes(n)`` becomes ``scale_planes(
-final_n)`` — a pure barrier that moves nothing — and rebalances/
-snapshots stay.  That is exactly the invisibility claim: the *migration*
-contributes nothing observable beyond the barrier it rides on.
+final_n)`` — a pure barrier that moves nothing — and snapshots stay.
+That is exactly the invisibility claim: the *migration* contributes
+nothing observable beyond the barrier it rides on.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def _assert_planes_partition(stats) -> None:
 
 
 #: One chaos schedule: ``(position, op, arg)`` rows, positions in event
-#: counts; ops are "scale" / "rebalance" / "snapshot".
+#: counts; ops are "scale" / "snapshot".
 Schedule = list[tuple[int, str, int]]
 
 
@@ -137,7 +136,6 @@ def _run_schedule(
     schedule: Schedule,
     n_planes: int,
     backend: str = "serial",
-    n_shards: int = 2,
     flush_size: int = 32,
     learn: bool = False,
     retain: bool = True,
@@ -150,7 +148,6 @@ def _run_schedule(
         ),
         backend=backend,
         n_planes=n_planes,
-        n_shards=n_shards,
         n_workers=2,
         flush_size=flush_size,
         retain_artifacts=retain,
@@ -168,8 +165,6 @@ def _run_schedule(
         cursor = cut
         if op == "scale":
             gateway.scale_planes(arg)
-        elif op == "rebalance":
-            gateway.rebalance(arg)
         elif op == "snapshot":
             snapshot = gateway.snapshot()
             assert snapshot.input_alerts == gateway.stats.input_alerts
@@ -195,56 +190,55 @@ def _mirrored(schedule: Schedule, final: int) -> Schedule:
 
 
 # ----------------------------------------------------------------------
-# deterministic schedules, full backend x shard x flush matrix
+# deterministic schedules, full backend x flush matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["serial", "process"])
-@pytest.mark.parametrize("n_shards,flush_size", [(1, 1), (2, 32), (4, 128)])
+@pytest.mark.parametrize("flush_size", [1, 32, 128])
 class TestScaleInvisibility:
-    def test_scale_out_matches_fixed_final(self, backend, n_shards, flush_size):
+    def test_scale_out_matches_fixed_final(self, backend, flush_size):
         alerts = _storm_trace()
         schedule = [(160, "scale", 4)]
         scaled_gw, scaled = _run_schedule(
-            alerts, schedule, 1, backend, n_shards, flush_size,
+            alerts, schedule, 1, backend, flush_size,
         )
         fixed_gw, fixed = _run_schedule(
-            alerts, [], 4, backend, n_shards, flush_size,
+            alerts, [], 4, backend, flush_size,
         )
         assert _counts(scaled) == _counts(fixed)
         assert _aggregate_fingerprint(scaled_gw) == _aggregate_fingerprint(fixed_gw)
         assert _cluster_fingerprint(scaled_gw) == _cluster_fingerprint(fixed_gw)
         _assert_planes_partition(scaled)
 
-    def test_scale_in_matches_fixed_final(self, backend, n_shards, flush_size):
+    def test_scale_in_matches_fixed_final(self, backend, flush_size):
         alerts = _storm_trace()
         schedule = [(200, "scale", 2)]
         scaled_gw, scaled = _run_schedule(
-            alerts, schedule, 4, backend, n_shards, flush_size,
+            alerts, schedule, 4, backend, flush_size,
         )
         fixed_gw, fixed = _run_schedule(
-            alerts, [], 2, backend, n_shards, flush_size,
+            alerts, [], 2, backend, flush_size,
         )
         assert _counts(scaled) == _counts(fixed)
         assert _aggregate_fingerprint(scaled_gw) == _aggregate_fingerprint(fixed_gw)
         assert _cluster_fingerprint(scaled_gw) == _cluster_fingerprint(fixed_gw)
         _assert_planes_partition(scaled)
 
-    def test_chaotic_mixed_schedule(self, backend, n_shards, flush_size):
-        """Scale out, rebalance, snapshot, scale in, snapshot, scale out
-        again — all mid-stream, against a clean fixed-final run."""
+    def test_chaotic_mixed_schedule(self, backend, flush_size):
+        """Scale out, snapshot, scale in, snapshot, scale out again — all
+        mid-stream, against a clean fixed-final run."""
         alerts = _storm_trace()
         schedule = [
             (70, "scale", 3),
-            (130, "rebalance", 3),
             (190, "snapshot", 0),
             (250, "scale", 1),
             (310, "snapshot", 0),
             (370, "scale", 4),
         ]
         scaled_gw, scaled = _run_schedule(
-            alerts, schedule, 2, backend, n_shards, flush_size,
+            alerts, schedule, 2, backend, flush_size,
         )
         fixed_gw, fixed = _run_schedule(
-            alerts, [], 4, backend, n_shards, flush_size,
+            alerts, [], 4, backend, flush_size,
         )
         assert _counts(scaled) == _counts(fixed)
         assert _aggregate_fingerprint(scaled_gw) == _aggregate_fingerprint(fixed_gw)
@@ -265,7 +259,7 @@ def test_scale_invisibility_with_learning(backend):
     the migrations themselves.
     """
     alerts = _storm_trace()
-    schedule = [(120, "scale", 3), (260, "rebalance", 3), (360, "scale", 2)]
+    schedule = [(120, "scale", 3), (260, "snapshot", 0), (360, "scale", 2)]
     scaled_gw, scaled = _run_schedule(
         alerts, schedule, 1, backend, learn=True, retain=False,
     )
@@ -347,7 +341,7 @@ def test_failed_migration_poisons_the_gateway():
     alerts = _storm_trace(120)
     gateway.ingest_batch(alerts[:60])
 
-    def exploding_scale(n_planes, moved, n_shards):
+    def exploding_scale(n_planes, moved):
         raise RuntimeError("worker died mid-migration")
 
     gateway._backend.scale = exploding_scale
@@ -458,13 +452,8 @@ def chaos_schedules(draw):
     schedule: Schedule = []
     for _ in range(n_ops):
         position = draw(st.integers(min_value=0, max_value=120))
-        op = draw(st.sampled_from(("scale", "scale", "rebalance", "snapshot")))
-        if op == "scale":
-            arg = draw(st.integers(min_value=1, max_value=4))
-        elif op == "rebalance":
-            arg = draw(st.integers(min_value=1, max_value=5))
-        else:
-            arg = 0
+        op = draw(st.sampled_from(("scale", "scale", "snapshot")))
+        arg = draw(st.integers(min_value=1, max_value=4)) if op == "scale" else 0
         schedule.append((position, op, arg))
     return schedule
 
@@ -477,19 +466,17 @@ def chaos_schedules(draw):
     schedule=chaos_schedules(),
     initial_planes=st.integers(min_value=1, max_value=4),
     flush_size=st.sampled_from((1, 7, 64)),
-    n_shards=st.integers(min_value=1, max_value=4),
 )
-def test_chaos_schedule_parity(alerts, schedule, initial_planes, flush_size,
-                               n_shards):
-    """Any interleaving of ingest/scale/rebalance/snapshot drains equal
-    to a *clean* run at the final plane count (learning off — accounting
-    is flush-schedule-invariant, so the reference needs no barriers)."""
+def test_chaos_schedule_parity(alerts, schedule, initial_planes, flush_size):
+    """Any interleaving of ingest/scale/snapshot drains equal to a
+    *clean* run at the final plane count (learning off — accounting is
+    flush-schedule-invariant, so the reference needs no barriers)."""
     scaled_gw, scaled = _run_schedule(
-        alerts, schedule, initial_planes, "serial", n_shards, flush_size,
+        alerts, schedule, initial_planes, "serial", flush_size,
     )
     final = _final_planes(schedule, initial_planes)
     fixed_gw, fixed = _run_schedule(
-        alerts, [], final, "serial", n_shards, flush_size,
+        alerts, [], final, "serial", flush_size,
     )
     assert _counts(scaled) == _counts(fixed)
     assert _aggregate_fingerprint(scaled_gw) == _aggregate_fingerprint(fixed_gw)

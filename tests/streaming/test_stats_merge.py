@@ -4,8 +4,8 @@ The gateway's lifetime totals are *derived* — every flush and drain
 merges per-plane counter dicts into ``GatewayStats`` via
 ``_refresh_totals``.  These tests pin the merge invariant directly (the
 property suite only exercises it indirectly through parity): at any
-observable point — mid-stream snapshot, after a live rebalance, after a
-mid-stream drain, across backends — the per-plane rows must partition
+observable point — mid-stream snapshot, after a live plane scale, after
+a mid-stream drain, across backends — the per-plane rows must partition
 the gateway totals exactly, and the ``snapshot()`` payload must agree
 with the dataclass counters it summarises.
 """
@@ -83,23 +83,6 @@ class TestPlaneMergePartitionsTotals:
         gateway.ingest_batch(alerts[150:])
         gateway.drain()
 
-    def test_merge_under_rebalance(self, backend, kwargs):
-        gateway = AlertGateway(
-            _graph(), backend=backend, flush_size=32, n_shards=2,
-            retain_artifacts=False, **kwargs,
-        )
-        alerts = _alerts()
-        gateway.ingest_batch(alerts[:100])
-        gateway.rebalance(5)
-        gateway.snapshot()
-        _assert_planes_partition_totals(gateway.stats)
-        assert gateway.stats.rebalances == 1
-        assert gateway.stats.n_shards == 5
-        gateway.ingest_batch(alerts[100:])
-        stats = gateway.drain()
-        _assert_planes_partition_totals(stats)
-        _assert_snapshot_agrees(stats)
-
     def test_merge_under_mid_stream_drain(self, backend, kwargs):
         """Draining with sessions and buffers still open: the drain flush
         plus the final per-plane drain results must still partition."""
@@ -160,24 +143,6 @@ class TestPlaneMergeSurvivesMigration:
         gateway.ingest_batch(alerts[150:])
         stats = gateway.drain()
         assert set(stats.planes) == {0}
-        _assert_planes_partition_totals(stats)
-        _assert_snapshot_agrees(stats)
-
-    def test_merge_after_scale_then_rebalance(self, backend, kwargs):
-        gateway = AlertGateway(
-            _graph(), backend=backend, flush_size=32, n_shards=2,
-            retain_artifacts=False, **kwargs,
-        )
-        alerts = _alerts()
-        gateway.ingest_batch(alerts[:100])
-        gateway.scale_planes(3)
-        gateway.rebalance(5)
-        gateway.snapshot()
-        _assert_planes_partition_totals(gateway.stats)
-        gateway.ingest_batch(alerts[100:])
-        stats = gateway.drain()
-        assert stats.plane_scales == 1
-        assert stats.rebalances == 1
         _assert_planes_partition_totals(stats)
         _assert_snapshot_agrees(stats)
 

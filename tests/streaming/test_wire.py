@@ -216,10 +216,6 @@ def plane_states(draw):
         components=components,
         storm=storm,
         rules=rules,
-        shard_pins={
-            strategy: draw(st.integers(min_value=0, max_value=63))
-            for strategy in draw(st.lists(_TEXT, max_size=4, unique=True))
-        },
     )
 
 
@@ -289,7 +285,7 @@ class TestPlaneStateRoundTrip:
         def build_plane(plane_id=0):
             return RegionPlane(plane_id, PlaneConfig(
                 graph=golden_graph(), blocker=golden_blocker(),
-                rulebook=None, n_shards=2, aggregation_window=WINDOW,
+                rulebook=None, aggregation_window=WINDOW,
                 correlation_window=WINDOW, correlation_max_hops=4,
                 enable_storm_detection=True, retain_artifacts=True,
                 finalize_every=256,

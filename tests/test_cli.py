@@ -43,7 +43,7 @@ class TestAnalyses:
         assert "OCE-load reduction" in out
 
     def test_stream(self, trace_dir, capsys):
-        assert main(["stream", "--trace", str(trace_dir), "--shards", "4"]) == 0
+        assert main(["stream", "--trace", str(trace_dir)]) == 0
         out = capsys.readouterr().out
         assert "throughput" in out
         assert "OCE-load reduction" in out
@@ -70,11 +70,15 @@ class TestAnalyses:
         assert "planes:                     3" in out
         assert "matches batch pipeline exactly" in out
 
-    def test_stream_rebalance_midway_reconciles(self, trace_dir, capsys):
-        assert main(["stream", "--trace", str(trace_dir), "--shards", "2",
-                     "--rebalance-to", "6", "--reconcile"]) == 0
+    def test_stream_scale_schedule_reconciles(self, trace_dir, capsys):
+        assert main(["stream", "--trace", str(trace_dir), "--flush-size", "64",
+                     "--scale-at", "400:1", "--scale-at", "100:3",
+                     "--reconcile"]) == 0
         out = capsys.readouterr().out
-        assert "shard rebalances" in out
+        assert out.index("scaled to 3 plane(s) at event 100") < out.index(
+            "scaled to 1 plane(s) at event 400"
+        )
+        assert "plane scale events:         2" in out
         assert "matches batch pipeline exactly" in out
 
     def test_qoa(self, trace_dir, capsys):
@@ -124,10 +128,11 @@ class TestSharedGatewayFlags:
                 assert flag in text, (command, flag)
             assert "--backend {serial,process}" in text
             assert "--lane-transport {ring,pipe}" in text
-            for default in ("(default: 4)", "(default: serial)", "(default: 64)",
+            for default in ("(default: 1)", "(default: serial)", "(default: 64)",
                             "(default: 30.0)", "(default: 900.0)"):
                 assert default in text, (command, default)
-            assert "--sync-journal" not in text
+            for retired in ("--sync-journal", "--shards", "--rebalance-to"):
+                assert retired not in text, (command, retired)
 
 
 class TestStandalone:
