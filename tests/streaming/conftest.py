@@ -51,6 +51,19 @@ def aggregate_row(aggregate) -> tuple:
     )
 
 
+def ingest_in_cuts(gateway, alerts, n_cuts: int, batched: bool = True) -> None:
+    """Feed ``alerts`` in ``n_cuts`` consecutive ingest calls, forcing a
+    flush barrier at every cut; end-of-run accounting must not see them."""
+    alerts = list(alerts)
+    step = -(-len(alerts) // n_cuts)
+    feed = gateway.ingest_batch if batched else gateway.ingest_many
+    for start in range(0, len(alerts), step):
+        if start:
+            gateway.flush()
+            assert gateway.at_flush_barrier
+        feed(alerts[start:start + step])
+
+
 @pytest.fixture(scope="session")
 def storm_trace(topology):
     """The deterministic Figure 3 storm used by the parity tests."""

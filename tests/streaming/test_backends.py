@@ -3,7 +3,8 @@
 The core correctness invariant of the streaming subsystem is that the
 gateway's end-of-run volume accounting reproduces the batch
 ``MitigationPipeline`` *exactly*.  This module pins that invariant
-across every execution backend, plane count, and flush size, plus the
+across every execution backend, plane count, flush size, and cut of
+the stream into separately ingested pieces, plus the
 mechanics the plane backends themselves must honour (worker lifecycle,
 deterministic results).
 """
@@ -23,7 +24,7 @@ from repro.streaming import (
     make_backend,
 )
 from repro.topology.graph import DependencyGraph
-from tests.streaming.conftest import make_alert
+from tests.streaming.conftest import ingest_in_cuts, make_alert
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +65,17 @@ def _plane_config(**overrides) -> PlaneConfig:
 
 class TestBackendParity:
     @pytest.mark.parametrize("n_planes", [1, 2])
+    @pytest.mark.parametrize("n_cuts", [1, 4, 16])
     @pytest.mark.parametrize("flush_size", [1, 64, 512])
     def test_batched_ingestion_reconciles_exactly(
-        self, storm_setup, n_planes, flush_size
+        self, storm_setup, n_planes, n_cuts, flush_size
     ):
         trace, _, _, _, report = storm_setup
         gateway = _gateway(
             storm_setup, backend="serial", n_planes=n_planes,
             flush_size=flush_size,
         )
-        gateway.ingest_batch(trace.iter_ordered())
+        ingest_in_cuts(gateway, trace.iter_ordered(), n_cuts)
         stats = gateway.drain()
         assert stats.reconcile(report) == {}
         assert stats.total_reduction == pytest.approx(report.total_reduction)

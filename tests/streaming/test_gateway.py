@@ -15,7 +15,7 @@ from repro.streaming import (
     merge_ordered,
 )
 from repro.workload import StormConfig, build_multi_region_storm
-from tests.streaming.conftest import aggregate_row, make_alert
+from tests.streaming.conftest import aggregate_row, ingest_in_cuts, make_alert
 
 
 def _gateway_for(trace, topology, **kwargs):
@@ -27,10 +27,11 @@ def _gateway_for(trace, topology, **kwargs):
 
 
 class TestBatchParity:
-    def test_storm_trace_counts_match_pipeline(self, storm_trace):
+    @pytest.mark.parametrize("n_cuts", [1, 4, 16])
+    def test_storm_trace_counts_match_pipeline(self, storm_trace, n_cuts):
         trace, topology = storm_trace
         gateway, rulebook = _gateway_for(trace, topology)
-        gateway.ingest_many(trace.iter_ordered())
+        ingest_in_cuts(gateway, trace.iter_ordered(), n_cuts, batched=False)
         stats = gateway.drain()
         report = MitigationPipeline(topology.graph, rulebook=rulebook).run(trace)
         assert stats.reconcile(report) == {}
@@ -81,16 +82,17 @@ class TestArtefactParity:
     their counts, however the stream is cut and partitioned."""
 
     @pytest.mark.parametrize("n_planes", [1, 4])
+    @pytest.mark.parametrize("n_cuts", [1, 4])
     @pytest.mark.parametrize("flush_size", [1, 7, 512])
     def test_artefacts_match_pipeline(
-        self, multi_region_report, flush_size, n_planes,
+        self, multi_region_report, flush_size, n_cuts, n_planes,
     ):
         trace, topology, rulebook, report = multi_region_report
         gateway = AlertGateway(
             topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
             retain_artifacts=True, flush_size=flush_size, n_planes=n_planes,
         )
-        gateway.ingest_many(trace.iter_ordered())
+        ingest_in_cuts(gateway, trace.iter_ordered(), n_cuts, batched=False)
         stats = gateway.drain()
         assert stats.reconcile(report) == {}
         assert sorted(map(aggregate_row, gateway.aggregates)) == sorted(
