@@ -20,9 +20,6 @@ one place each number lives:
   (``bench_ingress_lanes.SCALING_FLOOR``), gated on the ``cores`` the
   row was *recorded* on, because lane scaling needs real cores under
   the lane threads;
-* ``worker_recovery.recovery_overhead_ratio`` — throughput retained
-  with fleet recovery (journal + snapshot cadence) on
-  (``bench_worker_recovery.RECOVERY_OVERHEAD_FLOOR``);
 * ``online_detection.detection_overhead_ratio`` — throughput retained
   with the online A1-A3 detectors + R4 sketch on, relative to the
   learner-only gateway
@@ -55,7 +52,6 @@ from benchmarks.bench_ingress_lanes import (
 )
 from benchmarks.bench_online_detection import DETECTION_OVERHEAD_FLOOR
 from benchmarks.bench_serving_checkpoint import OVERHEAD_FLOOR
-from benchmarks.bench_worker_recovery import RECOVERY_OVERHEAD_FLOOR
 
 BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_streaming.json"
 
@@ -96,15 +92,6 @@ def check_floors(payload: dict) -> list[str]:
             f"{SCALING_FLOOR} floor despite {cores:.0f} recorded cores"
         )
 
-    recovery = payload.get("worker_recovery", {})
-    retained = recovery.get("recovery_overhead_ratio")
-    if retained is not None and retained < RECOVERY_OVERHEAD_FLOOR:
-        violations.append(
-            f"worker_recovery.recovery_overhead_ratio {retained:.3f} is "
-            f"below the {RECOVERY_OVERHEAD_FLOOR} floor: fleet recovery "
-            f"costs more than {1 - RECOVERY_OVERHEAD_FLOOR:.0%} of throughput"
-        )
-
     detection = payload.get("online_detection", {})
     detect_ratio = detection.get("detection_overhead_ratio")
     if detect_ratio is not None and detect_ratio < DETECTION_OVERHEAD_FLOOR:
@@ -139,8 +126,7 @@ def main(path: Path = BENCH_ARTIFACT) -> int:
         f"floors guard: {path.name} holds every floor "
         f"(overhead >= {OVERHEAD_FLOOR}, ring hand-off >= {HANDOFF_FLOOR}x, "
         f"lane scaling >= {SCALING_FLOOR}x on >= {MIN_CORES_FOR_SCALING} "
-        f"cores, recovery retention >= {RECOVERY_OVERHEAD_FLOOR}, "
-        f"detection retention >= {DETECTION_OVERHEAD_FLOOR:.4f})"
+        f"cores, detection retention >= {DETECTION_OVERHEAD_FLOOR:.4f})"
     )
     return 0
 

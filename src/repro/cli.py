@@ -158,12 +158,6 @@ _GATEWAY_FLAGS = (
     ("--lane-transport", "lane_transport", str,
      "lane->worker hand-off on the process backend: zero-copy "
      "shared-memory rings or the classic pickled pipe"),
-    ("--worker-recovery", "worker_recovery", bool,
-     "on the process backend, detect dead workers, respawn them, and "
-     "replay their planes from snapshot+journal (identical accounting)"),
-    ("--worker-checkpoint-every", "worker_checkpoint_every", int,
-     "journaled batches between per-worker plane snapshots when "
-     "--worker-recovery is on"),
     ("--worker-timeout", "worker_timeout", float,
      "seconds to wait on a live-but-silent worker before raising "
      "WorkerTimeoutError"),

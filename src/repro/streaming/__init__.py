@@ -23,7 +23,10 @@ Choosing a backend (``AlertGateway(backend=...)``):
   format and flush replies are bare counters.  Escapes the GIL
   entirely; parallelism scales with ``n_planes`` (the distribution
   unit), so pair it with as many planes as you have busy regions and
-  prefer big ``flush_size`` (≥ 1024).
+  prefer big ``flush_size`` (≥ 1024).  A worker that dies raises a typed
+  :class:`~repro.streaming.fleet.FleetError` and poisons the gateway;
+  recovery is restoring the :mod:`repro.serving` service from its data
+  directory.
 
 Tuning ``n_planes``: planes partition by region — add planes to
 parallelise the whole chain (every reaction is plane-local).
@@ -53,12 +56,7 @@ from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OnlineAggregator, OpenSession
 from repro.streaming.detectors import STORM_HOUR_THRESHOLD, StreamingDetectorSuite
 from repro.streaming.driver import drive_gateway
-from repro.streaming.fleet import (
-    CircuitBreaker,
-    FleetError,
-    WorkerDiedError,
-    WorkerTimeoutError,
-)
+from repro.streaming.fleet import FleetError, WorkerDiedError, WorkerTimeoutError
 from repro.streaming.gateway import AlertGateway, GatewaySnapshot
 from repro.streaming.lanes import LANE_JOIN_TIMEOUT, LaneIngress
 from repro.streaming.learning import (
@@ -149,7 +147,6 @@ __all__ = [
     "FleetError",
     "WorkerDiedError",
     "WorkerTimeoutError",
-    "CircuitBreaker",
     "LaneIngress",
     "LANE_JOIN_TIMEOUT",
     "LANE_TRANSPORTS",

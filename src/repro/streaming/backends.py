@@ -25,9 +25,15 @@ that invariant down for every backend × plane count × flush size.
 
 A backend is built from the gateway's one
 :class:`~repro.streaming.config.GatewayConfig` (which backend, how many
-planes and workers, lane transport, worker supervision) plus the
+planes and workers, lane transport, worker timeout) plus the
 :class:`~repro.streaming.plane.PlaneConfig` derived from it that every
 plane — and every worker process at spawn — receives.
+
+Every wait on a worker pipe is bounded: a dead worker raises
+:class:`~repro.streaming.fleet.WorkerDiedError` and a silent one
+:class:`~repro.streaming.fleet.WorkerTimeoutError`.  The backend never
+respawns a worker; the gateway poisons itself on the error, and recovery
+is the serving layer's one snapshot + journal restore.
 """
 
 from __future__ import annotations
@@ -41,11 +47,7 @@ from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
 from repro.streaming.config import GatewayConfig
-from repro.streaming.fleet import (
-    CircuitBreaker,
-    WorkerDiedError,
-    WorkerTimeoutError,
-)
+from repro.streaming.fleet import WorkerDiedError, WorkerTimeoutError
 from repro.streaming.plane import (
     PlaneConfig,
     PlaneDrainResult,
@@ -85,10 +87,6 @@ __all__ = [
 #: worker is noticed within a slice or two, long enough that the liveness
 #: check is amortised away on the hot path.
 _POLL_SLICE = 0.05
-
-#: Revive attempts per request: a batch that reliably kills its worker
-#: must surface as a death, not respawn forever.
-_MAX_REVIVES = 2
 
 #: Transient pipe-error retries per request (worker still alive).
 _MAX_TRANSIENT_RETRIES = 3
@@ -356,17 +354,11 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                     alerts, in_warmup, watermark, collect_emitted=False,
                 )
                 # List-shaped like a one-batch ``flush`` reply, so the
-                # parent reads the same shape whichever transport (or
-                # post-death re-send) carried the batch.
+                # parent reads the same shape whichever transport
+                # carried the batch.
                 connection.send(("ok", [result]))
             elif kind == "attach_ring":
                 lane, name = payload
-                stale = rings.pop(lane, None)
-                if stale is not None:
-                    # The parent retired this lane's ring (worker-fleet
-                    # resize); drop the attachment before adopting the
-                    # replacement segment.
-                    stale.close()
                 rings[lane] = SpscRing.attach(name)
                 connection.send(("ok", None))
             elif kind == "flush":
@@ -428,46 +420,6 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 for plane, blob in payload:
                     planes[plane].adopt_region(unpack_plane_state(blob))
                 connection.send(("ok", None))
-            elif kind == "snapshot_planes":
-                # Full-plane recovery snapshot: one non-destructive blob
-                # per (plane, region), every region with history, in
-                # deterministic order — the respawn baseline a journal
-                # tail replays on top of.
-                connection.send(("ok", [
-                    (plane_id, region, _checkpoint_region(planes[plane_id], region))
-                    for plane_id in sorted(planes)
-                    for region in planes[plane_id].regions()
-                ]))
-            elif kind == "eject_planes":
-                # Worker-fleet resize, round 1: the listed planes leave
-                # this worker wholesale, every region as packed state
-                # (rules included — the destination repairs against its
-                # own inherited table, a no-op for a live fleet).
-                rows = []
-                ejected = [(plane_id, planes.pop(plane_id)) for plane_id in payload]
-                for plane_id, plane in ejected:
-                    for region in plane.regions():
-                        rows.append((
-                            plane_id, region,
-                            pack_plane_state(plane.export_region(region)),
-                        ))
-                for plane_id, plane in ejected:
-                    if plane.processed or plane.open_sessions:
-                        raise ValueError(
-                            f"plane {plane_id} still owned state after its "
-                            f"regions were exported; its history was not "
-                            f"migrated"
-                        )
-                connection.send(("ok", rows))
-            elif kind == "install_planes":
-                # Worker-fleet resize, round 2: create the planes this
-                # worker now homes and adopt their migrated region state.
-                create, adopt = payload
-                for plane_id in create:
-                    planes[plane_id] = RegionPlane(plane_id, config)
-                for plane_id, blob in adopt:
-                    planes[plane_id].adopt_region(unpack_plane_state(blob))
-                connection.send(("ok", None))
             elif kind == "rules":
                 added_blob, removed_blob = payload
                 for rule in unpack_rules(removed_blob):
@@ -514,24 +466,10 @@ class ProcessPlaneBackend:
         self._config = config
         self._workers: list[multiprocessing.Process] | None = None
         self._connections: list = []
-        # Worker-fleet supervision: every pipe wait is bounded (a dead
-        # worker raises WorkerDiedError instead of hanging recv), and
-        # with recovery on the supervisor respawns the worker from its
-        # last full-plane snapshot plus the journal of mutating messages
-        # since.  All per-worker supervision state — snapshot, journal,
-        # breaker — is accessed only under that worker's pipe lock.
-        self.worker_recovery = options.worker_recovery
-        self._checkpoint_every = options.worker_checkpoint_every
+        # Every pipe wait is bounded: a dead worker raises
+        # WorkerDiedError instead of hanging recv, a silent one
+        # WorkerTimeoutError after this many seconds.
         self._worker_timeout = options.worker_timeout
-        self._breakers: list[CircuitBreaker] = []
-        #: Per-worker ``(snapshot rows, rule table at capture)``; rows
-        #: are ``(plane, region, blob)`` in deterministic order.
-        self._snapshots: list[tuple[list, list]] = []
-        #: Per-worker mutating messages since the last snapshot.
-        self._journals: list[list[tuple]] = []
-        self._telemetry_lock = threading.Lock()
-        self.worker_deaths = 0
-        self.worker_recoveries = 0
         # One lock per worker pipe, held across a send/recv round trip:
         # ingress lanes feed workers concurrently, and a pipe is only a
         # sane transport if exactly one request is in flight on it.
@@ -563,53 +501,30 @@ class ProcessPlaneBackend:
             p for p in range(self._n_planes) if self._worker_of(p) == worker_id
         ]
 
-    @property
-    def breaker_open(self) -> int:
-        """Workers whose circuit breaker is currently open (gauge)."""
-        return sum(1 for breaker in self._breakers if breaker.is_open)
+    def _start(self) -> None:
+        """Fork the fleet, one worker per plane set.
 
-    @property
-    def breaker_trips(self) -> int:
-        """Lifetime breaker open transitions across the fleet."""
-        return sum(breaker.trips for breaker in self._breakers)
-
-    def _spawn_worker(self, worker_id: int):
-        """Fork one worker for its current plane set; returns (proc, pipe).
-
-        The fork inherits the parent-side blocker mirror — the
+        Each fork inherits the parent-side blocker mirror — the
         always-current rule table.
         """
         context = multiprocessing.get_context()
-        parent_end, child_end = context.Pipe()
-        worker = context.Process(
-            target=_plane_worker_loop,
-            args=(child_end, self._planes_of(worker_id), self._config),
-            daemon=True,
-        )
-        worker.start()
-        child_end.close()
-        return worker, parent_end
-
-    def _start(self) -> None:
         workers = []
         connections = []
-        locks = []
         for worker_id in range(self.n_workers):
-            worker, parent_end = self._spawn_worker(worker_id)
+            parent_end, child_end = context.Pipe()
+            worker = context.Process(
+                target=_plane_worker_loop,
+                args=(child_end, self._planes_of(worker_id), self._config),
+                daemon=True,
+            )
+            worker.start()
+            child_end.close()
             workers.append(worker)
             connections.append(parent_end)
-            locks.append(threading.Lock())
-        self._breakers = [CircuitBreaker() for _ in workers]
-        # The initial recovery baseline: empty planes plus the rule
-        # table as of spawn — everything after it is journaled.
-        self._snapshots = [
-            ([], list(self._config.blocker.rules)) for _ in workers
-        ]
-        self._journals = [[] for _ in workers]
         # Publish complete lists only: lane threads race through
         # _ensure_started's fast path as soon as _workers is non-None.
         self._connections = connections
-        self._locks = locks
+        self._locks = [threading.Lock() for _ in workers]
         self._workers = workers
 
     def _ensure_started(self) -> None:
@@ -620,7 +535,7 @@ class ProcessPlaneBackend:
                 self._start()
 
     # ------------------------------------------------------------------
-    # supervised pipe exchanges
+    # bounded pipe exchanges
     # ------------------------------------------------------------------
     def _recv_reply(self, worker_id: int) -> tuple:
         """Bounded reply wait — never a bare ``recv`` on a worker pipe.
@@ -629,9 +544,7 @@ class ProcessPlaneBackend:
         dead worker raises :class:`WorkerDiedError` (corpse joined, exit
         code attached) within a slice or two instead of blocking the
         gateway forever, and a live-but-silent worker raises
-        :class:`WorkerTimeoutError` at ``worker_timeout`` — a wedge is
-        never auto-recovered, because the wedged process still owns its
-        planes (and possibly a ring slot mid-consume).
+        :class:`WorkerTimeoutError` at ``worker_timeout``.
         """
         connection = self._connections[worker_id]
         worker = self._workers[worker_id]
@@ -659,173 +572,38 @@ class ProcessPlaneBackend:
         )
 
     def _exchange(
-        self,
-        worker_id: int,
-        message: tuple,
-        journal: bool = False,
-        recoverable: bool = True,
-        sent: bool = False,
-        wire: tuple | None = None,
+        self, worker_id: int, message: tuple, sent: bool = False,
     ) -> object:
-        """One supervised request/reply (caller holds the worker's lock).
+        """One bounded request/reply (caller holds the worker's lock).
 
-        Transient pipe errors (worker alive) retry with backoff under
-        the breaker; a worker death either respawns-and-replays the
-        worker and re-sends ``message`` (recovery on, ``recoverable``)
-        or surfaces the typed error.  ``wire`` is an alternate
-        first-attempt encoding of ``message`` — the ring control form —
-        used once: any re-send after a death uses ``message`` itself,
-        because the respawned worker's fresh ring no longer holds the
-        payload slot.  On success, mutating messages are journaled and
-        the journal cadence may refresh the worker's plane snapshot.
+        ``sent`` marks a message the caller already dispatched.  A
+        transient send error (worker alive) retries with backoff; a dead
+        worker raises :class:`WorkerDiedError`, a failed command
+        :class:`~repro.common.errors.ValidationError`.
         """
-        breaker = self._breakers[worker_id]
-        first = wire if wire is not None else message
-        revives = 0
         transient = 0
-        while True:
+        while not sent:
             try:
-                if not sent:
-                    try:
-                        self._connections[worker_id].send(first)
-                    except (BrokenPipeError, OSError) as exc:
-                        worker = self._workers[worker_id]
-                        if worker.is_alive():
-                            breaker.record_failure()
-                            transient += 1
-                            if transient > _MAX_TRANSIENT_RETRIES:
-                                raise
-                            time.sleep(0.01 * transient)
-                            continue
-                        worker.join()
-                        raise WorkerDiedError(
-                            worker_id, worker.exitcode,
-                            tuple(self._planes_of(worker_id)),
-                        ) from exc
-                    sent = True
-                status, payload = self._recv_reply(worker_id)
-            except WorkerDiedError:
-                with self._telemetry_lock:
-                    self.worker_deaths += 1
-                breaker.record_death()
-                if (
-                    not self.worker_recovery
-                    or not recoverable
-                    or revives >= _MAX_REVIVES
-                ):
+                self._connections[worker_id].send(message)
+                sent = True
+            except (BrokenPipeError, OSError) as exc:
+                worker = self._workers[worker_id]
+                if not worker.is_alive():
+                    worker.join()
+                    raise WorkerDiedError(
+                        worker_id, worker.exitcode,
+                        tuple(self._planes_of(worker_id)),
+                    ) from exc
+                transient += 1
+                if transient > _MAX_TRANSIENT_RETRIES:
                     raise
-                self._revive_worker(worker_id)
-                revives += 1
-                sent = False
-                first = message
-                continue
-            if status != "ok":
-                raise ValidationError(
-                    f"plane worker {worker_id} failed: {payload}"
-                )
-            breaker.record_success()
-            if journal and self.worker_recovery:
-                entries = self._journals[worker_id]
-                entries.append(message)
-                if len(entries) >= self._checkpoint_every:
-                    self._snapshot_worker(worker_id)
-            return payload
-
-    def _snapshot_worker(self, worker_id: int) -> None:
-        """Refresh one worker's recovery snapshot; truncates its journal.
-
-        The rows are a complete non-destructive image of every region on
-        the worker's planes (the same export → pack → re-adopt round
-        trip gateway checkpoints use); the rule table is captured from
-        the always-current parent-side mirror at the same instant, so
-        snapshot + journal replay reproduces the exact interleaving of
-        batches and rule deltas the worker saw.  Caller holds the lock.
-        """
-        rows = self._exchange(worker_id, ("snapshot_planes", None))
-        self._snapshots[worker_id] = (rows, list(self._config.blocker.rules))
-        self._journals[worker_id] = []
-
-    def _refresh_snapshots(self) -> None:
-        """Re-baseline every worker after a structural change (scale/resize).
-
-        Structural operations change the plane → worker mapping, so the
-        per-worker snapshots and journals recorded under the old mapping
-        can no longer revive anything; capture fresh full-plane images.
-        """
-        if not self.worker_recovery or self._workers is None:
-            return
-        for worker_id in range(self.n_workers):
-            with self._locks[worker_id]:
-                self._snapshot_worker(worker_id)
-
-    def _replay(self, worker_id: int, message: tuple) -> None:
-        """One replay exchange during a revive (no recursion, no journal)."""
-        self._connections[worker_id].send(message)
+                time.sleep(0.01 * transient)
         status, payload = self._recv_reply(worker_id)
         if status != "ok":
-            raise ValidationError(
-                f"plane worker {worker_id} failed during recovery replay: "
-                f"{payload}"
-            )
+            raise ValidationError(f"plane worker {worker_id} failed: {payload}")
+        return payload
 
-    def _revive_worker(self, worker_id: int) -> None:
-        """Respawn a dead worker and replay it back to the present.
-
-        Caller holds the worker's pipe lock and has already joined the
-        corpse.  The dead process's partial state is discarded
-        wholesale: the fresh worker adopts the last full-plane snapshot,
-        has its rule table rewound to that snapshot's capture, and then
-        replays the journaled messages since — the same batches and rule
-        deltas, in the same order, under the same rule tables — so its
-        accounting lands exactly where an unkilled worker's would.
-        (Finalize cadence is accounting-invariant, which the backend
-        parity harness pins down; per-batch warmup prefixes and
-        watermarks ride in the journaled messages themselves.)  The
-        in-flight message that observed the death is deliberately NOT in
-        the journal: the caller re-sends it after this returns, so it is
-        applied exactly once.
-        """
-        try:
-            self._connections[worker_id].close()
-        except OSError:
-            pass
-        # The dead consumer may have died mid-slot; retire its rings and
-        # let the next lane feed create fresh segments the respawned
-        # worker attaches cleanly.
-        for key in [k for k in self._rings if k[1] == worker_id]:
-            self._rings.pop(key).unlink()
-        worker, parent_end = self._spawn_worker(worker_id)
-        self._workers[worker_id] = worker
-        self._connections[worker_id] = parent_end
-        rows, snapshot_rules = self._snapshots[worker_id]
-        # The fresh worker forked off the *current* blocker mirror;
-        # rewind its table to the snapshot's capture so journal replay
-        # applies every rule delta at the stream position the dead
-        # worker saw it (R1 decisions during replay depend on it).
-        current = self._config.blocker.rules
-        removed = [rule for rule in current if rule not in snapshot_rules]
-        added = [rule for rule in snapshot_rules if rule not in current]
-        if added or removed:
-            self._replay(
-                worker_id, ("rules", (pack_rules(added), pack_rules(removed))),
-            )
-        if rows:
-            self._replay(
-                worker_id,
-                ("adopt", [(plane, blob) for plane, _region, blob in rows]),
-            )
-        for message in self._journals[worker_id]:
-            self._replay(worker_id, message)
-        with self._telemetry_lock:
-            self.worker_recoveries += 1
-
-    def _roundtrip(
-        self,
-        worker_ids: list[int],
-        messages: list[tuple],
-        journal: bool = False,
-        recoverable: bool = True,
-    ) -> list:
+    def _roundtrip(self, worker_ids: list[int], messages: list[tuple]) -> list:
         """Send to each worker, then gather — batches overlap in flight.
 
         Every involved pipe lock is taken up front, in worker order, so
@@ -833,9 +611,7 @@ class ProcessPlaneBackend:
         lane feed on the same pipe.  Deadlock-free: lane threads only
         ever hold a single lock, and multi-lock acquisition happens on
         the gateway thread alone.  The gather runs through
-        :meth:`_exchange`, so every reply wait is bounded and, with
-        recovery on, a death mid-barrier revives the worker and re-sends
-        only its message.
+        :meth:`_exchange`, so every reply wait is bounded.
         """
         locks = [self._locks[worker_id] for worker_id in sorted(set(worker_ids))]
         for lock in locks:
@@ -848,13 +624,10 @@ class ProcessPlaneBackend:
                     dispatched.append(True)
                 except (BrokenPipeError, OSError):
                     # A dead or flaky pipe: settle it in the gather,
-                    # where the death/retry machinery lives.
+                    # where the death/retry handling lives.
                     dispatched.append(False)
             return [
-                self._exchange(
-                    worker_id, message, journal=journal,
-                    recoverable=recoverable, sent=sent,
-                )
+                self._exchange(worker_id, message, sent=sent)
                 for (worker_id, message), sent
                 in zip(zip(worker_ids, messages), dispatched)
             ]
@@ -879,9 +652,6 @@ class ProcessPlaneBackend:
         if ring is None:
             ring = SpscRing.create(self._ring_slot_size, self._ring_slots)
             try:
-                # Supervised attach: a worker death here revives (with
-                # recovery on) and re-announces this same segment to the
-                # respawned worker before the first ring_flush names it.
                 self._exchange(worker_id, ("attach_ring", (lane, ring.name)))
             except BaseException:
                 ring.unlink()
@@ -908,46 +678,24 @@ class ProcessPlaneBackend:
         exceed the slot size (or find no free slot) spill to the classic
         pipe path, counted in :attr:`ring_spills` — slower, never wrong.
         With the ``pipe`` transport every batch takes the classic path.
-
-        While a worker's circuit breaker is open (it recently died, or
-        its pipe has been flaking) batches bypass the ring and take the
-        pipe path until the breaker's probation closes it.  With
-        recovery on, every ring batch also materialises its pipe form
-        for the journal — one extra payload copy per batch, the measured
-        recovery overhead — because a respawned worker's fresh ring no
-        longer holds the slot a dead one left behind.
         """
         if self._closed:
             raise ValidationError("process backend already closed")
         self._ensure_started()
         worker_id = self._worker_of(plane)
         with self._locks[worker_id]:
-            use_ring = (
-                self.lane_transport == "ring"
-                and self._breakers[worker_id].allow_ring
-            )
-            seq = None
-            if use_ring:
-                ring = self._ring_for(lane, worker_id)
-                seq = ring.try_write(parts)
-                if seq is None:
+            message = None
+            if self.lane_transport == "ring":
+                if self._ring_for(lane, worker_id).try_write(parts) is not None:
+                    message = ("ring_flush", (lane, plane, in_warmup, watermark))
+                else:
                     key = (lane, worker_id)
                     self._spills[key] = self._spills.get(key, 0) + 1
-            wire = None
-            if seq is not None and not self.worker_recovery:
-                # Pure zero-copy: no pipe-form payload is materialised.
-                message = ("ring_flush", (lane, plane, in_warmup, watermark))
-            else:
+            if message is None:
                 message = (
                     "flush", ([(plane, b"".join(parts), in_warmup)], watermark)
                 )
-                if seq is not None:
-                    # Ring carries the payload; the canonical pipe form
-                    # exists only for the journal and any death re-send.
-                    wire = ("ring_flush", (lane, plane, in_warmup, watermark))
-            payload = self._exchange(
-                worker_id, message, journal=True, wire=wire,
-            )
+            payload = self._exchange(worker_id, message)
         return payload[0]
 
     def flush(
@@ -965,7 +713,6 @@ class ProcessPlaneBackend:
         replies = self._roundtrip(
             worker_ids,
             [("flush", (per_worker[w], watermark)) for w in worker_ids],
-            journal=True,
         )
         results: list[PlaneFlushResult] = []
         for reply in replies:
@@ -1016,13 +763,11 @@ class ProcessPlaneBackend:
         blobs: dict[str, bytes] = {}
         if exports:
             worker_ids = sorted(exports)
-            # Not recoverable: an export is destructive, and a death
-            # mid-migration loses detached state a respawn cannot
-            # reconstruct — the gateway poisons itself on this failure.
+            # An export is destructive: a death mid-migration loses
+            # detached state, and the gateway poisons itself.
             replies = self._roundtrip(
                 worker_ids,
                 [("export_regions", exports[w]) for w in worker_ids],
-                recoverable=False,
             )
             for worker_id, reply in zip(worker_ids, replies):
                 for (_, region), blob in zip(exports[worker_id], reply):
@@ -1046,126 +791,12 @@ class ProcessPlaneBackend:
         replies = self._roundtrip(worker_ids, [
             ("scale", (creates[w], drops[w], adopts[w]))
             for w in worker_ids
-        ], recoverable=False)
+        ])
         snapshots: list[PlaneSnapshot] = []
         for reply in replies:
             snapshots.extend(reply)
         snapshots.sort(key=lambda snapshot: snapshot.plane_id)
-        # The plane → worker mapping changed: old snapshots/journals
-        # cannot revive anything any more.  Re-baseline the fleet.
-        self._refresh_snapshots()
         return snapshots
-
-    def resize_workers(self, n_workers: int) -> None:
-        """Grow or shrink the live worker fleet, re-homing planes.
-
-        A barrier operation (the gateway flushes first, so nothing is in
-        flight).  Plane ``p`` moves from worker ``p % old`` to
-        ``p % new`` whenever those differ, as packed plane state — the
-        same ``pack_plane_state`` migration live plane scale-out uses —
-        so volume accounting is exact across the transition.  Shrinking
-        ejects the surplus workers' planes first, then stops and joins
-        them; growing forks fresh workers (inheriting the current rule
-        table) and installs their migrated planes.  All shared-memory
-        rings are retired wholesale — every (lane, worker) key is void
-        under the new mapping — and lazily recreated on the next lane
-        feed.  Not recoverable mid-flight: a worker death during the
-        migration surfaces as :class:`WorkerDiedError` with detached
-        state at risk, and the gateway poisons itself.
-        """
-        require_positive(n_workers, "n_workers")
-        if self._closed:
-            raise ValidationError("process backend already closed")
-        self._requested_workers = int(n_workers)
-        new = min(self._requested_workers, self._n_planes)
-        if self._workers is None:
-            # Nothing has flowed; the fleet will be born at the new size.
-            self.n_workers = new
-            return
-        old = self.n_workers
-        if new == old:
-            return
-        held = list(self._locks)
-        for lock in held:
-            lock.acquire()
-        try:
-            # Round 1 — eject: every plane whose home changes leaves its
-            # old worker as packed (plane, region, blob) rows.
-            rows: list[tuple[int, str, bytes]] = []
-            for worker_id in range(old):
-                moving = [
-                    p for p in self._planes_of(worker_id) if p % new != worker_id
-                ]
-                if moving:
-                    rows.extend(self._exchange(
-                        worker_id, ("eject_planes", moving), recoverable=False,
-                    ))
-            adopts: dict[int, list[tuple[int, bytes]]] = {
-                w: [] for w in range(new)
-            }
-            for plane, _region, blob in rows:
-                adopts[plane % new].append((plane, blob))
-            # Round 2a — surviving workers create their newly homed
-            # planes and adopt the migrated state.
-            for worker_id in range(min(old, new)):
-                create = [
-                    p for p in range(self._n_planes)
-                    if p % new == worker_id and p % old != worker_id
-                ]
-                if create or adopts[worker_id]:
-                    self._exchange(
-                        worker_id,
-                        ("install_planes", (create, adopts[worker_id])),
-                        recoverable=False,
-                    )
-            # Round 2b — shrink: surplus workers own nothing now; stop
-            # and join them (terminate → kill escalation, never a
-            # zombie) and retire their pipes.
-            if new < old:
-                for worker_id in range(new, old):
-                    try:
-                        self._exchange(
-                            worker_id, ("stop", None), recoverable=False,
-                        )
-                    except (WorkerDiedError, WorkerTimeoutError):
-                        pass  # dying on the way out; it holds nothing
-                for worker_id in range(new, old):
-                    self._join_worker(self._workers[worker_id])
-                    self._connections[worker_id].close()
-                del self._workers[new:]
-                del self._connections[new:]
-                del self._locks[new:]
-                del self._breakers[new:]
-                del self._snapshots[new:]
-                del self._journals[new:]
-            self.n_workers = new
-            # Round 2c — grow: fresh workers fork with their full plane
-            # lists (empty planes, current rule table) and adopt the
-            # state migrating in.
-            if new > old:
-                for worker_id in range(old, new):
-                    worker, parent_end = self._spawn_worker(worker_id)
-                    self._workers.append(worker)
-                    self._connections.append(parent_end)
-                    self._locks.append(threading.Lock())
-                    self._breakers.append(CircuitBreaker())
-                    self._snapshots.append(([], []))
-                    self._journals.append([])
-                    if adopts[worker_id]:
-                        self._exchange(
-                            worker_id, ("adopt", adopts[worker_id]),
-                            recoverable=False,
-                        )
-            # Every (lane, worker) ring key is void under the new
-            # mapping; surviving workers close their stale attachments
-            # when the replacement segment is announced.
-            for ring in self._rings.values():
-                ring.unlink()
-            self._rings = {}
-        finally:
-            for lock in held:
-                lock.release()
-        self._refresh_snapshots()
 
     def apply_rules(self, delta: RuleDelta) -> None:
         """Ship a learned rule delta to every worker's shared blocker.
@@ -1183,7 +814,7 @@ class ProcessPlaneBackend:
             return
         message = ("rules", (pack_rules(delta.added), pack_rules(delta.removed)))
         worker_ids = list(range(self.n_workers))
-        self._roundtrip(worker_ids, [message] * self.n_workers, journal=True)
+        self._roundtrip(worker_ids, [message] * self.n_workers)
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         if self._closed:
@@ -1233,7 +864,6 @@ class ProcessPlaneBackend:
         self._roundtrip(
             worker_ids,
             [("adopt", per_worker[w]) for w in worker_ids],
-            journal=True,
         )
 
     def drain(self, watermark: float | None) -> list[PlaneDrainResult]:
@@ -1314,7 +944,7 @@ class ProcessPlaneBackend:
 def make_backend(options: GatewayConfig, config: PlaneConfig) -> PlaneBackend:
     """Build the backend ``options.backend`` names.
 
-    The lane-transport and worker-supervision options shape only the
+    The lane-transport and worker-timeout options shape only the
     ``process`` backend's hand-off and fleet; ``serial`` has neither and
     takes just the plane count.
     """

@@ -79,10 +79,6 @@ class GatewayConfig:
     lane_transport: str = _option("ring", strict=False, choices=LANE_TRANSPORTS)
     ring_slot_size: int | None = _option(None, strict=False)
     ring_slots: int | None = _option(None, strict=False)
-    worker_recovery: bool = _option(False, strict=False)
-    # Journaled batches per worker between full-plane recovery snapshots
-    # (the replay-tail bound when a worker dies).
-    worker_checkpoint_every: int = _option(64, strict=False)
     # Parent-side wait for a worker reply before declaring a wedge.
     worker_timeout: float = _option(30.0, strict=False)
 
@@ -97,7 +93,7 @@ class GatewayConfig:
         for name in (
             "n_planes", "finalize_every", "ingress_lanes", "flush_size",
             "flush_interval", "n_workers", "ring_slot_size", "ring_slots",
-            "worker_checkpoint_every", "worker_timeout",
+            "worker_timeout",
         ):
             if getattr(self, name) is not None:
                 require_positive(getattr(self, name), name)

@@ -1,31 +1,24 @@
-"""Worker-fleet supervision: typed death errors + per-worker breakers.
+"""Worker-fleet failures: the typed errors a bounded pipe wait raises.
 
 The process backend partitions planes across worker processes and talks
-to each over a pipe.  Before this module existed, a worker that died
+to each over a pipe.  Before these errors existed, a worker that died
 mid-request (OOM kill, segfault, operator ``kill -9``) left the gateway
-blocked in ``connection.recv()`` forever — the exact *missing-retry* /
-*no-circuit-breaker* / *cascading-dependency* anti-patterns the paper's
-reliability catalogue describes, exhibited by the system built to detect
-them.  This module holds the supervision vocabulary the backend now
-speaks:
+blocked in ``connection.recv()`` forever — the *cascading-dependency*
+anti-pattern the paper's reliability catalogue describes, exhibited by
+the system built to detect them.  Every wait is now bounded and ends in
+one of two errors:
 
-* :class:`WorkerDiedError` — raised when a bounded poll observes a dead
-  worker; names the worker, its exit code, and the planes it owned, so
-  the operator (or the supervisor) knows exactly what state is at risk.
+* :class:`WorkerDiedError` — a bounded poll observed a dead worker;
+  names the worker, its exit code, and the planes it owned, so the
+  operator knows exactly what state is lost;
 * :class:`WorkerTimeoutError` — the worker is *alive* but has not
-  replied within the configured ``worker_timeout``; distinguishing a
-  wedge from a death matters because only the latter is safely
-  recoverable by respawn (a wedged worker may still consume its ring).
-* :class:`CircuitBreaker` — a deterministic, count-based per-worker
-  breaker.  It never rejects work (planes are pinned to their worker,
-  so there is nothing to shed to); instead an open breaker steers that
-  worker's zero-copy ring traffic onto the journaled pipe path until a
-  probation of consecutive successes closes it again, and it is
-  surfaced as gateway telemetry (``stats.breaker_open``).
+  replied within the configured ``worker_timeout`` (a wedge, not a
+  death).
 
-Counts, not clocks: the breaker transitions on observed outcomes only,
-so chaos tests replay bit-identically and the breaker's behaviour does
-not depend on scheduler timing.
+Neither is recovered in place.  The gateway poisons itself on either, so
+it refuses further input instead of running on with a plane's state
+gone; recovery is restoring the service from its data directory (its
+snapshot plus journal tail), the one recovery path there is.
 """
 
 from __future__ import annotations
@@ -34,12 +27,11 @@ __all__ = [
     "FleetError",
     "WorkerDiedError",
     "WorkerTimeoutError",
-    "CircuitBreaker",
 ]
 
 
 class FleetError(RuntimeError):
-    """Base class for worker-fleet supervision failures."""
+    """Base class for worker-fleet failures."""
 
 
 class WorkerDiedError(FleetError):
@@ -47,9 +39,9 @@ class WorkerDiedError(FleetError):
 
     Raised instead of hanging in ``recv()``: the bounded poll noticed
     ``Process.is_alive()`` go false (or the pipe hit EOF) and joined the
-    corpse.  With recovery off this is the terminal, actionable error;
-    with recovery on the supervisor catches it, respawns the worker from
-    its last plane snapshot + journal, and retries the request.
+    corpse.  The dead worker's planes are lost with it, so the gateway
+    refuses further use; restart the service from its data directory to
+    restore the last snapshot and replay the journal.
     """
 
     def __init__(
@@ -69,8 +61,9 @@ class WorkerDiedError(FleetError):
             signal = f" (signal {-exitcode})"
         super().__init__(
             f"plane worker {self.worker_id}{owned} died with exit code "
-            f"{exitcode}{signal}; enable worker_recovery to respawn and "
-            f"replay it from its last snapshot"
+            f"{exitcode}{signal}; its plane state is lost — restore the "
+            f"service from its data directory (repro serve --data-dir) to "
+            f"recover from the last snapshot and journal"
         )
 
 
@@ -78,8 +71,8 @@ class WorkerTimeoutError(FleetError):
     """A live plane worker failed to reply within ``worker_timeout``.
 
     Deliberately distinct from :class:`WorkerDiedError`: the worker still
-    holds its planes (and possibly a ring slot mid-consume), so a respawn
-    would fork live state — the supervisor never auto-recovers a wedge.
+    holds its planes (and possibly a ring slot mid-consume), so it may
+    just be slow rather than gone.
     """
 
     def __init__(self, worker_id: int, timeout: float) -> None:
@@ -88,68 +81,6 @@ class WorkerTimeoutError(FleetError):
         super().__init__(
             f"plane worker {self.worker_id} is alive but sent no reply "
             f"within {timeout:.1f}s; it may be wedged (raise worker_timeout "
-            f"for long batches, or kill the worker to trigger recovery)"
+            f"for long batches, or restore the service from its data "
+            f"directory)"
         )
-
-
-class CircuitBreaker:
-    """Count-based per-worker breaker (deterministic, clock-free).
-
-    ``record_failure`` accumulates consecutive transient failures; at
-    ``threshold`` the breaker opens (a worker *death* is reported via
-    :meth:`record_death`, which opens immediately).  While open,
-    :attr:`allow_ring` is false — the owning worker's lane traffic takes
-    the journaled pipe path instead of the shared-memory ring — and each
-    successful exchange counts towards ``probation``; after that many
-    consecutive successes the breaker closes and ring traffic resumes.
-    """
-
-    __slots__ = ("threshold", "probation", "_failures", "_successes", "_open", "trips")
-
-    def __init__(self, threshold: int = 3, probation: int = 8) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        if probation < 1:
-            raise ValueError("breaker probation must be >= 1")
-        self.threshold = int(threshold)
-        self.probation = int(probation)
-        self._failures = 0
-        self._successes = 0
-        self._open = False
-        #: Lifetime open transitions (telemetry).
-        self.trips = 0
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    @property
-    def allow_ring(self) -> bool:
-        """Whether lane batches may use the zero-copy ring right now."""
-        return not self._open
-
-    def _trip(self) -> None:
-        if not self._open:
-            self._open = True
-            self.trips += 1
-        self._successes = 0
-
-    def record_failure(self) -> None:
-        """One transient failure (pipe error with the worker still alive)."""
-        self._failures += 1
-        if self._failures >= self.threshold:
-            self._trip()
-
-    def record_death(self) -> None:
-        """A worker death opens the breaker unconditionally."""
-        self._failures = self.threshold
-        self._trip()
-
-    def record_success(self) -> None:
-        """One successful exchange; closes an open breaker after probation."""
-        self._failures = 0
-        if self._open:
-            self._successes += 1
-            if self._successes >= self.probation:
-                self._open = False
-                self._successes = 0

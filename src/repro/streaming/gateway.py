@@ -61,6 +61,14 @@ reconciliation invariant ``GatewayStats.reconcile`` checks, for every
 backend, plane count, and flush size.  Out-of-order events
 are processed best-effort and counted in ``late_events``.
 
+A flush or plane migration that fails part-way (a dead plane worker, a
+lane error) poisons the gateway: the error is re-raised and every later
+call refuses with "gateway already drained".  The buffers were already
+handed over, so carrying on would silently run with a plane's state
+missing.  Recovery is the serving layer's: restart the service from its
+data directory and it restores the last snapshot and replays the
+journal.
+
 >>> gateway = AlertGateway(graph, blocker=blocker, n_planes=4,   # doctest: +SKIP
 ...                        backend="process", n_workers=4, flush_size=1024)
 >>> gateway.ingest_batch(source)                                 # doctest: +SKIP
@@ -157,10 +165,6 @@ class AlertGateway:
         self._config = PlaneConfig.from_options(
             options, graph, self._blocker, rulebook,
         )
-        # Fleet counters restored from a checkpoint: the rebuilt
-        # backend's own counters restart at zero, so the totals fold
-        # adds this baseline to stay monotone across restores.
-        self._fleet_baseline = (0, 0)
         n_planes = options.n_planes
         self._plane_router = PlaneRouter(n_planes)
         self._backend: PlaneBackend = make_backend(options, self._config)
@@ -393,37 +397,12 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # topology changes
     # ------------------------------------------------------------------
-    def resize_workers(self, n_workers: int) -> None:
-        """Grow or shrink the ``process`` backend's worker fleet, live.
-
-        A barrier (pending buffers flush first).  Every plane whose
-        ``plane % n_workers`` assignment changes is re-homed, migrating
-        whole-plane state between worker processes with the same
-        ``pack_plane_state`` round trip ``scale_planes`` uses — volume
-        accounting is exact across the transition.  A failure
-        mid-migration poisons the gateway (like a failed plane scale):
-        detached state may not have reached its destination, so further
-        ingestion would be silently wrong.
-        """
-        require_positive(n_workers, "n_workers")
-        if self._drained:
-            raise ValidationError("gateway already drained; create a new one")
-        if self.options.backend == "serial":
-            raise ValidationError(
-                "the serial backend has no worker pool to resize"
-            )
-        self._flush()
-        try:
-            self._backend.resize_workers(n_workers)
-        except BaseException:
-            self._poison()
-            raise
-        self.stats.n_workers = self._backend.n_workers
-
     def _poison(self) -> None:
-        """Refuse all further use: a migration failed part-way."""
+        """Refuse all further use: a flush or a migration failed part-way."""
         self._drained = True
         try:
+            if self._lanes is not None:
+                self._lanes.close()
             self._backend.close()
         except Exception:
             pass
@@ -627,12 +606,6 @@ class AlertGateway:
             [(region, plane) for region, plane in state["assignments"]]
         )
         self.stats.restore_state(state["stats"])
-        # Fleet counters in the checkpoint describe a fleet that no longer
-        # exists; fold them in as a baseline so totals stay monotone while
-        # the fresh backend counts from zero.
-        self._fleet_baseline = (
-            self.stats.worker_deaths, self.stats.worker_recoveries,
-        )
         if self.learner is not None:
             self.learner.restore_state(state["learner"])
         if self.qoa is not None:
@@ -744,7 +717,19 @@ class AlertGateway:
     # internals
     # ------------------------------------------------------------------
     def _flush(self) -> list[AggregatedAlert]:
-        """Hand every buffered per-plane batch to the backend (a barrier)."""
+        """Hand every buffered per-plane batch to the backend (a barrier).
+
+        The buffers are consumed before the backend runs, so a failure
+        past that point leaves the gateway half-applied: it is poisoned,
+        then the error re-raised.
+        """
+        try:
+            return self._flush_cycle()
+        except BaseException:
+            self._poison()
+            raise
+
+    def _flush_cycle(self) -> list[AggregatedAlert]:
         lanes = self._lanes
         if lanes is not None and not lanes.barrier_mode:
             return self._lane_barrier()
@@ -868,11 +853,3 @@ class AlertGateway:
         stats.clusters_finalized = sum(c["clusters"] for c in counters)
         stats.storm_episodes = sum(c["storm_episodes"] for c in counters)
         stats.emerging_flags = sum(c["emerging_flags"] for c in counters)
-        backend = self._backend
-        stats.worker_deaths = (
-            self._fleet_baseline[0] + getattr(backend, "worker_deaths", 0)
-        )
-        stats.worker_recoveries = (
-            self._fleet_baseline[1] + getattr(backend, "worker_recoveries", 0)
-        )
-        stats.breaker_open = getattr(backend, "breaker_open", 0)

@@ -11,6 +11,11 @@ against a batch report on the same trace, the invariant the integration
 tests and the ``repro stream --reconcile`` CLI pin down; :meth:`snapshot`
 returns the whole accounting — totals plus planes — as one plain dict
 for dashboards and the CLI report.
+
+A dead plane worker is not a counter here: it raises, and the gateway
+refuses further use, so the stats only ever describe state the planes
+hold.  :meth:`~GatewayStats.restore_state` reads only the keys it names,
+so the retired worker-death counters in older checkpoints are ignored.
 """
 
 from __future__ import annotations
@@ -57,14 +62,6 @@ class GatewayStats:
     #: lane queue (a slow worker throttling ingest instead of buffering
     #: without limit).  Zero on the classic single-lane path.
     lane_stalls: int = 0
-    #: Worker-fleet supervision (``process`` backend): lifetime worker
-    #: deaths observed mid-request, lifetime snapshot+journal respawns
-    #: (``worker_recovery=True``), and the number of workers whose
-    #: circuit breaker is currently open (a gauge — open breakers steer
-    #: lane traffic off the shared-memory ring onto the journaled pipe).
-    worker_deaths: int = 0
-    worker_recoveries: int = 0
-    breaker_open: int = 0
     watermark: float | None = None
     #: Online R1 rule learning (``AlertGateway(learn_rules=True)``).
     learning: bool = False
@@ -170,8 +167,6 @@ class GatewayStats:
         """
         state = {name: getattr(self, name) for name in self._RESTORABLE}
         state["lane_stalls"] = self.lane_stalls
-        state["worker_deaths"] = self.worker_deaths
-        state["worker_recoveries"] = self.worker_recoveries
         state["scales"] = [dict(scale) for scale in self.scales]
         state["qoa"] = (
             {k: dict(v) for k, v in self.qoa.items()}
@@ -193,12 +188,6 @@ class GatewayStats:
             setattr(self, name, state[name])
         # Outside the strict tuple: absent from pre-ring checkpoints.
         self.lane_stalls = state.get("lane_stalls", 0)
-        # Likewise absent from pre-fleet-supervision checkpoints.  The
-        # breaker gauge is deliberately not restored: a restored gateway
-        # starts a fresh fleet with every breaker closed.
-        self.worker_deaths = state.get("worker_deaths", 0)
-        self.worker_recoveries = state.get("worker_recoveries", 0)
-        self.breaker_open = 0
         self.scales = [dict(scale) for scale in state["scales"]]
         self.qoa = (
             {k: dict(v) for k, v in state["qoa"].items()}
@@ -246,9 +235,6 @@ class GatewayStats:
             "flushes": self.flushes,
             "plane_scales": self.plane_scales,
             "lane_stalls": self.lane_stalls,
-            "worker_deaths": self.worker_deaths,
-            "worker_recoveries": self.worker_recoveries,
-            "breaker_open": self.breaker_open,
             "scales": [dict(scale) for scale in self.scales],
             "watermark": self.watermark,
             "total_reduction": self.total_reduction,
@@ -352,14 +338,6 @@ class GatewayStats:
             lines.append(f"late (out-of-order) events: {self.late_events:,}")
         if self.lane_stalls:
             lines.append(f"ingress lane stalls: {self.lane_stalls:>8,}")
-        if self.worker_deaths or self.worker_recoveries:
-            lines.append(
-                f"worker deaths:       {self.worker_deaths:>8,}  "
-                f"({self.worker_recoveries:,} recovered"
-                + (f", {self.breaker_open} breaker(s) open"
-                   if self.breaker_open else "")
-                + ")"
-            )
         if self.plane_scales:
             moved = sum(scale["moved_regions"] for scale in self.scales)
             lines.append(

@@ -6,7 +6,10 @@ keys across four consistent-hash shards (regenerate it with
 ``tests/serving/legacy_service_fixture.py``, whose docstring has the
 recipe).  It carries every legacy shape at once: a configuration record
 with ``n_shards``, stats with ``rebalances``, and plane blobs ending in
-strategy → shard pin sections.  The current code must restore it,
+strategy → shard pin sections.  Its record and stats also carry the
+keys of the process fleet's retired in-place recovery
+(``worker_recovery``, ``worker_checkpoint_every``, ``worker_deaths``,
+``worker_recoveries``).  The current code must restore it,
 continue the stream and drain to the golden counts, and render it in the
 operator views.
 """
@@ -44,6 +47,8 @@ def test_fixture_carries_every_legacy_shape():
     assert checkpoint.input_alerts == SNAPSHOT_AT
     assert checkpoint.config["n_shards"] == 4
     assert "rebalances" in checkpoint.state["stats"]
+    assert {"worker_recovery", "worker_checkpoint_every"} <= set(checkpoint.config)
+    assert {"worker_deaths", "worker_recoveries"} <= set(checkpoint.state["stats"])
     assert checkpoint.blobs
     for _plane, _region, blob in checkpoint.blobs:
         # Re-packing drops the trailing pin sections.

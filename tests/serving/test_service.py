@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
 import socket
 
 import pytest
@@ -13,8 +15,17 @@ from repro.core.antipatterns.base import DetectorThresholds
 from repro.io.traces import alert_to_dict
 from repro.serving import AlertGatewayService, CheckpointLoader
 from repro.serving.journal import journal_files
+from repro.streaming import FleetError
 
 from tests.serving.conftest import serving_blocker
+from tests.streaming.test_golden_trace import (
+    EXPECTED_PATH,
+    WINDOW,
+    _load_alerts,
+    _stats_payload,
+    golden_blocker,
+    golden_graph,
+)
 
 
 def _service(graph, data_dir, **kwargs):
@@ -429,3 +440,50 @@ class TestIngressLanes:
         assert stats.blocked_alerts == clean_stats.blocked_alerts
         assert stats.aggregates_emitted == clean_stats.aggregates_emitted
         assert stats.clusters_finalized == clean_stats.clusters_finalized
+
+
+class TestDeadWorkerRestore:
+    """The one recovery path: a dead plane worker poisons the gateway,
+    and restoring the service from its data directory recovers it."""
+
+    KILL_AT = 144
+    CHUNK = 16
+
+    @staticmethod
+    def _process_service(data_dir, ingress_lanes):
+        return AlertGatewayService(
+            golden_graph(), data_dir, blocker=golden_blocker(),
+            journal_mode="batch", checkpoint_every=64,
+            backend="process", n_planes=4, n_workers=2, flush_size=16,
+            ingress_lanes=ingress_lanes,
+            aggregation_window=WINDOW, correlation_window=WINDOW,
+        )
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    @pytest.mark.parametrize("ingress_lanes", [1, 2])
+    def test_kill_then_restore_drains_golden(
+        self, tmp_path, ingress_lanes, victim,
+    ):
+        expected = json.loads(EXPECTED_PATH.read_text())["counts"]
+        alerts = _load_alerts()
+        crashed = self._process_service(tmp_path, ingress_lanes)
+        assert crashed.start() == "fresh"
+        for start in range(0, self.KILL_AT, self.CHUNK):
+            crashed.ingest(alerts[start:start + self.CHUNK])
+        gateway = crashed.gateway
+        gateway.snapshot()  # a barrier: every worker has run
+        # region-B lives on plane 0 (worker 0), region-A on plane 1.
+        os.kill(gateway._backend._workers[victim].pid, signal.SIGKILL)
+        with pytest.raises(FleetError):
+            for start in range(self.KILL_AT, len(alerts), self.CHUNK):
+                crashed.ingest(alerts[start:start + self.CHUNK])
+            # Free-running lanes surface the death at the next barrier.
+            crashed.stop()
+        crashed.abort()
+
+        revived = self._process_service(tmp_path, ingress_lanes)
+        assert revived.start() == "restored"
+        assert revived.input_alerts > self.KILL_AT
+        revived.ingest(alerts[revived.input_alerts:])
+        stats = revived.stop(drain=True)
+        assert _stats_payload(stats) == expected

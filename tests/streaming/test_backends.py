@@ -218,14 +218,6 @@ class TestBackendMechanics:
         finally:
             process.close()
 
-    def test_process_backend_resizes_workers_live(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_planes=2,
-                               backend="process", n_workers=2)
-        gateway.ingest(make_alert(1.0))
-        gateway.resize_workers(1)
-        assert gateway.stats.n_workers == 1
-        gateway.drain()
-
     def test_processors_not_addressable_for_process_backend(self, small_topology):
         gateway = AlertGateway(small_topology.graph, backend="process",
                                n_workers=2)

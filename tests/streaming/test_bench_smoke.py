@@ -34,10 +34,6 @@ lanes_bench = pytest.importorskip(
     "benchmarks.bench_ingress_lanes",
     reason="benchmarks/ must be importable from the repo root",
 )
-recovery_bench = pytest.importorskip(
-    "benchmarks.bench_worker_recovery",
-    reason="benchmarks/ must be importable from the repo root",
-)
 detection_bench = pytest.importorskip(
     "benchmarks.bench_online_detection",
     reason="benchmarks/ must be importable from the repo root",
@@ -206,36 +202,6 @@ def test_transport_parity_and_handoff_smoke(multi_region_setup):
     assert handoff["cores"] >= 1.0
 
 
-def test_recovery_sweep_holds_parity_and_recovers_from_a_kill(
-    multi_region_setup,
-):
-    """Drives the worker-recovery bench helpers end to end (fast mode).
-
-    The parity assertions — recovery on, recovery off, and the
-    kill-and-recover run all drain to identical accounting, with exactly
-    one death and one recovery — live *inside* ``run_recovery_sweep``;
-    the smoke runs it on a trimmed trace with a single round per config
-    and checks the measurements are sane, not that they hit the perf
-    floor (that stays in the bench, where the machine is quiet)."""
-    trace, topology, blocker, rulebook, _ = multi_region_setup
-    alerts = list(trace.iter_ordered())[:3000]
-
-    class _Trimmed:
-        def iter_ordered(self):
-            return iter(alerts)
-
-    measurements = recovery_bench.run_recovery_sweep(
-        _Trimmed(), topology, blocker, rulebook,
-        n_planes=2, n_workers=2, flush_size=256, rounds=1,
-    )
-    _require_samples(measurements, "worker-recovery sweep")
-    assert measurements["recovery_off_alerts_per_sec"] > 0
-    assert measurements["recovery_on_alerts_per_sec"] > 0
-    assert measurements["killed_alerts_per_sec"] > 0
-    assert measurements["recovery_overhead_ratio"] > 0
-    assert measurements["alerts"] == len(alerts)
-
-
 def test_bench_floors_guard_accepts_committed_artifact():
     """The committed ``BENCH_streaming.json`` must hold every floor the
     CI guard enforces — a PR that records a regressing ratio fails here
@@ -268,19 +234,16 @@ def test_bench_floors_guard_flags_regressions():
             "scaling_x": floors.SCALING_FLOOR - 0.1,
             "cores": float(floors.MIN_CORES_FOR_SCALING),
         },
-        "worker_recovery": {
-            "recovery_overhead_ratio": floors.RECOVERY_OVERHEAD_FLOOR - 0.01,
-        },
         "online_detection": {
             "detection_overhead_ratio": floors.DETECTION_OVERHEAD_FLOOR - 0.01,
         },
         "trajectory": [{"pr": 99}],
     }
     violations = floors.check_floors(bad)
-    assert len(violations) == 6
+    assert len(violations) == 5
     # A box without the cores for lane scaling must not trip that floor.
     bad["ingress_lanes"]["cores"] = 1.0
-    assert len(floors.check_floors(bad)) == 5
+    assert len(floors.check_floors(bad)) == 4
 
 
 def test_learning_sweep_runs_every_config_on_a_small_trace():

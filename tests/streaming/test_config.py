@@ -46,8 +46,6 @@ NON_DEFAULT = {
     "lane_transport": "pipe",
     "ring_slot_size": 4096,
     "ring_slots": 2,
-    "worker_recovery": True,
-    "worker_checkpoint_every": 8,
     "worker_timeout": 5.0,
 }
 
@@ -105,10 +103,13 @@ def test_pre_lanes_record_builds_the_field_defaults():
     gateway.close()
     old = {key: record[key] for key in PRE_LANES_KEYS}
     assert not {
-        "ingress_lanes", "lane_transport", "ring_slots", "worker_recovery",
+        "ingress_lanes", "lane_transport", "ring_slots", "worker_timeout",
         "detect_antipatterns", "sketch_buckets", "detector_thresholds",
     } & set(old)
+    # Retired keys: the shard layer's and the fleet's own recovery.
     old["n_shards"] = 8
+    old["worker_recovery"] = True
+    old["worker_checkpoint_every"] = 8
     rebuilt = build_gateway(golden_graph(), old)
     assert rebuilt.checkpoint_config() == record
     rebuilt.close()

@@ -128,10 +128,11 @@ class TestSharedGatewayFlags:
                 assert flag in text, (command, flag)
             assert "--backend {serial,process}" in text
             assert "--lane-transport {ring,pipe}" in text
-            for default in ("(default: 1)", "(default: serial)", "(default: 64)",
+            for default in ("(default: 1)", "(default: serial)",
                             "(default: 30.0)", "(default: 900.0)"):
                 assert default in text, (command, default)
-            for retired in ("--sync-journal", "--shards", "--rebalance-to"):
+            for retired in ("--sync-journal", "--shards", "--rebalance-to",
+                            "--worker-recovery", "--worker-checkpoint-every"):
                 assert retired not in text, (command, retired)
 
 
