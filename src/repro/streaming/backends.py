@@ -726,7 +726,7 @@ class ProcessPlaneBackend:
                     plane_id=plane, processed=0, blocked=0, aggregates=0,
                     clusters=0, storm_episodes=0, emerging_flags=0,
                     open_sessions=0, active_components=0,
-                    retained_representatives=0, min_open_first=None,
+                    retained_representatives=0,
                 )
                 for plane in range(self._n_planes)
             ]

@@ -8,31 +8,44 @@ node = representative, edge = (|Δt| ≤ window AND evidence).  Connected
 components do not depend on insertion order, so the online correlator
 reaches the identical partition incrementally: each arriving
 representative is unioned against every retained representative within
-the window, and a component is finalised — turned into an
-:class:`~repro.core.mitigation.correlation.AlertCluster` and evicted —
-only once the safety horizon proves no future representative can reach
-it.
+the window, and a component is finalised only once no future
+representative can reach it.
 
-The safety horizon accounts for aggregation latency: a representative
-emitted later by a still-open session can carry a timestamp as old as
-that session's first alert, so the horizon is
-``min(watermark, earliest open-session start) - window``.  Retention is
-therefore bounded by the number of representatives inside one
-correlation+session horizon, not by stream length.
+What can still arrive.  In an in-order stream a future representative
+is either the *current* representative of a still-open R2 session (a
+session's representative only ever moves to a later alert: most severe
+wins, earliest breaks ties) or an alert at or after the watermark.  The
+caller passes the first kind as ``pending``
+(:meth:`~repro.streaming.dedup.OnlineAggregator.open_representatives`),
+and a component is final when its max time is ``< watermark - window``
+and none of its members lies within ``window`` of a pending
+representative of its region.  A session that never closes (the paper's
+*repeating alert*) therefore pins only the members within one window of
+its representative, not the whole stream behind it.  Late events stay
+best-effort.
 
 Correlation evidence requires equal regions, so components never span
 regions and the correlator partitions cleanly along region boundaries:
 each :class:`~repro.streaming.plane.RegionPlane` runs its own instance
-over its regions' representatives.  The horizon then tightens to
-``min(gateway watermark, *plane-local* earliest open session) - window``
-— any representative that could still reach a plane's component must
-come from that plane's own sessions — which lets planes finalise earlier
-and independently without changing what is finalised.
+over its regions' representatives, with its own sessions as ``pending``.
 
-Evidence and cluster finalisation are delegated to the batch analyzer
-(:meth:`pair_evidence` / :meth:`build_cluster`), which is what makes the
-gateway's end-of-run cluster accounting reconcile with
-:class:`~repro.core.mitigation.pipeline.MitigationReport` exactly.
+Keeping members.  With ``keep_members`` (the gateway's
+``retain_artifacts``) nothing is dropped early and a finalised component
+becomes an :class:`~repro.core.mitigation.correlation.AlertCluster` via
+the batch analyzer's :meth:`build_cluster`, which is what makes the
+retained artefacts equal :class:`~repro.core.mitigation.pipeline.MitigationReport`'s.
+Without it a finalised component is only counted for its region, and a
+member that is below ``watermark - window`` and outside every pending
+span is evicted while its component stays open: nothing can reach it
+any more.  Eviction is amortised: a region is swept only once its
+below-horizon prefix has doubled since its last sweep (and holds at
+least ``_MIN_SWEEP`` entries), so a pinned band is not re-walked on
+every call.  Retention is then bounded by the representatives within
+one window of the watermark or of a pending representative, plus an
+unswept prefix below ``max(_MIN_SWEEP, 2 x what the last sweep kept)``
+per region, not by stream length.  Evidence is delegated to the batch analyzer
+(:meth:`pair_evidence`) in both modes, so the component partition, and
+with it the end-of-run cluster count, reconciles exactly.
 
 Cost.  R3 is the largest layer of the plane chain, and nearly all of it
 is the window scan in :meth:`OnlineCorrelator.add`, so a candidate there
@@ -64,6 +77,7 @@ costs one dict probe and at most one byte-row probe:
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable
 
 from repro.alerting.alert import Alert
 from repro.core.mitigation.correlation import AlertCluster, CorrelationAnalyzer
@@ -75,6 +89,43 @@ __all__ = ["OnlineCorrelator"]
 # keeps minting strategy ids cannot grow the memo without bound.
 _MAX_SIGNATURES = 2048
 
+# A region's below-horizon prefix is swept once it holds at least this
+# many entries and twice what its last sweep kept.
+_MIN_SWEEP = 64
+
+_INF = float("inf")
+
+
+def _pending_spans(
+    pending: Iterable[Alert], window: float,
+) -> dict[str, tuple[list[float], list[float]]]:
+    """Per region, the merged ``[t - window, t + window]`` spans of the
+    pending representatives as parallel sorted (starts, ends) lists."""
+    times: dict[str, list[float]] = {}
+    for alert in pending:
+        times.setdefault(alert.region, []).append(alert.occurred_at)
+    spans: dict[str, tuple[list[float], list[float]]] = {}
+    for region, region_times in times.items():
+        region_times.sort()
+        starts: list[float] = []
+        ends: list[float] = []
+        for time in region_times:
+            start, end = time - window, time + window
+            if ends and start <= ends[-1]:
+                ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+        spans[region] = (starts, ends)
+    return spans
+
+
+def _pinned(spans: tuple[list[float], list[float]], time: float) -> bool:
+    """Whether ``time`` lies inside one of a region's merged spans."""
+    starts, ends = spans
+    index = bisect.bisect_right(starts, time) - 1
+    return index >= 0 and time <= ends[index]
+
 
 class OnlineCorrelator:
     """Incremental windowed union-find over aggregate representatives."""
@@ -82,13 +133,13 @@ class OnlineCorrelator:
     def __init__(
         self,
         analyzer: CorrelationAnalyzer,
-        retain_finalized: bool = False,
+        keep_members: bool = True,
     ) -> None:
-        """``retain_finalized`` keeps every finalised cluster on the
-        instance — opt-in only, since on an unbounded stream that list
-        grows forever; callers that need the artefacts (the gateway with
-        ``retain_artifacts``) collect the return values instead."""
+        """``keep_members=False`` evicts members no future representative
+        can reach and finalises components as per-region counts, without
+        building their clusters (see the module docstring)."""
         self._analyzer = analyzer
+        self._keep = keep_members
         self._window = analyzer.time_window
         self._seq = 0
         self._alerts: dict[int, Alert] = {}
@@ -98,6 +149,8 @@ class OnlineCorrelator:
         # scanned.  ``seq`` is unique, so the id never decides the order.
         self._timelines: dict[str, list[tuple[float, int, int]]] = {}
         # Quick-find: seq -> root seq of its component, always current.
+        # The root seq labels the component even once its own entry is
+        # evicted; member lists hold retained members only.
         self._parent: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}
         self._max_time: dict[int, float] = {}
@@ -106,9 +159,9 @@ class OnlineCorrelator:
         self._verdicts: list[bytearray] = []
         self._signature_limit = _MAX_SIGNATURES
         self._memo_version = analyzer.evidence_version
-        self._retain_finalized = retain_finalized
-        self.finalized: list[AlertCluster] = []
-        self.finalized_count = 0
+        # region -> below-horizon entries its last sweep kept (evicting
+        # mode only).
+        self._swept: dict[str, int] = {}
 
     @property
     def active_components(self) -> int:
@@ -117,7 +170,9 @@ class OnlineCorrelator:
 
     @property
     def retained(self) -> int:
-        """Representatives currently held in memory."""
+        """Representatives held in memory.  Without ``keep_members``
+        these are the ones a future representative can still reach, plus
+        a region's not-yet-swept below-horizon prefix."""
         return len(self._alerts)
 
     def add(self, representative: Alert) -> None:
@@ -192,6 +247,7 @@ class OnlineCorrelator:
         identical union-find state under fresh sequence numbers.  The
         exported state is removed from this instance.
         """
+        self._swept.pop(region, None)
         timeline = self._timelines.pop(region, None)
         if not timeline:
             return []
@@ -233,23 +289,37 @@ class OnlineCorrelator:
                 self._parent[seq] = root_seq
                 bisect.insort(timeline, (alert.occurred_at, seq, self._intern(alert)))
 
-    def finalize_ready(self, watermark: float, min_open_first: float | None) -> list[AlertCluster]:
+    def finalize_ready(
+        self, watermark: float, pending: Iterable[Alert],
+    ) -> tuple[dict[str, int], list[AlertCluster]]:
         """Close components no future representative can join.
 
-        ``watermark`` is the max event time ingested; ``min_open_first``
-        the earliest first-alert time among still-open aggregation
-        sessions (``None`` when no session is open).  Any future
-        representative must carry a timestamp ≥ the smaller of the two.
+        The contract: every representative still to be added either is
+        in ``pending`` or occurs at or after ``watermark``, and
+        ``watermark`` never decreases between calls.  Returns the closed
+        components counted per region and, with ``keep_members``, their
+        clusters (otherwise an empty list).
         """
-        horizon = watermark if min_open_first is None else min(watermark, min_open_first)
-        safe_before = horizon - self._window
-        ready = [
-            root for root, max_time in self._max_time.items()
-            if max_time < safe_before
-        ]
-        return self._finalize(ready)
+        safe_before = watermark - self._window
+        spans = _pending_spans(pending, self._window)
+        alerts = self._alerts
+        members = self._members
+        ready = []
+        for root, max_time in self._max_time.items():
+            if max_time >= safe_before:
+                continue
+            seqs = members[root]
+            region_spans = spans.get(alerts[seqs[0]].region)
+            if region_spans is None or not any(
+                _pinned(region_spans, alerts[seq].occurred_at) for seq in seqs
+            ):
+                ready.append(root)
+        finalized = self._finalize(ready)
+        if not self._keep:
+            self._evict(safe_before, spans)
+        return finalized
 
-    def drain(self) -> list[AlertCluster]:
+    def drain(self) -> tuple[dict[str, int], list[AlertCluster]]:
         """Finalise every remaining component (end of stream)."""
         return self._finalize(list(self._members))
 
@@ -278,9 +348,12 @@ class OnlineCorrelator:
         self._signature_limit = max(_MAX_SIGNATURES, 2 * len(self._signatures))
         self._memo_version = self._analyzer.evidence_version
 
-    def _finalize(self, roots: list[int]) -> list[AlertCluster]:
+    def _finalize(
+        self, roots: list[int],
+    ) -> tuple[dict[str, int], list[AlertCluster]]:
+        closed: dict[str, int] = {}
         clusters: list[AlertCluster] = []
-        evicted: dict[str, set[int]] = {}
+        closed_seqs: dict[str, set[int]] = {}
         for root in roots:
             member_seqs = self._members.pop(root)
             del self._max_time[root]
@@ -288,16 +361,57 @@ class OnlineCorrelator:
                 del self._parent[seq]
             alerts = [self._alerts.pop(seq) for seq in member_seqs]
             # A component never spans regions: only its bucket shrinks.
-            evicted.setdefault(alerts[0].region, set()).update(member_seqs)
-            clusters.append(self._analyzer.build_cluster(alerts))
-        for region, gone in evicted.items():
+            region = alerts[0].region
+            closed[region] = closed.get(region, 0) + 1
+            closed_seqs.setdefault(region, set()).update(member_seqs)
+            if self._keep:
+                clusters.append(self._analyzer.build_cluster(alerts))
+        for region, gone in closed_seqs.items():
             kept = [item for item in self._timelines[region] if item[1] not in gone]
             if kept:
                 self._timelines[region] = kept
             else:
                 del self._timelines[region]
+                self._swept.pop(region, None)
         clusters.sort(key=lambda c: (c.alerts[0].occurred_at, -c.size))
-        self.finalized_count += len(clusters)
-        if self._retain_finalized:
-            self.finalized.extend(clusters)
-        return clusters
+        return closed, clusters
+
+    def _evict(
+        self,
+        safe_before: float,
+        spans: dict[str, tuple[list[float], list[float]]],
+    ) -> None:
+        """Drop below-horizon members outside every pending span.
+
+        Runs after the ready components are closed, so every component
+        left has a member at or above ``safe_before`` or inside a span
+        and never loses its last member here.
+        """
+        alerts = self._alerts
+        parent = self._parent
+        members = self._members
+        swept = self._swept
+        for region, timeline in self._timelines.items():
+            below = bisect.bisect_left(timeline, (safe_before,))
+            if below < max(_MIN_SWEEP, 2 * swept.get(region, 0)):
+                continue
+            # The prefix splits into pinned runs (one per span, two
+            # bisects each) and the gaps between them, which leave.
+            kept: list[tuple[float, int, int]] = []
+            gone: list[tuple[float, int, int]] = []
+            cursor = 0
+            for start, end in zip(*spans.get(region, ((), ()))):
+                lo = bisect.bisect_left(timeline, (start,), cursor, below)
+                hi = bisect.bisect_right(timeline, (end, _INF), lo, below)
+                gone += timeline[cursor:lo]
+                kept += timeline[lo:hi]
+                cursor = hi
+            gone += timeline[cursor:below]
+            timeline[:below] = kept
+            swept[region] = len(kept)
+            shrunk: set[int] = set()
+            for _, seq, _ in gone:
+                del alerts[seq]
+                shrunk.add(parent.pop(seq))
+            for root in shrunk:
+                members[root] = [seq for seq in members[root] if seq in parent]

@@ -79,11 +79,15 @@ class OnlineAggregator:
         """Number of in-flight sessions (the bounded working set)."""
         return len(self._sessions)
 
-    def min_open_first(self) -> float | None:
-        """Earliest ``first_at`` among open sessions (correlator watermark)."""
-        if not self._sessions:
-            return None
-        return min(session.first_at for session in self._sessions.values())
+    def open_representatives(self) -> list[Alert]:
+        """The current representative of every open session.
+
+        In an in-order stream a session's representative only ever moves
+        to a later alert (most severe wins, earliest breaks ties), so
+        these plus alerts at or after the watermark are every
+        representative R2 can still emit: the correlator's ``pending``.
+        """
+        return [session.representative for session in self._sessions.values()]
 
     def ingest(self, alert: Alert) -> list[AggregatedAlert]:
         """Feed one alert; returns the aggregates this event closed."""

@@ -655,7 +655,6 @@ class AlertGateway:
                         open_sessions=0,
                         active_components=0,
                         retained_representatives=0,
-                        min_open_first=None,
                     )
                     for _, plane in sorted(stats.planes.items())
                 ),

@@ -22,13 +22,15 @@ and R4 detection execute there, off the gateway loop — the
 gateway is reduced to routing, watermark tracking, and snapshot/stat
 merging.
 
-The plane's safety horizon for R3 finalisation is plane-local: any
-future representative in this plane's regions must come from this
-plane's open sessions, so ``min(gateway watermark, plane min-open-first)
-- window`` is a valid (and tighter) horizon than the PR-2 global one.
-Finalising earlier never changes what is finalised — components are
-closed only when provably unreachable — so end-of-run accounting is
-identical to the flat gateway for in-order streams.
+R3 finalisation is plane-local: a future representative in this plane's
+regions is either the current representative of one of this plane's
+open sessions or an alert at or after the gateway watermark, so the
+plane hands its sessions' representatives to the correlator as
+``pending``.  Components are closed only when provably unreachable, so
+end-of-run accounting is identical to the flat gateway for in-order
+streams.  Without ``retain_artifacts`` the correlator also evicts the
+members nothing can reach any more and counts clusters without building
+them.
 """
 
 from __future__ import annotations
@@ -231,7 +233,6 @@ class PlaneSnapshot:
     open_sessions: int
     active_components: int
     retained_representatives: int
-    min_open_first: float | None
 
     def counters(self) -> dict[str, int]:
         """The accounting fields as a plain dict (stats/snapshot payload)."""
@@ -338,12 +339,15 @@ class RegionPlane:
         self.processor = StreamProcessor(
             config.blocker, config.aggregation_window,
         )
-        self._correlator = OnlineCorrelator(CorrelationAnalyzer(
-            config.graph,
-            rulebook=config.rulebook,
-            max_hops=config.correlation_max_hops,
-            time_window=config.correlation_window,
-        ))
+        self._correlator = OnlineCorrelator(
+            CorrelationAnalyzer(
+                config.graph,
+                rulebook=config.rulebook,
+                max_hops=config.correlation_max_hops,
+                time_window=config.correlation_window,
+            ),
+            keep_members=config.retain_artifacts,
+        )
         self._detector = (
             OnlineStormDetector() if config.enable_storm_detection else None
         )
@@ -384,10 +388,6 @@ class RegionPlane:
         """In-flight R2 sessions on this plane."""
         return self.processor.open_sessions
 
-    def min_open_first(self) -> float | None:
-        """Earliest open-session start on this plane (R3 safety horizon)."""
-        return self.processor.min_open_first()
-
     def regions(self) -> list[str]:
         """Regions with recorded history on this plane, sorted.
 
@@ -410,7 +410,6 @@ class RegionPlane:
             open_sessions=self.open_sessions,
             active_components=self._correlator.active_components,
             retained_representatives=self._correlator.retained,
-            min_open_first=self.min_open_first(),
         )
 
     # ------------------------------------------------------------------
@@ -427,8 +426,8 @@ class RegionPlane:
 
         ``alerts`` is this plane's slice of the stream in arrival order;
         ``in_warmup`` the leading-event count inside the gateway-global
-        novelty warmup; ``watermark`` the gateway's max event time, which
-        caps the plane-local R3 safety horizon.  ``collect_emitted=False``
+        novelty warmup; ``watermark`` the gateway's max event time, below
+        which R3 can finalise (one window back).  ``collect_emitted=False``
         returns the result with ``emitted=None`` — callers that only fold
         counters (process workers, ingress lanes) skip materialising the
         aggregate list in the result.
@@ -672,19 +671,20 @@ class RegionPlane:
 
     def _finalize_ready(self, watermark: float) -> None:
         """Close correlation components no future representative can join."""
-        clusters = self._correlator.finalize_ready(watermark, self.min_open_first())
-        self._count_clusters(clusters)
-        if self._retain and clusters:
-            self.clusters.extend(clusters)
+        self._count_clusters(*self._correlator.finalize_ready(
+            watermark, self.processor.open_representatives(),
+        ))
 
-    def _count_clusters(self, clusters: list[AlertCluster]) -> None:
-        """Fold finalised clusters into plane and per-region counters."""
-        self.clusters_finalized += len(clusters)
+    def _count_clusters(
+        self, closed: dict[str, int], clusters: list[AlertCluster],
+    ) -> None:
+        """Fold finalised components into plane and per-region counters
+        (and their clusters, when artifacts are retained)."""
         region_counts = self._region_counts
-        for cluster in clusters:
-            # Evidence requires equal regions, so one member names the
-            # whole cluster's region.
-            region_counts[cluster.alerts[0].region][3] += 1
+        for region, count in closed.items():
+            self.clusters_finalized += count
+            region_counts[region][3] += count
+        self.clusters.extend(clusters)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -779,10 +779,7 @@ class RegionPlane:
         self.aggregates_emitted += len(emitted_all)
         if self._retain and emitted_all:
             self.aggregates.extend(emitted_all)
-        clusters = correlator.drain()
-        self._count_clusters(clusters)
-        if self._retain and clusters:
-            self.clusters.extend(clusters)
+        self._count_clusters(*correlator.drain())
         if self._detector is not None and watermark is not None:
             self._detector.finish(watermark)
         observations = None

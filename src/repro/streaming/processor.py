@@ -43,9 +43,9 @@ class StreamProcessor:
         """In-flight aggregation sessions."""
         return self._aggregator.open_sessions
 
-    def min_open_first(self) -> float | None:
-        """Earliest open-session start (feeds the correlator's horizon)."""
-        return self._aggregator.min_open_first()
+    def open_representatives(self) -> list[Alert]:
+        """Open sessions' representatives (the correlator's ``pending``)."""
+        return self._aggregator.open_representatives()
 
     def ingest_batch(
         self,

@@ -1,5 +1,5 @@
 """Property: the online correlator's fast scan is indistinguishable from
-a naive one.
+a naive one, and evicting what nothing can reach changes no count.
 
 ``OnlineCorrelator.add`` answers "same component?" from a quick-find
 table and "evidence?" from a per-signature memo.  The reference below
@@ -11,11 +11,21 @@ several regions, a random rule book, interleaved finalisation and
 export → adopt into a fresh correlator, both must emit the same clusters
 — member order, root alert, root microservice, coverage — and the batch
 sweep must agree on the partition.
+
+Finalisation is driven by the ``pending`` contract itself: at a
+"finalize" op the watermark is drawn no higher than what was added so
+far (and never lower than the last one), and ``pending`` is exactly the
+arrivals still to come that are older than it.  A correlator that keeps
+no members (the gateway without ``retain_artifacts``) runs alongside and
+must close the same number of components per region at every call.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
+from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,12 +35,19 @@ from repro.core.mitigation.correlation import (
     CorrelationAnalyzer,
     DependencyRuleBook,
 )
+from repro.streaming import correlator as correlator_module
 from repro.streaming.correlator import OnlineCorrelator
 from tests.streaming.conftest import make_alert
 
 _REGIONS = ("region-A", "region-B", "region-C")
 _STRATEGIES = tuple(f"s-{index}" for index in range(4))
 _WINDOW = 900.0
+
+#: Under the seeded CI profile (HYPOTHESIS_PROFILE=scale_chaos) the
+#: property runs derandomized with a deeper example budget; explicit here
+#: because the per-test @settings would override the profile's count.
+_CHAOS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE") == "scale_chaos"
+_EXAMPLES = 600 if _CHAOS_PROFILE else 120
 
 
 class _NaiveCorrelator:
@@ -89,11 +106,22 @@ class _NaiveCorrelator:
                     for _, alert in members:
                         self._retain(alert, fresh)
 
-    def finalize(self, safe_before: float | None = None) -> list[AlertCluster]:
+    def finalize(
+        self, safe_before: float | None = None, pending: tuple[Alert, ...] = (),
+    ) -> list[AlertCluster]:
+        def reachable(members: list[tuple[int, Alert]]) -> bool:
+            return any(
+                other.region == alert.region
+                and other.occurred_at - _WINDOW <= alert.occurred_at
+                <= other.occurred_at + _WINDOW
+                for _, alert in members for other in pending
+            )
+
         ready = [
             members for members in self._components()
             if safe_before is None
-            or max(alert.occurred_at for _, alert in members) < safe_before
+            or (max(alert.occurred_at for _, alert in members) < safe_before
+                and not reachable(members))
         ]
         for members in ready:
             for seq, _ in members:
@@ -101,6 +129,10 @@ class _NaiveCorrelator:
         self.retained = [item for item in self.retained if item[1] in self.component]
         return [self.analyzer.build_cluster([alert for _, alert in members])
                 for members in ready]
+
+
+def _per_region(clusters: list[AlertCluster]) -> dict[str, int]:
+    return dict(Counter(c.alerts[0].region for c in clusters))
 
 
 def _emitted(clusters: list[AlertCluster]) -> list[tuple]:
@@ -113,7 +145,9 @@ def _emitted(clusters: list[AlertCluster]) -> list[tuple]:
 
 @st.composite
 def scenarios(draw):
-    """(rule pairs, alert draws in arrival order, one op per arrival)."""
+    """(rule pairs, alert draws in arrival order, one op per arrival).
+
+    An op carries a drawn watermark tick, used by "finalize" only."""
     rules = draw(st.sets(
         st.tuples(st.sampled_from(_STRATEGIES), st.sampled_from(_STRATEGIES))
         .filter(lambda pair: pair[0] != pair[1]),
@@ -130,18 +164,26 @@ def scenarios(draw):
         min_size=n, max_size=n,
     ))  # drawn order is arrival order: timestamps go back and forth
     ops = draw(st.lists(
-        st.sampled_from(("none", "none", "finalize", "migrate")),
+        st.tuples(
+            st.sampled_from(("none", "none", "finalize", "migrate")),
+            st.integers(0, 40),
+        ),
         min_size=n, max_size=n,
     ))
     return rules, arrivals, ops
 
 
 class TestOnlineCorrelatorAgainstNaiveScan:
-    @settings(max_examples=120, deadline=None)
-    @given(scenario=scenarios())
+    @settings(max_examples=_EXAMPLES, deadline=None, derandomize=_CHAOS_PROFILE)
+    @given(scenario=scenarios(), min_sweep=st.sampled_from((1, 3, 64)))
     def test_same_clusters_as_naive_scan_and_batch_partition(
-        self, scenario, small_topology,
+        self, scenario, min_sweep, small_topology,
     ):
+        with mock.patch.object(correlator_module, "_MIN_SWEEP", min_sweep):
+            self._check(scenario, small_topology)
+
+    @staticmethod
+    def _check(scenario, small_topology):
         rules, arrivals, ops = scenario
         rulebook = DependencyRuleBook()
         for source, derived in sorted(rules):
@@ -157,27 +199,46 @@ class TestOnlineCorrelatorAgainstNaiveScan:
             for tick, strategy, micro, region in arrivals
         ]
         online, naive = OnlineCorrelator(analyzer), _NaiveCorrelator(analyzer)
+        evicting = OnlineCorrelator(analyzer, keep_members=False)
         got: list[AlertCluster] = []
         want: list[AlertCluster] = []
-        for index, (alert, op) in enumerate(zip(alerts, ops)):
+        counted: Counter[str] = Counter()
+        added_max = watermark = float("-inf")
+        for index, (alert, (op, tick)) in enumerate(zip(alerts, ops)):
             online.add(alert)
             naive.add(alert)
-            pending = alerts[index + 1:]
-            if op == "finalize" and pending:
-                # The true safety horizon: nothing still to arrive is older.
-                watermark = min(a.occurred_at for a in pending)
-                got += online.finalize_ready(watermark, min_open_first=None)
-                want += naive.finalize(watermark - _WINDOW)
+            evicting.add(alert)
+            added_max = max(added_max, alert.occurred_at)
+            if op == "finalize":
+                watermark = max(watermark, min(100.0 * tick, added_max))
+                pending = tuple(
+                    a for a in alerts[index + 1:] if a.occurred_at < watermark
+                )
+                closed, clusters = online.finalize_ready(watermark, pending)
+                assert closed == _per_region(clusters)
+                got += clusters
+                want += naive.finalize(watermark - _WINDOW, pending)
+                assert evicting.finalize_ready(watermark, pending) == (closed, [])
+                counted.update(closed)
             elif op == "migrate":
                 fresh = OnlineCorrelator(analyzer)
+                fresh_evicting = OnlineCorrelator(analyzer, keep_members=False)
                 for region in _REGIONS:
                     fresh.adopt_region(region, online.export_region(region))
-                assert online.retained == 0 and online.active_components == 0
-                online = fresh
+                    fresh_evicting.adopt_region(region, evicting.export_region(region))
+                for migrated in (online, evicting):
+                    assert migrated.retained == 0 and migrated.active_components == 0
+                online, evicting = fresh, fresh_evicting
                 naive.migrate()
-        got += online.drain()
+            assert evicting.retained <= online.retained
+            assert evicting.active_components == online.active_components
+        closed, clusters = online.drain()
+        got += clusters
         want += naive.finalize()
+        assert evicting.drain() == (closed, [])
+        counted.update(closed)
         assert _emitted(got) == _emitted(want)
         batch = analyzer.correlate(list(alerts))
         assert sorted(sorted(a.alert_id for a in c.alerts) for c in got) == \
             sorted(sorted(a.alert_id for a in c.alerts) for c in batch)
+        assert dict(counted) == _per_region(batch)

@@ -108,25 +108,22 @@ def test_plane_parallel_beats_gateway_serial_path(multi_region_setup):
     architecture (everything after routing on a single execution context)
     on the interleaved multi-region flood — on any machine: with no extra
     cores the win is per-region run locality in R4 and smaller R3
-    timelines; extra cores add concurrency on top.  Each config takes the
-    best of three runs: scheduler noise only ever slows a run down, so
-    best-of approximates the true speed and keeps the ordering assertion
-    stable on loaded CI runners."""
+    timelines; extra cores add concurrency on top.  The two configs run
+    alternately for five rounds and each takes its best: scheduler noise
+    only ever slows a run down, so best-of approximates the true speed,
+    and alternating spreads a slow stretch of the machine over both
+    sides instead of one."""
     trace, topology, blocker, rulebook, report = multi_region_setup
-
-    def best_of(n_planes: int, rounds: int = 3) -> float:
-        best = 0.0
-        for _ in range(rounds):
+    best = {1: 0.0, 4: 0.0}
+    for _ in range(5):
+        for n_planes in best:
             stats = bench.run_config(
                 trace, topology, blocker, rulebook,
                 n_planes=n_planes, flush_size=512,
             )
             assert stats.reconcile(report) == {}
-            best = max(best, stats.throughput)
-        return best
-
-    gateway_serial = best_of(1)
-    plane_parallel = best_of(4)
+            best[n_planes] = max(best[n_planes], stats.throughput)
+    gateway_serial, plane_parallel = best[1], best[4]
     assert plane_parallel > gateway_serial, (
         f"plane-parallel path ran at {plane_parallel:,.0f} alerts/s "
         f"vs {gateway_serial:,.0f} for the gateway-serial path"

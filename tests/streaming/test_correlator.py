@@ -59,7 +59,7 @@ class TestBatchParity:
         online = OnlineCorrelator(analyzer)
         for alert in alerts:
             online.add(alert)
-        clusters = online.drain()
+        _, clusters = online.drain()
         assert sorted(map(_cluster_signature, clusters)) == \
             sorted(map(_cluster_signature, batch))
 
@@ -71,8 +71,8 @@ class TestBatchParity:
         shuffled = OnlineCorrelator(analyzer)
         for alert in reversed(alerts):
             shuffled.add(alert)
-        assert sorted(map(_cluster_signature, forward.drain())) == \
-            sorted(map(_cluster_signature, shuffled.drain()))
+        assert sorted(map(_cluster_signature, forward.drain()[1])) == \
+            sorted(map(_cluster_signature, shuffled.drain()[1]))
 
 
 class TestFinalisation:
@@ -80,32 +80,83 @@ class TestFinalisation:
         online = OnlineCorrelator(analyzer)
         online.add(make_alert(0.0, strategy_id="s-source"))
         online.add(make_alert(100.0, strategy_id="s-derived"))
-        # Watermark far past the window, no open sessions: safe to close.
-        closed = online.finalize_ready(watermark=10_000.0, min_open_first=None)
-        assert len(closed) == 1
-        assert closed[0].size == 2
+        # Watermark far past the window, nothing pending: safe to close.
+        closed, clusters = online.finalize_ready(watermark=10_000.0, pending=[])
+        assert closed == {"region-A": 1}
+        assert [c.size for c in clusters] == [2]
         assert online.retained == 0
 
     def test_open_session_blocks_finalisation(self, analyzer):
         online = OnlineCorrelator(analyzer)
         online.add(make_alert(0.0, strategy_id="s-source"))
-        # An open session started at t=200 could still emit a representative
-        # within the window of the retained entry.
-        closed = online.finalize_ready(watermark=10_000.0, min_open_first=200.0)
-        assert closed == []
+        # An open session's representative at t=200 could still be
+        # emitted within the window of the retained entry.
+        pending = [make_alert(200.0, strategy_id="s-derived")]
+        assert online.finalize_ready(watermark=10_000.0, pending=pending) == ({}, [])
         assert online.retained == 1
+        # A pending representative of another region cannot reach it.
+        elsewhere = [make_alert(200.0, strategy_id="s-derived", region="region-B")]
+        closed, _ = online.finalize_ready(watermark=10_000.0, pending=elsewhere)
+        assert closed == {"region-A": 1}
+
+    def test_old_pending_representative_pins_only_its_window(self, analyzer):
+        """A session that never closes pins the members within one window
+        of its representative; everything else behind the watermark is
+        finalised or, without kept members, evicted."""
+        for keep in (True, False):
+            online = OnlineCorrelator(analyzer, keep_members=keep)
+            online.add(make_alert(0.0, strategy_id="s-source"))           # pinned
+            online.add(make_alert(5_000.0, strategy_id="s-source"))       # alone
+            online.add(make_alert(20_000.0, strategy_id="s-source"))      # linked
+            online.add(make_alert(20_500.0, strategy_id="s-derived"))     # linked
+            online.add(make_alert(30_000.0, strategy_id="s-derived"))     # recent
+            pending = [make_alert(600.0, strategy_id="s-derived")]
+            closed, clusters = online.finalize_ready(watermark=30_000.0, pending=pending)
+            assert closed == {"region-A": 2}
+            if keep:
+                assert sorted(c.size for c in clusters) == [1, 2]
+            else:
+                assert clusters == []
+            assert online.active_components == 2
+            assert sorted(a.occurred_at for a in online._alerts.values()) == [0.0, 30_000.0]
+
+    def test_evicted_members_leave_the_open_component(self, analyzer, monkeypatch):
+        """A long component whose old members nothing can reach keeps only
+        its reachable tail; merges and the drained count are unchanged."""
+        monkeypatch.setattr(correlator_module, "_MIN_SWEEP", 1)
+        chain = [
+            make_alert(300.0 * index, strategy_id=("s-source", "s-derived")[index % 2])
+            for index in range(40)
+        ]
+        online = OnlineCorrelator(analyzer, keep_members=False)
+        for alert in chain:
+            online.add(alert)
+        pending = make_alert(3_000.0, strategy_id="s-source")
+        closed, _ = online.finalize_ready(watermark=11_700.0, pending=[pending])
+        assert closed == {}
+        assert online.active_components == 1
+        # Within one window of the watermark (10 800 .. 11 700) or of the
+        # pending representative (2 100 .. 3 900).
+        assert sorted(a.occurred_at for a in online._alerts.values()) == [
+            *(300.0 * index for index in range(7, 14)),
+            *(300.0 * index for index in range(36, 40)),
+        ]
+        online.add(pending)
+        online.add(make_alert(12_000.0, strategy_id="s-source"))
+        assert online.active_components == 1
+        assert online.drain() == ({"region-A": 1}, [])
 
     def test_early_finalisation_preserves_parity(self, analyzer, small_topology):
         alerts = _graph_stream(small_topology)
         batch = analyzer.correlate(list(alerts))
-        online = OnlineCorrelator(analyzer, retain_finalized=True)
+        online = OnlineCorrelator(analyzer)
+        clusters = []
         for alert in alerts:
             online.add(alert)
             # Aggressively finalise between events, as the gateway does.
-            online.finalize_ready(watermark=alert.occurred_at, min_open_first=None)
-        online.drain()
-        assert online.finalized_count == len(online.finalized)
-        assert sorted(map(_cluster_signature, online.finalized)) == \
+            clusters += online.finalize_ready(watermark=alert.occurred_at, pending=[])[1]
+        clusters += online.drain()[1]
+        assert sorted(map(_cluster_signature, clusters)) == \
             sorted(map(_cluster_signature, batch))
 
     def test_drain_empties_state(self, analyzer):
@@ -154,7 +205,7 @@ class TestEvidenceMemo:
         online = OnlineCorrelator(analyzer)
         for alert in alerts:
             online.add(alert)
-        clusters = online.drain()
+        _, clusters = online.drain()
         assert 0 < calls <= len(pairs_present)
         assert sorted(map(_cluster_signature, clusters)) == \
             sorted(map(_cluster_signature, analyzer.correlate(list(alerts))))
@@ -173,15 +224,16 @@ class TestEvidenceMemo:
         analyzer = CorrelationAnalyzer(small_topology.graph, max_hops=2, time_window=900.0)
 
         def run(observe):
-            online = OnlineCorrelator(analyzer, retain_finalized=True)
+            online = OnlineCorrelator(analyzer)
+            clusters = []
             for alert in alerts:
                 online.add(alert)
-                online.finalize_ready(watermark=alert.occurred_at, min_open_first=None)
+                clusters += online.finalize_ready(watermark=alert.occurred_at, pending=[])[1]
                 observe(len(online._signatures))
-            online.drain()
+            clusters += online.drain()[1]
             return [
                 ([a.alert_id for a in c.alerts], c.root_alert.alert_id, c.coverage)
-                for c in online.finalized
+                for c in clusters
             ]
 
         uncapped_sizes, capped_sizes = [], []
@@ -220,7 +272,7 @@ class TestStaleEvidence:
             online.add(alert)
         batch = analyzer.correlate([first, second, *later])
         assert len(batch) == 1
-        assert sorted(map(_cluster_signature, online.drain())) == \
+        assert sorted(map(_cluster_signature, online.drain()[1])) == \
             sorted(map(_cluster_signature, batch))
 
     def test_new_dependency_edge_flips_batch_and_online(self):
@@ -261,7 +313,8 @@ class TestFinalizeTouchesOnlyShrunkRegions:
         online.add(make_alert(0.0, region="region-A"))
         online.add(make_alert(5_000.0, region="region-B"))
         untouched = online._timelines["region-B"]
-        closed = online.finalize_ready(watermark=5_000.0, min_open_first=None)
-        assert [c.alerts[0].region for c in closed] == ["region-A"]
+        closed, clusters = online.finalize_ready(watermark=5_000.0, pending=[])
+        assert closed == {"region-A": 1}
+        assert [c.alerts[0].region for c in clusters] == ["region-A"]
         assert online._timelines == {"region-B": untouched}
         assert online._timelines["region-B"] is untouched  # not rebuilt

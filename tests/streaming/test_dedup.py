@@ -74,14 +74,20 @@ class TestEviction:
         # 10 keys all active within the window: exactly 10 open sessions.
         assert online.open_sessions == 10
 
-    def test_min_open_first_tracks_earliest_session(self):
+    def test_open_representatives_track_open_sessions(self):
         online = OnlineAggregator(900.0)
-        assert online.min_open_first() is None
-        online.ingest(make_alert(100.0, strategy_id="s-a"))
+        assert online.open_representatives() == []
+        first = make_alert(100.0, strategy_id="s-a")
+        online.ingest(first)
         online.ingest(make_alert(200.0, strategy_id="s-b"))
-        assert online.min_open_first() == 100.0
+        online.ingest(make_alert(300.0, strategy_id="s-a"))  # not more severe
+        assert sorted(a.occurred_at for a in online.open_representatives()) == [100.0, 200.0]
+        # Only a more severe, hence later, alert moves a representative.
+        online.ingest(make_alert(400.0, strategy_id="s-a", severity=Severity.CRITICAL))
+        assert first not in online.open_representatives()
+        assert sorted(a.occurred_at for a in online.open_representatives()) == [200.0, 400.0]
         online.drain()
-        assert online.min_open_first() is None
+        assert online.open_representatives() == []
 
 
 class TestBatchIngestion:
@@ -197,7 +203,7 @@ class TestSessionMigration:
         target = OnlineAggregator(900.0)
         target.adopt(sessions)
         assert target.open_sessions == 2
-        assert target.min_open_first() == 100.0
+        assert sorted(a.occurred_at for a in target.open_representatives()) == [100.0, 200.0]
         # The migrated session keeps extending as if nothing happened.
         emitted = target.ingest(make_alert(500.0, strategy_id="s-a"))
         assert emitted == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.alerting.alert import Severity
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
 from repro.core.mitigation.blocking import AlertBlocker
@@ -14,7 +15,9 @@ from repro.streaming import (
     iter_jsonl_alerts,
     merge_ordered,
 )
+from repro.topology.graph import DependencyGraph
 from repro.workload import StormConfig, build_multi_region_storm
+from repro.workload.trace import AlertTrace
 from tests.streaming.conftest import aggregate_row, ingest_in_cuts, make_alert
 
 
@@ -101,6 +104,33 @@ class TestArtefactParity:
         assert _cluster_rows(gateway.clusters) == _cluster_rows(report.clusters)
 
 
+def _repeating_storm(n_bursts):
+    """Two regions, each with a strategy that fires every 5 min for the
+    whole stream (the paper's repeating alert) and, every two correlation
+    windows, a burst over three topology-linked microservices."""
+    graph = DependencyGraph()
+    for name in ("front", "back", "db", "island"):
+        graph.add_microservice(name)
+    graph.add_dependency("front", "back")
+    graph.add_dependency("back", "db")
+    alerts = []
+    for region in ("region-A", "region-B"):
+        alerts += [
+            make_alert(300.0 * index, strategy_id="s-repeat", microservice="island",
+                       region=region, severity=Severity.CRITICAL)
+            for index in range(6 * n_bursts)
+        ]
+        for burst in range(n_bursts):
+            for step in range(9):
+                micro = ("front", "back", "db")[step % 3]
+                alerts.append(make_alert(
+                    1800.0 * burst + 100.0 + 30.0 * step,
+                    strategy_id=f"s-{micro}", microservice=micro, region=region,
+                ))
+    alerts.sort(key=lambda alert: alert.occurred_at)
+    return graph, alerts
+
+
 class TestStreamingBehaviour:
     def test_memory_stays_bounded_during_storm(self, storm_trace):
         """In-flight state must stay far below the number of ingested events."""
@@ -117,6 +147,30 @@ class TestStreamingBehaviour:
         assert stats.input_alerts == len(trace)
         assert peak_open < len(trace) * 0.15
         assert peak_retained < len(trace) * 0.25
+
+    def test_r3_state_is_bounded_under_a_never_closing_session(self):
+        """A repeating strategy keeps its R2 session open for the whole
+        stream; R3 must still finalise and evict behind it, so retained
+        representatives at 4x the stream are those at 1x plus a small
+        constant (the amortised sweep's slack), and the accounting stays
+        exact."""
+        graph, alerts = _repeating_storm(n_bursts=160)
+        report = MitigationPipeline(graph).run(
+            AlertTrace(alerts=list(alerts)), blocker=AlertBlocker(),
+        )
+        gateway = AlertGateway(graph, blocker=AlertBlocker(), retain_artifacts=False)
+        quarter = len(alerts) // 4
+        gateway.ingest_batch(alerts[:quarter])
+        at_one = gateway.snapshot().retained_representatives
+        gateway.ingest_batch(alerts[quarter:])
+        at_four = gateway.snapshot().retained_representatives
+        assert at_four <= at_one + 64
+        assert gateway.drain().reconcile(report) == {}
+
+        kept = AlertGateway(graph, blocker=AlertBlocker(), retain_artifacts=True)
+        kept.ingest_batch(alerts)
+        assert kept.drain().reconcile(report) == {}
+        assert _cluster_rows(kept.clusters) == _cluster_rows(report.clusters)
 
     def test_storm_is_detected_online(self, storm_trace):
         trace, topology = storm_trace
