@@ -1,26 +1,17 @@
-"""Online rule learning + streaming QoA: overhead and divergence bench.
+"""Online rule learning: divergence from the batch rule set at bench scale.
 
 Replays the drifting-noise workload (:mod:`repro.workload.drift`) at
-bench scale through three gateway configurations:
+bench scale through a learning gateway and compares the rules it
+promoted with the batch-derived set: learned-rule precision/recall on
+the stationary trace (asserted >= 0.9 precision, the ISSUE-4 bound) and
+the reported divergence on the drifting trace.  The numbers land in the
+report and ``benchmarks/results/online_learning.json``.
 
-* ``plain`` — the PR-3 gateway, no observation collection (baseline);
-* ``learn`` — online R1 rule learning from streaming A4/A5 detection;
-* ``learn+qoa`` — learning plus incremental per-strategy QoA scoring.
+The cost of learning, QoA and detection is measured end to end by the
+``background_detect`` workload of ``benchmarks/e2e``.
 
-Two families of numbers land in the report and
-``benchmarks/results/online_learning.json``:
-
-* **overhead** — throughput of each configuration; the learning path
-  must stay within ``_MAX_OVERHEAD`` of the plain gateway (the digest
-  pass is one dict update per event, and it only exists when enabled);
-* **divergence** — the differential harness's metrics at bench scale:
-  learned-rule precision/recall vs the batch-derived set on the
-  stationary trace (asserted >= 0.9 precision, the ISSUE-4 bound) and
-  the reported divergence on the drifting trace.
-
-``run_learning_sweep``/``run_divergence`` are importable; the fast
-smoke test under ``tests/`` drives them with small traces so this
-script cannot silently bit-rot.
+``run_divergence`` is importable; the fast smoke test under ``tests/``
+drives it with a small trace so this script cannot silently bit-rot.
 """
 
 from __future__ import annotations
@@ -36,15 +27,6 @@ from repro.streaming import AlertGateway, LearnerConfig, rule_set_divergence
 from repro.workload import DriftConfig, build_drifting_noise_trace, drift_graph
 
 _RESULTS_DIR = Path(__file__).parent / "results"
-#: Learning may cost at most this factor of plain-gateway throughput.
-_MAX_OVERHEAD = 3.0
-
-#: (label, learn_rules, enable_qoa)
-LEARNING_CONFIGS = (
-    ("plain", False, False),
-    ("learn", True, False),
-    ("learn+qoa", True, True),
-)
 
 _LEARNER = LearnerConfig(rule_ttl=1800.0)
 
@@ -53,45 +35,20 @@ def _bench_config(hours: float = 24.0, drift: bool = True) -> DriftConfig:
     return DriftConfig(hours=hours, drift=drift)
 
 
-def run_learning_config(
-    trace, graph, learn_rules: bool, enable_qoa: bool, flush_size: int = 512,
-):
-    """One gateway run; returns its end-of-run ``GatewayStats``."""
-    gateway = AlertGateway(
-        graph,
-        blocker=AlertBlocker(),
-        flush_size=flush_size,
-        learn_rules=learn_rules,
-        enable_qoa=enable_qoa,
-        learner_config=_LEARNER,
-        retain_artifacts=False,
-    )
-    gateway.ingest_batch(trace.iter_ordered())
-    return gateway, gateway.drain()
-
-
-def run_learning_sweep(trace, graph) -> dict[str, dict[str, float]]:
-    """Throughput of every learning configuration on one trace."""
-    measurements: dict[str, dict[str, float]] = {}
-    for label, learn_rules, enable_qoa in LEARNING_CONFIGS:
-        _gateway, stats = run_learning_config(trace, graph, learn_rules, enable_qoa)
-        measurements[label] = {
-            "alerts_per_sec": stats.throughput,
-            "latency_p50_us": stats.latency.quantile(0.50) * 1e6,
-            "latency_p99_us": stats.latency.quantile(0.99) * 1e6,
-            "rules_promoted": float(stats.rules_promoted),
-            "rules_expired": float(stats.rules_expired),
-        }
-    return measurements
-
-
 def run_divergence(trace, graph, flush_size: int = 512) -> dict[str, float]:
     """Online-vs-batch rule divergence on one trace (bench-scale leg)."""
     batch_blocker = MitigationPipeline.derive_blocker(trace)
     batch_set = {rule.strategy_id for rule in batch_blocker.rules}
-    gateway, stats = run_learning_config(
-        trace, graph, learn_rules=True, enable_qoa=False, flush_size=flush_size,
+    gateway = AlertGateway(
+        graph,
+        blocker=AlertBlocker(),
+        flush_size=flush_size,
+        learn_rules=True,
+        learner_config=_LEARNER,
+        retain_artifacts=False,
     )
+    gateway.ingest_batch(trace.iter_ordered())
+    stats = gateway.drain()
     batch_report = MitigationPipeline(graph).run(trace, blocker=batch_blocker)
     metrics = rule_set_divergence(gateway.learner.ever_promoted, batch_set)
     metrics["online_blocked"] = float(stats.blocked_alerts)
@@ -100,19 +57,11 @@ def run_divergence(trace, graph, flush_size: int = 512) -> dict[str, float]:
     return metrics
 
 
-def test_online_learning_overhead_and_divergence(benchmark):
+def test_online_learning_divergence():
     config = _bench_config()
     trace = build_drifting_noise_trace(config)
     graph = drift_graph(config)
     stationary = build_drifting_noise_trace(_bench_config(drift=False))
-
-    by_config = run_learning_sweep(trace, graph)
-    plain = by_config["plain"]["alerts_per_sec"]
-    learned = by_config["learn+qoa"]["alerts_per_sec"]
-    assert learned * _MAX_OVERHEAD >= plain, (
-        f"learning+qoa ran at {plain / learned:.2f}x the plain gateway's "
-        f"cost; budget is {_MAX_OVERHEAD}x"
-    )
 
     stationary_div = run_divergence(stationary, graph)
     assert stationary_div["precision"] >= 0.9, (
@@ -120,30 +69,17 @@ def test_online_learning_overhead_and_divergence(benchmark):
     )
     drifting_div = run_divergence(trace, graph)
 
-    # The timed figure-of-record: the full learning + QoA path.
-    _gateway, stats = benchmark(lambda: run_learning_config(
-        trace, graph, learn_rules=True, enable_qoa=True,
-    ))
-    assert stats.input_alerts == len(trace)
-
-    rows = []
-    for label, metrics in by_config.items():
-        rows.append(ComparisonRow(
-            f"{label:>10}", f"({len(trace):,} drifting alerts)",
-            f"{metrics['alerts_per_sec']:>9,.0f} alerts/s  "
-            f"p50 {metrics['latency_p50_us']:.1f} us  "
-            f"p99 {metrics['latency_p99_us']:.1f} us  "
-            f"rules +{metrics['rules_promoted']:.0f}/-{metrics['rules_expired']:.0f}",
-        ))
-    for label, metrics in (("stationary", stationary_div),
-                           ("drifting", drifting_div)):
-        rows.append(ComparisonRow(
+    rows = [
+        ComparisonRow(
             f"{label:>10}", "(rule divergence vs batch)",
             f"precision {metrics['precision']:.2f}  "
             f"recall {metrics['recall']:.2f}  "
             f"blocked {metrics['online_blocked']:,.0f} online / "
             f"{metrics['batch_blocked']:,.0f} batch",
-        ))
+        )
+        for label, metrics in (("stationary", stationary_div),
+                               ("drifting", drifting_div))
+    ]
     record_report("online_learning", render_comparison(
         f"Online rule learning over {len(trace):,} drifting-noise alerts", rows,
     ))
@@ -151,7 +87,5 @@ def test_online_learning_overhead_and_divergence(benchmark):
     _RESULTS_DIR.mkdir(exist_ok=True)
     (_RESULTS_DIR / "online_learning.json").write_text(json.dumps({
         "trace_alerts": len(trace),
-        "configs": by_config,
         "divergence": {"stationary": stationary_div, "drifting": drifting_div},
-        "overhead_factor": plain / learned,
     }, indent=2, sort_keys=True))

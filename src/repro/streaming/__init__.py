@@ -78,12 +78,7 @@ from repro.streaming.plane import (
 from repro.streaming.processor import StreamProcessor
 from repro.streaming.rings import RingError, SpscRing
 from repro.streaming.routing import PlaneRouter
-from repro.streaming.sources import (
-    iter_jsonl_alerts,
-    merge_ordered,
-    partition_by_region,
-    partition_jsonl_by_region,
-)
+from repro.streaming.sources import iter_jsonl_alerts, merge_ordered
 from repro.streaming.stats import GatewayStats
 from repro.streaming.storm import (
     EmergingSignal,
@@ -154,8 +149,6 @@ __all__ = [
     "RingError",
     "iter_jsonl_alerts",
     "merge_ordered",
-    "partition_by_region",
-    "partition_jsonl_by_region",
     "AlertBatchBuilder",
     "pack_alerts",
     "unpack_alerts",

@@ -682,11 +682,6 @@ class AlertGateway:
         )
 
     @property
-    def backend_name(self) -> str:
-        """The execution backend in use (``serial``/``process``)."""
-        return self._backend.name
-
-    @property
     def n_planes(self) -> int:
         """Number of region-partitioned execution planes."""
         return self._backend.n_planes

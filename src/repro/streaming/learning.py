@@ -249,11 +249,6 @@ class OnlineRuleLearner:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def live_rules(self) -> list[BlockingRule]:
-        """The currently-live learned rules (deterministic order)."""
-        return [self._live[strategy] for strategy in sorted(self._live)]
-
-    @property
     def active_rules(self) -> int:
         """Number of live learned rules."""
         return len(self._live)

@@ -14,8 +14,6 @@ re-plans the whole map.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
 
@@ -57,23 +55,6 @@ class PlaneRouter:
         stable for the router's lifetime, so it can be bound to a local
         once per batch.
         """
-        return self._plane_of
-
-    def assign_all(self, regions: "Iterable[str]") -> dict[str, int]:
-        """Assign a whole region sequence up front; returns the live table.
-
-        The ingress-lane fast path: sources that are partitioned by
-        region before ingestion (``partition_by_region``) know their
-        full region population, so the round-robin assignments can all
-        be made in one call — in the given order, which must be
-        first-seen order for parity with record-at-a-time routing — and
-        the lanes then route against the returned table (the same live
-        dict as :attr:`plane_cache`, same read-only contract) with one
-        dict hit per event and no per-miss fallback.
-        """
-        plane_of = self.plane_of
-        for region in regions:
-            plane_of(region)
         return self._plane_of
 
     def regions_of(self, plane: int) -> tuple[str, ...]:

@@ -6,12 +6,6 @@ occurrence order (for in-memory traces that is
 is lazy — one line decoded per event — so a multi-gigabyte alert log
 streams through the gateway with constant memory, which is the point of
 the subsystem.
-
-For the partitioned ingress lanes, :func:`partition_by_region` splits a
-source into per-region substreams *up front* (each substream preserves
-arrival order, so concatenating them back in order of the original
-stream is the identity) — the natural feed shape for per-region lanes,
-since a region's plane assignment never changes.
 """
 
 from __future__ import annotations
@@ -24,12 +18,7 @@ from repro.alerting.alert import Alert
 from repro.io.jsonl import read_jsonl
 from repro.io.traces import alert_from_dict
 
-__all__ = [
-    "iter_jsonl_alerts",
-    "merge_ordered",
-    "partition_by_region",
-    "partition_jsonl_by_region",
-]
+__all__ = ["iter_jsonl_alerts", "merge_ordered"]
 
 
 def iter_jsonl_alerts(path: str | Path) -> Iterator[Alert]:
@@ -45,30 +34,3 @@ def merge_ordered(*sources: Iterable[Alert]) -> Iterator[Alert]:
     must itself be ordered by ``occurred_at``.
     """
     return heapq.merge(*sources, key=lambda alert: alert.occurred_at)
-
-
-def partition_by_region(source: Iterable[Alert]) -> dict[str, list[Alert]]:
-    """Split one source into per-region substreams, preserving order.
-
-    Keys appear in first-seen region order — the same order a
-    :class:`~repro.streaming.routing.PlaneRouter` observes regions in,
-    so ``router.assign_all(partition)`` reproduces the exact plane
-    assignments a record-at-a-time replay would make.  A stable
-    partition: within each region the alerts keep their arrival order.
-    """
-    by_region: dict[str, list[Alert]] = {}
-    for alert in source:
-        bucket = by_region.get(alert.region)
-        if bucket is None:
-            by_region[alert.region] = bucket = []
-        bucket.append(alert)
-    return by_region
-
-
-def partition_jsonl_by_region(path: str | Path) -> dict[str, list[Alert]]:
-    """Split an ``alerts.jsonl`` file into per-region substreams.
-
-    One pass over the file; same contract as :func:`partition_by_region`
-    (first-seen key order, stable within each region).
-    """
-    return partition_by_region(iter_jsonl_alerts(path))

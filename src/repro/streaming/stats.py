@@ -122,10 +122,6 @@ class GatewayStats:
         """Events processed per wall-clock second."""
         return self.input_alerts / self.elapsed_wall
 
-    def observe_latency(self, seconds: float) -> None:
-        """Record one per-event processing latency."""
-        self.latency.observe(seconds)
-
     def observe_flush(self, seconds: float, events: int) -> None:
         """Record one flush cycle's latency amortised over its events."""
         self.latency.observe_batch(seconds, events)

@@ -135,11 +135,6 @@ class OnlineStormDetector:
         self.episodes: deque[StormEpisode] = deque(maxlen=256)
         self.emerging: deque[EmergingSignal] = deque(maxlen=1024)
 
-    @property
-    def active_storms(self) -> int:
-        """Regions currently in flood."""
-        return len(self._active)
-
     def ingest(self, alert: Alert) -> None:
         """Advance the counters with one unblocked alert.
 

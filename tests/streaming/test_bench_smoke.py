@@ -1,279 +1,18 @@
-"""Fast-mode smoke tests for the streaming benchmarks.
+"""Fast-mode smoke test for the online-learning divergence benchmark.
 
 ``benchmarks/`` is outside the tier-1 test paths, so without this the
-perf scripts could bit-rot silently.  This drives the same importable
-sweep helpers the benchmarks use — every backend, plane, and learning
-config, exact parity asserted inside — plus the plane-parallel-beats-
-gateway-serial comparison on a multi-region storm trace, without the
-strict timing assertions (those stay in the benchmarks, where the
-machine is quiet).  A sweep that yields *zero* samples skips with an
-explicit reason instead of passing vacuously.
+script could bit-rot silently.  This drives the same importable
+``run_divergence`` the benchmark uses on a small trace.
 """
 
 import pytest
 
-from repro.core.mitigation import MitigationPipeline
-from repro.core.mitigation.correlation import rulebook_from_ground_truth
-from repro.workload import (
-    DriftConfig,
-    StormConfig,
-    build_drifting_noise_trace,
-    build_multi_region_storm,
-    drift_graph,
-)
+from repro.workload import DriftConfig, build_drifting_noise_trace, drift_graph
 
-bench = pytest.importorskip(
-    "benchmarks.bench_streaming_throughput",
-    reason="benchmarks/ must be importable from the repo root",
-)
 learning_bench = pytest.importorskip(
     "benchmarks.bench_online_learning",
     reason="benchmarks/ must be importable from the repo root",
 )
-lanes_bench = pytest.importorskip(
-    "benchmarks.bench_ingress_lanes",
-    reason="benchmarks/ must be importable from the repo root",
-)
-detection_bench = pytest.importorskip(
-    "benchmarks.bench_online_detection",
-    reason="benchmarks/ must be importable from the repo root",
-)
-
-
-def _require_samples(measurements: dict, what: str) -> None:
-    """Refuse to vacuously pass an empty sweep.
-
-    A sweep that yields zero throughput samples means the benchmark's
-    configuration matrix collapsed (an empty config tuple, a filter that
-    matched nothing) — every downstream loop and set comparison would
-    pass without testing anything.  Skip with an explicit reason so the
-    hole is visible in the test report instead of silently green.
-    """
-    if not measurements:
-        pytest.skip(
-            f"{what} produced zero throughput samples - benchmark "
-            f"configuration matrix is empty; fix the sweep before "
-            f"trusting this smoke test"
-        )
-
-
-@pytest.fixture(scope="module")
-def bench_setup(storm_trace):
-    trace, topology = storm_trace
-    rulebook = rulebook_from_ground_truth(trace, coverage=0.6)
-    blocker = MitigationPipeline.derive_blocker(trace)
-    report = MitigationPipeline(topology.graph, rulebook=rulebook).run(
-        trace, blocker=blocker
-    )
-    return trace, topology, blocker, rulebook, report
-
-
-@pytest.fixture(scope="module")
-def multi_region_setup(storm_trace):
-    _, topology = storm_trace
-    trace = build_multi_region_storm(StormConfig(seed=42), topology)
-    rulebook = rulebook_from_ground_truth(trace, coverage=0.6)
-    blocker = MitigationPipeline.derive_blocker(trace)
-    report = MitigationPipeline(topology.graph, rulebook=rulebook).run(
-        trace, blocker=blocker
-    )
-    return trace, topology, blocker, rulebook, report
-
-
-def test_backend_sweep_runs_and_reports_every_config(bench_setup):
-    trace, topology, blocker, rulebook, report = bench_setup
-    measurements = bench.run_backend_sweep(
-        trace, topology, blocker, rulebook, report
-    )
-    _require_samples(measurements, "backend sweep")
-    expected_labels = {label for label, *_ in bench.BACKEND_CONFIGS}
-    assert set(measurements) == expected_labels
-    for label, metrics in measurements.items():
-        assert metrics["alerts_per_sec"] > 0, label
-        assert metrics["latency_p99_us"] >= metrics["latency_p50_us"], label
-
-
-def test_plane_sweep_reconciles_each_plane_count(multi_region_setup):
-    trace, topology, blocker, rulebook, report = multi_region_setup
-    measurements = bench.run_plane_sweep(
-        trace, topology, blocker, rulebook, report,
-    )
-    _require_samples(measurements, "plane sweep")
-    for n_planes in bench._PLANE_COUNTS:
-        assert measurements[f"serial/p{n_planes}"]["alerts_per_sec"] > 0
-
-
-def test_plane_parallel_beats_gateway_serial_path(multi_region_setup):
-    """R3/R4 partitioned across one plane per region must outrun the PR-2
-    architecture (everything after routing on a single execution context)
-    on the interleaved multi-region flood — on any machine: with no extra
-    cores the win is per-region run locality in R4 and smaller R3
-    timelines; extra cores add concurrency on top.  The two configs run
-    alternately for five rounds and each takes its best: scheduler noise
-    only ever slows a run down, so best-of approximates the true speed,
-    and alternating spreads a slow stretch of the machine over both
-    sides instead of one."""
-    trace, topology, blocker, rulebook, report = multi_region_setup
-    best = {1: 0.0, 4: 0.0}
-    for _ in range(5):
-        for n_planes in best:
-            stats = bench.run_config(
-                trace, topology, blocker, rulebook,
-                n_planes=n_planes, flush_size=512,
-            )
-            assert stats.reconcile(report) == {}
-            best[n_planes] = max(best[n_planes], stats.throughput)
-    gateway_serial, plane_parallel = best[1], best[4]
-    assert plane_parallel > gateway_serial, (
-        f"plane-parallel path ran at {plane_parallel:,.0f} alerts/s "
-        f"vs {gateway_serial:,.0f} for the gateway-serial path"
-    )
-
-
-def test_scale_probe_reconciles_and_stays_under_one_flush(multi_region_setup):
-    """Live plane scale-out on the multi-region storm trace: both runs
-    must reconcile exactly (migration invisibility at bench scale), and
-    the ``scale_planes`` barrier itself must cost less wall time than
-    one ordinary flush cycle — the overhead budget that makes scaling a
-    live gateway "free" relative to steady-state ingestion.  Best-of-3
-    on both sides of the comparison: scheduler noise only ever slows a
-    measurement down, so best-of approximates the true costs and keeps
-    the ordering assertable on loaded CI runners."""
-    trace, topology, blocker, rulebook, report = multi_region_setup
-    # Serial backend: the timed barrier is pure state migration.
-    probe = bench.run_scale_probe(
-        trace, topology, blocker, rulebook, report,
-        backend="serial", n_planes=4, flush_size=512,
-    )
-    assert probe["fixed_alerts_per_sec"] > 0
-    assert probe["scaled_alerts_per_sec"] > 0
-    assert probe["scale_wall_s"] < probe["flush_wall_s"], (
-        f"scale_planes took {probe['scale_wall_s'] * 1e3:.2f} ms, over the "
-        f"one-flush budget of {probe['flush_wall_s'] * 1e3:.2f} ms"
-    )
-
-
-def test_lane_sweep_holds_parity_for_every_lane_count(multi_region_setup):
-    """Drives the ingress-lane bench helpers end to end (fast mode).
-
-    The exact-parity assertion — every lane count drains to identical
-    accounting — lives *inside* ``run_lane_sweep``, so this smoke run
-    exercises it on the serial backend (no worker processes to spawn)
-    with a single round per config."""
-    trace, topology, blocker, rulebook, _ = multi_region_setup
-    measurements = lanes_bench.run_lane_sweep(
-        trace, topology, blocker, rulebook,
-        backend="serial", rounds=1,
-    )
-    _require_samples(measurements, "ingress-lane sweep")
-    for lanes in lanes_bench.LANE_COUNTS:
-        assert measurements[f"lanes{lanes}"] > 0
-    assert measurements["scaling_x"] > 0
-
-
-def test_transport_parity_and_handoff_smoke(multi_region_setup):
-    """Drives the ring-transport bench helpers end to end (fast mode).
-
-    Parity first, exactly as the bench orders it: the identical trace
-    drained through ring lanes, pipe lanes, and the unlaned path on a
-    real process-backend worker fleet must agree bit-for-bit
-    (``run_transport_parity`` asserts internally).  Then the hand-off
-    microbench runs with a small batch and iteration budget — the
-    smoke checks it produces sane rows, not that it hits the perf
-    floor (that stays in the bench, where the machine is quiet)."""
-    trace, topology, blocker, rulebook, _ = multi_region_setup
-    alerts = list(trace.iter_ordered())[:2000]
-    counts = lanes_bench.run_transport_parity(
-        alerts, topology, blocker, rulebook, n_planes=2, n_workers=2,
-    )
-    assert counts[0] == len(alerts)
-    handoff = lanes_bench.run_transport_handoff(
-        alerts, batch_sizes=(64, 256), iterations=20, rounds=1,
-    )
-    _require_samples(handoff["handoff"], "transport hand-off sweep")
-    for row in handoff["handoff"]:
-        assert row["payload_bytes"] > 0
-        assert row["ring_handoffs_per_sec"] > 0
-        assert row["pipe_handoffs_per_sec"] > 0
-    assert handoff["ring_vs_pipe_handoff_x"] == handoff["handoff"][-1]["ratio"]
-    assert handoff["cores"] >= 1.0
-
-
-def test_bench_floors_guard_accepts_committed_artifact():
-    """The committed ``BENCH_streaming.json`` must hold every floor the
-    CI guard enforces — a PR that records a regressing ratio fails here
-    (and in the dedicated CI step) inside the diff that caused it."""
-    floors = pytest.importorskip(
-        "benchmarks.check_bench_floors",
-        reason="benchmarks/ must be importable from the repo root",
-    )
-    if not floors.BENCH_ARTIFACT.exists():
-        pytest.skip("no standing BENCH_streaming.json artifact to check")
-    import json
-
-    payload = json.loads(floors.BENCH_ARTIFACT.read_text())
-    assert floors.check_floors(payload) == []
-
-
-def test_bench_floors_guard_flags_regressions():
-    """Each floor actually trips: feed the guard an artifact with every
-    ratio just under its floor and every violation must surface."""
-    floors = pytest.importorskip(
-        "benchmarks.check_bench_floors",
-        reason="benchmarks/ must be importable from the repo root",
-    )
-    bad = {
-        "current": {"overhead_ratio": floors.OVERHEAD_FLOOR - 0.01},
-        "ring_transport": {
-            "ring_vs_pipe_handoff_x": floors.HANDOFF_FLOOR - 0.01,
-        },
-        "ingress_lanes": {
-            "scaling_x": floors.SCALING_FLOOR - 0.1,
-            "cores": float(floors.MIN_CORES_FOR_SCALING),
-        },
-        "online_detection": {
-            "detection_overhead_ratio": floors.DETECTION_OVERHEAD_FLOOR - 0.01,
-        },
-        "trajectory": [{"pr": 99}],
-    }
-    violations = floors.check_floors(bad)
-    assert len(violations) == 5
-    # A box without the cores for lane scaling must not trip that floor.
-    bad["ingress_lanes"]["cores"] = 1.0
-    assert len(floors.check_floors(bad)) == 4
-
-
-def test_learning_sweep_runs_every_config_on_a_small_trace():
-    """Drives the online-learning bench helpers end to end (fast mode)."""
-    config = DriftConfig(hours=4.0, drift=True)
-    trace = build_drifting_noise_trace(config)
-    graph = drift_graph(config)
-    measurements = learning_bench.run_learning_sweep(trace, graph)
-    _require_samples(measurements, "learning sweep")
-    expected_labels = {label for label, *_ in learning_bench.LEARNING_CONFIGS}
-    assert set(measurements) == expected_labels
-    for label, metrics in measurements.items():
-        assert metrics["alerts_per_sec"] > 0, label
-    # The plain config must not learn; the learning configs must.
-    assert measurements["plain"]["rules_promoted"] == 0
-    assert measurements["learn"]["rules_promoted"] > 0
-
-
-def test_detection_sweep_runs_every_config_on_a_small_trace():
-    """Drives the online-detection bench helpers end to end (fast mode)."""
-    config = DriftConfig(hours=4.0, drift=True)
-    trace = build_drifting_noise_trace(config)
-    graph = drift_graph(config)
-    measurements = detection_bench.run_detection_sweep(trace, graph)
-    _require_samples(measurements, "detection sweep")
-    expected_labels = {label for label, *_ in detection_bench.DETECTION_CONFIGS}
-    assert set(measurements) == expected_labels
-    for label, metrics in measurements.items():
-        assert metrics["alerts_per_sec"] > 0, label
-    # Only the detecting config reports verdict volume, and it must have
-    # actually folded the trace's strategies into the online catalog.
-    assert "strategies" not in measurements["learn"]
-    assert measurements["learn+detect"]["strategies"] > 0
 
 
 def test_learning_divergence_helper_reports_bounded_metrics():

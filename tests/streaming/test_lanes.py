@@ -4,10 +4,9 @@ The lane path moves routing-adjacent work (buffering, wire-encoding,
 backend hand-off) off the gateway thread, so the one thing these tests
 must pin down is that it changes *nothing observable*: drain accounting
 and retained artifacts are byte-identical to the classic single-threaded
-ingress for every backend × plane count × lane count, the reusable
+ingress for every backend × plane count × lane count, and the reusable
 :class:`~repro.streaming.wire.AlertBatchBuilder` emits exactly
-``pack_alerts``'s bytes, and region partitioning + up-front plane
-assignment reproduce record-at-a-time routing exactly.
+``pack_alerts``'s bytes.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from repro.common.errors import ValidationError
 from repro.streaming import (
     AlertBatchBuilder,
     AlertGateway,
-    PlaneRouter,
     iter_jsonl_alerts,
     pack_alerts,
-    partition_by_region,
-    partition_jsonl_by_region,
 )
 from tests.streaming.conftest import make_alert
 from tests.streaming.test_golden_trace import (
@@ -173,44 +169,6 @@ class TestAlertBatchBuilder:
                 b"".join(builder.finish_parts()) if i % 2 else builder.finish()
             )
             assert produced == pack_alerts(alerts)
-
-
-# ---------------------------------------------------------------------------
-# Region partitioning + up-front plane assignment
-# ---------------------------------------------------------------------------
-class TestPartitioning:
-    def test_partition_preserves_order_and_is_identity(self):
-        alerts = [
-            make_alert(float(i), region=f"region-{i % 3}") for i in range(30)
-        ]
-        parts = partition_by_region(alerts)
-        # First-seen key order.
-        assert list(parts) == ["region-0", "region-1", "region-2"]
-        for region, bucket in parts.items():
-            assert all(a.region == region for a in bucket)
-            occurred = [a.occurred_at for a in bucket]
-            assert occurred == sorted(occurred)
-        # Stable partition: merging back by arrival order is the identity.
-        flat = sorted(
-            (a for bucket in parts.values() for a in bucket),
-            key=lambda a: a.occurred_at,
-        )
-        assert flat == alerts
-
-    def test_partition_jsonl_matches_in_memory(self, golden_alerts):
-        assert partition_jsonl_by_region(TRACE_PATH) == partition_by_region(
-            golden_alerts
-        )
-
-    def test_assign_all_matches_record_at_a_time(self, golden_alerts):
-        streamed = PlaneRouter(3)
-        for alert in golden_alerts:
-            streamed.plane_of(alert.region)
-        upfront = PlaneRouter(3)
-        table = upfront.assign_all(partition_by_region(golden_alerts))
-        assert table == streamed.assignments
-        # The returned table is the live cache, not a copy.
-        assert table is upfront.plane_cache
 
 
 # ---------------------------------------------------------------------------
