@@ -12,7 +12,12 @@ per batch.
 
 Memory is bounded by the number of keys active within one window, never
 by stream length: the expiry heap holds exactly one entry per open
-session (``len(_expiry) == open_sessions`` after every public call).
+session (``len(_expiry) == open_sessions`` after every public call),
+and without ``keep_ids`` every session is O(1) — its ``count`` and
+representative, no member list.  With ``keep_ids`` (an artifact-
+retaining gateway) a session also holds one id per member, so the
+paper's *repeating alert*, whose session never closes, grows with the
+stream: those ids are the retained artifact.
 """
 
 from __future__ import annotations
@@ -60,9 +65,15 @@ class OpenSession:
 class OnlineAggregator:
     """Incremental session-window aggregation over a time-ordered stream."""
 
-    def __init__(self, window_seconds: float = 900.0) -> None:
+    def __init__(
+        self, window_seconds: float = 900.0, keep_ids: bool = True,
+    ) -> None:
+        """``keep_ids=False`` folds no member ids: sessions hold ``[]``
+        and emitted aggregates carry ``alert_ids=()`` with an exact
+        ``count``."""
         require_positive(window_seconds, "window_seconds")
         self._window = float(window_seconds)
+        self._keep_ids = keep_ids
         self._sessions: dict[tuple[str, str], OpenSession] = {}
         # (expiry, key), exactly one per open session.  The time is a
         # lower bound of ``last_at + window``: an extension leaves it
@@ -141,11 +152,18 @@ class OnlineAggregator:
         return [self._sessions.pop(key) for key in keys]
 
     def adopt(self, sessions: list[OpenSession]) -> None:
-        """Install sessions exported from another aggregator."""
+        """Install sessions exported from another aggregator.
+
+        Without ``keep_ids`` the ids a session carries (an older
+        checkpoint's, or a retaining plane's) are dropped; ``count``
+        stays.
+        """
         for session in sessions:
             key = (session.strategy_id, session.region)
             if key in self._sessions:
                 raise ValidationError(f"session for {key} already open")
+            if not self._keep_ids and session.alert_ids:
+                session.alert_ids = []
             self._sessions[key] = session
             heapq.heappush(self._expiry, (session.last_at + self._window, key))
 
@@ -180,6 +198,7 @@ class OnlineAggregator:
         """
         sessions = self._sessions
         window = self._window
+        keep_ids = self._keep_ids
         for key, group in groups.items():
             session = sessions.get(key)
             if session is None:
@@ -212,7 +231,8 @@ class OnlineAggregator:
                 elif at < first_at:
                     first_at = session.first_at = at
                 count += 1
-                alert_ids.append(alert.alert_id)
+                if keep_ids:
+                    alert_ids.append(alert.alert_id)
                 if severity < best_severity or (
                     severity == best_severity and at < best_at
                 ):

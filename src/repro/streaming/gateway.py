@@ -219,7 +219,9 @@ class AlertGateway:
         trigger.  The ``process`` backend and free-running ingress lanes
         keep emissions plane-side and return ``[]`` (use
         ``stats``/:meth:`snapshot` for progress, or drain to collect
-        retained artifacts).
+        retained artifacts).  Without ``retain_artifacts`` R2 keeps no
+        member ids, so returned aggregates carry ``alert_ids=()``; their
+        ``count`` stays exact.
         """
         emitted: list[AggregatedAlert] = []
         self._ingest((alert,), emitted)

@@ -336,8 +336,11 @@ class RegionPlane:
     def __init__(self, plane_id: int, config: PlaneConfig) -> None:
         self.plane_id = plane_id
         self._config = config
+        # Member ids are artifacts too: without retention nothing reads
+        # them, and a never-closing session would hoard them forever.
         self.processor = StreamProcessor(
             config.blocker, config.aggregation_window,
+            keep_ids=config.retain_artifacts,
         )
         self._correlator = OnlineCorrelator(
             CorrelationAnalyzer(

@@ -34,9 +34,10 @@ class StreamProcessor:
         self,
         blocker: AlertBlocker,
         aggregation_window: float = 900.0,
+        keep_ids: bool = True,
     ) -> None:
         self._blocker = blocker
-        self._aggregator = OnlineAggregator(aggregation_window)
+        self._aggregator = OnlineAggregator(aggregation_window, keep_ids)
 
     @property
     def open_sessions(self) -> int:

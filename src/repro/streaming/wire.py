@@ -168,42 +168,67 @@ _ALERT_STRING_FIELDS = (
 #: this block is the serialisation hot path for both the journal and
 #: plane-state snapshots.
 _ALERT_STRINGS = attrgetter(*_ALERT_STRING_FIELDS)
+#: The nine fields a strategy repeats on every alert it fires (all but
+#: ``alert_id``): the per-block memo key.
+_SHARED_FIELDS = _ALERT_STRING_FIELDS[1:]
+_SHARED_STRINGS = attrgetter(*_SHARED_FIELDS)
 
 
 def _write_alert_block(writer: _Writer, alerts: Sequence[Alert]) -> None:
-    # The string interning is inlined (vs calling writer.ref) because it
-    # runs ten times per alert; output stays byte-identical.
+    # Interning order is the row-major one — per alert its ten string
+    # fields, then fault_id, then tags — so the string table, and every
+    # byte, is independent of the memo: a repeated 9-tuple's strings are
+    # already in the table.  Interning is inlined (vs writer.ref): this
+    # loop runs once per alert on every journal append and snapshot.
     index_of = writer._index
     strings = writer._strings
-    columns: list[list[int]] = [[] for _ in _ALERT_STRING_FIELDS]
-    appends = [column.append for column in columns]
+    memo: dict[tuple[str, ...], tuple[int, ...]] = {}
+    id_refs: list[int] = []
+    rows: list[tuple[int, ...]] = []
     fault_refs: list[int] = []
-    severities = bytearray()
-    states = bytearray()
-    occurred: list[float] = []
-    cleared: list[float] = []
+    states: list[int] = []
     tags: list[int] = []  # flat (alert_index, key_ref, value_ref) triples
+    state_index = _STATES.index  # identity scan; Enum.__hash__ is Python
     for index, alert in enumerate(alerts):
-        for append, value in zip(appends, _ALERT_STRINGS(alert)):
-            ref = index_of.get(value)
-            if ref is None:
-                ref = index_of[value] = len(strings)
-                strings.append(value)
-            append(ref)
-        fault_refs.append(writer.ref_or_none(alert.fault_id))
-        severities.append(alert.severity.value)
-        states.append(_STATE_INDEX[alert.state])
-        occurred.append(alert.occurred_at)
-        cleared.append(_NO_TIME if alert.cleared_at is None else alert.cleared_at)
+        value = alert.alert_id
+        ref = index_of.get(value)
+        if ref is None:
+            ref = index_of[value] = len(strings)
+            strings.append(value)
+        id_refs.append(ref)
+        shared = _SHARED_STRINGS(alert)
+        refs = memo.get(shared)
+        if refs is None:
+            fresh = []
+            for value in shared:
+                ref = index_of.get(value)
+                if ref is None:
+                    ref = index_of[value] = len(strings)
+                    strings.append(value)
+                fresh.append(ref)
+            refs = memo[shared] = tuple(fresh)
+        rows.append(refs)
+        value = alert.fault_id
+        fault_refs.append(_NONE_REF if value is None else writer.ref(value))
+        states.append(state_index(alert.state))
         if alert.tags:
             ref_of = writer.ref
             for key, value in alert.tags.items():
                 tags.extend((index, ref_of(key), ref_of(value)))
+    # Severity is an IntEnum: bytes() takes its int value in C.
+    severities = bytes([alert.severity for alert in alerts])
+    occurred = [alert.occurred_at for alert in alerts]
+    cleared = [
+        _NO_TIME if alert.cleared_at is None else alert.cleared_at
+        for alert in alerts
+    ]
     writer.section(_HEADER.pack(len(alerts)))
-    for column in columns:
+    writer.section(_array_bytes("I", id_refs))
+    # Transpose the per-alert ref rows into the nine shared columns.
+    for column in zip(*rows) if rows else [()] * len(_SHARED_FIELDS):
         writer.section(_array_bytes("I", column))
     writer.section(_array_bytes("I", fault_refs))
-    writer.section(bytes(severities))
+    writer.section(severities)
     writer.section(bytes(states))
     writer.section(_array_bytes("d", occurred))
     writer.section(_array_bytes("d", cleared))

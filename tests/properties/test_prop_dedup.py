@@ -2,7 +2,9 @@
 
 Whatever the chunking, by every batch boundary ``OnlineAggregator`` has
 emitted exactly what the model has, holds the same open sessions, and
-keeps one expiry-heap entry per open session.
+keeps one expiry-heap entry per open session.  Without ``keep_ids`` the
+same holds with every id list blanked: sessions hold ``[]``, aggregates
+``()``, and counts stay exact.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,11 @@ def _row(key, session):
     return (*key, len(ids), tuple(ids), best.alert_id, first, last + 1e-9)
 
 
+def _blank(row):
+    """An ``aggregate_row`` as an id-less aggregator emits it."""
+    return (*row[:3], (), *row[4:])
+
+
 def _session_row(session):
     return [
         session.first_at, session.last_at, session.count,
@@ -57,12 +64,12 @@ def _session_row(session):
     ]
 
 
-def _check_state(online, model):
+def _check_state(online, model, keep_ids):
     assert {
         key: _session_row(session)
         for key, session in online._sessions.items()
     } == {
-        key: [first, last, len(ids), ids, best.alert_id]
+        key: [first, last, len(ids), ids if keep_ids else [], best.alert_id]
         for key, (first, last, ids, best) in model.open.items()
     }
     # One heap entry per open session, keyed at or below its true expiry.
@@ -97,42 +104,44 @@ def chunked_streams(draw, max_jitter):
     return chunks, draw(st.integers(0, len(chunks)))
 
 
-def _run(chunks, migrate_before):
-    """Feed ``chunks``, checking every boundary; returns all aggregates."""
-    online, model = OnlineAggregator(WINDOW), NaiveAggregator()
+def _run(chunks, migrate_before, keep_ids=True):
+    """Feed ``chunks``, checking every boundary; returns all aggregates
+    (the model's rows, ids blanked unless ``keep_ids``)."""
+    online, model = OnlineAggregator(WINDOW, keep_ids), NaiveAggregator()
+    shape = (lambda row: row) if keep_ids else _blank
     got, want = [], []
     for index, chunk in enumerate(chunks):
         if index == migrate_before:
             # Plane migration: region by region into a fresh aggregator.
-            target = OnlineAggregator(WINDOW)
+            target = OnlineAggregator(WINDOW, keep_ids)
             for region in REGIONS:
                 target.adopt(online.export_region(region))
                 assert len(online._expiry) == online.open_sessions
             online = target
-            _check_state(online, model)
+            _check_state(online, model, keep_ids)
         got.extend(map(aggregate_row, online.ingest_batch(chunk)))
         for alert in chunk:
-            want.extend(model.feed(alert))
+            want.extend(map(shape, model.feed(alert)))
         assert sorted(got) == sorted(want)
-        _check_state(online, model)
+        _check_state(online, model, keep_ids)
     got.extend(map(aggregate_row, online.drain()))
-    want.extend(_row(key, session) for key, session in model.open.items())
+    want.extend(shape(_row(key, session)) for key, session in model.open.items())
     assert sorted(got) == sorted(want)
     assert online.open_sessions == 0 and online._expiry == []
     return got
 
 
 class TestGroupedFold:
-    @given(chunked_streams(max_jitter=0))
+    @given(chunked_streams(max_jitter=0), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_in_order_stream_matches_model_and_batch(self, case):
+    def test_in_order_stream_matches_model_and_batch(self, case, keep_ids):
         chunks, migrate_before = case
-        got = _run(chunks, migrate_before)
+        got = _run(chunks, migrate_before, keep_ids)
         alerts = [alert for chunk in chunks for alert in chunk]
-        batch = AlertAggregator(WINDOW).aggregate(alerts)
-        assert sorted(got) == sorted(map(aggregate_row, batch))
+        batch = map(aggregate_row, AlertAggregator(WINDOW).aggregate(alerts))
+        assert sorted(got) == sorted(batch if keep_ids else map(_blank, batch))
 
-    @given(chunked_streams(max_jitter=60))
+    @given(chunked_streams(max_jitter=60), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_jittered_stream_matches_model(self, case):
-        _run(*case)
+    def test_jittered_stream_matches_model(self, case, keep_ids):
+        _run(*case, keep_ids)

@@ -149,6 +149,42 @@ class TestLifecycle:
         )
         service.stop()
 
+    def test_stray_checkpoint_name_does_not_break_snapshots(self, tmp_path):
+        """A foreign ``checkpoint-*.rck`` file is no snapshot: journal
+        pruning skips it instead of failing every later tick after the
+        snapshot is written and the journal rotated."""
+        expected = json.loads(EXPECTED_PATH.read_text())["counts"]
+        alerts = _load_alerts()
+
+        def service():
+            return AlertGatewayService(
+                golden_graph(), tmp_path, blocker=golden_blocker(),
+                journal_mode="batch", checkpoint_every=32, n_planes=2,
+                flush_size=16, aggregation_window=WINDOW,
+                correlation_window=WINDOW,
+            )
+
+        live = service()
+        live.start()
+        live.ingest(alerts[:32])
+        assert live.checkpoints_written == 1
+        (tmp_path / "checkpoint-foreign.rck").write_bytes(b"not a snapshot")
+        for start in range(32, 192, 16):
+            live.ingest(alerts[start:start + 16])
+        assert live.checkpoints_written == 6
+        oldest_kept = min(
+            int(p.stem.split("-")[1]) for p in CheckpointLoader(tmp_path).paths()
+            if p.name != "checkpoint-foreign.rck"
+        )
+        assert oldest_kept > 1
+        assert min(epoch for epoch, _, _ in journal_files(tmp_path)) >= oldest_kept
+        live.abort()
+
+        revived = service()
+        assert revived.start() == "restored"
+        revived.ingest(alerts[revived.input_alerts:])
+        assert _stats_payload(revived.stop(drain=True)) == expected
+
 
 class TestConfiguredOptionsReachTheGateway:
     """Every option is a ``GatewayConfig`` field, so the service path —

@@ -210,6 +210,18 @@ class TestSessionMigration:
         final = target.drain()
         assert {(a.strategy_id, a.count) for a in final} == {("s-a", 2), ("s-b", 1)}
 
+    def test_adopt_into_an_id_less_aggregator_drops_ids_keeps_count(self):
+        source = OnlineAggregator(900.0)
+        source.ingest_batch([make_alert(t, strategy_id="s-a") for t in (100.0, 200.0)])
+        [session] = source.export_region("region-A")
+        assert len(session.alert_ids) == session.count == 2
+        target = OnlineAggregator(900.0, keep_ids=False)
+        target.adopt([session])
+        assert session.alert_ids == [] and session.count == 2
+        target.ingest(make_alert(300.0, strategy_id="s-a"))
+        [aggregate] = target.drain()
+        assert aggregate.alert_ids == () and aggregate.count == 3
+
     def test_adopt_rejects_duplicate_keys(self):
         import pytest
 

@@ -172,6 +172,35 @@ class TestStreamingBehaviour:
         assert kept.drain().reconcile(report) == {}
         assert _cluster_rows(kept.clusters) == _cluster_rows(report.clusters)
 
+    def test_r2_state_is_bounded_under_a_never_closing_session(self):
+        """Without retained artifacts nothing reads a session's member
+        ids, so the never-closing session holds none: the checkpoint at
+        4x the stream is the one at 1x plus a small constant, and the
+        accounting stays exact.  A retaining gateway keeps every id."""
+        graph, alerts = _repeating_storm(n_bursts=160)
+        report = MitigationPipeline(graph).run(
+            AlertTrace(alerts=list(alerts)), blocker=AlertBlocker(),
+        )
+
+        def blob_bytes(gateway):
+            return sum(map(len, gateway.checkpoint_state()["blobs"]))
+
+        gateway = AlertGateway(graph, blocker=AlertBlocker(), retain_artifacts=False)
+        quarter = len(alerts) // 4
+        gateway.ingest_batch(alerts[:quarter])
+        at_one = blob_bytes(gateway)
+        gateway.ingest_batch(alerts[quarter:])
+        at_four = blob_bytes(gateway)
+        assert at_four <= at_one + 1024
+        assert gateway.drain().reconcile(report) == {}
+
+        kept = AlertGateway(graph, blocker=AlertBlocker(), retain_artifacts=True)
+        kept.ingest_batch(alerts)
+        kept.drain()
+        assert sorted(map(aggregate_row, kept.aggregates)) == sorted(
+            map(aggregate_row, report.aggregates)
+        )
+
     def test_storm_is_detected_online(self, storm_trace):
         trace, topology = storm_trace
         gateway, _ = _gateway_for(trace, topology)

@@ -1,10 +1,13 @@
 """Round-trip tests for the struct-packed process-backend wire format."""
 
 import pickle
+import struct
+from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
 from repro.core.mitigation.blocking import BlockingRule
@@ -67,6 +70,84 @@ class TestAlertRoundTrip:
         blob = pack_alerts(golden_alerts[:3])
         with pytest.raises(ValidationError, match="magic"):
             unpack_aggregates(blob)
+
+
+_STRING_FIELDS = (
+    "alert_id", "strategy_id", "strategy_name", "title", "description",
+    "service", "microservice", "region", "datacenter", "channel",
+)
+
+
+def _reference_pack_alerts(alerts) -> bytes:
+    """The plain row-major encoder: per alert its ten string fields, then
+    its fault id, then its tags, interned in that order."""
+    strings: dict[str, int] = {}
+
+    def ref(value):
+        return strings.setdefault(value, len(strings))
+
+    u32 = struct.Struct("<I").pack
+    columns = [[] for _ in _STRING_FIELDS]
+    faults, tags = [], []
+    for position, alert in enumerate(alerts):
+        for column, name in zip(columns, _STRING_FIELDS):
+            column.append(ref(getattr(alert, name)))
+        faults.append(0xFFFFFFFF if alert.fault_id is None else ref(alert.fault_id))
+        for key, value in alert.tags.items():
+            tags.extend((position, ref(key), ref(value)))
+    sections = [
+        u32(len(alerts)),
+        *(array("I", column).tobytes() for column in columns),
+        array("I", faults).tobytes(),
+        bytes(alert.severity.value for alert in alerts),
+        bytes(list(AlertState).index(alert.state) for alert in alerts),
+        array("d", [alert.occurred_at for alert in alerts]).tobytes(),
+        array("d", [-1.0 if a.cleared_at is None else a.cleared_at for a in alerts]).tobytes(),
+        array("I", tags).tobytes(),
+    ]
+    raw = [value.encode("utf-8") for value in strings]
+    return b"".join([
+        b"RWA1", u32(len(raw)), *(u32(len(s)) + s for s in raw),
+        *(u32(len(s)) + s for s in sections),
+    ])
+
+
+#: A few short strings, unicode included, so fields of different
+#: alerts (and different fields of one alert) collide often.
+_WORD = st.sampled_from(["a", "b", "ü", "✓ x", "region-A", "s-1"])
+
+
+@st.composite
+def _alert_batches(draw):
+    """Batches mixing a few repeated 9-tuples (a strategy's shared
+    fields) with unique ones, plus states, fault ids and tags."""
+    pool = draw(st.lists(st.tuples(*[_WORD] * 9), min_size=1, max_size=3))
+    alerts = []
+    for index in range(draw(st.integers(0, 24))):
+        shared = draw(st.sampled_from(pool) | st.tuples(*[_WORD] * 9))
+        occurred = float(index)
+        state = draw(st.sampled_from(list(AlertState)))
+        alerts.append(Alert(
+            draw(_WORD | st.just(f"id-{index}")), *shared[:4],
+            draw(st.sampled_from(list(Severity))), *shared[4:], occurred,
+            state, None if state is AlertState.ACTIVE else occurred + 1.5,
+            draw(st.none() | _WORD),
+            draw(st.dictionaries(_WORD, _WORD, max_size=2)),
+        ))
+    return alerts
+
+
+class TestAlertEncoderIdentity:
+    """``pack_alerts`` is byte-identical to the row-major reference."""
+
+    @given(_alert_batches())
+    @example([])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_major_reference(self, alerts):
+        assert pack_alerts(alerts) == _reference_pack_alerts(alerts)
+
+    def test_golden_trace_matches_reference(self, golden_alerts):
+        assert pack_alerts(golden_alerts) == _reference_pack_alerts(golden_alerts)
 
 
 class TestSnapshotRoundTrip:
