@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro.analysis import compute_trace_stats, paper_reference as paper
 from repro.analysis.figures import render_bar_survey, render_hourly_series
+from repro.common.errors import ValidationError
 from repro.common.timeutil import hour_bucket
 from repro.core.antipatterns import run_mining_pipeline
 from repro.core.governance import GuidelineChecker
@@ -153,8 +154,8 @@ _GATEWAY_FLAGS = (
     ("--flush-size", "flush_size", int,
      "micro-batch size per flush (default: 1 serial, 512 process)"),
     ("--ingress-lanes", "ingress_lanes", int,
-     "partitioned ingest lane threads feeding planes directly (clamped "
-     "to --planes; 1 = classic single-threaded ingress)"),
+     "partitioned ingest lane threads feeding process workers (clamped "
+     "to --planes; serial always runs 1, the classic ingress)"),
     ("--lane-transport", "lane_transport", str,
      "lane->worker hand-off on the process backend: zero-copy "
      "shared-memory rings or the classic pickled pipe"),
@@ -204,6 +205,10 @@ def _gateway_options(args) -> dict:
         if not args.learn_rules:
             raise SystemExit("--adaptive-thresholds requires --learn-rules")
         options["learner_config"] = LearnerConfig(adaptive=True)
+    try:
+        GatewayConfig(**options)
+    except ValidationError as exc:
+        raise SystemExit(str(exc)) from None
     return options
 
 

@@ -20,13 +20,15 @@ Choosing a backend (``AlertGateway(backend=...)``):
   contiguous per-region runs instead of interleavings.
 * ``process`` — planes partitioned across worker processes; batches
   cross the pipe in the struct-packed :mod:`~repro.streaming.wire`
-  format and flush replies are bare counters.  Escapes the GIL
-  entirely; parallelism scales with ``n_planes`` (the distribution
-  unit), so pair it with as many planes as you have busy regions and
-  prefer big ``flush_size`` (≥ 1024).  A worker that dies raises a typed
-  :class:`~repro.streaming.fleet.FleetError` and poisons the gateway;
-  recovery is restoring the :mod:`repro.serving` service from its data
-  directory.
+  format and flush replies are bare counters.  Escapes the GIL for the
+  plane chain only, so it refuses ``learn_rules``, ``enable_qoa`` and
+  ``detect_antipatterns``: those fold in the parent, where workers add
+  only encode and transport cost.  Parallelism scales with ``n_planes``
+  (the distribution unit), so pair it with as many planes as you have
+  busy regions and prefer big ``flush_size`` (≥ 1024).  A worker that
+  dies raises a typed :class:`~repro.streaming.fleet.FleetError` and
+  poisons the gateway; recovery is restoring the :mod:`repro.serving`
+  service from its data directory.
 
 Tuning ``n_planes``: planes partition by region — add planes to
 parallelise the whole chain (every reaction is plane-local).
@@ -35,14 +37,12 @@ flush grouped by ``(strategy, region)`` and by its end has closed every
 session per-event ingestion would have; ``flush_interval`` bounds
 staleness in event time.
 ``ingress_lanes=N`` (with ``n_planes >= N``) moves the buffered ingest
-path onto partitioned lane threads (:mod:`~repro.streaming.lanes`) so
-the feed itself stops being the bottleneck — identical end-of-run
-accounting, near-linear multi-core scaling on the ``process`` backend.
-On the ``process`` backend lanes hand encoded batches to workers over
-zero-copy shared-memory rings (:mod:`~repro.streaming.rings`;
-``lane_transport="pipe"`` restores the classic pickled hand-off), and
-rule learning / streaming QoA compose with lanes through the gateway's
-lane-aware flush barrier — identical learned timelines to one lane.
+path of the ``process`` backend onto partitioned lane threads
+(:mod:`~repro.streaming.lanes`) that encode and hand batches to the
+workers over zero-copy shared-memory rings
+(:mod:`~repro.streaming.rings`; ``lane_transport="pipe"`` restores the
+classic pickled hand-off) — identical end-of-run accounting.  ``serial``
+always runs one lane: lane threads under the GIL only slow it down.
 """
 
 from repro.streaming.backends import (
@@ -92,12 +92,10 @@ from repro.streaming.wire import (
     pack_aggregates,
     pack_alerts,
     pack_clusters,
-    pack_detection,
     pack_plane_state,
     unpack_aggregates,
     unpack_alerts,
     unpack_clusters,
-    unpack_detection,
     unpack_plane_state,
 )
 
@@ -156,8 +154,6 @@ __all__ = [
     "unpack_aggregates",
     "pack_clusters",
     "unpack_clusters",
-    "pack_detection",
-    "unpack_detection",
     "pack_plane_state",
     "unpack_plane_state",
 ]

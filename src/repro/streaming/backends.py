@@ -4,16 +4,17 @@ The gateway routes events to region-partitioned execution planes; a
 *backend* decides where each :class:`~repro.streaming.plane.RegionPlane`
 lives and what executes it:
 
-* ``serial`` — all planes in-process: in the calling thread, one after
-  another, or (with ``ingress_lanes > 1``) each on the lane thread that
-  owns it.  Zero coordination overhead; the baseline ``process`` must
-  reconcile against.
+* ``serial`` — all planes in-process, in the calling thread, one after
+  another.  Zero coordination overhead; the baseline ``process`` must
+  reconcile against, and the only backend that learns rules, scores
+  QoA or detects anti-patterns (those fold in the gateway's process).
 * ``process`` — planes are partitioned across worker processes
   (``plane % n_workers``); event batches cross the pipe in the
   struct-packed :mod:`~repro.streaming.wire` format and flush replies
   are fixed-size counter tuples, so the per-event serialisation tax is
   a dictionary-encoded column write, not a pickled object graph.  True
-  parallelism regardless of the GIL.
+  parallelism regardless of the GIL, for the plane chain only; ingress
+  lanes (:mod:`~repro.streaming.lanes`) exist to feed these workers.
 
 Both backends speak the same protocol — ``flush`` with a barrier per
 call, ``snapshots`` for introspection, ``scale`` for live re-planing,
@@ -55,24 +56,17 @@ from repro.streaming.plane import (
     PlaneSnapshot,
     RegionPlane,
 )
-from repro.streaming.learning import RuleDelta
 from repro.streaming.processor import StreamProcessor
-from repro.streaming.rings import (
-    DEFAULT_SLOT_COUNT,
-    DEFAULT_SLOT_SIZE,
-    SpscRing,
-)
+from repro.streaming.rings import SpscRing
 from repro.streaming.wire import (
     pack_aggregates,
     pack_alerts,
     pack_clusters,
     pack_plane_state,
-    pack_rules,
     unpack_aggregates,
     unpack_alerts,
     unpack_clusters,
     unpack_plane_state,
-    unpack_rules,
 )
 
 __all__ = [
@@ -137,15 +131,6 @@ class PlaneBackend(Protocol):
         regions exported, which the round-robin rescale guarantees.
         Returns post-migration snapshots of every plane, the gateway's
         new per-plane accounting baseline.
-        """
-        ...
-
-    def apply_rules(self, delta: RuleDelta) -> None:
-        """Apply a learned R1 rule delta to every plane's blocker.
-
-        Called between flush barriers only, so the rule table every
-        plane sees is constant within a flush and changes at the same
-        stream position on every backend.
         """
         ...
 
@@ -269,11 +254,6 @@ class SerialPlaneBackend:
                 )
         return [plane.snapshot() for plane in planes]
 
-    def apply_rules(self, delta: RuleDelta) -> None:
-        # Every in-process plane shares the one configured blocker, so a
-        # single application covers them all.
-        delta.apply_to(self._config.blocker)
-
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         return [
             _checkpoint_region(self.planes[plane], region)
@@ -283,27 +263,6 @@ class SerialPlaneBackend:
     def restore(self, adopts: Sequence[tuple[int, bytes]]) -> None:
         for plane, blob in adopts:
             self.planes[plane].adopt_region(unpack_plane_state(blob))
-
-    def lane_feed(
-        self,
-        plane: int,
-        alerts: list[Alert],
-        in_warmup: int,
-        watermark: float | None,
-    ) -> PlaneFlushResult:
-        """One lane-dispatched batch, run inline on the calling thread.
-
-        The ingress-lane path: the lane thread *is* the plane's worker,
-        so there is no pool hand-off and no barrier — just this plane's
-        reaction chain.  Safe under concurrent lanes because lanes own
-        disjoint planes and in-process planes share only structures that
-        are read-only while lanes are in flight: with rule learning on,
-        the gateway mutates the shared blocker table exclusively at lane
-        barriers (every lane joined), never mid-feed.
-        """
-        return self.planes[plane].process_batch(
-            alerts, in_warmup, watermark, collect_emitted=False,
-        )
 
     def drain(self, watermark: float | None) -> list[PlaneDrainResult]:
         return [plane.drain(watermark) for plane in self.planes]
@@ -387,8 +346,7 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
             elif kind == "scale":
                 create, drop, adopt = payload
                 dropped = [(plane_id, planes.pop(plane_id)) for plane_id in drop]
-                # The blocker object is shared, so new planes see every
-                # rule delta this worker applied.
+                # New planes share the worker's spawn-time blocker.
                 for plane_id in create:
                     planes[plane_id] = RegionPlane(plane_id, config)
                 for plane_id, blob in adopt:
@@ -419,12 +377,6 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 # this worker's freshly-built planes.
                 for plane, blob in payload:
                     planes[plane].adopt_region(unpack_plane_state(blob))
-                connection.send(("ok", None))
-            elif kind == "rules":
-                added_blob, removed_blob = payload
-                for rule in unpack_rules(removed_blob):
-                    config.blocker.remove_rule(rule)
-                config.blocker.add_rules(unpack_rules(added_blob))
                 connection.send(("ok", None))
             elif kind == "drain":
                 replies = []
@@ -482,8 +434,6 @@ class ProcessPlaneBackend:
         # close.  ``ring_spills`` counts batches that fell back to the
         # pipe (oversized for a slot, or no free slot).
         self.lane_transport = options.lane_transport
-        self._ring_slot_size = options.ring_slot_size or DEFAULT_SLOT_SIZE
-        self._ring_slots = options.ring_slots or DEFAULT_SLOT_COUNT
         self._rings: dict[tuple[int, int], SpscRing] = {}
         #: Per-(lane, worker) spill counts; each key is written by
         #: exactly one lane thread, so no lock is needed to sum them.
@@ -504,8 +454,8 @@ class ProcessPlaneBackend:
     def _start(self) -> None:
         """Fork the fleet, one worker per plane set.
 
-        Each fork inherits the parent-side blocker mirror — the
-        always-current rule table.
+        Each fork inherits the parent's blocker; its table is fixed,
+        because learning runs on the ``serial`` backend only.
         """
         context = multiprocessing.get_context()
         workers = []
@@ -650,7 +600,7 @@ class ProcessPlaneBackend:
         """
         ring = self._rings.get((lane, worker_id))
         if ring is None:
-            ring = SpscRing.create(self._ring_slot_size, self._ring_slots)
+            ring = SpscRing.create()
             try:
                 self._exchange(worker_id, ("attach_ring", (lane, ring.name)))
             except BaseException:
@@ -798,24 +748,6 @@ class ProcessPlaneBackend:
         snapshots.sort(key=lambda snapshot: snapshot.plane_id)
         return snapshots
 
-    def apply_rules(self, delta: RuleDelta) -> None:
-        """Ship a learned rule delta to every worker's shared blocker.
-
-        Additions travel wire-packed (:func:`~repro.streaming.wire.pack_rules`);
-        removals are bare strategy ids.  The parent-side blocker is kept
-        as an always-current mirror: before the workers exist it *is*
-        the spawn-time table (late-born planes start from it), and after
-        they exist it is what ``checkpoint_state`` records as the
-        authoritative rule table — the workers never read it again, so
-        the double application cannot double-block.
-        """
-        delta.apply_to(self._config.blocker)
-        if self._workers is None:
-            return
-        message = ("rules", (pack_rules(delta.added), pack_rules(delta.removed)))
-        worker_ids = list(range(self.n_workers))
-        self._roundtrip(worker_ids, [message] * self.n_workers)
-
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         if self._closed:
             raise ValidationError("process backend already closed")
@@ -945,8 +877,8 @@ def make_backend(options: GatewayConfig, config: PlaneConfig) -> PlaneBackend:
     """Build the backend ``options.backend`` names.
 
     The lane-transport and worker-timeout options shape only the
-    ``process`` backend's hand-off and fleet; ``serial`` has neither and
-    takes just the plane count.
+    ``process`` backend's hand-off and fleet; ``serial`` has neither (no
+    lanes, no workers) and takes just the plane count.
     """
     if options.backend == "serial":
         return SerialPlaneBackend(options.n_planes, config)

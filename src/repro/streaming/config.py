@@ -41,6 +41,10 @@ DEFAULT_BATCH_FLUSH = 512
 #: Worker processes when ``n_workers`` is left to default.
 DEFAULT_WORKERS = 4
 
+#: Switches that feed the parent-side learner, QoA scorer and detectors;
+#: the ``process`` backend refuses each of them.
+_OBSERVING = ("learn_rules", "enable_qoa", "detect_antipatterns")
+
 #: Fields recorded as the ``asdict`` of a nested dataclass.
 _NESTED = {"learner_config": LearnerConfig, "detector_thresholds": DetectorThresholds}
 
@@ -77,8 +81,6 @@ class GatewayConfig:
     sketch_buckets: int = _option(DEFAULT_SKETCH_BUCKETS, strict=False)
     ingress_lanes: int = _option(1, strict=False)
     lane_transport: str = _option("ring", strict=False, choices=LANE_TRANSPORTS)
-    ring_slot_size: int | None = _option(None, strict=False)
-    ring_slots: int | None = _option(None, strict=False)
     # Parent-side wait for a worker reply before declaring a wedge.
     worker_timeout: float = _option(30.0, strict=False)
 
@@ -92,11 +94,19 @@ class GatewayConfig:
                 )
         for name in (
             "n_planes", "finalize_every", "ingress_lanes", "flush_size",
-            "flush_interval", "n_workers", "ring_slot_size", "ring_slots",
-            "worker_timeout",
+            "flush_interval", "n_workers", "worker_timeout",
         ):
             if getattr(self, name) is not None:
                 require_positive(getattr(self, name), name)
+        if self.backend == "process":
+            # Learning, QoA and detection fold in the parent process, so
+            # workers would only add encode and transport cost to them.
+            for name in _OBSERVING:
+                if getattr(self, name):
+                    raise ValidationError(
+                        f"{name} runs on the serial backend only; the "
+                        f"process backend parallelises just the plane chain"
+                    )
         # Normalised so equal configurations compare (and record) equal:
         # the thresholds a gateway runs when none are given, and a
         # learner config exactly where there is a learner.
@@ -116,15 +126,16 @@ class GatewayConfig:
         """This configuration with the effective values a gateway runs.
 
         The default ``flush_size`` filled in, workers and ingress lanes
-        clamped to the plane count (``serial`` has one worker: the
-        caller) — what a fresh gateway built from it would record.
+        clamped to the plane count — what a fresh gateway built from it
+        would record.  ``serial`` has one worker and one lane, the
+        caller: lane threads under the GIL only slow it down.
         """
         serial = self.backend == "serial"
         return dataclasses.replace(
             self,
             flush_size=self.flush_size or (1 if serial else DEFAULT_BATCH_FLUSH),
             n_workers=1 if serial else min(self.requested_workers, self.n_planes),
-            ingress_lanes=min(self.ingress_lanes, self.n_planes),
+            ingress_lanes=1 if serial else min(self.ingress_lanes, self.n_planes),
         )
 
     def record(self) -> dict:

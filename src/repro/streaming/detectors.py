@@ -2,12 +2,12 @@
 
 The batch detectors (:mod:`repro.core.antipatterns`) need a *finished*
 trace.  This module closes that gap for the definition-level
-anti-patterns the stream itself reveals: every plane ships a compact
-**detection digest** at each flush barrier (strategy catalog rows, A2
-lifecycle statistics, hashed R4 documents —
-:func:`~repro.streaming.wire.pack_detection`), and the gateway folds the
-digests into one :class:`StreamingDetectorSuite` that can answer at any
-barrier:
+anti-patterns the stream itself reveals: every plane hands over a
+compact **detection digest** at each flush barrier (strategy catalog
+rows, A2 lifecycle statistics, hashed R4 documents — plain tuples, as
+the planes run in-process on the ``serial`` backend), and the gateway
+folds the digests into one :class:`StreamingDetectorSuite` that can
+answer at any barrier:
 
 * **A1 (unclear title)** — the :class:`~repro.core.antipatterns.text.
   TitleQualityScorer` over the catalog's title/description, the same
@@ -94,10 +94,10 @@ class StreamingDetectorSuite:
     # ingestion (flush/drain barriers)
     # ------------------------------------------------------------------
     def observe(self, digest, watermark: float | None = None) -> None:
-        """Fold one plane's unpacked digest; advance the R4 watermark.
+        """Fold one plane's digest; advance the R4 watermark.
 
         ``digest`` is the ``(catalog, stats, docs, doc_rows)`` tuple
-        :func:`~repro.streaming.wire.unpack_detection` returns.
+        :attr:`~repro.streaming.plane.PlaneFlushResult.detection` holds.
         """
         catalog_rows, stat_rows, docs, doc_rows = digest
         catalog = self._catalog

@@ -29,31 +29,27 @@ Every scalar option is a field of
 :class:`~repro.streaming.config.GatewayConfig` — declared there once,
 with its default and whether a restore must reproduce it.
 
-With ``ingress_lanes > 1`` the pass hands over to partitioned ingest
-lanes (:mod:`~repro.streaming.lanes`): the caller's thread keeps only
-routing and stream-global accounting, while lane threads run (or
-wire-encode and ship) per-plane flushes concurrently — same end-of-run
-accounting, N planes on N cores without the single-threaded ingress
-ceiling.  On the ``process`` backend the encoded batches cross via
-per-(lane, worker) shared-memory rings (:mod:`~repro.streaming.rings`)
-by default — zero payload copies between the lane's encoder and the
-worker's decoder — with ``lane_transport="pipe"`` as the classic
-fallback.  Rule learning and streaming QoA compose with lanes via
-**barrier mode**: the gateway keeps its classic gateway-global flush
-trigger (so the learner's judgment schedule is identical to one lane)
-and the lanes parallelise each flush cycle's execution, quiescing
-before observations reach the learner.
+On the ``process`` backend, ``ingress_lanes > 1`` hands the pass over
+to partitioned ingest lanes (:mod:`~repro.streaming.lanes`): the
+caller's thread keeps only routing and stream-global accounting, while
+lane threads wire-encode and ship per-plane flushes to the workers
+concurrently — same end-of-run accounting, without the single-threaded
+ingress ceiling.  The encoded batches cross via per-(lane, worker)
+shared-memory rings (:mod:`~repro.streaming.rings`) by default — zero
+payload copies between the lane's encoder and the worker's decoder —
+with ``lane_transport="pipe"`` as the classic fallback.  ``serial``
+always runs one lane: lane threads under the GIL only slow it down.
 
 With ``learn_rules=True`` the gateway also *derives* its R1 rules
 online: planes report per-flush observation digests, the
 :class:`~repro.streaming.learning.OnlineRuleLearner` promotes/renews/
 demotes TTL'd blocking rules from streaming A4/A5 detection, and rule
-deltas ship to the backend at flush barriers — identical learned
-timelines on every backend.  ``enable_qoa=True`` scores per-strategy
-alert quality incrementally from the same digests
-(:class:`~repro.streaming.qoa.StreamQoAScorer`), frozen into
-``stats.qoa`` at drain.  Both are off by default and cost nothing when
-off.
+deltas apply to the gateway's blocker at flush barriers.
+``enable_qoa=True`` scores per-strategy alert quality incrementally from
+the same digests (:class:`~repro.streaming.qoa.StreamQoAScorer`), frozen
+into ``stats.qoa`` at drain.  Both — and ``detect_antipatterns`` — fold
+in this process, so they run on the ``serial`` backend only; all are off
+by default and cost nothing when off.
 
 On an in-order stream the end-of-run volume accounting (blocked,
 aggregates, clusters) is *exactly* the batch pipeline's — the
@@ -98,7 +94,6 @@ from repro.streaming.processor import StreamProcessor
 from repro.streaming.qoa import StreamQoAScorer
 from repro.streaming.routing import PlaneRouter
 from repro.streaming.stats import GatewayStats
-from repro.streaming.wire import unpack_detection
 from repro.streaming.storm import DEFAULT_WARMUP_ALERTS
 from repro.topology.graph import DependencyGraph
 
@@ -180,15 +175,11 @@ class AlertGateway:
         self._warmup_pending: list[int] = [0] * n_planes
         self._buffered = 0
         self._last_flush_watermark: float | None = None
-        # Partitioned ingress: with more than one (effective) lane the
-        # buffered path moves off this thread entirely — see
-        # :mod:`repro.streaming.lanes`.  One lane degenerates to the
+        # Partitioned ingress (``process`` only): with more than one
+        # effective lane the buffered path moves off this thread
+        # entirely — see :mod:`repro.streaming.lanes`.  One lane is the
         # classic path (same thread, same flush schedule), so lane-count
-        # parity tests compare against it directly.  With rule learning
-        # or streaming QoA on, the lanes run in barrier mode: the
-        # gateway keeps its classic global flush trigger (identical
-        # judgment schedule to one lane) and the lanes only parallelise
-        # each flush cycle's execution via ``flush_batches``.
+        # parity tests compare against it directly.
         self._lanes: LaneIngress | None = None
         if resolved.ingress_lanes > 1:
             self._lanes = LaneIngress(
@@ -216,12 +207,11 @@ class AlertGateway:
         With the ``serial`` default ``flush_size=1`` the event is
         processed before this returns; larger flush sizes buffer it and
         return the emissions of whatever flush the event happened to
-        trigger.  The ``process`` backend and free-running ingress lanes
-        keep emissions plane-side and return ``[]`` (use
-        ``stats``/:meth:`snapshot` for progress, or drain to collect
-        retained artifacts).  Without ``retain_artifacts`` R2 keeps no
-        member ids, so returned aggregates carry ``alert_ids=()``; their
-        ``count`` stays exact.
+        trigger.  The ``process`` backend keeps emissions plane-side and
+        returns ``[]`` (use ``stats``/:meth:`snapshot` for progress, or
+        drain to collect retained artifacts).  Without
+        ``retain_artifacts`` R2 keeps no member ids, so returned
+        aggregates carry ``alert_ids=()``; their ``count`` stays exact.
         """
         emitted: list[AggregatedAlert] = []
         self._ingest((alert,), emitted)
@@ -257,7 +247,7 @@ class AlertGateway:
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
-        if self._lanes is not None and not self._lanes.barrier_mode:
+        if self._lanes is not None:
             # Lane emissions stay plane-side (counters only).
             return self._lanes.ingest(alerts, self.stats)
         stats = self.stats
@@ -365,7 +355,7 @@ class AlertGateway:
                     self.stats.watermark, self.stats.input_alerts,
                 )
                 if delta:
-                    self._backend.apply_rules(delta)
+                    delta.apply_to(self._blocker)
                 self.stats.set_learner_counters(self.learner.counters())
             if self.qoa is not None:
                 self.stats.qoa = self.qoa.snapshot()
@@ -484,10 +474,8 @@ class AlertGateway:
         plane, so the backend's state plus the gateway's counters are a
         complete, consistent image of the stream so far.
         """
-        if self._lanes is not None and not self._lanes.barrier_mode:
+        if self._lanes is not None:
             return self._lanes.pending == 0
-        # Barrier mode buffers on the gateway; ``flush_batches`` joins
-        # every lane before returning, so nothing is ever in flight here.
         return self._buffered == 0
 
     def flush(self) -> list[AggregatedAlert]:
@@ -726,8 +714,7 @@ class AlertGateway:
             raise
 
     def _flush_cycle(self) -> list[AggregatedAlert]:
-        lanes = self._lanes
-        if lanes is not None and not lanes.barrier_mode:
+        if self._lanes is not None:
             return self._lane_barrier()
         if self._buffered == 0:
             return []
@@ -743,15 +730,7 @@ class AlertGateway:
         flushed = self._buffered
         self._buffered = 0
         stats = self.stats
-        if lanes is not None:
-            # Barrier mode: the lanes execute this cycle's batches
-            # concurrently and quiesce before returning, so everything
-            # below — counters, observation order, learner judgments —
-            # is identical to the single-lane path by construction.
-            results = lanes.flush_batches(batches, stats.watermark)
-            stats.lane_stalls = lanes.stalls
-        else:
-            results = self._backend.flush(batches, stats.watermark)
+        results = self._backend.flush(batches, stats.watermark)
         results.sort(key=lambda result: result.plane_id)
         emitted_all: list[AggregatedAlert] = []
         for result in results:
@@ -803,9 +782,10 @@ class AlertGateway:
     def _learn(self, observations: list[tuple]) -> None:
         """One learning/scoring step at a flush boundary.
 
-        The learner's rule delta is applied to the backend *now*, before
-        any further flush — so the rules a flush taught start blocking at
-        the identical stream position on every backend.
+        The learner's rule delta is applied to the blocker every plane
+        shares *now*, before any further flush — so the rules a flush
+        taught start blocking at the identical stream position whatever
+        the plane count or flush size.
         """
         if self.qoa is not None:
             self.qoa.observe(observations)
@@ -816,7 +796,7 @@ class AlertGateway:
                 observations, stats.watermark, stats.input_alerts,
             )
             if delta:
-                self._backend.apply_rules(delta)
+                delta.apply_to(self._blocker)
             stats.set_learner_counters(learner.counters())
 
     def _observe_detection(self, results) -> None:
@@ -824,16 +804,13 @@ class AlertGateway:
 
         Results arrive sorted by plane id, so the fold order — and with
         it the sketch's within-window document order before its
-        canonical sort — is deterministic for any backend or lane count.
+        canonical sort — is deterministic for any plane count.
         """
         detectors = self.detectors
         watermark = self.stats.watermark
         for result in results:
-            digest = result.detection
-            if digest:
-                if isinstance(digest, bytes):
-                    digest = unpack_detection(digest)
-                detectors.observe(digest, watermark)
+            if result.detection:
+                detectors.observe(result.detection, watermark)
 
     def _set_plane_counters(self, plane_id: int, counters: dict) -> None:
         counters["plane_id"] = plane_id

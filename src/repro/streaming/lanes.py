@@ -7,50 +7,36 @@ event; at N planes on N cores it is *the* wall, because every plane's
 feed serialises through it (the ROADMAP's "single-threaded ingress
 ceiling").
 
-:class:`LaneIngress` splits that work across **ingest lanes**.  The
-caller's thread keeps only the irreducible sequential pass — a
-region → plane table hit (:attr:`~repro.streaming.routing.PlaneRouter.
-plane_cache`), an append into the plane's buffer, and the stream-global
-accounting (watermark, late events, the novelty-warmup prefix).  Full
-per-plane batches are handed to lane worker threads, which do the
-expensive part off the ingress thread:
-
-* the ``serial`` backend: the lane thread runs the plane's whole
-  reaction chain via ``backend.lane_feed`` — the lane *is* the plane's
-  worker;
-* the ``process`` backend: the lane thread wire-encodes the batch with a
-  reusable :class:`~repro.streaming.wire.AlertBatchBuilder` (encode once
-  at the lane, zero re-encode downstream) and hands the encoder's output
-  parts to ``backend.lane_feed_parts``, which writes them *in place*
-  into the (lane, worker) shared-memory ring (:mod:`~repro.streaming.
-  rings`) — or, on the ``pipe`` transport, joins and ships them over the
-  worker's pipe via the classic path — so lanes drive disjoint worker
-  processes concurrently and N planes on N cores scale without a
-  gateway-side encode pass (or a per-batch payload copy) in the way.
+:class:`LaneIngress` splits that work across **ingest lanes**, which
+exist only to feed ``process`` workers.  The caller's thread keeps only
+the irreducible sequential pass — a region → plane table hit
+(:attr:`~repro.streaming.routing.PlaneRouter.plane_cache`), an append
+into the plane's buffer, and the stream-global accounting (watermark,
+late events, the novelty-warmup prefix).  Full per-plane batches are
+handed to lane worker threads, which wire-encode them with a reusable
+:class:`~repro.streaming.wire.AlertBatchBuilder` (encode once at the
+lane, zero re-encode downstream) and hand the encoder's output parts to
+``backend.lane_feed_parts``.  That writes them *in place* into the
+(lane, worker) shared-memory ring (:mod:`~repro.streaming.rings`) — or,
+on the ``pipe`` transport, joins and ships them over the worker's pipe
+via the classic path — so lanes drive disjoint worker processes
+concurrently without a gateway-side encode pass (or a per-batch payload
+copy) in the way.  The ``serial`` backend never runs lanes: lane threads
+under the GIL are slower than none.
 
 Lanes own disjoint planes (``plane % n_lanes``), so no plane state is
 ever touched by two lanes.  Exact parity with the classic path is a
 hard invariant, and it follows from two existing frozen properties:
 
-* with rule learning off, end-of-run drain accounting is invariant to
-  flush boundaries (the flush-size/backends parity harness), and lanes
-  only ever change *where* flush boundaries fall (per-plane instead of
-  gateway-global);
+* end-of-run drain accounting is invariant to flush boundaries (the
+  flush-size/backends parity harness), and lanes only ever change
+  *where* flush boundaries fall (per-plane instead of gateway-global) —
+  which is why rule learning, QoA and detection, whose judgments follow
+  the flush schedule, never run beside lanes;
 * each dispatched batch carries the stream-global watermark at its
   dispatch point — the same value the classic path hands
   ``backend.flush`` — so the R3 safety horizon advances through the
   identical sequence of cut points per plane substream.
-
-With rule learning or streaming QoA on, the lanes run in **barrier
-mode** instead: the gateway keeps its classic gateway-global flush
-trigger (so the learner's judgment schedule is *identical* to
-``ingress_lanes=1``) and hands each full flush cycle's per-plane
-batches to the lanes via :meth:`LaneIngress.flush_batches`, which
-dispatches them all, joins every lane (quiesce), and returns the
-cycle's per-plane observation digests in plane order — the same
-gateway-global evidence, encoded and executed in parallel on the lane
-threads.  Rule deltas are applied only inside that barrier, while
-every lane is idle.
 
 Dispatch is backpressured: lane queues are bounded at
 :data:`LANE_QUEUE_DEPTH` batches, so a slow worker stalls the ingest
@@ -60,8 +46,7 @@ thread (counted in :attr:`LaneIngress.stalls`, surfaced as
 Thread contract: one ingest caller at a time (the gateway's existing
 contract — the serving layer already serialises ingest under its
 lock); lane threads never touch ``GatewayStats``; results and flush
-telemetry cross back to the caller only at :meth:`barrier` /
-:meth:`flush_batches`.
+telemetry cross back to the caller only at :meth:`barrier`.
 """
 
 from __future__ import annotations
@@ -69,7 +54,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.alerting.alert import Alert
 from repro.streaming.config import GatewayConfig
@@ -93,7 +78,7 @@ LANE_JOIN_TIMEOUT = 10.0
 
 
 class LaneIngress:
-    """Per-region ingest lanes feeding planes directly (disjoint planes)."""
+    """Per-region ingest lanes feeding process workers (disjoint planes)."""
 
     def __init__(
         self,
@@ -110,14 +95,6 @@ class LaneIngress:
         self._flush_size = config.flush_size
         self._flush_interval = config.flush_interval
         self._warmup_limit = int(warmup_limit)
-        #: Barrier mode (rule learning / QoA / online detection): the
-        #: gateway owns the buffers and the classic global flush
-        #: trigger; lanes only run :meth:`flush_batches` cycles.  See
-        #: the module docstring.
-        self.barrier_mode = (
-            config.learn_rules or config.enable_qoa or config.detect_antipatterns
-        )
-        self._parts_feed = getattr(backend, "lane_feed_parts", None)
         self._buffers: list[list[Alert]] = [[] for _ in range(n_planes)]
         self._warmup_pending: list[int] = [0] * n_planes
         #: Per-plane interval anchor; clamped backwards by late events so
@@ -131,9 +108,6 @@ class LaneIngress:
         #: Last flush result per plane (lifetime counters; lane threads
         #: write disjoint keys, the barrier reads after joining).
         self._last_results: dict[int, PlaneFlushResult] = {}
-        #: This cycle's results (barrier mode): popped by
-        #: :meth:`flush_batches` after the join, keyed by plane.
-        self._cycle_results: dict[int, PlaneFlushResult] = {}
         #: Blocking puts against the bounded lane queues (backpressure
         #: events); mutated on the ingest thread only.
         self.stalls = 0
@@ -258,12 +232,10 @@ class LaneIngress:
             self._threads.append(thread)
 
     def _lane_loop(self, lane: int) -> None:
-        backend = self._backend
-        feed_parts = self._parts_feed
-        builder = AlertBatchBuilder() if feed_parts is not None else None
+        feed_parts = self._backend.lane_feed_parts
+        builder = AlertBatchBuilder()
         work = self._queues[lane]
         results = self._last_results
-        cycle = self._cycle_results
         while True:
             item = work.get()
             if item is None:
@@ -272,29 +244,20 @@ class LaneIngress:
             plane, batch, in_warmup, watermark = item
             started = time.perf_counter()
             try:
-                if feed_parts is not None:
-                    # Zero-copy hand-off: the encoder's output parts go
-                    # straight into the (lane, worker) shared-memory
-                    # ring (or the pipe, on the ``pipe`` transport).
-                    builder.extend(batch)
-                    result = feed_parts(
-                        lane, plane, builder.finish_parts(),
-                        in_warmup, watermark,
-                    )
-                else:
-                    result = backend.lane_feed(
-                        plane, batch, in_warmup, watermark,
-                    )
-                results[plane] = result
-                cycle[plane] = result
+                # Zero-copy hand-off: the encoder's output parts go
+                # straight into the (lane, worker) shared-memory ring
+                # (or the pipe, on the ``pipe`` transport).
+                builder.extend(batch)
+                results[plane] = feed_parts(
+                    lane, plane, builder.finish_parts(), in_warmup, watermark,
+                )
                 self._flush_counts[lane] += 1
                 self._flush_seconds[lane] += time.perf_counter() - started
                 self._flush_events[lane] += len(batch)
             except BaseException as exc:  # surfaced at the next barrier
-                if builder is not None:
-                    # A failed feed must not leak half a batch into the
-                    # next one's encoding.
-                    builder.reset()
+                # A failed feed must not leak half a batch into the next
+                # one's encoding.
+                builder.reset()
                 self._errors.append(exc)
             finally:
                 work.task_done()
@@ -337,39 +300,6 @@ class LaneIngress:
             self._flush_events = [0] * self._n_lanes
         return results, flushes, seconds, events
 
-    def flush_batches(
-        self,
-        batches: Sequence[tuple[int, list[Alert], int]],
-        watermark: float | None,
-    ) -> list[PlaneFlushResult]:
-        """Run one gateway flush cycle across the lanes (barrier mode).
-
-        ``batches`` is exactly what the classic path would hand
-        ``backend.flush`` — at most one ``(plane, alerts, in_warmup)``
-        row per plane — and the return contract matches it too: one
-        result per batch, in ``batches`` order.  The lanes encode and
-        feed the rows concurrently, then this call joins every lane
-        before returning, so the caller observes a full quiesce: by the
-        time the cycle's observation digests reach the learner, no lane
-        holds in-flight work and a rule delta can be applied without a
-        lane ever seeing a mid-feed table change.
-        """
-        if self._queues is None:
-            self._start()
-        n_lanes = self._n_lanes
-        for plane, batch, in_warmup in batches:
-            self._put(plane % n_lanes, (plane, batch, in_warmup, watermark))
-        for work in self._queues:
-            work.join()
-        if self._errors:
-            error = self._errors[0]
-            self._errors = []
-            self._cycle_results.clear()
-            raise error
-        cycle = self._cycle_results
-        results = [cycle.pop(plane) for plane, _, _ in batches]
-        return results
-
     def rescale(self, n_planes: int) -> None:
         """Adopt a new plane topology (call only at a barrier).
 
@@ -382,7 +312,6 @@ class LaneIngress:
         self._warmup_pending = [0] * n_planes
         self._interval_anchor = [None] * n_planes
         self._last_results.clear()
-        self._cycle_results.clear()
 
     def close(self) -> None:
         """Stop the lane threads (queued work drains first); idempotent.

@@ -54,7 +54,6 @@ from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OpenSession
 from repro.streaming.processor import StreamProcessor
 from repro.streaming.storm import OnlineStormDetector, RegionStormState
-from repro.streaming.wire import pack_detection
 from repro.topology.graph import DependencyGraph
 
 __all__ = [
@@ -89,18 +88,11 @@ class PlaneConfig:
     #: batch detectors' single source of truth so streaming evidence and
     #: batch A4/QoA can never silently disagree.
     intermittent_threshold: float = DetectorThresholds().intermittent_threshold
-    #: When set, every flush also ships a wire-packed detection digest
+    #: When set, every flush also hands over a detection digest
     #: (strategy catalog, A2 lifecycle statistics, hashed R4 documents)
-    #: for the gateway's online detector suite.  Off by default.
+    #: for the gateway's online detector suite.  Off by default; only
+    #: the in-process ``serial`` backend sets it.
     collect_detection: bool = False
-    #: When set (in-process backends only), the detection digest is
-    #: handed over as the plain ``(catalog, stats, docs, doc_rows)``
-    #: tuple instead of wire bytes — the structures are built exactly as
-    #: :func:`~repro.streaming.wire.unpack_detection` would decode them,
-    #: so the detector suite folds identical values either way; skipping
-    #: the pack/unpack round trip just removes pure overhead when no
-    #: process boundary needs crossing.
-    detection_inline: bool = False
     #: Bucket count of the R4 hashing sketch documents — must match the
     #: gateway suite's sketch width or the hashed ids are meaningless.
     sketch_buckets: int = DEFAULT_SKETCH_BUCKETS
@@ -132,9 +124,6 @@ class PlaneConfig:
             finalize_every=int(options.finalize_every),
             collect_observations=options.learn_rules or options.enable_qoa,
             collect_detection=options.detect_antipatterns,
-            # No process boundary, no wire round trip: the in-process
-            # backend hands the digest tuple straight to the suite.
-            detection_inline=options.backend == "serial",
             sketch_buckets=int(options.sketch_buckets),
             detection_times_cap=thresholds.repeat_window_count,
             intermittent_threshold=thresholds.intermittent_threshold,
@@ -165,13 +154,10 @@ class PlaneFlushResult:
     #: configured with ``collect_observations``.
     observations: list[tuple] | None = None
     #: Detection digest of this flush batch (strategy metadata catalog,
-    #: per-hour severity statistics, hashed topic-sketch documents).
-    #: Wire-packed bytes (:func:`repro.streaming.wire.pack_detection`)
-    #: normally; the plain ``(catalog, stats, docs, doc_rows)`` tuple
-    #: when the plane runs with ``detection_inline`` (in-process
-    #: backends).  ``None`` unless configured with
-    #: ``collect_detection``.
-    detection: bytes | tuple | None = None
+    #: per-hour severity statistics, hashed topic-sketch documents): the
+    #: plain ``(catalog, stats, docs, doc_rows)`` tuple.  ``None`` unless
+    #: configured with ``collect_detection``.
+    detection: tuple | None = None
 
     def counters(self) -> dict[str, int]:
         """The accounting fields as a plain dict (stats/snapshot payload)."""
@@ -542,11 +528,10 @@ class RegionPlane:
         alert's R4 document against the configured sketch width, with
         repeats of a strategy's unchanged document deduplicated into
         one shared table entry.
-        Returns ``(detection, observations)`` — the digest wire-packed
-        (or, with ``detection_inline``, as the tuple
-        :func:`~repro.streaming.wire.unpack_detection` would produce)
-        plus, with ``with_observations``, the learner digest
-        :meth:`_digest` builds, folded in the same pass.
+        Returns ``(detection, observations)`` — the digest as the plain
+        ``(catalog, stats, docs, doc_rows)`` tuple plus, with
+        ``with_observations``, the learner digest :meth:`_digest`
+        builds, folded in the same pass.
         """
         config = self._config
         cap = config.detection_times_cap
@@ -666,11 +651,7 @@ class RegionPlane:
             for sid, srec in ordered
             for (region, bucket), row in sorted(srec[5].items())
         ]
-        if config.detection_inline:
-            detection = (catalog, stat_rows, docs, doc_rows)
-        else:
-            detection = pack_detection(catalog, stat_rows, docs, doc_rows)
-        return detection, observations
+        return (catalog, stat_rows, docs, doc_rows), observations
 
     def _finalize_ready(self, watermark: float) -> None:
         """Close correlation components no future representative can join."""

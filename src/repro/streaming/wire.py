@@ -45,8 +45,6 @@ __all__ = [
     "unpack_clusters",
     "pack_rules",
     "unpack_rules",
-    "pack_detection",
-    "unpack_detection",
     "pack_plane_state",
     "unpack_plane_state",
 ]
@@ -55,7 +53,6 @@ _MAGIC_ALERTS = b"RWA1"
 _MAGIC_AGGREGATES = b"RWG1"
 _MAGIC_CLUSTERS = b"RWC1"
 _MAGIC_RULES = b"RWR1"
-_MAGIC_DETECTION = b"RWD1"
 _MAGIC_PLANE = b"RWP1"
 
 #: u32 sentinel for "no string" (optional fields like ``fault_id``).
@@ -567,126 +564,6 @@ def unpack_rules(data: bytes) -> list[BlockingRule]:
             expires_at=None if expires_at == _NO_TIME else expires_at,
         ))
     return rules
-
-
-# ----------------------------------------------------------------------
-# detection digests (per-flush observation feed for the online A1-A3/R4
-# detector suite)
-# ----------------------------------------------------------------------
-#: sid, first_at, first_alert_id, title, description, severity, service,
-#: last_at.
-_CATALOG_FIXED = struct.Struct("<IdIIIBId")
-#: sid, region, hour bucket, count, transient, steady_manual,
-#: steady_cleared, steady duration sum.
-_DETSTAT_FIXED = struct.Struct("<IIqqqqqd")
-#: occurred_at, sid, doc index.
-_DOCROW_FIXED = struct.Struct("<dII")
-
-
-def pack_detection(catalog, stats, docs, doc_rows) -> bytes:
-    """Encode one plane's per-flush detection digest.
-
-    The payload is deliberately plain tuples/lists (no dataclasses) so
-    this codec has no import path into the detector suite:
-
-    * ``catalog`` — ``(sid, first_at, first_alert_id, title,
-      description, severity_int, service, last_at)`` rows: the strategy
-      metadata the stream revealed this flush (A1/A3/A2 classes);
-    * ``stats`` — ``(sid, region, hour_bucket, count, transient,
-      steady_manual, steady_cleared, steady_duration_sum, times)`` rows:
-      the A2 lifecycle statistics, with up to the first
-      ``repeat_window_count`` raw event times per bucket;
-    * ``docs`` — deduplicated ``(bucket ids, counts)`` hashed documents;
-    * ``doc_rows`` — ``(occurred_at, sid, doc_index)`` references into
-      ``docs``: the R4 sketch feed.
-    """
-    writer = _Writer(_MAGIC_DETECTION)
-    fixed = bytearray()
-    for sid, first_at, first_id, title, description, severity, service, last_at in catalog:
-        fixed += _CATALOG_FIXED.pack(
-            writer.ref(sid), first_at, writer.ref(first_id),
-            writer.ref(title), writer.ref(description), severity,
-            writer.ref(service), last_at,
-        )
-    writer.section(bytes(fixed))
-    fixed = bytearray()
-    time_offsets: list[int] = [0]
-    flat_times: list[float] = []
-    for sid, region, bucket, count, transient, manual, cleared, duration_sum, times in stats:
-        fixed += _DETSTAT_FIXED.pack(
-            writer.ref(sid), writer.ref(region), bucket,
-            count, transient, manual, cleared, duration_sum,
-        )
-        flat_times.extend(times)
-        time_offsets.append(len(flat_times))
-    writer.section(bytes(fixed))
-    writer.section(_array_bytes("I", time_offsets))
-    writer.section(_array_bytes("d", flat_times))
-    doc_offsets: list[int] = [0]
-    flat_ids: list[int] = []
-    flat_counts: list[int] = []
-    for ids, counts in docs:
-        flat_ids.extend(ids)
-        flat_counts.extend(counts)
-        doc_offsets.append(len(flat_ids))
-    writer.section(_array_bytes("I", doc_offsets))
-    writer.section(_array_bytes("I", flat_ids))
-    writer.section(_array_bytes("I", flat_counts))
-    fixed = bytearray()
-    for occurred_at, sid, doc_index in doc_rows:
-        fixed += _DOCROW_FIXED.pack(occurred_at, writer.ref(sid), doc_index)
-    writer.section(bytes(fixed))
-    return writer.finish()
-
-
-def unpack_detection(data):
-    """Decode a digest produced by :func:`pack_detection`.
-
-    Returns the same plain ``(catalog, stats, docs, doc_rows)`` tuple
-    structure the packer consumed (``times``, ``ids``, ``counts`` come
-    back as tuples).
-    """
-    reader = _Reader(data, _MAGIC_DETECTION)
-    strings = reader.strings
-    catalog = [
-        (
-            strings[sid_ref], first_at, strings[first_id_ref],
-            strings[title_ref], strings[desc_ref], severity,
-            strings[service_ref], last_at,
-        )
-        for sid_ref, first_at, first_id_ref, title_ref, desc_ref,
-            severity, service_ref, last_at
-        in _CATALOG_FIXED.iter_unpack(reader.section())
-    ]
-    stat_fixed = reader.section()
-    time_offsets = _read_array("I", reader.section())
-    flat_times = _read_array("d", reader.section())
-    stats = [
-        (
-            strings[sid_ref], strings[region_ref], bucket,
-            count, transient, manual, cleared, duration_sum,
-            tuple(flat_times[time_offsets[index]:time_offsets[index + 1]]),
-        )
-        for index, (sid_ref, region_ref, bucket, count, transient,
-                    manual, cleared, duration_sum)
-        in enumerate(_DETSTAT_FIXED.iter_unpack(stat_fixed))
-    ]
-    doc_offsets = _read_array("I", reader.section())
-    flat_ids = _read_array("I", reader.section())
-    flat_counts = _read_array("I", reader.section())
-    docs = [
-        (
-            tuple(flat_ids[doc_offsets[index]:doc_offsets[index + 1]]),
-            tuple(flat_counts[doc_offsets[index]:doc_offsets[index + 1]]),
-        )
-        for index in range(len(doc_offsets) - 1)
-    ]
-    doc_rows = [
-        (occurred_at, strings[sid_ref], doc_index)
-        for occurred_at, sid_ref, doc_index
-        in _DOCROW_FIXED.iter_unpack(reader.section())
-    ]
-    return catalog, stats, docs, doc_rows
 
 
 # ----------------------------------------------------------------------

@@ -60,19 +60,20 @@ def _service(graph, data_dir, **kwargs):
 
 
 class TestKillRestoreMatrix:
-    @pytest.mark.parametrize("backend,backend_kwargs", [
-        ("serial", {}),
-        ("process", {"n_workers": 2}),
-    ])
     @pytest.mark.parametrize("n_planes", [1, 3])
-    @pytest.mark.parametrize("learn", [False, True])
+    @pytest.mark.parametrize("learn,backend,backend_kwargs", [
+        (False, "serial", {}),
+        (True, "serial", {}),
+        # Learning and QoA run on the serial backend only.
+        (False, "process", {"n_workers": 2}),
+    ])
     def test_restored_run_matches_uninterrupted(
         self, serving_graph, storm_alerts, tmp_path, backend,
         backend_kwargs, n_planes, learn,
     ):
         kwargs = dict(
             backend=backend, n_planes=n_planes, learn_rules=learn,
-            enable_qoa=True, **backend_kwargs,
+            enable_qoa=backend == "serial", **backend_kwargs,
         )
         want = _uninterrupted(
             serving_graph, storm_alerts, flush_size=FLUSH, **kwargs,

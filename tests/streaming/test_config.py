@@ -44,17 +44,15 @@ NON_DEFAULT = {
     "sketch_buckets": 512,
     "ingress_lanes": 2,
     "lane_transport": "pipe",
-    "ring_slot_size": 4096,
-    "ring_slots": 2,
     "worker_timeout": 5.0,
 }
 
 #: Options a value needs beside it to take effect (a worker count needs
-#: a fleet and planes to spread over, lanes need planes, a learner
-#: config needs a learner).
+#: a fleet and planes to spread over, lanes need workers to feed and
+#: planes, a learner config needs a learner).
 COMPANIONS = {
     "n_workers": {"backend": "process", "n_planes": 2},
-    "ingress_lanes": {"n_planes": 2},
+    "ingress_lanes": {"backend": "process", "n_planes": 2},
     "learner_config": {"learn_rules": True},
 }
 
@@ -103,13 +101,16 @@ def test_pre_lanes_record_builds_the_field_defaults():
     gateway.close()
     old = {key: record[key] for key in PRE_LANES_KEYS}
     assert not {
-        "ingress_lanes", "lane_transport", "ring_slots", "worker_timeout",
+        "ingress_lanes", "lane_transport", "worker_timeout",
         "detect_antipatterns", "sketch_buckets", "detector_thresholds",
     } & set(old)
-    # Retired keys: the shard layer's and the fleet's own recovery.
+    # Retired keys: the shard layer's, the fleet's own recovery and the
+    # ring geometry, now constant.
     old["n_shards"] = 8
     old["worker_recovery"] = True
     old["worker_checkpoint_every"] = 8
+    old["ring_slot_size"] = 4096
+    old["ring_slots"] = 2
     rebuilt = build_gateway(golden_graph(), old)
     assert rebuilt.checkpoint_config() == record
     rebuilt.close()
@@ -153,10 +154,28 @@ def test_strict_set_is_the_parent_tuple_plus_thresholds():
 
 def test_resolved_fills_flush_size_and_clamps():
     serial = GatewayConfig(n_planes=2, n_workers=8, ingress_lanes=4).resolved()
-    assert (serial.flush_size, serial.n_workers, serial.ingress_lanes) == (1, 1, 2)
-    process = GatewayConfig(backend="process", n_planes=3).resolved()
-    assert (process.flush_size, process.n_workers) == (512, 3)
+    assert (serial.flush_size, serial.n_workers, serial.ingress_lanes) == (1, 1, 1)
+    process = GatewayConfig(
+        backend="process", n_planes=3, ingress_lanes=4,
+    ).resolved()
+    assert (process.flush_size, process.n_workers, process.ingress_lanes) == (
+        512, 3, 3,
+    )
     assert process.resolved() == process
+
+
+@pytest.mark.parametrize(
+    "flag", ["learn_rules", "enable_qoa", "detect_antipatterns"],
+)
+def test_process_backend_refuses_observing_flags(flag):
+    """Learning, QoA and detection fold in the parent process, so the
+    process backend refuses them, naming the flag."""
+    with pytest.raises(ValidationError, match=flag):
+        GatewayConfig(backend="process", **{flag: True})
+    # A directory written with that shape is refused at restore too.
+    with pytest.raises(ValidationError, match=flag):
+        GatewayConfig.from_record({"backend": "process", flag: True})
+    assert getattr(GatewayConfig(**{flag: True}), flag)
 
 
 def test_unknown_option_is_named():

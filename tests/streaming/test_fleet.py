@@ -203,11 +203,11 @@ class _BlockingBackend:
     def __init__(self):
         self.release = threading.Event()
 
-    def lane_feed(self, plane, batch, in_warmup, watermark):
+    def lane_feed_parts(self, lane, plane, parts, in_warmup, watermark):
         self.release.wait()
         from repro.streaming.plane import PlaneFlushResult
         return PlaneFlushResult(
-            plane_id=plane, processed=len(batch), blocked=0, aggregates=0,
+            plane_id=plane, processed=1, blocked=0, aggregates=0,
             clusters=0, storm_episodes=0, emerging_flags=0, open_sessions=0,
             active_components=0, retained_representatives=0,
         )

@@ -1,12 +1,13 @@
 """Partitioned ingress lanes: parity, builder byte-identity, lifecycle.
 
 The lane path moves routing-adjacent work (buffering, wire-encoding,
-backend hand-off) off the gateway thread, so the one thing these tests
+worker hand-off) off the gateway thread, so the one thing these tests
 must pin down is that it changes *nothing observable*: drain accounting
 and retained artifacts are byte-identical to the classic single-threaded
-ingress for every backend × plane count × lane count, and the reusable
-:class:`~repro.streaming.wire.AlertBatchBuilder` emits exactly
-``pack_alerts``'s bytes.
+serial ingress for every plane count × lane count × transport, and the
+reusable :class:`~repro.streaming.wire.AlertBatchBuilder` emits exactly
+``pack_alerts``'s bytes.  Lanes only ever feed ``process`` workers, so
+every lane case runs there.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.streaming import (
     iter_jsonl_alerts,
     pack_alerts,
 )
+from repro.streaming.rings import SpscRing
 from tests.streaming.conftest import make_alert
 from tests.streaming.test_golden_trace import (
     TRACE_PATH,
@@ -28,6 +30,10 @@ from tests.streaming.test_golden_trace import (
     golden_blocker,
     golden_graph,
 )
+
+
+#: The one backend lanes feed, kept to two worker processes.
+PROCESS = dict(backend="process", n_workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -184,13 +190,14 @@ class TestLaneParity:
         return _accounting(stats), _artifacts(gateway)
 
     @pytest.mark.parametrize("backend,lanes", [
-        ("serial", 2),
-        ("serial", 4),
+        ("process", 2),
+        # Lane 0 owns planes 0 and 3, which live on different workers.
+        ("process", 3),
         ("process", 4),
     ])
     def test_lane_drain_parity(self, golden_alerts, baseline, backend, lanes):
         gateway, stats = _run(
-            golden_alerts, backend=backend, n_planes=4,
+            golden_alerts, backend=backend, n_workers=2, n_planes=4,
             ingress_lanes=lanes, flush_size=64,
         )
         accounting, artifacts = baseline
@@ -205,17 +212,30 @@ class TestLaneParity:
         ({"lane_transport": "pipe"}, None),
         # Slots far too small for any golden batch: every hand-off takes
         # the spill path, which must stay parity-exact with the ring.
-        ({"ring_slot_size": 32}, True),
+        ({"slot_size": 32}, True),
         # A single slot: every write reuses it (continuous wraparound).
-        ({"ring_slots": 1}, None),
+        ({"slot_count": 1}, None),
     ])
     def test_process_transport_parity(
         self, golden_alerts, baseline, transport_kwargs, expect_spills,
+        monkeypatch,
     ):
         """Ring, spill, and pipe hand-offs all drain bit-identically."""
+        options = dict(transport_kwargs)
+        geometry = {
+            key: options.pop(key)
+            for key in ("slot_size", "slot_count") if key in options
+        }
+        if geometry:
+            # Ring geometry is a constant: shrink the rings the backend
+            # creates instead.
+            create = SpscRing.create.__func__
+            monkeypatch.setattr(SpscRing, "create", classmethod(
+                lambda cls: create(cls, **geometry)
+            ))
         gateway, stats = _run(
-            golden_alerts, backend="process", n_planes=4,
-            ingress_lanes=4, flush_size=64, **transport_kwargs,
+            golden_alerts, **PROCESS, n_planes=4,
+            ingress_lanes=4, flush_size=64, **options,
         )
         accounting, artifacts = baseline
         assert _accounting(stats) == accounting
@@ -225,7 +245,7 @@ class TestLaneParity:
 
     def test_per_event_ingest_path_parity(self, golden_alerts, baseline):
         gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(), backend="serial",
+            golden_graph(), blocker=golden_blocker(), **PROCESS,
             n_planes=4, ingress_lanes=4, flush_size=64,
             aggregation_window=WINDOW, correlation_window=WINDOW,
         )
@@ -238,7 +258,7 @@ class TestLaneParity:
 
     def test_lanes_clamped_to_planes(self, golden_alerts, baseline):
         gateway, stats = _run(
-            golden_alerts, backend="serial", n_planes=4,
+            golden_alerts, **PROCESS, n_planes=4,
             ingress_lanes=64, flush_size=64,
         )
         assert gateway.ingress_lanes == 4
@@ -247,7 +267,8 @@ class TestLaneParity:
 
     def test_single_plane_degenerates_to_classic(self, golden_alerts):
         gateway, _ = _run(
-            golden_alerts, n_planes=1, ingress_lanes=8, flush_size=64,
+            golden_alerts, **PROCESS, n_planes=1, ingress_lanes=8,
+            flush_size=64,
         )
         assert gateway.ingress_lanes == 1
 
@@ -261,8 +282,9 @@ class TestLaneParity:
         flush_size=st.sampled_from([1, 3, 16]),
     )
     def test_lane_count_invariance_property(self, data, lanes, flush_size):
-        """Accounting is invariant to the lane count on arbitrary streams
-        (in-order by construction; regions drawn from a small pool)."""
+        """Lanes feeding workers drain like the classic serial ingress on
+        arbitrary streams (in-order by construction; regions drawn from a
+        small pool)."""
         times = sorted(t for _, t in data)
         alerts = [
             [
@@ -274,10 +296,10 @@ class TestLaneParity:
             for _ in range(2)  # two identical streams, one per run
         ]
         runs = []
-        for stream, n_lanes in zip(alerts, (1, lanes)):
+        classic, laned = {"ingress_lanes": 1}, {**PROCESS, "ingress_lanes": lanes}
+        for stream, options in zip(alerts, (classic, laned)):
             _, stats = _run(
-                stream, backend="serial", n_planes=3,
-                ingress_lanes=n_lanes, flush_size=flush_size,
+                stream, n_planes=3, flush_size=flush_size, **options,
             )
             accounting = _accounting(stats)
             accounting.pop("watermark")  # equal times, distinct objects
@@ -289,35 +311,6 @@ class TestLaneParity:
 # Configuration surface
 # ---------------------------------------------------------------------------
 class TestLaneConfig:
-    def test_lanes_compose_with_rule_learning(self, golden_alerts):
-        """Exact learner parity: barrier mode keeps the classic global
-        flush trigger, so the judgment schedule — and every promotion,
-        renewal, demotion, and expiry — matches ``ingress_lanes=1``."""
-        def learned(n_lanes):
-            gateway, stats = _run(
-                golden_alerts, backend="serial", n_planes=4,
-                ingress_lanes=n_lanes, flush_size=64, learn_rules=True,
-            )
-            learner = {
-                "promoted": stats.rules_promoted,
-                "renewed": stats.rules_renewed,
-                "demoted": stats.rules_demoted,
-                "expired": stats.rules_expired,
-                "active": stats.rules_active,
-                "flushes": stats.flushes,
-            }
-            return _accounting(stats), learner, _artifacts(gateway)
-        assert learned(4) == learned(1)
-
-    def test_lanes_compose_with_streaming_qoa(self, golden_alerts):
-        def scored(n_lanes):
-            _, stats = _run(
-                golden_alerts, backend="serial", n_planes=4,
-                ingress_lanes=n_lanes, flush_size=64, enable_qoa=True,
-            )
-            return _accounting(stats), stats.qoa
-        assert scored(2) == scored(1)
-
     def test_unknown_lane_transport_rejected(self):
         with pytest.raises(ValidationError, match="lane transport"):
             AlertGateway(
@@ -336,16 +329,16 @@ class TestLaneConfig:
         import time as _time
         monkeypatch.setattr("repro.streaming.lanes.LANE_QUEUE_DEPTH", 1)
         gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(), backend="serial",
+            golden_graph(), blocker=golden_blocker(), **PROCESS,
             n_planes=2, ingress_lanes=2, flush_size=1,
         )
-        inner = gateway._backend.lane_feed
+        inner = gateway._backend.lane_feed_parts
 
-        def slow(plane, batch, in_warmup, watermark):
+        def slow(*args):
             _time.sleep(0.002)
-            return inner(plane, batch, in_warmup, watermark)
+            return inner(*args)
 
-        gateway._backend.lane_feed = slow
+        gateway._backend.lane_feed_parts = slow
         gateway.ingest_batch([
             make_alert(float(i), region="region-0") for i in range(40)
         ])
@@ -359,7 +352,7 @@ class TestLaneConfig:
 # ---------------------------------------------------------------------------
 class TestLaneLifecycle:
     def test_checkpoint_restore_continues_bit_identical(self, golden_alerts):
-        kwargs = dict(backend="serial", n_planes=4, flush_size=32)
+        kwargs = dict(PROCESS, n_planes=4, flush_size=32)
         split = len(golden_alerts) // 2
         first = AlertGateway(
             golden_graph(), blocker=golden_blocker(), ingress_lanes=2,
@@ -387,7 +380,7 @@ class TestLaneLifecycle:
     def test_scale_planes_with_lanes_matches_classic(self, golden_alerts):
         def scaled(ingress_lanes):
             gateway = AlertGateway(
-                golden_graph(), blocker=golden_blocker(), backend="serial",
+                golden_graph(), blocker=golden_blocker(), **PROCESS,
                 n_planes=4, ingress_lanes=ingress_lanes, flush_size=32,
                 aggregation_window=WINDOW, correlation_window=WINDOW,
                 retain_artifacts=False,
@@ -401,7 +394,7 @@ class TestLaneLifecycle:
     def test_interval_flush_survives_late_tail(self):
         """The lane-path version of the watermark-clamp stall fix."""
         gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(), backend="serial",
+            golden_graph(), blocker=golden_blocker(), **PROCESS,
             n_planes=2, ingress_lanes=2, flush_size=10**6,
             flush_interval=60.0,
         )
@@ -419,14 +412,14 @@ class TestLaneLifecycle:
 
     def test_barrier_surfaces_lane_errors(self):
         gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(), backend="serial",
+            golden_graph(), blocker=golden_blocker(), **PROCESS,
             n_planes=2, ingress_lanes=2, flush_size=4,
         )
         # Sabotage the backend after construction: the lane thread hits
         # the failure, the *caller* must see it at the next barrier.
         def boom(*_args, **_kwargs):
             raise ValidationError("lane backend failure")
-        gateway._backend.lane_feed = boom
+        gateway._backend.lane_feed_parts = boom
         gateway.ingest_batch([
             make_alert(float(i), region=f"region-{i % 2}") for i in range(16)
         ])
@@ -438,7 +431,7 @@ class TestLaneLifecycle:
         import threading
         before = {t.name for t in threading.enumerate()}
         gateway = AlertGateway(
-            golden_graph(), blocker=golden_blocker(), backend="serial",
+            golden_graph(), blocker=golden_blocker(), **PROCESS,
             n_planes=4, ingress_lanes=4, flush_size=16,
         )
         gateway.ingest_batch(golden_alerts[:64])

@@ -248,7 +248,8 @@ class TestScaleInvisibility:
         _assert_planes_partition(scaled)
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
+# Learning and QoA run on the serial backend only.
+@pytest.mark.parametrize("backend", ["serial"])
 def test_scale_invisibility_with_learning(backend):
     """Learned-rule timeline and QoA survive migrations bit-identically.
 

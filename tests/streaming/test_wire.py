@@ -397,49 +397,3 @@ class TestPlaneStateRoundTrip:
         whole.process_batch(alerts, in_warmup=0, watermark=alerts[-1].occurred_at)
         assert total == whole.drain(alerts[-1].occurred_at).counters()["aggregates"]
 
-
-class TestDetectionRoundTrip:
-    CATALOG = [
-        ("s-1", 10.0, "alert-000001", "disk full on node",
-         "usage over threshold", 2, "svc-a", 500.0),
-        ("s-β", 20.0, "alert-000002", "titre: débit élevé",
-         "description en français", 0, "svc-β", 400.0),
-    ]
-    STATS = [
-        ("s-1", "region-A", 0, 4, 1, 2, 3, 360.5, (1.0, 2.0, 3.0, 4.0)),
-        ("s-β", "région-β", 7, 1, 0, 0, 1, 60.0, (25_201.5,)),
-    ]
-    DOCS = [((1, 5, 9), (2, 1, 1)), ((), ())]
-    DOC_ROWS = [(10.0, "s-1", 0), (20.0, "s-β", 1)]
-
-    def test_round_trip_is_exact(self):
-        from repro.streaming import pack_detection, unpack_detection
-
-        data = pack_detection(self.CATALOG, self.STATS, self.DOCS,
-                              self.DOC_ROWS)
-        catalog, stats, docs, doc_rows = unpack_detection(data)
-        assert catalog == self.CATALOG
-        assert stats == self.STATS
-        assert docs == self.DOCS
-        assert doc_rows == self.DOC_ROWS
-
-    def test_empty_digest_round_trips(self):
-        from repro.streaming import pack_detection, unpack_detection
-
-        assert unpack_detection(pack_detection([], [], [], [])) == \
-            ([], [], [], [])
-
-    def test_deterministic_bytes(self):
-        from repro.streaming import pack_detection
-
-        args = (self.CATALOG, self.STATS, self.DOCS, self.DOC_ROWS)
-        assert pack_detection(*args) == pack_detection(*args)
-
-    def test_magic_mismatch_rejected(self):
-        from repro.streaming import pack_detection, unpack_detection
-
-        data = pack_detection(self.CATALOG, [], [], [])
-        with pytest.raises(ValidationError, match="magic"):
-            unpack_alerts(data)
-        with pytest.raises(ValidationError, match="magic"):
-            unpack_detection(pack_alerts([]))

@@ -2,6 +2,9 @@
 
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,21 @@ class TestAnalyses:
         assert "matches batch pipeline exactly" in out
         assert "per-plane accounting:" in out
         assert "plane 1 [" in out
+
+    def test_stream_process_backend_refuses_detection(self, trace_dir):
+        """A config the gateway refuses exits non-zero with one line
+        naming the flag, not a traceback."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "stream",
+             "--trace", str(trace_dir), "--backend", "process", "--detect"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert "detect_antipatterns" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_stream_planes_reconcile(self, trace_dir, capsys):
         assert main(["stream", "--trace", str(trace_dir), "--planes", "3",
