@@ -20,7 +20,9 @@ streaming replacement:
 * **the identical window discipline** — :class:`SketchWindowScorer`
   reproduces the LDA detector's loop exactly (fixed windows from the
   first document, warm-up, 0.99-quantile + gap threshold, 5000-entry
-  history) but runs *incrementally*: the streaming detector suite feeds
+  history) but runs *incrementally*, without re-reading the history or
+  rescanning the buffer per window (see the class docstring): the
+  streaming detector suite feeds
   it watermark by watermark, and :class:`SketchEmergingDetector` wraps
   the same scorer for one-shot batch runs, so the two paths share every
   line of verdict logic and the differential harness compares data
@@ -33,10 +35,11 @@ The sketch-vs-LDA agreement bound lives in
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
-
-import numpy as np
+from operator import itemgetter
 
 from repro.common.timeutil import HOUR
 from repro.common.validation import require_fraction, require_positive
@@ -56,6 +59,15 @@ DEFAULT_SKETCH_BUCKETS = 4096
 #: One document ready for the sketch: event time, the subject strategy,
 #: and the hashed bag-of-buckets (parallel id/count tuples, ids sorted).
 SketchDoc = tuple[float, str, tuple[int, ...], tuple[int, ...]]
+
+#: A buffered document's event time (the bisect key of a sorted buffer).
+_event_time = itemgetter(0)
+
+#: Above this many novelties inserted plus evicted in one window, the
+#: sorted history mirror is rebuilt with one ``sorted`` instead of being
+#: patched value by value (each patch moves up to ``history_limit``
+#: pointers).
+_MIRROR_REBUILD_AT = 128
 
 
 def alert_document(alert) -> list[str]:
@@ -138,26 +150,28 @@ class HashingTopicSketch:
         """A memoizing :meth:`score` for a histogram that is not moving.
 
         Valid only between folds (the window-close invariant): the
-        per-bucket log term and the denominator are fixed, so they are
-        computed once per distinct bucket instead of once per document.
-        Every returned float is bitwise identical to :meth:`score`.
+        per-bucket term ``log(count + alpha) - denominator`` is fixed,
+        so it is computed once per distinct bucket instead of once per
+        document.  It is the very float :meth:`score` multiplies by the
+        token count, so every returned float is bitwise identical to
+        :meth:`score`'s.
         """
         alpha = self.smoothing
         denominator = math.log(self._total + alpha * self.n_buckets)
         bucket_counts = self._counts
-        log_of: dict[int, float] = {}
+        term_of: dict[int, float] = {}
         log = math.log
 
         def score(ids, counts):
             log_likelihood = 0.0
             total = 0
             for bucket, count in zip(ids, counts):
-                term = log_of.get(bucket)
+                term = term_of.get(bucket)
                 if term is None:
-                    term = log_of[bucket] = log(
+                    term = term_of[bucket] = log(
                         bucket_counts.get(bucket, 0) + alpha
-                    )
-                log_likelihood += count * (term - denominator)
+                    ) - denominator
+                log_likelihood += count * term
                 total += count
             if total == 0:
                 return 0.0
@@ -175,11 +189,13 @@ class HashingTopicSketch:
                 bucket_counts[bucket] = bucket_counts.get(bucket, 0) + count
                 self._total += count
 
-    def fold_weighted(
-        self, weights: dict[tuple[tuple[int, ...], tuple[int, ...]], int],
-    ) -> None:
-        """Fold ``{document: multiplicity}`` into the histogram.
+    def fold_weighted(self, records: Iterable[Sequence]) -> None:
+        """Fold weighted documents into the histogram.
 
+        ``records`` iterates sequences that start ``(ids, counts,
+        multiplicity)``; later items are ignored, so a window close hands
+        over its per-document memo records (which also carry the cached
+        novelty) without building a second ``{document: count}`` map.
         Identical to :meth:`partial_fit` over the expanded multiset —
         the counts are integers, so ``count * multiplicity`` is exactly
         the repeated addition — at cost proportional to *unique*
@@ -188,8 +204,9 @@ class HashingTopicSketch:
         """
         bucket_counts = self._counts
         total = 0
-        for (ids, counts), multiplicity in weights.items():
-            for bucket, count in zip(ids, counts):
+        for record in records:
+            multiplicity = record[2]
+            for bucket, count in zip(record[0], record[1]):
                 increment = count * multiplicity
                 bucket_counts[bucket] = bucket_counts.get(bucket, 0) + increment
                 total += increment
@@ -230,6 +247,21 @@ class SketchWindowScorer:
     uses.  Windows are canonically sorted before processing, so the
     verdicts are independent of plane count, backend, and flush
     schedule; :meth:`finish` closes the final partial window at drain.
+
+    The work per :meth:`advance` follows what changed, not the stream's
+    length:
+
+    * the buffer is sorted once and each closing window's batch is the
+      prefix below its end, cut by bisect — already in the canonical
+      order, and the retained tail keeps its arrival order;
+    * a gap with no documents (a quiet stretch, or one far-future event
+      time) is skipped in O(1): the index jumps to the window the next
+      document or the watermark falls in, found by the loop's own float
+      test ``start + (k + 1) * window <= t``;
+    * the threshold is read from ``_ranked``, a sorted mirror of the
+      checkpointed ``_history``, with numpy's ``linear`` quantile rule,
+      so it equals numpy's ``quantile(history, q)`` bitwise without
+      copying or partitioning the history per window.
     """
 
     def __init__(
@@ -259,7 +291,11 @@ class SketchWindowScorer:
         #: dedup repeats by object identity before falling back to
         #: value equality.
         self._buffer: list[tuple[float, str, tuple]] = []
+        #: Novelties of the closed windows, oldest first (checkpointed).
         self._history: list[float] = []
+        #: ``sorted(self._history)``, maintained incrementally (derived;
+        #: rebuilt on restore).
+        self._ranked: list[float] = []
         self.flags: list[SketchFlag] = []
 
     @property
@@ -294,62 +330,142 @@ class SketchWindowScorer:
             buffer.append((occurred_at, strategy_id, content))
         self._start = start
 
+    def _window_of(self, at: float, index: int) -> int:
+        """The first window from ``index`` on that ``at`` has not passed.
+
+        The smallest ``k >= index`` with ``start + (k + 1) * window > at``:
+        the index the close-one-window-at-a-time loop would stop at.  A
+        floor-division estimate is corrected with that exact float test
+        (monotone in ``k``), so the result is the loop's, not merely
+        close to it.
+        """
+        start, window = self._start, self._window
+        if start + (index + 1) * window > at:
+            return index
+        k = max(index + 1, int((at - start) // window))
+        while k > index + 1 and start + k * window > at:
+            k -= 1
+        while start + (k + 1) * window <= at:
+            k += 1
+        return k
+
     def advance(self, watermark: float | None) -> None:
         """Close and score every window the watermark has passed."""
         if watermark is None or self._start is None:
             return
-        while self._start + (self._window_index + 1) * self._window <= watermark:
-            self._close_window(
-                self._start + (self._window_index + 1) * self._window
+        index = self._window_index
+        final = self._window_of(watermark, index)
+        if final == index:
+            return
+        start, window = self._start, self._window
+        last_end = start + final * window
+        buffer = self._buffer
+        ordered = sorted(buffer)
+        stop = bisect_left(ordered, last_end, key=_event_time)
+        self._buffer = (
+            [doc for doc in buffer if doc[0] >= last_end]
+            if stop < len(ordered) else []
+        )
+        position = 0
+        while position < stop:
+            # Windows with no document close as index bumps only: jump
+            # straight to the one holding the next document.
+            index = self._window_of(ordered[position][0], index)
+            cut = bisect_left(
+                ordered, start + (index + 1) * window, position, stop,
+                key=_event_time,
             )
+            self._window_index = index
+            self._close_window(ordered[position:cut])
+            position = cut
+            index += 1
+        self._window_index = final
 
     def finish(self) -> None:
         """Close the final partial window (end of stream)."""
         if self._buffer:
-            self._close_window(None)
+            batch, self._buffer = self._buffer, []
+            # Canonical within-window order: verdicts are
+            # order-independent (one threshold per window, scored
+            # pre-fit), but the flag list and the history-cap tail are
+            # not — sort so every backend and flush schedule produces
+            # identical state.  ``advance`` gets the same order from its
+            # one sort of the buffer.
+            batch.sort()
+            self._close_window(batch)
 
-    def _close_window(self, window_end: float | None) -> None:
-        if window_end is None:
-            batch, rest = self._buffer, []
-        else:
-            batch = [doc for doc in self._buffer if doc[0] < window_end]
-            rest = [doc for doc in self._buffer if doc[0] >= window_end]
-        self._buffer = rest
-        if not batch:
-            self._window_index += 1
+    def _threshold(self) -> float:
+        """numpy's ``quantile(history, q)`` read off the sorted mirror.
+
+        numpy's ``linear`` rule, operation for operation: virtual index
+        ``v = (n - 1) * q``, neighbours ``a = ranked[floor(v)]`` and
+        ``b`` the next one (clamped to the last), weight ``g = v -
+        floor(v)``, and the lerp evaluated from ``a`` below ``g = 0.5``
+        and from ``b`` at or above it.  (At ``v = n - 1`` numpy clamps
+        both neighbours to the last value, which this reaches with
+        ``g = 0``.)
+        """
+        ranked = self._ranked
+        n = len(ranked)
+        virtual = (n - 1) * self._novelty_quantile
+        low = math.floor(virtual)
+        gamma = virtual - low
+        a = ranked[low]
+        b = ranked[min(low + 1, n - 1)]
+        diff = b - a
+        if gamma < 0.5:
+            return a + diff * gamma
+        return b - diff * (1 - gamma)
+
+    def _remember(self, novelties: list[float]) -> None:
+        """Append a window's novelties; evict FIFO beyond the limit."""
+        history = self._history
+        ranked = self._ranked
+        history.extend(novelties)
+        # Bound the reference history so the threshold adapts to drift.
+        excess = len(history) - self._history_limit
+        if len(novelties) + max(excess, 0) > _MIRROR_REBUILD_AT:
+            if excess > 0:
+                del history[:excess]
+            self._ranked = sorted(history)
             return
-        # Canonical within-window order: verdicts are order-independent
-        # (one threshold per window, scored pre-fit), but the flag list
-        # and the history-cap tail are not — sort so every backend and
-        # flush schedule produces identical state.
-        batch.sort()
-        sketch = self.sketch
+        for value in novelties:
+            insort(ranked, value)
+        if excess > 0:
+            for value in history[:excess]:
+                del ranked[bisect_left(ranked, value)]
+            del history[:excess]
+
+    def _close_window(self, batch: list[tuple[float, str, tuple]]) -> None:
+        """Score, flag and fold one window's canonically sorted batch."""
         threshold: float | None = None
         if self._window_index >= self._warmup_windows and self._history:
-            threshold = float(
-                np.quantile(self._history, self._novelty_quantile)
-            ) + self._min_novelty_gap
+            threshold = self._threshold() + self._min_novelty_gap
         # Alert streams repeat: score each distinct document once (the
         # sketch is frozen until the post-window fit, so every repeat
         # would produce the identical float) and fold with multiplicity.
-        score = sketch.frozen_scorer()
-        # Two-level memo: object identity first (repeats within one
-        # digest share the docs-table tuple, so most occurrences skip
-        # even the content hash), value equality second (equal contents
-        # arriving via different digests).
+        score = self.sketch.frozen_scorer()
+        # Two-level memo of [ids, counts, multiplicity, novelty]
+        # records: object identity first (repeats within one digest
+        # share the docs-table tuple, so most occurrences skip even the
+        # content hash), value equality second (equal contents arriving
+        # via different digests).
         by_id: dict[int, list] = {}
-        entries: dict[tuple, list] = {}
+        records: dict[tuple, list] = {}
         novelties = []
         for doc in batch:
             content = doc[2]
             rec = by_id.get(id(content))
             if rec is None:
-                rec = entries.get(content)
+                rec = records.get(content)
                 if rec is None:
-                    entries[content] = rec = [-score(content[0], content[1]), 0]
+                    ids, counts = content
+                    records[content] = rec = [
+                        ids, counts, 0, -score(ids, counts),
+                    ]
                 by_id[id(content)] = rec
-            rec[1] += 1
-            novelties.append(rec[0])
+            rec[2] += 1
+            novelties.append(rec[3])
         if threshold is not None:
             for doc, novelty in zip(batch, novelties):
                 if novelty > threshold:
@@ -359,13 +475,8 @@ class SketchWindowScorer:
                         novelty=novelty,
                         window_index=self._window_index,
                     ))
-        self._history.extend(novelties)
-        # Bound the reference history so the threshold adapts to drift.
-        if len(self._history) > self._history_limit:
-            self._history = self._history[-self._history_limit:]
-        sketch.fold_weighted(
-            {content: rec[1] for content, rec in entries.items()}
-        )
+        self._remember(novelties)
+        self.sketch.fold_weighted(records.values())
         self._window_index += 1
 
     # ------------------------------------------------------------------
@@ -400,6 +511,7 @@ class SketchWindowScorer:
             for at, strategy_id, ids, counts in state["buffer"]
         ]
         self._history = [float(value) for value in state["history"]]
+        self._ranked = sorted(self._history)
         self.flags = [
             SketchFlag(
                 strategy_id=str(strategy_id),

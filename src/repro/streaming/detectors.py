@@ -78,9 +78,12 @@ class StreamingDetectorSuite:
         #: sid -> [first_at, first_alert_id, title, description,
         #: severity_int, service, last_at]
         self._catalog: dict[str, list] = {}
-        #: (sid, region, hour bucket) -> [count, transient,
-        #: steady_manual, steady_cleared, steady_duration_sum, times]
-        self._stats: dict[tuple[str, str, int], list] = {}
+        #: sid -> {(region, hour bucket): [count, transient,
+        #: steady_manual, steady_cleared, steady_duration_sum, times]} —
+        #: nested the way the plane digest groups its rows, so every
+        #: ordered pass sorts the few hundred sids and then each sid's
+        #: own few keys instead of one flat (sid, region, bucket) index.
+        self._stats: dict[str, dict[tuple[str, int], list]] = {}
         self.sketch = SketchWindowScorer(
             n_buckets=sketch_buckets,
             smoothing=sketch_smoothing,
@@ -118,11 +121,18 @@ class StreamingDetectorSuite:
                 row[6] = max(row[6], last_at)
         stats = self._stats
         cap = self._thresholds.repeat_window_count
+        # Digest rows arrive grouped by sid: one outer probe per group.
+        last_sid = rows = None
         for sid, region, bucket, count, transient, manual, cleared, duration_sum, times in stat_rows:
-            key = (sid, region, bucket)
-            row = stats.get(key)
+            if sid != last_sid:
+                last_sid = sid
+                rows = stats.get(sid)
+                if rows is None:
+                    rows = stats[sid] = {}
+            key = (region, bucket)
+            row = rows.get(key)
             if row is None:
-                stats[key] = [
+                rows[key] = [
                     count, transient, manual, cleared, duration_sum,
                     list(times[:cap]),
                 ]
@@ -204,9 +214,10 @@ class StreamingDetectorSuite:
     def _storm_hours(self) -> set[tuple[int, str]]:
         """(hour bucket, region) keys carrying flood-level volume."""
         totals: dict[tuple[int, str], int] = {}
-        for (_sid, region, bucket), row in self._stats.items():
-            key = (bucket, region)
-            totals[key] = totals.get(key, 0) + row[0]
+        for rows in self._stats.values():
+            for (region, bucket), row in rows.items():
+                key = (bucket, region)
+                totals[key] = totals.get(key, 0) + row[0]
         return {
             key for key, count in totals.items()
             if count > STORM_HOUR_THRESHOLD
@@ -220,20 +231,26 @@ class StreamingDetectorSuite:
         # bucket evidence the repeat check needs.
         folded: dict[str, list] = {}
         regions_of: dict[str, dict[str, list[tuple[int, list[float]]]]] = {}
-        for (sid, region, bucket), row in sorted(self._stats.items()):
-            if (bucket, region) in storm_hours:
-                continue
-            totals = folded.get(sid)
-            if totals is None:
-                totals = folded[sid] = [0, 0, 0, 0, 0.0]
-            totals[0] += row[0]
-            totals[1] += row[1]
-            totals[2] += row[2]
-            totals[3] += row[3]
-            totals[4] += row[4]
-            regions_of.setdefault(sid, {}).setdefault(region, []).append(
-                (row[0], row[5])
-            )
+        # Sorted sids, then each sid's sorted keys: the (sid, region,
+        # bucket) order, so the float sums add up in the same order.
+        stats = self._stats
+        for sid in sorted(stats):
+            totals = by_region = None
+            for (region, bucket), row in sorted(stats[sid].items()):
+                if (bucket, region) in storm_hours:
+                    continue
+                if totals is None:
+                    totals = folded[sid] = [0, 0, 0, 0, 0.0]
+                    by_region = regions_of[sid] = {}
+                totals[0] += row[0]
+                totals[1] += row[1]
+                totals[2] += row[2]
+                totals[3] += row[3]
+                totals[4] += row[4]
+                evidence = by_region.get(region)
+                if evidence is None:
+                    evidence = by_region[region] = []
+                evidence.append((row[0], row[5]))
         proxies: dict[str, float] = {}
         for sid, totals in folded.items():
             total, transient, manual, cleared, duration_sum = totals
@@ -330,7 +347,7 @@ class StreamingDetectorSuite:
         findings = self.findings()
         return {
             "strategies": self.strategies,
-            "stat_rows": len(self._stats),
+            "stat_rows": sum(len(rows) for rows in self._stats.values()),
             "emerging": self.sketch.emerging_count,
             "findings": {
                 pattern: len(items) for pattern, items in findings.items()
@@ -345,7 +362,8 @@ class StreamingDetectorSuite:
             ],
             "stats": [
                 [sid, region, bucket, *row[:5], list(row[5])]
-                for (sid, region, bucket), row in sorted(self._stats.items())
+                for sid, rows in sorted(self._stats.items())
+                for (region, bucket), row in sorted(rows.items())
             ],
             "sketch": self.sketch.export_state(),
         }
@@ -361,12 +379,11 @@ class StreamingDetectorSuite:
             for sid, first_at, first_id, title, description, severity,
                 service, last_at in state["catalog"]
         }
-        self._stats = {
-            (str(sid), str(region), int(bucket)): [
+        self._stats = {}
+        for (sid, region, bucket, count, transient, manual, cleared,
+             duration_sum, times) in state["stats"]:
+            self._stats.setdefault(str(sid), {})[str(region), int(bucket)] = [
                 int(count), int(transient), int(manual), int(cleared),
                 float(duration_sum), [float(at) for at in times],
             ]
-            for sid, region, bucket, count, transient, manual, cleared,
-                duration_sum, times in state["stats"]
-        }
         self.sketch.restore_state(state["sketch"])

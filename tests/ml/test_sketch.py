@@ -8,6 +8,8 @@ round-trips.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -168,6 +170,123 @@ class TestSketchWindowScorer:
             resumed.advance(doc[0])
         resumed.finish()
         assert resumed.export_state() == straight.export_state()
+
+    @staticmethod
+    def _scorer():
+        # A small history cap so the cut lands after FIFO evictions, and
+        # no gap so the restored threshold decides real flags.
+        return SketchWindowScorer(
+            window_seconds=100.0, warmup_windows=2, min_novelty_gap=0.0,
+            history_limit=12,
+        )
+
+    def test_restore_after_evictions_continues_identically(self):
+        docs = [
+            # A new phase token every 300 s: each phase's first window
+            # clears the threshold, before and after the cut.
+            _doc(at, f"s-{int(at) % 3}",
+                 f"alert variant {int(at) % 7} phase{int(at) // 300}")
+            for at in [float(x) for x in range(0, 1500, 13)]
+        ]
+        cut = len(docs) // 2
+        straight = self._scorer()
+        for doc in docs:
+            straight.add(doc)
+            straight.advance(doc[0])
+        straight.finish()
+        first = self._scorer()
+        for doc in docs[:cut]:
+            first.add(doc)
+            first.advance(doc[0])
+        state = first.export_state()
+        # The cut is past the cap: the restored history is a FIFO tail.
+        assert first._window_index > 2
+        assert len(state["history"]) == 12
+        resumed = self._scorer()
+        resumed.restore_state(state)
+        assert resumed._ranked == sorted(resumed._history)
+        for doc in docs[cut:]:
+            resumed.add(doc)
+            resumed.advance(doc[0])
+        resumed.finish()
+        assert any(flag.occurred_at >= docs[cut][0] for flag in straight.flags)
+        assert resumed.flags == straight.flags
+        assert resumed.export_state() == straight.export_state()
+
+    def test_restore_with_unsorted_buffer_spanning_windows(self):
+        # Arrivals out of event-time order across four windows, held in
+        # the buffer (no advance yet) when the state is captured.
+        warm = [_doc(float(at), "s-1", f"warm variant {at % 3}")
+                for at in range(0, 300, 10)]
+        pending = [
+            _doc(at, f"s-{index % 2}", f"pending variant {index % 4}")
+            for index, at in enumerate([
+                650.0, 310.0, 520.0, 305.0, 690.0, 410.0, 599.0, 450.0,
+            ])
+        ]
+        straight = self._scorer()
+        first = self._scorer()
+        for scorer in (straight, first):
+            for doc in warm:
+                scorer.add(doc)
+                scorer.advance(doc[0])
+            for doc in pending:
+                scorer.add(doc)
+        state = first.export_state()
+        assert [row[0] for row in state["buffer"]] != \
+            sorted(row[0] for row in state["buffer"])
+        resumed = self._scorer()
+        resumed.restore_state(state)
+        for scorer in (straight, resumed):
+            scorer.advance(700.0)
+            scorer.finish()
+        assert resumed.export_state() == straight.export_state()
+
+    def test_far_future_watermark_skips_empty_windows(self):
+        scorer = SketchWindowScorer(window_seconds=3600.0)
+        scorer.add(_doc(0.0, "s-1", "disk usage over threshold"))
+        began = time.perf_counter()
+        scorer.advance(1e18)
+        assert time.perf_counter() - began < 1.0
+        index = scorer._window_index
+        assert 3600.0 * index <= 1e18 < 3600.0 * (index + 1)
+        assert scorer.export_state()["buffer"] == []
+        assert len(scorer.export_state()["history"]) == 1
+
+    @pytest.mark.parametrize("start", [0.0, 17.25, 1.7e9 + 0.1])
+    @pytest.mark.parametrize("window", [100.0, 3600.0, 0.3])
+    def test_skipped_index_equals_the_window_by_window_loop(
+            self, start, window):
+        for gap in (0.0, window, 5 * window - 1e-9, 777.7 * window, 2e4):
+            scorer = SketchWindowScorer(window_seconds=window)
+            scorer.add(_doc(start, "s-1", "routine latency alert"))
+            # A late document and one far ahead share the buffer.
+            scorer.add(_doc(start + gap, "s-2", "routine latency alert"))
+            watermark = start + gap + window / 3
+            scorer.advance(watermark)
+            index = 0
+            while start + (index + 1) * window <= watermark:
+                index += 1
+            assert scorer._window_index == index
+
+    @pytest.mark.parametrize("start, window, watermark", [
+        # Gaps too long to loop over, where the floor-division estimate
+        # overshoots the loop's index by one (``at - start`` rounds up).
+        (1_700_000_000.1, 100.0, 7_476_772_300.099999),
+        (1_700_000_000.1, 0.3, 8_393_141_310.599999),
+        (375_662_084.1988046, 100.0, 2_764_960_584.1988044),
+    ])
+    def test_skipped_index_is_the_loops_at_float_edges(
+            self, start, window, watermark):
+        scorer = SketchWindowScorer(window_seconds=window)
+        scorer.add(_doc(start, "s-1", "routine latency alert"))
+        scorer.advance(watermark)
+        index = scorer._window_index
+        # The loop stops at the first window whose end is past the
+        # watermark; its test is monotone in the index, so these two
+        # comparisons pin the index exactly.
+        assert start + index * window <= watermark
+        assert not start + (index + 1) * window <= watermark
 
 
 class TestSketchEmergingDetector:

@@ -1,0 +1,177 @@
+"""Property test: the R4 sketch's order-statistic history and window split.
+
+``SketchWindowScorer`` reads its threshold from a sorted mirror of the
+novelty history, splits its buffer once per ``advance`` and skips empty
+windows by index arithmetic.  These properties pin all three against
+the plain definitions: the mirror's quantile is ``np.quantile``
+bitwise, the mirror is ``sorted(history)`` after any sequence of
+windows and evictions, and every flag, novelty and history entry equals
+a naive model that closes one window at a time with two buffer scans
+and ``np.quantile``.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.ml.sketch import HashingTopicSketch, SketchFlag, SketchWindowScorer
+
+N_BUCKETS = 16
+WINDOW = 10.0
+# Few distinct documents, so novelties repeat and the history holds ties.
+DOCUMENTS = [
+    ((1,), (1,)),
+    ((1, 2), (1, 3)),
+    ((2, 5, 9), (1, 1, 2)),
+    ((3,), (4,)),
+    ((4, 7), (2, 1)),
+    ((0, 15), (1, 1)),
+]
+# In-window steps, window-sized steps and gaps spanning many windows.
+STEPS = [0.0, 0.0, 0.5, 3.0, 9.9, 10.0, 25.0, 140.0]
+QUANTILES = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class NaiveScorer:
+    """The window loop with nothing derived: one window per step, two
+    comprehensions over the buffer per window, ``np.quantile`` over the
+    history, one ``score`` call per document."""
+
+    def __init__(self, quantile, gap, limit, warmup=2):
+        self.sketch = HashingTopicSketch(N_BUCKETS)
+        self.quantile, self.gap, self.limit = quantile, gap, limit
+        self.warmup = warmup
+        self.start = None
+        self.index = 0
+        self.buffer = []
+        self.history = []
+        self.flags = []
+
+    def add(self, doc):
+        if self.start is None:
+            self.start = doc[0]
+        self.buffer.append(doc)
+
+    def advance(self, watermark):
+        if self.start is None:
+            return
+        while self.start + (self.index + 1) * WINDOW <= watermark:
+            self.close(self.start + (self.index + 1) * WINDOW)
+
+    def close(self, end):
+        if end is None:
+            batch, self.buffer = self.buffer, []
+        else:
+            batch = [doc for doc in self.buffer if doc[0] < end]
+            self.buffer = [doc for doc in self.buffer if doc[0] >= end]
+        if batch:
+            batch.sort()
+            threshold = None
+            if self.index >= self.warmup and self.history:
+                threshold = float(
+                    np.quantile(self.history, self.quantile)
+                ) + self.gap
+            novelties = [-self.sketch.score(*doc[2]) for doc in batch]
+            if threshold is not None:
+                self.flags.extend(
+                    SketchFlag(doc[1], doc[0], novelty, self.index)
+                    for doc, novelty in zip(batch, novelties)
+                    if novelty > threshold
+                )
+            self.history = (self.history + novelties)[-self.limit:]
+            self.sketch.partial_fit([doc[2] for doc in batch])
+        self.index += 1
+
+
+@st.composite
+def streams(draw):
+    """Documents with jittered times (late arrivals included) and the
+    watermarks ``advance`` sees after each one."""
+    n = draw(st.integers(min_value=1, max_value=160))
+    now = 0.0
+    events = []
+    for _ in range(n):
+        now += draw(st.sampled_from(STEPS))
+        lateness = draw(st.sampled_from([0.0, 0.0, 0.0, 4.0, 12.0]))
+        at = max(now - lateness, 0.0)
+        content = draw(st.sampled_from(DOCUMENTS))
+        strategy = draw(st.sampled_from(["s-1", "s-2"]))
+        watermark = now - draw(st.sampled_from([0.0, 5.0, 30.0]))
+        events.append(((at, strategy, content), watermark))
+    return events
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.01, max_value=50.0) | st.sampled_from([1.0, 2.5]),
+        min_size=1, max_size=300,
+    ),
+    QUANTILES,
+)
+# At g = 0.5 numpy lerps from the upper neighbour; from the lower one
+# this pair would land one ulp higher.
+@example([2.4558498082097246, 130425.25193495094], 0.5)
+@settings(deadline=None)
+def test_mirror_quantile_is_numpy_quantile_bitwise(history, quantile):
+    scorer = SketchWindowScorer(novelty_quantile=quantile)
+    state = scorer.export_state()
+    state["history"] = history
+    scorer.restore_state(state)
+    expected = float(np.quantile(history, quantile))
+    assert scorer._threshold().hex() == expected.hex()
+
+
+@given(streams(), QUANTILES, st.integers(min_value=1, max_value=40))
+@settings(deadline=None)
+def test_scorer_matches_the_naive_window_loop(events, quantile, limit):
+    scorer = SketchWindowScorer(
+        n_buckets=N_BUCKETS, window_seconds=WINDOW, warmup_windows=2,
+        novelty_quantile=quantile, min_novelty_gap=0.0, history_limit=limit,
+    )
+    naive = NaiveScorer(quantile, 0.0, limit)
+    for (at, strategy, (ids, counts)), watermark in events:
+        scorer.add((at, strategy, ids, counts))
+        naive.add((at, strategy, (ids, counts)))
+        scorer.advance(watermark)
+        naive.advance(watermark)
+        assert scorer._window_index == naive.index
+        assert scorer._history == naive.history
+        assert scorer._ranked == sorted(scorer._history)
+        # The retained buffer keeps its arrival order (checkpoint bytes).
+        assert scorer._buffer == naive.buffer
+    scorer.finish()
+    if naive.buffer:
+        naive.close(None)
+    assert [(f.strategy_id, f.occurred_at, f.novelty.hex(), f.window_index)
+            for f in scorer.flags] == \
+        [(f.strategy_id, f.occurred_at, f.novelty.hex(), f.window_index)
+         for f in naive.flags]
+    assert [value.hex() for value in scorer._history] == \
+        [value.hex() for value in naive.history]
+    assert scorer._ranked == sorted(scorer._history)
+    assert scorer.sketch.export_state() == naive.sketch.export_state()
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=300), min_size=1,
+             max_size=12),
+    st.integers(min_value=1, max_value=150),
+)
+@settings(deadline=None)
+def test_mirror_tracks_history_through_bulk_windows(sizes, limit):
+    """Windows of up to 300 documents cross the mirror's rebuild cut-off
+    in both directions; the mirror stays ``sorted(history)``."""
+    scorer = SketchWindowScorer(
+        n_buckets=N_BUCKETS, window_seconds=WINDOW, warmup_windows=1,
+        history_limit=limit,
+    )
+    for window, size in enumerate(sizes):
+        for offset in range(size):
+            ids, counts = DOCUMENTS[(window + offset) % len(DOCUMENTS)]
+            scorer.add((window * WINDOW + offset * WINDOW / 400, "s-1",
+                        ids, counts))
+        scorer.advance((window + 1) * WINDOW)
+        assert len(scorer._history) <= limit
+        assert scorer._ranked == sorted(scorer._history)

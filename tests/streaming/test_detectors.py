@@ -8,6 +8,8 @@ through the gateway's checkpoint path.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.alerting.alert import Severity
@@ -15,6 +17,7 @@ from repro.common.errors import ValidationError
 from repro.common.timeutil import HOUR
 from repro.core.antipatterns.base import DetectorThresholds
 from repro.streaming import AlertGateway, StreamingDetectorSuite
+from tests.streaming.conftest import make_alert
 
 
 def _catalog_row(sid, title="database-api-01: failed to commit changes",
@@ -90,6 +93,45 @@ class TestFolding:
         assert count == 11
         assert len(times) == cap
         assert times == list(first + second)[:cap]
+
+    def test_stats_export_equals_a_flat_sorted_reference(self):
+        # Digests whose rows interleave sids, regions and buckets out of
+        # order and revisit keys; the nested fold must export the rows
+        # a flat (sid, region, bucket) map would, in sorted order.
+        cap = DetectorThresholds().repeat_window_count
+        digests = []
+        for flush in range(5):
+            rows = []
+            for index in range(12):
+                sid = f"s-{(index * 7 + flush) % 4}"
+                region = ("region-B", "region-A", "region-C")[index % 3]
+                bucket = (index * 5 + flush * 3) % 9
+                count = 1 + (index + flush) % 4
+                rows.append(_stat_row(
+                    sid, region=region, bucket=bucket, count=count,
+                    transient=index % 2, manual=flush % 2, cleared=count,
+                    duration_sum=count * (60.0 + flush + index / 3),
+                ))
+            digests.append(_digest(
+                catalog=[_catalog_row(f"s-{index}") for index in range(4)],
+                stats=rows,
+            ))
+        reference: dict[tuple, list] = {}
+        for digest in digests:
+            for sid, region, bucket, *counters, times in digest[1]:
+                row = reference.setdefault(
+                    (sid, region, bucket), [0, 0, 0, 0, 0.0, []],
+                )
+                for slot, value in enumerate(counters):
+                    row[slot] += value
+                row[5] = (row[5] + list(times))[:cap]
+        suite = StreamingDetectorSuite()
+        for digest in digests:
+            suite.observe(digest)
+        assert suite.export_state()["stats"] == [
+            [*key, *row] for key, row in sorted(reference.items())
+        ]
+        assert suite.summary()["stat_rows"] == len(reference)
 
 
 def _severity_fixture():
@@ -254,6 +296,16 @@ class TestGatewayIntegration:
         assert revived.detectors.export_state() == reference_state
         assert stats.detection == reference
         revived.close()
+
+    def test_far_future_event_time_does_not_stall_detection(self, topology):
+        gateway = self._gateway(topology)
+        began = time.perf_counter()
+        gateway.ingest_batch([make_alert(0.0), make_alert(1e18)])
+        gateway.flush()
+        stats = gateway.drain()
+        assert time.perf_counter() - began < 1.0
+        assert stats.detection["strategies"] == 1
+        gateway.close()
 
     def test_adopting_detector_state_without_detectors_is_refused(
             self, storm_alerts):
