@@ -52,12 +52,20 @@ def main() -> None:
         if now < next_report[0] or gw.stats.input_alerts == 0:
             return
         next_report[0] += report_every
-        snapshot = gw.snapshot()
+        gw.flush()  # a barrier: every plane row in gw.stats is current
+        stats = gw.stats
+        # Rolling reduction: finished clusters plus every item still
+        # forming (open R2 sessions, open R3 components).
+        forming = sum(
+            plane["open_sessions"] + plane["active_components"]
+            for plane in stats.planes.values()
+        )
+        reduction = 1.0 - (stats.clusters_finalized + forming) / stats.input_alerts
         clock = f"{int(now // 3600) % 24:02d}:{int(now % 3600) // 60:02d}"
-        print(f"{clock:>9}  {snapshot.input_alerts:>6,}  "
-              f"{snapshot.blocked_alerts:>7,}  {snapshot.aggregates_emitted:>6,}  "
-              f"{snapshot.clusters_finalized:>8,}  {snapshot.storm_episodes:>6}  "
-              f"{snapshot.estimated_reduction:>9.1%}")
+        print(f"{clock:>9}  {stats.input_alerts:>6,}  "
+              f"{stats.blocked_alerts:>7,}  {stats.aggregates_emitted:>6,}  "
+              f"{stats.clusters_finalized:>8,}  {stats.storm_episodes:>6}  "
+              f"{reduction:>9.1%}")
 
     engine = SimulationEngine(start_time=config.window.start)
     drive_gateway(engine, gateway, storm.iter_ordered(), interval=60.0,
@@ -83,9 +91,8 @@ def main() -> None:
     # pipeline run over just those regions' alerts.
     print("\nper-region reconciliation (plane vs batch pipeline on that "
           "region's alerts):")
-    assignments = gateway.plane_assignments
-    for plane_id in sorted(set(assignments.values())):
-        regions = tuple(r for r, p in assignments.items() if p == plane_id)
+    for plane_id, plane in sorted(stats.planes.items()):
+        regions = tuple(plane["regions"])
         regional = storm.filter(
             lambda a, keep=frozenset(regions): a.region in keep,
             label=f"plane-{plane_id}",
@@ -93,7 +100,6 @@ def main() -> None:
         regional_report = MitigationPipeline(
             topology.graph, rulebook=rulebook,
         ).run(regional, blocker=blocker)
-        plane = stats.planes[plane_id]
         pairs = [
             ("in", plane["processed"], regional_report.input_alerts),
             ("blocked", plane["blocked"], regional_report.blocked_alerts),

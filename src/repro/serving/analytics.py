@@ -19,8 +19,10 @@ the region-partitioned execution planes share the load.
 from __future__ import annotations
 
 from repro.serving.checkpoint import GatewayCheckpoint
+from repro.streaming.config import GatewayConfig
 from repro.streaming.detectors import StreamingDetectorSuite
 from repro.streaming.qoa import StreamQoAScorer
+from repro.streaming.stats import GatewayStats
 
 __all__ = [
     "status_of_checkpoint",
@@ -36,79 +38,51 @@ __all__ = [
 def status_of_checkpoint(checkpoint: GatewayCheckpoint) -> dict:
     """A status-shaped dict from a snapshot — no gateway boot needed.
 
-    Checkpoints record the gateway's restorable accounting, the QoA
-    scores as of the barrier, and the learner's full event timeline, so
-    the operator views render from a cold snapshot exactly as from a
-    live service (minus live-only fields: runtime metrics, journal
-    position, history ring).
+    The ``"gateway"`` section is the live view itself: a
+    :class:`~repro.streaming.stats.GatewayStats` built on the recorded
+    configuration, restored from the checkpointed accounting, then
+    :meth:`~repro.streaming.stats.GatewayStats.snapshot`.  Only three
+    fields differ from a live service at the same barrier: throughput
+    (wall-clock does not survive a snapshot) and the QoA scores and
+    detection summary, which freeze only at drain and are recomputed
+    here from the checkpointed scorer and detector state.  Live-only
+    sections (runtime metrics, journal position, history ring) stay
+    empty.
     """
-    stats = checkpoint.state["stats"]
-    learner = checkpoint.state.get("learner")
-    config = checkpoint.config
-    # stats.qoa freezes only at drain; a checkpoint carries the live
-    # scorer's counters instead — rebuild it to score without a gateway.
-    qoa_state = checkpoint.state.get("qoa")
+    state = checkpoint.state
+    options = GatewayConfig.from_record(checkpoint.config)
+    stats = GatewayStats(
+        n_planes=options.n_planes,
+        backend=options.backend,
+        n_workers=options.n_workers,
+        flush_size=options.flush_size,
+        learning=options.learn_rules,
+        qoa_enabled=options.enable_qoa,
+        detect_enabled=options.detect_antipatterns,
+    )
+    stats.restore_state(state["stats"])
+    gateway = stats.snapshot()
+    gateway["throughput"] = None
+    learner = state.get("learner")
+    qoa_state = state.get("qoa")
     if qoa_state is not None:
         scorer = StreamQoAScorer()
         scorer.restore_state(qoa_state)
-        qoa_scores = scorer.snapshot()
-    else:
-        qoa_scores = stats["qoa"]
-    # Likewise detection: stats.detection freezes only at drain, but a
-    # checkpoint carries the suite's full folded state — rebuild it to
-    # answer "what would the detectors say right now" from a cold
-    # snapshot, findings included.
-    detectors_state = checkpoint.state.get("detectors")
+        gateway["qoa"] = scorer.snapshot()
+    detectors_state = state.get("detectors")
+    detection_detail = None
     if detectors_state is not None:
         suite = StreamingDetectorSuite(
-            sketch_buckets=config.get("sketch_buckets", 4096),
+            thresholds=options.detector_thresholds,
+            sketch_buckets=options.sketch_buckets,
         )
         suite.restore_state(detectors_state)
-        detection = suite.summary()
+        gateway["detection"] = suite.summary()
         detection_detail = [
             [finding.pattern, finding.subject, finding.score, finding.evidence]
             for items in suite.findings().values()
             for finding in items
         ]
-    else:
-        detection = stats.get("detection")
-        detection_detail = None
-    gateway = {
-        "backend": config["backend"],
-        "n_planes": config["n_planes"],
-        "n_workers": config["n_workers"],
-        "flush_size": config["flush_size"],
-        "input_alerts": stats["input_alerts"],
-        "blocked_alerts": stats["blocked_alerts"],
-        "aggregates": stats["aggregates_emitted"],
-        "clusters": stats["clusters_finalized"],
-        "storm_episodes": stats["storm_episodes"],
-        "emerging_flags": stats["emerging_flags"],
-        "late_events": stats["late_events"],
-        "flushes": stats["flushes"],
-        "plane_scales": stats["plane_scales"],
-        "scales": stats["scales"],
-        "watermark": stats["watermark"],
-        "total_reduction": (
-            1.0 - stats["clusters_finalized"] / stats["input_alerts"]
-            if stats["input_alerts"] else 0.0
-        ),
-        "throughput": None,  # wall-clock does not survive a snapshot
-        "planes": [
-            dict(stats["planes"][key])
-            for key in sorted(stats["planes"], key=int)
-        ],
-        "learner": {
-            "enabled": learner is not None,
-            "rules_promoted": stats["rules_promoted"],
-            "rules_renewed": stats["rules_renewed"],
-            "rules_demoted": stats["rules_demoted"],
-            "rules_expired": stats["rules_expired"],
-            "rules_active": stats["rules_active"],
-        },
-        "qoa": qoa_scores,
-        "detection": detection,
-    }
     return {
         "service": {
             "source": "checkpoint",
@@ -116,7 +90,7 @@ def status_of_checkpoint(checkpoint: GatewayCheckpoint) -> dict:
             "created_at": checkpoint.created_at,
         },
         "gateway": gateway,
-        "qoa_live": qoa_scores,
+        "qoa_live": gateway["qoa"],
         "detection_detail": detection_detail,
         "rule_events": learner["events"] if learner is not None else None,
         "history": [],

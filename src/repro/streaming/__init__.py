@@ -57,7 +57,7 @@ from repro.streaming.dedup import OnlineAggregator, OpenSession
 from repro.streaming.detectors import STORM_HOUR_THRESHOLD, StreamingDetectorSuite
 from repro.streaming.driver import drive_gateway
 from repro.streaming.fleet import FleetError, WorkerDiedError, WorkerTimeoutError
-from repro.streaming.gateway import AlertGateway, GatewaySnapshot
+from repro.streaming.gateway import AlertGateway
 from repro.streaming.lanes import LANE_JOIN_TIMEOUT, LaneIngress
 from repro.streaming.learning import (
     LearnerConfig,
@@ -69,10 +69,8 @@ from repro.streaming.learning import (
 from repro.streaming.qoa import StreamQoA, StreamQoAScorer, measure_stream_qoa
 from repro.streaming.plane import (
     PlaneConfig,
-    PlaneDrainResult,
-    PlaneFlushResult,
     PlaneRegionState,
-    PlaneSnapshot,
+    PlaneReport,
     RegionPlane,
 )
 from repro.streaming.processor import StreamProcessor
@@ -102,7 +100,6 @@ from repro.streaming.wire import (
 __all__ = [
     "AlertGateway",
     "GatewayConfig",
-    "GatewaySnapshot",
     "GatewayStats",
     "StreamProcessor",
     "BACKEND_NAMES",
@@ -111,9 +108,7 @@ __all__ = [
     "ProcessPlaneBackend",
     "make_backend",
     "PlaneConfig",
-    "PlaneFlushResult",
-    "PlaneSnapshot",
-    "PlaneDrainResult",
+    "PlaneReport",
     "PlaneRegionState",
     "RegionPlane",
     "PlaneRouter",

@@ -11,14 +11,16 @@ lives and what executes it:
 * ``process`` — planes are partitioned across worker processes
   (``plane % n_workers``); event batches cross the pipe in the
   struct-packed :mod:`~repro.streaming.wire` format and flush replies
-  are fixed-size counter tuples, so the per-event serialisation tax is
+  are counter-only reports, so the per-event serialisation tax is
   a dictionary-encoded column write, not a pickled object graph.  True
   parallelism regardless of the GIL, for the plane chain only; ingress
   lanes (:mod:`~repro.streaming.lanes`) exist to feed these workers.
 
 Both backends speak the same protocol — ``flush`` with a barrier per
-call, ``snapshots`` for introspection, ``scale`` for live re-planing,
-``drain``/``close`` for shutdown — and both produce *bitwise identical*
+call, ``scale`` for live re-planing, ``checkpoint``/``restore`` for
+durable capture, ``drain``/``close`` for shutdown — and every call that
+runs planes answers with one :class:`~repro.streaming.plane.PlaneReport`
+per plane it touched.  Both produce *bitwise identical*
 volume accounting: a plane's reaction chain only ever sees its own
 regions' events in arrival order, so where it runs cannot change what it
 counts.  The parity harness in ``tests/streaming/test_backends.py`` pins
@@ -49,14 +51,7 @@ from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
 from repro.streaming.config import GatewayConfig
 from repro.streaming.fleet import WorkerDiedError, WorkerTimeoutError
-from repro.streaming.plane import (
-    PlaneConfig,
-    PlaneDrainResult,
-    PlaneFlushResult,
-    PlaneSnapshot,
-    RegionPlane,
-)
-from repro.streaming.processor import StreamProcessor
+from repro.streaming.plane import PlaneConfig, PlaneReport, RegionPlane
 from repro.streaming.rings import SpscRing
 from repro.streaming.wire import (
     pack_aggregates,
@@ -104,7 +99,7 @@ class PlaneBackend(Protocol):
 
     def flush(
         self, batches: Sequence[PlaneBatch], watermark: float | None,
-    ) -> list[PlaneFlushResult]:
+    ) -> list[PlaneReport]:
         """Run one flush cycle; a barrier — returns when every plane is done.
 
         ``batches`` holds at most one batch per plane; events within a
@@ -113,13 +108,9 @@ class PlaneBackend(Protocol):
         """
         ...
 
-    def snapshots(self) -> list[PlaneSnapshot]:
-        """Per-plane progress views (as of the last barrier)."""
-        ...
-
     def scale(
         self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneSnapshot]:
+    ) -> list[PlaneReport]:
         """Re-plane to ``n_planes``, migrating each moved region's state.
 
         A barrier (the gateway flushes first, so no batch is in flight):
@@ -129,7 +120,7 @@ class PlaneBackend(Protocol):
         slice, retained artifacts — detached from its old plane and
         installed on its new one.  Dropped planes must have had all their
         regions exported, which the round-robin rescale guarantees.
-        Returns post-migration snapshots of every plane, the gateway's
+        Returns a post-migration report of every plane, the gateway's
         new per-plane accounting baseline.
         """
         ...
@@ -143,9 +134,8 @@ class PlaneBackend(Protocol):
         cross-plane, whose invisibility the scale parity harness already
         pins down — so after the call the backend is exactly as it was,
         and the returned blobs (in ``pairs`` order) are a complete
-        durable image of all plane-resident state.  Rule tables are
-        blanked in the blobs: the checkpoint records the blocker table
-        once, gateway-level, not once per region.
+        durable image of all plane-resident state.  The blocker table is
+        not in the blobs: the checkpoint records it once, gateway-level.
         """
         ...
 
@@ -159,7 +149,7 @@ class PlaneBackend(Protocol):
         """
         ...
 
-    def drain(self, watermark: float | None) -> list[PlaneDrainResult]:
+    def drain(self, watermark: float | None) -> list[PlaneReport]:
         """Flush all open plane state; the backend stays closeable only."""
         ...
 
@@ -173,16 +163,10 @@ def _checkpoint_region(plane: RegionPlane, region: str) -> bytes:
 
     ``export_region`` is destructive by design (it is the migration
     primitive), so a durable capture is export → pack → re-adopt on the
-    same plane.  The rule snapshot is blanked in the packed bytes only —
-    the checkpoint stores the blocker table once at gateway level — and
-    restored on the state object before re-adoption, which is then a
-    pure no-op repair against the same shared blocker.
+    same plane.
     """
     state = plane.export_region(region)
-    rules = state.rules
-    state.rules = []
     blob = pack_plane_state(state)
-    state.rules = rules
     plane.adopt_region(state)
     return blob
 
@@ -202,25 +186,17 @@ class SerialPlaneBackend:
     def n_planes(self) -> int:
         return len(self.planes)
 
-    @property
-    def processors(self) -> list[StreamProcessor]:
-        """Every plane's processor (read-only introspection)."""
-        return [plane.processor for plane in self.planes]
-
     def flush(
         self, batches: Sequence[PlaneBatch], watermark: float | None,
-    ) -> list[PlaneFlushResult]:
+    ) -> list[PlaneReport]:
         return [
             self.planes[plane].process_batch(alerts, in_warmup, watermark)
             for plane, alerts, in_warmup in batches
         ]
 
-    def snapshots(self) -> list[PlaneSnapshot]:
-        return [plane.snapshot() for plane in self.planes]
-
     def scale(
         self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneSnapshot]:
+    ) -> list[PlaneReport]:
         require_positive(n_planes, "n_planes")
         planes = self.planes
         # Export everything first, then adopt: the round-robin rescale
@@ -229,12 +205,6 @@ class SerialPlaneBackend:
             planes[source].export_region(region)
             for region, (source, _) in moved.items()
         ]
-        for state in states:
-            # Every in-process plane shares the one configured blocker,
-            # so the carried rule snapshot has nothing to verify or
-            # repair here; it exists for payloads that cross a process
-            # boundary (or a future fresh-worker spawn).
-            state.rules = []
         planes.extend(
             RegionPlane(plane, self._config)
             for plane in range(len(planes), n_planes)
@@ -252,7 +222,7 @@ class SerialPlaneBackend:
                     f"plane {plane.plane_id} still owned state after its "
                     f"regions were exported; its history was not migrated"
                 )
-        return [plane.snapshot() for plane in planes]
+        return [plane.report() for plane in planes]
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         return [
@@ -264,7 +234,7 @@ class SerialPlaneBackend:
         for plane, blob in adopts:
             self.planes[plane].adopt_region(unpack_plane_state(blob))
 
-    def drain(self, watermark: float | None) -> list[PlaneDrainResult]:
+    def drain(self, watermark: float | None) -> list[PlaneReport]:
         return [plane.drain(watermark) for plane in self.planes]
 
     def close(self) -> None:
@@ -332,10 +302,6 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                     for plane_id, blob, in_warmup in batches
                 ]
                 connection.send(("ok", results))
-            elif kind == "snapshot":
-                connection.send(("ok", [
-                    planes[plane].snapshot() for plane in sorted(planes)
-                ]))
             elif kind == "export_regions":
                 # One packed blob per (plane, region), request order —
                 # state crosses the pipe wire-packed, never pickled.
@@ -362,7 +328,7 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                             f"migrated"
                         )
                 connection.send(("ok", [
-                    planes[plane].snapshot() for plane in sorted(planes)
+                    planes[plane].report() for plane in sorted(planes)
                 ]))
             elif kind == "checkpoint":
                 # Non-destructive capture: export → pack → re-adopt on
@@ -384,8 +350,8 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                     result = planes[plane_id].drain(payload)
                     aggregates = pack_aggregates(result.retained_aggregates)
                     clusters = pack_clusters(result.retained_clusters)
-                    result.retained_aggregates = []
-                    result.retained_clusters = []
+                    result.retained_aggregates = None
+                    result.retained_clusters = None
                     replies.append((result, aggregates, clusters))
                 connection.send(("ok", replies))
             elif kind == "stop":
@@ -406,7 +372,8 @@ class ProcessPlaneBackend:
     unit is the plane, so parallelism scales with plane count.  Ingress
     batches cross the pipe struct-packed
     (:func:`~repro.streaming.wire.pack_alerts`); flush replies are
-    counter tuples; retained artifacts come back packed once, at drain.
+    counter-only reports; retained artifacts come back packed once, at
+    drain.
     """
 
     name = "process"
@@ -616,7 +583,7 @@ class ProcessPlaneBackend:
         parts: list[bytes],
         in_warmup: int,
         watermark: float | None,
-    ) -> PlaneFlushResult:
+    ) -> PlaneReport:
         """One lane batch as encoder output parts — the zero-copy path.
 
         ``parts`` is :meth:`~repro.streaming.wire.AlertBatchBuilder.
@@ -650,7 +617,7 @@ class ProcessPlaneBackend:
 
     def flush(
         self, batches: Sequence[PlaneBatch], watermark: float | None,
-    ) -> list[PlaneFlushResult]:
+    ) -> list[PlaneReport]:
         if self._closed:
             raise ValidationError("process backend already closed")
         self._ensure_started()
@@ -664,33 +631,14 @@ class ProcessPlaneBackend:
             worker_ids,
             [("flush", (per_worker[w], watermark)) for w in worker_ids],
         )
-        results: list[PlaneFlushResult] = []
+        results: list[PlaneReport] = []
         for reply in replies:
             results.extend(reply)
         return results
 
-    def snapshots(self) -> list[PlaneSnapshot]:
-        if self._workers is None:
-            return [
-                PlaneSnapshot(
-                    plane_id=plane, processed=0, blocked=0, aggregates=0,
-                    clusters=0, storm_episodes=0, emerging_flags=0,
-                    open_sessions=0, active_components=0,
-                    retained_representatives=0,
-                )
-                for plane in range(self._n_planes)
-            ]
-        worker_ids = list(range(self.n_workers))
-        replies = self._roundtrip(worker_ids, [("snapshot", None)] * self.n_workers)
-        snapshots: list[PlaneSnapshot] = []
-        for reply in replies:
-            snapshots.extend(reply)
-        snapshots.sort(key=lambda snapshot: snapshot.plane_id)
-        return snapshots
-
     def scale(
         self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneSnapshot]:
+    ) -> list[PlaneReport]:
         require_positive(n_planes, "n_planes")
         if self._closed:
             raise ValidationError("process backend already closed")
@@ -702,7 +650,7 @@ class ProcessPlaneBackend:
             # and since the fleet hasn't spawned yet, the worker clamp
             # can still follow the new plane count.
             self.n_workers = min(self._requested_workers, self._n_planes)
-            return self.snapshots()
+            return [PlaneReport(plane) for plane in range(self._n_planes)]
         # Round 1 — export: each source worker detaches its moved
         # regions' plane state and hands it back as packed bytes.
         exports: dict[int, list[tuple[int, str]]] = {}
@@ -742,11 +690,11 @@ class ProcessPlaneBackend:
             ("scale", (creates[w], drops[w], adopts[w]))
             for w in worker_ids
         ])
-        snapshots: list[PlaneSnapshot] = []
+        reports: list[PlaneReport] = []
         for reply in replies:
-            snapshots.extend(reply)
-        snapshots.sort(key=lambda snapshot: snapshot.plane_id)
-        return snapshots
+            reports.extend(reply)
+        reports.sort(key=lambda report: report.plane_id)
+        return reports
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         if self._closed:
@@ -798,18 +746,12 @@ class ProcessPlaneBackend:
             [("adopt", per_worker[w]) for w in worker_ids],
         )
 
-    def drain(self, watermark: float | None) -> list[PlaneDrainResult]:
+    def drain(self, watermark: float | None) -> list[PlaneReport]:
         if self._workers is None:
-            return [
-                PlaneDrainResult(
-                    plane_id=plane, processed=0, blocked=0, aggregates=0,
-                    clusters=0, storm_episodes=0, emerging_flags=0,
-                )
-                for plane in range(self._n_planes)
-            ]
+            return [PlaneReport(plane) for plane in range(self._n_planes)]
         worker_ids = list(range(self.n_workers))
         replies = self._roundtrip(worker_ids, [("drain", watermark)] * self.n_workers)
-        results: list[PlaneDrainResult] = []
+        results: list[PlaneReport] = []
         for reply in replies:
             for result, aggregates, clusters in reply:
                 result.retained_aggregates = unpack_aggregates(aggregates)

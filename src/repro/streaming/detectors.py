@@ -100,7 +100,7 @@ class StreamingDetectorSuite:
         """Fold one plane's digest; advance the R4 watermark.
 
         ``digest`` is the ``(catalog, stats, docs, doc_rows)`` tuple
-        :attr:`~repro.streaming.plane.PlaneFlushResult.detection` holds.
+        :attr:`~repro.streaming.plane.PlaneReport.detection` holds.
         """
         catalog_rows, stat_rows, docs, doc_rows = digest
         catalog = self._catalog

@@ -17,7 +17,10 @@ plane, not on the gateway loop.
 
 What remains on the gateway loop is deliberately thin: route to a plane
 buffer, track the watermark and the global novelty-warmup prefix, flush
-buffered batches to the backend, and merge per-plane snapshots/stats.
+buffered batches to the backend, and fold the planes' reports into
+``stats``.  :class:`~repro.streaming.stats.GatewayStats` is the one
+progress view: after :meth:`flush` (or any barrier) every
+``stats.planes`` row is current, open sessions and components included.
 
 Ingestion is one partition pass: :meth:`ingest_batch` routes events into
 per-plane buffers and flushes them to the backend ``flush_size`` events
@@ -75,7 +78,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.alerting.alert import Alert
@@ -89,45 +91,14 @@ from repro.streaming.config import GatewayConfig
 from repro.streaming.detectors import StreamingDetectorSuite
 from repro.streaming.lanes import LaneIngress
 from repro.streaming.learning import OnlineRuleLearner
-from repro.streaming.plane import PlaneConfig, PlaneSnapshot
-from repro.streaming.processor import StreamProcessor
+from repro.streaming.plane import PlaneConfig
 from repro.streaming.qoa import StreamQoAScorer
 from repro.streaming.routing import PlaneRouter
 from repro.streaming.stats import GatewayStats
 from repro.streaming.storm import DEFAULT_WARMUP_ALERTS
 from repro.topology.graph import DependencyGraph
 
-__all__ = ["AlertGateway", "GatewaySnapshot"]
-
-
-@dataclass(frozen=True, slots=True)
-class GatewaySnapshot:
-    """A consistent point-in-time view of gateway progress."""
-
-    watermark: float | None
-    input_alerts: int
-    blocked_alerts: int
-    aggregates_emitted: int
-    clusters_finalized: int
-    open_sessions: int
-    active_components: int
-    retained_representatives: int
-    storm_episodes: int
-    emerging_flags: int
-    planes: tuple[PlaneSnapshot, ...] = ()
-
-    @property
-    def outstanding_items(self) -> int:
-        """Upper bound on diagnosis items still forming."""
-        return self.open_sessions + self.active_components
-
-    @property
-    def estimated_reduction(self) -> float:
-        """Rolling volume-reduction estimate (final + in-flight items)."""
-        if self.input_alerts == 0:
-            return 0.0
-        items = self.clusters_finalized + self.outstanding_items
-        return 1.0 - items / self.input_alerts
+__all__ = ["AlertGateway"]
 
 
 class AlertGateway:
@@ -208,22 +179,14 @@ class AlertGateway:
         processed before this returns; larger flush sizes buffer it and
         return the emissions of whatever flush the event happened to
         trigger.  The ``process`` backend keeps emissions plane-side and
-        returns ``[]`` (use ``stats``/:meth:`snapshot` for progress, or
-        drain to collect retained artifacts).  Without
+        returns ``[]`` (read ``stats`` after :meth:`flush` for progress,
+        or drain to collect retained artifacts).  Without
         ``retain_artifacts`` R2 keeps no member ids, so returned
         aggregates carry ``alert_ids=()``; their ``count`` stays exact.
         """
         emitted: list[AggregatedAlert] = []
         self._ingest((alert,), emitted)
         return emitted
-
-    def ingest_many(self, alerts: Iterable[Alert]) -> int:
-        """Feed a source one event at a time; returns the count."""
-        count = 0
-        for alert in alerts:
-            self.ingest(alert)
-            count += 1
-        return count
 
     def ingest_batch(self, alerts: Iterable[Alert]) -> int:
         """Feed a micro-batch (or a whole source) through the partition pass.
@@ -335,8 +298,8 @@ class AlertGateway:
         for result in results:
             self._set_plane_counters(result.plane_id, result.counters())
             if self.options.retain_artifacts:
-                self.aggregates.extend(result.retained_aggregates)
-                self.clusters.extend(result.retained_clusters)
+                self.aggregates.extend(result.retained_aggregates or ())
+                self.clusters.extend(result.retained_clusters or ())
         if self.options.retain_artifacts:
             # Planes finish independently; merge deterministically.
             self.aggregates.sort(
@@ -429,7 +392,7 @@ class AlertGateway:
         from_planes = stats.n_planes
         moved = self._plane_router.rescale(n_planes)
         try:
-            snapshots = self._backend.scale(n_planes, moved)
+            reports = self._backend.scale(n_planes, moved)
         except BaseException:
             # The router already routes to the new topology and the
             # backend may have migrated some regions but not others;
@@ -454,12 +417,12 @@ class AlertGateway:
         if self.learner is not None:
             self.learner.note_topology_change(stats.input_alerts)
         # Rebuild the per-plane accounting from the post-migration
-        # snapshots: rows keyed by dead plane ids must not linger (the
+        # reports: rows keyed by dead plane ids must not linger (the
         # totals merge would double-count their migrated history), and
         # surviving rows must reflect the counter slices that moved.
         stats.planes = {}
-        for snapshot in snapshots:
-            self._set_plane_counters(snapshot.plane_id, snapshot.counters())
+        for report in reports:
+            self._set_plane_counters(report.plane_id, report.counters())
         self._refresh_totals()
         return moved
 
@@ -614,63 +577,6 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def snapshot(self) -> GatewaySnapshot:
-        """A consistent view of current progress (flushes pending buffers).
-
-        After :meth:`drain` the backend is closed; the snapshot is then
-        rebuilt from the frozen final accounting instead of querying it.
-        """
-        if self._drained:
-            stats = self.stats
-            return GatewaySnapshot(
-                watermark=stats.watermark,
-                input_alerts=stats.input_alerts,
-                blocked_alerts=stats.blocked_alerts,
-                aggregates_emitted=stats.aggregates_emitted,
-                clusters_finalized=stats.clusters_finalized,
-                open_sessions=0,
-                active_components=0,
-                retained_representatives=0,
-                storm_episodes=stats.storm_episodes,
-                emerging_flags=stats.emerging_flags,
-                planes=tuple(
-                    PlaneSnapshot(
-                        plane_id=plane["plane_id"],
-                        processed=plane["processed"],
-                        blocked=plane["blocked"],
-                        aggregates=plane["aggregates"],
-                        clusters=plane["clusters"],
-                        storm_episodes=plane["storm_episodes"],
-                        emerging_flags=plane["emerging_flags"],
-                        open_sessions=0,
-                        active_components=0,
-                        retained_representatives=0,
-                    )
-                    for _, plane in sorted(stats.planes.items())
-                ),
-            )
-        self._flush()
-        snapshots = self._backend.snapshots()
-        for snapshot in snapshots:
-            self._set_plane_counters(snapshot.plane_id, snapshot.counters())
-        self._refresh_totals()
-        stats = self.stats
-        return GatewaySnapshot(
-            watermark=stats.watermark,
-            input_alerts=stats.input_alerts,
-            blocked_alerts=stats.blocked_alerts,
-            aggregates_emitted=stats.aggregates_emitted,
-            clusters_finalized=stats.clusters_finalized,
-            open_sessions=sum(s.open_sessions for s in snapshots),
-            active_components=sum(s.active_components for s in snapshots),
-            retained_representatives=sum(
-                s.retained_representatives for s in snapshots
-            ),
-            storm_episodes=stats.storm_episodes,
-            emerging_flags=stats.emerging_flags,
-            planes=tuple(snapshots),
-        )
-
     @property
     def n_planes(self) -> int:
         """Number of region-partitioned execution planes."""
@@ -680,22 +586,6 @@ class AlertGateway:
     def ingress_lanes(self) -> int:
         """Effective ingest lane count (1 = classic single-threaded path)."""
         return self._lanes.n_lanes if self._lanes is not None else 1
-
-    @property
-    def plane_assignments(self) -> dict[str, int]:
-        """Region → plane map observed so far."""
-        return self._plane_router.assignments
-
-    @property
-    def processors(self) -> list[StreamProcessor]:
-        """Every plane's processor (read-only use; ``serial`` backend only)."""
-        processors = getattr(self._backend, "processors", None)
-        if processors is None:
-            raise ValidationError(
-                "plane processors live in worker processes and are not "
-                "addressable from the parent; use snapshot() instead"
-            )
-        return list(processors)
 
     # ------------------------------------------------------------------
     # internals

@@ -58,7 +58,7 @@ from typing import Iterable
 
 from repro.alerting.alert import Alert
 from repro.streaming.config import GatewayConfig
-from repro.streaming.plane import PlaneFlushResult
+from repro.streaming.plane import PlaneReport
 from repro.streaming.routing import PlaneRouter
 from repro.streaming.stats import GatewayStats
 from repro.streaming.wire import AlertBatchBuilder
@@ -107,7 +107,7 @@ class LaneIngress:
         self._errors: list[BaseException] = []
         #: Last flush result per plane (lifetime counters; lane threads
         #: write disjoint keys, the barrier reads after joining).
-        self._last_results: dict[int, PlaneFlushResult] = {}
+        self._last_results: dict[int, PlaneReport] = {}
         #: Blocking puts against the bounded lane queues (backpressure
         #: events); mutated on the ingest thread only.
         self.stalls = 0
@@ -267,7 +267,7 @@ class LaneIngress:
     # ------------------------------------------------------------------
     def barrier(
         self, watermark: float | None,
-    ) -> tuple[list[PlaneFlushResult], int, float, int]:
+    ) -> tuple[list[PlaneReport], int, float, int]:
         """Dispatch partial buffers and wait for every lane to go idle.
 
         Returns ``(last per-plane results, flushes, seconds, events)``
@@ -304,7 +304,7 @@ class LaneIngress:
         """Adopt a new plane topology (call only at a barrier).
 
         The gateway rebuilds its per-plane accounting from
-        post-migration snapshots, so the cached last results — lifetime
+        post-migration reports, so the cached last results — lifetime
         counters keyed by the *old* topology — must not leak into the
         next merge.
         """

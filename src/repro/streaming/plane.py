@@ -19,8 +19,8 @@ disjoint set of regions:
 Because a plane touches nothing outside itself, the execution backends
 can run whole planes on lane threads or worker processes: R3 correlation
 and R4 detection execute there, off the gateway loop — the
-gateway is reduced to routing, watermark tracking, and snapshot/stat
-merging.
+gateway is reduced to routing, watermark tracking, and merging the
+planes' reports into its stats.
 
 R3 finalisation is plane-local: a future representative in this plane's
 regions is either the current representative of one of this plane's
@@ -43,7 +43,7 @@ from repro.common.timeutil import HOUR
 from repro.core.antipatterns.base import DetectorThresholds
 from repro.ml.sketch import DEFAULT_SKETCH_BUCKETS, alert_document, hash_document
 from repro.core.mitigation.aggregation import AggregatedAlert
-from repro.core.mitigation.blocking import AlertBlocker, BlockingRule
+from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import (
     AlertCluster,
     CorrelationAnalyzer,
@@ -58,9 +58,7 @@ from repro.topology.graph import DependencyGraph
 
 __all__ = [
     "PlaneConfig",
-    "PlaneFlushResult",
-    "PlaneSnapshot",
-    "PlaneDrainResult",
+    "PlaneReport",
     "PlaneRegionState",
     "RegionPlane",
 ]
@@ -131,22 +129,29 @@ class PlaneConfig:
 
 
 @dataclass(slots=True)
-class PlaneFlushResult:
-    """Lifetime accounting one plane reports after a flush cycle."""
+class PlaneReport:
+    """One plane's lifetime accounting, plus what a flush or drain hands back.
+
+    :meth:`RegionPlane.process_batch`, :meth:`RegionPlane.drain` and
+    :meth:`RegionPlane.report` all return it.  The counters are
+    lifetime totals (a report with only ``plane_id`` is a plane that has
+    seen nothing); the payload fields are ``None`` unless the call that
+    built the report had something to hand back, so a counter-only
+    worker reply pickles no lists.
+    """
 
     plane_id: int
-    processed: int
-    blocked: int
-    aggregates: int
-    clusters: int
-    storm_episodes: int
-    emerging_flags: int
-    open_sessions: int
-    active_components: int
-    retained_representatives: int
+    processed: int = 0
+    blocked: int = 0
+    aggregates: int = 0
+    clusters: int = 0
+    storm_episodes: int = 0
+    emerging_flags: int = 0
+    open_sessions: int = 0
+    active_components: int = 0
+    retained_representatives: int = 0
     #: Aggregates closed by this flush.  In-process backends hand back the
-    #: live objects; the process backend strips this to ``None`` so flush
-    #: replies stay a fixed-size tuple of counters on the wire.
+    #: live objects; process workers and ingress lanes leave it ``None``.
     emitted: list[AggregatedAlert] | None = None
     #: Per-(strategy, region) observation digests of this flush batch —
     #: ``(strategy_id, region, service, seen, blocked, transient, groups)``
@@ -158,9 +163,12 @@ class PlaneFlushResult:
     #: plain ``(catalog, stats, docs, doc_rows)`` tuple.  ``None`` unless
     #: configured with ``collect_detection``.
     detection: tuple | None = None
+    #: Every aggregate and cluster the plane retained (drain only).
+    retained_aggregates: list[AggregatedAlert] | None = None
+    retained_clusters: list[AlertCluster] | None = None
 
     def counters(self) -> dict[str, int]:
-        """The accounting fields as a plain dict (stats/snapshot payload)."""
+        """The accounting fields as a plain dict (a ``stats.planes`` row)."""
         return {
             "processed": self.processed,
             "blocked": self.blocked,
@@ -185,11 +193,9 @@ class PlaneRegionState:
     *everything* plane-resident the region's events ever touched: open
     R2 sessions, open R3 components (window + union-find), the R4 state
     (:class:`~repro.streaming.storm.RegionStormState`), the region's
-    lifetime counter slice, any retained artifacts, and a snapshot of
-    the live blocking-rule table (TTLs included) so the payload is
-    self-contained — rule tables are already synchronised across
-    backends at flush barriers, so adoption only verifies/repairs,
-    never double-applies.
+    lifetime counter slice and any retained artifacts.  No rule table:
+    every plane reads the one blocker the gateway configured (or the
+    copy a worker forked with), so the rules never need to travel.
     """
 
     region: str
@@ -201,70 +207,6 @@ class PlaneRegionState:
     storm: RegionStormState | None
     retained_aggregates: list[AggregatedAlert] = field(default_factory=list)
     retained_clusters: list[AlertCluster] = field(default_factory=list)
-    #: Live R1 rules at export time (learned TTL'd ones included).
-    rules: list[BlockingRule] = field(default_factory=list)
-
-
-@dataclass(frozen=True, slots=True)
-class PlaneSnapshot:
-    """A point-in-time view of one plane's progress."""
-
-    plane_id: int
-    processed: int
-    blocked: int
-    aggregates: int
-    clusters: int
-    storm_episodes: int
-    emerging_flags: int
-    open_sessions: int
-    active_components: int
-    retained_representatives: int
-
-    def counters(self) -> dict[str, int]:
-        """The accounting fields as a plain dict (stats/snapshot payload)."""
-        return {
-            "processed": self.processed,
-            "blocked": self.blocked,
-            "aggregates": self.aggregates,
-            "clusters": self.clusters,
-            "storm_episodes": self.storm_episodes,
-            "emerging_flags": self.emerging_flags,
-            "open_sessions": self.open_sessions,
-            "active_components": self.active_components,
-            "retained_representatives": self.retained_representatives,
-        }
-
-
-@dataclass(slots=True)
-class PlaneDrainResult:
-    """One plane's final accounting plus (optionally) retained artifacts."""
-
-    plane_id: int
-    processed: int
-    blocked: int
-    aggregates: int
-    clusters: int
-    storm_episodes: int
-    emerging_flags: int
-    retained_aggregates: list[AggregatedAlert] = field(default_factory=list)
-    retained_clusters: list[AlertCluster] = field(default_factory=list)
-    #: Observation digests of the drain flush (aggregates closed by the
-    #: final session sweep, so the QoA group counts stay exact).
-    observations: list[tuple] | None = None
-
-    def counters(self) -> dict[str, int]:
-        """The accounting fields as a plain dict (stats/snapshot payload)."""
-        return {
-            "processed": self.processed,
-            "blocked": self.blocked,
-            "aggregates": self.aggregates,
-            "clusters": self.clusters,
-            "storm_episodes": self.storm_episodes,
-            "emerging_flags": self.emerging_flags,
-            "open_sessions": 0,
-            "active_components": 0,
-            "retained_representatives": 0,
-        }
 
 
 def _new_region_row() -> list[int]:
@@ -382,13 +324,14 @@ class RegionPlane:
 
         The keys of the per-region counter slices — exactly the regions
         whose state (and accounting) would migrate in a plane scale, and
-        therefore exactly what a full-plane snapshot must capture.
+        therefore exactly what a checkpoint of the plane must capture.
         """
         return sorted(self._region_counts)
 
-    def snapshot(self) -> PlaneSnapshot:
-        """A consistent view of this plane's progress."""
-        return PlaneSnapshot(
+    def report(self, **payload) -> PlaneReport:
+        """This plane's accounting now, carrying ``payload`` fields."""
+        correlator = self._correlator
+        return PlaneReport(
             plane_id=self.plane_id,
             processed=self.processed,
             blocked=self.blocked,
@@ -397,8 +340,9 @@ class RegionPlane:
             storm_episodes=self.storm_episodes,
             emerging_flags=self.emerging_flags,
             open_sessions=self.open_sessions,
-            active_components=self._correlator.active_components,
-            retained_representatives=self._correlator.retained,
+            active_components=correlator.active_components,
+            retained_representatives=correlator.retained,
+            **payload,
         )
 
     # ------------------------------------------------------------------
@@ -410,7 +354,7 @@ class RegionPlane:
         in_warmup: int,
         watermark: float | None,
         collect_emitted: bool = True,
-    ) -> PlaneFlushResult:
+    ) -> PlaneReport:
         """Run one micro-batch through the plane's whole reaction chain.
 
         ``alerts`` is this plane's slice of the stream in arrival order;
@@ -470,17 +414,7 @@ class RegionPlane:
             self._finalize_ready(watermark)
         if digest is not None:
             _count_groups(digest, emitted_all)
-        return PlaneFlushResult(
-            plane_id=self.plane_id,
-            processed=self.processed,
-            blocked=self.blocked,
-            aggregates=self.aggregates_emitted,
-            clusters=self.clusters_finalized,
-            storm_episodes=self.storm_episodes,
-            emerging_flags=self.emerging_flags,
-            open_sessions=self.open_sessions,
-            active_components=correlator.active_components,
-            retained_representatives=correlator.retained,
+        return self.report(
             emitted=emitted_all if collect_emitted else None,
             observations=_digest_rows(digest) if digest is not None else None,
             detection=detection,
@@ -718,18 +652,13 @@ class RegionPlane:
             storm=storm,
             retained_aggregates=retained_aggregates,
             retained_clusters=retained_clusters,
-            rules=self._config.blocker.rules,
         )
 
     def adopt_region(self, state: PlaneRegionState) -> None:
         """Install a region's slice exported from another plane.
 
         Sessions, components and R4 state are re-installed verbatim; the
-        counter slice joins this plane's totals.  The carried rule
-        snapshot is only *verified* against this plane's blocker — rule
-        tables are synchronised across backends at flush barriers, so any
-        rule the snapshot carries and the blocker lacks is repaired
-        (added once), and nothing is ever double-applied.
+        counter slice joins this plane's totals.
         """
         region = state.region
         self.processor.adopt(state.sessions)
@@ -747,12 +676,8 @@ class RegionPlane:
         if self._retain:
             self.aggregates.extend(state.retained_aggregates)
             self.clusters.extend(state.retained_clusters)
-        blocker = self._config.blocker
-        for rule in state.rules:
-            if not blocker.has_rule(rule):
-                blocker.add(rule)
 
-    def drain(self, watermark: float | None) -> PlaneDrainResult:
+    def drain(self, watermark: float | None) -> PlaneReport:
         """Flush all open state at end of stream and report final totals."""
         emitted_all = self.processor.drain()
         correlator = self._correlator
@@ -771,14 +696,7 @@ class RegionPlane:
             digest: dict[tuple[str, str], list] = {}
             _count_groups(digest, emitted_all)
             observations = _digest_rows(digest)
-        return PlaneDrainResult(
-            plane_id=self.plane_id,
-            processed=self.processed,
-            blocked=self.blocked,
-            aggregates=self.aggregates_emitted,
-            clusters=self.clusters_finalized,
-            storm_episodes=self.storm_episodes,
-            emerging_flags=self.emerging_flags,
+        return self.report(
             retained_aggregates=self.aggregates,
             retained_clusters=self.clusters,
             observations=observations,

@@ -32,7 +32,6 @@ from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.common.timeutil import TimeWindow
 from repro.core.mitigation.aggregation import AggregatedAlert
-from repro.core.mitigation.blocking import BlockingRule
 from repro.core.mitigation.correlation import AlertCluster
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "unpack_aggregates",
     "pack_clusters",
     "unpack_clusters",
-    "pack_rules",
-    "unpack_rules",
     "pack_plane_state",
     "unpack_plane_state",
 ]
@@ -52,7 +49,9 @@ __all__ = [
 _MAGIC_ALERTS = b"RWA1"
 _MAGIC_AGGREGATES = b"RWG1"
 _MAGIC_CLUSTERS = b"RWC1"
-_MAGIC_RULES = b"RWR1"
+#: The rule table plane-state blobs still embed, always empty: magic,
+#: no strings, one empty section.  Kept so blob bytes stay stable.
+_EMPTY_RULES = b"RWR1" + bytes(8)
 _MAGIC_PLANE = b"RWP1"
 
 #: u32 sentinel for "no string" (optional fields like ``fault_id``).
@@ -529,44 +528,6 @@ def unpack_clusters(data: bytes) -> list[AlertCluster]:
 
 
 # ----------------------------------------------------------------------
-# blocking rules (R1 rule deltas shipped to plane workers)
-# ----------------------------------------------------------------------
-_RULE_FIXED = struct.Struct("<IIId")
-
-
-def pack_rules(rules: Sequence[BlockingRule]) -> bytes:
-    """Encode an R1 rule table (learner deltas crossing the worker pipe)."""
-    writer = _Writer(_MAGIC_RULES)
-    fixed = bytearray()
-    for rule in rules:
-        fixed += _RULE_FIXED.pack(
-            writer.ref(rule.strategy_id),
-            writer.ref_or_none(rule.region),
-            writer.ref(rule.reason),
-            _NO_TIME if rule.expires_at is None else rule.expires_at,
-        )
-    writer.section(bytes(fixed))
-    return writer.finish()
-
-
-def unpack_rules(data: bytes) -> list[BlockingRule]:
-    """Decode a rule table produced by :func:`pack_rules`."""
-    reader = _Reader(data, _MAGIC_RULES)
-    strings = reader.strings
-    rules: list[BlockingRule] = []
-    for strategy_ref, region_ref, reason_ref, expires_at in (
-        _RULE_FIXED.iter_unpack(reader.section())
-    ):
-        rules.append(BlockingRule(
-            strategy_id=strings[strategy_ref],
-            region=None if region_ref == _NONE_REF else strings[region_ref],
-            reason=strings[reason_ref],
-            expires_at=None if expires_at == _NO_TIME else expires_at,
-        ))
-    return rules
-
-
-# ----------------------------------------------------------------------
 # plane-state snapshots (whole-region migration for live plane scale-out)
 # ----------------------------------------------------------------------
 _SESSION_FIXED = struct.Struct("<IIddI")
@@ -586,12 +547,12 @@ def pack_plane_state(state) -> bytes:
     ``state`` is a :class:`~repro.streaming.plane.PlaneRegionState`:
     open R2 sessions, open R3 components (member representatives plus
     union-find grouping), the R4 region state, the region's lifetime
-    counter slice, retained artifacts, and the live R1 rule table (TTLs
-    included).  Sessions and components share the outer string table;
-    the artifact and rule payloads are embedded as their own framed
-    blobs so the battle-tested aggregate/cluster/rule codecs are reused
-    verbatim.  Byte-deterministic for a given input, like every wire
-    payload.
+    counter slice and retained artifacts.  Sessions and components share
+    the outer string table; the artifact payloads are embedded as their
+    own framed blobs so the aggregate/cluster codecs are reused
+    verbatim.  The last section is an empty rule table, a constant that
+    keeps the layout of blobs written when regions carried their rules.
+    Byte-deterministic for a given input, like every wire payload.
     """
     storm = state.storm
     writer = _Writer(_MAGIC_PLANE)
@@ -671,19 +632,21 @@ def pack_plane_state(state) -> bytes:
         writer.section(_array_bytes(
             "d", [storm.last_seen[strategy] for strategy in strategies]
         ))
-    # -- embedded artifact/rule blobs ------------------------------------
+    # -- embedded artifact blobs ----------------------------------------
     writer.section(pack_aggregates(state.retained_aggregates))
     writer.section(pack_clusters(state.retained_clusters))
-    writer.section(pack_rules(state.rules))
+    writer.section(_EMPTY_RULES)
     return writer.finish()
 
 
 def unpack_plane_state(data: bytes):
     """Decode a snapshot produced by :func:`pack_plane_state`.
 
-    Blobs written while planes were sharded end in two more sections
-    (strategy → shard pins); sections are read front to back and
-    trailing bytes are never checked, so those decode unchanged.
+    The rule-table section is skipped undecoded: planes read the
+    gateway's blocker.  Blobs written while planes were sharded end in
+    two more sections (strategy → shard pins); sections are read front
+    to back and trailing bytes are never checked, so those decode
+    unchanged.
     """
     from repro.streaming.dedup import OpenSession
     from repro.streaming.plane import PlaneRegionState
@@ -747,7 +710,6 @@ def unpack_plane_state(data: bytes):
         )
     retained_aggregates = unpack_aggregates(reader.section())
     retained_clusters = unpack_clusters(reader.section())
-    rules = unpack_rules(reader.section())
     return PlaneRegionState(
         region=strings[region_ref],
         counters=list(counters),
@@ -756,5 +718,4 @@ def unpack_plane_state(data: bytes):
         storm=storm,
         retained_aggregates=retained_aggregates,
         retained_clusters=retained_clusters,
-        rules=rules,
     )

@@ -98,7 +98,8 @@ def _run(alerts, blocker, backend="serial", flush_size=None, n_planes=1,
         aggregation_window=window, correlation_window=window,
     )
     if per_event:
-        gateway.ingest_many(alerts)
+        for alert in alerts:
+            gateway.ingest(alert)
     else:
         gateway.ingest_batch(alerts)
     return gateway.drain()

@@ -508,7 +508,7 @@ class TestDeadWorkerRestore:
         for start in range(0, self.KILL_AT, self.CHUNK):
             crashed.ingest(alerts[start:start + self.CHUNK])
         gateway = crashed.gateway
-        gateway.snapshot()  # a barrier: every worker has run
+        gateway.flush()  # a barrier: every worker has run
         # region-B lives on plane 0 (worker 0), region-A on plane 1.
         os.kill(gateway._backend._workers[victim].pid, signal.SIGKILL)
         with pytest.raises(FleetError):

@@ -56,12 +56,16 @@ def ingest_in_cuts(gateway, alerts, n_cuts: int, batched: bool = True) -> None:
     flush barrier at every cut; end-of-run accounting must not see them."""
     alerts = list(alerts)
     step = -(-len(alerts) // n_cuts)
-    feed = gateway.ingest_batch if batched else gateway.ingest_many
     for start in range(0, len(alerts), step):
         if start:
             gateway.flush()
             assert gateway.at_flush_barrier
-        feed(alerts[start:start + step])
+        cut = alerts[start:start + step]
+        if batched:
+            gateway.ingest_batch(cut)
+        else:
+            for alert in cut:
+                gateway.ingest(alert)
 
 
 @pytest.fixture(scope="session")

@@ -264,7 +264,7 @@ class TestGatewayIntegration:
         states, detections = [], []
         for n_planes in (1, 4):
             gateway = self._gateway(topology, n_planes=n_planes)
-            gateway.ingest_many(alerts)
+            gateway.ingest_batch(alerts)
             stats = gateway.drain()
             states.append(gateway.detectors.export_state())
             detections.append(stats.detection)
@@ -276,14 +276,14 @@ class TestGatewayIntegration:
     def test_checkpoint_restore_continue_matches_straight_run(self, storm_alerts):
         alerts, topology = storm_alerts
         straight = self._gateway(topology, n_planes=2)
-        straight.ingest_many(alerts)
+        straight.ingest_batch(alerts)
         reference = straight.drain().detection
         reference_state = straight.detectors.export_state()
         straight.close()
 
         cut = (len(alerts) // 2 // 64) * 64  # land on a flush barrier
         first = self._gateway(topology, n_planes=2)
-        first.ingest_many(alerts[:cut])
+        first.ingest_batch(alerts[:cut])
         state = first.checkpoint_state()
         config = first.checkpoint_config()
         first.close()
@@ -291,7 +291,7 @@ class TestGatewayIntegration:
         revived = self._gateway(topology, n_planes=2)
         assert revived.checkpoint_config() == config
         revived.adopt_checkpoint(state)
-        revived.ingest_many(alerts[cut:])
+        revived.ingest_batch(alerts[cut:])
         stats = revived.drain()
         assert revived.detectors.export_state() == reference_state
         assert stats.detection == reference
@@ -311,7 +311,7 @@ class TestGatewayIntegration:
             self, storm_alerts):
         alerts, topology = storm_alerts
         source = self._gateway(topology, n_planes=1)
-        source.ingest_many(alerts[:128])
+        source.ingest_batch(alerts[:128])
         state = source.checkpoint_state()
         source.close()
         plain = AlertGateway(topology.graph, flush_size=64)

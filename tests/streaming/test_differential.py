@@ -267,7 +267,7 @@ def detection_runs(default_trace, topology):
         topology.graph, n_planes=2, flush_size=256,
         detect_antipatterns=True, retain_artifacts=False,
     )
-    gateway.ingest_many(default_trace.iter_ordered())
+    gateway.ingest_batch(default_trace.iter_ordered())
     stats = gateway.drain()
     online = gateway.detectors.findings()
     observed = {alert.strategy_id for alert in default_trace.alerts}
@@ -405,7 +405,7 @@ class TestSketchVsLdaAgreement:
             aggregation_window=WINDOW, correlation_window=WINDOW,
             detect_antipatterns=True, retain_artifacts=False,
         )
-        gateway.ingest_many(alerts)
+        gateway.ingest_batch(alerts)
         gateway.drain()
         assert gateway.detectors.sketch.flags == \
             SketchEmergingDetector().run(alerts)

@@ -51,7 +51,7 @@ def _gateway(**overrides) -> AlertGateway:
 
 def _worker_pids(gateway) -> list[int]:
     """The live fleet's pids (after a barrier so the fleet exists)."""
-    gateway.snapshot()
+    gateway.flush()
     return [worker.pid for worker in gateway._backend._workers]
 
 
@@ -127,7 +127,7 @@ class TestFailedFlushPoisons:
         # refused too: the stream is already missing a plane's state.
         survivors = [
             alert for alert in alerts[200:]
-            if gateway.plane_assignments.get(alert.region, 1) % 2 == 0
+            if gateway._plane_router.assignments.get(alert.region, 1) % 2 == 0
         ]
         assert len(survivors) >= 32, "no full flush left on worker 0"
         with pytest.raises(ValidationError, match="drained"):
@@ -181,7 +181,7 @@ class TestCloseHygiene:
         alerts = _storm_trace()
         gateway = _gateway()
         gateway.ingest_batch(alerts[:100])
-        gateway.snapshot()
+        gateway.flush()
         backend = gateway._backend
         workers = list(backend._workers)
         os.kill(workers[0].pid, signal.SIGKILL)
@@ -205,12 +205,8 @@ class _BlockingBackend:
 
     def lane_feed_parts(self, lane, plane, parts, in_warmup, watermark):
         self.release.wait()
-        from repro.streaming.plane import PlaneFlushResult
-        return PlaneFlushResult(
-            plane_id=plane, processed=1, blocked=0, aggregates=0,
-            clusters=0, storm_episodes=0, emerging_flags=0, open_sessions=0,
-            active_components=0, retained_representatives=0,
-        )
+        from repro.streaming.plane import PlaneReport
+        return PlaneReport(plane_id=plane, processed=1)
 
 
 class TestLaneLoudClose:

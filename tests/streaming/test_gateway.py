@@ -42,7 +42,7 @@ class TestBatchParity:
 
     def test_smoke_trace_counts_match_pipeline(self, smoke_trace, topology):
         gateway, rulebook = _gateway_for(smoke_trace, topology)
-        gateway.ingest_many(smoke_trace.iter_ordered())
+        gateway.ingest_batch(smoke_trace.iter_ordered())
         stats = gateway.drain()
         report = MitigationPipeline(topology.graph, rulebook=rulebook).run(smoke_trace)
         assert stats.reconcile(report) == {}
@@ -50,7 +50,7 @@ class TestBatchParity:
     def test_retained_artifacts_match_counts(self, storm_trace):
         trace, topology = storm_trace
         gateway, _ = _gateway_for(trace, topology)
-        gateway.ingest_many(trace.iter_ordered())
+        gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
         assert len(gateway.aggregates) == stats.aggregates_emitted
         assert len(gateway.clusters) == stats.clusters_finalized
@@ -140,9 +140,14 @@ class TestStreamingBehaviour:
         peak_retained = 0
         for alert in trace.iter_ordered():
             gateway.ingest(alert)
-            snapshot = gateway.snapshot()
-            peak_open = max(peak_open, snapshot.open_sessions)
-            peak_retained = max(peak_retained, snapshot.retained_representatives)
+            planes = gateway.stats.planes.values()
+            peak_open = max(
+                peak_open, sum(row["open_sessions"] for row in planes),
+            )
+            peak_retained = max(
+                peak_retained,
+                sum(row["retained_representatives"] for row in planes),
+            )
         stats = gateway.drain()
         assert stats.input_alerts == len(trace)
         assert peak_open < len(trace) * 0.15
@@ -161,9 +166,11 @@ class TestStreamingBehaviour:
         gateway = AlertGateway(graph, blocker=AlertBlocker(), retain_artifacts=False)
         quarter = len(alerts) // 4
         gateway.ingest_batch(alerts[:quarter])
-        at_one = gateway.snapshot().retained_representatives
+        gateway.flush()
+        at_one = gateway.stats.planes[0]["retained_representatives"]
         gateway.ingest_batch(alerts[quarter:])
-        at_four = gateway.snapshot().retained_representatives
+        gateway.flush()
+        at_four = gateway.stats.planes[0]["retained_representatives"]
         assert at_four <= at_one + 64
         assert gateway.drain().reconcile(report) == {}
 
@@ -204,7 +211,7 @@ class TestStreamingBehaviour:
     def test_storm_is_detected_online(self, storm_trace):
         trace, topology = storm_trace
         gateway, _ = _gateway_for(trace, topology)
-        gateway.ingest_many(trace.iter_ordered())
+        gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
         assert stats.storm_episodes >= 1
 
@@ -215,11 +222,13 @@ class TestStreamingBehaviour:
         for index, alert in enumerate(trace.iter_ordered()):
             gateway.ingest(alert)
             if index % 500 == 0:
-                snapshot = gateway.snapshot()
-                assert snapshot.input_alerts >= previous
-                previous = snapshot.input_alerts
-        snapshot = gateway.snapshot()
-        assert snapshot.watermark == max(a.occurred_at for a in trace.alerts)
+                gateway.flush()
+                snapshot = gateway.stats.snapshot()
+                assert snapshot["input_alerts"] >= previous
+                previous = snapshot["input_alerts"]
+        gateway.flush()
+        snapshot = gateway.stats.snapshot()
+        assert snapshot["watermark"] == max(a.occurred_at for a in trace.alerts)
 
     def test_drain_is_idempotent_and_ingest_after_drain_rejected(self):
         from repro.topology import TopologyConfig, generate_topology
@@ -271,7 +280,8 @@ class TestStreamingBehaviour:
     def test_snapshot_after_drain_keeps_final_accounting(
         self, small_topology, backend
     ):
-        """Post-drain snapshots must report the frozen totals, not zeros."""
+        """The drained stats keep the final totals, and every plane row
+        reports its open state as closed."""
         gateway = AlertGateway(small_topology.graph, n_planes=2,
                                backend=backend, n_workers=2, flush_size=16)
         gateway.ingest_batch([
@@ -281,13 +291,16 @@ class TestStreamingBehaviour:
         ])
         stats = gateway.drain()
         assert stats.aggregates_emitted > 0
-        snapshot = gateway.snapshot()
-        assert snapshot.input_alerts == 64
-        assert snapshot.aggregates_emitted == stats.aggregates_emitted
-        assert snapshot.clusters_finalized == stats.clusters_finalized
-        assert sum(p.processed for p in snapshot.planes) == 64
-        # and the stats object itself must not have been clobbered
-        assert stats.aggregates_emitted == snapshot.aggregates_emitted
+        snapshot = stats.snapshot()
+        assert snapshot["input_alerts"] == 64
+        assert snapshot["aggregates"] == stats.aggregates_emitted
+        assert snapshot["clusters"] == stats.clusters_finalized
+        assert sum(p["processed"] for p in snapshot["planes"]) == 64
+        for plane in snapshot["planes"]:
+            assert plane["open_sessions"] == 0
+            assert plane["active_components"] == 0
+            assert plane["retained_representatives"] == 0
+        assert gateway.drain() is stats
 
     def test_ingest_batch_stays_consistent_when_source_raises(
         self, small_topology

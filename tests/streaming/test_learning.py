@@ -15,7 +15,6 @@ from repro.core.mitigation.blocking import AlertBlocker, BlockingRule
 from repro.streaming import AlertGateway, LearnerConfig, OnlineRuleLearner
 from repro.streaming.learning import RuleEvent, rule_set_divergence
 from repro.streaming.qoa import StreamQoA, StreamQoAScorer, measure_stream_qoa
-from repro.streaming.wire import pack_rules, unpack_rules
 from repro.topology.graph import DependencyGraph
 
 from tests.streaming.conftest import make_alert
@@ -203,22 +202,6 @@ class TestBlockerRuleRetirement:
         assert not blocker.is_blocked(make_alert(150.0, strategy_id="s-1"))
 
 
-class TestRuleWire:
-    def test_rules_round_trip(self):
-        rules = [
-            BlockingRule(strategy_id="s-1", reason="learned A4"),
-            BlockingRule(strategy_id="s-2", region="region-B",
-                         reason="learned A5", expires_at=1234.5),
-        ]
-        assert unpack_rules(pack_rules(rules)) == rules
-        assert unpack_rules(pack_rules([])) == []
-
-    def test_rules_reject_wrong_magic(self):
-        from repro.streaming.wire import pack_alerts
-        with pytest.raises(ValidationError):
-            unpack_rules(pack_alerts([]))
-
-
 class TestStreamQoA:
     def test_scorer_accumulates_across_flushes(self):
         scorer = StreamQoAScorer()
@@ -300,7 +283,7 @@ class TestGatewayLearningPaths:
         gateway.ingest_batch([
             make_alert(index * 10.0, strategy_id="s-1") for index in range(20)
         ])
-        gateway.snapshot()
+        gateway.flush()
         payload = gateway.stats.snapshot()
         assert payload["learner"]["enabled"] is True
         stats = gateway.drain()

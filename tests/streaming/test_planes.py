@@ -159,12 +159,15 @@ class TestGatewayPlaneSemantics:
                 float(index), strategy_id=f"s-{index % 5}",
                 region=("rA", "rB", "rC", "rD", "rE")[index % 5],
             ))
-        gateway.drain()
-        assignments = gateway.plane_assignments
-        assert len(assignments) == 5
+        rows = gateway.drain().planes
+        owner = {
+            region: plane_id
+            for plane_id, row in rows.items() for region in row["regions"]
+        }
+        assert len(owner) == sum(len(row["regions"]) for row in rows.values()) == 5
         for plane in gateway._backend.planes:
             for region in plane.regions():
-                assert assignments[region] == plane.plane_id
+                assert owner[region] == plane.plane_id
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_per_plane_accounting_matches_regional_batch_runs(
@@ -187,24 +190,21 @@ class TestGatewayPlaneSemantics:
         )
         gateway.ingest_batch(trace.iter_ordered())
         stats = gateway.drain()
-        assignments = gateway.plane_assignments
-        assert len(set(assignments.values())) == 2
-        for plane_id in sorted(set(assignments.values())):
-            regions = frozenset(
-                region for region, plane in assignments.items()
-                if plane == plane_id
-            )
+        assert len(stats.planes) == 2
+        assert {
+            region for row in stats.planes.values() for region in row["regions"]
+        } == {"region-A", "region-B"}
+        for plane_id, plane in sorted(stats.planes.items()):
+            regions = frozenset(plane["regions"])
             regional = trace.filter(lambda a: a.region in regions,
                                     label=f"plane-{plane_id}")
             report = MitigationPipeline(topology.graph, rulebook=rulebook).run(
                 regional, blocker=blocker,
             )
-            plane = stats.planes[plane_id]
             assert plane["processed"] == report.input_alerts
             assert plane["blocked"] == report.blocked_alerts
             assert plane["aggregates"] == len(report.aggregates)
             assert plane["clusters"] == len(report.clusters)
-            assert sorted(plane["regions"]) == sorted(regions)
 
     def test_stats_snapshot_exposes_planes(self, small_topology):
         gateway = AlertGateway(small_topology.graph, n_planes=2)
@@ -221,15 +221,21 @@ class TestGatewayPlaneSemantics:
         assert {r for p in payload["planes"] for r in p["regions"]} == {"rA", "rB"}
 
     def test_gateway_snapshot_carries_plane_snapshots(self, small_topology):
-        gateway = AlertGateway(small_topology.graph, n_planes=2)
+        """After a flush every plane row holds the plane's open state."""
+        gateway = AlertGateway(small_topology.graph, n_planes=2, flush_size=64)
         for index in range(10):
             gateway.ingest(make_alert(
                 float(index), region=("rA", "rB")[index % 2],
             ))
-        snapshot = gateway.snapshot()
-        assert len(snapshot.planes) == 2
-        assert sum(p.processed for p in snapshot.planes) == 10
-        assert snapshot.open_sessions == sum(
-            p.open_sessions for p in snapshot.planes
-        )
+        gateway.flush()
+        planes = gateway.stats.snapshot()["planes"]
+        assert len(planes) == 2
+        assert sum(p["processed"] for p in planes) == 10
+        for plane, live in zip(planes, gateway._backend.planes):
+            assert plane["open_sessions"] == live.open_sessions == 1
+            assert plane == {
+                **live.report().counters(),
+                "plane_id": live.plane_id,
+                "regions": live.regions(),
+            }
         gateway.drain()

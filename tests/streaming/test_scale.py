@@ -2,7 +2,7 @@
 
 ``gateway.scale_planes(n)`` promises *bit-identical invisibility*: any
 schedule of scale events interleaved with ingestion and mid-stream
-snapshots must drain to exactly the same volume
+flushes must drain to exactly the same volume
 accounting, aggregates, clusters, storm verdicts, and (with learning
 enabled) learned-rule timeline and QoA scores as a gateway built with
 the final plane count from the start — on every backend.
@@ -14,7 +14,7 @@ Two layers pin that down:
 * a hypothesis chaos property (marked ``scale_chaos``; CI runs it as a
   dedicated job with the seeded ``scale_chaos`` profile) generating
   arbitrary interleavings of ``ingest_batch`` / ``scale_planes`` /
-  ``snapshot`` over randomized traces.
+  ``flush`` over randomized traces.
 
 With rule learning **off**, the reference run is completely clean — no
 barriers at all — so the assertion is the strongest form: any chaos
@@ -22,7 +22,7 @@ schedule ≡ a plain fixed-topology run.  With learning **on**, the
 learner's judgment positions follow the flush schedule by design (every
 flush is a judgment round), so the reference run mirrors the schedule's
 flush barriers: each ``scale_planes(n)`` becomes ``scale_planes(
-final_n)`` — a pure barrier that moves nothing — and snapshots stay.
+final_n)`` — a pure barrier that moves nothing — and flushes stay.
 That is exactly the invisibility claim: the *migration* contributes
 nothing observable beyond the barrier it rides on.
 """
@@ -127,7 +127,7 @@ def _assert_planes_partition(stats) -> None:
 
 
 #: One chaos schedule: ``(position, op, arg)`` rows, positions in event
-#: counts; ops are "scale" / "snapshot".
+#: counts; ops are "scale" / "flush".
 Schedule = list[tuple[int, str, int]]
 
 
@@ -165,9 +165,12 @@ def _run_schedule(
         cursor = cut
         if op == "scale":
             gateway.scale_planes(arg)
-        elif op == "snapshot":
-            snapshot = gateway.snapshot()
-            assert snapshot.input_alerts == gateway.stats.input_alerts
+        elif op == "flush":
+            gateway.flush()
+            stats = gateway.stats
+            assert sum(
+                row["processed"] for row in stats.planes.values()
+            ) == stats.input_alerts
     gateway.ingest_batch(alerts[cursor:])
     stats = gateway.drain()
     return gateway, stats
@@ -224,14 +227,14 @@ class TestScaleInvisibility:
         _assert_planes_partition(scaled)
 
     def test_chaotic_mixed_schedule(self, backend, flush_size):
-        """Scale out, snapshot, scale in, snapshot, scale out again — all
+        """Scale out, flush, scale in, flush, scale out again — all
         mid-stream, against a clean fixed-final run."""
         alerts = _storm_trace()
         schedule = [
             (70, "scale", 3),
-            (190, "snapshot", 0),
+            (190, "flush", 0),
             (250, "scale", 1),
-            (310, "snapshot", 0),
+            (310, "flush", 0),
             (370, "scale", 4),
         ]
         scaled_gw, scaled = _run_schedule(
@@ -260,7 +263,7 @@ def test_scale_invisibility_with_learning(backend):
     the migrations themselves.
     """
     alerts = _storm_trace()
-    schedule = [(120, "scale", 3), (260, "snapshot", 0), (360, "scale", 2)]
+    schedule = [(120, "scale", 3), (260, "flush", 0), (360, "scale", 2)]
     scaled_gw, scaled = _run_schedule(
         alerts, schedule, 1, backend, learn=True, retain=False,
     )
@@ -453,7 +456,7 @@ def chaos_schedules(draw):
     schedule: Schedule = []
     for _ in range(n_ops):
         position = draw(st.integers(min_value=0, max_value=120))
-        op = draw(st.sampled_from(("scale", "scale", "snapshot")))
+        op = draw(st.sampled_from(("scale", "scale", "flush")))
         arg = draw(st.integers(min_value=1, max_value=4)) if op == "scale" else 0
         schedule.append((position, op, arg))
     return schedule
@@ -469,7 +472,7 @@ def chaos_schedules(draw):
     flush_size=st.sampled_from((1, 7, 64)),
 )
 def test_chaos_schedule_parity(alerts, schedule, initial_planes, flush_size):
-    """Any interleaving of ingest/scale/snapshot drains equal to a
+    """Any interleaving of ingest/scale/flush drains equal to a
     *clean* run at the final plane count (learning off — accounting is
     flush-schedule-invariant, so the reference needs no barriers)."""
     scaled_gw, scaled = _run_schedule(

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
-from repro.core.mitigation.blocking import BlockingRule
 from repro.streaming import (
     OpenSession,
     PlaneRegionState,
@@ -276,18 +275,6 @@ def plane_states(draw):
             emerging_count=draw(st.integers(min_value=0, max_value=50)),
             ingested=draw(st.integers(min_value=0, max_value=10**6)),
         )
-    rules = [
-        BlockingRule(
-            strategy_id=draw(st.sampled_from(strategies)),
-            region=draw(st.one_of(st.none(), st.just(region))),
-            reason=draw(_TEXT),
-            expires_at=draw(st.one_of(
-                st.none(),
-                st.floats(min_value=0, max_value=1e7, allow_nan=False),
-            )),
-        )
-        for _ in range(draw(st.integers(min_value=0, max_value=3)))
-    ]
     return PlaneRegionState(
         region=region,
         counters=[
@@ -296,7 +283,6 @@ def plane_states(draw):
         sessions=sessions,
         components=components,
         storm=storm,
-        rules=rules,
     )
 
 
@@ -314,27 +300,20 @@ class TestPlaneStateRoundTrip:
             region="région-α", counters=[7, 1, 2, 1], sessions=[session],
             components=[([session.representative], 100.0)],
             storm=None,
-            rules=[BlockingRule(strategy_id="stratégie-β",
-                                reason="ünïcode ✓", expires_at=1234.5)],
         )
-        decoded = unpack_plane_state(pack_plane_state(state))
-        assert decoded == state
-        assert decoded.rules[0].expires_at == 1234.5
+        assert unpack_plane_state(pack_plane_state(state)) == state
 
-    def test_live_learner_rules_with_ttls_survive(self):
-        rules = [
-            BlockingRule(strategy_id="s-noise",
-                         reason="learned A5: 31 alerts of one region",
-                         expires_at=7200.0),
-            BlockingRule(strategy_id="s-flaky", region="region-B",
-                         reason="operator", expires_at=None),
-        ]
+    def test_rule_table_section_stays_the_constant_empty_one(self):
+        """Planes read the gateway's blocker, so a blob carries no rules;
+        its last section is still the empty rule table, so blob bytes
+        match those written when regions carried their rules."""
         state = PlaneRegionState(
             region="region-B", counters=[1, 0, 0, 0], sessions=[],
-            components=[], storm=None, rules=rules,
+            components=[], storm=None,
         )
-        decoded = unpack_plane_state(pack_plane_state(state))
-        assert decoded.rules == rules
+        empty_table = b"RWR1" + bytes(8)
+        blob = pack_plane_state(state)
+        assert blob.endswith(struct.pack("<I", len(empty_table)) + empty_table)
 
     def test_magic_mismatch_rejected(self):
         state = PlaneRegionState(
