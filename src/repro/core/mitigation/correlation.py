@@ -83,7 +83,17 @@ class AlertCluster:
 
 
 class CorrelationAnalyzer:
-    """Clusters alerts by rule-book and topological evidence."""
+    """Clusters alerts by rule-book and topological evidence.
+
+    Evidence has one definition, :meth:`signature_evidence`, over the
+    two alerts' ``(strategy_id, microservice)`` signatures: a rule-book
+    pair (either direction), else — with ``use_topology`` — equal
+    microservices or a dependency path of at most ``max_hops`` either
+    way.  Two alerts are linked when their regions are equal and their
+    signatures are; the batch sweep (:meth:`correlate`) and the online
+    correlator (:meth:`pair_evidence`, or the predicate itself on
+    interned signatures) both ask it.
+    """
 
     def __init__(
         self,
@@ -102,12 +112,13 @@ class CorrelationAnalyzer:
         self._max_hops = int(max_hops)
         self._window = float(time_window)
         self._use_topology = use_topology
-        self._related_cache: dict[tuple[str, str], bool] = {}
-        self._related_version = graph.version
+        # microservice -> graph.related_within(it, max_hops), or None for
+        # a node the graph lacks; valid while the graph's version holds.
+        self._neighbourhoods: dict[str, frozenset[str] | None] = {}
+        self._neighbourhood_version = graph.version
 
     def correlate(self, alerts: list[Alert]) -> list[AlertCluster]:
         """Cluster ``alerts``; singletons are returned as size-1 clusters."""
-        self._drop_stale_cache()
         ordered = sorted(alerts, key=lambda a: a.occurred_at)
         n = len(ordered)
         parent = list(range(n))
@@ -151,13 +162,49 @@ class CorrelationAnalyzer:
     @property
     def evidence_version(self) -> int:
         """Moves whenever the graph or the rule book is mutated: a caller
-        that memoises :meth:`pair_evidence` verdicts drops them then."""
+        that memoises :meth:`signature_evidence` verdicts drops them then."""
         return self._graph.version + self._rulebook.version
 
     def pair_evidence(self, first: Alert, second: Alert) -> bool:
-        """Whether rule-book or topological evidence links the two alerts."""
-        self._drop_stale_cache()
+        """Whether rule-book or topological evidence links the two alerts
+        (equal regions and :meth:`signature_evidence`)."""
         return self._evidence(first, second)
+
+    def signature_evidence(
+        self, first: tuple[str, str], second: tuple[str, str],
+    ) -> bool:
+        """Whether evidence links two ``(strategy_id, microservice)``
+        signatures — the one definition every caller shares.
+
+        The rule book is asked only when it holds a rule.  Topology reads
+        one neighbourhood row per microservice (``related_within`` at
+        ``max_hops``; ``None`` when the node is not in the graph), so a
+        new pair of known nodes costs a dict probe and a set probe.
+        Rows are dropped when the graph's ``version`` moves.
+        """
+        rulebook = self._rulebook
+        # ``version`` counts rules added and none is ever removed, so 0
+        # is an empty book.
+        if rulebook.version and rulebook.related(first[0], second[0]):
+            return True
+        if not self._use_topology:
+            return False
+        micro_a, micro_b = first[1], second[1]
+        if micro_a == micro_b:
+            return True
+        graph = self._graph
+        neighbourhoods = self._neighbourhoods
+        if graph.version != self._neighbourhood_version:
+            neighbourhoods.clear()
+            self._neighbourhood_version = graph.version
+        try:
+            row = neighbourhoods[micro_a]
+        except KeyError:
+            row = neighbourhoods[micro_a] = (
+                graph.related_within(micro_a, self._max_hops)
+                if micro_a in graph else None
+            )
+        return row is not None and micro_b in row
 
     def build_cluster(self, alerts: list[Alert]) -> AlertCluster:
         """Finalise one correlated group into an :class:`AlertCluster`."""
@@ -166,34 +213,11 @@ class CorrelationAnalyzer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _drop_stale_cache(self) -> None:
-        # Checked at the public entry points only: nothing mutates the
-        # graph from inside a sweep, and ``_related`` is the hot loop.
-        if self._graph.version != self._related_version:
-            self._related_cache.clear()
-            self._related_version = self._graph.version
-
     def _evidence(self, first: Alert, second: Alert) -> bool:
-        if first.region != second.region:
-            return False
-        if self._rulebook.related(first.strategy_id, second.strategy_id):
-            return True
-        if not self._use_topology:
-            return False
-        return self._related(first.microservice, second.microservice)
-
-    def _related(self, micro_a: str, micro_b: str) -> bool:
-        if micro_a == micro_b:
-            return True
-        key = (micro_a, micro_b) if micro_a < micro_b else (micro_b, micro_a)
-        cached = self._related_cache.get(key)
-        if cached is None:
-            if micro_a in self._graph and micro_b in self._graph:
-                cached = self._graph.are_related(micro_a, micro_b, self._max_hops)
-            else:
-                cached = False
-            self._related_cache[key] = cached
-        return cached
+        return first.region == second.region and self.signature_evidence(
+            (first.strategy_id, first.microservice),
+            (second.strategy_id, second.microservice),
+        )
 
     def _finalise(self, alerts: list[Alert]) -> AlertCluster:
         alerts.sort(key=lambda a: a.occurred_at)

@@ -98,13 +98,18 @@ class PlaneBackend(Protocol):
         ...
 
     def flush(
-        self, batches: Sequence[PlaneBatch], watermark: float | None,
+        self,
+        batches: Sequence[PlaneBatch],
+        watermark: float | None,
+        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
         """Run one flush cycle; a barrier — returns when every plane is done.
 
         ``batches`` holds at most one batch per plane; events within a
         batch are in arrival order.  ``watermark`` caps each plane's R3
-        safety horizon.
+        safety horizon.  ``collect_emitted`` asks for the closed
+        aggregates in each report's ``emitted`` (in-process planes only;
+        worker replies stay counter-only).
         """
         ...
 
@@ -187,10 +192,15 @@ class SerialPlaneBackend:
         return len(self.planes)
 
     def flush(
-        self, batches: Sequence[PlaneBatch], watermark: float | None,
+        self,
+        batches: Sequence[PlaneBatch],
+        watermark: float | None,
+        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
         return [
-            self.planes[plane].process_batch(alerts, in_warmup, watermark)
+            self.planes[plane].process_batch(
+                alerts, in_warmup, watermark, collect_emitted,
+            )
             for plane, alerts, in_warmup in batches
         ]
 
@@ -279,9 +289,7 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 finally:
                     view.release()
                     ring.consume()
-                result = planes[plane_id].process_batch(
-                    alerts, in_warmup, watermark, collect_emitted=False,
-                )
+                result = planes[plane_id].process_batch(alerts, in_warmup, watermark)
                 # List-shaped like a one-batch ``flush`` reply, so the
                 # parent reads the same shape whichever transport
                 # carried the batch.
@@ -294,10 +302,9 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                 batches, watermark = payload
                 results = [
                     # Artifacts stay worker-side until drain, so the
-                    # reply is counters only (collect_emitted=False).
+                    # reply is counters only (no ``collect_emitted``).
                     planes[plane_id].process_batch(
                         unpack_alerts(blob), in_warmup, watermark,
-                        collect_emitted=False,
                     )
                     for plane_id, blob, in_warmup in batches
                 ]
@@ -616,8 +623,12 @@ class ProcessPlaneBackend:
         return payload[0]
 
     def flush(
-        self, batches: Sequence[PlaneBatch], watermark: float | None,
+        self,
+        batches: Sequence[PlaneBatch],
+        watermark: float | None,
+        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
+        # Emissions stay worker-side: ``collect_emitted`` is not honoured.
         if self._closed:
             raise ValidationError("process backend already closed")
         self._ensure_started()

@@ -4,11 +4,20 @@ The batch :class:`~repro.core.mitigation.aggregation.AlertAggregator`
 sorts a finished trace and sessionises per ``(strategy, region)``.  The
 online aggregator reaches the *identical* partition incrementally: it
 keeps one open session per active key, extends it while the gap stays
-within the window, and emits the finished
-:class:`~repro.core.mitigation.aggregation.AggregatedAlert` once the
-watermark proves no future in-order alert can extend it.  A micro-batch
-is folded grouped by key: one session probe per key, one expiry sweep
-per batch.
+within the window, and closes it once the watermark proves no future
+in-order alert can extend it.  A micro-batch is folded grouped by key:
+one session probe per key, one expiry sweep per batch.
+
+Closed sessions are R2's output.  ``ingest``, ``ingest_batch`` and
+``drain`` return the closed :class:`OpenSession` objects themselves: a
+session is never touched again once closed (the next one for its key is
+a fresh object with a fresh id list), and it already carries everything
+the plane chain reads — ``strategy_id``, ``region``, ``count`` and the
+``representative`` R3 correlates.  :meth:`OpenSession.emit` is the one
+converter to the frozen
+:class:`~repro.core.mitigation.aggregation.AggregatedAlert`, and it runs
+only at the edges where a caller receives one: retained artifacts and
+the gateway's public ``ingest()`` / ``flush()`` returns.
 
 Memory is bounded by the number of keys active within one window, never
 by stream length: the expiry heap holds exactly one entry per open
@@ -38,7 +47,8 @@ _NEVER = float("-inf")
 
 @dataclass(slots=True)
 class OpenSession:
-    """One in-flight aggregation session for a ``(strategy, region)`` key."""
+    """One aggregation session for a ``(strategy, region)`` key: open
+    while the aggregator holds it, R2's output once it is returned."""
 
     strategy_id: str
     region: str
@@ -49,7 +59,7 @@ class OpenSession:
     alert_ids: list[str] = field(default_factory=list)
 
     def emit(self) -> AggregatedAlert:
-        """The finished aggregate record."""
+        """The finished aggregate record (the edge converter)."""
         return AggregatedAlert(
             strategy_id=self.strategy_id,
             strategy_name=self.representative.strategy_name,
@@ -69,7 +79,7 @@ class OnlineAggregator:
         self, window_seconds: float = 900.0, keep_ids: bool = True,
     ) -> None:
         """``keep_ids=False`` folds no member ids: sessions hold ``[]``
-        and emitted aggregates carry ``alert_ids=()`` with an exact
+        (so their aggregates carry ``alert_ids=()``) and an exact
         ``count``."""
         require_positive(window_seconds, "window_seconds")
         self._window = float(window_seconds)
@@ -100,30 +110,30 @@ class OnlineAggregator:
         """
         return [session.representative for session in self._sessions.values()]
 
-    def ingest(self, alert: Alert) -> list[AggregatedAlert]:
-        """Feed one alert; returns the aggregates this event closed."""
+    def ingest(self, alert: Alert) -> list[OpenSession]:
+        """Feed one alert; returns the sessions this event closed."""
         return self.ingest_batch([alert])
 
-    def ingest_batch(self, alerts: list[Alert]) -> list[AggregatedAlert]:
-        """Feed a micro-batch; returns the aggregates it closed.
+    def ingest_batch(self, alerts: list[Alert]) -> list[OpenSession]:
+        """Feed a micro-batch; returns the sessions it closed.
 
         The batch is bucketed by ``(strategy, region)`` in first-seen
         order and each key folded once, so a storm that interleaves
         strategies pays one session probe per key, not per alert.  By the
-        end of a call exactly the aggregates that feeding the same alerts
-        one at a time would have emitted are out: a session closes when
+        end of a call exactly the sessions that feeding the same alerts
+        one at a time would have closed are closed: a session closes when
         any alert's time passes ``last_at + window``, which within a
         stretch of non-decreasing times is decided by the key's own next
         alert or else by the stretch's last time.  A late alert ends the
         stretch: what precedes it is folded first.
         """
-        emitted: list[AggregatedAlert] = []
+        closed: list[OpenSession] = []
         groups: dict[tuple[str, str], list[Alert]] = {}
         high = _NEVER
         for alert in alerts:
             at = alert.occurred_at
             if at < high:
-                self._fold(groups, high, emitted)
+                self._fold(groups, high, closed)
                 groups = {}
             high = at
             key = (alert.strategy_id, alert.region)
@@ -133,8 +143,8 @@ class OnlineAggregator:
             else:
                 group.append(alert)
         if groups:
-            self._fold(groups, high, emitted)
-        return emitted
+            self._fold(groups, high, closed)
+        return closed
 
     def export_region(self, region: str) -> list[OpenSession]:
         """Hand over the open sessions of one region (plane migration).
@@ -167,15 +177,12 @@ class OnlineAggregator:
             self._sessions[key] = session
             heapq.heappush(self._expiry, (session.last_at + self._window, key))
 
-    def drain(self) -> list[AggregatedAlert]:
-        """Close and emit every open session (end of stream)."""
-        emitted = [
-            session.emit()
-            for _, session in sorted(self._sessions.items())
-        ]
+    def drain(self) -> list[OpenSession]:
+        """Close every open session (end of stream), in key order."""
+        closed = [session for _, session in sorted(self._sessions.items())]
         self._sessions.clear()
         self._expiry.clear()
-        return emitted
+        return closed
 
     # ------------------------------------------------------------------
     # internals
@@ -184,7 +191,7 @@ class OnlineAggregator:
         self,
         groups: dict[tuple[str, str], list[Alert]],
         watermark: float,
-        emitted: list[AggregatedAlert],
+        closed: list[OpenSession],
     ) -> None:
         """Fold the per-key groups of one non-decreasing stretch, then expire.
 
@@ -220,7 +227,7 @@ class OnlineAggregator:
                         # heap entry) and open the next session.
                         if session is not None:
                             session.last_at, session.count = last_at, count
-                            emitted.append(session.emit())
+                            closed.append(session)
                         count, alert_ids = 0, []
                         session = sessions[key] = OpenSession(
                             key[0], key[1], at, at, 0, alert, alert_ids,
@@ -239,14 +246,14 @@ class OnlineAggregator:
                     session.representative = alert
                     best_severity, best_at = severity, at
             session.last_at, session.count = last_at, count
-        self._expire(watermark, emitted)
+        self._expire(watermark, closed)
 
-    def _expire(self, watermark: float, emitted: list[AggregatedAlert]) -> None:
-        """Emit sessions no in-order event at ``watermark`` can still extend.
+    def _expire(self, watermark: float, closed: list[OpenSession]) -> None:
+        """Close sessions no in-order event at ``watermark`` can still extend.
 
         An entry whose session has moved on since it was keyed is put
         back at the session's true expiry instead, so a session that is
-        still due is met again in this sweep and emission order is
+        still due is met again in this sweep and closing order is
         ``(true expiry, key)`` — a function of the sessions alone.
         """
         expiry = self._expiry
@@ -261,4 +268,4 @@ class OnlineAggregator:
             else:
                 heapq.heappop(expiry)
                 del sessions[key]
-                emitted.append(session.emit())
+                closed.append(session)

@@ -42,24 +42,29 @@ def drive_gateway(
     pending: list[Alert] = []  # one-element pushback buffer
 
     def tick(time: float, _: object) -> None:
-        batch = 0
+        batch: list[Alert] = []
+        exhausted = False
         while True:
             if pending:
                 alert = pending.pop()
             else:
                 alert = next(iterator, None)
                 if alert is None:
-                    process.stop()
-                    if drain_on_exhaust:
-                        gateway.drain()
+                    exhausted = True
                     break
             if alert.occurred_at > time:
                 pending.append(alert)
                 break
-            gateway.ingest(alert)
-            batch += 1
+            batch.append(alert)
+        # The tick's batch goes in before any drain.
+        if batch:
+            gateway.ingest_batch(batch)
+        if exhausted:
+            process.stop()
+            if drain_on_exhaust:
+                gateway.drain()
         if on_batch is not None:
-            on_batch(gateway, time, batch)
+            on_batch(gateway, time, len(batch))
 
     process = PeriodicProcess(
         interval=interval,

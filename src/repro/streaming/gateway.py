@@ -193,9 +193,10 @@ class AlertGateway:
 
         Events are routed into per-plane buffers and handed to the
         execution backend ``flush_size`` at a time; end-of-run accounting
-        is identical to per-event :meth:`ingest`.  Returns the count.
-        Buffered events persist across calls until a flush triggers or
-        the gateway is drained.
+        is identical to per-event :meth:`ingest`.  Returns the count;
+        no aggregate is handed back, so unless artifacts are retained no
+        ``AggregatedAlert`` is built.  Buffered events persist across
+        calls until a flush triggers or the gateway is drained.
         """
         return self._ingest(alerts, None)
 
@@ -273,7 +274,7 @@ class AlertGateway:
                     # raises, _flush has already consumed the buffers and
                     # the finally must not resurrect the stale count.
                     buffered = 0
-                    flushed = self._flush()
+                    flushed = self._flush(emitted is not None)
                     if emitted is not None:
                         emitted.extend(flushed)
                     buffered = self._buffered
@@ -451,7 +452,7 @@ class AlertGateway:
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
-        return self._flush()
+        return self._flush(collect_emitted=True)
 
     def checkpoint_config(self) -> dict:
         """The configuration record (:meth:`GatewayConfig.record`), JSON-safe.
@@ -590,20 +591,22 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _flush(self) -> list[AggregatedAlert]:
+    def _flush(self, collect_emitted: bool = False) -> list[AggregatedAlert]:
         """Hand every buffered per-plane batch to the backend (a barrier).
 
-        The buffers are consumed before the backend runs, so a failure
-        past that point leaves the gateway half-applied: it is poisoned,
-        then the error re-raised.
+        Returns the aggregates the flush closed only with
+        ``collect_emitted`` (the public :meth:`ingest` and :meth:`flush`):
+        the internal barriers need none built.  The buffers are consumed
+        before the backend runs, so a failure past that point leaves the
+        gateway half-applied: it is poisoned, then the error re-raised.
         """
         try:
-            return self._flush_cycle()
+            return self._flush_cycle(collect_emitted)
         except BaseException:
             self._poison()
             raise
 
-    def _flush_cycle(self) -> list[AggregatedAlert]:
+    def _flush_cycle(self, collect_emitted: bool) -> list[AggregatedAlert]:
         if self._lanes is not None:
             return self._lane_barrier()
         if self._buffered == 0:
@@ -620,7 +623,7 @@ class AlertGateway:
         flushed = self._buffered
         self._buffered = 0
         stats = self.stats
-        results = self._backend.flush(batches, stats.watermark)
+        results = self._backend.flush(batches, stats.watermark, collect_emitted)
         results.sort(key=lambda result: result.plane_id)
         emitted_all: list[AggregatedAlert] = []
         for result in results:

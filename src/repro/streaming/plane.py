@@ -150,8 +150,9 @@ class PlaneReport:
     open_sessions: int = 0
     active_components: int = 0
     retained_representatives: int = 0
-    #: Aggregates closed by this flush.  In-process backends hand back the
-    #: live objects; process workers and ingress lanes leave it ``None``.
+    #: Aggregates closed by this flush, only when the caller asked for
+    #: them (``collect_emitted``): the retained objects when artifacts are
+    #: retained, else emitted for this reply.  ``None`` otherwise.
     emitted: list[AggregatedAlert] | None = None
     #: Per-(strategy, region) observation digests of this flush batch —
     #: ``(strategy_id, region, service, seen, blocked, transient, groups)``
@@ -216,19 +217,19 @@ def _new_region_row() -> list[int]:
 
 def _count_groups(
     digest: dict[tuple[str, str], list],
-    emitted: list[AggregatedAlert],
+    closed: list[OpenSession],
 ) -> None:
-    """Fold emitted R2 aggregates into a digest's ``groups`` column.
+    """Fold closed R2 sessions into a digest's ``groups`` column.
 
-    Aggregates may close for keys absent from the current batch (their
-    sessions opened flushes ago), so missing rows are created on demand
-    (the representative carries the service the row needs).
+    Sessions may close for keys absent from the current batch (they
+    opened flushes ago), so missing rows are created on demand (the
+    representative carries the service the row needs).
     """
-    for aggregate in emitted:
-        key = (aggregate.strategy_id, aggregate.region)
+    for session in closed:
+        key = (session.strategy_id, session.region)
         row = digest.get(key)
         if row is None:
-            digest[key] = row = [0, 0, 0, 0, aggregate.representative.service]
+            digest[key] = row = [0, 0, 0, 0, session.representative.service]
         row[3] += 1
 
 
@@ -353,17 +354,17 @@ class RegionPlane:
         alerts: list[Alert],
         in_warmup: int,
         watermark: float | None,
-        collect_emitted: bool = True,
+        collect_emitted: bool = False,
     ) -> PlaneReport:
         """Run one micro-batch through the plane's whole reaction chain.
 
         ``alerts`` is this plane's slice of the stream in arrival order;
         ``in_warmup`` the leading-event count inside the gateway-global
         novelty warmup; ``watermark`` the gateway's max event time, below
-        which R3 can finalise (one window back).  ``collect_emitted=False``
-        returns the result with ``emitted=None`` — callers that only fold
-        counters (process workers, ingress lanes) skip materialising the
-        aggregate list in the result.
+        which R3 can finalise (one window back).  R2's closed sessions
+        feed R3 and the counters directly; an ``AggregatedAlert`` is
+        built only to retain it or, with ``collect_emitted``, to hand it
+        back in ``emitted`` (the retained object when retaining).
         """
         if self._detector is not None:
             self._detector.ingest_batch(alerts, in_warmup)
@@ -392,33 +393,49 @@ class RegionPlane:
             region_counts[region][0] += stop - index
             index = stop
         blocked_by_region: dict[str, int] = {}
-        blocked, emitted_all = self.processor.ingest_batch(
+        blocked, closed = self.processor.ingest_batch(
             alerts, blocked_by_region,
         )
         for region, count in blocked_by_region.items():
             region_counts[region][1] += count
-        correlator = self._correlator
-        for aggregate in emitted_all:
-            correlator.add(aggregate.representative)
-            # Aggregates may close for regions whose sessions opened
-            # flushes (or migrations) ago, so rows appear on demand.
-            region_counts[aggregate.region][2] += 1
-        if self._retain and emitted_all:
-            self.aggregates.extend(emitted_all)
+        emitted = self._close_sessions(closed, collect_emitted)
         self.processed += len(alerts)
         self.blocked += blocked
-        self.aggregates_emitted += len(emitted_all)
         self._since_finalize += len(alerts)
         if self._since_finalize >= self._config.finalize_every and watermark is not None:
             self._since_finalize = 0
             self._finalize_ready(watermark)
         if digest is not None:
-            _count_groups(digest, emitted_all)
+            _count_groups(digest, closed)
         return self.report(
-            emitted=emitted_all if collect_emitted else None,
+            emitted=emitted,
             observations=_digest_rows(digest) if digest is not None else None,
             detection=detection,
         )
+
+    def _close_sessions(
+        self, closed: list[OpenSession], collect_emitted: bool,
+    ) -> list[AggregatedAlert] | None:
+        """Hand R2's closed sessions to R3 and the counters.
+
+        Emits each session's ``AggregatedAlert`` at most once: to retain
+        it, or, with ``collect_emitted``, for the caller; returns the
+        collected aggregates (else ``None``).
+        """
+        correlator = self._correlator
+        region_counts = self._region_counts
+        for session in closed:
+            correlator.add(session.representative)
+            # A session may close flushes (or a migration) after its
+            # region's last alert here, so rows appear on demand.
+            region_counts[session.region][2] += 1
+        self.aggregates_emitted += len(closed)
+        if not (self._retain or collect_emitted):
+            return None
+        emitted = [session.emit() for session in closed]
+        if self._retain:
+            self.aggregates.extend(emitted)
+        return emitted if collect_emitted else None
 
     def _digest(self, alerts: list[Alert]) -> dict[tuple[str, str], list]:
         """Per-(strategy, region) seen/blocked/transient over one batch.
@@ -679,22 +696,15 @@ class RegionPlane:
 
     def drain(self, watermark: float | None) -> PlaneReport:
         """Flush all open state at end of stream and report final totals."""
-        emitted_all = self.processor.drain()
-        correlator = self._correlator
-        region_counts = self._region_counts
-        for aggregate in emitted_all:
-            correlator.add(aggregate.representative)
-            region_counts[aggregate.region][2] += 1
-        self.aggregates_emitted += len(emitted_all)
-        if self._retain and emitted_all:
-            self.aggregates.extend(emitted_all)
-        self._count_clusters(*correlator.drain())
+        closed = self.processor.drain()
+        self._close_sessions(closed, collect_emitted=False)
+        self._count_clusters(*self._correlator.drain())
         if self._detector is not None and watermark is not None:
             self._detector.finish(watermark)
         observations = None
         if self._config.collect_observations:
             digest: dict[tuple[str, str], list] = {}
-            _count_groups(digest, emitted_all)
+            _count_groups(digest, closed)
             observations = _digest_rows(digest)
         return self.report(
             retained_aggregates=self.aggregates,

@@ -9,18 +9,18 @@ in-order sub-stream:
   O(rules-per-strategy) point lookup, so the batch component streams
   as-is);
 * **R2** — survivors feed the :class:`OnlineAggregator`'s session
-  windows; closed sessions surface as ``AggregatedAlert`` emissions.
+  windows; closed :class:`~repro.streaming.dedup.OpenSession` objects
+  are the processor's output, handed to the plane as they are.
 
 Correlation (R3) and storm detection (R4) live beside it on the plane:
 regions are independent for both reactions, so a plane-local
-:class:`OnlineCorrelator` over the processor's emissions and a
+:class:`OnlineCorrelator` over the closed sessions' representatives and a
 plane-local ``OnlineStormDetector`` over the raw sub-stream are exact.
 """
 
 from __future__ import annotations
 
 from repro.alerting.alert import Alert
-from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.streaming.dedup import OnlineAggregator, OpenSession
 
@@ -52,10 +52,10 @@ class StreamProcessor:
         self,
         alerts: list[Alert],
         blocked_by_region: dict[str, int],
-    ) -> tuple[int, list[AggregatedAlert]]:
+    ) -> tuple[int, list[OpenSession]]:
         """Process one micro-batch.
 
-        Returns ``(blocked_count, emitted)``.  R1 skips the rule scan for
+        Returns ``(blocked_count, closed sessions)``.  R1 skips the rule scan for
         strategies no rule targets; R2 folds the survivors grouped by key.
         ``blocked_by_region`` accumulates the per-region blocked counts
         (one dict increment per *blocked* alert only) — the owning
@@ -88,6 +88,6 @@ class StreamProcessor:
         """Install R2 sessions migrated from another plane."""
         self._aggregator.adopt(sessions)
 
-    def drain(self) -> list[AggregatedAlert]:
-        """Flush all open aggregation state at end of stream."""
+    def drain(self) -> list[OpenSession]:
+        """Close all open aggregation sessions at end of stream."""
         return self._aggregator.drain()

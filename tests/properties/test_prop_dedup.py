@@ -119,12 +119,12 @@ def _run(chunks, migrate_before, keep_ids=True):
                 assert len(online._expiry) == online.open_sessions
             online = target
             _check_state(online, model, keep_ids)
-        got.extend(map(aggregate_row, online.ingest_batch(chunk)))
+        got.extend(aggregate_row(s.emit()) for s in online.ingest_batch(chunk))
         for alert in chunk:
             want.extend(map(shape, model.feed(alert)))
         assert sorted(got) == sorted(want)
         _check_state(online, model, keep_ids)
-    got.extend(map(aggregate_row, online.drain()))
+    got.extend(aggregate_row(s.emit()) for s in online.drain())
     want.extend(shape(_row(key, session)) for key, session in model.open.items())
     assert sorted(got) == sorted(want)
     assert online.open_sessions == 0 and online._expiry == []

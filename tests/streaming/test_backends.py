@@ -201,10 +201,12 @@ class TestBackendMechanics:
         )
         try:
             serial_results = {
-                r.plane_id: r for r in serial.flush(batches, alerts[-1].occurred_at)
+                r.plane_id: r for r in serial.flush(
+                    batches, alerts[-1].occurred_at, collect_emitted=True)
             }
             process_results = {
-                r.plane_id: r for r in process.flush(batches, alerts[-1].occurred_at)
+                r.plane_id: r for r in process.flush(
+                    batches, alerts[-1].occurred_at, collect_emitted=True)
             }
             assert serial_results.keys() == process_results.keys()
             for plane, expected in serial_results.items():

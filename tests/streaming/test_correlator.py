@@ -194,14 +194,14 @@ class TestEvidenceMemo:
             if a.region == b.region and abs(a.occurred_at - b.occurred_at) <= 900.0
         }
         calls = 0
-        pair_evidence = analyzer.pair_evidence
+        signature_evidence = analyzer.signature_evidence
 
         def counting(first, second):
             nonlocal calls
             calls += 1
-            return pair_evidence(first, second)
+            return signature_evidence(first, second)
 
-        analyzer.pair_evidence = counting
+        analyzer.signature_evidence = counting
         online = OnlineCorrelator(analyzer)
         for alert in alerts:
             online.add(alert)

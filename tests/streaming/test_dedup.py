@@ -34,16 +34,16 @@ class TestBatchParity:
         online = OnlineAggregator(900.0)
         emitted = []
         for alert in alerts:
-            emitted.extend(online.ingest(alert))
-        emitted.extend(online.drain())
+            emitted.extend(s.emit() for s in online.ingest(alert))
+        emitted.extend(s.emit() for s in online.drain())
         assert sorted(map(aggregate_row, emitted)) == sorted(map(aggregate_row, batch))
 
     def test_representative_prefers_severity_then_time(self):
         online = OnlineAggregator(900.0)
         emitted = []
         for alert in _mixed_stream():
-            emitted.extend(online.ingest(alert))
-        emitted.extend(online.drain())
+            emitted.extend(s.emit() for s in online.ingest(alert))
+        emitted.extend(s.emit() for s in online.drain())
         sev = next(a for a in emitted if a.strategy_id == "s-sev")
         assert sev.severity is Severity.CRITICAL
         assert sev.representative.occurred_at == 60.0  # earliest CRITICAL
@@ -96,11 +96,11 @@ class TestBatchIngestion:
         per_event = OnlineAggregator(900.0)
         a = []
         for alert in alerts:
-            a.extend(per_event.ingest(alert))
-        a.extend(per_event.drain())
+            a.extend(s.emit() for s in per_event.ingest(alert))
+        a.extend(s.emit() for s in per_event.drain())
         batched = OnlineAggregator(900.0)
-        b = list(batched.ingest_batch(alerts))
-        b.extend(batched.drain())
+        b = [s.emit() for s in batched.ingest_batch(alerts)]
+        b.extend(s.emit() for s in batched.drain())
         assert sorted(map(aggregate_row, a)) == sorted(map(aggregate_row, b))
 
     def test_ingest_batch_splits_runs_on_window_gaps(self):
@@ -118,13 +118,13 @@ class TestBatchIngestion:
     def test_ingest_batch_arbitrary_chunking_is_equivalent(self):
         alerts = _mixed_stream()
         whole = OnlineAggregator(900.0)
-        a = list(whole.ingest_batch(alerts))
-        a.extend(whole.drain())
+        a = [s.emit() for s in whole.ingest_batch(alerts)]
+        a.extend(s.emit() for s in whole.drain())
         chunked = OnlineAggregator(900.0)
         b = []
         for start in range(0, len(alerts), 7):
-            b.extend(chunked.ingest_batch(alerts[start:start + 7]))
-        b.extend(chunked.drain())
+            b.extend(s.emit() for s in chunked.ingest_batch(alerts[start:start + 7]))
+        b.extend(s.emit() for s in chunked.drain())
         assert sorted(map(aggregate_row, a)) == sorted(map(aggregate_row, b))
 
 
@@ -219,7 +219,7 @@ class TestSessionMigration:
         target.adopt([session])
         assert session.alert_ids == [] and session.count == 2
         target.ingest(make_alert(300.0, strategy_id="s-a"))
-        [aggregate] = target.drain()
+        [aggregate] = [s.emit() for s in target.drain()]
         assert aggregate.alert_ids == () and aggregate.count == 3
 
     def test_adopt_rejects_duplicate_keys(self):

@@ -1,10 +1,13 @@
 """Gateway integration: end-to-end parity, snapshots, sim driving, IO."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alerting.alert import Severity
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
+from repro.core.mitigation.aggregation import AggregatedAlert, AlertAggregator
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import rulebook_from_ground_truth
 from repro.io import save_trace
@@ -15,6 +18,7 @@ from repro.streaming import (
     iter_jsonl_alerts,
     merge_ordered,
 )
+from repro.streaming.dedup import OpenSession
 from repro.topology.graph import DependencyGraph
 from repro.workload import StormConfig, build_multi_region_storm
 from repro.workload.trace import AlertTrace
@@ -102,6 +106,92 @@ class TestArtefactParity:
             map(aggregate_row, report.aggregates)
         )
         assert _cluster_rows(gateway.clusters) == _cluster_rows(report.clusters)
+
+
+class TestAggregateHandoff:
+    """R2 hands closed sessions to R3 as they are: an ``AggregatedAlert``
+    is built only where a caller receives one, once per aggregate."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = {"emit": 0, "init": 0}
+        emit = OpenSession.emit
+        init = AggregatedAlert.__init__
+
+        def counting_emit(self):
+            built["emit"] += 1
+            return emit(self)
+
+        def counting_init(self, *args, **kwargs):
+            built["init"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OpenSession, "emit", counting_emit)
+        monkeypatch.setattr(AggregatedAlert, "__init__", counting_init)
+        return built
+
+    def test_ingest_batch_builds_no_aggregate(self, multi_region_report, monkeypatch):
+        trace, topology, rulebook, report = multi_region_report
+        built = self._count_builds(monkeypatch)
+
+        def run(retain):
+            gateway = AlertGateway(
+                topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
+                retain_artifacts=retain, flush_size=64, n_planes=4,
+            )
+            gateway.ingest_batch(trace.iter_ordered())
+            assert gateway.drain().reconcile(report) == {}
+            return gateway
+
+        run(retain=False)
+        assert built == {"emit": 0, "init": 0}
+        kept = run(retain=True)
+        # Retention emits every aggregate exactly once.
+        assert built == {"emit": len(report.aggregates), "init": len(report.aggregates)}
+        assert sorted(map(aggregate_row, kept.aggregates)) == sorted(
+            map(aggregate_row, report.aggregates)
+        )
+        assert _cluster_rows(kept.clusters) == _cluster_rows(report.clusters)
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_ingest_and_flush_return_the_batch_aggregates(
+        self, multi_region_report, monkeypatch, retain,
+    ):
+        trace, topology, rulebook, _ = multi_region_report
+        alerts = list(trace.iter_ordered())
+        # One late-enough alert per region closes every session before
+        # the drain, so the returns cover the whole batch aggregation.
+        end = alerts[-1].occurred_at + 10 * 900.0
+        sentinels = [
+            make_alert(end, strategy_id="s-sentinel", region=region)
+            for region in sorted({alert.region for alert in alerts})
+        ]
+        expected = AlertAggregator(900.0).aggregate(alerts)
+        if not retain:
+            expected = [replace(a, alert_ids=()) for a in expected]
+        built = self._count_builds(monkeypatch)
+        gateway = AlertGateway(
+            topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
+            retain_artifacts=retain, flush_size=7, n_planes=2,
+        )
+        returned = []
+        for index, alert in enumerate(alerts + sentinels):
+            returned += gateway.ingest(alert)
+            if index % 50 == 0:
+                returned += gateway.flush()
+        returned += gateway.flush()
+        assert built["emit"] == built["init"] == len(returned)
+        gateway.drain()
+
+        def order(aggregate):
+            return aggregate.strategy_id, aggregate.region, aggregate.window.start
+
+        assert sorted(returned, key=order) == sorted(expected, key=order)
+        if retain:
+            # The flush returns are the retained objects, not copies.
+            retained = {id(aggregate) for aggregate in gateway.aggregates}
+            assert all(id(aggregate) in retained for aggregate in returned)
+            assert built["init"] == len(gateway.aggregates) == len(returned) + len(sentinels)
 
 
 def _repeating_storm(n_bursts):
@@ -332,11 +422,11 @@ class TestStreamingBehaviour:
         original_flush = gateway._backend.flush
         calls = []
 
-        def failing_flush(batches, watermark):
+        def failing_flush(batches, watermark, *rest):
             if not calls:
                 calls.append(1)
                 raise RuntimeError("worker died")
-            return original_flush(batches, watermark)
+            return original_flush(batches, watermark, *rest)
 
         gateway._backend.flush = failing_flush
         with pytest.raises(RuntimeError):
@@ -378,6 +468,30 @@ class TestSimulationDriver:
         engine.run_until(trace.window().end + 120.0)
         report = MitigationPipeline(topology.graph, rulebook=rulebook).run(trace)
         assert gateway.stats.reconcile(report) == {}
+
+    @pytest.mark.parametrize("flush_size", [1, 64])
+    def test_driver_ingests_whole_ticks(self, storm_trace, monkeypatch, flush_size):
+        """Each tick is one ``ingest_batch`` call, the last one before the
+        drain, and the flush triggers fire at the per-event run's events."""
+        trace, topology = storm_trace
+        direct, _ = _gateway_for(trace, topology, flush_size=flush_size)
+        for alert in trace.iter_ordered():
+            direct.ingest(alert)
+        expected = direct.drain().snapshot()
+
+        def refuse(self, alert):
+            raise AssertionError("the driver must not ingest event by event")
+
+        monkeypatch.setattr(AlertGateway, "ingest", refuse)
+        driven, _ = _gateway_for(trace, topology, flush_size=flush_size)
+        engine = SimulationEngine()
+        drive_gateway(engine, driven, trace.iter_ordered(), interval=60.0,
+                      drain_on_exhaust=True)
+        engine.run_until(trace.window().end + 120.0)
+        got = driven.stats.snapshot()
+        assert driven.stats.input_alerts == len(trace)
+        del expected["throughput"], got["throughput"]
+        assert got == expected
 
 
 class TestSources:
