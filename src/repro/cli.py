@@ -170,8 +170,8 @@ _GATEWAY_FLAGS = (
     ("--qoa", "enable_qoa", bool,
      "score per-strategy alert quality live from gateway counters"),
     ("--detect", "detect_antipatterns", bool,
-     "run the online anti-pattern detectors (A1-A3 + sketch-R4) from "
-     "per-plane detection digests at flush barriers"),
+     "run the online anti-pattern detectors (A1-A3 + sketch-R4) over "
+     "each flush's alert batches at flush barriers"),
 )
 
 

@@ -14,8 +14,8 @@ function serves two callers:
 * :class:`DefinitionHygieneDetector` derives the records from a finished
   :class:`~repro.workload.trace.AlertTrace` (batch);
 * :class:`~repro.streaming.detectors.StreamingDetectorSuite` derives
-  them from the strategy catalog it accumulates out of per-plane
-  detection digests (online).
+  them from the strategy catalog it accumulates flush by flush
+  (online).
 
 Because both paths funnel through :func:`definition_findings`, the
 online-vs-batch differential test compares *data paths*, not two

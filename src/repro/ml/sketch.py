@@ -287,7 +287,7 @@ class SketchWindowScorer:
         self._start: float | None = None
         self._window_index = 0
         #: (occurred_at, strategy_id, (ids, counts)) — the content pair
-        #: is shared with the digest's docs table, so window close can
+        #: is shared with the flush's docs table, so window close can
         #: dedup repeats by object identity before falling back to
         #: value equality.
         self._buffer: list[tuple[float, str, tuple]] = []
@@ -315,9 +315,9 @@ class SketchWindowScorer:
         """Buffer ``(occurred_at, strategy_id, doc_index)`` rows.
 
         Equivalent to :meth:`add` over each referenced document from the
-        shared ``docs`` table — the per-flush digest fast path.  Buffer
-        entries alias the table's content pairs, so a document repeated
-        within one digest stays one object.
+        shared ``docs`` table — the detector suite's per-flush fast path.
+        Buffer entries alias the table's content pairs, so a document
+        repeated within one flush stays one object.
         """
         buffer = self._buffer
         start = self._start
@@ -446,10 +446,10 @@ class SketchWindowScorer:
         # would produce the identical float) and fold with multiplicity.
         score = self.sketch.frozen_scorer()
         # Two-level memo of [ids, counts, multiplicity, novelty]
-        # records: object identity first (repeats within one digest
+        # records: object identity first (repeats within one flush
         # share the docs-table tuple, so most occurrences skip even the
         # content hash), value equality second (equal contents arriving
-        # via different digests).
+        # via different flushes).
         by_id: dict[int, list] = {}
         records: dict[tuple, list] = {}
         novelties = []

@@ -533,35 +533,51 @@ class AlertGatewayService:
         (:func:`~repro.io.traces.alert_from_dict` fields); the literal
         line ``STATS`` answers with one JSON status line.  Connections
         are handled on daemon threads; ingest is serialised through the
-        service lock, so accounting stays exact under concurrency.  Once
-        a stop/abort is in flight the connection gets one ``REFUSED
-        <reason>`` line and closes — the sender knows its tail was not
-        accepted and can replay it after the restart.
+        service lock, so accounting stays exact under concurrency.  A
+        line that is not UTF-8, not JSON or not an alert record gets one
+        ``REFUSED malformed line: <reason>`` line and is skipped; the
+        connection stays open.  Once a stop/abort is in flight the
+        connection gets one ``REFUSED <reason>`` line and closes — the
+        sender knows its tail was not accepted and can replay it after
+        the restart.
         """
         if self._server is not None:
             raise ValidationError("socket server already running")
         service = self
 
         class Handler(socketserver.StreamRequestHandler):
+            def _refuse(self, reason: str) -> None:
+                try:
+                    self.wfile.write(f"REFUSED {reason}\n".encode("utf-8"))
+                    self.wfile.flush()
+                except OSError:
+                    pass  # peer already gone; refusal is best-effort
+
             def _ingest(self, batch: list[Alert]) -> bool:
                 try:
                     service.ingest(batch)
                 except ValidationError as exc:
                     # Draining (or already stopped): refuse loudly
                     # instead of racing the shutdown snapshot.
-                    try:
-                        self.wfile.write(f"REFUSED {exc}\n".encode("utf-8"))
-                        self.wfile.flush()
-                    except OSError:
-                        pass  # peer already gone; refusal is best-effort
+                    self._refuse(str(exc))
                     return False
                 return True
 
             def handle(self) -> None:
                 batch: list[Alert] = []
                 for raw in self.rfile:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
+                    try:
+                        line = raw.decode("utf-8").strip()
+                        alert = (
+                            alert_from_dict(json.loads(line))
+                            if line and line != "STATS" else None
+                        )
+                    except (ValueError, KeyError, TypeError) as exc:
+                        # Bad UTF-8, JSON or alert record: refuse this
+                        # line only; the alerts before it still ingest.
+                        self._refuse(
+                            f"malformed line: {type(exc).__name__}: {exc}"
+                        )
                         continue
                     if line == "STATS":
                         if batch:
@@ -572,7 +588,9 @@ class AlertGatewayService:
                         self.wfile.write(reply.encode("utf-8"))
                         self.wfile.flush()
                         continue
-                    batch.append(alert_from_dict(json.loads(line)))
+                    if alert is None:
+                        continue
+                    batch.append(alert)
                     if len(batch) >= 256:
                         if not self._ingest(batch):
                             return

@@ -75,8 +75,8 @@ class GatewayConfig:
     learner_config: LearnerConfig | None = _option(None, strict=False)
     enable_qoa: bool = _option(False, strict=True)
     detect_antipatterns: bool = _option(False, strict=True)
-    # Strict: the thresholds shape the plane digests (the times cap and
-    # the transient cut-off) and every verdict folded from them.
+    # Strict: the transient cut-off shapes the learner's observation
+    # rows, and the thresholds shape every detector row and verdict.
     detector_thresholds: DetectorThresholds | None = _option(None, strict=True)
     sketch_buckets: int = _option(DEFAULT_SKETCH_BUCKETS, strict=False)
     ingress_lanes: int = _option(1, strict=False)

@@ -2,12 +2,12 @@
 
 The batch detectors (:mod:`repro.core.antipatterns`) need a *finished*
 trace.  This module closes that gap for the definition-level
-anti-patterns the stream itself reveals: every plane hands over a
-compact **detection digest** at each flush barrier (strategy catalog
-rows, A2 lifecycle statistics, hashed R4 documents — plain tuples, as
-the planes run in-process on the ``serial`` backend), and the gateway
-folds the digests into one :class:`StreamingDetectorSuite` that can
-answer at any barrier:
+anti-patterns the stream itself reveals: at each flush barrier the
+gateway hands :meth:`StreamingDetectorSuite.observe` the flush's
+pre-R1 alert batches, one per plane in plane order, and the suite folds
+them straight into its strategy catalog, its A2 lifecycle statistics
+and the R4 sketch, then advances the sketch once per flush — so no
+verdict depends on the plane count.  It can answer at any barrier:
 
 * **A1 (unclear title)** — the :class:`~repro.core.antipatterns.text.
   TitleQualityScorer` over the catalog's title/description, the same
@@ -40,13 +40,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.alerting.alert import Severity
+from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.common.timeutil import HOUR
 from repro.core.antipatterns.base import AntiPatternFinding, DetectorThresholds
 from repro.core.antipatterns.definitions import DefinitionRecord, definition_findings
 from repro.core.antipatterns.text import TitleQualityScorer
-from repro.ml.sketch import DEFAULT_SKETCH_BUCKETS, SketchWindowScorer
+from repro.ml.sketch import (
+    DEFAULT_SKETCH_BUCKETS,
+    SketchWindowScorer,
+    alert_document,
+    hash_document,
+)
 
 __all__ = ["STORM_HOUR_THRESHOLD", "StreamingDetectorSuite"]
 
@@ -56,7 +61,7 @@ STORM_HOUR_THRESHOLD = 100
 
 
 class StreamingDetectorSuite:
-    """Folds per-plane detection digests into online A1-A3/R4 verdicts."""
+    """Folds each flush's alert batches into online A1-A3/R4 verdicts."""
 
     def __init__(
         self,
@@ -80,10 +85,15 @@ class StreamingDetectorSuite:
         self._catalog: dict[str, list] = {}
         #: sid -> {(region, hour bucket): [count, transient,
         #: steady_manual, steady_cleared, steady_duration_sum, times]} —
-        #: nested the way the plane digest groups its rows, so every
-        #: ordered pass sorts the few hundred sids and then each sid's
-        #: own few keys instead of one flat (sid, region, bucket) index.
+        #: nested per sid, so every ordered pass sorts the few hundred
+        #: sids and then each sid's own few keys instead of one flat
+        #: (sid, region, bucket) index.
         self._stats: dict[str, dict[tuple[str, int], list]] = {}
+        #: sid -> (name, title, description, microservice, service,
+        #: hashed (ids, counts)): re-tokenising every alert would
+        #: dominate the fold; a text change re-hashes (derived, so not
+        #: checkpointed).
+        self._doc_cache: dict[str, tuple] = {}
         self.sketch = SketchWindowScorer(
             n_buckets=sketch_buckets,
             smoothing=sketch_smoothing,
@@ -96,57 +106,129 @@ class StreamingDetectorSuite:
     # ------------------------------------------------------------------
     # ingestion (flush/drain barriers)
     # ------------------------------------------------------------------
-    def observe(self, digest, watermark: float | None = None) -> None:
-        """Fold one plane's digest; advance the R4 watermark.
+    def observe(
+        self, batches: list[list[Alert]], watermark: float | None = None,
+    ) -> None:
+        """Fold one flush's pre-R1 batches; advance the R4 watermark once.
 
-        ``digest`` is the ``(catalog, stats, docs, doc_rows)`` tuple
-        :attr:`~repro.streaming.plane.PlaneReport.detection` holds.
+        ``batches`` are the flush's per-plane alert lists in plane order.
+        Their A2 rows are summed per (strategy, region, hour) over the
+        flush first and merged into the running rows once: a region
+        belongs to one plane, so each key's partial sum is the same at
+        any plane count.  The sketch closes windows only after every
+        plane's documents are buffered, so no document can arrive for a
+        window an earlier plane already closed.
         """
-        catalog_rows, stat_rows, docs, doc_rows = digest
+        thresholds = self._thresholds
+        cap = thresholds.repeat_window_count
+        threshold = thresholds.intermittent_threshold
+        n_buckets = self.sketch.sketch.n_buckets
+        cache = self._doc_cache
+        hour = HOUR
+        manual_state = AlertState.CLEARED_MANUAL
+        auto_state = AlertState.CLEARED_AUTO
+        # One dict probe per alert: sid -> [first-seen alert, latest
+        # occurred_at, cached doc, doc-table entry,
+        # {(region, bucket): partial stat row}].
+        per_sid: dict[str, list] = {}
+        docs: list[tuple] = []
+        doc_rows: list[tuple] = []
+        for alerts in batches:
+            for alert in alerts:
+                sid = alert.strategy_id
+                at = alert.occurred_at
+                state = alert.state
+                cleared = alert.cleared_at
+                srec = per_sid.get(sid)
+                if srec is None:
+                    per_sid[sid] = srec = [alert, at, cache.get(sid), None, {}]
+                else:
+                    # First-seen metadata: smallest (event time, id) wins.
+                    held = srec[0]
+                    if at < held.occurred_at or (
+                        at == held.occurred_at and alert.alert_id < held.alert_id
+                    ):
+                        srec[0] = alert
+                    if at > srec[1]:
+                        srec[1] = at
+                key = (alert.region, int(at // hour))
+                row = srec[4].get(key)
+                if row is None:
+                    srec[4][key] = row = [0, 0, 0, 0, 0.0, []]
+                row[0] += 1
+                # ``Alert.is_transient``, inlined for the hot loop.
+                if (
+                    state is auto_state
+                    and cleared is not None
+                    and cleared - at < threshold
+                ):
+                    row[1] += 1
+                else:
+                    # Steady-alert lifecycle evidence (the A2 impact proxy).
+                    if state is manual_state:
+                        row[2] += 1
+                    if cleared is not None:
+                        row[3] += 1
+                        row[4] += cleared - at
+                if len(row[5]) < cap:
+                    row[5].append(at)
+                cached = srec[2]
+                if (
+                    cached is None
+                    or cached[0] != alert.strategy_name
+                    or cached[1] != alert.title
+                    or cached[2] != alert.description
+                    or cached[3] != alert.microservice
+                    or cached[4] != alert.service
+                ):
+                    cached = (
+                        alert.strategy_name, alert.title, alert.description,
+                        alert.microservice, alert.service,
+                        hash_document(alert_document(alert), n_buckets),
+                    )
+                    cache[sid] = srec[2] = cached
+                content = cached[5]
+                if not content[0]:
+                    continue
+                # Repeats of a strategy's unchanged document share one
+                # docs-table entry, so the sketch memoises them by identity.
+                entry = srec[3]
+                if entry is None or entry[0] is not content:
+                    srec[3] = entry = (content, len(docs))
+                    docs.append(content)
+                doc_rows.append((at, sid, entry[1]))
         catalog = self._catalog
-        for sid, first_at, first_id, title, description, severity, service, last_at in catalog_rows:
+        stats = self._stats
+        for sid, (first, last_at, _doc, _entry, partial) in per_sid.items():
             row = catalog.get(sid)
             if row is None:
                 catalog[sid] = [
-                    first_at, first_id, title, description,
-                    severity, service, last_at,
+                    first.occurred_at, first.alert_id, first.title,
+                    first.description, first.severity.value, first.service,
+                    last_at,
                 ]
             else:
                 # First-seen metadata wins deterministically: smallest
-                # (event time, alert id) across every plane and flush.
-                if (first_at, first_id) < (row[0], row[1]):
-                    row[0], row[1] = first_at, first_id
-                    row[2], row[3] = title, description
-                    row[4], row[5] = severity, service
-                row[6] = max(row[6], last_at)
-        stats = self._stats
-        cap = self._thresholds.repeat_window_count
-        # Digest rows arrive grouped by sid: one outer probe per group.
-        last_sid = rows = None
-        for sid, region, bucket, count, transient, manual, cleared, duration_sum, times in stat_rows:
-            if sid != last_sid:
-                last_sid = sid
-                rows = stats.get(sid)
-                if rows is None:
-                    rows = stats[sid] = {}
-            key = (region, bucket)
-            row = rows.get(key)
-            if row is None:
-                rows[key] = [
-                    count, transient, manual, cleared, duration_sum,
-                    list(times[:cap]),
-                ]
-            else:
-                row[0] += count
-                row[1] += transient
-                row[2] += manual
-                row[3] += cleared
-                row[4] += duration_sum
+                # (event time, alert id) across every flush.
+                if (first.occurred_at, first.alert_id) < (row[0], row[1]):
+                    row[0], row[1] = first.occurred_at, first.alert_id
+                    row[2], row[3] = first.title, first.description
+                    row[4], row[5] = first.severity.value, first.service
+                if last_at > row[6]:
+                    row[6] = last_at
+            rows = stats.setdefault(sid, {})
+            for key, part in partial.items():
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = part
+                    continue
+                for slot in range(5):
+                    row[slot] += part[slot]
                 # Below the cap every contribution is complete, so the
                 # merged list holds *all* of the bucket's event times;
                 # at the cap the count alone settles the repeat check.
                 if len(row[5]) < cap:
-                    row[5].extend(times)
+                    row[5].extend(part[5])
                     del row[5][cap:]
         self.sketch.add_rows(docs, doc_rows)
         self.sketch.advance(watermark)
@@ -166,7 +248,7 @@ class StreamingDetectorSuite:
 
     @property
     def stream_end(self) -> float:
-        """Latest alert event time any digest carried."""
+        """Latest alert event time the stream has carried."""
         if not self._catalog:
             return 0.0
         return max(row[6] for row in self._catalog.values())

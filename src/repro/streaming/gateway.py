@@ -50,9 +50,13 @@ demotes TTL'd blocking rules from streaming A4/A5 detection, and rule
 deltas apply to the gateway's blocker at flush barriers.
 ``enable_qoa=True`` scores per-strategy alert quality incrementally from
 the same digests (:class:`~repro.streaming.qoa.StreamQoAScorer`), frozen
-into ``stats.qoa`` at drain.  Both — and ``detect_antipatterns`` — fold
-in this process, so they run on the ``serial`` backend only; all are off
-by default and cost nothing when off.
+into ``stats.qoa`` at drain.  ``detect_antipatterns=True`` hands each
+flush's pre-R1 per-plane batches to the
+:class:`~repro.streaming.detectors.StreamingDetectorSuite`, which folds
+them itself and advances its R4 sketch once per flush, so its verdicts
+do not depend on the plane count.  All three fold in this process, so
+they run on the ``serial`` backend only; all are off by default and cost
+nothing when off.
 
 On an in-order stream the end-of-run volume accounting (blocked,
 aggregates, clusters) is *exactly* the batch pipeline's — the
@@ -633,7 +637,11 @@ class AlertGateway:
         if self._config.collect_observations:
             self._learn(self._gather_observations(results))
         if self.detectors is not None:
-            self._observe_detection(results)
+            # Pre-R1 batches in plane order: the suite folds the whole
+            # flush, then advances the R4 sketch once.
+            self.detectors.observe(
+                [batch for _plane, batch, _warmup in batches], stats.watermark,
+            )
         stats.flushes += 1
         self._last_flush_watermark = stats.watermark
         self._refresh_totals()
@@ -691,19 +699,6 @@ class AlertGateway:
             if delta:
                 delta.apply_to(self._blocker)
             stats.set_learner_counters(learner.counters())
-
-    def _observe_detection(self, results) -> None:
-        """Fold this flush's per-plane detection digests into the suite.
-
-        Results arrive sorted by plane id, so the fold order — and with
-        it the sketch's within-window document order before its
-        canonical sort — is deterministic for any plane count.
-        """
-        detectors = self.detectors
-        watermark = self.stats.watermark
-        for result in results:
-            if result.detection:
-                detectors.observe(result.detection, watermark)
 
     def _set_plane_counters(self, plane_id: int, counters: dict) -> None:
         counters["plane_id"] = plane_id

@@ -22,6 +22,11 @@ and R4 detection execute there, off the gateway loop — the
 gateway is reduced to routing, watermark tracking, and merging the
 planes' reports into its stats.
 
+With ``collect_observations`` a flush also reports per-(strategy,
+region) observation rows for the gateway's rule learner and QoA scorer;
+that is the only evidence a plane builds.  Anti-pattern detection folds
+the gateway's pre-R1 batches itself (:mod:`~repro.streaming.detectors`).
+
 R3 finalisation is plane-local: a future representative in this plane's
 regions is either the current representative of one of this plane's
 open sessions or an alert at or after the gateway watermark, so the
@@ -38,10 +43,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.alerting.alert import Alert, AlertState
-from repro.common.timeutil import HOUR
+from repro.alerting.alert import Alert
 from repro.core.antipatterns.base import DetectorThresholds
-from repro.ml.sketch import DEFAULT_SKETCH_BUCKETS, alert_document, hash_document
 from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import (
@@ -86,19 +89,6 @@ class PlaneConfig:
     #: batch detectors' single source of truth so streaming evidence and
     #: batch A4/QoA can never silently disagree.
     intermittent_threshold: float = DetectorThresholds().intermittent_threshold
-    #: When set, every flush also hands over a detection digest
-    #: (strategy catalog, A2 lifecycle statistics, hashed R4 documents)
-    #: for the gateway's online detector suite.  Off by default; only
-    #: the in-process ``serial`` backend sets it.
-    collect_detection: bool = False
-    #: Bucket count of the R4 hashing sketch documents — must match the
-    #: gateway suite's sketch width or the hashed ids are meaningless.
-    sketch_buckets: int = DEFAULT_SKETCH_BUCKETS
-    #: Raw event times kept per (strategy, region, hour) stat row.  A
-    #: bucket that reaches this cap is by itself proof of a repeat-sized
-    #: run, so nothing beyond it ever needs shipping; defaulted from the
-    #: batch thresholds' single source of truth.
-    detection_times_cap: int = DetectorThresholds().repeat_window_count
 
     @classmethod
     def from_options(
@@ -121,9 +111,6 @@ class PlaneConfig:
             retain_artifacts=options.retain_artifacts,
             finalize_every=int(options.finalize_every),
             collect_observations=options.learn_rules or options.enable_qoa,
-            collect_detection=options.detect_antipatterns,
-            sketch_buckets=int(options.sketch_buckets),
-            detection_times_cap=thresholds.repeat_window_count,
             intermittent_threshold=thresholds.intermittent_threshold,
         )
 
@@ -159,11 +146,6 @@ class PlaneReport:
     #: rows, in deterministic batch order.  ``None`` unless the plane was
     #: configured with ``collect_observations``.
     observations: list[tuple] | None = None
-    #: Detection digest of this flush batch (strategy metadata catalog,
-    #: per-hour severity statistics, hashed topic-sketch documents): the
-    #: plain ``(catalog, stats, docs, doc_rows)`` tuple.  ``None`` unless
-    #: configured with ``collect_detection``.
-    detection: tuple | None = None
     #: Every aggregate and cluster the plane retained (drain only).
     retained_aggregates: list[AggregatedAlert] | None = None
     retained_clusters: list[AlertCluster] | None = None
@@ -259,7 +241,6 @@ class RegionPlane:
         "aggregates",
         "clusters",
         "_region_counts",
-        "_doc_cache",
     )
 
     def __init__(self, plane_id: int, config: PlaneConfig) -> None:
@@ -297,10 +278,6 @@ class RegionPlane:
         # region's whole accounting history migrate with it when the
         # gateway scales its plane topology.
         self._region_counts: dict[str, list[int]] = defaultdict(_new_region_row)
-        # strategy -> (name, title, description, microservice, service,
-        # hashed ids, counts): re-tokenising every alert would dominate
-        # the detection digest; text changes invalidate per-field.
-        self._doc_cache: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -368,18 +345,9 @@ class RegionPlane:
         """
         if self._detector is not None:
             self._detector.ingest_batch(alerts, in_warmup)
-        if self._config.collect_detection and alerts:
-            # One pass builds both digests: the detection scan already
-            # touches every alert, so the learner's rows ride along.
-            detection, digest = self._detection_digest(
-                alerts, with_observations=self._config.collect_observations,
-            )
-        else:
-            detection = None
-            digest = (
-                self._digest(alerts)
-                if self._config.collect_observations else None
-            )
+        digest = (
+            self._digest(alerts) if self._config.collect_observations else None
+        )
         # Per-region processed counts, run-compressed (one dict touch
         # per contiguous same-region run, not per event).
         region_counts = self._region_counts
@@ -410,7 +378,6 @@ class RegionPlane:
         return self.report(
             emitted=emitted,
             observations=_digest_rows(digest) if digest is not None else None,
-            detection=detection,
         )
 
     def _close_sessions(
@@ -466,143 +433,6 @@ class RegionPlane:
             if alert.is_transient(threshold):
                 row[2] += 1
         return digest
-
-    def _detection_digest(
-        self, alerts: list[Alert], with_observations: bool = False,
-    ):
-        """Build this batch's detection digest (pre-R1 stream).
-
-        Catalog rows carry each strategy's deterministic first-seen
-        metadata (smallest ``(occurred_at, alert_id)`` of the batch) and
-        its latest event time; stat rows bucket the A2 lifecycle
-        evidence per (strategy, region, hour); doc rows hash each
-        alert's R4 document against the configured sketch width, with
-        repeats of a strategy's unchanged document deduplicated into
-        one shared table entry.
-        Returns ``(detection, observations)`` — the digest as the plain
-        ``(catalog, stats, docs, doc_rows)`` tuple plus, with
-        ``with_observations``, the learner digest :meth:`_digest`
-        builds, folded in the same pass.
-        """
-        config = self._config
-        cap = config.detection_times_cap
-        threshold = config.intermittent_threshold
-        n_buckets = config.sketch_buckets
-        cache = self._doc_cache
-        hour = HOUR
-        manual_state = AlertState.CLEARED_MANUAL
-        auto_state = AlertState.CLEARED_AUTO
-        with_obs = with_observations
-        ruled = is_blocked = None
-        if with_obs:
-            blocker = config.blocker
-            ruled = blocker.ruled_strategies
-            is_blocked = blocker.is_blocked
-        # One dict probe per alert: sid -> [first-seen alert, latest
-        # occurred_at, cached doc, doc-table entry,
-        # {region: observation row}, {(region, bucket): stat row}].
-        # The inner keys drop the shared sid, so their hashes are cheap.
-        per_sid: dict[str, list] = {}
-        docs: list[tuple] = []
-        doc_rows: list[tuple] = []
-        for alert in alerts:
-            sid = alert.strategy_id
-            at = alert.occurred_at
-            region = alert.region
-            state = alert.state
-            cleared = alert.cleared_at
-            # ``Alert.is_transient``, inlined for the hot loop.
-            transient = (
-                state is auto_state
-                and cleared is not None
-                and cleared - at < threshold
-            )
-            srec = per_sid.get(sid)
-            if srec is None:
-                per_sid[sid] = srec = [
-                    alert, at, cache.get(sid), None, {}, {},
-                ]
-            else:
-                # First-seen metadata: smallest (event time, id) wins.
-                held = srec[0]
-                if at < held.occurred_at or (
-                    at == held.occurred_at and alert.alert_id < held.alert_id
-                ):
-                    srec[0] = alert
-                if at > srec[1]:
-                    srec[1] = at
-            if with_obs:
-                orow = srec[4].get(region)
-                if orow is None:
-                    srec[4][region] = orow = [0, 0, 0, 0, alert.service]
-                orow[0] += 1
-                if sid in ruled and is_blocked(alert):
-                    orow[1] += 1
-                if transient:
-                    orow[2] += 1
-            skey = (region, int(at // hour))
-            row = srec[5].get(skey)
-            if row is None:
-                srec[5][skey] = row = [0, 0, 0, 0, 0.0, []]
-            row[0] += 1
-            if transient:
-                row[1] += 1
-            else:
-                # Steady-alert lifecycle evidence (the A2 impact proxy).
-                if state is manual_state:
-                    row[2] += 1
-                if cleared is not None:
-                    row[3] += 1
-                    row[4] += cleared - at
-            if len(row[5]) < cap:
-                row[5].append(at)
-            cached = srec[2]
-            if (
-                cached is None
-                or cached[0] != alert.strategy_name
-                or cached[1] != alert.title
-                or cached[2] != alert.description
-                or cached[3] != alert.microservice
-                or cached[4] != alert.service
-            ):
-                ids, counts = hash_document(alert_document(alert), n_buckets)
-                cached = (
-                    alert.strategy_name, alert.title, alert.description,
-                    alert.microservice, alert.service, (ids, counts),
-                )
-                cache[sid] = cached
-                srec[2] = cached
-            content = cached[5]
-            if not content[0]:
-                continue
-            entry = srec[3]
-            if entry is None or entry[0] is not content:
-                srec[3] = entry = (content, len(docs))
-                docs.append(content)
-            doc_rows.append((at, sid, entry[1]))
-        ordered = sorted(per_sid.items())
-        observations = None
-        if with_obs:
-            observations = {
-                (sid, region): orow
-                for sid, srec in ordered
-                for region, orow in srec[4].items()
-            }
-        catalog = [
-            (
-                sid, alert.occurred_at, alert.alert_id, alert.title,
-                alert.description, alert.severity.value, alert.service,
-                srec[1],
-            )
-            for sid, srec in ordered
-            for alert in (srec[0],)
-        ]
-        stat_rows = [
-            (sid, region, bucket, *row[:5], tuple(row[5]))
-            for sid, srec in ordered
-            for (region, bucket), row in sorted(srec[5].items())
-        ]
-        return (catalog, stat_rows, docs, doc_rows), observations
 
     def _finalize_ready(self, watermark: float) -> None:
         """Close correlation components no future representative can join."""

@@ -206,7 +206,7 @@ class TestConfiguredOptionsReachTheGateway:
         gateway = service.gateway
         assert gateway.options.detector_thresholds == self.THRESHOLDS
         assert gateway._config.intermittent_threshold == 1.0
-        assert gateway._config.detection_times_cap == 3
+        assert gateway.detectors._thresholds.repeat_window_count == 3
         assert gateway.detectors._thresholds == self.THRESHOLDS
 
     def test_detector_thresholds_survive_boot_restore_and_gate_drift(
@@ -326,6 +326,37 @@ class TestTransports:
         # The socket is closed with the service.
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=0.5)
+
+    @pytest.mark.parametrize("bad_line", [
+        b"\xff\xfe not utf-8\n",
+        b"{not json\n",
+        b'{"alert_id": "missing-fields"}\n',
+        b'{"alert_id": "a", "strategy_id": "s", "strategy_name": "n", '
+        b'"title": "t", "description": "d", "severity": "MINOR", '
+        b'"service": "v", "microservice": "m", "region": "r", '
+        b'"datacenter": "d", "channel": "metric", '
+        b'"occurred_at": "not a time", "state": "active"}\n',
+    ], ids=["utf8", "json", "key", "value"])
+    def test_socket_refuses_a_malformed_line_and_keeps_the_connection(
+        self, serving_graph, storm_alerts, tmp_path, bad_line,
+    ):
+        service = _service(serving_graph, tmp_path)
+        service.start()
+        host, port = service.serve_socket()
+        lines = [
+            (json.dumps(alert_to_dict(a)) + "\n").encode()
+            for a in storm_alerts[:21]
+        ]
+        with socket.create_connection((host, port), timeout=10) as conn:
+            # 20 alerts parsed before the bad line, one valid after it.
+            conn.sendall(b"".join(lines[:20]) + bad_line + lines[20] + b"STATS\n")
+            replies = conn.makefile("rb")
+            refusal = replies.readline().decode("utf-8")
+            status = json.loads(replies.readline())
+        assert refusal.startswith("REFUSED malformed line: ")
+        assert status["gateway"]["input_alerts"] == 21
+        assert service.input_alerts == 21
+        service.stop()
 
     def test_signal_handler_requests_stop(self, serving_graph, tmp_path):
         import os

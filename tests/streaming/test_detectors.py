@@ -1,45 +1,69 @@
-"""StreamingDetectorSuite: digest folding, verdicts, checkpoint exactness.
+"""StreamingDetectorSuite: batch folding, verdicts, checkpoint exactness.
 
 The differential harness proves online-vs-batch parity end to end; these
-tests pin the suite's own contracts — deterministic digest folding, the
-A2 evidence gates, storm-hour exclusion, and bit-exact state round trips
-through the gateway's checkpoint path.
+tests pin the suite's own contracts — deterministic folding of flush
+batches, the A2 evidence gates, storm-hour exclusion, and bit-exact
+state round trips through the gateway's checkpoint path.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
 
-from repro.alerting.alert import Severity
+from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.common.timeutil import HOUR
 from repro.core.antipatterns.base import DetectorThresholds
 from repro.streaming import AlertGateway, StreamingDetectorSuite
 from tests.streaming.conftest import make_alert
 
+_ids = itertools.count()
 
-def _catalog_row(sid, title="database-api-01: failed to commit changes",
-                 description=None, severity=Severity.MINOR, service="svc",
-                 first_at=0.0, first_id=None, last_at=1000.0):
-    return (
-        sid, first_at, first_id or f"{sid}-a0", title,
-        description if description is not None else f"details for {sid}",
-        int(severity), service, last_at,
+
+def _alert(sid, at, region="region-A",
+           title="database-api-01: failed to commit changes",
+           description=None, severity=Severity.MINOR, service="svc",
+           alert_id=None, duration=900.0, manual=False, transient=False):
+    """One cleared alert: auto-cleared inside the A4 cut-off when
+    ``transient``, else steady (cleared ``duration`` later, by hand when
+    ``manual``)."""
+    alert = Alert(
+        alert_id=alert_id or f"{sid}-{next(_ids):06d}",
+        strategy_id=sid,
+        strategy_name=f"{sid}-name",
+        title=title,
+        description=description if description is not None else f"details for {sid}",
+        severity=severity,
+        service=service,
+        microservice=f"{service}-micro",
+        region=region,
+        datacenter=f"{region}-dc1",
+        channel="metric",
+        occurred_at=at,
     )
+    if transient:
+        alert.clear(at + 60.0, manual=False)
+    else:
+        alert.clear(at + duration, manual=manual)
+    return alert
 
 
-def _stat_row(sid, region="region-A", bucket=0, count=4, transient=0,
-              manual=0, cleared=4, duration_sum=240.0, times=None):
+def _bucket(sid, region="region-A", bucket=0, count=4, transient=0,
+            manual=0, duration=900.0, times=None, **meta):
+    """``count`` alerts of one (strategy, region, hour) stat row: the
+    first ``transient`` transient, the next ``manual`` cleared by hand,
+    the rest auto-cleared ``duration`` after they fire."""
     if times is None:
-        times = tuple(bucket * HOUR + 900.0 * i for i in range(count))
-    return (sid, region, bucket, count, transient, manual, cleared,
-            duration_sum, tuple(times))
-
-
-def _digest(catalog=(), stats=(), docs=(), doc_rows=()):
-    return (list(catalog), list(stats), list(docs), list(doc_rows))
+        times = [bucket * HOUR + 900.0 * i for i in range(count)]
+    return [
+        _alert(sid, at, region=region, duration=duration,
+               transient=i < transient,
+               manual=transient <= i < transient + manual, **meta)
+        for i, at in enumerate(times)
+    ]
 
 
 class TestFolding:
@@ -49,14 +73,14 @@ class TestFolding:
 
     def test_first_seen_metadata_wins_across_digests(self):
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=[_catalog_row(
-            "s-1", title="late title", first_at=100.0, first_id="alert-b",
-            last_at=200.0,
-        )]))
-        suite.observe(_digest(catalog=[_catalog_row(
-            "s-1", title="early title", first_at=50.0, first_id="alert-a",
-            last_at=150.0,
-        )]))
+        suite.observe([[
+            _alert("s-1", 100.0, title="late title", alert_id="alert-b"),
+            _alert("s-1", 200.0, title="late title"),
+        ]])
+        suite.observe([[
+            _alert("s-1", 50.0, title="early title", alert_id="alert-a"),
+            _alert("s-1", 150.0, title="early title"),
+        ]])
         [[sid, first_at, first_id, title, *_rest, last_at]] = \
             suite.export_state()["catalog"]
         assert (sid, first_at, first_id, title) == \
@@ -64,19 +88,20 @@ class TestFolding:
         assert last_at == 200.0
 
     def test_fold_order_does_not_matter(self):
-        digests = [
-            _digest(catalog=[_catalog_row("s-1", first_at=100.0,
-                                          first_id="alert-b")],
-                    stats=[_stat_row("s-1", bucket=0)]),
-            _digest(catalog=[_catalog_row("s-1", first_at=50.0,
-                                          first_id="alert-a")],
-                    stats=[_stat_row("s-1", bucket=0), _stat_row("s-1", bucket=3)]),
+        # Both flushes open at t=0, so the sketch's windows start at the
+        # same time either way, and the last fold's watermark closes
+        # every window: the sketch state must match too.  The two
+        # first-seen candidates tie on time, so the alert id decides.
+        flushes = [
+            [[_alert("s-1", 0.0, region="region-B", alert_id="alert-b")]
+             + _bucket("s-1", bucket=0)],
+            [[_alert("s-1", 0.0, region="region-C", alert_id="alert-a")]
+             + _bucket("s-1", bucket=0) + _bucket("s-1", bucket=3)],
         ]
         forward, backward = StreamingDetectorSuite(), StreamingDetectorSuite()
-        for digest in digests:
-            forward.observe(digest)
-        for digest in reversed(digests):
-            backward.observe(digest)
+        for suite, order in ((forward, flushes), (backward, flushes[::-1])):
+            suite.observe(order[0])
+            suite.observe(order[1], watermark=10 * HOUR)
         assert forward.export_state() == backward.export_state()
 
     def test_bucket_times_are_capped_at_the_repeat_count(self):
@@ -84,50 +109,64 @@ class TestFolding:
         suite = StreamingDetectorSuite()
         first = tuple(float(i) for i in range(5))
         second = tuple(100.0 + i for i in range(6))
-        suite.observe(_digest(stats=[_stat_row(
-            "s-1", count=5, cleared=5, times=first)]))
-        suite.observe(_digest(stats=[_stat_row(
-            "s-1", count=6, cleared=6, times=second)]))
-        [[_sid, _region, _bucket, count, *_mid, times]] = \
+        suite.observe([_bucket("s-1", count=5, times=first)])
+        suite.observe([_bucket("s-1", count=6, times=second)])
+        [[_sid, _region, _bucket_id, count, *_mid, times]] = \
             suite.export_state()["stats"]
         assert count == 11
         assert len(times) == cap
         assert times == list(first + second)[:cap]
 
     def test_stats_export_equals_a_flat_sorted_reference(self):
-        # Digests whose rows interleave sids, regions and buckets out of
-        # order and revisit keys; the nested fold must export the rows
-        # a flat (sid, region, bucket) map would, in sorted order.
-        cap = DetectorThresholds().repeat_window_count
-        digests = []
+        # Flushes whose alerts interleave sids, regions and buckets out
+        # of order and revisit keys, split into per-region batches the
+        # way planes hand them over; the nested fold must export the
+        # rows a flat (sid, region, bucket) map would, in sorted order,
+        # with each flush's partial sums merged once.
+        thresholds = DetectorThresholds()
+        cap = thresholds.repeat_window_count
+        regions = ("region-B", "region-A", "region-C")
+        flushes = []
         for flush in range(5):
-            rows = []
+            alerts = []
             for index in range(12):
-                sid = f"s-{(index * 7 + flush) % 4}"
-                region = ("region-B", "region-A", "region-C")[index % 3]
-                bucket = (index * 5 + flush * 3) % 9
                 count = 1 + (index + flush) % 4
-                rows.append(_stat_row(
-                    sid, region=region, bucket=bucket, count=count,
-                    transient=index % 2, manual=flush % 2, cleared=count,
-                    duration_sum=count * (60.0 + flush + index / 3),
-                ))
-            digests.append(_digest(
-                catalog=[_catalog_row(f"s-{index}") for index in range(4)],
-                stats=rows,
-            ))
-        reference: dict[tuple, list] = {}
-        for digest in digests:
-            for sid, region, bucket, *counters, times in digest[1]:
-                row = reference.setdefault(
-                    (sid, region, bucket), [0, 0, 0, 0, 0.0, []],
+                alerts += _bucket(
+                    f"s-{(index * 7 + flush) % 4}",
+                    region=regions[index % 3],
+                    bucket=(index * 5 + flush * 3) % 9, count=count,
+                    transient=index % 2, manual=flush % 2,
+                    duration=600.0 + flush + index / 3,
                 )
-                for slot, value in enumerate(counters):
-                    row[slot] += value
-                row[5] = (row[5] + list(times))[:cap]
+            flushes.append([
+                [alert for alert in alerts if alert.region == region]
+                for region in sorted(regions)
+            ])
+        reference: dict[tuple, list] = {}
+        for batches in flushes:
+            partial: dict[tuple, list] = {}
+            for alert in itertools.chain.from_iterable(batches):
+                at = alert.occurred_at
+                row = partial.setdefault(
+                    (alert.strategy_id, alert.region, int(at // HOUR)),
+                    [0, 0, 0, 0, 0.0, []],
+                )
+                row[0] += 1
+                if alert.is_transient(thresholds.intermittent_threshold):
+                    row[1] += 1
+                else:
+                    row[2] += alert.state is AlertState.CLEARED_MANUAL
+                    row[3] += 1
+                    row[4] += alert.cleared_at - at
+                row[5].append(at)
+            for key, part in partial.items():
+                row = reference.setdefault(key, [0, 0, 0, 0, 0.0, []])
+                for slot in range(5):
+                    row[slot] += part[slot]
+                row[5] = (row[5] + part[5])[:cap]
         suite = StreamingDetectorSuite()
-        for digest in digests:
-            suite.observe(digest)
+        for batches in flushes:
+            suite.observe(batches)
         assert suite.export_state()["stats"] == [
             [*key, *row] for key, row in sorted(reference.items())
         ]
@@ -137,29 +176,27 @@ class TestFolding:
 def _severity_fixture():
     """3 low-impact WARNING + 3 high-impact CRITICAL + one WARNING
     misfit carrying CRITICAL-class impact."""
-    catalog, stats = [], []
+    alerts = []
     specs = (
-        [(f"s-low-{i}", Severity.WARNING, 0, 60.0) for i in range(3)]
+        [(f"s-low-{i}", Severity.WARNING, 0, 900.0) for i in range(3)]
         + [(f"s-high-{i}", Severity.CRITICAL, 4, 7200.0) for i in range(3)]
         + [("s-misfit", Severity.WARNING, 4, 7200.0)]
     )
     for sid, severity, manual, duration in specs:
-        catalog.append(_catalog_row(sid, severity=severity))
         # Three sparse hour buckets: 12 steady alerts, never more than
         # 4 events inside any repeat window (buckets 10h apart).
         for bucket in (0, 10, 20):
-            stats.append(_stat_row(
-                sid, bucket=bucket, count=4, transient=0, manual=manual,
-                cleared=4, duration_sum=4 * duration,
-            ))
-    return catalog, stats
+            alerts += _bucket(
+                sid, bucket=bucket, count=4, manual=manual,
+                duration=duration, severity=severity,
+            )
+    return alerts
 
 
 class TestSeverityFindings:
     def test_misfit_is_the_only_a2_finding(self):
-        catalog, stats = _severity_fixture()
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=catalog, stats=stats))
+        suite.observe([_severity_fixture()])
         findings = suite.findings()["A2"]
         assert [f.subject for f in findings] == ["s-misfit"]
         assert "understated" in findings[0].evidence
@@ -169,54 +206,51 @@ class TestSeverityFindings:
         # every strategy: each falls to 8 steady alerts, below the
         # severity_min_alerts gate, so no A2 verdicts remain — the same
         # flood exclusion the batch detector applies.
-        catalog, stats = _severity_fixture()
-        catalog.append(_catalog_row("s-flood", severity=Severity.WARNING))
-        stats.append(_stat_row(
-            "s-flood", bucket=0, count=150, transient=0, manual=0,
-            cleared=150, duration_sum=150 * 60.0,
-            times=tuple(float(i) for i in range(8)),
-        ))
+        alerts = _severity_fixture() + _bucket(
+            "s-flood", bucket=0, count=150, severity=Severity.WARNING,
+            times=[20.0 * i for i in range(150)],
+        )
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=catalog, stats=stats))
+        suite.observe([alerts])
         assert suite.findings()["A2"] == []
 
     def test_repeat_dominated_strategies_are_gated(self):
-        catalog, stats = _severity_fixture()
         # Hand the misfit one full bucket: cap-many events inside an
         # hour is proof of a repeat-sized run, which gates it out.
         cap = DetectorThresholds().repeat_window_count
-        stats.append(_stat_row(
-            "s-misfit", bucket=30, count=cap, cleared=cap,
-            duration_sum=cap * 7200.0,
-            times=tuple(30 * HOUR + float(i) for i in range(cap)),
-        ))
+        alerts = _severity_fixture() + _bucket(
+            "s-misfit", bucket=30, count=cap, duration=7200.0,
+            severity=Severity.WARNING,
+            times=[30 * HOUR + float(i) for i in range(cap)],
+        )
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=catalog, stats=stats))
+        suite.observe([alerts])
         assert suite.findings()["A2"] == []
 
 
 class TestTitleAndDefinitionFindings:
     def test_vague_title_is_flagged(self):
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=[
-            _catalog_row("s-vague", title="Instance x is abnormal",
-                         description="something seems off"),
-            _catalog_row("s-clear"),
-        ]))
+        suite.observe([[
+            _alert("s-vague", 0.0, title="Instance x is abnormal",
+                   description="something seems off"),
+            _alert("s-clear", 0.0),
+        ]])
         findings = suite.findings()["A1"]
         assert [f.subject for f in findings] == ["s-vague"]
         assert "clarity" in findings[0].evidence
 
     def test_stale_and_duplicate_definitions_are_flagged(self):
         thresholds = DetectorThresholds()
+        later = 2 * thresholds.stale_after
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=[
-            _catalog_row("s-stale", description="stale one", last_at=0.0),
-            _catalog_row("s-dup-1", title="disk full", description="same text",
-                         last_at=2 * thresholds.stale_after),
-            _catalog_row("s-dup-2", title="disk full", description="same text",
-                         last_at=2 * thresholds.stale_after),
-        ]))
+        suite.observe([[
+            _alert("s-stale", 0.0, description="stale one"),
+            _alert("s-dup-1", later, title="disk full",
+                   description="same text"),
+            _alert("s-dup-2", later, title="disk full",
+                   description="same text"),
+        ]])
         findings = suite.findings()["A3"]
         kinds = {(f.subject, f.details["kind"]) for f in findings}
         assert kinds == {("s-stale", "stale"),
@@ -224,10 +258,10 @@ class TestTitleAndDefinitionFindings:
 
     def test_summary_counts_match_findings(self):
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=[
-            _catalog_row("s-vague", title="Instance x is abnormal",
-                         description="hmm"),
-        ]))
+        suite.observe([[
+            _alert("s-vague", 0.0, title="Instance x is abnormal",
+                   description="hmm"),
+        ]])
         summary = suite.summary()
         assert summary["strategies"] == 1
         assert summary["findings"] == {
@@ -237,12 +271,10 @@ class TestTitleAndDefinitionFindings:
 
 class TestStateRoundTrip:
     def test_export_restore_is_bit_exact(self):
-        catalog, stats = _severity_fixture()
-        docs = [((1, 5, 9), (2, 1, 1)), ((3,), (4,))]
-        doc_rows = [(10.0, "s-low-0", 0), (20.0, "s-misfit", 1)]
+        # The watermark closes the first 15 sketch windows and leaves
+        # the rest buffered, so history, flags and buffer all travel.
         suite = StreamingDetectorSuite()
-        suite.observe(_digest(catalog=catalog, stats=stats, docs=docs,
-                              doc_rows=doc_rows), watermark=20.0)
+        suite.observe([_severity_fixture()], watermark=15 * HOUR)
         clone = StreamingDetectorSuite()
         clone.restore_state(suite.export_state())
         assert clone.export_state() == suite.export_state()

@@ -394,14 +394,16 @@ class TestSketchVsLdaAgreement:
         assert sketch_strategies <= lda_strategies
         assert len(sketch) <= len(lda)
 
+    @pytest.mark.parametrize("n_planes", [1, 2, 4])
     def test_streaming_sketch_matches_batch_sketch_exactly(
-            self, novel_burst_workload):
-        """The gateway's incremental, digest-fed sketch and the one-shot
+            self, novel_burst_workload, n_planes):
+        """The gateway's incremental, flush-fed sketch and the one-shot
         batch wrapper share every line of verdict logic — their flag
-        lists must be identical, not merely similar."""
+        lists must be identical, not merely similar, at any plane count
+        (the sketch advances once per flush, after every plane's batch)."""
         alerts, graph = novel_burst_workload
         gateway = AlertGateway(
-            graph, blocker=AlertBlocker(), flush_size=256,
+            graph, blocker=AlertBlocker(), flush_size=256, n_planes=n_planes,
             aggregation_window=WINDOW, correlation_window=WINDOW,
             detect_antipatterns=True, retain_artifacts=False,
         )
