@@ -180,6 +180,15 @@ class AlertBlocker:
         """
         return frozenset(self._by_strategy)
 
+    @property
+    def unconditional_strategies(self) -> frozenset[str]:
+        """Strategies blocked outright, whatever the alert's region or time.
+
+        A subset of :attr:`ruled_strategies`: membership here decides
+        :meth:`is_blocked` without a call, the streaming R1 fast path.
+        """
+        return frozenset(self._unconditional)
+
     def is_blocked(self, alert: Alert) -> bool:
         """Whether any rule blocks ``alert``."""
         strategy = alert.strategy_id

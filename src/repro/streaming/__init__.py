@@ -78,12 +78,7 @@ from repro.streaming.rings import RingError, SpscRing
 from repro.streaming.routing import PlaneRouter
 from repro.streaming.sources import iter_jsonl_alerts, merge_ordered
 from repro.streaming.stats import GatewayStats
-from repro.streaming.storm import (
-    EmergingSignal,
-    OnlineStormDetector,
-    RegionStormState,
-    StormEpisode,
-)
+from repro.streaming.storm import OnlineStormDetector, RegionStormState
 from repro.streaming.windows import LatencyReservoir, RingCounter
 from repro.streaming.wire import (
     AlertBatchBuilder,
@@ -126,8 +121,6 @@ __all__ = [
     "StreamQoAScorer",
     "measure_stream_qoa",
     "OnlineStormDetector",
-    "StormEpisode",
-    "EmergingSignal",
     "RegionStormState",
     "RingCounter",
     "LatencyReservoir",

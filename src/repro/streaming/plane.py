@@ -11,10 +11,10 @@ disjoint set of regions:
   correlation evidence requires equal regions, so no component can span
   planes);
 * one :class:`~repro.streaming.storm.OnlineStormDetector` over the
-  plane's raw in-order sub-stream (R4 — exact, because flood rates and
-  novelty are keyed per region; the stream-global novelty warmup is
-  threaded through as a per-batch ``in_warmup`` prefix computed by the
-  gateway).
+  plane's raw in-order sub-stream, before R1 drops anything (R4 — exact,
+  because flood rates and novelty are keyed per region, one record per
+  region; the stream-global novelty warmup is threaded through as a
+  per-batch ``in_warmup`` prefix computed by the gateway).
 
 Because a plane touches nothing outside itself, the execution backends
 can run whole planes on lane threads or worker processes: R3 correlation
@@ -174,7 +174,8 @@ class PlaneRegionState:
     across a worker pipe (wire-packed by
     :func:`~repro.streaming.wire.pack_plane_state`).  It carries
     *everything* plane-resident the region's events ever touched: open
-    R2 sessions, open R3 components (window + union-find), the R4 state
+    R2 sessions, open R3 components (window + union-find), the R4
+    detector's region record
     (:class:`~repro.streaming.storm.RegionStormState`), the region's
     lifetime counter slice and any retained artifacts.  No rule table:
     every plane reads the one blocker the gateway configured (or the
@@ -335,7 +336,8 @@ class RegionPlane:
     ) -> PlaneReport:
         """Run one micro-batch through the plane's whole reaction chain.
 
-        ``alerts`` is this plane's slice of the stream in arrival order;
+        ``alerts`` is this plane's slice of the stream in arrival order,
+        which R4 reads whole, blocked alerts included;
         ``in_warmup`` the leading-event count inside the gateway-global
         novelty warmup; ``watermark`` the gateway's max event time, below
         which R3 can finalise (one window back).  R2's closed sessions
@@ -530,7 +532,7 @@ class RegionPlane:
         self._close_sessions(closed, collect_emitted=False)
         self._count_clusters(*self._correlator.drain())
         if self._detector is not None and watermark is not None:
-            self._detector.finish(watermark)
+            self._detector.finish()
         observations = None
         if self._config.collect_observations:
             digest: dict[tuple[str, str], list] = {}

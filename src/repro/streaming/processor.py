@@ -55,20 +55,25 @@ class StreamProcessor:
     ) -> tuple[int, list[OpenSession]]:
         """Process one micro-batch.
 
-        Returns ``(blocked_count, closed sessions)``.  R1 skips the rule scan for
-        strategies no rule targets; R2 folds the survivors grouped by key.
+        Returns ``(blocked_count, closed sessions)``.  R1 blocks strategies
+        with an unconditional rule on one set probe and skips the rule scan
+        for strategies no rule targets; R2 folds the survivors grouped by key.
         ``blocked_by_region`` accumulates the per-region blocked counts
         (one dict increment per *blocked* alert only) — the owning
         plane's migration-grade accounting.
         """
         ruled = self._blocker.ruled_strategies
+        unconditional = self._blocker.unconditional_strategies
         is_blocked = self._blocker.is_blocked
         blocked = 0
         if ruled:
             survivors = []
             append = survivors.append
             for alert in alerts:
-                if alert.strategy_id in ruled and is_blocked(alert):
+                strategy = alert.strategy_id
+                if strategy in unconditional or (
+                    strategy in ruled and is_blocked(alert)
+                ):
                     blocked += 1
                     region = alert.region
                     blocked_by_region[region] = (

@@ -3,81 +3,59 @@
 The batch mining pipeline finds storms by bucketing a finished trace per
 (hour, region) and flagging buckets above the flood threshold; R4's
 batch form replays the whole stream through an online LDA.  The
-streaming detector keeps the same two signals live with O(1) state:
+streaming detector keeps the same two signals live with O(1) state per
+region, all of it in one :class:`RegionStormState` record:
 
-* **storms** — one :class:`~repro.streaming.windows.RingCounter` per
-  region tracks the rolling hourly volume; crossing the flood threshold
-  opens a storm episode, falling below half of it closes the episode
-  (hysteresis, so one storm is not reported once per event);
-* **emerging alerts** — a ``(strategy, region)`` key alerting for the
-  first time while its region's volume is *rising* toward a storm is
-  exactly the "few alerts corresponding to a root cause appear first"
-  pattern §III-C [R4] describes.  Keys are remembered with a bounded
-  recency map, so a strategy quiet for longer than ``novelty_horizon``
+* **storms** — a time-bucketed ring (the
+  :class:`~repro.streaming.windows.RingCounter` algorithm, inlined)
+  tracks the region's rolling hourly volume; crossing the flood
+  threshold opens a storm episode, falling below half of it closes the
+  episode (hysteresis, so one storm is not reported once per event);
+* **emerging alerts** — a strategy alerting in a region for the first
+  time while the region's volume is *rising* toward a storm is exactly
+  the "few alerts corresponding to a root cause appear first" pattern
+  §III-C [R4] describes.  Strategies are remembered per region with a
+  bounded recency map, so one quiet for longer than ``novelty_horizon``
   counts as new again.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from dataclasses import dataclass
 
 from repro.alerting.alert import Alert
 from repro.common.timeutil import HOUR
 from repro.common.validation import require_positive
-from repro.streaming.windows import RingCounter
 
 __all__ = [
-    "StormEpisode",
-    "EmergingSignal",
     "RegionStormState",
     "OnlineStormDetector",
 ]
 
 
 @dataclass(slots=True)
-class StormEpisode:
-    """One contiguous flood of alerts in a region."""
-
-    region: str
-    started_at: float
-    peak_rate: float
-    ended_at: float | None = None
-
-    @property
-    def active(self) -> bool:
-        """Whether the episode is still open."""
-        return self.ended_at is None
-
-
-@dataclass(frozen=True, slots=True)
-class EmergingSignal:
-    """A first-seen strategy firing while its region's volume ramps up."""
-
-    alert: Alert
-    region_rate: float
-
-
-@dataclass(slots=True)
 class RegionStormState:
-    """One region's complete R4 state, detached for plane migration.
+    """One region's complete R4 state: the detector's live record.
 
-    Everything the detector keys by this region (or by ``(strategy,
-    region)``): the ring-counter rate window, the open storm episode if
-    one is in flight, the novelty recency map, the region's lifetime
-    episode/emerging counts, and its ingested-event count (the novelty
-    warmup position a standalone detector derives ``in_warmup`` from).
+    The detector keeps exactly one of these per region it has seen, and
+    plane migration moves the record itself: the rate ring, the open
+    storm episode if one is in flight, the novelty recency map, the
+    region's lifetime episode/emerging counts, and its ingested-event
+    count (the novelty warmup position a standalone detector derives
+    ``in_warmup`` from).
     """
 
     region: str
     bucket_seconds: float
-    #: Ring-counter state (``None`` when the region never built one).
+    #: Ring buckets, newest at ``head % len(counts)`` (``None`` until
+    #: the region's first event).
     counts: list[int] | None
     total: int
+    #: Absolute bucket index of the newest bucket (``None`` when empty).
     head: int | None
-    #: Open episode, if the region is mid-flood at export time.
+    #: Open episode's start, if the region is mid-flood.
     episode_started_at: float | None
+    #: Open episode's peak rate (0.0 when no episode is open).
     episode_peak_rate: float
     #: strategy → last event time in this region (novelty state).
     last_seen: dict[str, float]
@@ -93,12 +71,11 @@ DEFAULT_WARMUP_ALERTS = 50
 class OnlineStormDetector:
     """Streaming detector for floods and their precursors.
 
-    All detector state is keyed by region (rate counters, episodes) or by
-    ``(strategy, region)`` (novelty), so the detector partitions cleanly
-    along region boundaries: one instance per execution plane is exact as
-    long as every alert of a region reaches the same instance.  Instances
-    that split a region's alerts would be wrong — each would see a
-    diluted rate against the flood threshold.  The one global
+    All detector state is keyed by region, so the detector partitions
+    cleanly along region boundaries: one instance per execution plane is
+    exact as long as every alert of a region reaches the same instance.
+    Instances that split a region's alerts would be wrong — each would
+    see a diluted rate against the flood threshold.  The one global
     coupling is the warmup count, which callers that partition the stream
     thread through as an explicit ``in_warmup`` prefix (see
     :meth:`ingest_batch`).
@@ -112,45 +89,41 @@ class OnlineStormDetector:
         warmup_alerts: int = DEFAULT_WARMUP_ALERTS,
     ) -> None:
         require_positive(flood_hourly_threshold, "flood_hourly_threshold")
+        require_positive(bucket_seconds, "bucket_seconds")
         require_positive(novelty_horizon, "novelty_horizon")
         require_positive(warmup_alerts, "warmup_alerts")
         self._threshold = int(flood_hourly_threshold)
         self._bucket_seconds = float(bucket_seconds)
         self._horizon = float(novelty_horizon)
         self._warmup = int(warmup_alerts)
-        self._counters: dict[str, RingCounter] = {}
-        self._active: dict[str, StormEpisode] = {}
-        self._last_seen: dict[tuple[str, str], float] = {}
+        self._regions: dict[str, RegionStormState] = {}
         self._last_sweep_at: float | None = None
         self._ingested = 0
-        # Per-region slices of the lifetime counters, so a region's
-        # whole detection history can migrate with it (plane scale-out).
-        self._episodes_by_region: dict[str, int] = {}
-        self._emerging_by_region: dict[str, int] = {}
-        self._ingested_by_region: dict[str, int] = {}
-        # Exact lifetime counters plus bounded recent-detection windows:
-        # on an unbounded stream, full detection lists would grow forever.
+        # Exact lifetime counters over the regions this instance owns.
         self.episode_count = 0
         self.emerging_count = 0
-        self.episodes: deque[StormEpisode] = deque(maxlen=256)
-        self.emerging: deque[EmergingSignal] = deque(maxlen=1024)
 
     def ingest(self, alert: Alert) -> None:
-        """Advance the counters with one unblocked alert.
+        """Advance the counters with one pre-R1 alert.
 
+        R4 watches the raw flood: planes feed it every alert of their
+        batch, blocked or not, because an R1 rule silences a strategy's
+        notifications but not the storm it is part of — the flood rate
+        and the first-seen precursors must not depend on the rule table.
         Delegates to :meth:`ingest_batch` so the episode and novelty
-        logic exists exactly once — the batch path is event-for-event
-        equivalent, including the warmup derivation.
+        logic exists exactly once.
         """
         self.ingest_batch([alert])
 
     def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None) -> None:
-        """Advance the counters with one in-order micro-batch.
+        """Advance the counters with one in-order pre-R1 micro-batch.
 
-        Event-for-event equivalent to :meth:`ingest`, but run-compressed:
-        consecutive same-region events share one counter/episode lookup
-        and one :meth:`RingCounter.add_run` bucket pass — on a plane that
-        owns whole regions, a flood is one long run.
+        Event-for-event equivalent to :meth:`ingest`.  Each contiguous
+        same-region run is one fused pass over the region's record: the
+        ring update, the episode hysteresis and the novelty check share
+        one bucket computation and one rate per event, and the ring
+        slots are written only when an event leaves the head bucket.  On
+        a plane that owns whole regions, a flood is one long run.
 
         ``in_warmup`` is the number of leading events that fall inside
         the *stream-global* warmup.  ``None`` (standalone use) derives it
@@ -170,75 +143,96 @@ class OnlineStormDetector:
         half_threshold = threshold / 2
         quarter_threshold = threshold / 4
         horizon = self._horizon
-        counters = self._counters
-        active = self._active
-        last_seen = self._last_seen
-        times = [alert.occurred_at for alert in alerts]
-        rates: list[float] = []
-        ingested_by_region = self._ingested_by_region
-        episodes_by_region = self._episodes_by_region
-        emerging_by_region = self._emerging_by_region
+        regions = self._regions
+        episodes = 0
+        emerging = 0
         index = 0
         while index < n:
             region = alerts[index].region
             stop = index + 1
             while stop < n and alerts[stop].region == region:
                 stop += 1
-            ingested_by_region[region] = (
-                ingested_by_region.get(region, 0) + stop - index
-            )
-            counter = counters.get(region)
-            if counter is None:
-                buckets = max(int(HOUR / self._bucket_seconds), 1)
-                counter = RingCounter(self._bucket_seconds, buckets)
-                counters[region] = counter
-            del rates[:]
-            counter.add_run(times, index, stop, rates)
-            episode = active.get(region)
+            state = regions.get(region)
+            if state is None:
+                state = regions[region] = self._empty(region)
+            bucket_seconds = state.bucket_seconds
+            counts = state.counts
+            if counts is None:
+                counts = state.counts = [0] * max(int(HOUR / bucket_seconds), 1)
+            size = len(counts)
+            scale = 3600.0 / (bucket_seconds * size)
+            total = state.total
+            head = state.head
+            if head is None:
+                head = int(alerts[index].occurred_at / bucket_seconds)
+            head_slot = head % size
+            at_head = counts[head_slot]
+            started_at = state.episode_started_at
+            peak_rate = state.episode_peak_rate
+            last_seen = state.last_seen
+            run_episodes = 0
+            run_emerging = 0
             for position in range(index, stop):
                 alert = alerts[position]
-                rate = rates[position - index]
-                occurred_at = times[position]
-                if episode is None:
+                occurred_at = alert.occurred_at
+                # int() == floor for the non-negative times Alert validates.
+                bucket = int(occurred_at / bucket_seconds)
+                if bucket == head:
+                    at_head += 1
+                    total += 1
+                elif bucket > head:
+                    counts[head_slot] = at_head
+                    for offset in range(1, min(bucket - head, size) + 1):
+                        slot = (head + offset) % size
+                        total -= counts[slot]
+                        counts[slot] = 0
+                    head = bucket
+                    head_slot = bucket % size
+                    at_head = 1
+                    total += 1
+                elif bucket > head - size:
+                    counts[bucket % size] += 1
+                    total += 1
+                # else: older than the ring, so not recorded.
+                rate = total * scale
+                if started_at is None:
                     if rate >= threshold:
-                        episode = StormEpisode(
-                            region=region, started_at=occurred_at, peak_rate=rate,
-                        )
-                        active[region] = episode
-                        self.episode_count += 1
-                        episodes_by_region[region] = (
-                            episodes_by_region.get(region, 0) + 1
-                        )
-                        self.episodes.append(episode)
+                        started_at = occurred_at
+                        peak_rate = rate
+                        run_episodes += 1
                 else:
-                    if rate > episode.peak_rate:
-                        episode.peak_rate = rate
+                    if rate > peak_rate:
+                        peak_rate = rate
                     if rate < half_threshold:
-                        episode.ended_at = occurred_at
-                        del active[region]
-                        episode = None
-                key = (alert.strategy_id, region)
-                last = last_seen.get(key)
-                last_seen[key] = occurred_at
-                if position < in_warmup:
-                    continue
-                if (last is None or occurred_at - last > horizon) and (
-                    quarter_threshold <= rate < threshold
-                ):
-                    self.emerging_count += 1
-                    emerging_by_region[region] = (
-                        emerging_by_region.get(region, 0) + 1
-                    )
-                    self.emerging.append(EmergingSignal(alert=alert, region_rate=rate))
+                        started_at = None
+                        peak_rate = 0.0
+                strategy = alert.strategy_id
+                if quarter_threshold <= rate < threshold and position >= in_warmup:
+                    last = last_seen.get(strategy)
+                    if last is None or occurred_at - last > horizon:
+                        run_emerging += 1
+                last_seen[strategy] = occurred_at
+            counts[head_slot] = at_head
+            state.total = total
+            state.head = head
+            state.episode_started_at = started_at
+            state.episode_peak_rate = peak_rate
+            state.ingested += stop - index
+            state.episode_count += run_episodes
+            state.emerging_count += run_emerging
+            episodes += run_episodes
+            emerging += run_emerging
             index = stop
+        self.episode_count += episodes
+        self.emerging_count += emerging
         if n > in_warmup:
-            self._sweep(times[-1])
+            self._sweep(alerts[-1].occurred_at)
 
-    def finish(self, at: float) -> None:
+    def finish(self) -> None:
         """Close any episodes still open at end of stream."""
-        for episode in self._active.values():
-            episode.ended_at = at
-        self._active.clear()
+        for state in self._regions.values():
+            state.episode_started_at = None
+            state.episode_peak_rate = 0.0
 
     # ------------------------------------------------------------------
     # plane migration
@@ -246,93 +240,83 @@ class OnlineStormDetector:
     def export_region(self, region: str) -> RegionStormState:
         """Detach one region's whole R4 state (plane migration).
 
-        All of it is removed from this instance: the rate window, the
-        open episode, the novelty recency entries, and the region's
-        slice of the lifetime episode/emerging/ingested counts — so the
+        The region's record leaves this instance, and its slice of the
+        lifetime episode/emerging/ingested counts is subtracted — so the
         exporting detector's counts reflect only the regions it still
         owns, and :meth:`adopt_region` restores them on the new owner
-        without loss or double counting.  The bounded ``episodes``/
-        ``emerging`` recency deques are observability extras interleaved
-        across regions and do not migrate; the exact counters do.
+        without loss or double counting.  A region never seen exports an
+        empty record.
         """
-        counter = self._counters.pop(region, None)
-        if counter is not None:
-            bucket_seconds, counts, total, head = counter.export_state()
-        else:
-            bucket_seconds = self._bucket_seconds
-            counts, total, head = None, 0, None
-        episode = self._active.pop(region, None)
-        last_seen: dict[str, float] = {}
-        for key in [k for k in self._last_seen if k[1] == region]:
-            last_seen[key[0]] = self._last_seen.pop(key)
-        episode_count = self._episodes_by_region.pop(region, 0)
-        emerging_count = self._emerging_by_region.pop(region, 0)
-        ingested = self._ingested_by_region.pop(region, 0)
-        self.episode_count -= episode_count
-        self.emerging_count -= emerging_count
-        self._ingested -= ingested
-        return RegionStormState(
-            region=region,
-            bucket_seconds=bucket_seconds,
-            counts=counts,
-            total=total,
-            head=head,
-            episode_started_at=episode.started_at if episode is not None else None,
-            episode_peak_rate=episode.peak_rate if episode is not None else 0.0,
-            last_seen=last_seen,
-            episode_count=episode_count,
-            emerging_count=emerging_count,
-            ingested=ingested,
-        )
+        state = self._regions.pop(region, None)
+        if state is None:
+            return self._empty(region)
+        self.episode_count -= state.episode_count
+        self.emerging_count -= state.emerging_count
+        self._ingested -= state.ingested
+        return state
 
     def adopt_region(self, state: RegionStormState) -> None:
-        """Install a region's R4 state exported from another detector."""
+        """Install a region's R4 state exported from another detector.
+
+        The record itself becomes this instance's live state (the
+        caller hands it over).  An open episode continues on the new
+        owner; it was already counted, and its count migrates with the
+        record, so it is not counted again.
+        """
         region = state.region
-        if region in self._counters or region in self._active:
+        if region in self._regions:
             raise ValueError(f"region {region!r} already owned by this detector")
-        if state.counts is not None:
-            self._counters[region] = RingCounter.restore(
-                state.bucket_seconds, state.counts, state.total, state.head,
-            )
-        if state.episode_started_at is not None:
-            # The episode continues on the new owner; it was already
-            # counted (and its count migrated), so only the live object
-            # is rebuilt — not re-counted, not re-appended to the deque.
-            self._active[region] = StormEpisode(
-                region=region,
-                started_at=state.episode_started_at,
-                peak_rate=state.episode_peak_rate,
-            )
-        for strategy, seen_at in state.last_seen.items():
-            self._last_seen[(strategy, region)] = seen_at
-        if state.episode_count:
-            self._episodes_by_region[region] = state.episode_count
-            self.episode_count += state.episode_count
-        if state.emerging_count:
-            self._emerging_by_region[region] = state.emerging_count
-            self.emerging_count += state.emerging_count
-        if state.ingested:
-            self._ingested_by_region[region] = state.ingested
-            self._ingested += state.ingested
+        if state.counts is None:
+            state.bucket_seconds = self._bucket_seconds
+            state.total = 0
+            state.head = None
+        if state.episode_started_at is None:
+            state.episode_peak_rate = 0.0
+        if state == self._empty(region):
+            return
+        self._regions[region] = state
+        self.episode_count += state.episode_count
+        self.emerging_count += state.emerging_count
+        self._ingested += state.ingested
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _sweep(self, now: float) -> None:
-        """Bound the recency map: forget keys quiet past the horizon.
+    def _empty(self, region: str) -> RegionStormState:
+        """A fresh record for a region this instance has not seen."""
+        return RegionStormState(
+            region=region,
+            bucket_seconds=self._bucket_seconds,
+            counts=None,
+            total=0,
+            head=None,
+            episode_started_at=None,
+            episode_peak_rate=0.0,
+            last_seen={},
+            episode_count=0,
+            emerging_count=0,
+            ingested=0,
+        )
 
-        Time-gated: a sweep can only evict keys older than the horizon,
-        so once one ran, rerunning before a quarter-horizon has elapsed
-        cannot free anything new — without the gate, a key population
-        that stays above the size floor would make every ingest O(keys).
+    def _sweep(self, now: float) -> None:
+        """Bound the recency maps: forget strategies quiet past the horizon.
+
+        Time-gated: a sweep can only evict entries older than the
+        horizon, so once one ran, rerunning before a quarter-horizon has
+        elapsed cannot free anything new — without the gate, a key
+        population that stays above the size floor would make every
+        ingest O(keys).  The floor counts entries over all regions.
         """
-        if len(self._last_seen) < 4096:
+        horizon = self._horizon
+        if self._last_sweep_at is not None and now - self._last_sweep_at < horizon / 4:
             return
-        if self._last_sweep_at is not None and now - self._last_sweep_at < self._horizon / 4:
+        states = self._regions.values()
+        if sum(len(state.last_seen) for state in states) < 4096:
             return
         self._last_sweep_at = now
-        self._last_seen = {
-            key: seen
-            for key, seen in self._last_seen.items()
-            if now - seen <= self._horizon
-        }
+        for state in states:
+            state.last_seen = {
+                strategy: seen
+                for strategy, seen in state.last_seen.items()
+                if now - seen <= horizon
+            }

@@ -1,10 +1,11 @@
 """Bounded sliding-window primitives for the streaming processors.
 
 Everything here is O(1) memory in stream length: a time-bucketed ring
-counter (the R4 rate window), and a fixed-capacity reservoir for latency
-percentiles.  These are the building blocks the ISSUE's "bounded deques
-and incremental counters" requirement refers to — no structure in this
-module ever grows with the number of events ingested.
+counter (the algorithm of the R4 rate window, which
+:class:`~repro.streaming.storm.OnlineStormDetector` inlines into its
+per-region pass), and a fixed-capacity reservoir for latency
+percentiles.  No structure in this module ever grows with the number of
+events ingested.
 """
 
 from __future__ import annotations
@@ -40,31 +41,6 @@ class RingCounter:
 
     def _bucket_of(self, time: float) -> int:
         return int(math.floor(time / self._bucket_seconds))
-
-    def export_state(self) -> tuple[float, list[int], int, int | None]:
-        """The counter's full state: (bucket_seconds, counts, total, head).
-
-        Together with :meth:`restore` this is what lets a plane
-        migration move a region's rate window intact — the counts list
-        is copied, so the exported state is immune to further ingestion
-        on this instance.
-        """
-        return self._bucket_seconds, list(self._counts), self._total, self._head
-
-    @classmethod
-    def restore(
-        cls,
-        bucket_seconds: float,
-        counts: list[int],
-        total: int,
-        head: int | None,
-    ) -> "RingCounter":
-        """Rebuild a counter from :meth:`export_state` output."""
-        counter = cls(bucket_seconds, len(counts))
-        counter._counts = list(counts)
-        counter._total = int(total)
-        counter._head = head
-        return counter
 
     def add(self, time: float, count: int = 1) -> None:
         """Count ``count`` events at ``time`` (non-decreasing times)."""
@@ -102,56 +78,6 @@ class RingCounter:
     def rate_per_hour(self, now: float | None = None) -> float:
         """Current windowed count scaled to an hourly rate."""
         return self.total(now) * 3600.0 / self.window_seconds
-
-    def add_and_rate(self, time: float) -> float:
-        """``add(time)`` then ``rate_per_hour(time)`` in one bucket pass.
-
-        The R4 detector does both on every event; fusing them computes
-        the bucket index once and skips the second expiry scan (after
-        ``add``, ``time``'s bucket is the head, so no bucket is stale).
-        """
-        self.add(time)
-        return self._total * 3600.0 / self.window_seconds
-
-    def add_run(self, times: list[float], start: int, stop: int,
-                out: list[float]) -> None:
-        """``add_and_rate`` for a run ``times[start:stop]``, appending to ``out``.
-
-        The run-compressed R4 batch path: all counter state is bound to
-        locals once per run instead of once per event, which is where a
-        region-partitioned plane wins on interleaved multi-region streams
-        — its batches are contiguous per-region runs.  Times within the
-        run must be non-decreasing (the per-region sub-stream is).
-        """
-        bucket_seconds = self._bucket_seconds
-        n = self._n
-        counts = self._counts
-        total = self._total
-        head = self._head
-        scale = 3600.0 / (bucket_seconds * n)
-        append = out.append
-        for index in range(start, stop):
-            # int() == floor for the non-negative times Alert validates.
-            bucket = int(times[index] / bucket_seconds)
-            if head is None:
-                head = bucket
-            elif bucket > head:
-                steps = bucket - head
-                if steps > n:
-                    steps = n
-                for offset in range(1, steps + 1):
-                    slot = (head + offset) % n
-                    total -= counts[slot]
-                    counts[slot] = 0
-                head = bucket
-            elif bucket < head - n + 1:
-                append(total * scale)  # older than the window: not recorded
-                continue
-            counts[bucket % n] += 1
-            total += 1
-            append(total * scale)
-        self._total = total
-        self._head = head
 
 
 class LatencyReservoir:

@@ -142,7 +142,9 @@ class TestBlockerRuleRetirement:
         unconditional = BlockingRule(strategy_id="s-1")
         scoped = BlockingRule(strategy_id="s-1", region="region-A")
         blocker = AlertBlocker([unconditional, scoped])
+        assert blocker.unconditional_strategies == {"s-1"}
         blocker.remove_rule(unconditional)
+        assert blocker.unconditional_strategies == frozenset()
         assert blocker.is_blocked(make_alert(0.0, strategy_id="s-1"))
         assert not blocker.is_blocked(
             make_alert(0.0, strategy_id="s-1", region="region-B")
@@ -197,7 +199,9 @@ class TestBlockerRuleRetirement:
         blocker = AlertBlocker([BlockingRule(strategy_id="s-1")])
         blocker.remove_strategy("s-1")
         assert "s-1" not in blocker.ruled_strategies
+        assert "s-1" not in blocker.unconditional_strategies
         blocker.add(BlockingRule(strategy_id="s-1", expires_at=100.0))
+        assert "s-1" not in blocker.unconditional_strategies
         assert blocker.is_blocked(make_alert(50.0, strategy_id="s-1"))
         assert not blocker.is_blocked(make_alert(150.0, strategy_id="s-1"))
 
