@@ -13,7 +13,8 @@ Layering:
 * :mod:`repro.serving.checkpoint` — the versioned, checksummed snapshot
   format (``RCK1``) plus writer/loader with retention;
 * :mod:`repro.serving.journal` — the length-prefixed, CRC'd event
-  journal (``RCJ1``) that closes the snapshot-to-crash gap;
+  journal (``RCJ2``, each strategy row written once per file; ``RCJ1``
+  still read) that closes the snapshot-to-crash gap;
 * :mod:`repro.serving.state` — capture/restore glue with configuration
   drift detection;
 * :mod:`repro.serving.service` — the long-running service;

@@ -6,32 +6,65 @@ gateway processes it (write-ahead), so after a crash the journal is
 always at or ahead of the restored snapshot, never behind — replaying
 the tail reproduces exactly the events the dead process had accepted.
 
-File layout::
+File layout (``RCJ2``)::
 
-    RCJ1 | u32 header length | header JSON          (epoch metadata)
+    RCJ2 | u32 header length | header JSON          (epoch metadata)
     u32 payload length | u32 crc32 | payload        (record, repeated)
 
 A record's payload is ``u64 start index`` (the gateway's
-``input_alerts`` when the batch was accepted) followed by the batch
-wire-packed with :func:`~repro.streaming.wire.pack_alerts`.  Records
-are self-describing, so replay can slice out exactly the alerts a
-restored snapshot has not yet seen.
+``input_alerts`` when the batch was accepted) followed by the record
+body, so replay can slice out exactly the alerts a restored snapshot
+has not yet seen.  Nine of an alert's ten strings are fixed by its
+strategy — every field but ``alert_id`` (:data:`ROW_FIELDS`) — so the
+body writes each distinct nine-string *row* once per file and refers to
+it by index after that.  Body layout, little-endian (the columns are
+native ``array`` bytes, so like the wire format it assumes a
+little-endian host)::
+
+    u32 alerts | u32 new rows | u32 row-block bytes | u32 id-block bytes
+    u32 × 9·new rows   UTF-8 byte length of each new row string
+    row block          the new rows' strings, concatenated
+    u32 × alerts       UTF-8 byte length of each alert id
+    id block           the alert ids, concatenated
+    u32 × alerts       row reference per alert
+    u8 × alerts        severity value
+    u8 × alerts        state (``AlertState`` declaration order)
+    f64 × alerts       occurred_at
+    f64 × alerts       cleared_at (−1 for ``None``)
+    JSON (the rest)    ``[[index, fault_id, tags], ...]`` for the alerts
+                       that carry a fault id or tags; empty when none do
+
+The row table is scoped to one file: every file (epoch or part) starts
+empty and a record's new rows are appended to it in order, so each
+file decodes on its own and the reader carries the table from record
+to record.  The key is all nine fields, not the strategy id, so a
+strategy whose title changes mid-file simply gets a second row.  The
+writer's table advances only when :meth:`JournalWriter.commit`
+serialises a record, so a discarded or abandoned lazy buffer never
+leaves a reference to a row that was not written.
+
+``RCJ1`` files — each record one
+:func:`~repro.streaming.wire.pack_alerts` batch with its own string
+table — are still read, never written: a service directory from before
+``RCJ2`` restores, and its newer parts are ``RCJ2``.
 
 Corruption semantics are asymmetric on purpose:
 
 * a **truncated final record** is the expected signature of a crash
   mid-append — the reader stops cleanly before it and returns every
   complete record;
-* a **complete record whose CRC fails**, or garbage mid-file, means the
-  log itself is damaged — the reader raises :class:`JournalError`
-  rather than silently dropping acknowledged events.
+* a **complete record whose CRC fails**, a CRC-valid record whose body
+  does not decode, or garbage mid-file, means the log itself is damaged
+  — the reader raises :class:`JournalError` rather than silently
+  dropping acknowledged events.
 
-The writer has three durability tiers.  Serialising an alert batch costs
-about half of what the gateway spends *processing* it (the
+The writer has three durability tiers.  Serialising an alert batch
+costs about a third of what the gateway spends *processing* it (the
 ``benchmarks/e2e`` ledger, seed 44, reference-normalised on a 2-core
-VM: ``journal.append_us_per_alert`` ≈ 1.8 µs on ``storm_durable``
-against ≈ 3.9 µs of CPU per alert on ``storm_serial``), so eager
-journalling is a throughput decision, not a default:
+VM: ``journal.append_us_per_alert`` ≈ 1.1 µs on ``storm_durable`` —
+≈ 1.9 µs with ``RCJ1``'s per-record string tables — against ≈ 2.9 µs
+of CPU per alert on ``storm_serial``), so eager journalling is a
+throughput decision, not a default:
 
 * ``lazy=True`` — :meth:`~JournalWriter.append` only buffers the batch
   reference; serialisation and file IO happen at :meth:`commit` time
@@ -57,15 +90,19 @@ import json
 import os
 import struct
 import zlib
+from array import array
+from itertools import accumulate, repeat
+from operator import attrgetter
 from pathlib import Path
 
-from repro.alerting.alert import Alert
+from repro.alerting.alert import Alert, AlertState, Severity
 from repro.serving.checkpoint import CheckpointError
-from repro.streaming.wire import pack_alerts, unpack_alerts
+from repro.streaming.wire import unpack_alerts
 
 __all__ = [
     "JOURNAL_MAGIC",
     "JOURNAL_VERSION",
+    "ROW_FIELDS",
     "JournalError",
     "JournalWriter",
     "journal_path",
@@ -73,11 +110,35 @@ __all__ = [
     "read_journal",
 ]
 
-JOURNAL_MAGIC = b"RCJ1"
-JOURNAL_VERSION = 1
+JOURNAL_MAGIC = b"RCJ2"
+JOURNAL_VERSION = 2
+#: Every format the reader accepts: magic → the header's version.
+_VERSION_OF_MAGIC = {b"RCJ1": 1, JOURNAL_MAGIC: JOURNAL_VERSION}
+
+#: The nine fields an alert shares with its strategy, in row order.
+ROW_FIELDS = (
+    "strategy_id", "strategy_name", "title", "description", "service",
+    "microservice", "region", "datacenter", "channel",
+)
+_ROW_OF = attrgetter(*ROW_FIELDS)
+_ALERT_ID = attrgetter("alert_id")
+_SEVERITY = attrgetter("severity")
+_STATE = attrgetter("state")
+_OCCURRED = attrgetter("occurred_at")
+_CLEARED = attrgetter("cleared_at")
+_FAULT = attrgetter("fault_id")
+_TAGS = attrgetter("tags")
+
+#: Severity is stored by value (an ``IntEnum``), state by position.
+_SEVERITIES = tuple(sorted(Severity, key=lambda s: s.value))
+_STATES = tuple(AlertState)
+#: f64 sentinel for "not cleared" (real clear times are >= occurred_at >= 0).
+_NO_TIME = -1.0
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+#: alerts, new rows, row-block bytes, id-block bytes.
+_BODY_HEAD = struct.Struct("<IIII")
 
 
 class JournalError(CheckpointError):
@@ -101,6 +162,137 @@ def journal_files(directory: str | Path) -> list[tuple[int, int, Path]]:
             continue
     found.sort(key=lambda row: (row[0], row[1]))
     return found
+
+
+def _pack_strings(strings: list[str]) -> tuple[bytes, bytes]:
+    """``(u32 UTF-8 byte lengths, concatenated block)`` of ``strings``."""
+    text = "".join(strings)
+    block = text.encode("utf-8")
+    if len(block) == len(text):  # all ASCII: byte length == str length
+        lengths = array("I", map(len, strings))
+    else:
+        lengths = array("I", [len(value.encode("utf-8")) for value in strings])
+    return lengths.tobytes(), block
+
+
+def _unpack_strings(lengths: array, block: bytes) -> list[str]:
+    """Split ``block`` back into the strings whose byte ``lengths`` it holds."""
+    ends = list(accumulate(lengths))
+    if (ends[-1] if ends else 0) != len(block):
+        raise JournalError(
+            f"string lengths sum to {ends[-1] if ends else 0}, "
+            f"block holds {len(block)} bytes"
+        )
+    starts = [0, *ends[:-1]]
+    text = block.decode("utf-8")
+    if len(text) == len(block):  # all ASCII: slice the decoded text
+        return [text[start:end] for start, end in zip(starts, ends)]
+    return [str(block[start:end], "utf-8") for start, end in zip(starts, ends)]
+
+
+def _encode_body(alerts: list[Alert], rows: dict[tuple, int]) -> bytes:
+    """One record body; appends the rows it introduces to ``rows``."""
+    refs = list(map(rows.get, map(_ROW_OF, alerts), repeat(-1)))
+    fresh: list[str] = []
+    if -1 in refs:
+        for position, ref in enumerate(refs):
+            if ref < 0:
+                key = _ROW_OF(alerts[position])
+                ref = rows.get(key, -1)
+                if ref < 0:
+                    ref = rows[key] = len(rows)
+                    fresh.extend(key)
+                refs[position] = ref
+    row_lengths, row_block = _pack_strings(fresh)
+    id_lengths, id_block = _pack_strings(list(map(_ALERT_ID, alerts)))
+    sparse = b""
+    if list(map(_FAULT, alerts)).count(None) != len(alerts) or any(
+        map(_TAGS, alerts)
+    ):
+        sparse = json.dumps(
+            [
+                [index, alert.fault_id, alert.tags]
+                for index, alert in enumerate(alerts)
+                if alert.fault_id is not None or alert.tags
+            ],
+            ensure_ascii=False, separators=(",", ":"),
+        ).encode("utf-8")
+    state_index = _STATES.index  # identity scan; Enum.__hash__ is Python
+    return b"".join((
+        _BODY_HEAD.pack(
+            len(alerts), len(fresh) // len(ROW_FIELDS),
+            len(row_block), len(id_block),
+        ),
+        row_lengths, row_block, id_lengths, id_block,
+        array("I", refs).tobytes(),
+        # Severity is an IntEnum: bytes() takes its int value in C.
+        bytes(map(_SEVERITY, alerts)),
+        bytes(map(state_index, map(_STATE, alerts))),
+        array("d", map(_OCCURRED, alerts)).tobytes(),
+        array("d", [
+            _NO_TIME if cleared is None else cleared
+            for cleared in map(_CLEARED, alerts)
+        ]).tobytes(),
+        sparse,
+    ))
+
+
+def _decode_body(body: bytes, table: list[tuple]) -> list[Alert]:
+    """Decode one record body; appends its new rows to ``table``."""
+    if len(body) < _BODY_HEAD.size:
+        raise JournalError("record body is shorter than its header")
+    count, n_rows, row_bytes, id_bytes = _BODY_HEAD.unpack_from(body, 0)
+    n_strings = n_rows * len(ROW_FIELDS)
+    offset = _BODY_HEAD.size
+    if len(body) < offset + 4 * n_strings + row_bytes + id_bytes + 26 * count:
+        raise JournalError("record body is shorter than its columns")
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        offset += size
+        return body[offset - size:offset]
+
+    def column(typecode: str, size: int) -> array:
+        values = array(typecode)
+        values.frombytes(take(size * values.itemsize))
+        return values
+
+    row_lengths = column("I", n_strings)
+    strings = _unpack_strings(row_lengths, take(row_bytes))
+    table.extend(zip(*[iter(strings)] * len(ROW_FIELDS)))
+    id_lengths = column("I", count)
+    ids = _unpack_strings(id_lengths, take(id_bytes))
+    refs = column("I", count)
+    if refs and max(refs) >= len(table):
+        raise JournalError(
+            f"row reference {max(refs)} past the {len(table)}-row table"
+        )
+    severities = take(count)
+    states = take(count)
+    occurred = column("d", count)
+    cleared = column("d", count)
+    alerts: list[Alert] = []
+    append = alerts.append
+    for alert_id, ref, severity, state, occurred_at, cleared_at in zip(
+        ids, refs, severities, states, occurred, cleared,
+    ):
+        (strategy_id, strategy_name, title, description, service,
+         microservice, region, datacenter, channel) = table[ref]
+        # Positional in dataclass field order: no keyword dict per alert.
+        append(Alert(
+            alert_id, strategy_id, strategy_name, title, description,
+            _SEVERITIES[severity], service, microservice, region,
+            datacenter, channel, occurred_at, _STATES[state],
+            None if cleared_at == _NO_TIME else cleared_at,
+        ))
+    if offset < len(body):
+        for index, fault_id, tag_map in json.loads(body[offset:]):
+            if not (0 <= index < count and isinstance(tag_map, dict)
+                    and (fault_id is None or isinstance(fault_id, str))):
+                raise JournalError(f"malformed sparse entry for alert {index}")
+            alerts[index].fault_id = fault_id
+            alerts[index].tags = tag_map
+    return alerts
 
 
 class JournalWriter:
@@ -136,6 +328,8 @@ class JournalWriter:
         self.records_written = 0
         self._pending: list[tuple[int, list[Alert]]] = []
         self._pending_events = 0
+        #: The file's row table: row → index, as far as commits wrote it.
+        self._rows: dict[tuple, int] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = json.dumps({
             "version": JOURNAL_VERSION,
@@ -164,12 +358,21 @@ class JournalWriter:
         if not self._pending:
             return 0
         chunks = []
-        for start_index, alerts in self._pending:
-            payload = _U64.pack(start_index) + pack_alerts(alerts)
-            chunks.append(_U32.pack(len(payload)))
-            chunks.append(_U32.pack(zlib.crc32(payload) & 0xFFFFFFFF))
-            chunks.append(payload)
-        self._handle.write(b"".join(chunks))
+        written_rows = len(self._rows)
+        try:
+            for start_index, alerts in self._pending:
+                payload = _U64.pack(start_index) + _encode_body(
+                    alerts, self._rows,
+                )
+                chunks.append(_U32.pack(len(payload)))
+                chunks.append(_U32.pack(zlib.crc32(payload) & 0xFFFFFFFF))
+                chunks.append(payload)
+            self._handle.write(b"".join(chunks))
+        except BaseException:
+            # Unwritten rows must not be referenced by a later record.
+            while len(self._rows) > written_rows:
+                self._rows.popitem()
+            raise
         self._handle.flush()
         if self.sync:
             os.fsync(self._handle.fileno())
@@ -217,16 +420,18 @@ class JournalWriter:
 def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]:
     """Read one journal file: ``(header, [(start_index, alerts), ...])``.
 
-    Tolerates a cleanly-truncated tail (crash mid-append); raises
-    :class:`JournalError` on bad magic, header damage, or a CRC mismatch
-    of any *complete* record.
+    Reads ``RCJ2`` and the older ``RCJ1``.  Tolerates a cleanly-truncated
+    tail (crash mid-append); raises :class:`JournalError` on bad magic,
+    header damage, a CRC mismatch of any *complete* record, or a
+    CRC-valid record whose body does not decode.
     """
     data = Path(path).read_bytes()
-    if not data.startswith(JOURNAL_MAGIC):
+    version = _VERSION_OF_MAGIC.get(data[:4])
+    if version is None:
         raise JournalError(
             f"{path}: not a journal file (magic {data[:4]!r})"
         )
-    offset = len(JOURNAL_MAGIC)
+    offset = 4
     if len(data) < offset + _U32.size:
         raise JournalError(f"{path}: header length truncated")
     (header_len,) = _U32.unpack_from(data, offset)
@@ -237,11 +442,15 @@ def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]
         header = json.loads(data[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise JournalError(f"{path}: header damaged: {exc}") from exc
-    if header.get("version") != JOURNAL_VERSION:
+    if not isinstance(header, dict):
+        raise JournalError(f"{path}: header is not a JSON object")
+    if header.get("version") != version:
         raise JournalError(
-            f"{path}: unsupported journal version {header.get('version')}"
+            f"{path}: unsupported journal version {header.get('version')} "
+            f"under magic {data[:4]!r}"
         )
     offset += header_len
+    table: list[tuple] = []
     records: list[tuple[int, list[Alert]]] = []
     while offset < len(data):
         if len(data) - offset < 2 * _U32.size:
@@ -262,6 +471,22 @@ def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]
                 f"{path}: record at byte {offset} too short for a start index"
             )
         (start_index,) = _U64.unpack_from(payload, 0)
-        records.append((int(start_index), unpack_alerts(payload[_U64.size:])))
+        body = payload[_U64.size:]
+        try:
+            alerts = (
+                _decode_body(body, table) if version == JOURNAL_VERSION
+                else unpack_alerts(body)
+            )
+        except JournalError as exc:
+            raise JournalError(
+                f"{path}: record at byte {offset}: {exc}"
+            ) from exc
+        except (ValueError, struct.error, IndexError, TypeError) as exc:
+            # ValidationError (wrong inner magic, impossible times) and
+            # UnicodeDecodeError are ValueErrors.
+            raise JournalError(
+                f"{path}: record at byte {offset} does not decode: {exc!r}"
+            ) from exc
+        records.append((int(start_index), alerts))
         offset = start + length
     return header, records

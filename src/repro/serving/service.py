@@ -12,8 +12,8 @@ cannot provide:
   judgment schedule (a forced flush is a barrier, like a scale event);
 
 The journal has three durability tiers (``journal_mode``), because
-serialising a batch costs about half of what the gateway spends
-processing it (≈ 1.8 vs ≈ 3.9 µs per alert on the ``benchmarks/e2e``
+serialising a batch costs about a third of what the gateway spends
+processing it (≈ 1.1 vs ≈ 2.9 µs per alert on the ``benchmarks/e2e``
 storm; see :mod:`repro.serving.journal`):
 
 * ``"lazy"`` (default) — appends are buffered in memory; a snapshot

@@ -161,7 +161,7 @@ _ALERT_STRING_FIELDS = (
     "service", "microservice", "region", "datacenter", "channel",
 )
 #: One C-level tuple fetch per alert instead of ten Python getattrs —
-#: this block is the serialisation hot path for both the journal and
+#: this block is the serialisation hot path for worker batches and
 #: plane-state snapshots.
 _ALERT_STRINGS = attrgetter(*_ALERT_STRING_FIELDS)
 #: The nine fields a strategy repeats on every alert it fires (all but
@@ -175,7 +175,7 @@ def _write_alert_block(writer: _Writer, alerts: Sequence[Alert]) -> None:
     # fields, then fault_id, then tags — so the string table, and every
     # byte, is independent of the memo: a repeated 9-tuple's strings are
     # already in the table.  Interning is inlined (vs writer.ref): this
-    # loop runs once per alert on every journal append and snapshot.
+    # loop runs once per alert on every worker batch and snapshot.
     index_of = writer._index
     strings = writer._strings
     memo: dict[tuple[str, ...], tuple[int, ...]] = {}

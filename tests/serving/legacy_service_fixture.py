@@ -13,7 +13,10 @@ must be written by a checkout from before the shard layer was removed
         python <repo>/tests/serving/legacy_service_fixture.py \\
         <repo>/tests/data/legacy_service
 
-``test_legacy_service.py`` restores it under the current code.
+``test_legacy_service.py`` restores it under the current code.  Its
+journal part is therefore ``RCJ1`` (one string table per record), the
+format that checkout wrote; the current code reads ``RCJ1`` but writes
+``RCJ2``, so a restore adds ``RCJ2`` parts next to it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ keys of the process fleet's retired in-place recovery
 (``worker_recovery``, ``worker_checkpoint_every``, ``worker_deaths``,
 ``worker_recoveries``).  The current code must restore it,
 continue the stream and drain to the golden counts, and render it in the
-operator views.
+operator views — also after a second crash, when its epoch holds the
+legacy ``RCJ1`` journal part next to an ``RCJ2`` part the current code
+wrote.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.serving import CheckpointLoader
+from repro.serving import CheckpointLoader, journal_files
 from repro.streaming.wire import pack_plane_state, unpack_plane_state
 
 from tests.serving.legacy_service_fixture import CRASH_AT, SNAPSHOT_AT, service
@@ -64,6 +66,28 @@ def test_legacy_directory_restores_and_drains_to_golden_counts(legacy_copy):
     assert revived.replayed_events == CRASH_AT - SNAPSHOT_AT
     revived.ingest(alerts[CRASH_AT:])
     stats = revived.stop(drain=True)
+    assert _stats_payload(stats) == expected["counts"]
+
+
+def test_mixed_format_epoch_restores_and_drains_to_golden_counts(legacy_copy):
+    expected = json.loads(EXPECTED_PATH.read_text())
+    alerts = _load_alerts()
+    second_crash = CRASH_AT + (len(alerts) - CRASH_AT) // 2
+    revived = service(legacy_copy)
+    assert revived.start() == "restored"
+    for at in range(CRASH_AT, second_crash, 24):
+        revived.ingest(alerts[at:min(at + 24, second_crash)])
+    revived.abort()
+    assert [
+        (epoch, part, path.read_bytes()[:4])
+        for epoch, part, path in journal_files(legacy_copy)
+    ] == [(1, 0, b"RCJ1"), (1, 1, b"RCJ2")]
+    again = service(legacy_copy)
+    assert again.start() == "restored"
+    assert again.input_alerts == second_crash
+    assert again.replayed_events == second_crash - SNAPSHOT_AT
+    again.ingest(alerts[second_crash:])
+    stats = again.stop(drain=True)
     assert _stats_payload(stats) == expected["counts"]
 
 
