@@ -10,13 +10,26 @@ streaming replacement:
   buckets via ``blake2b`` (never the salted builtin ``hash``), so the
   same document hashes identically across processes, restarts, and
   checkpoint round trips;
-* **integer counts** — the sketch is a plain bucket histogram, so
-  folding documents is order-independent and byte-deterministic (no
-  float accumulation drift between backends);
+* **integer counts** — the sketch is an int64 histogram of ``n_buckets``
+  counts, so folding documents is order-independent and
+  byte-deterministic (no float accumulation drift between backends);
 * **novelty = surprise** — a document's score is the mean smoothed
   log-probability of its token buckets under the histogram; alerts
   whose word combinations the sketch has not absorbed score low, the
   same "matches no known topic" signal the LDA bound gives;
+* **one exact kernel per advance** — :class:`SketchWindowScorer` hands
+  every window a watermark closes to one numpy pass
+  (:meth:`HashingTopicSketch.score_windows`) that scores each distinct
+  document of each window against the histogram as it stood before that
+  window, then folds them all in.  It returns the very floats the
+  per-document loop of :meth:`HashingTopicSketch.score` does, bit for
+  bit, because nothing is reordered: the counts are integers; each log
+  term is ``math.log`` of the same Python float (never numpy's
+  vectorised log, whose SIMD path may differ by one ulp); elementwise
+  IEEE operations round exactly as CPython's float operations do; and a
+  document's terms are summed by ``np.add.accumulate`` along its row,
+  strictly left to right (never a numpy sum, segment reduction or dot
+  product, which sum pairwise);
 * **the identical window discipline** — :class:`SketchWindowScorer`
   reproduces the LDA detector's loop exactly (fixed windows from the
   first document, warm-up, 0.99-quantile + gap threshold, 5000-entry
@@ -36,11 +49,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import chain
 from operator import itemgetter
 
+import numpy as np
+
+from repro.common.errors import ValidationError
 from repro.common.timeutil import HOUR
 from repro.common.validation import require_fraction, require_positive
 from repro.ml.tokenize import tokenize
@@ -62,12 +79,18 @@ SketchDoc = tuple[float, str, tuple[int, ...], tuple[int, ...]]
 
 #: A buffered document's event time (the bisect key of a sorted buffer).
 _event_time = itemgetter(0)
+#: A buffered document's interned ``(ids, counts)`` pair.
+_content = itemgetter(2)
 
 #: Above this many novelties inserted plus evicted in one window, the
 #: sorted history mirror is rebuilt with one ``sorted`` instead of being
 #: patched value by value (each patch moves up to ``history_limit``
 #: pointers).
 _MIRROR_REBUILD_AT = 128
+
+#: The document table is rebuilt from the live buffer once it holds more
+#: than this many documents and twice what its last rebuild kept.
+_DOC_TABLE_CAP = 4096
 
 
 def alert_document(alert) -> list[str]:
@@ -107,8 +130,15 @@ def hash_document(
     return ids, tuple(counts[bucket] for bucket in ids)
 
 
+def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+    """``[0, v0, v0 + v1, ...]`` — one longer than ``values`` (integers)."""
+    running = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=running[1:])
+    return running
+
+
 class HashingTopicSketch:
-    """A fixed-width bucket histogram scoring token-bucket surprise."""
+    """A fixed-width int64 bucket histogram scoring token-bucket surprise."""
 
     __slots__ = ("n_buckets", "smoothing", "_counts", "_total")
 
@@ -121,8 +151,8 @@ class HashingTopicSketch:
         require_positive(smoothing, "smoothing")
         self.n_buckets = int(n_buckets)
         self.smoothing = float(smoothing)
-        #: Sparse integer bucket counts — fold order never matters.
-        self._counts: dict[int, int] = {}
+        #: Integer bucket counts — fold order never matters.
+        self._counts = np.zeros(self.n_buckets, dtype=np.int64)
         self._total = 0
 
     def score(self, ids: tuple[int, ...], counts: tuple[int, ...]) -> float:
@@ -130,7 +160,8 @@ class HashingTopicSketch:
 
         The sketch analogue of the LDA per-word bound: higher means the
         document's buckets are well explained by what the sketch has
-        absorbed; novelty is the negation.
+        absorbed; novelty is the negation.  This per-document loop is
+        the reference :meth:`score_windows` is bitwise equal to.
         """
         alpha = self.smoothing
         denominator = math.log(self._total + alpha * self.n_buckets)
@@ -139,45 +170,12 @@ class HashingTopicSketch:
         bucket_counts = self._counts
         for bucket, count in zip(ids, counts):
             log_likelihood += count * (
-                math.log(bucket_counts.get(bucket, 0) + alpha) - denominator
+                math.log(int(bucket_counts[bucket]) + alpha) - denominator
             )
             total += count
         if total == 0:
             return 0.0
         return log_likelihood / total
-
-    def frozen_scorer(self):
-        """A memoizing :meth:`score` for a histogram that is not moving.
-
-        Valid only between folds (the window-close invariant): the
-        per-bucket term ``log(count + alpha) - denominator`` is fixed,
-        so it is computed once per distinct bucket instead of once per
-        document.  It is the very float :meth:`score` multiplies by the
-        token count, so every returned float is bitwise identical to
-        :meth:`score`'s.
-        """
-        alpha = self.smoothing
-        denominator = math.log(self._total + alpha * self.n_buckets)
-        bucket_counts = self._counts
-        term_of: dict[int, float] = {}
-        log = math.log
-
-        def score(ids, counts):
-            log_likelihood = 0.0
-            total = 0
-            for bucket, count in zip(ids, counts):
-                term = term_of.get(bucket)
-                if term is None:
-                    term = term_of[bucket] = log(
-                        bucket_counts.get(bucket, 0) + alpha
-                    ) - denominator
-                log_likelihood += count * term
-                total += count
-            if total == 0:
-                return 0.0
-            return log_likelihood / total
-
-        return score
 
     def partial_fit(
         self, docs: list[tuple[tuple[int, ...], tuple[int, ...]]],
@@ -186,45 +184,192 @@ class HashingTopicSketch:
         bucket_counts = self._counts
         for ids, counts in docs:
             for bucket, count in zip(ids, counts):
-                bucket_counts[bucket] = bucket_counts.get(bucket, 0) + count
+                bucket_counts[bucket] += count
                 self._total += count
 
-    def fold_weighted(self, records: Iterable[Sequence]) -> None:
-        """Fold weighted documents into the histogram.
+    def score_windows(
+        self,
+        pair_window: np.ndarray,
+        lengths: np.ndarray,
+        buckets: np.ndarray,
+        counts: np.ndarray,
+        multiplicity: np.ndarray,
+    ) -> np.ndarray:
+        """Novelty of each (window, document) pair, then fold them all.
 
-        ``records`` iterates sequences that start ``(ids, counts,
-        multiplicity)``; later items are ignored, so a window close hands
-        over its per-document memo records (which also carry the cached
-        novelty) without building a second ``{document: count}`` map.
-        Identical to :meth:`partial_fit` over the expanded multiset —
-        the counts are integers, so ``count * multiplicity`` is exactly
-        the repeated addition — at cost proportional to *unique*
-        documents.  Alert streams are dominated by repeats (the floods
-        the paper characterizes), so this is the hot-path entry point.
+        Pair ``p`` is a document that occurs ``multiplicity[p]`` times in
+        window ``pair_window[p]`` (``0, 1, ...``, non-decreasing); its
+        buckets and counts are the next ``lengths[p]`` entries of
+        ``buckets`` / ``counts``.  Each pair is scored against the
+        histogram as it stands before its window — this histogram plus
+        every earlier window's documents — and the result is bitwise
+        ``-score(ids, counts)`` at that point of a window-by-window loop
+        that calls :meth:`partial_fit` after each window (see the module
+        docstring for why).
         """
-        bucket_counts = self._counts
-        total = 0
-        for record in records:
-            multiplicity = record[2]
-            for bucket, count in zip(record[0], record[1]):
-                increment = count * multiplicity
-                bucket_counts[bucket] = bucket_counts.get(bucket, 0) + increment
-                total += increment
-        self._total += total
+        n_windows = int(pair_window[-1]) + 1
+        element_window = np.repeat(pair_window, lengths)
+        increments = counts * np.repeat(multiplicity, lengths)
+        element_starts = _exclusive_cumsum(lengths)
+        token_running = _exclusive_cumsum(counts)
+        tokens = token_running[element_starts[1:]] - token_running[element_starts[:-1]]
+        pair_increments = tokens * multiplicity
+        # Window ``w`` holds pairs ``pair_bounds[w]:pair_bounds[w + 1]``.
+        pair_bounds = np.searchsorted(pair_window, np.arange(n_windows + 1))
+        # Each element's bucket count before its window: gather it from
+        # the histogram, then fold that window's integer increments in.
+        histogram = self._counts
+        before = np.empty_like(buckets)
+        bounds = element_starts[pair_bounds].tolist()
+        for begin, end in zip(bounds, bounds[1:]):
+            window_buckets = buckets[begin:end]
+            before[begin:end] = histogram[window_buckets]
+            np.add.at(histogram, window_buckets, increments[begin:end])
+        # One ``math.log`` per distinct count, of the float ``score``
+        # takes it of (an int64 below 2**53 converts exactly).
+        alpha = self.smoothing
+        values, value_index = np.unique(before, return_inverse=True)
+        log_terms = np.fromiter(
+            map(math.log, (values + alpha).tolist()),
+            dtype=np.float64, count=len(values),
+        )
+        # The histogram total before each window.
+        spent = _exclusive_cumsum(pair_increments)[pair_bounds[:-1]]
+        width = alpha * self.n_buckets
+        denominators = np.array([
+            math.log(self._total + earlier + width) for earlier in spent.tolist()
+        ])
+        terms = counts * (log_terms[value_index] - denominators[element_window])
+        # One row per pair, its terms left-aligned and zero-padded: the
+        # row's running sum is never -0.0 (a term is +0.0 at worst), so
+        # the trailing zeros leave the left-to-right sum untouched.
+        matrix = np.zeros((len(lengths), int(lengths.max())))
+        matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = terms
+        log_likelihood = np.add.accumulate(matrix, axis=1)[:, -1]
+        self._total += int(pair_increments.sum())
+        return -(log_likelihood / tokens)
 
     def export_state(self) -> dict:
         """The histogram as a JSON-safe dict (checkpointing)."""
+        nonzero = np.flatnonzero(self._counts)
         return {
             "counts": [
-                [bucket, self._counts[bucket]] for bucket in sorted(self._counts)
+                [bucket, count] for bucket, count in
+                zip(nonzero.tolist(), self._counts[nonzero].tolist())
             ],
             "total": self._total,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a histogram captured by :meth:`export_state` (exact)."""
-        self._counts = {int(bucket): int(count) for bucket, count in state["counts"]}
-        self._total = int(state["total"])
+        """Adopt a histogram captured by :meth:`export_state` (exact).
+
+        Refuses a state no fold can produce: a bucket outside
+        ``[0, n_buckets)``, a count below one, or a ``total`` that is not
+        the histogram's sum.
+        """
+        counts = np.zeros(self.n_buckets, dtype=np.int64)
+        for bucket, count in state["counts"]:
+            bucket, count = int(bucket), int(count)
+            if not 0 <= bucket < self.n_buckets:
+                raise ValidationError(
+                    f"sketch bucket {bucket} outside [0, {self.n_buckets})"
+                )
+            if count <= 0:
+                raise ValidationError(
+                    f"sketch bucket {bucket} has count {count}, must be > 0"
+                )
+            counts[bucket] = count
+        total = int(state["total"])
+        if total != int(counts.sum()):
+            raise ValidationError(
+                f"sketch total {total} is not its counts' sum {int(counts.sum())}"
+            )
+        self._counts, self._total = counts, total
+
+
+class _DocumentTable:
+    """Buffered documents interned by value into one ragged array table.
+
+    Row ``r`` is the document ``contents[r]``: its bucket ids and counts
+    are ``ids`` / ``counts`` from ``starts[r]`` for ``lengths[r]``
+    entries.  Value-equal documents share one row and one canonical
+    ``(ids, counts)`` object, which the buffer holds, so a buffered
+    document finds its row by identity.  The table is derived state:
+    never checkpointed, and rebuilt from the live buffer when it grows.
+    """
+
+    __slots__ = ("contents", "_row_of_id", "_row_of_value", "_synced",
+                 "ids", "counts", "starts", "lengths")
+
+    def __init__(self, contents: Iterable[tuple] = ()) -> None:
+        self.contents: list[tuple] = []
+        #: ``id(canonical content) -> row``; sound because ``contents``
+        #: keeps every canonical object alive.
+        self._row_of_id: dict[int, int] = {}
+        self._row_of_value: dict[tuple, int] = {}
+        self._synced = 0
+        empty = np.zeros(0, dtype=np.int64)
+        self.ids = self.counts = self.starts = self.lengths = empty
+        for content in contents:
+            self.intern(content)
+
+    def __len__(self) -> int:
+        return len(self.contents)
+
+    def intern(self, content: tuple) -> tuple:
+        """The canonical object value-equal to ``content``."""
+        if id(content) in self._row_of_id:
+            return content
+        row = self._row_of_value.get(content)
+        if row is not None:
+            return self.contents[row]
+        row = len(self.contents)
+        self._row_of_value[content] = self._row_of_id[id(content)] = row
+        self.contents.append(content)
+        return content
+
+    def rows_of(self, docs: list[tuple]) -> np.ndarray:
+        """The table row of each buffered document."""
+        return np.fromiter(
+            map(self._row_of_id.__getitem__, map(id, map(_content, docs))),
+            dtype=np.int64, count=len(docs),
+        )
+
+    def sync(self) -> None:
+        """Append the arrays of every row interned since the last sync."""
+        new = self.contents[self._synced:]
+        if not new:
+            return
+        lengths = np.fromiter(
+            (len(ids) for ids, _ in new), dtype=np.int64, count=len(new),
+        )
+        self.starts = np.concatenate(
+            (self.starts, len(self.ids) + np.cumsum(lengths) - lengths)
+        )
+        self.lengths = np.concatenate((self.lengths, lengths))
+        self.ids = np.concatenate((self.ids, np.fromiter(
+            chain.from_iterable(ids for ids, _ in new), dtype=np.int64,
+        )))
+        self.counts = np.concatenate((self.counts, np.fromiter(
+            chain.from_iterable(counts for _, counts in new), dtype=np.int64,
+        )))
+        self._synced = len(self.contents)
+
+
+def _checked_content(ids, counts, n_buckets: int) -> tuple:
+    """A restored buffer document as ``(ids, counts)``, or refuse it."""
+    ids, counts = tuple(int(b) for b in ids), tuple(int(c) for c in counts)
+    if (
+        not ids
+        or len(ids) != len(counts)
+        or not all(0 <= bucket < n_buckets for bucket in ids)
+        or not all(count > 0 for count in counts)
+    ):
+        raise ValidationError(
+            f"sketch buffer document {[list(ids), list(counts)]!r} is not a "
+            f"non-empty bag of buckets in [0, {n_buckets}) with counts > 0"
+        )
+    return ids, counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,9 +392,11 @@ class SketchWindowScorer:
     uses.  Windows are canonically sorted before processing, so the
     verdicts are independent of plane count, backend, and flush
     schedule; :meth:`finish` closes the final partial window at drain.
+    Because windows close in order whatever the schedule, advancing
+    after every document or once at the end yields identical state.
 
     The work per :meth:`advance` follows what changed, not the stream's
-    length:
+    length, and its per-document arithmetic is array work:
 
     * the buffer is sorted once and each closing window's batch is the
       prefix below its end, cut by bisect — already in the canonical
@@ -258,10 +405,19 @@ class SketchWindowScorer:
       time) is skipped in O(1): the index jumps to the window the next
       document or the watermark falls in, found by the loop's own float
       test ``start + (k + 1) * window <= t``;
-    * the threshold is read from ``_ranked``, a sorted mirror of the
-      checkpointed ``_history``, with numpy's ``linear`` quantile rule,
-      so it equals numpy's ``quantile(history, q)`` bitwise without
-      copying or partitioning the history per window.
+    * every buffered document is interned by value into a ragged
+      ids/counts table (derived, never checkpointed, rebuilt from the
+      live buffer once it passes ``max(cap, 2 × live)``); the closing
+      documents collapse to one row per distinct (window, document)
+      pair with its multiplicity, and
+      :meth:`HashingTopicSketch.score_windows` scores and folds every
+      closing window in one exact kernel;
+    * per window, in order, the threshold is read from ``_ranked``, a
+      sorted mirror of the checkpointed ``_history``, with numpy's
+      ``linear`` quantile rule, so it equals numpy's
+      ``quantile(history, q)`` bitwise without copying or partitioning
+      the history per window; then the window's flags are raised and
+      its novelties remembered.
     """
 
     def __init__(
@@ -287,10 +443,11 @@ class SketchWindowScorer:
         self._start: float | None = None
         self._window_index = 0
         #: (occurred_at, strategy_id, (ids, counts)) — the content pair
-        #: is shared with the flush's docs table, so window close can
-        #: dedup repeats by object identity before falling back to
-        #: value equality.
+        #: is the document table's canonical object for its value.
         self._buffer: list[tuple[float, str, tuple]] = []
+        #: Interned buffered documents (derived; see :meth:`_bound_table`).
+        self._table = _DocumentTable()
+        self._table_limit = _DOC_TABLE_CAP
         #: Novelties of the closed windows, oldest first (checkpointed).
         self._history: list[float] = []
         #: ``sorted(self._history)``, maintained incrementally (derived;
@@ -309,26 +466,31 @@ class SketchWindowScorer:
             return
         if self._start is None:
             self._start = doc[0]
-        self._buffer.append((doc[0], doc[1], (doc[2], doc[3])))
+        self._buffer.append(
+            (doc[0], doc[1], self._table.intern((doc[2], doc[3])))
+        )
+        self._bound_table()
 
     def add_rows(self, docs, doc_rows) -> None:
         """Buffer ``(occurred_at, strategy_id, doc_index)`` rows.
 
         Equivalent to :meth:`add` over each referenced document from the
         shared ``docs`` table — the detector suite's per-flush fast path.
-        Buffer entries alias the table's content pairs, so a document
-        repeated within one flush stays one object.
+        Each table entry is interned once, however many rows share it.
         """
+        intern = self._table.intern
+        canonical = [intern(content) if content[0] else None for content in docs]
         buffer = self._buffer
         start = self._start
         for occurred_at, strategy_id, index in doc_rows:
-            content = docs[index]
-            if not content[0]:
+            content = canonical[index]
+            if content is None:
                 continue
             if start is None:
                 start = occurred_at
             buffer.append((occurred_at, strategy_id, content))
         self._start = start
+        self._bound_table()
 
     def _window_of(self, at: float, index: int) -> int:
         """The first window from ``index`` on that ``at`` has not passed.
@@ -366,19 +528,20 @@ class SketchWindowScorer:
             [doc for doc in buffer if doc[0] >= last_end]
             if stop < len(ordered) else []
         )
+        windows: list[tuple[int, int]] = []
         position = 0
         while position < stop:
             # Windows with no document close as index bumps only: jump
             # straight to the one holding the next document.
             index = self._window_of(ordered[position][0], index)
-            cut = bisect_left(
+            position = bisect_left(
                 ordered, start + (index + 1) * window, position, stop,
                 key=_event_time,
             )
-            self._window_index = index
-            self._close_window(ordered[position:cut])
-            position = cut
+            windows.append((index, position))
             index += 1
+        if windows:
+            self._close_windows(ordered[:stop], windows)
         self._window_index = final
 
     def finish(self) -> None:
@@ -392,7 +555,8 @@ class SketchWindowScorer:
             # identical state.  ``advance`` gets the same order from its
             # one sort of the buffer.
             batch.sort()
-            self._close_window(batch)
+            self._close_windows(batch, [(self._window_index, len(batch))])
+            self._window_index += 1
 
     def _threshold(self) -> float:
         """numpy's ``quantile(history, q)`` read off the sorted mirror.
@@ -436,48 +600,67 @@ class SketchWindowScorer:
                 del ranked[bisect_left(ranked, value)]
             del history[:excess]
 
-    def _close_window(self, batch: list[tuple[float, str, tuple]]) -> None:
-        """Score, flag and fold one window's canonically sorted batch."""
-        threshold: float | None = None
-        if self._window_index >= self._warmup_windows and self._history:
-            threshold = self._threshold() + self._min_novelty_gap
-        # Alert streams repeat: score each distinct document once (the
-        # sketch is frozen until the post-window fit, so every repeat
-        # would produce the identical float) and fold with multiplicity.
-        score = self.sketch.frozen_scorer()
-        # Two-level memo of [ids, counts, multiplicity, novelty]
-        # records: object identity first (repeats within one flush
-        # share the docs-table tuple, so most occurrences skip even the
-        # content hash), value equality second (equal contents arriving
-        # via different flushes).
-        by_id: dict[int, list] = {}
-        records: dict[tuple, list] = {}
-        novelties = []
-        for doc in batch:
-            content = doc[2]
-            rec = by_id.get(id(content))
-            if rec is None:
-                rec = records.get(content)
-                if rec is None:
-                    ids, counts = content
-                    records[content] = rec = [
-                        ids, counts, 0, -score(ids, counts),
-                    ]
-                by_id[id(content)] = rec
-            rec[2] += 1
-            novelties.append(rec[3])
-        if threshold is not None:
-            for doc, novelty in zip(batch, novelties):
-                if novelty > threshold:
+    def _close_windows(
+        self, batch: list[tuple[float, str, tuple]],
+        windows: list[tuple[int, int]],
+    ) -> None:
+        """Score, flag and fold consecutive windows of a sorted batch.
+
+        ``windows`` lists ``(window index, end position in batch)`` for
+        each window that holds a document, in order.
+        """
+        table = self._table
+        table.sync()
+        n_rows = len(table)
+        sizes = np.diff([end for _, end in windows], prepend=0)
+        # Alert streams repeat: one row per distinct (window, document)
+        # pair, carrying its multiplicity, in window order.
+        keys = np.repeat(np.arange(len(windows)), sizes) * n_rows
+        keys += table.rows_of(batch)
+        pairs, occurrence, multiplicity = np.unique(
+            keys, return_inverse=True, return_counts=True,
+        )
+        pair_window, pair_doc = np.divmod(pairs, n_rows)
+        lengths = table.lengths[pair_doc]
+        element_ends = np.cumsum(lengths)
+        gather = np.repeat(
+            table.starts[pair_doc] - element_ends + lengths, lengths,
+        ) + np.arange(element_ends[-1])
+        novelty = self.sketch.score_windows(
+            pair_window, lengths, table.ids[gather], table.counts[gather],
+            multiplicity,
+        )[occurrence]
+        novelties = novelty.tolist()
+        begin = 0
+        for index, end in windows:
+            self._window_index = index
+            if index >= self._warmup_windows and self._history:
+                threshold = self._threshold() + self._min_novelty_gap
+                for position in np.flatnonzero(
+                    novelty[begin:end] > threshold
+                ).tolist():
+                    doc = batch[begin + position]
                     self.flags.append(SketchFlag(
                         strategy_id=doc[1],
                         occurred_at=doc[0],
-                        novelty=novelty,
-                        window_index=self._window_index,
+                        novelty=novelties[begin + position],
+                        window_index=index,
                     ))
-        self._remember(novelties)
-        self.sketch.fold_weighted(records.values())
-        self._window_index += 1
+            self._remember(novelties[begin:end])
+            begin = end
+
+    def _bound_table(self) -> None:
+        """Rebuild the document table from the live buffer once it has
+        outgrown both the cap and twice what its last rebuild kept."""
+        if len(self._table) > self._table_limit:
+            self._rebuild_table()
+
+    def _rebuild_table(self) -> None:
+        """Re-intern only the live buffer's (canonical) documents."""
+        self._table = _DocumentTable(map(_content, self._buffer))
+        # Doubling past what the buffer itself holds keeps a long window
+        # from rebuilding on every new document.
+        self._table_limit = max(_DOC_TABLE_CAP, 2 * len(self._table))
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -500,16 +683,35 @@ class SketchWindowScorer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt state captured by :meth:`export_state` (exact)."""
+        """Adopt state captured by :meth:`export_state` (exact).
+
+        Refuses what no run can produce: a negative window index, a
+        buffered document without a window start, a buffered document
+        that is empty or names a bucket outside the sketch, and any
+        histogram :meth:`HashingTopicSketch.restore_state` refuses.
+        """
+        window_index = int(state["window_index"])
+        if window_index < 0:
+            raise ValidationError(
+                f"sketch window_index must be >= 0, got {window_index}"
+            )
+        if state["buffer"] and state["start"] is None:
+            raise ValidationError("sketch buffer holds documents but no start")
+        n_buckets = self.sketch.n_buckets
+        # Value-equal documents share one object, as they do when live.
+        interned = _DocumentTable()
+        buffer = [
+            (float(at), str(strategy_id),
+             interned.intern(_checked_content(ids, counts, n_buckets)))
+            for at, strategy_id, ids, counts in state["buffer"]
+        ]
         self.sketch.restore_state(state["sketch"])
         self._start = (
             None if state["start"] is None else float(state["start"])
         )
-        self._window_index = int(state["window_index"])
-        self._buffer = [
-            (float(at), str(strategy_id), (tuple(ids), tuple(counts)))
-            for at, strategy_id, ids, counts in state["buffer"]
-        ]
+        self._window_index = window_index
+        self._buffer = buffer
+        self._rebuild_table()
         self._history = [float(value) for value in state["history"]]
         self._ranked = sorted(self._history)
         self.flags = [
@@ -536,14 +738,20 @@ class SketchEmergingDetector:
         self._kwargs = kwargs
 
     def run(self, alerts: list) -> list[SketchFlag]:
-        """Process the finished stream; returns flags in window order."""
+        """Process the finished stream; returns flags in window order.
+
+        Every document is buffered first and the trace closes in one
+        :meth:`SketchWindowScorer.advance`: windows close in order
+        whatever the advance schedule, so the flags are the ones an
+        advance per alert would raise, for one kernel call per trace.
+        """
         scorer = SketchWindowScorer(**self._kwargs)
         n_buckets = scorer.sketch.n_buckets
         ordered = sorted(alerts, key=lambda a: a.occurred_at)
         for alert in ordered:
             ids, counts = hash_document(alert_document(alert), n_buckets)
-            doc = (alert.occurred_at, alert.strategy_id, ids, counts)
-            scorer.add(doc)
-            scorer.advance(alert.occurred_at)
+            scorer.add((alert.occurred_at, alert.strategy_id, ids, counts))
+        if ordered:
+            scorer.advance(ordered[-1].occurred_at)
         scorer.finish()
         return scorer.flags

@@ -191,7 +191,7 @@ class StreamingDetectorSuite:
                 if not content[0]:
                     continue
                 # Repeats of a strategy's unchanged document share one
-                # docs-table entry, so the sketch memoises them by identity.
+                # docs-table entry, so the sketch interns each entry once.
                 entry = srec[3]
                 if entry is None or entry[0] is not content:
                     srec[3] = entry = (content, len(docs))

@@ -91,6 +91,30 @@ class TestHashingTopicSketch:
         with pytest.raises(ValidationError):
             HashingTopicSketch(smoothing=0.0)
 
+    def test_export_lists_nonzero_buckets_in_id_order(self):
+        sketch = HashingTopicSketch(n_buckets=16)
+        sketch.partial_fit([((9, 2), (1, 3)), ((2,), (2,))])
+        assert sketch.export_state() == {"counts": [[2, 5], [9, 1]], "total": 6}
+
+    @pytest.mark.parametrize("bucket", [16, 99, -1])
+    def test_restore_refuses_a_bucket_outside_the_sketch(self, bucket):
+        sketch = HashingTopicSketch(n_buckets=16)
+        with pytest.raises(ValidationError, match="outside"):
+            sketch.restore_state({"counts": [[bucket, 3]], "total": 3})
+        assert sketch.export_state() == {"counts": [], "total": 0}
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_restore_refuses_a_nonpositive_count(self, count):
+        sketch = HashingTopicSketch(n_buckets=16)
+        with pytest.raises(ValidationError, match="count"):
+            sketch.restore_state({"counts": [[2, 3], [5, count]],
+                                  "total": 3 + count})
+
+    def test_restore_refuses_a_total_that_is_not_the_sum(self):
+        sketch = HashingTopicSketch(n_buckets=16)
+        with pytest.raises(ValidationError, match="total"):
+            sketch.restore_state({"counts": [[2, 3], [5, 4]], "total": 8})
+
 
 def _doc(at: float, strategy: str, text: str, n_buckets=DEFAULT_SKETCH_BUCKETS):
     ids, counts = hash_document(tokenize(text), n_buckets)
@@ -241,6 +265,36 @@ class TestSketchWindowScorer:
             scorer.advance(700.0)
             scorer.finish()
         assert resumed.export_state() == straight.export_state()
+
+    def test_restore_refuses_a_buffer_without_a_start(self):
+        scorer = SketchWindowScorer(window_seconds=100.0)
+        scorer.add(_doc(5.0, "s-1", "routine latency alert"))
+        state = scorer.export_state()
+        state["start"] = None
+        with pytest.raises(ValidationError, match="start"):
+            SketchWindowScorer(window_seconds=100.0).restore_state(state)
+
+    def test_restore_refuses_a_negative_window_index(self):
+        state = SketchWindowScorer(window_seconds=100.0).export_state()
+        state["window_index"] = -1
+        with pytest.raises(ValidationError, match="window_index"):
+            SketchWindowScorer(window_seconds=100.0).restore_state(state)
+
+    @pytest.mark.parametrize("ids, counts", [
+        ([], []),
+        ([3, 4096], [1, 1]),
+        ([-1], [1]),
+        ([3], [0]),
+        ([3, 5], [1]),
+    ])
+    def test_restore_refuses_an_impossible_buffered_document(
+            self, ids, counts):
+        scorer = SketchWindowScorer(window_seconds=100.0)
+        scorer.add(_doc(5.0, "s-1", "routine latency alert"))
+        state = scorer.export_state()
+        state["buffer"].append([6.0, "s-2", ids, counts])
+        with pytest.raises(ValidationError, match="buffer document"):
+            SketchWindowScorer(window_seconds=100.0).restore_state(state)
 
     def test_far_future_watermark_skips_empty_windows(self):
         scorer = SketchWindowScorer(window_seconds=3600.0)

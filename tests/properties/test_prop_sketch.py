@@ -1,18 +1,25 @@
-"""Property test: the R4 sketch's order-statistic history and window split.
+"""Property test: the R4 sketch's window-close kernel against a naive loop.
 
 ``SketchWindowScorer`` reads its threshold from a sorted mirror of the
-novelty history, splits its buffer once per ``advance`` and skips empty
-windows by index arithmetic.  These properties pin all three against
-the plain definitions: the mirror's quantile is ``np.quantile``
-bitwise, the mirror is ``sorted(history)`` after any sequence of
-windows and evictions, and every flag, novelty and history entry equals
-a naive model that closes one window at a time with two buffer scans
-and ``np.quantile``.
+novelty history, splits its buffer once per ``advance``, skips empty
+windows by index arithmetic, and scores, flags and folds every window an
+``advance`` closes in one array kernel over an interned document table.
+These properties pin all of it against the plain definitions: the
+mirror's quantile is ``np.quantile`` bitwise, the mirror is
+``sorted(history)`` after any sequence of windows and evictions, and
+every flag, novelty and history entry equals a naive model that closes
+one window at a time with two buffer scans, ``np.quantile`` and one
+``HashingTopicSketch.score`` call per document — over wide documents,
+value-equal copies and empty documents, under any advance schedule, and
+across rebuilds of the document table.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.ml import sketch as sketch_module
 from repro.ml.sketch import HashingTopicSketch, SketchFlag, SketchWindowScorer
 
 N_BUCKETS = 16
@@ -39,8 +46,8 @@ class NaiveScorer:
     comprehensions over the buffer per window, ``np.quantile`` over the
     history, one ``score`` call per document."""
 
-    def __init__(self, quantile, gap, limit, warmup=2):
-        self.sketch = HashingTopicSketch(N_BUCKETS)
+    def __init__(self, quantile, gap, limit, warmup=2, n_buckets=N_BUCKETS):
+        self.sketch = HashingTopicSketch(n_buckets)
         self.quantile, self.gap, self.limit = quantile, gap, limit
         self.warmup = warmup
         self.start = None
@@ -50,6 +57,8 @@ class NaiveScorer:
         self.flags = []
 
     def add(self, doc):
+        if not doc[2][0]:
+            return
         if self.start is None:
             self.start = doc[0]
         self.buffer.append(doc)
@@ -175,3 +184,177 @@ def test_mirror_tracks_history_through_bulk_windows(sizes, limit):
         scorer.advance((window + 1) * WINDOW)
         assert len(scorer._history) <= limit
         assert scorer._ranked == sorted(scorer._history)
+
+
+def documents(n_buckets):
+    """Sorted distinct bucket ids of a drawn width, counts 1-5, or empty."""
+    return st.lists(
+        st.integers(min_value=0, max_value=n_buckets - 1),
+        max_size=12, unique=True,
+    ).flatmap(lambda ids: st.tuples(
+        st.just(tuple(sorted(ids))),
+        st.tuples(*[st.integers(min_value=1, max_value=5)] * len(ids)),
+    ))
+
+
+def copy_of(content):
+    """A value-equal ``(ids, counts)`` pair that is a distinct object."""
+    return tuple(list(content[0])), tuple(list(content[1]))
+
+
+def verdicts(flags, history):
+    """Flags and history with every float as ``hex``."""
+    return (
+        [(f.strategy_id, f.occurred_at, f.novelty.hex(), f.window_index)
+         for f in flags],
+        [value.hex() for value in history],
+    )
+
+
+def fingerprint(scorer):
+    """Everything an advance schedule could change."""
+    return verdicts(scorer.flags, scorer._history), scorer.export_state()
+
+
+@st.composite
+def wide_flushes(draw):
+    """Flushes of rows over a pool of wide documents (any bucket of a
+    drawn width, counts above one, empty ones), each row sharing its
+    pool object or carrying a value-equal copy."""
+    n_buckets = draw(st.sampled_from([16, 300, 4096]))
+    pool = draw(st.lists(documents(n_buckets), min_size=1, max_size=6))
+    now = 0.0
+    flushes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        rows = []
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            now += draw(st.sampled_from([0.0, 0.0, 0.5, 3.0, 10.0, 40.0]))
+            lateness = draw(st.sampled_from([0.0, 0.0, 4.0]))
+            content = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                content = copy_of(content)
+            strategy = draw(st.sampled_from(["s-1", "s-2", "s-3"]))
+            rows.append((max(now - lateness, 0.0), strategy, content))
+        flushes.append((rows, now - draw(st.sampled_from([0.0, 5.0]))))
+    return n_buckets, flushes
+
+
+@given(wide_flushes(), QUANTILES, st.integers(min_value=1, max_value=40))
+@settings(deadline=None)
+def test_wide_documents_match_the_naive_window_loop(drawn, quantile, limit):
+    n_buckets, flushes = drawn
+    scorer = SketchWindowScorer(
+        n_buckets=n_buckets, window_seconds=WINDOW, warmup_windows=2,
+        novelty_quantile=quantile, min_novelty_gap=0.0, history_limit=limit,
+    )
+    naive = NaiveScorer(quantile, 0.0, limit, n_buckets=n_buckets)
+    for rows, watermark in flushes:
+        # The suite's per-flush form: a docs table and rows indexing it.
+        docs = [content for _, _, content in rows]
+        scorer.add_rows(docs, [
+            (at, strategy, index)
+            for index, (at, strategy, _) in enumerate(rows)
+        ])
+        for at, strategy, content in rows:
+            naive.add((at, strategy, content))
+        scorer.advance(watermark)
+        naive.advance(watermark)
+        assert scorer._window_index == naive.index
+        assert scorer._buffer == naive.buffer
+        assert scorer._ranked == sorted(scorer._history)
+    scorer.finish()
+    if naive.buffer:
+        naive.close(None)
+    assert verdicts(scorer.flags, scorer._history) == \
+        verdicts(naive.flags, naive.history)
+    assert scorer.sketch.export_state() == naive.sketch.export_state()
+
+
+@st.composite
+def in_order_streams(draw):
+    """Documents in event-time order (ties included), so every document
+    lands beyond any watermark an earlier one set."""
+    n_buckets = draw(st.sampled_from([16, 4096]))
+    pool = draw(st.lists(documents(n_buckets), min_size=1, max_size=5))
+    now = 0.0
+    events = []
+    for _ in range(draw(st.integers(min_value=1, max_value=120))):
+        now += draw(st.sampled_from(STEPS))
+        content = draw(st.sampled_from(pool))
+        strategy = draw(st.sampled_from(["s-1", "s-2"]))
+        events.append((now, strategy, content))
+    return n_buckets, events
+
+
+@given(in_order_streams(), st.data(), st.integers(min_value=1, max_value=40))
+@settings(deadline=None)
+def test_advance_schedule_does_not_change_any_verdict(drawn, data, limit):
+    """Advancing after every document, at drawn cut points, or once at
+    the end closes the same windows in the same order."""
+    n_buckets, events = drawn
+    cuts = data.draw(st.sets(st.integers(min_value=0, max_value=len(events))))
+
+    def run(advance_after):
+        scorer = SketchWindowScorer(
+            n_buckets=n_buckets, window_seconds=WINDOW, warmup_windows=2,
+            min_novelty_gap=0.0, history_limit=limit,
+        )
+        for position, (at, strategy, (ids, counts)) in enumerate(events):
+            scorer.add((at, strategy, ids, counts))
+            if advance_after(position):
+                scorer.advance(at)
+        scorer.advance(events[-1][0])
+        scorer.finish()
+        return fingerprint(scorer)
+
+    every = run(lambda position: True)
+    assert run(cuts.__contains__) == every
+    assert run(lambda position: False) == every
+
+
+TABLE_CAP = 8
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([5.0, 7.0, 10.0, 25.0]), documents(4096)),
+        min_size=20, max_size=80,
+    ),
+    QUANTILES,
+)
+@settings(deadline=None)
+def test_document_table_stays_bounded_across_rebuilds(steps, quantile):
+    """Every document is new and at most two share a window, so the live
+    buffer never holds more than three: the table must fold back under
+    its cap after every call, and the verdicts still equal the naive
+    loop's."""
+    with mock.patch.object(sketch_module, "_DOC_TABLE_CAP", TABLE_CAP):
+        scorer = SketchWindowScorer(
+            n_buckets=4096, window_seconds=WINDOW, warmup_windows=2,
+            novelty_quantile=quantile, min_novelty_gap=0.0, history_limit=30,
+        )
+        naive = NaiveScorer(quantile, 0.0, 30, n_buckets=4096)
+        now = 0.0
+        rebuilt = False
+        for number, (step, (ids, counts)) in enumerate(steps):
+            now += step
+            # Bucket ``number`` is each document's only one below 100,
+            # so every document is distinct and non-empty.
+            kept = [(b, c) for b, c in zip(ids, counts) if b >= 100]
+            ids = (number,) + tuple(b for b, _ in kept)
+            counts = (1,) + tuple(c for _, c in kept)
+            before = len(scorer._table)
+            scorer.add((now, "s-1", ids, counts))
+            naive.add((now, "s-1", (ids, counts)))
+            scorer.advance(now)
+            naive.advance(now)
+            rebuilt = rebuilt or len(scorer._table) < before + 1
+            assert len(scorer._table) <= TABLE_CAP
+            assert scorer._buffer == naive.buffer
+        scorer.finish()
+    if naive.buffer:
+        naive.close(None)
+    assert rebuilt
+    assert verdicts(scorer.flags, scorer._history) == \
+        verdicts(naive.flags, naive.history)
+    assert scorer.sketch.export_state() == naive.sketch.export_state()
