@@ -336,11 +336,12 @@ class AlertGatewayService:
             raise ValidationError("batch_size must be at least 1")
         batch: list[Alert] = []
         for alert in source:
-            if self._stop_requested:
-                if batch:
-                    self.ingest(batch)
-                return "stopped"
+            # Keep the alert just pulled: the source has already handed
+            # it over, so returning without it would lose it.
             batch.append(alert)
+            if self._stop_requested:
+                self.ingest(batch)
+                return "stopped"
             if len(batch) >= batch_size:
                 self.ingest(batch)
                 batch = []

@@ -101,15 +101,12 @@ class PlaneBackend(Protocol):
         self,
         batches: Sequence[PlaneBatch],
         watermark: float | None,
-        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
         """Run one flush cycle; a barrier — returns when every plane is done.
 
         ``batches`` holds at most one batch per plane; events within a
         batch are in arrival order.  ``watermark`` caps each plane's R3
-        safety horizon.  ``collect_emitted`` asks for the closed
-        aggregates in each report's ``emitted`` (in-process planes only;
-        worker replies stay counter-only).
+        safety horizon.  One counter report per batch comes back.
         """
         ...
 
@@ -195,12 +192,9 @@ class SerialPlaneBackend:
         self,
         batches: Sequence[PlaneBatch],
         watermark: float | None,
-        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
         return [
-            self.planes[plane].process_batch(
-                alerts, in_warmup, watermark, collect_emitted,
-            )
+            self.planes[plane].process_batch(alerts, in_warmup, watermark)
             for plane, alerts, in_warmup in batches
         ]
 
@@ -301,8 +295,7 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
             elif kind == "flush":
                 batches, watermark = payload
                 results = [
-                    # Artifacts stay worker-side until drain, so the
-                    # reply is counters only (no ``collect_emitted``).
+                    # Artifacts stay worker-side until drain.
                     planes[plane_id].process_batch(
                         unpack_alerts(blob), in_warmup, watermark,
                     )
@@ -626,9 +619,7 @@ class ProcessPlaneBackend:
         self,
         batches: Sequence[PlaneBatch],
         watermark: float | None,
-        collect_emitted: bool = False,
     ) -> list[PlaneReport]:
-        # Emissions stay worker-side: ``collect_emitted`` is not honoured.
         if self._closed:
             raise ValidationError("process backend already closed")
         self._ensure_started()

@@ -8,16 +8,15 @@ within the window, and closes it once the watermark proves no future
 in-order alert can extend it.  A micro-batch is folded grouped by key:
 one session probe per key, one expiry sweep per batch.
 
-Closed sessions are R2's output.  ``ingest``, ``ingest_batch`` and
-``drain`` return the closed :class:`OpenSession` objects themselves: a
+Closed sessions are R2's output.  ``ingest_batch`` and ``drain``
+return the closed :class:`OpenSession` objects themselves: a
 session is never touched again once closed (the next one for its key is
 a fresh object with a fresh id list), and it already carries everything
 the plane chain reads — ``strategy_id``, ``region``, ``count`` and the
 ``representative`` R3 correlates.  :meth:`OpenSession.emit` is the one
 converter to the frozen
 :class:`~repro.core.mitigation.aggregation.AggregatedAlert`, and it runs
-only at the edges where a caller receives one: retained artifacts and
-the gateway's public ``ingest()`` / ``flush()`` returns.
+only where a caller keeps one: retained artifacts.
 
 Memory is bounded by the number of keys active within one window, never
 by stream length: the expiry heap holds exactly one entry per open
@@ -109,10 +108,6 @@ class OnlineAggregator:
         representative R2 can still emit: the correlator's ``pending``.
         """
         return [session.representative for session in self._sessions.values()]
-
-    def ingest(self, alert: Alert) -> list[OpenSession]:
-        """Feed one alert; returns the sessions this event closed."""
-        return self.ingest_batch([alert])
 
     def ingest_batch(self, alerts: list[Alert]) -> list[OpenSession]:
         """Feed a micro-batch; returns the sessions it closed.

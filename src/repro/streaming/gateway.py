@@ -3,7 +3,7 @@
 This is the streaming counterpart of
 :class:`~repro.core.mitigation.pipeline.MitigationPipeline`: instead of
 re-running the reaction chain over a finished trace, the gateway accepts
-one alert at a time (or micro-batches) and routes it to a plane: a
+a stream in micro-batches and routes each alert to a plane: a
 :class:`~repro.streaming.routing.PlaneRouter` assigns each *region* to
 one of ``n_planes`` execution planes.  The whole mitigation chain is
 region-local (R2 sessions key on ``(strategy, region)``, R3 evidence
@@ -24,9 +24,9 @@ progress view: after :meth:`flush` (or any barrier) every
 
 Ingestion is one partition pass: :meth:`ingest_batch` routes events into
 per-plane buffers and flushes them to the backend ``flush_size`` events
-at a time (or whenever event time advances ``flush_interval`` seconds);
-:meth:`ingest` is the same pass over a single event, processed
-immediately at the ``serial`` default ``flush_size=1``.
+at a time (or whenever event time advances ``flush_interval`` seconds).
+A flush hands back nothing: the planes report counters, and artifacts,
+when retained, arrive at :meth:`drain`.
 
 Every scalar option is a field of
 :class:`~repro.streaming.config.GatewayConfig` — declared there once,
@@ -44,14 +44,16 @@ with ``lane_transport="pipe"`` as the classic fallback.  ``serial``
 always runs one lane: lane threads under the GIL only slow it down.
 
 With ``learn_rules=True`` the gateway also *derives* its R1 rules
-online: planes report per-flush observation digests, the
+online: each flush's pre-R1 per-plane batches, with the R2 closes the
+planes counted, fold into observation rows
+(:func:`~repro.streaming.learning.flush_observations`), the
 :class:`~repro.streaming.learning.OnlineRuleLearner` promotes/renews/
 demotes TTL'd blocking rules from streaming A4/A5 detection, and rule
 deltas apply to the gateway's blocker at flush barriers.
 ``enable_qoa=True`` scores per-strategy alert quality incrementally from
-the same digests (:class:`~repro.streaming.qoa.StreamQoAScorer`), frozen
-into ``stats.qoa`` at drain.  ``detect_antipatterns=True`` hands each
-flush's pre-R1 per-plane batches to the
+the same rows (:class:`~repro.streaming.qoa.StreamQoAScorer`), frozen
+into ``stats.qoa`` at drain.  ``detect_antipatterns=True`` hands the
+same batches to the
 :class:`~repro.streaming.detectors.StreamingDetectorSuite`, which folds
 them itself and advances its R4 sketch once per flush, so its verdicts
 do not depend on the plane count.  All three fold in this process, so
@@ -75,6 +77,7 @@ journal.
 >>> gateway = AlertGateway(graph, blocker=blocker, n_planes=4,   # doctest: +SKIP
 ...                        backend="process", n_workers=4, flush_size=1024)
 >>> gateway.ingest_batch(source)                                 # doctest: +SKIP
+>>> gateway.flush()         # a barrier: stats are current, nothing returned  # doctest: +SKIP
 >>> stats = gateway.drain()                                      # doctest: +SKIP
 """
 
@@ -94,7 +97,7 @@ from repro.streaming.backends import PlaneBackend, make_backend
 from repro.streaming.config import GatewayConfig
 from repro.streaming.detectors import StreamingDetectorSuite
 from repro.streaming.lanes import LaneIngress
-from repro.streaming.learning import OnlineRuleLearner
+from repro.streaming.learning import OnlineRuleLearner, flush_observations
 from repro.streaming.plane import PlaneConfig
 from repro.streaming.qoa import StreamQoAScorer
 from repro.streaming.routing import PlaneRouter
@@ -176,47 +179,20 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def ingest(self, alert: Alert) -> list[AggregatedAlert]:
-        """Process one alert; returns aggregates the resulting flush closed.
-
-        With the ``serial`` default ``flush_size=1`` the event is
-        processed before this returns; larger flush sizes buffer it and
-        return the emissions of whatever flush the event happened to
-        trigger.  The ``process`` backend keeps emissions plane-side and
-        returns ``[]`` (read ``stats`` after :meth:`flush` for progress,
-        or drain to collect retained artifacts).  Without
-        ``retain_artifacts`` R2 keeps no member ids, so returned
-        aggregates carry ``alert_ids=()``; their ``count`` stays exact.
-        """
-        emitted: list[AggregatedAlert] = []
-        self._ingest((alert,), emitted)
-        return emitted
-
     def ingest_batch(self, alerts: Iterable[Alert]) -> int:
         """Feed a micro-batch (or a whole source) through the partition pass.
 
-        Events are routed into per-plane buffers and handed to the
-        execution backend ``flush_size`` at a time; end-of-run accounting
-        is identical to per-event :meth:`ingest`.  Returns the count;
-        no aggregate is handed back, so unless artifacts are retained no
+        Route, watermark, warmup, flush trigger: events are routed into
+        per-plane buffers and handed to the execution backend
+        ``flush_size`` at a time.  Returns the count; no aggregate is
+        handed back, so unless artifacts are retained no
         ``AggregatedAlert`` is built.  Buffered events persist across
         calls until a flush triggers or the gateway is drained.
-        """
-        return self._ingest(alerts, None)
-
-    def _ingest(
-        self, alerts: Iterable[Alert], emitted: list[AggregatedAlert] | None,
-    ) -> int:
-        """The one partition pass: route, watermark, warmup, flush trigger.
-
-        ``emitted`` (per-event :meth:`ingest` only) collects what each
-        triggered flush closed; it is consulted once per flush, never
-        per alert.
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
         if self._lanes is not None:
-            # Lane emissions stay plane-side (counters only).
+            # Lane threads flush on their own schedule (counters only).
             return self._lanes.ingest(alerts, self.stats)
         stats = self.stats
         buffers = self._buffers
@@ -278,9 +254,7 @@ class AlertGateway:
                     # raises, _flush has already consumed the buffers and
                     # the finally must not resurrect the stale count.
                     buffered = 0
-                    flushed = self._flush(emitted is not None)
-                    if emitted is not None:
-                        emitted.extend(flushed)
+                    self._flush()
                     buffered = self._buffered
                     buffers = self._buffers
                     warmup_pending = self._warmup_pending
@@ -311,11 +285,13 @@ class AlertGateway:
                 key=lambda a: (a.window.start, a.strategy_id, a.region)
             )
             self.clusters.sort(key=lambda c: (c.alerts[0].occurred_at, -c.size))
-        if self._config.collect_observations:
-            # The drain flush closes the last R2 sessions; their groups
-            # must land in the QoA counters before scores freeze.
+        if self._config.count_groups:
+            # The drain closes the last R2 sessions; their groups must
+            # land in the QoA counters before scores freeze.
             if self.qoa is not None:
-                self.qoa.observe(self._gather_observations(results))
+                self.qoa.observe(self._observations(
+                    [((), result.groups) for result in results]
+                ))
             if self.learner is not None:
                 # Retiring the learned rules restores the caller's
                 # blocker to its configured rule set.
@@ -446,7 +422,7 @@ class AlertGateway:
             return self._lanes.pending == 0
         return self._buffered == 0
 
-    def flush(self) -> list[AggregatedAlert]:
+    def flush(self) -> None:
         """Force a flush barrier, processing everything buffered.
 
         Note this is itself an observable event with rule learning on:
@@ -456,7 +432,7 @@ class AlertGateway:
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
-        return self._flush(collect_emitted=True)
+        self._flush()
 
     def checkpoint_config(self) -> dict:
         """The configuration record (:meth:`GatewayConfig.record`), JSON-safe.
@@ -595,26 +571,25 @@ class AlertGateway:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _flush(self, collect_emitted: bool = False) -> list[AggregatedAlert]:
+    def _flush(self) -> None:
         """Hand every buffered per-plane batch to the backend (a barrier).
 
-        Returns the aggregates the flush closed only with
-        ``collect_emitted`` (the public :meth:`ingest` and :meth:`flush`):
-        the internal barriers need none built.  The buffers are consumed
-        before the backend runs, so a failure past that point leaves the
-        gateway half-applied: it is poisoned, then the error re-raised.
+        The buffers are consumed before the backend runs, so a failure
+        past that point leaves the gateway half-applied: it is poisoned,
+        then the error re-raised.
         """
         try:
-            return self._flush_cycle(collect_emitted)
+            self._flush_cycle()
         except BaseException:
             self._poison()
             raise
 
-    def _flush_cycle(self, collect_emitted: bool) -> list[AggregatedAlert]:
+    def _flush_cycle(self) -> None:
         if self._lanes is not None:
-            return self._lane_barrier()
+            self._lane_barrier()
+            return
         if self._buffered == 0:
-            return []
+            return
         started = time.perf_counter()
         batches = [
             (plane, batch, self._warmup_pending[plane])
@@ -627,28 +602,26 @@ class AlertGateway:
         flushed = self._buffered
         self._buffered = 0
         stats = self.stats
-        results = self._backend.flush(batches, stats.watermark, collect_emitted)
+        results = self._backend.flush(batches, stats.watermark)
         results.sort(key=lambda result: result.plane_id)
-        emitted_all: list[AggregatedAlert] = []
         for result in results:
             self._set_plane_counters(result.plane_id, result.counters())
-            if result.emitted:
-                emitted_all.extend(result.emitted)
-        if self._config.collect_observations:
-            self._learn(self._gather_observations(results))
+        # Pre-R1 batches in plane order, one report per batch.
+        plane_batches = [batch for _plane, batch, _warmup in batches]
+        if self._config.count_groups:
+            self._learn(self._observations(
+                zip(plane_batches, [result.groups for result in results])
+            ))
         if self.detectors is not None:
-            # Pre-R1 batches in plane order: the suite folds the whole
-            # flush, then advances the R4 sketch once.
-            self.detectors.observe(
-                [batch for _plane, batch, _warmup in batches], stats.watermark,
-            )
+            # The suite folds the whole flush, then advances the R4
+            # sketch once.
+            self.detectors.observe(plane_batches, stats.watermark)
         stats.flushes += 1
         self._last_flush_watermark = stats.watermark
         self._refresh_totals()
         stats.observe_flush(time.perf_counter() - started, flushed)
-        return emitted_all
 
-    def _lane_barrier(self) -> list[AggregatedAlert]:
+    def _lane_barrier(self) -> None:
         """Barrier the ingress lanes and fold their telemetry into stats.
 
         Lane threads flush to planes on their own schedule; the gateway
@@ -668,17 +641,17 @@ class AlertGateway:
             self._last_flush_watermark = stats.watermark
         if results:
             self._refresh_totals()
-        return []
 
-    @staticmethod
-    def _gather_observations(results) -> list[tuple]:
-        """Concatenate per-plane digests in plane order (deterministic)."""
-        return [
-            row
-            for result in results
-            if result.observations
-            for row in result.observations
-        ]
+    def _observations(self, planes) -> list[tuple]:
+        """Observation rows of one flush or drain (``flush_observations``).
+
+        Folded before the learner's delta lands, so the blocked counts
+        re-test exactly the rule table R1 just used.
+        """
+        return flush_observations(
+            planes, self._blocker,
+            self.options.detector_thresholds.intermittent_threshold,
+        )
 
     def _learn(self, observations: list[tuple]) -> None:
         """One learning/scoring step at a flush boundary.

@@ -9,11 +9,12 @@ invalidate these rules" problem the paper's §IV raises.
 
 :class:`OnlineRuleLearner` closes that loop at the gateway:
 
-* every flush cycle, the planes report **observation digests** — per
+* every flush cycle, the gateway folds the flush's pre-R1 batches into
+  **observation rows** (:func:`flush_observations`) — per
   ``(strategy, region)`` counts of alerts seen, R1-blocked, and transient
   (short-lived auto-cleared) events, computed over the *pre-blocking*
   stream so the learner's evidence is independent of its own rules;
-* the learner folds digests into per-key sliding windows and runs the
+* the learner folds the rows into per-key sliding windows and runs the
   streaming analogues of the A4 (transient/toggling) and A5 (repeating)
   noise detectors over them;
 * strategies crossing a promotion threshold become live
@@ -46,7 +47,9 @@ blocked alerts, never shrink it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
+from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
 from repro.common.validation import require_fraction, require_positive
 from repro.core.mitigation.blocking import (
@@ -59,18 +62,62 @@ from repro.core.mitigation.blocking import (
 __all__ = [
     "LearnerConfig",
     "Observation",
+    "flush_observations",
     "RuleEvent",
     "RuleDelta",
     "OnlineRuleLearner",
     "rule_set_divergence",
 ]
 
-#: One plane-reported observation row:
+#: One observation row:
 #: ``(strategy_id, region, service, seen, blocked, transient, groups)``
-#: — counts over one flush batch, ``seen``/``transient`` measured
-#: *before* R1; ``service`` keys the adaptive per-(service, region)
-#: threshold baselines.
+#: — counts over one plane's flush batch, ``seen``/``transient``
+#: measured *before* R1, ``groups`` the R2 sessions the flush closed;
+#: ``service`` keys the adaptive per-(service, region) threshold
+#: baselines.
 Observation = tuple[str, str, str, int, int, int, int]
+
+
+def flush_observations(
+    planes: Iterable[tuple[Sequence[Alert], dict[tuple[str, str], int] | None]],
+    blocker: AlertBlocker,
+    intermittent_threshold: float,
+) -> list[Observation]:
+    """The observation rows of one flush, folded from its pre-R1 batches.
+
+    ``planes`` pairs each reporting plane's batch with the R2 closes its
+    report counted (``PlaneReport.groups``), in plane order.  A plane's
+    rows are its batch keys in first-seen order, each carrying the
+    service of its first alert, then the keys that only closed a
+    session, in close order, with ``seen = 0`` (their service is never
+    read).  The blocked count re-tests ``blocker``, which must still be
+    the table R1 used — rule deltas land only between flushes — and
+    skips the scan for unruled strategies, mirroring R1's fast path.
+    """
+    ruled = blocker.ruled_strategies
+    is_blocked = blocker.is_blocked
+    rows: list[Observation] = []
+    for alerts, groups in planes:
+        groups = groups or {}
+        # key -> [service, seen, blocked, transient]
+        digest: dict[tuple[str, str], list] = {}
+        for alert in alerts:
+            strategy = alert.strategy_id
+            key = (strategy, alert.region)
+            row = digest.get(key)
+            if row is None:
+                digest[key] = row = [alert.service, 0, 0, 0]
+            row[1] += 1
+            if strategy in ruled and is_blocked(alert):
+                row[2] += 1
+            if alert.is_transient(intermittent_threshold):
+                row[3] += 1
+        for key, (service, seen, blocked, transient) in digest.items():
+            rows.append((*key, service, seen, blocked, transient, groups.get(key, 0)))
+        for key, count in groups.items():
+            if key not in digest:
+                rows.append((*key, "", 0, 0, 0, count))
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,11 +407,11 @@ class OnlineRuleLearner:
         watermark: float | None,
         at_input: int,
     ) -> RuleDelta:
-        """Fold one flush cycle's digests and return the rule delta.
+        """Fold one flush cycle's observation rows; return the rule delta.
 
-        ``observations`` must arrive in a deterministic order (the
-        gateway sorts flush results by plane id; within a plane the
-        digest preserves batch order) — the learner itself iterates keys
+        ``observations`` must arrive in a deterministic order (as
+        :func:`flush_observations` builds them: planes in plane order,
+        batch keys in first-seen order) — the learner itself judges keys
         sorted, so the emitted delta is identical on every backend.
         ``at_input`` is the gateway's input count at this flush boundary,
         recorded on every event so the timeline is replayable.
@@ -418,13 +465,13 @@ class OnlineRuleLearner:
     def note_topology_change(self, at_input: int) -> None:
         """Record a plane scale event (``gateway.scale_planes``).
 
-        Evidence digests are keyed by ``(strategy, region)`` — plane-
+        Observation rows are keyed by ``(strategy, region)`` — plane-
         agnostic by construction — so a region's migration re-homes its
-        digests implicitly: every future flush contributes exactly one
-        row per key regardless of which plane reports it, which is what
-        makes rule evidence impossible to lose *or* double-count across
-        a migration (``tests/streaming/test_scale.py`` pins this down by
-        re-attributing the same digest rows across plane splits).  The
+        evidence implicitly: every future flush contributes exactly one
+        row per key regardless of which plane's batch holds it, which is
+        what makes rule evidence impossible to lose *or* double-count
+        across a migration (``tests/streaming/test_scale.py`` pins this
+        down by re-attributing the same rows across plane splits).  The
         learner therefore only records the stream position, so replay
         and differential harnesses can align learned timelines with the
         scale schedule.

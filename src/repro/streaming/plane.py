@@ -22,10 +22,12 @@ and R4 detection execute there, off the gateway loop — the
 gateway is reduced to routing, watermark tracking, and merging the
 planes' reports into its stats.
 
-With ``collect_observations`` a flush also reports per-(strategy,
-region) observation rows for the gateway's rule learner and QoA scorer;
-that is the only evidence a plane builds.  Anti-pattern detection folds
-the gateway's pre-R1 batches itself (:mod:`~repro.streaming.detectors`).
+A flush or drain hands back counters only.  With ``count_groups`` it
+also reports ``groups``, the R2 sessions it closed per (strategy,
+region): the one figure the gateway cannot read off a flush's pre-R1
+batches, from which it folds the rule learner's and QoA scorer's
+evidence itself (:func:`~repro.streaming.learning.flush_observations`),
+as anti-pattern detection does (:mod:`~repro.streaming.detectors`).
 
 R3 finalisation is plane-local: a future representative in this plane's
 regions is either the current representative of one of this plane's
@@ -44,7 +46,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.alerting.alert import Alert
-from repro.core.antipatterns.base import DetectorThresholds
 from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import (
@@ -80,15 +81,11 @@ class PlaneConfig:
     enable_storm_detection: bool
     retain_artifacts: bool
     finalize_every: int
-    #: When set, every flush reports per-(strategy, region) observation
-    #: digests (seen/blocked/transient/groups) for the gateway's rule
+    #: When set, every flush and drain reports ``groups``: the R2
+    #: sessions it closed per (strategy, region), for the gateway's rule
     #: learner and QoA scorer.  Off by default: the plain gateway path
-    #: pays nothing and its accounting stays bit-identical.
-    collect_observations: bool = False
-    #: A4 transient cut-off used when digesting — defaulted from the
-    #: batch detectors' single source of truth so streaming evidence and
-    #: batch A4/QoA can never silently disagree.
-    intermittent_threshold: float = DetectorThresholds().intermittent_threshold
+    #: pays nothing.
+    count_groups: bool = False
 
     @classmethod
     def from_options(
@@ -99,7 +96,6 @@ class PlaneConfig:
         rulebook: DependencyRuleBook | None,
     ) -> PlaneConfig:
         """The plane-side view of a gateway configuration."""
-        thresholds = options.detector_thresholds
         return cls(
             graph=graph,
             blocker=blocker,
@@ -110,8 +106,7 @@ class PlaneConfig:
             enable_storm_detection=options.enable_storm_detection,
             retain_artifacts=options.retain_artifacts,
             finalize_every=int(options.finalize_every),
-            collect_observations=options.learn_rules or options.enable_qoa,
-            intermittent_threshold=thresholds.intermittent_threshold,
+            count_groups=options.learn_rules or options.enable_qoa,
         )
 
 
@@ -124,7 +119,7 @@ class PlaneReport:
     lifetime totals (a report with only ``plane_id`` is a plane that has
     seen nothing); the payload fields are ``None`` unless the call that
     built the report had something to hand back, so a counter-only
-    worker reply pickles no lists.
+    worker reply pickles no containers.
     """
 
     plane_id: int
@@ -137,15 +132,10 @@ class PlaneReport:
     open_sessions: int = 0
     active_components: int = 0
     retained_representatives: int = 0
-    #: Aggregates closed by this flush, only when the caller asked for
-    #: them (``collect_emitted``): the retained objects when artifacts are
-    #: retained, else emitted for this reply.  ``None`` otherwise.
-    emitted: list[AggregatedAlert] | None = None
-    #: Per-(strategy, region) observation digests of this flush batch —
-    #: ``(strategy_id, region, service, seen, blocked, transient, groups)``
-    #: rows, in deterministic batch order.  ``None`` unless the plane was
-    #: configured with ``collect_observations``.
-    observations: list[tuple] | None = None
+    #: R2 sessions this flush or drain closed, per (strategy, region),
+    #: keys in close order.  ``None`` unless the plane was configured
+    #: with ``count_groups``.
+    groups: dict[tuple[str, str], int] | None = None
     #: Every aggregate and cluster the plane retained (drain only).
     retained_aggregates: list[AggregatedAlert] | None = None
     retained_clusters: list[AlertCluster] | None = None
@@ -196,32 +186,6 @@ class PlaneRegionState:
 def _new_region_row() -> list[int]:
     """A fresh [processed, blocked, aggregates, clusters] counter row."""
     return [0, 0, 0, 0]
-
-
-def _count_groups(
-    digest: dict[tuple[str, str], list],
-    closed: list[OpenSession],
-) -> None:
-    """Fold closed R2 sessions into a digest's ``groups`` column.
-
-    Sessions may close for keys absent from the current batch (they
-    opened flushes ago), so missing rows are created on demand (the
-    representative carries the service the row needs).
-    """
-    for session in closed:
-        key = (session.strategy_id, session.region)
-        row = digest.get(key)
-        if row is None:
-            digest[key] = row = [0, 0, 0, 0, session.representative.service]
-        row[3] += 1
-
-
-def _digest_rows(digest: dict[tuple[str, str], list]) -> list[tuple]:
-    """Flatten a digest dict into deterministic observation rows."""
-    return [
-        (strategy, region, row[4], row[0], row[1], row[2], row[3])
-        for (strategy, region), row in digest.items()
-    ]
 
 
 class RegionPlane:
@@ -332,7 +296,6 @@ class RegionPlane:
         alerts: list[Alert],
         in_warmup: int,
         watermark: float | None,
-        collect_emitted: bool = False,
     ) -> PlaneReport:
         """Run one micro-batch through the plane's whole reaction chain.
 
@@ -342,14 +305,10 @@ class RegionPlane:
         novelty warmup; ``watermark`` the gateway's max event time, below
         which R3 can finalise (one window back).  R2's closed sessions
         feed R3 and the counters directly; an ``AggregatedAlert`` is
-        built only to retain it or, with ``collect_emitted``, to hand it
-        back in ``emitted`` (the retained object when retaining).
+        built only to retain it.
         """
         if self._detector is not None:
             self._detector.ingest_batch(alerts, in_warmup)
-        digest = (
-            self._digest(alerts) if self._config.collect_observations else None
-        )
         # Per-region processed counts, run-compressed (one dict touch
         # per contiguous same-region run, not per event).
         region_counts = self._region_counts
@@ -368,29 +327,32 @@ class RegionPlane:
         )
         for region, count in blocked_by_region.items():
             region_counts[region][1] += count
-        emitted = self._close_sessions(closed, collect_emitted)
+        self._close_sessions(closed)
         self.processed += len(alerts)
         self.blocked += blocked
         self._since_finalize += len(alerts)
         if self._since_finalize >= self._config.finalize_every and watermark is not None:
             self._since_finalize = 0
             self._finalize_ready(watermark)
-        if digest is not None:
-            _count_groups(digest, closed)
-        return self.report(
-            emitted=emitted,
-            observations=_digest_rows(digest) if digest is not None else None,
-        )
+        return self.report(groups=self._groups(closed))
 
-    def _close_sessions(
-        self, closed: list[OpenSession], collect_emitted: bool,
-    ) -> list[AggregatedAlert] | None:
-        """Hand R2's closed sessions to R3 and the counters.
+    def _groups(
+        self, closed: list[OpenSession],
+    ) -> dict[tuple[str, str], int] | None:
+        """Closed R2 sessions per (strategy, region), keys in close
+        order; ``None`` unless the plane is configured with
+        ``count_groups``."""
+        if not self._config.count_groups:
+            return None
+        groups: dict[tuple[str, str], int] = {}
+        for session in closed:
+            key = (session.strategy_id, session.region)
+            groups[key] = groups.get(key, 0) + 1
+        return groups
 
-        Emits each session's ``AggregatedAlert`` at most once: to retain
-        it, or, with ``collect_emitted``, for the caller; returns the
-        collected aggregates (else ``None``).
-        """
+    def _close_sessions(self, closed: list[OpenSession]) -> None:
+        """Hand R2's closed sessions to R3 and the counters (and build
+        their ``AggregatedAlert`` only when artifacts are retained)."""
         correlator = self._correlator
         region_counts = self._region_counts
         for session in closed:
@@ -399,42 +361,8 @@ class RegionPlane:
             # region's last alert here, so rows appear on demand.
             region_counts[session.region][2] += 1
         self.aggregates_emitted += len(closed)
-        if not (self._retain or collect_emitted):
-            return None
-        emitted = [session.emit() for session in closed]
         if self._retain:
-            self.aggregates.extend(emitted)
-        return emitted if collect_emitted else None
-
-    def _digest(self, alerts: list[Alert]) -> dict[tuple[str, str], list]:
-        """Per-(strategy, region) seen/blocked/transient over one batch.
-
-        Measured on the *pre-R1* stream: the learner's evidence must not
-        depend on its own blocking decisions.  The blocked count re-tests
-        the shared blocker — identical rules to the processor's pass,
-        because rule deltas only ever land between flushes — and skips
-        the scan entirely for unruled strategies, mirroring its fast path.
-        Each row also records the strategy's service (from its first
-        alert of the batch), the key the learner's adaptive per-
-        (service, region) baselines aggregate by.
-        """
-        blocker = self._config.blocker
-        ruled = blocker.ruled_strategies
-        is_blocked = blocker.is_blocked
-        threshold = self._config.intermittent_threshold
-        digest: dict[tuple[str, str], list] = {}
-        for alert in alerts:
-            strategy = alert.strategy_id
-            key = (strategy, alert.region)
-            row = digest.get(key)
-            if row is None:
-                digest[key] = row = [0, 0, 0, 0, alert.service]
-            row[0] += 1
-            if strategy in ruled and is_blocked(alert):
-                row[1] += 1
-            if alert.is_transient(threshold):
-                row[2] += 1
-        return digest
+            self.aggregates.extend(session.emit() for session in closed)
 
     def _finalize_ready(self, watermark: float) -> None:
         """Close correlation components no future representative can join."""
@@ -529,17 +457,12 @@ class RegionPlane:
     def drain(self, watermark: float | None) -> PlaneReport:
         """Flush all open state at end of stream and report final totals."""
         closed = self.processor.drain()
-        self._close_sessions(closed, collect_emitted=False)
+        self._close_sessions(closed)
         self._count_clusters(*self._correlator.drain())
         if self._detector is not None and watermark is not None:
             self._detector.finish()
-        observations = None
-        if self._config.collect_observations:
-            digest: dict[tuple[str, str], list] = {}
-            _count_groups(digest, closed)
-            observations = _digest_rows(digest)
         return self.report(
+            groups=self._groups(closed),
             retained_aggregates=self.aggregates,
             retained_clusters=self.clusters,
-            observations=observations,
         )

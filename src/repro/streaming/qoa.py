@@ -4,7 +4,9 @@ The batch QoA path (:mod:`repro.core.qoa`) needs a *finished* trace —
 incident windows, lifecycle quantiles, processing times.  A gateway that
 runs forever never has one, so this module scores what the reaction
 chain itself observes, incrementally, from the same per-flush
-observation digests that feed the rule learner:
+observation rows that feed the rule learner (the gateway folds them
+from each flush's pre-R1 batches and the planes' R2 close counts,
+:func:`~repro.streaming.learning.flush_observations`):
 
 * **coverage** — the share of a strategy's alerts that survive R1
   blocking.  A strategy whose alerts are mostly rule-blocked is, by the
@@ -91,14 +93,14 @@ class StreamQoA:
 
 
 class StreamQoAScorer:
-    """Accumulates per-strategy QoA counters from flush digests."""
+    """Accumulates per-strategy QoA counters from flush observation rows."""
 
     def __init__(self) -> None:
         # strategy -> [seen, blocked, transient, groups]
         self._counters: dict[str, list[int]] = {}
 
     def observe(self, observations: list[tuple]) -> None:
-        """Fold one flush cycle's observation digests."""
+        """Fold one flush cycle's observation rows."""
         counters = self._counters
         for strategy_id, _region, _service, seen, blocked, transient, groups in observations:
             row = counters.get(strategy_id)

@@ -103,27 +103,21 @@ class OnlineStormDetector:
         self.episode_count = 0
         self.emerging_count = 0
 
-    def ingest(self, alert: Alert) -> None:
-        """Advance the counters with one pre-R1 alert.
+    def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None) -> None:
+        """Advance the counters with one in-order pre-R1 micro-batch.
 
         R4 watches the raw flood: planes feed it every alert of their
         batch, blocked or not, because an R1 rule silences a strategy's
         notifications but not the storm it is part of — the flood rate
         and the first-seen precursors must not depend on the rule table.
-        Delegates to :meth:`ingest_batch` so the episode and novelty
-        logic exists exactly once.
-        """
-        self.ingest_batch([alert])
 
-    def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None) -> None:
-        """Advance the counters with one in-order pre-R1 micro-batch.
-
-        Event-for-event equivalent to :meth:`ingest`.  Each contiguous
-        same-region run is one fused pass over the region's record: the
-        ring update, the episode hysteresis and the novelty check share
-        one bucket computation and one rate per event, and the ring
-        slots are written only when an event leaves the head bucket.  On
-        a plane that owns whole regions, a flood is one long run.
+        Event-for-event equivalent to feeding the alerts one at a time.
+        Each contiguous same-region run is one fused pass over the
+        region's record: the ring update, the episode hysteresis and the
+        novelty check share one bucket computation and one rate per
+        event, and the ring slots are written only when an event leaves
+        the head bucket.  On a plane that owns whole regions, a flood is
+        one long run.
 
         ``in_warmup`` is the number of leading events that fall inside
         the *stream-global* warmup.  ``None`` (standalone use) derives it

@@ -344,7 +344,7 @@ def test_per_alert_episodes_match_the_reference_bitwise(case):
     open_episode: dict[str, list] = {}
     for alert in alerts:
         reference.ingest_batch([alert])
-        detector.ingest(alert)
+        detector.ingest_batch([alert])
         region = alert.region
         view = _observe(detector, region)
         started, peak = view[5], view[6]

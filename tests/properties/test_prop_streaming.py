@@ -99,7 +99,7 @@ def _run(alerts, blocker, backend="serial", flush_size=None, n_planes=1,
     )
     if per_event:
         for alert in alerts:
-            gateway.ingest(alert)
+            gateway.ingest_batch([alert])
     else:
         gateway.ingest_batch(alerts)
     return gateway.drain()

@@ -205,7 +205,8 @@ class TestConfiguredOptionsReachTheGateway:
     def _assert_thresholds(self, service):
         gateway = service.gateway
         assert gateway.options.detector_thresholds == self.THRESHOLDS
-        assert gateway._config.intermittent_threshold == 1.0
+        # The learner/QoA fold reads the A4 cut-off from the options.
+        assert gateway.options.detector_thresholds.intermittent_threshold == 1.0
         assert gateway.detectors._thresholds.repeat_window_count == 3
         assert gateway.detectors._thresholds == self.THRESHOLDS
 
@@ -288,7 +289,8 @@ class TestTransports:
                 yield alert
 
         assert service.run_stream(source(), batch_size=32) == "stopped"
-        assert 100 <= service.input_alerts < len(storm_alerts)
+        # Alerts 0..100 were pulled: the one in hand at the stop is kept.
+        assert service.input_alerts == 101
         service.stop()
 
     def test_run_lines_parses_json_alerts(

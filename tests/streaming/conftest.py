@@ -65,7 +65,7 @@ def ingest_in_cuts(gateway, alerts, n_cuts: int, batched: bool = True) -> None:
             gateway.ingest_batch(cut)
         else:
             for alert in cut:
-                gateway.ingest(alert)
+                gateway.ingest_batch([alert])
 
 
 @pytest.fixture(scope="session")

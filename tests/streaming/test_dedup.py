@@ -34,7 +34,7 @@ class TestBatchParity:
         online = OnlineAggregator(900.0)
         emitted = []
         for alert in alerts:
-            emitted.extend(s.emit() for s in online.ingest(alert))
+            emitted.extend(s.emit() for s in online.ingest_batch([alert]))
         emitted.extend(s.emit() for s in online.drain())
         assert sorted(map(aggregate_row, emitted)) == sorted(map(aggregate_row, batch))
 
@@ -42,7 +42,7 @@ class TestBatchParity:
         online = OnlineAggregator(900.0)
         emitted = []
         for alert in _mixed_stream():
-            emitted.extend(s.emit() for s in online.ingest(alert))
+            emitted.extend(s.emit() for s in online.ingest_batch([alert]))
         emitted.extend(s.emit() for s in online.drain())
         sev = next(a for a in emitted if a.strategy_id == "s-sev")
         assert sev.severity is Severity.CRITICAL
@@ -52,25 +52,25 @@ class TestBatchParity:
 class TestEviction:
     def test_idle_sessions_close_when_watermark_passes(self):
         online = OnlineAggregator(900.0)
-        online.ingest(make_alert(0.0, strategy_id="s-old"))
+        online.ingest_batch([make_alert(0.0, strategy_id="s-old")])
         # An unrelated event far later closes the idle session.
-        emitted = online.ingest(make_alert(5000.0, strategy_id="s-new"))
+        emitted = online.ingest_batch([make_alert(5000.0, strategy_id="s-new")])
         assert [a.strategy_id for a in emitted] == ["s-old"]
         assert online.open_sessions == 1  # only s-new remains
 
     def test_exact_window_gap_does_not_evict(self):
         online = OnlineAggregator(900.0)
-        online.ingest(make_alert(0.0, strategy_id="s-a"))
-        emitted = online.ingest(make_alert(900.0, strategy_id="s-b"))
+        online.ingest_batch([make_alert(0.0, strategy_id="s-a")])
+        emitted = online.ingest_batch([make_alert(900.0, strategy_id="s-b")])
         assert emitted == []  # s-a could still be extended at t=900
-        emitted = online.ingest(make_alert(900.0, strategy_id="s-a"))
+        emitted = online.ingest_batch([make_alert(900.0, strategy_id="s-a")])
         assert emitted == []  # and indeed is
         assert online.open_sessions == 2
 
     def test_open_state_stays_bounded_on_long_stream(self):
         online = OnlineAggregator(900.0)
         for i in range(5000):
-            online.ingest(make_alert(i * 30.0, strategy_id=f"s-{i % 10}"))
+            online.ingest_batch([make_alert(i * 30.0, strategy_id=f"s-{i % 10}")])
         # 10 keys all active within the window: exactly 10 open sessions.
         assert online.open_sessions == 10
 
@@ -78,12 +78,14 @@ class TestEviction:
         online = OnlineAggregator(900.0)
         assert online.open_representatives() == []
         first = make_alert(100.0, strategy_id="s-a")
-        online.ingest(first)
-        online.ingest(make_alert(200.0, strategy_id="s-b"))
-        online.ingest(make_alert(300.0, strategy_id="s-a"))  # not more severe
+        online.ingest_batch([first])
+        online.ingest_batch([make_alert(200.0, strategy_id="s-b")])
+        online.ingest_batch([make_alert(300.0, strategy_id="s-a")])  # not more severe
         assert sorted(a.occurred_at for a in online.open_representatives()) == [100.0, 200.0]
         # Only a more severe, hence later, alert moves a representative.
-        online.ingest(make_alert(400.0, strategy_id="s-a", severity=Severity.CRITICAL))
+        online.ingest_batch([
+            make_alert(400.0, strategy_id="s-a", severity=Severity.CRITICAL)
+        ])
         assert first not in online.open_representatives()
         assert sorted(a.occurred_at for a in online.open_representatives()) == [200.0, 400.0]
         online.drain()
@@ -96,7 +98,7 @@ class TestBatchIngestion:
         per_event = OnlineAggregator(900.0)
         a = []
         for alert in alerts:
-            a.extend(s.emit() for s in per_event.ingest(alert))
+            a.extend(s.emit() for s in per_event.ingest_batch([alert]))
         a.extend(s.emit() for s in per_event.drain())
         batched = OnlineAggregator(900.0)
         b = [s.emit() for s in batched.ingest_batch(alerts)]
@@ -170,7 +172,7 @@ class TestPinnedWork:
     def test_expiry_heap_holds_one_entry_per_open_session(self):
         online = OnlineAggregator(900.0)
         for i in range(10_000):
-            online.ingest(make_alert(i * 30.0, strategy_id="s-hot"))
+            online.ingest_batch([make_alert(i * 30.0, strategy_id="s-hot")])
             assert len(online._expiry) == online.open_sessions == 1
         # A split reuses the key's entry rather than pushing a second.
         online.ingest_batch([
@@ -188,15 +190,15 @@ class TestPinnedWork:
         moved = online.export_region("region-A")
         assert len(moved) == 4
         assert len(online._expiry) == online.open_sessions == 4
-        assert online.ingest(make_alert(5000.0, strategy_id="s-late")) != []
+        assert online.ingest_batch([make_alert(5000.0, strategy_id="s-late")]) != []
         assert len(online._expiry) == online.open_sessions == 1
 
 
 class TestSessionMigration:
     def test_export_then_adopt_round_trips(self):
         source = OnlineAggregator(900.0)
-        source.ingest(make_alert(100.0, strategy_id="s-a"))
-        source.ingest(make_alert(200.0, strategy_id="s-b"))
+        source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
+        source.ingest_batch([make_alert(200.0, strategy_id="s-b")])
         sessions = source.export_region("region-A")
         assert source.open_sessions == 0
         assert [s.strategy_id for s in sessions] == ["s-a", "s-b"]
@@ -205,7 +207,7 @@ class TestSessionMigration:
         assert target.open_sessions == 2
         assert sorted(a.occurred_at for a in target.open_representatives()) == [100.0, 200.0]
         # The migrated session keeps extending as if nothing happened.
-        emitted = target.ingest(make_alert(500.0, strategy_id="s-a"))
+        emitted = target.ingest_batch([make_alert(500.0, strategy_id="s-a")])
         assert emitted == []
         final = target.drain()
         assert {(a.strategy_id, a.count) for a in final} == {("s-a", 2), ("s-b", 1)}
@@ -218,7 +220,7 @@ class TestSessionMigration:
         target = OnlineAggregator(900.0, keep_ids=False)
         target.adopt([session])
         assert session.alert_ids == [] and session.count == 2
-        target.ingest(make_alert(300.0, strategy_id="s-a"))
+        target.ingest_batch([make_alert(300.0, strategy_id="s-a")])
         [aggregate] = [s.emit() for s in target.drain()]
         assert aggregate.alert_ids == () and aggregate.count == 3
 
@@ -228,9 +230,9 @@ class TestSessionMigration:
         from repro.common.errors import ValidationError
 
         source = OnlineAggregator(900.0)
-        source.ingest(make_alert(100.0, strategy_id="s-a"))
+        source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
         sessions = source.export_region("region-A")
         target = OnlineAggregator(900.0)
-        target.ingest(make_alert(50.0, strategy_id="s-a"))
+        target.ingest_batch([make_alert(50.0, strategy_id="s-a")])
         with pytest.raises(ValidationError):
             target.adopt(sessions)

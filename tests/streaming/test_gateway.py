@@ -1,7 +1,5 @@
 """Gateway integration: end-to-end parity, snapshots, sim driving, IO."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.alerting.alert import Severity
@@ -154,44 +152,45 @@ class TestAggregateHandoff:
         assert _cluster_rows(kept.clusters) == _cluster_rows(report.clusters)
 
     @pytest.mark.parametrize("retain", [False, True])
-    def test_ingest_and_flush_return_the_batch_aggregates(
+    def test_per_event_flushes_retain_the_batch_aggregates(
         self, multi_region_report, monkeypatch, retain,
     ):
         trace, topology, rulebook, _ = multi_region_report
         alerts = list(trace.iter_ordered())
         # One late-enough alert per region closes every session before
-        # the drain, so the returns cover the whole batch aggregation.
+        # the drain, so the flushes cover the whole batch aggregation.
         end = alerts[-1].occurred_at + 10 * 900.0
         sentinels = [
             make_alert(end, strategy_id="s-sentinel", region=region)
             for region in sorted({alert.region for alert in alerts})
         ]
         expected = AlertAggregator(900.0).aggregate(alerts)
-        if not retain:
-            expected = [replace(a, alert_ids=()) for a in expected]
         built = self._count_builds(monkeypatch)
         gateway = AlertGateway(
             topology.graph, blocker=AlertBlocker(), rulebook=rulebook,
             retain_artifacts=retain, flush_size=7, n_planes=2,
         )
-        returned = []
         for index, alert in enumerate(alerts + sentinels):
-            returned += gateway.ingest(alert)
+            gateway.ingest_batch([alert])
             if index % 50 == 0:
-                returned += gateway.flush()
-        returned += gateway.flush()
-        assert built["emit"] == built["init"] == len(returned)
+                assert gateway.flush() is None
+        gateway.flush()
+        assert gateway.stats.aggregates_emitted == len(expected)
+        # Built as the flushes close them, once each, and only to retain.
+        closed = len(expected) if retain else 0
+        assert built["emit"] == built["init"] == closed
         gateway.drain()
+        if not retain:
+            assert built == {"emit": 0, "init": 0}
+            assert gateway.aggregates == []
+            return
 
         def order(aggregate):
             return aggregate.strategy_id, aggregate.region, aggregate.window.start
 
-        assert sorted(returned, key=order) == sorted(expected, key=order)
-        if retain:
-            # The flush returns are the retained objects, not copies.
-            retained = {id(aggregate) for aggregate in gateway.aggregates}
-            assert all(id(aggregate) in retained for aggregate in returned)
-            assert built["init"] == len(gateway.aggregates) == len(returned) + len(sentinels)
+        kept = [a for a in gateway.aggregates if a.strategy_id != "s-sentinel"]
+        assert sorted(kept, key=order) == sorted(expected, key=order)
+        assert built["init"] == len(gateway.aggregates) == len(expected) + len(sentinels)
 
 
 def _repeating_storm(n_bursts):
@@ -229,7 +228,7 @@ class TestStreamingBehaviour:
         peak_open = 0
         peak_retained = 0
         for alert in trace.iter_ordered():
-            gateway.ingest(alert)
+            gateway.ingest_batch([alert])
             planes = gateway.stats.planes.values()
             peak_open = max(
                 peak_open, sum(row["open_sessions"] for row in planes),
@@ -310,7 +309,7 @@ class TestStreamingBehaviour:
         gateway, _ = _gateway_for(trace, topology)
         previous = 0
         for index, alert in enumerate(trace.iter_ordered()):
-            gateway.ingest(alert)
+            gateway.ingest_batch([alert])
             if index % 500 == 0:
                 gateway.flush()
                 snapshot = gateway.stats.snapshot()
@@ -326,17 +325,17 @@ class TestStreamingBehaviour:
         topology = generate_topology(TopologyConfig(seed=7, n_microservices=24,
                                                     n_regions=2))
         gateway = AlertGateway(topology.graph)
-        gateway.ingest(make_alert(0.0))
+        gateway.ingest_batch([make_alert(0.0)])
         first = gateway.drain()
         second = gateway.drain()
         assert first is second
         with pytest.raises(ValidationError):
-            gateway.ingest(make_alert(1.0))
+            gateway.ingest_batch([make_alert(1.0)])
 
     def test_late_events_are_counted_not_dropped(self, small_topology):
         gateway = AlertGateway(small_topology.graph)
-        gateway.ingest(make_alert(1000.0))
-        gateway.ingest(make_alert(500.0))  # out of order
+        gateway.ingest_batch([make_alert(1000.0)])
+        gateway.ingest_batch([make_alert(500.0)])  # out of order
         stats = gateway.drain()
         assert stats.late_events == 1
         assert stats.input_alerts == 2
@@ -356,9 +355,9 @@ class TestStreamingBehaviour:
             gateway.ingest_batch([make_alert(10_000.0)])
             gateway.ingest_batch(late)
         else:
-            gateway.ingest(make_alert(10_000.0))
+            gateway.ingest_batch([make_alert(10_000.0)])
             for alert in late:
-                gateway.ingest(alert)
+                gateway.ingest_batch([alert])
         assert gateway.stats.late_events == 5
         # Every late arrival re-armed and fired the interval trigger;
         # without the clamp nothing flushes before drain.
@@ -476,13 +475,17 @@ class TestSimulationDriver:
         trace, topology = storm_trace
         direct, _ = _gateway_for(trace, topology, flush_size=flush_size)
         for alert in trace.iter_ordered():
-            direct.ingest(alert)
+            direct.ingest_batch([alert])
         expected = direct.drain().snapshot()
 
-        def refuse(self, alert):
-            raise AssertionError("the driver must not ingest event by event")
+        calls = []
+        ingest_batch = AlertGateway.ingest_batch
 
-        monkeypatch.setattr(AlertGateway, "ingest", refuse)
+        def counting(self, alerts):
+            calls.append(1)
+            return ingest_batch(self, alerts)
+
+        monkeypatch.setattr(AlertGateway, "ingest_batch", counting)
         driven, _ = _gateway_for(trace, topology, flush_size=flush_size)
         engine = SimulationEngine()
         drive_gateway(engine, driven, trace.iter_ordered(), interval=60.0,
@@ -490,6 +493,8 @@ class TestSimulationDriver:
         engine.run_until(trace.window().end + 120.0)
         got = driven.stats.snapshot()
         assert driven.stats.input_alerts == len(trace)
+        # Whole ticks, not event by event.
+        assert 0 < len(calls) < len(trace)
         del expected["throughput"], got["throughput"]
         assert got == expected
 

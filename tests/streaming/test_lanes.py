@@ -250,7 +250,7 @@ class TestLaneParity:
             aggregation_window=WINDOW, correlation_window=WINDOW,
         )
         for alert in golden_alerts:
-            assert gateway.ingest(alert) == []  # emissions stay plane-side
+            assert gateway.ingest_batch([alert]) == 1  # a count, no emissions
         stats = gateway.drain()
         accounting, artifacts = baseline
         assert _accounting(stats) == accounting

@@ -2,18 +2,25 @@
 
 The differential harness and the property suite cover the end-to-end
 behaviour; these tests pin the component-level life cycle — promotion,
-renewal, demotion, expiry — with hand-built observation digests, plus
-the wire round-trip for rule deltas and the QoA arithmetic.
+renewal, demotion, expiry — with hand-built observation rows, plus the
+gateway's per-flush fold into those rows, the wire round-trip for rule
+deltas and the QoA arithmetic.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.core.mitigation.blocking import AlertBlocker, BlockingRule
 from repro.streaming import AlertGateway, LearnerConfig, OnlineRuleLearner
-from repro.streaming.learning import RuleEvent, rule_set_divergence
+from repro.streaming.learning import (
+    RuleEvent,
+    flush_observations,
+    rule_set_divergence,
+)
 from repro.streaming.qoa import StreamQoA, StreamQoAScorer, measure_stream_qoa
 from repro.topology.graph import DependencyGraph
 
@@ -255,8 +262,8 @@ class TestGatewayLearningPaths:
             retain_artifacts=False,
         )
         for index in range(40):
-            gateway.ingest(make_alert(index * 10.0, strategy_id="s-noisy",
-                                      cleared_after=20.0))
+            gateway.ingest_batch([make_alert(index * 10.0, strategy_id="s-noisy",
+                                             cleared_after=20.0)])
         stats = gateway.drain()
         assert stats.rules_promoted >= 1
         assert stats.blocked_alerts > 0
@@ -293,3 +300,92 @@ class TestGatewayLearningPaths:
         stats = gateway.drain()
         assert stats.snapshot()["qoa"]["s-1"]["seen"] == 20
         assert "learned R1 rules" in stats.render()
+
+
+class TestFlushObservations:
+    """The gateway-side fold of one flush into observation rows."""
+
+    def test_rows_follow_planes_then_first_seen_then_close_order(self):
+        blocker = AlertBlocker([BlockingRule(strategy_id="s-b")])
+        plane_0 = [
+            make_alert(0.0, strategy_id="s-b", service="first"),
+            make_alert(1.0, strategy_id="s-a", cleared_after=30.0),
+            make_alert(2.0, strategy_id="s-b", service="second",
+                       cleared_after=None),
+        ]
+        plane_1 = [make_alert(3.0, strategy_id="s-a", region="region-B")]
+        rows = flush_observations(
+            [
+                (plane_0, {("s-z", "region-A"): 1, ("s-a", "region-A"): 2,
+                           ("s-y", "region-A"): 1}),
+                (plane_1, {}),
+                ((), {("s-x", "region-C"): 3}),
+            ],
+            blocker, intermittent_threshold=60.0,
+        )
+        assert rows == [
+            # Batch keys first-seen, with the first alert's service.
+            ("s-b", "region-A", "first", 2, 2, 0, 0),
+            ("s-a", "region-A", "service-1", 1, 0, 1, 2),
+            # Then the keys that only closed a session, in close order.
+            ("s-z", "region-A", "", 0, 0, 0, 1),
+            ("s-y", "region-A", "", 0, 0, 0, 1),
+            ("s-a", "region-B", "service-1", 1, 0, 0, 0),
+            ("s-x", "region-C", "", 0, 0, 0, 3),
+        ]
+
+    @pytest.mark.parametrize("n_planes", [1, 2])
+    def test_a_close_without_alerts_still_reaches_learner_and_qoa(
+        self, n_planes,
+    ):
+        """Flush 2 closes s-b's R2 session although s-b has no alert in
+        it: the close-only row gives s-b's window the flush watermark's
+        ``(watermark, 0, 0)`` entry and QoA its group.  Both regions
+        appear in every flush, region-A first, so at 1 and 2 planes the
+        rows, and so the states, match in insertion order too."""
+        flushes = [
+            [make_alert(0.0, strategy_id="s-a"),
+             make_alert(5.0, strategy_id="s-b", region="region-B",
+                        cleared_after=30.0),
+             make_alert(10.0, strategy_id="s-b", region="region-B",
+                        cleared_after=None)],
+            [make_alert(2000.0, strategy_id="s-a"),
+             make_alert(2000.0, strategy_id="s-c", region="region-B")],
+            [make_alert(2100.0, strategy_id="s-a"),
+             make_alert(2100.0, strategy_id="s-c", region="region-B")],
+        ]
+
+        def states(planes):
+            gateway = AlertGateway(
+                DependencyGraph(), blocker=AlertBlocker(), n_planes=planes,
+                flush_size=64, aggregation_window=300.0,
+                learn_rules=True, learner_config=LearnerConfig(adaptive=True),
+                enable_qoa=True, retain_artifacts=False,
+            )
+            captured = []
+            for batch in flushes:
+                gateway.ingest_batch(batch)
+                gateway.flush()
+                captured.append((
+                    gateway.learner.export_state(),
+                    gateway.qoa.export_state(),
+                ))
+            gateway.drain()
+            captured.append((
+                gateway.learner.export_state(), gateway.qoa.export_state(),
+            ))
+            return captured
+
+        captured = states(n_planes)
+        learner, qoa = captured[1]
+        assert learner["windows"]["s-b"]["region-B"] == [
+            [10.0, 2, 1], [2000.0, 0, 0],
+        ]
+        assert qoa["counters"]["s-b"] == [2, 0, 1, 1]
+        # s-a closed in the same flush, with an alert of its own.
+        assert learner["windows"]["s-a"]["region-A"][-1] == [2000.0, 1, 1]
+        assert qoa["counters"]["s-a"] == [2, 0, 2, 1]
+        reference = captured if n_planes == 1 else states(1)
+        for (learner, qoa), (flat_learner, flat_qoa) in zip(captured, reference):
+            assert json.dumps(learner) == json.dumps(flat_learner)
+            assert json.dumps(qoa) == json.dumps(flat_qoa)

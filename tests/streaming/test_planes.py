@@ -106,7 +106,7 @@ class TestDetectorPartitioning:
         alerts = self._stream()
         per_event = OnlineStormDetector()
         for alert in alerts:
-            per_event.ingest(alert)
+            per_event.ingest_batch([alert])
         for chunk in (1, 7, 256, len(alerts)):
             batched = OnlineStormDetector()
             for start in range(0, len(alerts), chunk):
@@ -118,7 +118,7 @@ class TestDetectorPartitioning:
         alerts = self._stream()
         shared = OnlineStormDetector()
         for alert in alerts:
-            shared.ingest(alert)
+            shared.ingest_batch([alert])
         router = PlaneRouter(2)
         detectors = {0: OnlineStormDetector(), 1: OnlineStormDetector()}
         buffers: dict[int, list] = {0: [], 1: []}
@@ -155,10 +155,10 @@ class TestGatewayPlaneSemantics:
     def test_regions_never_split_across_planes(self, small_topology):
         gateway = AlertGateway(small_topology.graph, n_planes=3)
         for index in range(60):
-            gateway.ingest(make_alert(
+            gateway.ingest_batch([make_alert(
                 float(index), strategy_id=f"s-{index % 5}",
                 region=("rA", "rB", "rC", "rD", "rE")[index % 5],
-            ))
+            )])
         rows = gateway.drain().planes
         owner = {
             region: plane_id
@@ -209,9 +209,9 @@ class TestGatewayPlaneSemantics:
     def test_stats_snapshot_exposes_planes(self, small_topology):
         gateway = AlertGateway(small_topology.graph, n_planes=2)
         for index in range(40):
-            gateway.ingest(make_alert(
+            gateway.ingest_batch([make_alert(
                 float(index), region=("rA", "rB")[index % 2],
-            ))
+            )])
         stats = gateway.drain()
         payload = stats.snapshot()
         assert payload["n_planes"] == 2
@@ -224,9 +224,9 @@ class TestGatewayPlaneSemantics:
         """After a flush every plane row holds the plane's open state."""
         gateway = AlertGateway(small_topology.graph, n_planes=2, flush_size=64)
         for index in range(10):
-            gateway.ingest(make_alert(
+            gateway.ingest_batch([make_alert(
                 float(index), region=("rA", "rB")[index % 2],
-            ))
+            )])
         gateway.flush()
         planes = gateway.stats.snapshot()["planes"]
         assert len(planes) == 2

@@ -383,7 +383,7 @@ def test_rescale_matches_fresh_router_replay():
 
 
 def test_learner_evidence_is_plane_attribution_invariant():
-    """The digest re-homing guarantee, directly: the same observation
+    """The evidence re-homing guarantee, directly: the same observation
     rows, attributed to different plane splits (what a migration changes),
     produce identical learned timelines — nothing lost, nothing double-
     counted."""
