@@ -36,12 +36,16 @@ __all__ = [
     "rulebook_from_ground_truth",
 ]
 
+_NO_PARTNERS: frozenset[str] = frozenset()
+
 
 class DependencyRuleBook:
     """Manually configured strategy-dependency rules."""
 
     def __init__(self) -> None:
         self._pairs: set[tuple[str, str]] = set()
+        # strategy -> every strategy a rule links it to, either direction.
+        self._partners: dict[str, set[str]] = {}
         # Mutation counter, the same contract as ``DependencyGraph.version``.
         self.version = 0
 
@@ -55,12 +59,14 @@ class DependencyRuleBook:
         if source_strategy == derived_strategy:
             raise ValidationError("a strategy cannot derive from itself")
         self._pairs.add((source_strategy, derived_strategy))
+        self._partners.setdefault(source_strategy, set()).add(derived_strategy)
+        self._partners.setdefault(derived_strategy, set()).add(source_strategy)
         self.version += 1
 
-    def related(self, strategy_a: str, strategy_b: str) -> bool:
-        """Whether a rule links the two strategies (either direction)."""
-        return ((strategy_a, strategy_b) in self._pairs
-                or (strategy_b, strategy_a) in self._pairs)
+    def partners(self, strategy: str) -> frozenset[str] | set[str]:
+        """Every strategy a rule links ``strategy`` to, either direction
+        (a live view: do not mutate)."""
+        return self._partners.get(strategy, _NO_PARTNERS)
 
     def pairs(self) -> set[tuple[str, str]]:
         """All configured (source, derived) pairs (copy)."""
@@ -90,9 +96,12 @@ class CorrelationAnalyzer:
     pair (either direction), else — with ``use_topology`` — equal
     microservices or a dependency path of at most ``max_hops`` either
     way.  Two alerts are linked when their regions are equal and their
-    signatures are; the batch sweep (:meth:`correlate`) and the online
-    correlator (:meth:`pair_evidence`, or the predicate itself on
-    interned signatures) both ask it.
+    signatures are; the batch sweep (:meth:`correlate`) and
+    :meth:`pair_evidence` ask it pair by pair.  The relation is
+    symmetric, and it is written over its partner form — a signature's
+    partners are the rule-book :meth:`rule_partners` of its strategy and
+    the :meth:`evidence_microservices` of its microservice — which the
+    online correlator enumerates once per new signature instead.
     """
 
     def __init__(
@@ -112,9 +121,9 @@ class CorrelationAnalyzer:
         self._max_hops = int(max_hops)
         self._window = float(time_window)
         self._use_topology = use_topology
-        # microservice -> graph.related_within(it, max_hops), or None for
-        # a node the graph lacks; valid while the graph's version holds.
-        self._neighbourhoods: dict[str, frozenset[str] | None] = {}
+        # microservice -> evidence_microservices(it); valid while the
+        # graph's version holds.
+        self._neighbourhoods: dict[str, frozenset[str]] = {}
         self._neighbourhood_version = graph.version
 
     def correlate(self, alerts: list[Alert]) -> list[AlertCluster]:
@@ -174,37 +183,46 @@ class CorrelationAnalyzer:
         self, first: tuple[str, str], second: tuple[str, str],
     ) -> bool:
         """Whether evidence links two ``(strategy_id, microservice)``
-        signatures — the one definition every caller shares.
-
-        The rule book is asked only when it holds a rule.  Topology reads
-        one neighbourhood row per microservice (``related_within`` at
-        ``max_hops``; ``None`` when the node is not in the graph), so a
-        new pair of known nodes costs a dict probe and a set probe.
-        Rows are dropped when the graph's ``version`` moves.
-        """
+        signatures — the one definition every caller shares: the second
+        is a partner of the first by rule book or by topology."""
         rulebook = self._rulebook
         # ``version`` counts rules added and none is ever removed, so 0
         # is an empty book.
-        if rulebook.version and rulebook.related(first[0], second[0]):
+        if rulebook.version and second[0] in rulebook.partners(first[0]):
             return True
+        # The cached row when it is current, else the method fills it.
+        micros = self._neighbourhoods.get(first[1])
+        if micros is None or self._neighbourhood_version != self._graph.version:
+            micros = self.evidence_microservices(first[1])
+        return second[1] in micros
+
+    def rule_partners(self, strategy: str) -> frozenset[str] | set[str]:
+        """Strategies a rule-book pair links to ``strategy``, either
+        direction (a live view: do not mutate)."""
+        return self._rulebook.partners(strategy)
+
+    def evidence_microservices(self, microservice: str) -> frozenset[str]:
+        """Microservices topology links to ``microservice``.
+
+        With ``use_topology``: the microservice itself plus every node
+        within ``max_hops`` either way (``related_within``), or only
+        itself when the graph lacks it; without, none.  Symmetric, and
+        cached per microservice until the graph's ``version`` moves.
+        """
         if not self._use_topology:
-            return False
-        micro_a, micro_b = first[1], second[1]
-        if micro_a == micro_b:
-            return True
+            return _NO_PARTNERS
         graph = self._graph
         neighbourhoods = self._neighbourhoods
         if graph.version != self._neighbourhood_version:
             neighbourhoods.clear()
             self._neighbourhood_version = graph.version
-        try:
-            row = neighbourhoods[micro_a]
-        except KeyError:
-            row = neighbourhoods[micro_a] = (
-                graph.related_within(micro_a, self._max_hops)
-                if micro_a in graph else None
+        row = neighbourhoods.get(microservice)
+        if row is None:
+            row = neighbourhoods[microservice] = (
+                graph.related_within(microservice, self._max_hops) | {microservice}
+                if microservice in graph else frozenset((microservice,))
             )
-        return row is not None and micro_b in row
+        return row
 
     def build_cluster(self, alerts: list[Alert]) -> AlertCluster:
         """Finalise one correlated group into an :class:`AlertCluster`."""

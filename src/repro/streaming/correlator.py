@@ -43,44 +43,50 @@ least ``_MIN_SWEEP`` entries), so a pinned band is not re-walked on
 every call.  Retention is then bounded by the representatives within
 one window of the watermark or of a pending representative, plus an
 unswept prefix below ``max(_MIN_SWEEP, 2 x what the last sweep kept)``
-per region, not by stream length.  Evidence is delegated to the batch analyzer
-(:meth:`signature_evidence`) in both modes, so the component partition,
-and with it the end-of-run cluster count, reconciles exactly.
+per region, not by stream length.  Evidence is the batch analyzer's
+(:meth:`signature_evidence`, read here in its partner form) in both
+modes, so the component partition, and with it the end-of-run cluster
+count, reconciles exactly.
 
 Cost.  R3 is the largest layer of the plane chain: 49 % of the traced
 self time on the ``storm_serial`` benchmark workload (seed 44; R1/R2 is
-19 %, R4 18 %), ≈ 4.7 reference-normalised µs per aggregate.  Nearly
-all of it is the window scan in :meth:`OnlineCorrelator.add`, so a
-candidate there costs one dict probe and at most one byte-row probe:
+23 %, R4 13 %), ≈ 3.0 reference-normalised µs per aggregate.  Nearly
+all of it is the window scan in :meth:`OnlineCorrelator.add`.  On that
+stream an add visits 37.7 in-window candidates on average; only 5.4 of
+them have evidence, 23.5 are already in the joining component and 0.98
+cause a union.  So a candidate without evidence costs one byte probe,
+and one with evidence one dict probe more:
 
 * *Quick-find.*  ``_parent[seq]`` is the component root at all times, not
   a link towards it.  A union already merges the smaller member list into
   the larger; relabelling the moved members at that point (amortised
   O(log n) relabels per entry) is what lets "same component?" be
   ``parent[other] == root`` with no find and no path compression.
-* *Evidence memo.*  Inside one region bucket evidence depends only on
+* *Evidence rows.*  Inside one region bucket evidence depends only on
   the two ``(strategy_id, microservice)`` signatures: it is the
-  analyzer's signature predicate,
+  analyzer's symmetric signature predicate,
   :meth:`~repro.core.mitigation.correlation.CorrelationAnalyzer.signature_evidence`.
   Signatures are interned to small ints, each timeline item carries its
-  entry's id, and verdicts live in per-signature byte rows (0 unknown /
-  1 no / 2 yes).  A miss asks the predicate with the two interned
-  signature keys; it answers from the rule book (when it holds a rule)
-  and one neighbourhood row per microservice (``related_within`` at the
-  hop bound, dropped when the graph's version moves), so sparse keys,
-  whose in-window pairs are almost all new, pay a dict probe and a set
-  probe per miss.  A verdict is valid while the regions are equal — true
-  of every pair a bucket can offer — and the analyzer's
-  ``evidence_version`` (graph and rule-book mutation stamps) has not
-  moved.  The memo is derived state: it is never serialised, it is
-  rebuilt from the retained entries when the stamp moves or the interned
-  count passes its limit, and correctness never depends on a hit.
-* *Scan order is kept.*  Candidates are visited in ``(occurred_at, seq)``
-  order and a union keeps the older component's root as first argument,
-  so member-list order — and with it ``build_cluster``'s stable sort on
-  timestamp ties, the chosen ``root_alert`` and what
-  :meth:`OnlineCorrelator.export_region` emits — is the order a direct
-  pair-by-pair scan produces.
+  entry's id, and each id has a byte row (1 evidence, 0 none).  Rows are
+  complete from interning: a new id enumerates its partners through the
+  predicate's partner form — the ids of every microservice in
+  ``evidence_microservices`` and of every strategy in ``rule_partners``
+  — and marks the pair in both rows, so the scan never asks the
+  predicate.  A row is zero-extended only when an add reads it.  A byte
+  is valid while the regions are equal — true of every pair a bucket
+  can offer — and the analyzer's ``evidence_version`` (graph and
+  rule-book mutation stamps) has not moved.  The rows are derived state:
+  never serialised, rebuilt from the retained entries when the stamp
+  moves or the interned count passes its limit.
+* *Scan order is kept.*  A region's timeline is a sorted list of
+  occurred-at floats beside its ``(seq, signature id)`` items, so the
+  window is two float bisects and an insert goes after every equal time
+  (a new seq is the largest).  Candidates are therefore visited in
+  ``(occurred_at, seq)`` order and a union keeps the older component's
+  root as first argument, so member-list order — and with it
+  ``build_cluster``'s stable sort on timestamp ties, the chosen
+  ``root_alert`` and what :meth:`OnlineCorrelator.export_region` emits —
+  is the order a direct pair-by-pair scan produces.
 """
 
 from __future__ import annotations
@@ -93,16 +99,14 @@ from repro.core.mitigation.correlation import AlertCluster, CorrelationAnalyzer
 
 __all__ = ["OnlineCorrelator"]
 
-# Interned signatures (and with them the verdict rows) are dropped and
+# Interned signatures (and with them the evidence rows) are dropped and
 # rebuilt from the retained entries past this count, so a stream that
-# keeps minting strategy ids cannot grow the memo without bound.
+# keeps minting strategy ids cannot grow the rows without bound.
 _MAX_SIGNATURES = 2048
 
 # A region's below-horizon prefix is swept once it holds at least this
 # many entries and twice what its last sweep kept.
 _MIN_SWEEP = 64
-
-_INF = float("inf")
 
 
 def _pending_spans(
@@ -153,21 +157,24 @@ class OnlineCorrelator:
         self._seq = 0
         self._alerts: dict[int, Alert] = {}
         # Retained representatives bucketed per region, each bucket a
-        # sorted (occurred_at, seq, signature id) list: evidence requires
+        # (times, items) pair of parallel lists in (occurred_at, seq)
+        # order: ``items`` holds (seq, signature id).  Evidence requires
         # equal regions, so candidates in other regions need not be
-        # scanned.  ``seq`` is unique, so the id never decides the order.
-        self._timelines: dict[str, list[tuple[float, int, int]]] = {}
+        # scanned.
+        self._timelines: dict[str, tuple[list[float], list[tuple[int, int]]]] = {}
         # Quick-find: seq -> root seq of its component, always current.
         # The root seq labels the component even once its own entry is
         # evicted; member lists hold retained members only.
         self._parent: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}
         self._max_time: dict[int, float] = {}
-        # Evidence memo (see the module docstring): signature -> id, and
-        # per id its signature and verdict row.
+        # Evidence rows (see the module docstring): signature -> id, per
+        # id its row, and the ids per microservice and per strategy that
+        # interning a partner enumerates.
         self._signatures: dict[tuple[str, str], int] = {}
-        self._keys: list[tuple[str, str]] = []
         self._verdicts: list[bytearray] = []
+        self._by_micro: dict[str, list[int]] = {}
+        self._by_strategy: dict[str, list[int]] = {}
         self._signature_limit = _MAX_SIGNATURES
         self._memo_version = analyzer.evidence_version
         # region -> below-horizon entries its last sweep kept (evicting
@@ -188,16 +195,14 @@ class OnlineCorrelator:
 
     def add(self, representative: Alert) -> None:
         """Correlate one newly emitted representative against the window."""
-        analyzer = self._analyzer
-        if analyzer.evidence_version != self._memo_version:
+        if self._analyzer.evidence_version != self._memo_version:
             self._rebuild_memo()
-        key = (representative.strategy_id, representative.microservice)
-        signature = self._signatures.get(key)
+        signature = self._signatures.get(
+            (representative.strategy_id, representative.microservice))
         if signature is None:
             if len(self._signatures) >= self._signature_limit:
                 self._rebuild_memo()
             signature = self._intern(representative)
-        keys = self._keys
         verdicts = self._verdicts
         row = verdicts[signature]
         if len(row) < len(verdicts):  # every id met below indexes the row
@@ -212,39 +217,38 @@ class OnlineCorrelator:
         parent[seq] = root = seq
         members[seq] = [seq]
         max_time[seq] = time
-        timeline = self._timelines.setdefault(representative.region, [])
-        lo = bisect.bisect_left(timeline, (time - self._window,))
-        hi = bisect.bisect_right(timeline, (time + self._window, seq))
+        timeline = self._timelines.get(representative.region)
+        if timeline is None:
+            timeline = self._timelines[representative.region] = ([], [])
+        times, items = timeline
+        window = self._window
+        lo = bisect.bisect_left(times, time - window)
+        hi = bisect.bisect_right(times, time + window)
         # Check every retained in-window same-region pair exactly as the
-        # batch sweep does; a same-component candidate costs one probe.
-        for _, other_seq, other_signature in timeline[lo:hi]:
+        # batch sweep does; a candidate without evidence costs one probe.
+        for other_seq, other_signature in items[lo:hi]:
+            if not row[other_signature]:
+                continue
             other_root = parent[other_seq]
             if other_root == root:
                 continue
-            verdict = row[other_signature]
-            if not verdict:
-                verdict = 2 if analyzer.signature_evidence(
-                    keys[other_signature], key) else 1
-                row[other_signature] = verdict
-                mirror = verdicts[other_signature]
-                if len(mirror) <= signature:
-                    mirror.extend(bytes(signature + 1 - len(mirror)))
-                mirror[signature] = verdict
-            if verdict == 2:
-                # Smaller member list into the larger, the candidate's
-                # side winning ties; moved members are relabelled so
-                # ``parent`` stays the root (quick-find).
-                if len(members[other_root]) < len(members[root]):
-                    other_root, root = root, other_root
-                moved = members.pop(root)
-                for member in moved:
-                    parent[member] = other_root
-                members[other_root].extend(moved)
-                moved_max = max_time.pop(root)
-                if moved_max > max_time[other_root]:
-                    max_time[other_root] = moved_max
-                root = other_root
-        bisect.insort(timeline, (time, seq, signature))
+            # Smaller member list into the larger, the candidate's side
+            # winning ties; moved members are relabelled so ``parent``
+            # stays the root (quick-find).
+            if len(members[other_root]) < len(members[root]):
+                other_root, root = root, other_root
+            moved = members.pop(root)
+            for member in moved:
+                parent[member] = other_root
+            members[other_root].extend(moved)
+            moved_max = max_time.pop(root)
+            if moved_max > max_time[other_root]:
+                max_time[other_root] = moved_max
+            root = other_root
+        # A new seq is the largest, so it goes after every equal time.
+        at = bisect.bisect_right(times, time, lo, hi)
+        times.insert(at, time)
+        items.insert(at, (seq, signature))
 
     def export_region(self, region: str) -> list[tuple[list[Alert], float]]:
         """Extract one region's open components (plane migration).
@@ -260,9 +264,9 @@ class OnlineCorrelator:
         """
         self._swept.pop(region, None)
         timeline = self._timelines.pop(region, None)
-        if not timeline:
+        if timeline is None:
             return []
-        roots = dict.fromkeys(self._parent[seq] for _, seq, _ in timeline)
+        roots = dict.fromkeys(self._parent[seq] for seq, _ in timeline[1])
         exported: list[tuple[list[Alert], float]] = []
         for root in roots:
             member_seqs = self._members.pop(root)
@@ -281,10 +285,10 @@ class OnlineCorrelator:
         numbers; future merges behave exactly as if every member had
         been :meth:`add`-ed here, because connected components — and the
         batch analyzer's cluster finalisation — do not depend on
-        insertion order.  The evidence memo does not travel: adopted
-        members are interned here and their verdicts asked afresh.
+        insertion order.  Evidence rows do not travel: adopted members
+        are interned here and their rows built afresh.
         """
-        timeline = self._timelines.setdefault(region, [])
+        times, items = self._timelines.setdefault(region, ([], []))
         for alerts, max_time in components:
             root_seq: int | None = None
             for alert in alerts:
@@ -298,7 +302,10 @@ class OnlineCorrelator:
                 else:
                     self._members[root_seq].append(seq)
                 self._parent[seq] = root_seq
-                bisect.insort(timeline, (alert.occurred_at, seq, self._intern(alert)))
+                # Fresh seqs ascend, so each goes after every equal time.
+                at = bisect.bisect_right(times, alert.occurred_at)
+                times.insert(at, alert.occurred_at)
+                items.insert(at, (seq, self._intern(alert)))
 
     def finalize_ready(
         self, watermark: float, pending: Iterable[Alert],
@@ -338,24 +345,49 @@ class OnlineCorrelator:
     # internals
     # ------------------------------------------------------------------
     def _intern(self, alert: Alert) -> int:
+        """The signature id of ``alert``, minting it with a complete row.
+
+        A new id's partners — the ids of every microservice in its
+        :meth:`evidence_microservices` and of every strategy in its
+        :meth:`rule_partners`, itself included when its own microservice
+        qualifies — get a 1 both in its row and, at its index, in theirs.
+        Evidence is symmetric, so every row then answers for every id
+        interned so far; a byte a row has not grown to yet reads as 0.
+        """
         key = (alert.strategy_id, alert.microservice)
         signature = self._signatures.get(key)
-        if signature is None:
-            signature = self._signatures[key] = len(self._verdicts)
-            self._keys.append(key)
-            self._verdicts.append(bytearray())
+        if signature is not None:
+            return signature
+        strategy, micro = key
+        verdicts = self._verdicts
+        signature = self._signatures[key] = len(verdicts)
+        row = bytearray(signature + 1)
+        verdicts.append(row)
+        self._by_micro.setdefault(micro, []).append(signature)
+        self._by_strategy.setdefault(strategy, []).append(signature)
+        analyzer = self._analyzer
+        for names, index in (
+            (analyzer.evidence_microservices(micro), self._by_micro),
+            (analyzer.rule_partners(strategy), self._by_strategy),
+        ):
+            for name in names:
+                for other in index.get(name, ()):
+                    row[other] = 1
+                    other_row = verdicts[other]
+                    if len(other_row) <= signature:
+                        other_row.extend(bytes(signature + 1 - len(other_row)))
+                    other_row[signature] = 1
         return signature
 
     def _rebuild_memo(self) -> None:
-        """Forget every verdict and re-intern what is still retained."""
+        """Forget every row and re-intern what is still retained."""
         self._signatures = {}
-        self._keys = []
         self._verdicts = []
+        self._by_micro = {}
+        self._by_strategy = {}
         alerts = self._alerts
-        for timeline in self._timelines.values():
-            timeline[:] = [
-                (time, seq, self._intern(alerts[seq])) for time, seq, _ in timeline
-            ]
+        for _, items in self._timelines.values():
+            items[:] = [(seq, self._intern(alerts[seq])) for seq, _ in items]
         # Doubling past what the window itself holds keeps a window wider
         # than the constant from rebuilding on every new signature.
         self._signature_limit = max(_MAX_SIGNATURES, 2 * len(self._signatures))
@@ -380,9 +412,11 @@ class OnlineCorrelator:
             if self._keep:
                 clusters.append(self._analyzer.build_cluster(alerts))
         for region, gone in closed_seqs.items():
-            kept = [item for item in self._timelines[region] if item[1] not in gone]
-            if kept:
-                self._timelines[region] = kept
+            times, items = self._timelines[region]
+            keep = [index for index, (seq, _) in enumerate(items) if seq not in gone]
+            if keep:
+                times[:] = [times[index] for index in keep]
+                items[:] = [items[index] for index in keep]
             else:
                 del self._timelines[region]
                 self._swept.pop(region, None)
@@ -404,26 +438,29 @@ class OnlineCorrelator:
         parent = self._parent
         members = self._members
         swept = self._swept
-        for region, timeline in self._timelines.items():
-            below = bisect.bisect_left(timeline, (safe_before,))
+        for region, (times, items) in self._timelines.items():
+            below = bisect.bisect_left(times, safe_before)
             if below < max(_MIN_SWEEP, 2 * swept.get(region, 0)):
                 continue
             # The prefix splits into pinned runs (one per span, two
             # bisects each) and the gaps between them, which leave.
-            kept: list[tuple[float, int, int]] = []
-            gone: list[tuple[float, int, int]] = []
+            kept: list[tuple[int, int]] = []
+            kept_times: list[float] = []
+            gone: list[tuple[int, int]] = []
             cursor = 0
             for start, end in zip(*spans.get(region, ((), ()))):
-                lo = bisect.bisect_left(timeline, (start,), cursor, below)
-                hi = bisect.bisect_right(timeline, (end, _INF), lo, below)
-                gone += timeline[cursor:lo]
-                kept += timeline[lo:hi]
+                lo = bisect.bisect_left(times, start, cursor, below)
+                hi = bisect.bisect_right(times, end, lo, below)
+                gone += items[cursor:lo]
+                kept += items[lo:hi]
+                kept_times += times[lo:hi]
                 cursor = hi
-            gone += timeline[cursor:below]
-            timeline[:below] = kept
+            gone += items[cursor:below]
+            items[:below] = kept
+            times[:below] = kept_times
             swept[region] = len(kept)
             shrunk: set[int] = set()
-            for _, seq, _ in gone:
+            for seq, _ in gone:
                 del alerts[seq]
                 shrunk.add(parent.pop(seq))
             for root in shrunk:

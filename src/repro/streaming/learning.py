@@ -46,6 +46,7 @@ blocked alerts, never shrink it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -239,11 +240,16 @@ class _KeyWindow:
     entries: list[tuple[float, int, int]] = field(default_factory=list)
     seen: int = 0
     transient: int = 0
+    #: The earliest entry time, so a prune with nothing expired is one
+    #: compare.
+    oldest: float = math.inf
 
     def add(self, at: float, seen: int, transient: int) -> None:
         self.entries.append((at, seen, transient))
         self.seen += seen
         self.transient += transient
+        if at < self.oldest:
+            self.oldest = at
 
     def prune(self, horizon: float) -> None:
         """Drop every entry before ``horizon``, wherever it sits.
@@ -254,12 +260,12 @@ class _KeyWindow:
         the first in-window entry would strand stale pre-horizon counts
         forever, silently inflating A4/A5 evidence.
         """
-        entries = self.entries
-        if not any(entry[0] < horizon for entry in entries):
+        if self.oldest >= horizon:
             return
-        kept = [entry for entry in entries if entry[0] >= horizon]
+        kept = [entry for entry in self.entries if entry[0] >= horizon]
         self.seen = sum(entry[1] for entry in kept)
         self.transient = sum(entry[2] for entry in kept)
+        self.oldest = min((entry[0] for entry in kept), default=math.inf)
         self.entries = kept
 
 
@@ -543,8 +549,10 @@ class OnlineRuleLearner:
             - noise * (config.repeat_count - config.repeat_count_floor),
         )
 
-    def _evidence(self, strategy_id: str) -> tuple[float, int, str, float]:
-        """(noisy score, window volume, evidence text, volume gate).
+    def _evidence(
+        self, strategy_id: str,
+    ) -> tuple[float, int, float, tuple[bool, float, int]]:
+        """(noisy score, window volume, volume gate, evidence detail).
 
         The score is the max of the A4 signal (transient share) and the
         A5 signal (peak per-region window count over the repeat
@@ -556,7 +564,9 @@ class OnlineRuleLearner:
         dominant (service, region) cell — global values scaled toward
         the configured floors by the cell's EWMA noise baseline — and
         the returned volume gate is the cell's effective ``min_alerts``
-        (the static global otherwise).
+        (the static global otherwise).  The detail — whether A4 leads,
+        the transient share, the peak region count — becomes text only
+        when a rule is promoted or renewed (:func:`_evidence_text`).
         """
         config = self.config
         seen = 0
@@ -571,7 +581,7 @@ class OnlineRuleLearner:
                 peak_region = window.seen
                 dominant_region = region
         if seen == 0:
-            return 0.0, 0, "no window volume", float(config.min_alerts)
+            return 0.0, 0, float(config.min_alerts), (True, 0.0, 0)
         if config.adaptive and dominant_region is not None:
             cell = (self._service_of.get(strategy_id, ""), dominant_region)
             min_alerts, transient_fraction, repeat_count = (
@@ -584,18 +594,14 @@ class OnlineRuleLearner:
         transient_share = transient / seen
         a4 = transient_share / transient_fraction
         a5 = peak_region / repeat_count
-        if a4 >= a5:
-            evidence = f"A4: transient share {transient_share:.0%} of {seen} in window"
-        else:
-            evidence = f"A5: {peak_region} alerts of one region in window"
-        return max(a4, a5), seen, evidence, min_alerts
+        return max(a4, a5), seen, min_alerts, (a4 >= a5, transient_share, peak_region)
 
     def _judge(
         self, strategy_id: str, watermark: float, at_input: int, delta: RuleDelta,
     ) -> None:
         config = self.config
         live = self._live.get(strategy_id)
-        score, seen, evidence, volume_gate = self._evidence(strategy_id)
+        score, seen, volume_gate, detail = self._evidence(strategy_id)
         # The demotion gate below stays at the global ``min_alerts``
         # regardless of adaptation: retiring a rule needs evidence-of-
         # clean at full volume, not a noise-scaled shortcut.
@@ -616,6 +622,7 @@ class OnlineRuleLearner:
             return
 
         if noisy:
+            evidence = _evidence_text(seen, *detail)
             rule = BlockingRule(
                 strategy_id=strategy_id,
                 reason=f"learned {evidence}",
@@ -659,6 +666,15 @@ class OnlineRuleLearner:
                 reason=f"noise score {score:.2f} below "
                        f"{config.demote_fraction} on {seen} window alerts",
             ))
+
+
+def _evidence_text(
+    seen: int, a4_leads: bool, transient_share: float, peak_region: int,
+) -> str:
+    """The reason a promoted or renewed rule records."""
+    if a4_leads:
+        return f"A4: transient share {transient_share:.0%} of {seen} in window"
+    return f"A5: {peak_region} alerts of one region in window"
 
 
 def rule_set_divergence(

@@ -26,9 +26,9 @@ class TestRuleBook:
     def test_related_either_direction(self):
         book = DependencyRuleBook()
         book.add("s-root", "s-derived")
-        assert book.related("s-root", "s-derived")
-        assert book.related("s-derived", "s-root")
-        assert not book.related("s-root", "s-other")
+        assert book.partners("s-root") == {"s-derived"}
+        assert book.partners("s-derived") == {"s-root"}
+        assert not book.partners("s-other")
 
     def test_self_rule_rejected(self):
         with pytest.raises(ValidationError):

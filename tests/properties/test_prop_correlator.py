@@ -12,6 +12,15 @@ export → adopt into a fresh correlator, both must emit the same clusters
 — member order, root alert, root microservice, coverage — and the batch
 sweep must agree on the partition.
 
+Some scenarios also add a rule-book pair or a dependency edge between
+arrivals.  They start from a graph of the drawn microservices without
+edges, so most such additions link pairs that were apart.  That moves
+the analyzer's ``evidence_version`` mid-stream, so the correlator's
+evidence rows are rebuilt, and both scans must still agree.  A pair
+scanned before its evidence appeared is never revisited by either scan,
+so there the batch sweep, which asks the final evidence of every pair,
+may merge more: the online partition must refine it.
+
 Finalisation is driven by the ``pending`` contract itself: at a
 "finalize" op the watermark is drawn no higher than what was added so
 far (and never lower than the last one), and ``pending`` is exactly the
@@ -30,6 +39,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.alerting.alert import Alert
+from repro.common.errors import ValidationError
 from repro.core.mitigation.correlation import (
     AlertCluster,
     CorrelationAnalyzer,
@@ -37,6 +47,7 @@ from repro.core.mitigation.correlation import (
 )
 from repro.streaming import correlator as correlator_module
 from repro.streaming.correlator import OnlineCorrelator
+from repro.topology.graph import DependencyGraph
 from tests.streaming.conftest import make_alert
 
 _REGIONS = ("region-A", "region-B", "region-C")
@@ -147,7 +158,9 @@ def _emitted(clusters: list[AlertCluster]) -> list[tuple]:
 def scenarios(draw):
     """(rule pairs, alert draws in arrival order, one op per arrival).
 
-    An op carries a drawn watermark tick, used by "finalize" only."""
+    An op carries a drawn watermark tick, used by "finalize" only, and
+    two indices: the strategies of a "rule" op or the microservices of
+    an "edge" op.  Only evolving scenarios draw those two kinds."""
     rules = draw(st.sets(
         st.tuples(st.sampled_from(_STRATEGIES), st.sampled_from(_STRATEGIES))
         .filter(lambda pair: pair[0] != pair[1]),
@@ -163,14 +176,20 @@ def scenarios(draw):
         ),
         min_size=n, max_size=n,
     ))  # drawn order is arrival order: timestamps go back and forth
+    kinds = ("none", "none", "finalize", "migrate")
+    evolving = draw(st.booleans())
+    if evolving:
+        kinds += ("rule", "edge")
     ops = draw(st.lists(
         st.tuples(
-            st.sampled_from(("none", "none", "finalize", "migrate")),
+            st.sampled_from(kinds),
             st.integers(0, 40),
+            st.integers(0, 5),
+            st.integers(0, 5),
         ),
         min_size=n, max_size=n,
     ))
-    return rules, arrivals, ops
+    return rules, arrivals, ops, evolving
 
 
 class TestOnlineCorrelatorAgainstNaiveScan:
@@ -184,15 +203,20 @@ class TestOnlineCorrelatorAgainstNaiveScan:
 
     @staticmethod
     def _check(scenario, small_topology):
-        rules, arrivals, ops = scenario
+        rules, arrivals, ops, evolving = scenario
         rulebook = DependencyRuleBook()
         for source, derived in sorted(rules):
             rulebook.add(source, derived)
-        analyzer = CorrelationAnalyzer(small_topology.graph, rulebook=rulebook,
-                                       max_hops=2, time_window=_WINDOW)
         # Few microservices and strategies, so the same signature pair
         # recurs with and without a rule behind it.
         micros = sorted(small_topology.graph.microservices)[:6]
+        graph = small_topology.graph
+        if evolving:
+            graph = DependencyGraph()
+            for micro in micros:
+                graph.add_microservice(micro)
+        analyzer = CorrelationAnalyzer(graph, rulebook=rulebook,
+                                       max_hops=2, time_window=_WINDOW)
         alerts = [
             make_alert(100.0 * tick, strategy_id=strategy, microservice=micros[micro],
                        service=small_topology.service_of[micros[micro]], region=region)
@@ -204,7 +228,8 @@ class TestOnlineCorrelatorAgainstNaiveScan:
         want: list[AlertCluster] = []
         counted: Counter[str] = Counter()
         added_max = watermark = float("-inf")
-        for index, (alert, (op, tick)) in enumerate(zip(alerts, ops)):
+        mutated = False
+        for index, (alert, (op, tick, first, second)) in enumerate(zip(alerts, ops)):
             online.add(alert)
             naive.add(alert)
             evicting.add(alert)
@@ -230,6 +255,18 @@ class TestOnlineCorrelatorAgainstNaiveScan:
                     assert migrated.retained == 0 and migrated.active_components == 0
                 online, evicting = fresh, fresh_evicting
                 naive.migrate()
+            elif op == "rule":
+                count = len(_STRATEGIES)
+                source, derived = _STRATEGIES[first % count], _STRATEGIES[second % count]
+                if source != derived:
+                    rulebook.add(source, derived)
+                    mutated = True
+            elif op == "edge":
+                try:
+                    graph.add_dependency(micros[first], micros[second])
+                    mutated = True
+                except ValidationError:  # a self-loop or a cycle
+                    pass
             assert evicting.retained <= online.retained
             assert evicting.active_components == online.active_components
         closed, clusters = online.drain()
@@ -239,6 +276,18 @@ class TestOnlineCorrelatorAgainstNaiveScan:
         counted.update(closed)
         assert _emitted(got) == _emitted(want)
         batch = analyzer.correlate(list(alerts))
-        assert sorted(sorted(a.alert_id for a in c.alerts) for c in got) == \
-            sorted(sorted(a.alert_id for a in c.alerts) for c in batch)
-        assert dict(counted) == _per_region(batch)
+        online_partition = sorted(sorted(a.alert_id for a in c.alerts) for c in got)
+        batch_partition = sorted(sorted(a.alert_id for a in c.alerts) for c in batch)
+        if not mutated:
+            assert online_partition == batch_partition
+            assert dict(counted) == _per_region(batch)
+        else:
+            component_of = {
+                alert_id: index
+                for index, members in enumerate(batch_partition)
+                for alert_id in members
+            }
+            assert all(
+                len({component_of[alert_id] for alert_id in members}) == 1
+                for members in online_partition
+            )

@@ -8,6 +8,11 @@ shortest paths on a copy of the graph at query time; the analyzer
 answers from its per-microservice neighbourhood rows.  Graph and rule
 book mutations are interleaved with the queries, so a stale row or a
 stale empty-book shortcut shows up as a mismatch.
+
+The partner form the online correlator enumerates — the rule book's
+``partners`` of a strategy and the analyzer's ``evidence_microservices``
+of a microservice — must name exactly the strategies and microservices
+the same reference links, at every query.
 """
 
 import networkx as nx
@@ -44,6 +49,10 @@ def _reference(graph, rules, use_topology, max_hops, first, second):
     (strategy_a, micro_a), (strategy_b, micro_b) = first, second
     if (strategy_a, strategy_b) in rules or (strategy_b, strategy_a) in rules:
         return True
+    return _topology_reference(graph, use_topology, max_hops, micro_a, micro_b)
+
+
+def _topology_reference(graph, use_topology, max_hops, micro_a, micro_b):
     if not use_topology:
         return False
     if micro_a == micro_b:
@@ -108,6 +117,20 @@ class TestEvidencePredicate:
                         )
                         assert analyzer.pair_evidence(here, there) == expected
                         assert not analyzer.pair_evidence(here, elsewhere)
+                for micro_a in MICROSERVICES:
+                    assert analyzer.evidence_microservices(micro_a) == {
+                        micro_b for micro_b in MICROSERVICES
+                        if _topology_reference(
+                            graph, use_topology, max_hops, micro_a, micro_b)
+                    }
+                for strategy_a in STRATEGIES:
+                    linked = {
+                        strategy_b for strategy_b in STRATEGIES
+                        if (strategy_a, strategy_b) in rules
+                        or (strategy_b, strategy_a) in rules
+                    }
+                    assert book.partners(strategy_a) == linked
+                    assert analyzer.rule_partners(strategy_a) == linked
             elif kind == "edge":
                 _add_edge(graph, operation[1], operation[2])
             elif kind == "node":

@@ -18,6 +18,7 @@ from repro.core.mitigation.blocking import AlertBlocker, BlockingRule
 from repro.streaming import AlertGateway, LearnerConfig, OnlineRuleLearner
 from repro.streaming.learning import (
     RuleEvent,
+    _KeyWindow,
     flush_observations,
     rule_set_divergence,
 )
@@ -130,6 +131,43 @@ class TestLearnerLifecycle:
         metrics = rule_set_divergence({"a", "b"}, {"b", "c"})
         assert metrics["precision"] == pytest.approx(0.5)
         assert metrics["recall"] == pytest.approx(0.5)
+
+
+class TestKeyWindowPrune:
+    """Entries need not arrive in time order; a prune still drops exactly
+    the pre-horizon ones, and one with nothing expired changes nothing."""
+
+    def test_out_of_order_entries_are_pruned_exactly(self):
+        window = _KeyWindow()
+        for entry in ((300.0, 5, 1), (100.0, 3, 3), (500.0, 2, 0), (200.0, 4, 2)):
+            window.add(*entry)
+        window.prune(250.0)
+        assert window.entries == [(300.0, 5, 1), (500.0, 2, 0)]
+        assert (window.seen, window.transient) == (7, 1)
+        window.add(150.0, 1, 1)  # late: below the horizon just pruned
+        window.add(600.0, 1, 0)
+        window.prune(250.0)
+        assert window.entries == [(300.0, 5, 1), (500.0, 2, 0), (600.0, 1, 0)]
+        assert (window.seen, window.transient) == (8, 1)
+        window.prune(550.0)
+        assert window.entries == [(600.0, 1, 0)]
+        assert (window.seen, window.transient) == (1, 0)
+        window.prune(700.0)
+        assert (window.entries, window.seen, window.transient) == ([], 0, 0)
+
+    def test_restored_out_of_order_window_is_pruned_exactly(self):
+        learner = OnlineRuleLearner(CONFIG)
+        learner.observe([obs("s-a", seen=3)], 100.0, 3)
+        state = learner.export_state()
+        state["windows"] = {"s-a": {"region-A": [[500.0, 2, 0], [100.0, 3, 1], [450.0, 4, 0]]}}
+        restored = OnlineRuleLearner(CONFIG)
+        restored.restore_state(json.loads(json.dumps(state)))
+        restored.observe([], 700.0, 3)  # horizon 100.0: nothing expires
+        assert restored.export_state()["windows"] == state["windows"]
+        restored.observe([], 800.0, 3)  # horizon 200.0: only the 100.0 entry
+        window = restored._windows["s-a"]["region-A"]
+        assert window.entries == [(500.0, 2, 0), (450.0, 4, 0)]
+        assert (window.seen, window.transient) == (6, 0)
 
 
 class TestBlockerRuleRetirement:
