@@ -18,6 +18,7 @@ partial book with a configurable coverage fraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.alerting.alert import Alert
@@ -96,12 +97,23 @@ class CorrelationAnalyzer:
     pair (either direction), else — with ``use_topology`` — equal
     microservices or a dependency path of at most ``max_hops`` either
     way.  Two alerts are linked when their regions are equal and their
-    signatures are; the batch sweep (:meth:`correlate`) and
-    :meth:`pair_evidence` ask it pair by pair.  The relation is
-    symmetric, and it is written over its partner form — a signature's
-    partners are the rule-book :meth:`rule_partners` of its strategy and
-    the :meth:`evidence_microservices` of its microservice — which the
-    online correlator enumerates once per new signature instead.
+    signatures are, and both lie within ``time_window`` of each other.
+    The relation is symmetric, and it is written over its partner form —
+    a signature's partners are the rule-book :meth:`rule_partners` of its
+    strategy and the :meth:`evidence_microservices` of its microservice —
+    which the online correlator enumerates once per new signature.
+
+    The batch sweep (:meth:`correlate`) is the oracle the online
+    correlator is checked against, so it shares only this definition and
+    none of the online correlator's structures.  It walks the alerts in
+    time order and keeps, per region and signature, the members seen so
+    far.  The first time a signature shows up in a region it asks
+    :meth:`signature_evidence` once each way against every signature
+    already known there, in the pair sweep's own argument order; an
+    alert then joins only the in-window members of its partners, found
+    with one ``bisect``.  That costs ``O(S²)`` evidence calls for ``S``
+    signatures per region plus one visit per linked in-window pair, not
+    one evidence call per in-window pair.
     """
 
     def __init__(
@@ -131,6 +143,8 @@ class CorrelationAnalyzer:
         ordered = sorted(alerts, key=lambda a: a.occurred_at)
         n = len(ordered)
         parent = list(range(n))
+        window = self._window
+        evidence = self.signature_evidence
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -138,20 +152,54 @@ class CorrelationAnalyzer:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+        # (region, strategy, microservice) -> (member times, member
+        # indices, partners): the members so far in sorted order, and the
+        # entries of every signature whose members a new alert of this
+        # one unions with — ``evidence(partner, this)`` holds.
+        entries: dict[tuple[str, str, str], tuple[list, list, list]] = {}
+        # region -> ((strategy, microservice), entry) in first-seen order.
+        known: dict[str, list[tuple[tuple[str, str], tuple]]] = {}
 
-        left = 0
-        for right in range(n):
-            while ordered[right].occurred_at - ordered[left].occurred_at > self._window:
-                left += 1
-            for other in range(left, right):
-                if find(other) == find(right):
+        for right, alert in enumerate(ordered):
+            key = (alert.region, alert.strategy_id, alert.microservice)
+            entry = entries.get(key)
+            if entry is None:
+                signature = key[1:]
+                entry = entries[key] = ([], [], [])
+                partners = entry[2]
+                region_known = known.setdefault(alert.region, [])
+                for other, other_entry in region_known:
+                    if evidence(other, signature):
+                        partners.append(other_entry)
+                    if evidence(signature, other):
+                        other_entry[2].append(entry)
+                if evidence(signature, signature):
+                    partners.append(entry)
+                region_known.append((signature, entry))
+            times, indices, partners = entry
+            at = alert.occurred_at
+            # ``right`` has joined nothing yet: only later alerts union
+            # with it, and each does so from its own turn.
+            root = right
+            for other_times, other_indices, _ in partners:
+                # Most partners' members have all left the window.
+                if not other_times or at - other_times[-1] > window:
                     continue
-                if self._evidence(ordered[other], ordered[right]):
-                    union(other, right)
+                start = bisect_left(other_times, at - window)
+                # The rounded bound may sit one ulp off the sweep's own
+                # test; step onto it.
+                while start and at - other_times[start - 1] <= window:
+                    start -= 1
+                end = len(other_times)
+                while start < end and at - other_times[start] > window:
+                    start += 1
+                for member in other_indices[start:]:
+                    joined = find(member)
+                    if joined != root:
+                        parent[root] = joined
+                        root = joined
+            times.append(at)
+            indices.append(right)
 
         members: dict[int, list[Alert]] = {}
         for index in range(n):
@@ -177,7 +225,10 @@ class CorrelationAnalyzer:
     def pair_evidence(self, first: Alert, second: Alert) -> bool:
         """Whether rule-book or topological evidence links the two alerts
         (equal regions and :meth:`signature_evidence`)."""
-        return self._evidence(first, second)
+        return first.region == second.region and self.signature_evidence(
+            (first.strategy_id, first.microservice),
+            (second.strategy_id, second.microservice),
+        )
 
     def signature_evidence(
         self, first: tuple[str, str], second: tuple[str, str],
@@ -231,12 +282,6 @@ class CorrelationAnalyzer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _evidence(self, first: Alert, second: Alert) -> bool:
-        return first.region == second.region and self.signature_evidence(
-            (first.strategy_id, first.microservice),
-            (second.strategy_id, second.microservice),
-        )
-
     def _finalise(self, alerts: list[Alert]) -> AlertCluster:
         alerts.sort(key=lambda a: a.occurred_at)
         cluster = AlertCluster(alerts=alerts)

@@ -108,6 +108,7 @@ __all__ = [
     "journal_path",
     "journal_files",
     "read_journal",
+    "decode_journal",
 ]
 
 JOURNAL_MAGIC = b"RCJ2"
@@ -420,33 +421,44 @@ class JournalWriter:
 def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]:
     """Read one journal file: ``(header, [(start_index, alerts), ...])``.
 
+    :func:`decode_journal` over the file's bytes; its errors name
+    ``path``.
+    """
+    return decode_journal(Path(path).read_bytes(), name=str(path))
+
+
+def decode_journal(
+    data: bytes, name: str = "<journal>",
+) -> tuple[dict, list[tuple[int, list[Alert]]]]:
+    """Decode one journal file's bytes: ``(header, [(start_index, alerts), ...])``.
+
     Reads ``RCJ2`` and the older ``RCJ1``.  Tolerates a cleanly-truncated
     tail (crash mid-append); raises :class:`JournalError` on bad magic,
     header damage, a CRC mismatch of any *complete* record, or a
-    CRC-valid record whose body does not decode.
+    CRC-valid record whose body does not decode.  Every message starts
+    with ``name``.
     """
-    data = Path(path).read_bytes()
     version = _VERSION_OF_MAGIC.get(data[:4])
     if version is None:
         raise JournalError(
-            f"{path}: not a journal file (magic {data[:4]!r})"
+            f"{name}: not a journal file (magic {data[:4]!r})"
         )
     offset = 4
     if len(data) < offset + _U32.size:
-        raise JournalError(f"{path}: header length truncated")
+        raise JournalError(f"{name}: header length truncated")
     (header_len,) = _U32.unpack_from(data, offset)
     offset += _U32.size
     if len(data) < offset + header_len:
-        raise JournalError(f"{path}: header truncated")
+        raise JournalError(f"{name}: header truncated")
     try:
         header = json.loads(data[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise JournalError(f"{path}: header damaged: {exc}") from exc
+        raise JournalError(f"{name}: header damaged: {exc}") from exc
     if not isinstance(header, dict):
-        raise JournalError(f"{path}: header is not a JSON object")
+        raise JournalError(f"{name}: header is not a JSON object")
     if header.get("version") != version:
         raise JournalError(
-            f"{path}: unsupported journal version {header.get('version')} "
+            f"{name}: unsupported journal version {header.get('version')} "
             f"under magic {data[:4]!r}"
         )
     offset += header_len
@@ -463,12 +475,12 @@ def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]
         payload = data[start:start + length]
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise JournalError(
-                f"{path}: CRC mismatch on complete record at byte {offset}; "
+                f"{name}: CRC mismatch on complete record at byte {offset}; "
                 f"the journal is corrupt (not merely truncated)"
             )
         if length < _U64.size:
             raise JournalError(
-                f"{path}: record at byte {offset} too short for a start index"
+                f"{name}: record at byte {offset} too short for a start index"
             )
         (start_index,) = _U64.unpack_from(payload, 0)
         body = payload[_U64.size:]
@@ -479,13 +491,13 @@ def read_journal(path: str | Path) -> tuple[dict, list[tuple[int, list[Alert]]]]
             )
         except JournalError as exc:
             raise JournalError(
-                f"{path}: record at byte {offset}: {exc}"
+                f"{name}: record at byte {offset}: {exc}"
             ) from exc
         except (ValueError, struct.error, IndexError, TypeError) as exc:
             # ValidationError (wrong inner magic, impossible times) and
             # UnicodeDecodeError are ValueErrors.
             raise JournalError(
-                f"{path}: record at byte {offset} does not decode: {exc!r}"
+                f"{name}: record at byte {offset} does not decode: {exc!r}"
             ) from exc
         records.append((int(start_index), alerts))
         offset = start + length

@@ -47,7 +47,9 @@ blocked alerts, never shrink it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.alerting.alert import Alert
@@ -233,6 +235,9 @@ class RuleDelta:
         blocker.add_rules(self.added)
 
 
+_ENTRY_TIME = itemgetter(0)
+
+
 @dataclass(slots=True)
 class _KeyWindow:
     """Sliding per-(strategy, region) counters: (time, seen, transient)."""
@@ -243,9 +248,15 @@ class _KeyWindow:
     #: The earliest entry time, so a prune with nothing expired is one
     #: compare.
     oldest: float = math.inf
+    #: Whether ``entries`` are in time order, so the expired ones are a
+    #: prefix.
+    ordered: bool = True
 
     def add(self, at: float, seen: int, transient: int) -> None:
-        self.entries.append((at, seen, transient))
+        entries = self.entries
+        if entries and at < entries[-1][0]:
+            self.ordered = False
+        entries.append((at, seen, transient))
         self.seen += seen
         self.transient += transient
         if at < self.oldest:
@@ -254,15 +265,25 @@ class _KeyWindow:
     def prune(self, horizon: float) -> None:
         """Drop every entry before ``horizon``, wherever it sits.
 
-        Entries arrive in watermark order on the live flush path, but
-        nothing guarantees that in general (late out-of-order folds,
-        hand-built windows in tests) — a positional cutoff that stops at
-        the first in-window entry would strand stale pre-horizon counts
-        forever, silently inflating A4/A5 evidence.
+        Entries arrive in watermark order on the live flush path, and
+        then the expired ones are a prefix.  Nothing guarantees that in
+        general (late out-of-order folds, hand-built windows in tests),
+        so out of order every entry is tested — a positional cutoff that
+        stops at the first in-window entry would strand stale pre-horizon
+        counts forever, silently inflating A4/A5 evidence.
         """
         if self.oldest >= horizon:
             return
-        kept = [entry for entry in self.entries if entry[0] >= horizon]
+        entries = self.entries
+        if self.ordered:
+            cut = bisect_left(entries, horizon, key=_ENTRY_TIME)
+            for _, seen, transient in entries[:cut]:
+                self.seen -= seen
+                self.transient -= transient
+            del entries[:cut]
+            self.oldest = entries[0][0] if entries else math.inf
+            return
+        kept = [entry for entry in entries if entry[0] >= horizon]
         self.seen = sum(entry[1] for entry in kept)
         self.transient = sum(entry[2] for entry in kept)
         self.oldest = min((entry[0] for entry in kept), default=math.inf)

@@ -12,6 +12,7 @@ never another exception.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.serving.journal import (
     JournalError,
     JournalWriter,
     ROW_FIELDS,
+    decode_journal,
     journal_files,
     journal_path,
     read_journal,
@@ -221,6 +223,15 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(JournalError, match="CRC mismatch"):
             read_journal(path)
+
+    def test_errors_name_the_path_or_the_given_name(self, tmp_path):
+        path = self._written(tmp_path)
+        data = b"JUNK" + path.read_bytes()[4:]
+        path.write_bytes(data)
+        with pytest.raises(JournalError, match=f"^{re.escape(str(path))}: "):
+            read_journal(path)
+        with pytest.raises(JournalError, match="^probe: not a journal"):
+            decode_journal(data, name="probe")
 
     def test_bad_magic_raises(self, tmp_path):
         path = self._written(tmp_path)
