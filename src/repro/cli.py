@@ -84,44 +84,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     return handler(args)
 
 
-def _parse_scale_spec(spec: str) -> tuple[int, int]:
-    """Validate one ``--scale-at EVENTIDX:PLANES`` token at parse time.
-
-    Argparse surfaces :class:`argparse.ArgumentTypeError` as a usage
-    error naming the offending token, so a malformed schedule fails
-    before any trace is loaded or gateway constructed.
-    """
-    head, sep, tail = spec.partition(":")
-    if not sep or ":" in tail:
-        raise argparse.ArgumentTypeError(
-            f"invalid --scale-at value {spec!r}: expected exactly one "
-            f"colon separating EVENTIDX:PLANES"
-        )
-    try:
-        event_index = int(head)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid --scale-at value {spec!r}: EVENTIDX {head!r} is not "
-            f"an integer"
-        ) from None
-    try:
-        planes = int(tail)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid --scale-at value {spec!r}: PLANES {tail!r} is not "
-            f"an integer"
-        ) from None
-    if event_index < 0:
-        raise argparse.ArgumentTypeError(
-            f"invalid --scale-at value {spec!r}: EVENTIDX must be >= 0"
-        )
-    if planes < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid --scale-at value {spec!r}: PLANES must be >= 1"
-        )
-    return event_index, planes
-
-
 def _parse_endpoint(spec: str) -> tuple[str, int]:
     """Validate one ``HOST:PORT`` endpoint token at parse time."""
     host, sep, port_text = spec.rpartition(":")
@@ -245,13 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--seed", type=int, default=None,
                         help="topology seed (default: the trace's seed)")
     _add_gateway_flags(stream)
-    stream.add_argument("--scale-at", action="append", default=None,
-                        type=_parse_scale_spec,
-                        metavar="EVENTIDX:PLANES",
-                        help="scale the live gateway to PLANES execution "
-                             "planes once EVENTIDX events have been ingested, "
-                             "migrating moved regions' whole plane state "
-                             "(repeatable for a multi-step schedule)")
     stream.add_argument("--reconcile", action="store_true",
                         help="also run the batch pipeline and verify exact "
                              "parity (with --learn-rules: report the "
@@ -385,20 +340,7 @@ def _cmd_stream(args) -> int:
         topology.graph, blocker=blocker, rulebook=rulebook,
         **_gateway_options(args),
     )
-    if args.scale_at:
-        alerts = list(trace.iter_ordered())
-        cursor = 0
-        # Specs are validated (and parsed to tuples) by argparse.
-        for event_index, planes in sorted(args.scale_at, key=lambda s: s[0]):
-            cut = min(max(event_index, cursor), len(alerts))
-            gateway.ingest_batch(alerts[cursor:cut])
-            cursor = cut
-            moved = gateway.scale_planes(planes)
-            print(f"scaled to {planes} plane(s) at event {cut}: "
-                  f"{len(moved)} region(s) migrated")
-        gateway.ingest_batch(alerts[cursor:])
-    else:
-        gateway.ingest_batch(trace.iter_ordered())
+    gateway.ingest_batch(trace.iter_ordered())
     stats = gateway.drain()
     print(stats.render())
     if args.reconcile:

@@ -366,8 +366,9 @@ class AlertGatewayService:
 
         Without ``force`` the call is a no-op unless the gateway sits at
         a natural flush barrier (returns ``None`` otherwise); with
-        ``force`` a flush is issued first — a barrier of its own, the
-        same caveat as ``scale_planes`` when rule learning is on.
+        ``force`` a flush is issued first — a barrier of its own, which
+        with rule learning on is an extra learner judgment round
+        (see :meth:`AlertGateway.flush`).
         """
         with self._lock:
             gateway = self._require_gateway()

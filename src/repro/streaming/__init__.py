@@ -79,7 +79,7 @@ from repro.streaming.routing import PlaneRouter
 from repro.streaming.sources import iter_jsonl_alerts, merge_ordered
 from repro.streaming.stats import GatewayStats
 from repro.streaming.storm import OnlineStormDetector, RegionStormState
-from repro.streaming.windows import LatencyReservoir, RingCounter
+from repro.streaming.windows import LatencyReservoir
 from repro.streaming.wire import (
     AlertBatchBuilder,
     pack_aggregates,
@@ -122,7 +122,6 @@ __all__ = [
     "measure_stream_qoa",
     "OnlineStormDetector",
     "RegionStormState",
-    "RingCounter",
     "LatencyReservoir",
     "drive_gateway",
     "FleetError",

@@ -17,10 +17,10 @@ lives and what executes it:
   lanes (:mod:`~repro.streaming.lanes`) exist to feed these workers.
 
 Both backends speak the same protocol — ``flush`` with a barrier per
-call, ``scale`` for live re-planing, ``checkpoint``/``restore`` for
-durable capture, ``drain``/``close`` for shutdown — and every call that
-runs planes answers with one :class:`~repro.streaming.plane.PlaneReport`
-per plane it touched.  Both produce *bitwise identical*
+call, ``checkpoint``/``restore`` for durable capture, ``drain``/``close``
+for shutdown — and every call that runs planes answers with one
+:class:`~repro.streaming.plane.PlaneReport` per plane it touched.  The
+plane count is fixed at construction.  Both produce *bitwise identical*
 volume accounting: a plane's reaction chain only ever sees its own
 regions' events in arrival order, so where it runs cannot change what it
 counts.  The parity harness in ``tests/streaming/test_backends.py`` pins
@@ -110,33 +110,17 @@ class PlaneBackend(Protocol):
         """
         ...
 
-    def scale(
-        self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneReport]:
-        """Re-plane to ``n_planes``, migrating each moved region's state.
-
-        A barrier (the gateway flushes first, so no batch is in flight):
-        every region in ``moved`` (``region -> (old plane, new plane)``)
-        has its *entire* plane state — open R2 sessions, R3 window +
-        union-find, R4 counters and novelty state, lifetime counter
-        slice, retained artifacts — detached from its old plane and
-        installed on its new one.  Dropped planes must have had all their
-        regions exported, which the round-robin rescale guarantees.
-        Returns a post-migration report of every plane, the gateway's
-        new per-plane accounting baseline.
-        """
-        ...
-
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         """Wire-pack every (plane, region) slice, *non-destructively*.
 
         A barrier (the gateway flushes first).  Each pair's region state
         is exported, packed, and immediately re-adopted on the same
-        plane — the same export/adopt round trip live scale-out performs
-        cross-plane, whose invisibility the scale parity harness already
-        pins down — so after the call the backend is exactly as it was,
-        and the returned blobs (in ``pairs`` order) are a complete
-        durable image of all plane-resident state.  The blocker table is
+        plane, so after the call the backend holds exactly the state a
+        restore of the blobs would rebuild, and the returned blobs (in
+        ``pairs`` order) are a complete durable image of all
+        plane-resident state.  That a capture cannot be observed in the
+        continued run is pinned by the capture-invisibility property in
+        ``tests/serving/test_checkpoint_fuzz.py``.  The blocker table is
         not in the blobs: the checkpoint records it once, gateway-level.
         """
         ...
@@ -163,9 +147,8 @@ class PlaneBackend(Protocol):
 def _checkpoint_region(plane: RegionPlane, region: str) -> bytes:
     """Pack one region's plane state without disturbing the plane.
 
-    ``export_region`` is destructive by design (it is the migration
-    primitive), so a durable capture is export → pack → re-adopt on the
-    same plane.
+    ``export_region`` detaches the region's state, so a durable capture
+    is export → pack → re-adopt on the same plane.
     """
     state = plane.export_region(region)
     blob = pack_plane_state(state)
@@ -181,7 +164,6 @@ class SerialPlaneBackend:
 
     def __init__(self, n_planes: int, config: PlaneConfig) -> None:
         require_positive(n_planes, "n_planes")
-        self._config = config
         self.planes = [RegionPlane(plane, config) for plane in range(n_planes)]
 
     @property
@@ -197,36 +179,6 @@ class SerialPlaneBackend:
             self.planes[plane].process_batch(alerts, in_warmup, watermark)
             for plane, alerts, in_warmup in batches
         ]
-
-    def scale(
-        self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneReport]:
-        require_positive(n_planes, "n_planes")
-        planes = self.planes
-        # Export everything first, then adopt: the round-robin rescale
-        # can swap regions between two surviving planes.
-        states = [
-            planes[source].export_region(region)
-            for region, (source, _) in moved.items()
-        ]
-        planes.extend(
-            RegionPlane(plane, self._config)
-            for plane in range(len(planes), n_planes)
-        )
-        dropped = planes[n_planes:]
-        del planes[n_planes:]
-        # Adopt before the dropped-plane emptiness check: if the check
-        # ever fires, every exported region already lives on its
-        # destination, so the failure is loud but non-destructive.
-        for state, (_, destination) in zip(states, moved.values()):
-            planes[destination].adopt_region(state)
-        for plane in dropped:
-            if plane.processed or plane.open_sessions:
-                raise ValidationError(
-                    f"plane {plane.plane_id} still owned state after its "
-                    f"regions were exported; its history was not migrated"
-                )
-        return [plane.report() for plane in planes]
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         return [
@@ -258,13 +210,13 @@ def _plane_worker_loop(connection, plane_ids, config: PlaneConfig) -> None:
     planes = {plane: RegionPlane(plane, config) for plane in plane_ids}
     rings: dict[int, SpscRing] = {}
     try:
-        _plane_worker_commands(connection, planes, rings, config)
+        _plane_worker_commands(connection, planes, rings)
     finally:
         for ring in rings.values():
             ring.close()
 
 
-def _plane_worker_commands(connection, planes, rings, config) -> None:
+def _plane_worker_commands(connection, planes, rings) -> None:
     while True:
         try:
             kind, payload = connection.recv()
@@ -302,34 +254,6 @@ def _plane_worker_commands(connection, planes, rings, config) -> None:
                     for plane_id, blob, in_warmup in batches
                 ]
                 connection.send(("ok", results))
-            elif kind == "export_regions":
-                # One packed blob per (plane, region), request order —
-                # state crosses the pipe wire-packed, never pickled.
-                connection.send(("ok", [
-                    pack_plane_state(planes[plane].export_region(region))
-                    for plane, region in payload
-                ]))
-            elif kind == "scale":
-                create, drop, adopt = payload
-                dropped = [(plane_id, planes.pop(plane_id)) for plane_id in drop]
-                # New planes share the worker's spawn-time blocker.
-                for plane_id in create:
-                    planes[plane_id] = RegionPlane(plane_id, config)
-                for plane_id, blob in adopt:
-                    planes[plane_id].adopt_region(unpack_plane_state(blob))
-                # Checked only after adoption: a failure here is loud
-                # but non-destructive — migrated state already lives on
-                # its destination planes (possibly in other workers).
-                for plane_id, plane in dropped:
-                    if plane.processed or plane.open_sessions:
-                        raise ValueError(
-                            f"plane {plane_id} still owned state after its "
-                            f"regions were exported; its history was not "
-                            f"migrated"
-                        )
-                connection.send(("ok", [
-                    planes[plane].report() for plane in sorted(planes)
-                ]))
             elif kind == "checkpoint":
                 # Non-destructive capture: export → pack → re-adopt on
                 # the same plane, one blob per (plane, region) pair in
@@ -380,8 +304,7 @@ class ProcessPlaneBackend:
 
     def __init__(self, options: GatewayConfig, config: PlaneConfig) -> None:
         self._n_planes = options.n_planes
-        self._requested_workers = options.requested_workers
-        self.n_workers = min(self._requested_workers, self._n_planes)
+        self.n_workers = min(options.requested_workers, self._n_planes)
         self._config = config
         self._workers: list[multiprocessing.Process] | None = None
         self._connections: list = []
@@ -637,66 +560,6 @@ class ProcessPlaneBackend:
         for reply in replies:
             results.extend(reply)
         return results
-
-    def scale(
-        self, n_planes: int, moved: dict[str, tuple[int, int]],
-    ) -> list[PlaneReport]:
-        require_positive(n_planes, "n_planes")
-        if self._closed:
-            raise ValidationError("process backend already closed")
-        old_planes = self._n_planes
-        self._n_planes = int(n_planes)
-        if self._workers is None:
-            # Nothing has flowed, so there is no state to migrate; the
-            # planes will be born on the new topology at first flush —
-            # and since the fleet hasn't spawned yet, the worker clamp
-            # can still follow the new plane count.
-            self.n_workers = min(self._requested_workers, self._n_planes)
-            return [PlaneReport(plane) for plane in range(self._n_planes)]
-        # Round 1 — export: each source worker detaches its moved
-        # regions' plane state and hands it back as packed bytes.
-        exports: dict[int, list[tuple[int, str]]] = {}
-        for region, (source, _) in moved.items():
-            exports.setdefault(self._worker_of(source), []).append(
-                (source, region)
-            )
-        blobs: dict[str, bytes] = {}
-        if exports:
-            worker_ids = sorted(exports)
-            # An export is destructive: a death mid-migration loses
-            # detached state, and the gateway poisons itself.
-            replies = self._roundtrip(
-                worker_ids,
-                [("export_regions", exports[w]) for w in worker_ids],
-            )
-            for worker_id, reply in zip(worker_ids, replies):
-                for (_, region), blob in zip(exports[worker_id], reply):
-                    blobs[region] = blob
-        # Round 2 — apply: every worker drops dead planes, creates its
-        # share of new ones, and adopts the packed states routed to it.
-        creates: dict[int, list[int]] = {w: [] for w in range(self.n_workers)}
-        drops: dict[int, list[int]] = {w: [] for w in range(self.n_workers)}
-        adopts: dict[int, list[tuple[int, bytes]]] = {
-            w: [] for w in range(self.n_workers)
-        }
-        for plane in range(old_planes, n_planes):
-            creates[self._worker_of(plane)].append(plane)
-        for plane in range(n_planes, old_planes):
-            drops[self._worker_of(plane)].append(plane)
-        for region, (_, destination) in moved.items():
-            adopts[self._worker_of(destination)].append(
-                (destination, blobs[region])
-            )
-        worker_ids = list(range(self.n_workers))
-        replies = self._roundtrip(worker_ids, [
-            ("scale", (creates[w], drops[w], adopts[w]))
-            for w in worker_ids
-        ])
-        reports: list[PlaneReport] = []
-        for reply in replies:
-            reports.extend(reply)
-        reports.sort(key=lambda report: report.plane_id)
-        return reports
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
         if self._closed:

@@ -251,7 +251,7 @@ class OnlineCorrelator:
         items.insert(at, (seq, signature))
 
     def export_region(self, region: str) -> list[tuple[list[Alert], float]]:
-        """Extract one region's open components (plane migration).
+        """Extract one region's open components (checkpointing).
 
         Correlation evidence requires equal regions, so a component
         never spans regions and a region's slice of the correlator —
@@ -279,7 +279,7 @@ class OnlineCorrelator:
     def adopt_region(
         self, region: str, components: list[tuple[list[Alert], float]],
     ) -> None:
-        """Install components exported from another correlator.
+        """Install components exported by :meth:`export_region`.
 
         Members keep their exported (union) order under fresh sequence
         numbers; future merges behave exactly as if every member had

@@ -142,12 +142,13 @@ class OnlineAggregator:
         return closed
 
     def export_region(self, region: str) -> list[OpenSession]:
-        """Hand over the open sessions of one region (plane migration).
+        """Hand over the open sessions of one region (checkpointing).
 
         Sessions key on ``(strategy, region)``, so a region's slice is
-        exact; its expiry entries leave with it (this runs only when
-        planes are rescaled, so a heap rebuild is affordable).
-        Deterministic key order.
+        exact; its expiry entries leave with it.  A checkpoint runs this
+        for every region, and each call rebuilds the expiry heap, so a
+        capture costs O(regions × open sessions).  Deterministic key
+        order.
         """
         keys = sorted(
             key for key in self._sessions if key[1] == region
@@ -157,7 +158,7 @@ class OnlineAggregator:
         return [self._sessions.pop(key) for key in keys]
 
     def adopt(self, sessions: list[OpenSession]) -> None:
-        """Install sessions exported from another aggregator.
+        """Install sessions exported by :meth:`export_region`.
 
         Without ``keep_ids`` the ids a session carries (an older
         checkpoint's, or a retaining plane's) are dropped; ``count``

@@ -66,13 +66,13 @@ reconciliation invariant ``GatewayStats.reconcile`` checks, for every
 backend, plane count, and flush size.  Out-of-order events
 are processed best-effort and counted in ``late_events``.
 
-A flush or plane migration that fails part-way (a dead plane worker, a
-lane error) poisons the gateway: the error is re-raised and every later
-call refuses with "gateway already drained".  The buffers were already
-handed over, so carrying on would silently run with a plane's state
-missing.  Recovery is the serving layer's: restart the service from its
-data directory and it restores the last snapshot and replays the
-journal.
+The plane count is fixed from construction to drain.  A flush that
+fails part-way (a dead plane worker, a lane error) poisons the gateway:
+the error is re-raised and every later call refuses with "gateway
+already drained".  The buffers were already handed over, so carrying on
+would silently run with a plane's state missing.  Recovery is the
+serving layer's: restart the service from its data directory and it
+restores the last snapshot and replays the journal.
 
 >>> gateway = AlertGateway(graph, blocker=blocker, n_planes=4,   # doctest: +SKIP
 ...                        backend="process", n_workers=4, flush_size=1024)
@@ -83,13 +83,11 @@ journal.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Iterable
 
 from repro.alerting.alert import Alert
 from repro.common.errors import ValidationError
-from repro.common.validation import require_positive
 from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.blocking import AlertBlocker, rule_from_dict, rule_to_dict
 from repro.core.mitigation.correlation import AlertCluster, DependencyRuleBook
@@ -119,7 +117,7 @@ class AlertGateway:
         **options,
     ) -> None:
         #: The configuration as given (validated); see ``checkpoint_config``
-        #: for the record with live topology and effective values.
+        #: for the record with the effective values.
         self.options = options = GatewayConfig(**options)
         resolved = options.resolved()
         self._blocker = blocker or AlertBlocker()
@@ -330,11 +328,8 @@ class AlertGateway:
             self._lanes.close()
         self._backend.close()
 
-    # ------------------------------------------------------------------
-    # topology changes
-    # ------------------------------------------------------------------
     def _poison(self) -> None:
-        """Refuse all further use: a flush or a migration failed part-way."""
+        """Refuse all further use: a flush failed part-way."""
         self._drained = True
         try:
             if self._lanes is not None:
@@ -342,70 +337,6 @@ class AlertGateway:
             self._backend.close()
         except Exception:
             pass
-
-    def scale_planes(self, n_planes: int) -> dict[str, tuple[int, int]]:
-        """Re-plane the live gateway to ``n_planes``, migrating state.
-
-        A barrier: pending buffers flush first, then the
-        :class:`~repro.streaming.routing.PlaneRouter` reassigns every
-        known region to the plane a fresh ``n_planes`` ring would have
-        given it (``first_seen_index % n_planes``), and each moved
-        region's *entire* plane state — open R2 sessions, the R3
-        correlator window + union-find, R4 ring counters and novelty
-        state, its lifetime counter slice, and retained artifacts —
-        migrates to its new plane (wire-packed across process
-        boundaries on the ``process`` backend).  Scale-out and scale-in
-        are both supported; either way the run drains bit-identical to
-        a gateway built with the final plane count from the start
-        (given the same flush barriers — with rule learning on, the
-        learner's judgment positions follow the flush schedule, and
-        ``scale_planes`` is itself a flush barrier).
-
-        Returns the migration plan ``{region: (old_plane, new_plane)}``.
-        Calling with the current plane count is a plain barrier: it
-        flushes, moves nothing, and still counts as a scale event.
-        """
-        require_positive(n_planes, "n_planes")
-        if self._drained:
-            raise ValidationError("gateway already drained; create a new one")
-        self._flush()
-        stats = self.stats
-        from_planes = stats.n_planes
-        moved = self._plane_router.rescale(n_planes)
-        try:
-            reports = self._backend.scale(n_planes, moved)
-        except BaseException:
-            # The router already routes to the new topology and the
-            # backend may have migrated some regions but not others;
-            # further ingestion would silently split open sessions
-            # across planes.  Poison the gateway so the failure stays
-            # loud, then re-raise.
-            self._poison()
-            raise
-        self._buffers = [[] for _ in range(n_planes)]
-        self._warmup_pending = [0] * n_planes
-        if self._lanes is not None:
-            self._lanes.rescale(n_planes)
-        stats.n_planes = n_planes
-        stats.n_workers = self._backend.n_workers
-        stats.plane_scales += 1
-        stats.scales.append({
-            "at_input": stats.input_alerts,
-            "from_planes": from_planes,
-            "to_planes": n_planes,
-            "moved_regions": len(moved),
-        })
-        if self.learner is not None:
-            self.learner.note_topology_change(stats.input_alerts)
-        # Rebuild the per-plane accounting from the post-migration
-        # reports: rows keyed by dead plane ids must not linger (the
-        # totals merge would double-count their migrated history), and
-        # surviving rows must reflect the counter slices that moved.
-        stats.planes = {}
-        for report in reports:
-            self._set_plane_counters(report.plane_id, report.counters())
-        self._refresh_totals()
-        return moved
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -426,9 +357,9 @@ class AlertGateway:
         """Force a flush barrier, processing everything buffered.
 
         Note this is itself an observable event with rule learning on:
-        every flush is a learner judgment round, so a forced flush — like
-        ``scale_planes`` — changes the judgment schedule relative to a
-        run that never forced one.
+        every flush is a learner judgment round, so a forced flush
+        changes the judgment schedule relative to a run that never
+        forced one.
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
@@ -440,17 +371,10 @@ class AlertGateway:
         Recorded in every checkpoint so a restore can rebuild an
         identically-configured gateway (the topology graph and rulebook
         are the caller's static inputs and stay outside the snapshot):
-        the options as given, with the *live* topology and the effective
-        flush size and lane count.
+        the options as given, with the effective flush size, worker and
+        lane counts (:meth:`GatewayConfig.resolved`).
         """
-        stats = self.stats
-        return dataclasses.replace(
-            self.options,
-            n_planes=stats.n_planes,
-            n_workers=stats.n_workers,
-            flush_size=self._flush_size,
-            ingress_lanes=self.ingress_lanes,
-        ).record()
+        return self.options.resolved().record()
 
     def checkpoint_state(self) -> dict:
         """Capture the gateway's complete dynamic state (non-destructive).

@@ -300,19 +300,6 @@ class LaneIngress:
             self._flush_events = [0] * self._n_lanes
         return results, flushes, seconds, events
 
-    def rescale(self, n_planes: int) -> None:
-        """Adopt a new plane topology (call only at a barrier).
-
-        The gateway rebuilds its per-plane accounting from
-        post-migration reports, so the cached last results — lifetime
-        counters keyed by the *old* topology — must not leak into the
-        next merge.
-        """
-        self._buffers = [[] for _ in range(n_planes)]
-        self._warmup_pending = [0] * n_planes
-        self._interval_anchor = [None] * n_planes
-        self._last_results.clear()
-
     def close(self) -> None:
         """Stop the lane threads (queued work drains first); idempotent.
 

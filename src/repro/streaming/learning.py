@@ -310,9 +310,6 @@ class OnlineRuleLearner:
         #: Every strategy ever promoted (the differential harness compares
         #: this set against the batch-derived rule set).
         self.ever_promoted: set[str] = set()
-        #: Stream positions (``input_alerts``) of plane-topology changes
-        #: (:meth:`note_topology_change`), for timeline alignment.
-        self.scale_positions: list[int] = []
         #: Adaptive-threshold state (``config.adaptive``): per-(service,
         #: region) EWMA baselines ``[transient_share, repeat_rate]`` and
         #: the service each strategy last reported under.
@@ -346,7 +343,7 @@ class OnlineRuleLearner:
         Everything a restored learner needs to continue judging at the
         identical stream positions: sliding windows (totals are
         recomputed from the entries), live rules, the full event
-        timeline, lifetime counters, and the promotion/scale history.
+        timeline, lifetime counters, and the promotion history.
         The configuration is *not* included — it is construction-time,
         like the gateway's own topology.
         """
@@ -372,7 +369,6 @@ class OnlineRuleLearner:
             "demoted": self.demoted,
             "expired": self.expired,
             "ever_promoted": sorted(self.ever_promoted),
-            "scale_positions": list(self.scale_positions),
             "baselines": [
                 [service, region, values[0], values[1]]
                 for (service, region), values in sorted(self._baselines.items())
@@ -384,7 +380,12 @@ class OnlineRuleLearner:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt state captured by :meth:`export_state` (exact round trip)."""
+        """Adopt state captured by :meth:`export_state` (exact round trip).
+
+        Keys an older checkpoint carries that this learner no longer
+        reads (the stream positions of live plane-count changes) are
+        ignored.
+        """
         windows: dict[str, dict[str, _KeyWindow]] = {}
         for strategy_id, regions in state["windows"].items():
             restored: dict[str, _KeyWindow] = {}
@@ -414,7 +415,6 @@ class OnlineRuleLearner:
         self.demoted = int(state["demoted"])
         self.expired = int(state["expired"])
         self.ever_promoted = set(state["ever_promoted"])
-        self.scale_positions = [int(at) for at in state["scale_positions"]]
         # Absent from pre-adaptive checkpoints.
         self._baselines = {
             (str(service), str(region)): [float(share), float(rate)]
@@ -488,22 +488,6 @@ class OnlineRuleLearner:
         for strategy_id in sorted(touched | set(self._live)):
             self._judge(strategy_id, watermark, at_input, delta)
         return delta
-
-    def note_topology_change(self, at_input: int) -> None:
-        """Record a plane scale event (``gateway.scale_planes``).
-
-        Observation rows are keyed by ``(strategy, region)`` — plane-
-        agnostic by construction — so a region's migration re-homes its
-        evidence implicitly: every future flush contributes exactly one
-        row per key regardless of which plane's batch holds it, which is
-        what makes rule evidence impossible to lose *or* double-count
-        across a migration (``tests/streaming/test_scale.py`` pins this
-        down by re-attributing the same rows across plane splits).  The
-        learner therefore only records the stream position, so replay
-        and differential harnesses can align learned timelines with the
-        scale schedule.
-        """
-        self.scale_positions.append(int(at_input))
 
     def finish(self, watermark: float | None, at_input: int) -> RuleDelta:
         """Expire every live rule at end of stream (drain bookkeeping)."""

@@ -157,12 +157,12 @@ class PlaneReport:
 
 @dataclass(slots=True)
 class PlaneRegionState:
-    """One region's complete slice of a plane — the migration unit.
+    """One region's complete slice of a plane — the checkpoint unit.
 
-    Live plane scale-out (``gateway.scale_planes``) detaches this from
-    the region's old plane and installs it on the new one, in-process or
-    across a worker pipe (wire-packed by
-    :func:`~repro.streaming.wire.pack_plane_state`).  It carries
+    A checkpoint exports this from the region's plane, wire-packs it
+    (:func:`~repro.streaming.wire.pack_plane_state`) and re-adopts it on
+    the same plane; a restore adopts the unpacked record onto the plane
+    of a fresh gateway, in-process or in a worker.  It carries
     *everything* plane-resident the region's events ever touched: open
     R2 sessions, open R3 components (window + union-find), the R4
     detector's region record
@@ -240,8 +240,8 @@ class RegionPlane:
         self.clusters: list[AlertCluster] = []
         # Per-region slices of the four lifetime counters above
         # ([processed, blocked, aggregates, clusters]): what lets a
-        # region's whole accounting history migrate with it when the
-        # gateway scales its plane topology.
+        # checkpoint carry a region's whole accounting history with its
+        # state.
         self._region_counts: dict[str, list[int]] = defaultdict(_new_region_row)
 
     # ------------------------------------------------------------------
@@ -266,8 +266,8 @@ class RegionPlane:
         """Regions with recorded history on this plane, sorted.
 
         The keys of the per-region counter slices — exactly the regions
-        whose state (and accounting) would migrate in a plane scale, and
-        therefore exactly what a checkpoint of the plane must capture.
+        whose state (and accounting) a checkpoint of the plane must
+        capture.
         """
         return sorted(self._region_counts)
 
@@ -357,7 +357,7 @@ class RegionPlane:
         region_counts = self._region_counts
         for session in closed:
             correlator.add(session.representative)
-            # A session may close flushes (or a migration) after its
+            # A session may close flushes (or a restore) after its
             # region's last alert here, so rows appear on demand.
             region_counts[session.region][2] += 1
         self.aggregates_emitted += len(closed)
@@ -385,15 +385,16 @@ class RegionPlane:
     # lifecycle
     # ------------------------------------------------------------------
     def export_region(self, region: str) -> PlaneRegionState:
-        """Detach one region's entire slice of this plane (scale-out).
+        """Detach one region's entire slice of this plane (checkpointing).
 
         Open R2 sessions leave the processor, open R3 components leave
         the correlator, the R4 region state leaves the detector, and the
         region's lifetime counter slice (plus its retained artifacts,
         when artifacts are retained) is subtracted from this plane's
         totals — so after the export this plane accounts only for the
-        regions it still owns, and the adopting plane continues the
-        region's stream exactly where it left off.
+        regions it still owns, and the adopting plane (this one again at
+        a capture, a fresh one at a restore) continues the region's
+        stream exactly where it left off.
         """
         sessions = self.processor.export_region(region)
         components = self._correlator.export_region(region)
@@ -432,7 +433,7 @@ class RegionPlane:
         )
 
     def adopt_region(self, state: PlaneRegionState) -> None:
-        """Install a region's slice exported from another plane.
+        """Install a region's slice exported by :meth:`export_region`.
 
         Sessions, components and R4 state are re-installed verbatim; the
         counter slice joins this plane's totals.

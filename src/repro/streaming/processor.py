@@ -60,7 +60,7 @@ class StreamProcessor:
         for strategies no rule targets; R2 folds the survivors grouped by key.
         ``blocked_by_region`` accumulates the per-region blocked counts
         (one dict increment per *blocked* alert only) — the owning
-        plane's migration-grade accounting.
+        plane's per-region accounting, which checkpoints carry.
         """
         ruled = self._blocker.ruled_strategies
         unconditional = self._blocker.unconditional_strategies
@@ -86,11 +86,11 @@ class StreamProcessor:
         return blocked, self._aggregator.ingest_batch(survivors)
 
     def export_region(self, region: str) -> list[OpenSession]:
-        """Hand over one region's open R2 sessions (plane migration)."""
+        """Hand over one region's open R2 sessions (checkpointing)."""
         return self._aggregator.export_region(region)
 
     def adopt(self, sessions: list[OpenSession]) -> None:
-        """Install R2 sessions migrated from another plane."""
+        """Install R2 sessions exported by :meth:`export_region`."""
         self._aggregator.adopt(sessions)
 
     def drain(self) -> list[OpenSession]:

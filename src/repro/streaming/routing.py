@@ -8,8 +8,8 @@ plane that can run R1-R4 end to end without coordination.  Regions are
 assigned to planes sticky round-robin in first-seen order: deterministic
 for a given stream, perfectly balanced for small region populations
 (where a hash ring would leave planes empty), and never revisited — a
-region's plane owns all of its state until a live ``scale_planes``
-re-plans the whole map.
+region's plane owns all of its state for the gateway's whole life, and
+the plane count is fixed at construction.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ class PlaneRouter:
     def restore(self, assignments: "list[tuple[str, int]] | dict[str, int]") -> None:
         """Adopt a previously-captured region → plane map (checkpoint restore).
 
-        ``assignments`` must be in **first-seen order** — round-robin
-        continuation for regions first seen after the restore, and any
-        later :meth:`rescale`, both derive a region's plane from its
-        insertion index, so order is part of the state.  Only valid on a
-        fresh router (no assignments made yet), and every plane id must
-        fit the current plane count.
+        ``assignments`` must be in **first-seen order**: round-robin
+        continuation for regions first seen after the restore derives
+        from the number of regions already assigned, and the checkpoint
+        replays regions in this order, so order is part of the state.
+        Only valid on a fresh router (no assignments made yet), and every
+        plane id must fit the plane count.
         """
         if self._plane_of:
             raise ValidationError(
@@ -97,28 +97,3 @@ class PlaneRouter:
                 )
             restored[str(region)] = plane
         self._plane_of = restored
-
-    def rescale(self, n_planes: int) -> dict[str, tuple[int, int]]:
-        """Regrow the ring to ``n_planes``; returns the migration plan.
-
-        Every known region is reassigned to ``first_seen_index %
-        n_planes`` — exactly the plane a fresh ``PlaneRouter(n_planes)``
-        would have picked for the same first-seen sequence, which is the
-        property live scale-out's *invisibility* rests on: after the
-        final scale event, the region → plane map is indistinguishable
-        from a gateway built with that plane count from the start.
-        Returns ``{region: (old_plane, new_plane)}`` for the regions
-        whose owner changed (``moved_regions``), in first-seen order;
-        regions first seen later keep extending the same round-robin.
-        """
-        require_positive(n_planes, "n_planes")
-        n = int(n_planes)
-        moved: dict[str, tuple[int, int]] = {}
-        for index, region in enumerate(self._plane_of):
-            new_plane = index % n
-            old_plane = self._plane_of[region]
-            if old_plane != new_plane:
-                moved[region] = (old_plane, new_plane)
-                self._plane_of[region] = new_plane
-        self._n_planes = n
-        return moved

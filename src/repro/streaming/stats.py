@@ -54,10 +54,6 @@ class GatewayStats:
     emerging_flags: int = 0
     late_events: int = 0
     flushes: int = 0
-    #: Live plane scale events (``gateway.scale_planes``): count plus a
-    #: log of ``{at_input, from_planes, to_planes, moved_regions}`` rows.
-    plane_scales: int = 0
-    scales: list = field(default_factory=list)
     #: Ingress-lane backpressure: blocking puts against a full bounded
     #: lane queue (a slow worker throttling ingest instead of buffering
     #: without limit).  Zero on the classic single-lane path.
@@ -148,9 +144,8 @@ class GatewayStats:
     _RESTORABLE = (
         "input_alerts", "blocked_alerts", "aggregates_emitted",
         "clusters_finalized", "storm_episodes", "emerging_flags",
-        "late_events", "flushes", "plane_scales",
-        "watermark", "rules_promoted", "rules_renewed", "rules_demoted",
-        "rules_expired", "rules_active",
+        "late_events", "flushes", "watermark", "rules_promoted",
+        "rules_renewed", "rules_demoted", "rules_expired", "rules_active",
     )
 
     def export_state(self) -> dict:
@@ -163,7 +158,6 @@ class GatewayStats:
         """
         state = {name: getattr(self, name) for name in self._RESTORABLE}
         state["lane_stalls"] = self.lane_stalls
-        state["scales"] = [dict(scale) for scale in self.scales]
         state["qoa"] = (
             {k: dict(v) for k, v in self.qoa.items()}
             if self.qoa is not None else None
@@ -179,12 +173,15 @@ class GatewayStats:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Adopt accounting captured by :meth:`export_state` (exact)."""
+        """Adopt accounting captured by :meth:`export_state` (exact).
+
+        Keys an older checkpoint carries that this class no longer has
+        (the count and log of live plane-count changes) are ignored.
+        """
         for name in self._RESTORABLE:
             setattr(self, name, state[name])
         # Outside the strict tuple: absent from pre-ring checkpoints.
         self.lane_stalls = state.get("lane_stalls", 0)
-        self.scales = [dict(scale) for scale in state["scales"]]
         self.qoa = (
             {k: dict(v) for k, v in state["qoa"].items()}
             if state["qoa"] is not None else None
@@ -229,9 +226,7 @@ class GatewayStats:
             "emerging_flags": self.emerging_flags,
             "late_events": self.late_events,
             "flushes": self.flushes,
-            "plane_scales": self.plane_scales,
             "lane_stalls": self.lane_stalls,
-            "scales": [dict(scale) for scale in self.scales],
             "watermark": self.watermark,
             "total_reduction": self.total_reduction,
             "throughput": self.throughput,
@@ -334,10 +329,4 @@ class GatewayStats:
             lines.append(f"late (out-of-order) events: {self.late_events:,}")
         if self.lane_stalls:
             lines.append(f"ingress lane stalls: {self.lane_stalls:>8,}")
-        if self.plane_scales:
-            moved = sum(scale["moved_regions"] for scale in self.scales)
-            lines.append(
-                f"plane scale events:  {self.plane_scales:>8}  "
-                f"({moved} region migrations)"
-            )
         return "\n".join(lines)

@@ -6,11 +6,15 @@ batch form replays the whole stream through an online LDA.  The
 streaming detector keeps the same two signals live with O(1) state per
 region, all of it in one :class:`RegionStormState` record:
 
-* **storms** — a time-bucketed ring (the
-  :class:`~repro.streaming.windows.RingCounter` algorithm, inlined)
-  tracks the region's rolling hourly volume; crossing the flood
-  threshold opens a storm episode, falling below half of it closes the
-  episode (hysteresis, so one storm is not reported once per event);
+* **storms** — a ring of ``bucket_seconds`` buckets spanning one hour
+  tracks the region's rolling hourly volume.  It lives in the region's
+  record as ``counts``, the newest absolute bucket ``head`` and a
+  running ``total``.  Moving to a newer bucket zeroes only the buckets
+  skipped since the region's last event, so a sparse region costs
+  O(buckets skipped), never O(elapsed time); an event older than the
+  ring is not counted.  Crossing the flood threshold opens a storm
+  episode, falling below half of it closes the episode (hysteresis, so
+  one storm is not reported once per event);
 * **emerging alerts** — a strategy alerting in a region for the first
   time while the region's volume is *rising* toward a storm is exactly
   the "few alerts corresponding to a root cause appear first" pattern
@@ -38,7 +42,7 @@ class RegionStormState:
     """One region's complete R4 state: the detector's live record.
 
     The detector keeps exactly one of these per region it has seen, and
-    plane migration moves the record itself: the rate ring, the open
+    a checkpoint exports the record itself: the rate ring, the open
     storm episode if one is in flight, the novelty recency map, the
     region's lifetime episode/emerging counts, and its ingested-event
     count (the novelty warmup position a standalone detector derives
@@ -229,15 +233,15 @@ class OnlineStormDetector:
             state.episode_peak_rate = 0.0
 
     # ------------------------------------------------------------------
-    # plane migration
+    # checkpoint export / restore
     # ------------------------------------------------------------------
     def export_region(self, region: str) -> RegionStormState:
-        """Detach one region's whole R4 state (plane migration).
+        """Detach one region's whole R4 state (checkpointing).
 
         The region's record leaves this instance, and its slice of the
         lifetime episode/emerging/ingested counts is subtracted — so the
         exporting detector's counts reflect only the regions it still
-        owns, and :meth:`adopt_region` restores them on the new owner
+        owns, and :meth:`adopt_region` restores them on the adopting one
         without loss or double counting.  A region never seen exports an
         empty record.
         """
@@ -250,12 +254,12 @@ class OnlineStormDetector:
         return state
 
     def adopt_region(self, state: RegionStormState) -> None:
-        """Install a region's R4 state exported from another detector.
+        """Install a region's R4 state exported by :meth:`export_region`.
 
         The record itself becomes this instance's live state (the
-        caller hands it over).  An open episode continues on the new
-        owner; it was already counted, and its count migrates with the
-        record, so it is not counted again.
+        caller hands it over).  An open episode continues on the
+        adopting detector; it was already counted, and its count travels
+        with the record, so it is not counted again.
         """
         region = state.region
         if region in self._regions:

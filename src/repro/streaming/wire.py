@@ -528,7 +528,7 @@ def unpack_clusters(data: bytes) -> list[AlertCluster]:
 
 
 # ----------------------------------------------------------------------
-# plane-state snapshots (whole-region migration for live plane scale-out)
+# plane-state snapshots (one region's whole plane state, for checkpoints)
 # ----------------------------------------------------------------------
 _SESSION_FIXED = struct.Struct("<IIddI")
 #: bucket_seconds, head, total, episode_started_at, episode_peak_rate,
@@ -542,7 +542,7 @@ _PLANE_FLAG_HEAD = 8
 
 
 def pack_plane_state(state) -> bytes:
-    """Encode one region's whole plane state (a migration snapshot).
+    """Encode one region's whole plane state (a checkpoint blob).
 
     ``state`` is a :class:`~repro.streaming.plane.PlaneRegionState`:
     open R2 sessions, open R3 components (member representatives plus

@@ -1,10 +1,12 @@
 """Shared fixtures: one topology, hub, and small trace per session.
 
 Also registers the ``scale_chaos`` hypothesis profile: a seeded,
-derandomized, higher-example run of the plane scale-out chaos harness,
-selected in CI with ``HYPOTHESIS_PROFILE=scale_chaos`` so the dedicated
-job explores a fixed, reproducible schedule corpus instead of a fresh
-random one per run.
+derandomized, higher-example run of the property tests (the checkpoint
+properties marked ``scale_chaos`` and the per-module properties that
+read the profile), selected in CI with ``HYPOTHESIS_PROFILE=scale_chaos``
+so the seeded-properties job explores a fixed, reproducible corpus
+instead of a fresh random one per run.  The name is historical; the CI
+steps select the profile by it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from repro.core.mitigation.blocking import AlertBlocker, BlockingRule
 from repro.streaming import AlertGateway
 
 from tests.streaming.test_golden_trace import golden_graph
-from tests.streaming.test_scale import _storm_trace
+from tests.streaming.multiregion import multiregion_trace
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +19,8 @@ def serving_graph():
 
 @pytest.fixture(scope="session")
 def storm_alerts():
-    """The multi-region storm trace the scale-parity harness uses."""
-    return _storm_trace(480)
+    """The multi-region storm trace (:mod:`tests.streaming.multiregion`)."""
+    return multiregion_trace(480)
 
 
 def serving_blocker() -> AlertBlocker:

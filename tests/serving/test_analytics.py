@@ -38,11 +38,9 @@ def _cold_status(gateway) -> dict:
     dict(backend="process", n_workers=2, ingress_lanes=2, flush_size=32),
 ], ids=["serial-observing", "process-lanes"])
 def test_cold_gateway_view_is_the_live_one(serving_graph, storm_alerts, kwargs):
-    gateway = make_gateway(serving_graph, **kwargs)
+    gateway = make_gateway(serving_graph, n_planes=3, **kwargs)
     try:
-        gateway.ingest_batch(storm_alerts[:300])
-        gateway.scale_planes(3)
-        gateway.ingest_batch(storm_alerts[300:])
+        gateway.ingest_batch(storm_alerts)
         gateway.flush()
         live = gateway.stats.snapshot()
         cold = _cold_status(gateway)["gateway"]

@@ -13,7 +13,8 @@ keys of the process fleet's retired in-place recovery
 continue the stream and drain to the golden counts, and render it in the
 operator views — also after a second crash, when its epoch holds the
 legacy ``RCJ1`` journal part next to an ``RCJ2`` part the current code
-wrote.
+wrote.  A last test covers the keys checkpoints carried while planes
+could be rescaled at runtime.
 """
 
 from __future__ import annotations
@@ -25,10 +26,20 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.serving import CheckpointLoader, journal_files
+from repro.core.mitigation.blocking import AlertBlocker
+from repro.serving import (
+    CheckpointLoader,
+    decode_checkpoint,
+    encode_checkpoint,
+    journal_files,
+    restore_gateway,
+)
+from repro.serving.checkpoint import checkpoint_of_gateway
 from repro.streaming.wire import pack_plane_state, unpack_plane_state
 
+from tests.serving.conftest import make_gateway
 from tests.serving.legacy_service_fixture import CRASH_AT, SNAPSHOT_AT, service
+from tests.streaming.multiregion import counts
 from tests.streaming.test_golden_trace import (
     EXPECTED_PATH,
     _load_alerts,
@@ -97,3 +108,44 @@ def test_ops_views_render_the_legacy_directory(legacy_copy, view, capsys):
     out = capsys.readouterr().out
     assert "checkpoint epoch 1" in out
     assert "plane 1 [region-A]" in out
+
+
+def test_checkpoint_with_live_replaning_keys_still_restores(
+    serving_graph, storm_alerts,
+):
+    """Checkpoints written while planes could be rescaled at runtime
+    carry ``stats.plane_scales``, ``stats.scales`` and
+    ``learner.scale_positions``.  A restore ignores them and continues to
+    the same drained accounting and learned-rule timeline."""
+    options = dict(flush_size=64, learn_rules=True, enable_qoa=True,
+                   blocker=AlertBlocker())
+    reference = make_gateway(serving_graph, **options)
+    reference.ingest_batch(storm_alerts)
+    want_stats = reference.drain()
+    assert reference.learner.events, "the trace must teach the learner rules"
+
+    # A multiple of flush_size: the cut is a natural barrier, so the
+    # subject's flush schedule is the reference's.
+    cut = 256
+    subject = make_gateway(serving_graph, **options)
+    subject.ingest_batch(storm_alerts[:cut])
+    assert subject.at_flush_barrier
+    snapshot = checkpoint_of_gateway(subject, seq=1, created_at=0.0)
+    subject.close()
+    snapshot.state["stats"]["plane_scales"] = 2
+    snapshot.state["stats"]["scales"] = [
+        {"at_input": 64, "from_planes": 1, "to_planes": 3, "moved_regions": 2},
+        {"at_input": 128, "from_planes": 3, "to_planes": 2, "moved_regions": 1},
+    ]
+    snapshot.state["learner"]["scale_positions"] = [64, 128]
+
+    restored = restore_gateway(
+        decode_checkpoint(encode_checkpoint(snapshot)), serving_graph,
+    )
+    restored.ingest_batch(storm_alerts[cut:])
+    got_stats = restored.drain()
+    assert counts(got_stats) == counts(want_stats)
+    assert got_stats.planes == want_stats.planes
+    assert got_stats.qoa == want_stats.qoa
+    assert restored.learner.events == reference.learner.events
+    assert restored.learner.counters() == reference.learner.counters()

@@ -24,11 +24,11 @@ from repro.streaming import AlertGateway
 
 from tests.serving.conftest import make_gateway, serving_blocker
 from tests.streaming.test_golden_trace import golden_graph
-from tests.streaming.test_scale import (
-    _aggregate_fingerprint,
-    _cluster_fingerprint,
-    _counts,
-    _storm_trace,
+from tests.streaming.multiregion import (
+    aggregate_fingerprint,
+    cluster_fingerprint,
+    counts,
+    multiregion_trace,
 )
 
 pytestmark = pytest.mark.scale_chaos
@@ -41,9 +41,9 @@ def _uninterrupted(graph, trace, **kwargs):
     gateway.ingest_batch(trace)
     stats = gateway.drain()
     return (
-        _counts(stats),
-        _aggregate_fingerprint(gateway),
-        _cluster_fingerprint(gateway),
+        counts(stats),
+        aggregate_fingerprint(gateway),
+        cluster_fingerprint(gateway),
         stats.qoa,
     )
 
@@ -96,9 +96,9 @@ class TestKillRestoreMatrix:
         gateway = revived.gateway
         stats = gateway.drain()
         got = (
-            _counts(stats),
-            _aggregate_fingerprint(gateway),
-            _cluster_fingerprint(gateway),
+            counts(stats),
+            aggregate_fingerprint(gateway),
+            cluster_fingerprint(gateway),
             stats.qoa,
         )
         assert got == want
@@ -180,9 +180,9 @@ class TestChaosInterleavings:
         gateway = final.gateway
         stats = gateway.drain()
         got = (
-            _counts(stats),
-            _aggregate_fingerprint(gateway),
-            _cluster_fingerprint(gateway),
+            counts(stats),
+            aggregate_fingerprint(gateway),
+            cluster_fingerprint(gateway),
             stats.qoa,
         )
         assert got == want
@@ -222,9 +222,9 @@ class TestLazyJournalTier:
         gateway = revived.gateway
         stats = gateway.drain()
         got = (
-            _counts(stats),
-            _aggregate_fingerprint(gateway),
-            _cluster_fingerprint(gateway),
+            counts(stats),
+            aggregate_fingerprint(gateway),
+            cluster_fingerprint(gateway),
             stats.qoa,
         )
         assert got == want

@@ -33,12 +33,12 @@ from repro.streaming.stats import GatewayStats
 
 from tests.streaming.conftest import make_alert
 from tests.streaming.test_golden_trace import golden_graph
-from tests.streaming.test_scale import _blocker, _storm_trace
+from tests.streaming.multiregion import multiregion_blocker, multiregion_trace
 
 
 def _gateway(**overrides) -> AlertGateway:
     kwargs = dict(
-        blocker=_blocker(),
+        blocker=multiregion_blocker(),
         backend="process",
         n_planes=4,
         n_workers=2,
@@ -60,7 +60,7 @@ def _worker_pids(gateway) -> list[int]:
 # ----------------------------------------------------------------------
 class TestDeadWorkerDetection:
     def test_kill_raises_typed_error_not_hang(self):
-        alerts = _storm_trace()
+        alerts = multiregion_trace()
         gateway = _gateway()
         gateway.ingest_batch(alerts[:200])
         pids = _worker_pids(gateway)
@@ -90,7 +90,7 @@ class TestDeadWorkerDetection:
             ProcessPlaneBackend, "_join_worker",
             staticmethod(lambda worker: join(worker, grace=0.2, term_grace=0.2)),
         )
-        alerts = _storm_trace()
+        alerts = multiregion_trace()
         gateway = _gateway(worker_timeout=0.5)
         gateway.ingest_batch(alerts[:100])
         pids = _worker_pids(gateway)
@@ -116,7 +116,7 @@ class TestDeadWorkerDetection:
 # ----------------------------------------------------------------------
 class TestFailedFlushPoisons:
     def test_dead_worker_refuses_ingest_and_checkpoint(self):
-        alerts = _storm_trace()
+        alerts = multiregion_trace()
         gateway = _gateway()
         gateway.ingest_batch(alerts[:200])
         pids = _worker_pids(gateway)
@@ -139,14 +139,14 @@ class TestFailedFlushPoisons:
     def test_raising_source_does_not_poison(self):
         # The caller's iterable failing is not a gateway failure: what
         # it yielded stays accounted for, and the stream carries on.
-        alerts = _storm_trace()
+        alerts = multiregion_trace()
 
         def source():
             yield from alerts[:100]
             raise RuntimeError("source went away")
 
         gateway = AlertGateway(
-            golden_graph(), blocker=_blocker(), n_planes=2, flush_size=32,
+            golden_graph(), blocker=multiregion_blocker(), n_planes=2, flush_size=32,
         )
         with pytest.raises(RuntimeError, match="source went away"):
             gateway.ingest_batch(source())
@@ -178,7 +178,7 @@ class TestCloseHygiene:
         assert worker.exitcode == -signal.SIGKILL
 
     def test_close_reaps_a_killed_worker(self):
-        alerts = _storm_trace()
+        alerts = multiregion_trace()
         gateway = _gateway()
         gateway.ingest_batch(alerts[:100])
         gateway.flush()
@@ -192,7 +192,7 @@ class TestCloseHygiene:
 
     def test_close_is_idempotent(self):
         gateway = _gateway()
-        gateway.ingest_batch(_storm_trace()[:64])
+        gateway.ingest_batch(multiregion_trace()[:64])
         gateway.close()
         gateway.close()
 

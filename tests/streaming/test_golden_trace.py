@@ -8,9 +8,10 @@ session boundaries, R3 evidence or finalisation, R4 thresholds, JSONL
 round-tripping — fails here before it can silently alter every other
 result in the repo.
 
-The expectations apply to *every* execution backend and plane count and
-to the batch pipeline, so the file also guards streaming/batch parity —
-and plane-partitioning exactness — itself.
+The expectations apply to *every* execution backend and plane count, to
+replays restored from checkpoints mid-trace, and to the batch pipeline,
+so the file also guards streaming/batch parity — and plane-partitioning
+and restore exactness — itself.
 
 Regenerate (after an intentional semantics change, with review):
 
@@ -36,16 +37,8 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "golden_stream"
 TRACE_PATH = DATA_DIR / "trace.jsonl"
 EXPECTED_PATH = DATA_DIR / "expected.json"
 LEARNED_PATH = DATA_DIR / "learned_rules.json"
-SCALED_PATH = DATA_DIR / "scaled_trace.json"
 
 WINDOW = 900.0
-
-#: Frozen scale-event schedule for the scaled-trace fixture: the golden
-#: trace replayed from one plane, scaled out to 3 mid-flood, then back
-#: in to 2 — so the fixture freezes migration bookkeeping (who moved,
-#: which plane owns which history) on top of the already-frozen counts.
-SCALE_SCHEDULE = ((90, 3), (200, 2))
-SCALE_INITIAL_PLANES = 1
 
 #: Frozen learner configuration for the learned-rules fixture.  The
 #: golden flood (120 alerts in 25 minutes) deliberately crosses the A5
@@ -89,6 +82,28 @@ def _run_gateway(alerts, backend: str, **kwargs):
     return gateway.drain()
 
 
+#: Restore points for the checkpointed replays: multiples of the flush
+#: size 64, so each lands on a barrier the uninterrupted run flushes at
+#: anyway and adds no judgment round of its own.
+RESTORE_AT = (64, 192)
+
+
+def _run_restored(alerts, build):
+    """Replay ``alerts`` through ``build()`` gateways, checkpointing at
+    every :data:`RESTORE_AT` barrier into a fresh gateway."""
+    gateway = build()
+    cursor = 0
+    for position in RESTORE_AT:
+        gateway.ingest_batch(alerts[cursor:position])
+        cursor = position
+        state = gateway.checkpoint_state()
+        gateway.close()
+        gateway = build()
+        gateway.adopt_checkpoint(state)
+    gateway.ingest_batch(alerts[cursor:])
+    return gateway, gateway.drain()
+
+
 def _stats_payload(stats) -> dict:
     return {
         "input_alerts": stats.input_alerts,
@@ -99,49 +114,6 @@ def _stats_payload(stats) -> dict:
         "emerging_flags": stats.emerging_flags,
         "late_events": stats.late_events,
         "watermark": stats.watermark,
-    }
-
-
-def _run_scaled_gateway(alerts, backend: str = "serial", **kwargs):
-    """The frozen scale schedule over the golden trace."""
-    gateway = AlertGateway(
-        golden_graph(), blocker=golden_blocker(), backend=backend,
-        n_planes=SCALE_INITIAL_PLANES, flush_size=64,
-        aggregation_window=WINDOW, correlation_window=WINDOW,
-        retain_artifacts=False, **kwargs,
-    )
-    moved_log = []
-    cursor = 0
-    for position, n_planes in SCALE_SCHEDULE:
-        gateway.ingest_batch(alerts[cursor:position])
-        cursor = position
-        moved = gateway.scale_planes(n_planes)
-        moved_log.append({
-            region: list(planes) for region, planes in sorted(moved.items())
-        })
-    gateway.ingest_batch(alerts[cursor:])
-    return gateway, gateway.drain(), moved_log
-
-
-def _scaled_payload(stats, moved_log) -> dict:
-    """Counts + migration bookkeeping, JSON-stable."""
-    return {
-        "counts": _stats_payload(stats),
-        "planes": [
-            {
-                "plane_id": plane_id,
-                "regions": sorted(row["regions"]),
-                "processed": row["processed"],
-                "blocked": row["blocked"],
-                "aggregates": row["aggregates"],
-                "clusters": row["clusters"],
-                "storm_episodes": row["storm_episodes"],
-                "emerging_flags": row["emerging_flags"],
-            }
-            for plane_id, row in sorted(stats.planes.items())
-        ],
-        "scales": [dict(scale) for scale in stats.scales],
-        "moved": moved_log,
     }
 
 
@@ -234,29 +206,39 @@ class TestGoldenTrace:
         gateway, stats = _run_learning_gateway(alerts, n_planes=2)
         assert _learned_payload(gateway, stats) == expected
 
-    def test_scaled_trace_counts_match_unscaled_golden(self, expected, alerts):
-        """Scale invisibility against the original fixture: the frozen
-        scale schedule must reproduce the *unscaled* golden counts bit
-        for bit — the strongest drift guard there is for migration."""
-        _, stats, _ = _run_scaled_gateway(alerts)
-        assert _stats_payload(stats) == expected["counts"]
-
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
-        ("process", {"n_workers": 2}),
+        ("process", {"n_workers": 2, "n_planes": 2}),
     ])
-    def test_scaled_trace_bookkeeping_is_frozen(self, alerts, backend, kwargs):
-        """The migration bookkeeping — per-plane ownership and counter
-        history after two scale events, the moved-region plans, the
-        scale log — is frozen for every backend.  Drift here means a
-        migration silently re-homed, lost, or double-counted state."""
-        expected = json.loads(SCALED_PATH.read_text())
-        _, stats, moved_log = _run_scaled_gateway(alerts, backend, **kwargs)
-        assert _scaled_payload(stats, moved_log) == expected, (
-            f"scaled-trace drift detected on the {backend} backend; if the "
-            f"semantics change is intentional, regenerate with --regen and "
-            f"justify the diff"
-        )
+    def test_restored_replay_counts_are_frozen(
+        self, expected, alerts, backend, kwargs,
+    ):
+        """Two checkpoint restores mid-trace (one inside the flood)
+        reproduce the uninterrupted golden counts bit for bit."""
+        def build():
+            return AlertGateway(
+                golden_graph(), blocker=golden_blocker(), backend=backend,
+                flush_size=64, aggregation_window=WINDOW,
+                correlation_window=WINDOW, **kwargs,
+            )
+        _, stats = _run_restored(alerts, build)
+        assert _stats_payload(stats) == expected["counts"]
+
+    def test_learned_rule_timeline_survives_restores(self, alerts):
+        """Learner evidence, rule TTLs and QoA counters travel in the
+        checkpoint: restoring twice mid-trace reproduces the frozen
+        learned-rule fixture exactly."""
+        expected = json.loads(LEARNED_PATH.read_text())
+
+        def build():
+            return AlertGateway(
+                golden_graph(), blocker=AlertBlocker(), flush_size=64,
+                aggregation_window=WINDOW, correlation_window=WINDOW,
+                learn_rules=True, enable_qoa=True,
+                learner_config=LEARN_CONFIG, retain_artifacts=False,
+            )
+        gateway, stats = _run_restored(alerts, build)
+        assert _learned_payload(gateway, stats) == expected
 
     def test_batch_pipeline_counts_are_frozen(self, expected, alerts):
         trace = AlertTrace(alerts=list(alerts), label="golden", seed=0)
@@ -367,11 +349,6 @@ def _regenerate() -> None:
     LEARNED_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {LEARNED_PATH}: {len(payload['events'])} rule events, "
           f"{payload['counters']}")
-    _, scaled_stats, moved_log = _run_scaled_gateway(alerts)
-    scaled = _scaled_payload(scaled_stats, moved_log)
-    SCALED_PATH.write_text(json.dumps(scaled, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {SCALED_PATH}: {len(scaled['scales'])} scale events, "
-          f"{sum(len(m) for m in scaled['moved'])} region migrations")
 
 
 if __name__ == "__main__":

@@ -348,7 +348,7 @@ class TestLaneConfig:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle: checkpoint/restore, scale, interval stall fix on the lane path
+# Lifecycle: checkpoint capture/restore, interval stall fix on the lane path
 # ---------------------------------------------------------------------------
 class TestLaneLifecycle:
     def test_checkpoint_restore_continues_bit_identical(self, golden_alerts):
@@ -377,19 +377,27 @@ class TestLaneLifecycle:
         )
         assert _accounting(resumed_stats) == _accounting(uninterrupted)
 
-    def test_scale_planes_with_lanes_matches_classic(self, golden_alerts):
-        def scaled(ingress_lanes):
+    def test_capture_with_lanes_matches_classic(self, golden_alerts):
+        """A capture mid-stream pulls every region out of the workers the
+        lanes feed and re-adopts it there; the lanes carry on as if it
+        never happened."""
+        def captured(ingress_lanes):
             gateway = AlertGateway(
                 golden_graph(), blocker=golden_blocker(), **PROCESS,
                 n_planes=4, ingress_lanes=ingress_lanes, flush_size=32,
                 aggregation_window=WINDOW, correlation_window=WINDOW,
-                retain_artifacts=False,
+                retain_artifacts=True,
             )
             gateway.ingest_batch(golden_alerts[:120])
-            gateway.scale_planes(2)
+            gateway.flush()
+            gateway.checkpoint_state()
             gateway.ingest_batch(golden_alerts[120:])
-            return _accounting(gateway.drain())
-        assert scaled(2) == scaled(1)
+            return _accounting(gateway.drain()), _artifacts(gateway)
+        uncaptured_gw, uncaptured = _run(
+            golden_alerts, **PROCESS, flush_size=32, retain_artifacts=True,
+        )
+        want = (_accounting(uncaptured), _artifacts(uncaptured_gw))
+        assert captured(2) == captured(1) == want
 
     def test_interval_flush_survives_late_tail(self):
         """The lane-path version of the watermark-clamp stall fix."""

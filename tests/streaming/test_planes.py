@@ -3,7 +3,7 @@
 The structural guarantees of the plane refactor:
 
 * the two-level router is deterministic and sticky (a region's plane
-  never changes);
+  never changes), and a restored router continues the same sequence;
 * a plane's accounting equals a batch pipeline run over just its
   regions' alerts — the partition really is region-exact;
 * the batched / plane-partitioned storm detector reproduces the shared
@@ -14,6 +14,7 @@ The structural guarantees of the plane refactor:
 
 import pytest
 
+from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.core.mitigation.correlation import rulebook_from_ground_truth
@@ -50,6 +51,38 @@ class TestPlaneRouter:
         assert router.regions_of(0) == ("rA", "rC")
         assert router.regions_of(1) == ("rB",)
         assert router.assignments == {"rA": 0, "rB": 1, "rC": 0}
+
+    def test_restore_matches_fresh_router_replay(self):
+        """A restored router continues exactly as the router it was
+        captured from: regions first seen after the restore land where a
+        fresh router fed the whole first-seen sequence puts them — the
+        invariant checkpoint parity rests on."""
+        regions = [f"r-{index}" for index in range(11)]
+        captured = PlaneRouter(3)
+        for region in regions[:5]:
+            captured.plane_of(region)
+        restored = PlaneRouter(3)
+        restored.restore(list(captured.assignments.items()))
+        for region in regions[5:]:
+            restored.plane_of(region)
+        fresh = PlaneRouter(3)
+        for region in regions:
+            fresh.plane_of(region)
+        assert list(restored.assignments.items()) == list(fresh.assignments.items())
+        assert restored.regions_of(2) == fresh.regions_of(2)
+
+    def test_restore_refuses_a_plane_outside_the_count(self):
+        router = PlaneRouter(2)
+        with pytest.raises(ValidationError, match="does not fit 2 plane"):
+            router.restore([("rA", 0), ("rB", 2)])
+        assert router.assignments == {}
+
+    def test_restore_refuses_a_router_that_already_routed(self):
+        router = PlaneRouter(2)
+        router.plane_of("rA")
+        with pytest.raises(ValidationError, match="already routed"):
+            router.restore({"rB": 0})
+        assert router.assignments == {"rA": 0}
 
 
 class TestRegionPlane:

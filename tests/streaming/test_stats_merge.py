@@ -4,9 +4,9 @@ The gateway's lifetime totals are *derived* — every flush and drain
 merges per-plane counter dicts into ``GatewayStats`` via
 ``_refresh_totals``.  These tests pin the merge invariant directly (the
 property suite only exercises it indirectly through parity): at any
-observable point — mid-stream snapshot, after a live plane scale, after
-a mid-stream drain, across backends — the per-plane rows must partition
-the gateway totals exactly, and the ``snapshot()`` payload must agree
+observable point — mid-stream snapshot, after a checkpoint capture or
+restore, after a mid-stream drain, across backends — the per-plane rows
+must partition the gateway totals exactly, and the ``snapshot()`` payload must agree
 with the dataclass counters it summarises.
 """
 
@@ -104,64 +104,93 @@ class TestPlaneMergePartitionsTotals:
     ("serial", {"n_planes": 4}),
     ("process", {"n_planes": 2, "n_workers": 2}),
 ])
-class TestPlaneMergeSurvivesMigration:
-    """The satellite fix: per-plane rows must reconcile to gateway totals
-    even though a scale event re-homes counter history — the old merge
-    assumed plane identity was stable, so scale-in left stale rows for
-    dead planes (double counting) and scale-out left moved history on
-    the wrong plane."""
+class TestPlaneMergeSurvivesCheckpoint:
+    """Per-plane rows must reconcile to gateway totals across a
+    checkpoint, which moves every region's counter slice out of its
+    plane and back in (a capture) or onto the planes of a fresh gateway
+    (a restore): a slice lost or counted twice on the way shows here."""
 
-    def test_merge_after_scale_out(self, backend, kwargs):
-        gateway = AlertGateway(
+    def _gateway(self, backend, kwargs):
+        return AlertGateway(
             _graph(), backend=backend, flush_size=32,
             retain_artifacts=False, **kwargs,
         )
+
+    def _uninterrupted_planes(self, backend, kwargs):
+        gateway = self._gateway(backend, kwargs)
+        gateway.ingest_batch(_alerts())
+        return gateway.drain().planes
+
+    def test_merge_after_capture(self, backend, kwargs):
+        gateway = self._gateway(backend, kwargs)
         alerts = _alerts()
         gateway.ingest_batch(alerts[:150])
-        gateway.scale_planes(4)
-        # Immediately after the migration — before any further flush —
-        # the rebuilt rows must already partition the totals.
+        gateway.flush()
+        before = {
+            plane_id: dict(row) for plane_id, row in gateway.stats.planes.items()
+        }
+        gateway.checkpoint_state()
+        gateway.flush()
+        # The capture re-adopted every slice where it came from: the
+        # rows a barrier rebuilds are the rows before it.
+        assert gateway.stats.planes == before
         _assert_planes_partition_totals(gateway.stats)
-        assert set(gateway.stats.planes) == set(range(4))
         gateway.ingest_batch(alerts[150:])
         stats = gateway.drain()
         _assert_planes_partition_totals(stats)
         _assert_snapshot_agrees(stats)
+        assert stats.planes == self._uninterrupted_planes(backend, kwargs)
 
-    def test_merge_after_scale_in(self, backend, kwargs):
-        gateway = AlertGateway(
-            _graph(), backend=backend, flush_size=32,
-            retain_artifacts=False, **kwargs,
-        )
+    def test_merge_after_restore(self, backend, kwargs):
+        gateway = self._gateway(backend, kwargs)
         alerts = _alerts()
         gateway.ingest_batch(alerts[:150])
-        gateway.scale_planes(1)
-        # Rows keyed by dead plane ids must be gone, not lingering as
-        # stale duplicates of the migrated history.
-        assert set(gateway.stats.planes) == {0}
-        _assert_planes_partition_totals(gateway.stats)
-        gateway.ingest_batch(alerts[150:])
-        stats = gateway.drain()
-        assert set(stats.planes) == {0}
+        gateway.flush()
+        state = gateway.checkpoint_state()
+        gateway.close()
+        restored = self._gateway(backend, kwargs)
+        restored.adopt_checkpoint(state)
+        # Immediately after the restore — before any further flush — the
+        # restored rows must already partition the totals.
+        assert set(restored.stats.planes) == set(range(kwargs["n_planes"]))
+        _assert_planes_partition_totals(restored.stats)
+        restored.ingest_batch(alerts[150:])
+        stats = restored.drain()
         _assert_planes_partition_totals(stats)
         _assert_snapshot_agrees(stats)
+        assert stats.planes == self._uninterrupted_planes(backend, kwargs)
 
 
-def test_scale_events_land_in_the_snapshot_payload():
-    gateway = AlertGateway(_graph(), n_planes=1, flush_size=16,
-                           retain_artifacts=False)
+def test_restored_snapshot_payload_matches_the_uninterrupted_one():
+    """Everything the snapshot payload reports except wall-clock rates
+    continues across a restore as if the gateway never stopped."""
     alerts = _alerts(120)
-    gateway.ingest_batch(alerts[:60])
-    gateway.scale_planes(3)
-    gateway.ingest_batch(alerts[60:])
-    stats = gateway.drain()
-    payload = stats.snapshot()
-    assert payload["plane_scales"] == 1
-    assert payload["scales"] == [{
-        "at_input": 60, "from_planes": 1, "to_planes": 3,
-        "moved_regions": stats.scales[0]["moved_regions"],
-    }]
-    assert payload["scales"][0]["moved_regions"] > 0
+
+    def gateway():
+        return AlertGateway(_graph(), n_planes=3, flush_size=16,
+                            retain_artifacts=False)
+
+    first = gateway()
+    first.ingest_batch(alerts[:60])
+    first.flush()
+    state = first.checkpoint_state()
+    first.close()
+    restored = gateway()
+    restored.adopt_checkpoint(state)
+    restored.ingest_batch(alerts[60:])
+    # The same barrier, so the flush count agrees too.
+    uninterrupted = gateway()
+    uninterrupted.ingest_batch(alerts[:60])
+    uninterrupted.flush()
+    uninterrupted.ingest_batch(alerts[60:])
+    payloads = [
+        g.drain().snapshot() for g in (restored, uninterrupted)
+    ]
+    for payload in payloads:
+        del payload["throughput"]
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["input_alerts"] == 120
+    assert len(payloads[0]["planes"]) == 3
 
 
 def test_post_drain_snapshot_is_rebuilt_from_frozen_totals():

@@ -1,57 +1,8 @@
-"""Ring counters and latency reservoirs: the bounded-memory primitives."""
+"""Latency reservoirs: the bounded-memory sample behind the flush stats."""
 
 import pytest
 
-from repro.common.errors import ValidationError
-from repro.streaming.windows import LatencyReservoir, RingCounter
-
-
-class TestRingCounter:
-    def test_counts_within_window(self):
-        counter = RingCounter(bucket_seconds=60.0, n_buckets=10)
-        for t in (0.0, 30.0, 59.0, 120.0):
-            counter.add(t)
-        assert counter.total() == 4
-
-    def test_eviction_after_window_rolls(self):
-        counter = RingCounter(bucket_seconds=60.0, n_buckets=10)
-        counter.add(0.0)
-        counter.add(30.0)
-        # 10-bucket window = 600 s; an event far past evicts the old bucket.
-        counter.add(700.0)
-        assert counter.total() == 1
-
-    def test_skipping_many_buckets_zeroes_everything_once(self):
-        counter = RingCounter(bucket_seconds=1.0, n_buckets=5)
-        counter.add(0.0)
-        counter.add(1_000_000.0)  # gap far larger than the ring
-        assert counter.total() == 1
-
-    def test_total_with_now_expires_without_mutation(self):
-        counter = RingCounter(bucket_seconds=60.0, n_buckets=10)
-        counter.add(0.0)
-        assert counter.total(now=0.0) == 1
-        assert counter.total(now=10_000.0) == 0
-        # The query did not mutate: the stored total is still reachable.
-        assert counter.total() == 1
-
-    def test_too_old_events_ignored(self):
-        counter = RingCounter(bucket_seconds=60.0, n_buckets=5)
-        counter.add(10_000.0)
-        counter.add(0.0)  # far behind the head: outside the ring
-        assert counter.total() == 1
-
-    def test_rate_per_hour(self):
-        counter = RingCounter(bucket_seconds=60.0, n_buckets=60)
-        for i in range(30):
-            counter.add(float(i))
-        assert counter.rate_per_hour() == pytest.approx(30.0)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValidationError):
-            RingCounter(bucket_seconds=0.0)
-        with pytest.raises(ValidationError):
-            RingCounter(n_buckets=0)
+from repro.streaming.windows import LatencyReservoir
 
 
 class TestLatencyReservoir:

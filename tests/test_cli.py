@@ -88,16 +88,36 @@ class TestAnalyses:
         assert "planes:                     3" in out
         assert "matches batch pipeline exactly" in out
 
-    def test_stream_scale_schedule_reconciles(self, trace_dir, capsys):
-        assert main(["stream", "--trace", str(trace_dir), "--flush-size", "64",
-                     "--scale-at", "400:1", "--scale-at", "100:3",
-                     "--reconcile"]) == 0
+    def test_serve_drill_resumes_to_the_stream_accounting(
+        self, trace_dir, tmp_path, capsys,
+    ):
+        """A `serve --limit` leg pauses with a snapshot; the rerun
+        restores it, resumes the replay where it stopped and drains to
+        the per-plane accounting `stream` reports for the same planes."""
+        def accounting(out: str) -> list[str]:
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("planes:"))
+            end = max(i for i, line in enumerate(lines)
+                      if line.startswith("  plane "))
+            return [line for line in lines[start:end + 1]
+                    if not line.startswith(("throughput:", "latency"))]
+
+        flags = ["--trace", str(trace_dir), "--data-dir",
+                 str(tmp_path / "svc"), "--planes", "3",
+                 "--checkpoint-every", "200"]
+        assert main(["serve", *flags, "--limit", "500"]) == 0
         out = capsys.readouterr().out
-        assert out.index("scaled to 3 plane(s) at event 100") < out.index(
-            "scaled to 1 plane(s) at event 400"
-        )
-        assert "plane scale events:         2" in out
-        assert "matches batch pipeline exactly" in out
+        assert "service fresh" in out
+        assert "snapshot written — rerun to resume" in out
+        assert main(["serve", *flags]) == 0
+        resumed = capsys.readouterr().out
+        assert "service restored" in resumed
+        assert "resuming replay at event 500" in resumed
+        assert main(["stream", "--trace", str(trace_dir), "--planes", "3"]) == 0
+        streamed = capsys.readouterr().out
+        assert accounting(resumed) == accounting(streamed)
+        assert sum(line.startswith("  plane ") for line in accounting(resumed)) == 3
 
     def test_qoa(self, trace_dir, capsys):
         assert main(["qoa", "--trace", str(trace_dir)]) == 0

@@ -67,7 +67,7 @@ def test_workload_the_base_tree_lacks_is_unresolved(tmp_path, monkeypatch, capsy
     contract["workloads"] = [{"name": name} for name in WORKLOADS]
     played = []
 
-    def run_once(tree, workload):
+    def run_once(tree, workload, seed):
         played.append((tree, workload))
         return _runs()[workload][len(played) % 3]
 
@@ -79,3 +79,52 @@ def test_workload_the_base_tree_lacks_is_unresolved(tmp_path, monkeypatch, capsy
     assert played.count((gate.ROOT, "background_detect")) == gate.PAIRS
     rows = capsys.readouterr().out
     assert "background_detect" in rows and "unresolved" in rows
+
+
+def _record_plays(monkeypatch, tmp_path) -> list:
+    """Stub the runs; returns the ``(tree, workload, seed)`` plays."""
+    contract = gate.load_contract()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": spec["name"]} for spec in contract["workloads"]]}
+    ))
+    played = []
+
+    def run_once(tree, workload, seed):
+        played.append((tree, workload, seed))
+        return {"metrics": _runs()["storm_serial"][1]["metrics"], "failed_ops": 0}
+
+    monkeypatch.setattr(gate, "run_once", run_once)
+    return played
+
+
+def test_defaults_are_three_pairs_seed_44_every_workload(tmp_path, monkeypatch):
+    played = _record_plays(monkeypatch, tmp_path)
+    assert gate.main([str(tmp_path)]) == 0
+    assert (gate.PAIRS, gate.SEED) == (3, 44)
+    names = [spec["name"] for spec in gate.load_contract()["workloads"]]
+    assert len(played) == 2 * 3 * len(names)
+    assert {seed for _, _, seed in played} == {44}
+    for name in names:
+        for tree in (tmp_path.resolve(), gate.ROOT):
+            assert played.count((tree, name, 44)) == 3
+
+
+def test_workload_filter_pairs_and_seed(tmp_path, monkeypatch, capsys):
+    played = _record_plays(monkeypatch, tmp_path)
+    assert gate.main([str(tmp_path), "--pairs", "5", "--seed", "7",
+                      "--workload", "storm_blocked",
+                      "--workload", "storm_serial"]) == 0
+    assert {name for _, name, _ in played} == {"storm_blocked", "storm_serial"}
+    assert {seed for _, _, seed in played} == {7}
+    assert len(played) == 2 * 5 * 2
+    rows = capsys.readouterr().out
+    assert "background_detect" not in rows and "storm_blocked" in rows
+
+
+def test_unknown_workload_and_zero_pairs_are_refused(tmp_path, monkeypatch):
+    played = _record_plays(monkeypatch, tmp_path)
+    with pytest.raises(SystemExit):
+        gate.main([str(tmp_path), "--workload", "no_such_workload"])
+    with pytest.raises(SystemExit):
+        gate.main([str(tmp_path), "--pairs", "0"])
+    assert played == []
