@@ -57,7 +57,6 @@ from repro.streaming.wire import (
     pack_aggregates,
     pack_alerts,
     pack_clusters,
-    pack_plane_state,
     unpack_aggregates,
     unpack_alerts,
     unpack_clusters,
@@ -111,15 +110,14 @@ class PlaneBackend(Protocol):
         ...
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
-        """Wire-pack every (plane, region) slice, *non-destructively*.
+        """Wire-pack every (plane, region) slice; a pure read.
 
         A barrier (the gateway flushes first).  Each pair's region state
-        is exported, packed, and immediately re-adopted on the same
-        plane, so after the call the backend holds exactly the state a
-        restore of the blobs would rebuild, and the returned blobs (in
-        ``pairs`` order) are a complete durable image of all
-        plane-resident state.  That a capture cannot be observed in the
-        continued run is pinned by the capture-invisibility property in
+        is read off its plane and packed; nothing on the plane changes,
+        and the returned blobs (in ``pairs`` order) are a complete
+        durable image of all plane-resident state.  That a capture
+        cannot be observed in the continued run, nor in the bytes of a
+        later capture, is pinned by the capture-invisibility tests in
         ``tests/serving/test_checkpoint_fuzz.py``.  The blocker table is
         not in the blobs: the checkpoint records it once, gateway-level.
         """
@@ -144,16 +142,21 @@ class PlaneBackend(Protocol):
         ...
 
 
-def _checkpoint_region(plane: RegionPlane, region: str) -> bytes:
-    """Pack one region's plane state without disturbing the plane.
+def _pack_pairs(planes, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
+    """Wire-pack every (plane, region) slice read-only, in ``pairs`` order.
 
-    ``export_region`` detaches the region's state, so a durable capture
-    is export → pack → re-adopt on the same plane.
+    ``planes`` maps plane id to plane.  Regions are grouped per plane so
+    each plane reads its R2 sessions and retained artifacts once per
+    capture (:meth:`RegionPlane.pack_regions`).
     """
-    state = plane.export_region(region)
-    blob = pack_plane_state(state)
-    plane.adopt_region(state)
-    return blob
+    regions_of: dict[int, list[str]] = {}
+    for plane, region in pairs:
+        regions_of.setdefault(plane, []).append(region)
+    blob_of: dict[tuple[int, str], bytes] = {}
+    for plane, regions in regions_of.items():
+        blobs = planes[plane].pack_regions(regions)
+        blob_of.update(zip(((plane, region) for region in regions), blobs))
+    return [blob_of[pair] for pair in pairs]
 
 
 class SerialPlaneBackend:
@@ -181,10 +184,7 @@ class SerialPlaneBackend:
         ]
 
     def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
-        return [
-            _checkpoint_region(self.planes[plane], region)
-            for plane, region in pairs
-        ]
+        return _pack_pairs(self.planes, pairs)
 
     def restore(self, adopts: Sequence[tuple[int, bytes]]) -> None:
         for plane, blob in adopts:
@@ -255,13 +255,9 @@ def _plane_worker_commands(connection, planes, rings) -> None:
                 ]
                 connection.send(("ok", results))
             elif kind == "checkpoint":
-                # Non-destructive capture: export → pack → re-adopt on
-                # the same plane, one blob per (plane, region) pair in
-                # request order.
-                connection.send(("ok", [
-                    _checkpoint_region(planes[plane], region)
-                    for plane, region in payload
-                ]))
+                # Read-only capture: one blob per (plane, region) pair
+                # in request order; the planes are left untouched.
+                connection.send(("ok", _pack_pairs(planes, payload)))
             elif kind == "adopt":
                 # Checkpoint restore: install packed region states on
                 # this worker's freshly-built planes.

@@ -85,7 +85,7 @@ and one with evidence one dict probe more:
   ``(occurred_at, seq)`` order and a union keeps the older component's
   root as first argument, so member-list order — and with it
   ``build_cluster``'s stable sort on timestamp ties, the chosen
-  ``root_alert`` and what :meth:`OnlineCorrelator.export_region` emits —
+  ``root_alert`` and what :meth:`OnlineCorrelator.region_components` reads —
   is the order a direct pair-by-pair scan produces.
 """
 
@@ -250,38 +250,35 @@ class OnlineCorrelator:
         times.insert(at, time)
         items.insert(at, (seq, signature))
 
-    def export_region(self, region: str) -> list[tuple[list[Alert], float]]:
-        """Extract one region's open components (checkpointing).
+    def region_components(self, region: str) -> list[tuple[list[Alert], float]]:
+        """One region's open components, read-only (checkpointing).
 
         Correlation evidence requires equal regions, so a component
         never spans regions and a region's slice of the correlator —
-        its timeline plus every component rooted in it — detaches
+        its timeline plus every component rooted in it — reads off
         cleanly.  Returns ``(member representatives, component max
         event time)`` pairs, components in first-retained order and
-        members in union order; :meth:`adopt_region` reconstructs the
-        identical union-find state under fresh sequence numbers.  The
-        exported state is removed from this instance.
+        members in union order; :meth:`adopt_region` on a restored
+        correlator reconstructs the identical union-find state under
+        fresh sequence numbers.  Nothing here changes: sequence numbers
+        and the region's sweep memory stay as they were.
         """
-        self._swept.pop(region, None)
-        timeline = self._timelines.pop(region, None)
+        timeline = self._timelines.get(region)
         if timeline is None:
             return []
         roots = dict.fromkeys(self._parent[seq] for seq, _ in timeline[1])
-        exported: list[tuple[list[Alert], float]] = []
-        for root in roots:
-            member_seqs = self._members.pop(root)
-            max_time = self._max_time.pop(root)
-            for seq in member_seqs:
-                del self._parent[seq]
-            exported.append(([self._alerts.pop(seq) for seq in member_seqs], max_time))
-        return exported
+        alerts = self._alerts
+        return [
+            ([alerts[seq] for seq in self._members[root]], self._max_time[root])
+            for root in roots
+        ]
 
     def adopt_region(
         self, region: str, components: list[tuple[list[Alert], float]],
     ) -> None:
-        """Install components exported by :meth:`export_region`.
+        """Install components unpacked from a checkpoint (restore).
 
-        Members keep their exported (union) order under fresh sequence
+        Members keep their captured (union) order under fresh sequence
         numbers; future merges behave exactly as if every member had
         been :meth:`add`-ed here, because connected components — and the
         batch analyzer's cluster finalisation — do not depend on

@@ -141,28 +141,26 @@ class OnlineAggregator:
             self._fold(groups, high, closed)
         return closed
 
-    def export_region(self, region: str) -> list[OpenSession]:
-        """Hand over the open sessions of one region (checkpointing).
+    def sessions_by_region(self) -> dict[str, list[OpenSession]]:
+        """The open sessions grouped by region, each region's in key
+        order (checkpointing).
 
-        Sessions key on ``(strategy, region)``, so a region's slice is
-        exact; its expiry entries leave with it.  A checkpoint runs this
-        for every region, and each call rebuilds the expiry heap, so a
-        capture costs O(regions × open sessions).  Deterministic key
-        order.
+        One pass over the sessions, however many regions a capture
+        packs, and nothing moves: the lists hold the live sessions, so
+        a caller packs them and never hands them to another
+        aggregator's :meth:`adopt`.
         """
-        keys = sorted(
-            key for key in self._sessions if key[1] == region
-        )
-        self._expiry = [e for e in self._expiry if e[1][1] != region]
-        heapq.heapify(self._expiry)
-        return [self._sessions.pop(key) for key in keys]
+        by_region: dict[str, list[OpenSession]] = {}
+        for key, session in sorted(self._sessions.items()):
+            by_region.setdefault(key[1], []).append(session)
+        return by_region
 
     def adopt(self, sessions: list[OpenSession]) -> None:
-        """Install sessions exported by :meth:`export_region`.
+        """Install sessions unpacked from a checkpoint (restore).
 
-        Without ``keep_ids`` the ids a session carries (an older
-        checkpoint's, or a retaining plane's) are dropped; ``count``
-        stays.
+        The sessions become this aggregator's live state.  Without
+        ``keep_ids`` the ids a session carries (an older checkpoint's,
+        or a retaining plane's) are dropped; ``count`` stays.
         """
         for session in sessions:
             key = (session.strategy_id, session.region)

@@ -377,13 +377,16 @@ class AlertGateway:
         return self.options.resolved().record()
 
     def checkpoint_state(self) -> dict:
-        """Capture the gateway's complete dynamic state (non-destructive).
+        """Capture the gateway's complete dynamic state; a pure read.
 
-        Only valid at a flush barrier (:attr:`at_flush_barrier`): the
-        capture is then a consistent cut — every counter, the router
-        map, the blocker table, learner/QoA state, and one wire-packed
-        blob per (plane, region) — from which :meth:`adopt_checkpoint`
-        on a fresh, identically-configured gateway continues the stream
+        Nothing the gateway or its planes run on changes, so a gateway
+        that captured continues — and captures again — byte for byte
+        like one that never did.  Only valid at a flush barrier
+        (:attr:`at_flush_barrier`): the capture is then a consistent
+        cut — every counter, the router map, the blocker table,
+        learner/QoA state, and one wire-packed blob per (plane,
+        region) — from which :meth:`adopt_checkpoint` on a fresh,
+        identically-configured gateway continues the stream
         bit-identically.  ``blobs`` holds raw bytes; everything else is
         JSON-safe (the serving layer writes the two parts separately).
         """

@@ -58,6 +58,7 @@ from repro.streaming.correlator import OnlineCorrelator
 from repro.streaming.dedup import OpenSession
 from repro.streaming.processor import StreamProcessor
 from repro.streaming.storm import OnlineStormDetector, RegionStormState
+from repro.streaming.wire import pack_plane_state
 from repro.topology.graph import DependencyGraph
 
 __all__ = [
@@ -159,10 +160,10 @@ class PlaneReport:
 class PlaneRegionState:
     """One region's complete slice of a plane — the checkpoint unit.
 
-    A checkpoint exports this from the region's plane, wire-packs it
-    (:func:`~repro.streaming.wire.pack_plane_state`) and re-adopts it on
-    the same plane; a restore adopts the unpacked record onto the plane
-    of a fresh gateway, in-process or in a worker.  It carries
+    A checkpoint builds this from the region's live plane state and
+    wire-packs it at once (:meth:`RegionPlane.pack_regions`), leaving
+    the plane untouched; a restore adopts the unpacked record onto the
+    plane of a fresh gateway, in-process or in a worker.  It carries
     *everything* plane-resident the region's events ever touched: open
     R2 sessions, open R3 components (window + union-find), the R4
     detector's region record
@@ -384,58 +385,46 @@ class RegionPlane:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def export_region(self, region: str) -> PlaneRegionState:
-        """Detach one region's entire slice of this plane (checkpointing).
+    def pack_regions(self, regions: list[str]) -> list[bytes]:
+        """Wire-pack each region's whole slice of this plane (checkpointing).
 
-        Open R2 sessions leave the processor, open R3 components leave
-        the correlator, the R4 region state leaves the detector, and the
-        region's lifetime counter slice (plus its retained artifacts,
-        when artifacts are retained) is subtracted from this plane's
-        totals — so after the export this plane accounts only for the
-        regions it still owns, and the adopting plane (this one again at
-        a capture, a fresh one at a restore) continues the region's
-        stream exactly where it left off.
+        A pure read: every region's :class:`PlaneRegionState` is built
+        from live state and packed
+        (:func:`~repro.streaming.wire.pack_plane_state`) at once, so no
+        view of the plane escapes it and nothing the plane runs on
+        changes.  R2's sessions and the retained artifacts are grouped
+        by region in one pass per capture, not one per region.  Blobs
+        come back in ``regions`` order.
         """
-        sessions = self.processor.export_region(region)
-        components = self._correlator.export_region(region)
-        storm = (
-            self._detector.export_region(region)
-            if self._detector is not None else None
-        )
-        counters = self._region_counts.pop(region, None) or _new_region_row()
-        self.processed -= counters[0]
-        self.blocked -= counters[1]
-        self.aggregates_emitted -= counters[2]
-        self.clusters_finalized -= counters[3]
-        retained_aggregates: list[AggregatedAlert] = []
-        retained_clusters: list[AlertCluster] = []
-        if self._retain:
-            retained_aggregates = [
-                a for a in self.aggregates if a.region == region
-            ]
-            self.aggregates = [
-                a for a in self.aggregates if a.region != region
-            ]
-            retained_clusters = [
-                c for c in self.clusters if c.alerts[0].region == region
-            ]
-            self.clusters = [
-                c for c in self.clusters if c.alerts[0].region != region
-            ]
-        return PlaneRegionState(
-            region=region,
-            counters=counters,
-            sessions=sessions,
-            components=components,
-            storm=storm,
-            retained_aggregates=retained_aggregates,
-            retained_clusters=retained_clusters,
-        )
+        sessions = self.processor.sessions_by_region()
+        # The plane keeps artifacts only when it retains them.
+        aggregates: dict[str, list[AggregatedAlert]] = {}
+        for aggregate in self.aggregates:
+            aggregates.setdefault(aggregate.region, []).append(aggregate)
+        clusters: dict[str, list[AlertCluster]] = {}
+        for cluster in self.clusters:
+            clusters.setdefault(cluster.alerts[0].region, []).append(cluster)
+        detector = self._detector
+        return [
+            pack_plane_state(PlaneRegionState(
+                region=region,
+                counters=self._region_counts.get(region) or _new_region_row(),
+                sessions=sessions.get(region, []),
+                components=self._correlator.region_components(region),
+                storm=(
+                    detector.region_state(region)
+                    if detector is not None else None
+                ),
+                retained_aggregates=aggregates.get(region, []),
+                retained_clusters=clusters.get(region, []),
+            ))
+            for region in regions
+        ]
 
     def adopt_region(self, state: PlaneRegionState) -> None:
-        """Install a region's slice exported by :meth:`export_region`.
+        """Install a region's slice unpacked from a checkpoint (restore).
 
-        Sessions, components and R4 state are re-installed verbatim; the
+        Sessions, components and R4 state are installed verbatim; the
         counter slice joins this plane's totals.
         """
         region = state.region

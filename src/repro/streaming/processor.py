@@ -85,12 +85,12 @@ class StreamProcessor:
             survivors = alerts
         return blocked, self._aggregator.ingest_batch(survivors)
 
-    def export_region(self, region: str) -> list[OpenSession]:
-        """Hand over one region's open R2 sessions (checkpointing)."""
-        return self._aggregator.export_region(region)
+    def sessions_by_region(self) -> dict[str, list[OpenSession]]:
+        """Open R2 sessions per region, read-only (checkpointing)."""
+        return self._aggregator.sessions_by_region()
 
     def adopt(self, sessions: list[OpenSession]) -> None:
-        """Install R2 sessions exported by :meth:`export_region`."""
+        """Install R2 sessions unpacked from a checkpoint (restore)."""
         self._aggregator.adopt(sessions)
 
     def drain(self) -> list[OpenSession]:

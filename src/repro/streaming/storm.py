@@ -42,7 +42,7 @@ class RegionStormState:
     """One region's complete R4 state: the detector's live record.
 
     The detector keeps exactly one of these per region it has seen, and
-    a checkpoint exports the record itself: the rate ring, the open
+    a checkpoint packs the record itself: the rate ring, the open
     storm episode if one is in flight, the novelty recency map, the
     region's lifetime episode/emerging counts, and its ingested-event
     count (the novelty warmup position a standalone detector derives
@@ -233,33 +233,27 @@ class OnlineStormDetector:
             state.episode_peak_rate = 0.0
 
     # ------------------------------------------------------------------
-    # checkpoint export / restore
+    # checkpoint capture / restore
     # ------------------------------------------------------------------
-    def export_region(self, region: str) -> RegionStormState:
-        """Detach one region's whole R4 state (checkpointing).
+    def region_state(self, region: str) -> RegionStormState:
+        """One region's whole R4 record, read-only (checkpointing).
 
-        The region's record leaves this instance, and its slice of the
-        lifetime episode/emerging/ingested counts is subtracted — so the
-        exporting detector's counts reflect only the regions it still
-        owns, and :meth:`adopt_region` restores them on the adopting one
-        without loss or double counting.  A region never seen exports an
+        The live record itself, so a caller packs it and never hands it
+        to another detector's :meth:`adopt_region`; the detector's
+        lifetime counts are untouched.  A region never seen reads as an
         empty record.
         """
-        state = self._regions.pop(region, None)
-        if state is None:
-            return self._empty(region)
-        self.episode_count -= state.episode_count
-        self.emerging_count -= state.emerging_count
-        self._ingested -= state.ingested
-        return state
+        state = self._regions.get(region)
+        return state if state is not None else self._empty(region)
 
     def adopt_region(self, state: RegionStormState) -> None:
-        """Install a region's R4 state exported by :meth:`export_region`.
+        """Install a region's R4 record unpacked from a checkpoint (restore).
 
         The record itself becomes this instance's live state (the
-        caller hands it over).  An open episode continues on the
-        adopting detector; it was already counted, and its count travels
-        with the record, so it is not counted again.
+        caller hands it over), and its lifetime counts join this
+        instance's.  An open episode continues on the adopting detector;
+        it was already counted, and its count travels with the record,
+        so it is not counted again.
         """
         region = state.region
         if region in self._regions:

@@ -8,7 +8,8 @@ does neither: it visits every retained representative, asks
 merges with the same rule (smaller member list into the larger, the
 older side winning ties).  Under timestamp ties, out-of-order arrival,
 several regions, a random rule book, interleaved finalisation and
-export → adopt into a fresh correlator, both must emit the same clusters
+restores (capture → adopt into a fresh correlator, which must leave the
+captured one unchanged), both must emit the same clusters
 — member order, root alert, root microservice, coverage — and the batch
 sweep must agree on the partition.
 
@@ -104,8 +105,8 @@ class _NaiveCorrelator:
             distinct.setdefault(id(members), members)
         return list(distinct.values())
 
-    def migrate(self) -> None:
-        """The renumbering ``export_region`` → ``adopt_region`` documents:
+    def restore(self) -> None:
+        """The renumbering ``region_components`` → ``adopt_region`` documents:
         per region, components in first-retained order, members in union
         order, fresh sequence numbers."""
         components = self._components()
@@ -146,6 +147,21 @@ def _per_region(clusters: list[AlertCluster]) -> dict[str, int]:
     return dict(Counter(c.alerts[0].region for c in clusters))
 
 
+def _internals(correlator: OnlineCorrelator) -> tuple:
+    """Every piece of a correlator's live state, copied: what a capture
+    must leave as it found it (sequence numbers and sweep memory too)."""
+    return (
+        correlator._seq,
+        dict(correlator._alerts),
+        {region: (list(times), list(items))
+         for region, (times, items) in correlator._timelines.items()},
+        dict(correlator._parent),
+        {root: list(seqs) for root, seqs in correlator._members.items()},
+        dict(correlator._max_time),
+        dict(correlator._swept),
+    )
+
+
 def _emitted(clusters: list[AlertCluster]) -> list[tuple]:
     return sorted(
         (tuple(a.alert_id for a in c.alerts), c.root_alert.alert_id,
@@ -176,7 +192,7 @@ def scenarios(draw):
         ),
         min_size=n, max_size=n,
     ))  # drawn order is arrival order: timestamps go back and forth
-    kinds = ("none", "none", "finalize", "migrate")
+    kinds = ("none", "none", "finalize", "restore")
     evolving = draw(st.booleans())
     if evolving:
         kinds += ("rule", "edge")
@@ -245,16 +261,18 @@ class TestOnlineCorrelatorAgainstNaiveScan:
                 want += naive.finalize(watermark - _WINDOW, pending)
                 assert evicting.finalize_ready(watermark, pending) == (closed, [])
                 counted.update(closed)
-            elif op == "migrate":
+            elif op == "restore":
                 fresh = OnlineCorrelator(analyzer)
                 fresh_evicting = OnlineCorrelator(analyzer, keep_members=False)
-                for region in _REGIONS:
-                    fresh.adopt_region(region, online.export_region(region))
-                    fresh_evicting.adopt_region(region, evicting.export_region(region))
-                for migrated in (online, evicting):
-                    assert migrated.retained == 0 and migrated.active_components == 0
+                for source, target in ((online, fresh), (evicting, fresh_evicting)):
+                    before = _internals(source)
+                    for region in _REGIONS:
+                        target.adopt_region(region, source.region_components(region))
+                    assert _internals(source) == before
+                    assert target.retained == source.retained
+                    assert target.active_components == source.active_components
                 online, evicting = fresh, fresh_evicting
-                naive.migrate()
+                naive.restore()
             elif op == "rule":
                 count = len(_STRATEGIES)
                 source, derived = _STRATEGIES[first % count], _STRATEGIES[second % count]

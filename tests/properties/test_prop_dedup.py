@@ -7,6 +7,8 @@ same holds with every id list blanked: sessions hold ``[]``, aggregates
 ``()``, and counts stay exact.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.alerting.alert import Alert, Severity
@@ -64,6 +66,14 @@ def _session_row(session):
     ]
 
 
+def _live(online):
+    """An aggregator's open sessions and expiry heap, copied."""
+    return (
+        [(key, _session_row(session)) for key, session in online._sessions.items()],
+        list(online._expiry),
+    )
+
+
 def _check_state(online, model, keep_ids):
     assert {
         key: _session_row(session)
@@ -80,9 +90,9 @@ def _check_state(online, model, keep_ids):
 
 @st.composite
 def chunked_streams(draw, max_jitter):
-    """``(chunks, migrate_before)``: a stream over six keys in arrival
+    """``(chunks, restore_before)``: a stream over six keys in arrival
     order — event time plus a per-alert delay below ``max_jitter`` — cut
-    at arbitrary points, and the chunk index to migrate the state at."""
+    at arbitrary points, and the chunk index to restore the state at."""
     n = draw(st.integers(min_value=1, max_value=70))
     now = 0.0
     stamped = []
@@ -104,19 +114,25 @@ def chunked_streams(draw, max_jitter):
     return chunks, draw(st.integers(0, len(chunks)))
 
 
-def _run(chunks, migrate_before, keep_ids=True):
+def _run(chunks, restore_before, keep_ids=True):
     """Feed ``chunks``, checking every boundary; returns all aggregates
     (the model's rows, ids blanked unless ``keep_ids``)."""
     online, model = OnlineAggregator(WINDOW, keep_ids), NaiveAggregator()
     shape = (lambda row: row) if keep_ids else _blank
     got, want = [], []
     for index, chunk in enumerate(chunks):
-        if index == migrate_before:
-            # Plane migration: region by region into a fresh aggregator.
+        if index == restore_before:
+            # Checkpoint restore: capture (which must change nothing),
+            # then adopt copies region by region into a fresh aggregator.
+            before = _live(online)
+            captured = online.sessions_by_region()
+            assert _live(online) == before
             target = OnlineAggregator(WINDOW, keep_ids)
             for region in REGIONS:
-                target.adopt(online.export_region(region))
-                assert len(online._expiry) == online.open_sessions
+                target.adopt([
+                    replace(session, alert_ids=list(session.alert_ids))
+                    for session in captured.get(region, [])
+                ])
             online = target
             _check_state(online, model, keep_ids)
         got.extend(aggregate_row(s.emit()) for s in online.ingest_batch(chunk))
@@ -135,8 +151,8 @@ class TestGroupedFold:
     @given(chunked_streams(max_jitter=0), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_in_order_stream_matches_model_and_batch(self, case, keep_ids):
-        chunks, migrate_before = case
-        got = _run(chunks, migrate_before, keep_ids)
+        chunks, restore_before = case
+        got = _run(chunks, restore_before, keep_ids)
         alerts = [alert for chunk in chunks for alert in chunk]
         batch = map(aggregate_row, AlertAggregator(WINDOW).aggregate(alerts))
         assert sorted(got) == sorted(batch if keep_ids else map(_blank, batch))

@@ -13,17 +13,19 @@ once per batch like the detector's.
 Over drawn streams — 1–5 interleaved regions, equal timestamps, late
 events inside and beyond the ring, far-future jumps, bucket widths
 0.3–60 s, thresholds 2–100, novelty horizons, warmup prefixes and cut
-schedules, with ``export_region`` → ``adopt_region`` migrations at the
-cuts — both must hold the same ring, open episode, recency map and
-per-region counts at every cut, and fed one alert at a time they must
-produce the same episodes to the last bit (``float.hex``).
+schedules, with checkpoint restores at the cuts (``region_state``
+captures, which change nothing, adopted as copies into fresh
+detectors, some regions onto another one) — both must hold the same
+ring, open episode, recency map and per-region counts at every cut,
+and fed one alert at a time they must produce the same episodes to the
+last bit (``float.hex``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -201,11 +203,26 @@ def _view(state: RegionStormState) -> tuple:
 
 
 def _observe(detector: OnlineStormDetector, region: str) -> tuple:
-    """A region's record, read through an export → adopt cycle."""
-    state = detector.export_region(region)
-    view = _view(state)
-    detector.adopt_region(state)
-    return view
+    """A region's record, read through the read-only capture."""
+    return _view(detector.region_state(region))
+
+
+def _totals(detector: OnlineStormDetector) -> tuple:
+    """A detector's lifetime counts and owned regions."""
+    return (
+        detector.episode_count, detector.emerging_count,
+        detector._ingested, list(detector._regions),
+    )
+
+
+def _restored(state: RegionStormState) -> RegionStormState:
+    """What a restore adopts: a copy of the captured record (a
+    checkpoint packs and unpacks it), never the live one."""
+    return replace(
+        state,
+        counts=list(state.counts) if state.counts is not None else None,
+        last_seen=dict(state.last_seen),
+    )
 
 
 @st.composite
@@ -293,7 +310,7 @@ def cases(draw):
 
 @settings(max_examples=_EXAMPLES, deadline=None, derandomize=_CHAOS_PROFILE)
 @given(case=cases())
-def test_fused_batches_and_migrations_match_the_reference(case):
+def test_fused_batches_and_restores_match_the_reference(case):
     config, regions, alerts, bounds, n_detectors, standalone, moves = case
     reference = _Reference(
         config["flood_hourly_threshold"], config["bucket_seconds"],
@@ -314,11 +331,18 @@ def test_fused_batches_and_migrations_match_the_reference(case):
                 detector.ingest_batch(mine, sum(
                     1 for alert in batch[:warm] if owner[alert.region] == index
                 ))
-        for region_index, target in moves[segment]:
-            region = regions[region_index]
-            state = detectors[owner[region]].export_region(region)
-            detectors[target].adopt_region(state)
-            owner[region] = target
+        if moves[segment]:
+            before = [_totals(detector) for detector in detectors]
+            captured = {
+                region: detectors[owner[region]].region_state(region)
+                for region in regions
+            }
+            assert [_totals(detector) for detector in detectors] == before
+            for region_index, target in moves[segment]:
+                owner[regions[region_index]] = target
+            detectors = [OnlineStormDetector(**config) for _ in range(n_detectors)]
+            for region, state in captured.items():
+                detectors[owner[region]].adopt_region(_restored(state))
         for region in regions:
             assert _observe(detectors[owner[region]], region) == reference.view(region)
         assert sum(d.episode_count for d in detectors) == reference.episode_count

@@ -1,8 +1,8 @@
 """Schedule parity harness for checkpoint capture and restore.
 
 A gateway's plane count is fixed for life; what moves region state
-between plane objects is the checkpoint: a *capture* exports every
-region's slice, wire-packs it and re-adopts it on the same plane, and a
+between plane objects is the checkpoint: a *capture* reads every
+region's slice off its plane and wire-packs it, changing nothing, and a
 *restore* adopts the packed slices onto the planes of a fresh gateway
 (in-process or in a worker).  Both promise invisibility: any schedule of
 captures and restores interleaved with ingestion and mid-stream flushes
@@ -241,9 +241,8 @@ def test_retained_artifacts_survive_restore_across_processes():
 
 
 def test_capture_is_a_pure_barrier():
-    """Back-to-back captures at one barrier read the same image: the
-    export → pack → re-adopt round trip leaves the planes as it found
-    them."""
+    """Back-to-back captures at one barrier read the same image: a
+    capture leaves the planes as it found them."""
     alerts = multiregion_trace(160)
     gateway = _build(2, flush_size=16, retain=True)
     try:

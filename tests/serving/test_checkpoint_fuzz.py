@@ -7,10 +7,11 @@ file format must agree on encodings), live TTL'd blocking rules
 deep correlator components built over multi-hop dependency chains —
 then asserts the continued run is indistinguishable from one that was
 never checkpointed.  A second property pins capture invisibility: a
-capture exports every region's plane state and re-adopts it, and a
-gateway that captured must carry on exactly like one that never did.
-A third fuzzes corruption positions: no damaged snapshot may ever
-decode.
+capture only reads every region's plane state, so a gateway that
+captured must carry on — and capture again, byte for byte — exactly
+like one that never did; a deterministic storm case pins the bytes at
+every barrier.  A third fuzzes corruption positions: no damaged
+snapshot may ever decode.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.serving.checkpoint import (
     checkpoint_of_gateway,
 )
 from repro.streaming import AlertGateway
+from repro.topology.generator import TopologyConfig, generate_topology
+from repro.workload import StormConfig, build_multi_region_storm
 
 from tests.streaming.conftest import aggregate_row, make_alert
 from tests.streaming.test_golden_trace import golden_graph
@@ -206,12 +209,15 @@ class TestCaptureInvisibility:
             captures = data.draw(st.lists(
                 st.booleans(), min_size=len(cuts), max_size=len(cuts),
             ), label="capture at barrier")
+            # Without retained artifacts R3 evicts unreachable members,
+            # so its sweep memory is live state a capture must not touch.
+            retain = data.draw(st.booleans(), label="retain_artifacts")
 
             def build():
                 return AlertGateway(
                     golden_graph(), blocker=_ttl_blocker(), backend=backend,
                     n_planes=n_planes, n_workers=2, flush_size=flush_size,
-                    retain_artifacts=True,
+                    retain_artifacts=retain,
                 )
 
             reference, capturing = build(), build()
@@ -247,6 +253,49 @@ class TestCaptureInvisibility:
             assert _strict_clusters(capturing) == _strict_clusters(reference)
 
         check()
+
+
+class TestCaptureIsARead:
+    def test_barrier_blobs_equal_those_of_a_single_capture_run(self):
+        """One storm wave (11 004 alerts) on one plane without retained
+        artifacts, captured at every 2nd flush barrier: each capture's
+        blobs equal those of a run whose only capture is at that
+        barrier.  A capture that mutated the planes (R3's sweep memory,
+        its member sequence numbers) would shift later eviction, and
+        with it later blobs."""
+        topology = generate_topology(TopologyConfig(seed=44))
+        alerts = list(build_multi_region_storm(
+            StormConfig(seed=44), topology,
+        ).iter_ordered())
+        assert len(alerts) == 11_004
+        flush = 512
+        barriers = len(alerts) // flush
+
+        def blobs_at(capture_at: set[int]) -> dict[int, list[bytes]]:
+            gateway = AlertGateway(
+                topology.graph, n_planes=1, flush_size=flush,
+                retain_artifacts=False,
+            )
+            blobs = {}
+            try:
+                for barrier in range(1, barriers + 1):
+                    gateway.ingest_batch(
+                        alerts[(barrier - 1) * flush:barrier * flush]
+                    )
+                    assert gateway.at_flush_barrier
+                    if barrier in capture_at:
+                        blobs[barrier] = gateway.checkpoint_state()["blobs"]
+            finally:
+                gateway.close()
+            return blobs
+
+        every = blobs_at(set(range(2, barriers + 1, 2)))
+        assert len(every) == 10
+        differ = [
+            barrier for barrier, blobs in every.items()
+            if blobs_at({barrier})[barrier] != blobs
+        ]
+        assert differ == []
 
 
 class TestCorruptionFuzz:

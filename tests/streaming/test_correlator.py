@@ -145,6 +145,46 @@ class TestFinalisation:
         assert online.active_components == 1
         assert online.drain() == ({"region-A": 1}, [])
 
+    def test_capture_changes_nothing_and_restores_onto_a_fresh_correlator(
+        self, analyzer, monkeypatch,
+    ):
+        """``region_components`` is a pure read — sequence numbers and
+        the sweep memory included — and adopting what it read into a
+        fresh correlator (the restore path) drains to the same count."""
+        monkeypatch.setattr(correlator_module, "_MIN_SWEEP", 1)
+        chain = [
+            make_alert(300.0 * index, strategy_id=("s-source", "s-derived")[index % 2])
+            for index in range(40)
+        ]
+        online = OnlineCorrelator(analyzer, keep_members=False)
+        for alert in chain:
+            online.add(alert)
+        pending = make_alert(3_000.0, strategy_id="s-source")
+        online.finalize_ready(watermark=11_700.0, pending=[pending])
+        assert online._swept
+
+        def internals():
+            return (
+                online._seq, dict(online._alerts), dict(online._parent),
+                {root: list(seqs) for root, seqs in online._members.items()},
+                dict(online._max_time), dict(online._swept),
+                {region: (list(times), list(items))
+                 for region, (times, items) in online._timelines.items()},
+            )
+
+        before = internals()
+        components = online.region_components("region-A")
+        assert online.region_components("region-B") == []
+        assert internals() == before
+        assert [len(members) for members, _ in components] == [online.retained]
+        restored = OnlineCorrelator(analyzer, keep_members=False)
+        restored.adopt_region("region-A", components)
+        assert restored.region_components("region-A") == components
+        for correlator in (online, restored):
+            correlator.add(pending)
+            correlator.add(make_alert(12_000.0, strategy_id="s-source"))
+            assert correlator.drain() == ({"region-A": 1}, [])
+
     def test_early_finalisation_preserves_parity(self, analyzer, small_topology):
         alerts = _graph_stream(small_topology)
         batch = analyzer.correlate(list(alerts))

@@ -1,5 +1,7 @@
 """Online aggregation: batch parity, eviction, and bounded state."""
 
+from dataclasses import replace
+
 from repro.alerting.alert import Severity
 from repro.core.mitigation.aggregation import AlertAggregator
 from repro.streaming.dedup import OnlineAggregator
@@ -181,41 +183,54 @@ class TestPinnedWork:
         ])
         assert len(online._expiry) == online.open_sessions == 1
 
-    def test_export_region_leaves_no_tombstones(self):
+
+class TestSessionCapture:
+    def test_capture_groups_by_region_in_key_order_and_changes_nothing(self):
         online = OnlineAggregator(900.0)
         online.ingest_batch([
-            make_alert(float(i), strategy_id=f"s-{i}", region=f"region-{'AB'[i % 2]}")
+            make_alert(float(i), strategy_id=f"s-{7 - i}", region=f"region-{'AB'[i % 2]}")
             for i in range(8)
         ])
-        moved = online.export_region("region-A")
-        assert len(moved) == 4
-        assert len(online._expiry) == online.open_sessions == 4
-        assert online.ingest_batch([make_alert(5000.0, strategy_id="s-late")]) != []
-        assert len(online._expiry) == online.open_sessions == 1
+        sessions = dict(online._sessions)
+        expiry = list(online._expiry)
+        captured = online.sessions_by_region()
+        assert sorted(captured) == ["region-A", "region-B"]
+        assert [s.strategy_id for s in captured["region-A"]] == ["s-1", "s-3", "s-5", "s-7"]
+        assert online._sessions == sessions and list(online._sessions) == list(sessions)
+        assert online._expiry == expiry
+        assert len(online._expiry) == online.open_sessions == 8
 
 
-class TestSessionMigration:
-    def test_export_then_adopt_round_trips(self):
+def _restored(sessions):
+    """What a restore adopts: copies of the captured sessions (a
+    checkpoint packs and unpacks them), never the live objects."""
+    return [replace(session, alert_ids=list(session.alert_ids)) for session in sessions]
+
+
+class TestSessionRestore:
+    def test_capture_then_adopt_round_trips(self):
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
         source.ingest_batch([make_alert(200.0, strategy_id="s-b")])
-        sessions = source.export_region("region-A")
-        assert source.open_sessions == 0
+        sessions = _restored(source.sessions_by_region()["region-A"])
+        assert source.open_sessions == 2
         assert [s.strategy_id for s in sessions] == ["s-a", "s-b"]
         target = OnlineAggregator(900.0)
         target.adopt(sessions)
         assert target.open_sessions == 2
         assert sorted(a.occurred_at for a in target.open_representatives()) == [100.0, 200.0]
-        # The migrated session keeps extending as if nothing happened.
-        emitted = target.ingest_batch([make_alert(500.0, strategy_id="s-a")])
-        assert emitted == []
-        final = target.drain()
-        assert {(a.strategy_id, a.count) for a in final} == {("s-a", 2), ("s-b", 1)}
+        # The restored session keeps extending as if nothing happened,
+        # exactly like the one it was captured from.
+        for aggregator in (source, target):
+            emitted = aggregator.ingest_batch([make_alert(500.0, strategy_id="s-a")])
+            assert emitted == []
+            final = aggregator.drain()
+            assert {(a.strategy_id, a.count) for a in final} == {("s-a", 2), ("s-b", 1)}
 
     def test_adopt_into_an_id_less_aggregator_drops_ids_keeps_count(self):
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(t, strategy_id="s-a") for t in (100.0, 200.0)])
-        [session] = source.export_region("region-A")
+        [session] = _restored(source.sessions_by_region()["region-A"])
         assert len(session.alert_ids) == session.count == 2
         target = OnlineAggregator(900.0, keep_ids=False)
         target.adopt([session])
@@ -231,7 +246,7 @@ class TestSessionMigration:
 
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
-        sessions = source.export_region("region-A")
+        sessions = _restored(source.sessions_by_region()["region-A"])
         target = OnlineAggregator(900.0)
         target.ingest_batch([make_alert(50.0, strategy_id="s-a")])
         with pytest.raises(ValidationError):

@@ -378,9 +378,8 @@ class TestLaneLifecycle:
         assert _accounting(resumed_stats) == _accounting(uninterrupted)
 
     def test_capture_with_lanes_matches_classic(self, golden_alerts):
-        """A capture mid-stream pulls every region out of the workers the
-        lanes feed and re-adopts it there; the lanes carry on as if it
-        never happened."""
+        """A capture mid-stream reads every region in the workers the
+        lanes feed; the lanes carry on as if it never happened."""
         def captured(ingress_lanes):
             gateway = AlertGateway(
                 golden_graph(), blocker=golden_blocker(), **PROCESS,

@@ -131,8 +131,8 @@ class TestPlaneMergeSurvivesCheckpoint:
         }
         gateway.checkpoint_state()
         gateway.flush()
-        # The capture re-adopted every slice where it came from: the
-        # rows a barrier rebuilds are the rows before it.
+        # The capture only read the planes: the rows a barrier
+        # rebuilds are the rows before it.
         assert gateway.stats.planes == before
         _assert_planes_partition_totals(gateway.stats)
         gateway.ingest_batch(alerts[150:])

@@ -6,10 +6,12 @@ rolling hourly volume in its :class:`RegionStormState` record: ``counts``
 absolute bucket ``head`` and a running ``total``.  The property suite
 compares whole streams against a per-alert reference; these cases pin
 the ring's edges one at a time, reading the record through
-``export_region`` (the checkpoint unit).
+``region_state`` (what a checkpoint packs).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -20,14 +22,11 @@ from tests.streaming.conftest import make_alert
 
 
 def _ring(times: list[float], **options):
-    """Feed one region's events (one batch each) and export its record.
-
-    The export detaches the region, so its lifetime counts are read from
-    the record, not from the detector."""
+    """Feed one region's events (one batch each) and read its record."""
     detector = OnlineStormDetector(**options)
     for occurred_at in times:
         detector.ingest_batch([make_alert(occurred_at, region="r")])
-    return detector.export_region("r")
+    return detector.region_state("r")
 
 
 class TestStormRateRing:
@@ -79,6 +78,29 @@ class TestStormRateRing:
         state = _ring(flood + quiet + again, flood_hourly_threshold=100)
         assert state.episode_count == 2
         assert state.episode_started_at == again[-1]
+
+    def test_capture_changes_nothing_and_a_copy_restores(self):
+        """``region_state`` reads the live record and leaves the detector
+        as it was; a copy of it (what a checkpoint's pack and unpack
+        hand a restore) continues on a fresh detector exactly as the
+        original does."""
+        flood = [10.0 * index for index in range(120)]
+        detector = OnlineStormDetector(flood_hourly_threshold=100)
+        for occurred_at in flood:
+            detector.ingest_batch([make_alert(occurred_at, region="r")])
+        counts = (detector.episode_count, detector.emerging_count, detector._ingested)
+        state = detector.region_state("r")
+        assert state is detector.region_state("r")
+        assert (detector.episode_count, detector.emerging_count, detector._ingested) == counts
+        assert detector.region_state("elsewhere").counts is None
+        restored = OnlineStormDetector(flood_hourly_threshold=100)
+        restored.adopt_region(replace(
+            state, counts=list(state.counts), last_seen=dict(state.last_seen),
+        ))
+        assert (restored.episode_count, restored.emerging_count, restored._ingested) == counts
+        for instance in (detector, restored):
+            instance.ingest_batch([make_alert(10_000.0, region="r")])
+        assert restored.region_state("r") == detector.region_state("r")
 
     def test_rejects_nonpositive_settings(self):
         with pytest.raises(ValidationError, match="bucket_seconds"):

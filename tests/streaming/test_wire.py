@@ -336,10 +336,11 @@ class TestPlaneStateRoundTrip:
     def test_fuzz_round_trip_exactly(self, state):
         assert unpack_plane_state(pack_plane_state(state)) == state
 
-    def test_exported_state_round_trips_through_a_live_plane(self):
-        """End to end: export a region from a real plane, pack, unpack,
-        adopt into a fresh plane, and drain both plane sets to the same
-        accounting (the exact path a process-backend migration takes)."""
+    def test_captured_state_restores_onto_a_fresh_plane(self):
+        """End to end: capture every region of a real plane, unpack and
+        adopt the blobs into a fresh plane (the exact path a restore
+        takes), and drain it to the accounting and artifacts of a plane
+        that never captured; the capturing plane drains to them too."""
         from repro.streaming import PlaneConfig, RegionPlane
 
         def build_plane(plane_id=0):
@@ -351,6 +352,14 @@ class TestPlaneStateRoundTrip:
                 finalize_every=256,
             ))
 
+        def drained(plane):
+            report = plane.drain(alerts[-1].occurred_at)
+            return (
+                report.counters(),
+                [a.alert_ids for a in report.retained_aggregates],
+                [[a.alert_id for a in c.alerts] for c in report.retained_clusters],
+            )
+
         alerts = sorted(
             [
                 make_alert(occurred_at=60.0 * index,
@@ -361,18 +370,19 @@ class TestPlaneStateRoundTrip:
             ],
             key=lambda alert: alert.occurred_at,
         )
+        regions = ["region-A", "region-B"]
         source = build_plane()
         source.process_batch(alerts, in_warmup=0, watermark=alerts[-1].occurred_at)
-        exported = source.export_region("region-B")
-        restored = unpack_plane_state(pack_plane_state(exported))
-        assert restored == exported
+        blobs = source.pack_regions(regions)
+        assert source.pack_regions(regions) == blobs
         target = build_plane(plane_id=1)
-        target.adopt_region(restored)
-        total = (
-            source.drain(alerts[-1].occurred_at).counters()["aggregates"]
-            + target.drain(alerts[-1].occurred_at).counters()["aggregates"]
-        )
+        for blob in blobs:
+            target.adopt_region(unpack_plane_state(blob))
+        assert target.pack_regions(regions) == blobs
         whole = build_plane(plane_id=2)
         whole.process_batch(alerts, in_warmup=0, watermark=alerts[-1].occurred_at)
-        assert total == whole.drain(alerts[-1].occurred_at).counters()["aggregates"]
+        want = drained(whole)
+        assert want[0]["aggregates"] > 0 and want[1]
+        assert drained(source) == want
+        assert drained(target) == want
 
