@@ -33,7 +33,7 @@ streaming replacement:
 * **the identical window discipline** — :class:`SketchWindowScorer`
   reproduces the LDA detector's loop exactly (fixed windows from the
   first document, warm-up, 0.99-quantile + gap threshold, 5000-entry
-  history) but runs *incrementally*, without re-reading the history or
+  history) but runs *incrementally*, without sorting the history or
   rescanning the buffer per window (see the class docstring): the
   streaming detector suite feeds
   it watermark by watermark, and :class:`SketchEmergingDetector` wraps
@@ -82,11 +82,9 @@ _event_time = itemgetter(0)
 #: A buffered document's interned ``(ids, counts)`` pair.
 _content = itemgetter(2)
 
-#: Above this many novelties inserted plus evicted in one window, the
-#: sorted history mirror is rebuilt with one ``sorted`` instead of being
-#: patched value by value (each patch moves up to ``history_limit``
-#: pointers).
-_MIRROR_REBUILD_AT = 128
+#: Spare ranks the threshold's top set is derived with, and how far it
+#: may grow past its derived size before it is derived again.
+_TOP_SLACK = 256
 
 #: The document table is rebuilt from the live buffer once it holds more
 #: than this many documents and twice what its last rebuild kept.
@@ -412,12 +410,12 @@ class SketchWindowScorer:
       pair with its multiplicity, and
       :meth:`HashingTopicSketch.score_windows` scores and folds every
       closing window in one exact kernel;
-    * per window, in order, the threshold is read from ``_ranked``, a
-      sorted mirror of the checkpointed ``_history``, with numpy's
-      ``linear`` quantile rule, so it equals numpy's
-      ``quantile(history, q)`` bitwise without copying or partitioning
-      the history per window; then the window's flags are raised and
-      its novelties remembered.
+    * per window, in order, the threshold is read with numpy's
+      ``linear`` quantile rule off ``_top``, the sorted values of the
+      checkpointed ``_history`` at or above a cut, so it equals numpy's
+      ``quantile(history, q)`` bitwise; a novelty below the cut costs
+      one compare, and one ``sorted(history)`` re-derives cut and set
+      only once they miss the quantile's ranks or outgrow their slack.
     """
 
     def __init__(
@@ -445,38 +443,27 @@ class SketchWindowScorer:
         #: (occurred_at, strategy_id, (ids, counts)) — the content pair
         #: is the document table's canonical object for its value.
         self._buffer: list[tuple[float, str, tuple]] = []
-        #: Interned buffered documents (derived; see :meth:`_bound_table`).
+        #: Interned buffered documents (derived; see :meth:`add_rows`).
         self._table = _DocumentTable()
         self._table_limit = _DOC_TABLE_CAP
         #: Novelties of the closed windows, oldest first (checkpointed).
         self._history: list[float] = []
-        #: ``sorted(self._history)``, maintained incrementally (derived;
-        #: rebuilt on restore).
-        self._ranked: list[float] = []
+        #: ``sorted(v for v in history if v >= cut)`` and its size bound
+        #: (derived by :meth:`_threshold`; empty until the first read).
+        self._cut, self._top, self._top_limit = math.inf, [], 0
         self.flags: list[SketchFlag] = []
-
-    @property
-    def emerging_count(self) -> int:
-        """Lifetime emerging flags raised."""
-        return len(self.flags)
 
     def add(self, doc: SketchDoc) -> None:
         """Buffer one hashed document (empty documents are no-ops)."""
-        if not doc[2]:
-            return
-        if self._start is None:
-            self._start = doc[0]
-        self._buffer.append(
-            (doc[0], doc[1], self._table.intern((doc[2], doc[3])))
-        )
-        self._bound_table()
+        self.add_rows([(doc[2], doc[3])], [(doc[0], doc[1], 0)])
 
     def add_rows(self, docs, doc_rows) -> None:
         """Buffer ``(occurred_at, strategy_id, doc_index)`` rows.
 
-        Equivalent to :meth:`add` over each referenced document from the
-        shared ``docs`` table — the detector suite's per-flush fast path.
-        Each table entry is interned once, however many rows share it.
+        Each row buffers the referenced ``(ids, counts)`` entry of the
+        shared ``docs`` table — the detector suite's per-flush path; an
+        empty entry is a no-op.  Each entry is interned once, however
+        many rows share it.
         """
         intern = self._table.intern
         canonical = [intern(content) if content[0] else None for content in docs]
@@ -490,7 +477,10 @@ class SketchWindowScorer:
                 start = occurred_at
             buffer.append((occurred_at, strategy_id, content))
         self._start = start
-        self._bound_table()
+        # Rebuild the table from the live buffer once it has outgrown
+        # both the cap and twice what its last rebuild kept.
+        if len(self._table) > self._table_limit:
+            self._rebuild_table()
 
     def _window_of(self, at: float, index: int) -> int:
         """The first window from ``index`` on that ``at`` has not passed.
@@ -559,7 +549,7 @@ class SketchWindowScorer:
             self._window_index += 1
 
     def _threshold(self) -> float:
-        """numpy's ``quantile(history, q)`` read off the sorted mirror.
+        """numpy's ``quantile(history, q)`` read off the top set.
 
         numpy's ``linear`` rule, operation for operation: virtual index
         ``v = (n - 1) * q``, neighbours ``a = ranked[floor(v)]`` and
@@ -567,15 +557,23 @@ class SketchWindowScorer:
         floor(v)``, and the lerp evaluated from ``a`` below ``g = 0.5``
         and from ``b`` at or above it.  (At ``v = n - 1`` numpy clamps
         both neighbours to the last value, which this reaches with
-        ``g = 0``.)
+        ``g = 0``.)  The top set is ``ranked``'s last ``len(top)`` values.
         """
-        ranked = self._ranked
-        n = len(ranked)
+        history = self._history
+        n = len(history)
         virtual = (n - 1) * self._novelty_quantile
         low = math.floor(virtual)
         gamma = virtual - low
-        a = ranked[low]
-        b = ranked[min(low + 1, n - 1)]
+        top = self._top
+        if not n - low <= len(top) <= self._top_limit:
+            ranked = sorted(history)
+            first = bisect_left(ranked, ranked[max(low - _TOP_SLACK, 0)])
+            self._cut = ranked[first]
+            self._top = top = ranked[first:]
+            self._top_limit = len(top) + _TOP_SLACK
+        offset = n - len(top)
+        a = top[low - offset]
+        b = top[min(low + 1, n - 1) - offset]
         diff = b - a
         if gamma < 0.5:
             return a + diff * gamma
@@ -584,20 +582,17 @@ class SketchWindowScorer:
     def _remember(self, novelties: list[float]) -> None:
         """Append a window's novelties; evict FIFO beyond the limit."""
         history = self._history
-        ranked = self._ranked
+        cut, top = self._cut, self._top
         history.extend(novelties)
+        for value in novelties:
+            if value >= cut:
+                insort(top, value)
         # Bound the reference history so the threshold adapts to drift.
         excess = len(history) - self._history_limit
-        if len(novelties) + max(excess, 0) > _MIRROR_REBUILD_AT:
-            if excess > 0:
-                del history[:excess]
-            self._ranked = sorted(history)
-            return
-        for value in novelties:
-            insort(ranked, value)
         if excess > 0:
             for value in history[:excess]:
-                del ranked[bisect_left(ranked, value)]
+                if value >= cut:
+                    del top[bisect_left(top, value)]
             del history[:excess]
 
     def _close_windows(
@@ -649,12 +644,6 @@ class SketchWindowScorer:
             self._remember(novelties[begin:end])
             begin = end
 
-    def _bound_table(self) -> None:
-        """Rebuild the document table from the live buffer once it has
-        outgrown both the cap and twice what its last rebuild kept."""
-        if len(self._table) > self._table_limit:
-            self._rebuild_table()
-
     def _rebuild_table(self) -> None:
         """Re-intern only the live buffer's (canonical) documents."""
         self._table = _DocumentTable(map(_content, self._buffer))
@@ -688,7 +677,8 @@ class SketchWindowScorer:
         Refuses what no run can produce: a negative window index, a
         buffered document without a window start, a buffered document
         that is empty or names a bucket outside the sketch, and any
-        histogram :meth:`HashingTopicSketch.restore_state` refuses.
+        histogram :meth:`HashingTopicSketch.restore_state` refuses, and a
+        non-finite history value (it would mis-order the top set).
         """
         window_index = int(state["window_index"])
         if window_index < 0:
@@ -697,6 +687,9 @@ class SketchWindowScorer:
             )
         if state["buffer"] and state["start"] is None:
             raise ValidationError("sketch buffer holds documents but no start")
+        history = [float(value) for value in state["history"]]
+        if not all(map(math.isfinite, history)):
+            raise ValidationError("sketch history holds a non-finite novelty")
         n_buckets = self.sketch.n_buckets
         # Value-equal documents share one object, as they do when live.
         interned = _DocumentTable()
@@ -712,8 +705,8 @@ class SketchWindowScorer:
         self._window_index = window_index
         self._buffer = buffer
         self._rebuild_table()
-        self._history = [float(value) for value in state["history"]]
-        self._ranked = sorted(self._history)
+        self._history = history
+        self._cut, self._top, self._top_limit = math.inf, [], 0
         self.flags = [
             SketchFlag(
                 strategy_id=str(strategy_id),

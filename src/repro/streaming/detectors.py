@@ -14,7 +14,8 @@ verdict depends on the plane count.  It can answer at any barrier:
   scorer and cutoff the batch detector applies to strategy metadata;
 * **A2 (misconfigured severity)** — the batch detector's impact-proxy
   pipeline reconstructed from per-(strategy, region, hour) counters:
-  storm hours excluded by the same >100 volume rule, transient- and
+  storm hours excluded by the same >100 volume rule (each (region,
+  hour)'s volume is kept as a running total by the fold), transient- and
   repeat-dominated strategies excluded by the same gates, class centers
   from the same medians.  The repeat-window check stays *exact* because
   each hour bucket either retains every raw event time (when it holds
@@ -89,6 +90,9 @@ class StreamingDetectorSuite:
         #: sids and then each sid's own few keys instead of one flat
         #: (sid, region, bucket) index.
         self._stats: dict[str, dict[tuple[str, int], list]] = {}
+        #: (region, hour bucket) -> alert count over every sid, the A2
+        #: storm-hour volume (derived: kept by the merge, not checkpointed).
+        self._hour_totals: dict[tuple[str, int], int] = {}
         #: sid -> (name, title, description, microservice, service,
         #: hashed (ids, counts)): re-tokenising every alert would
         #: dominate the fold; a text change re-hashes (derived, so not
@@ -198,7 +202,7 @@ class StreamingDetectorSuite:
                     docs.append(content)
                 doc_rows.append((at, sid, entry[1]))
         catalog = self._catalog
-        stats = self._stats
+        stats, hour_totals = self._stats, self._hour_totals
         for sid, (first, last_at, _doc, _entry, partial) in per_sid.items():
             row = catalog.get(sid)
             if row is None:
@@ -218,6 +222,7 @@ class StreamingDetectorSuite:
                     row[6] = last_at
             rows = stats.setdefault(sid, {})
             for key, part in partial.items():
+                hour_totals[key] = hour_totals.get(key, 0) + part[0]
                 row = rows.get(key)
                 if row is None:
                     rows[key] = part
@@ -293,15 +298,10 @@ class StreamingDetectorSuite:
         ]
         return definition_findings(records, self.stream_end, self._thresholds)
 
-    def _storm_hours(self) -> set[tuple[int, str]]:
-        """(hour bucket, region) keys carrying flood-level volume."""
-        totals: dict[tuple[int, str], int] = {}
-        for rows in self._stats.values():
-            for (region, bucket), row in rows.items():
-                key = (bucket, region)
-                totals[key] = totals.get(key, 0) + row[0]
+    def _storm_hours(self) -> set[tuple[str, int]]:
+        """(region, hour bucket) keys carrying flood-level volume."""
         return {
-            key for key, count in totals.items()
+            key for key, count in self._hour_totals.items()
             if count > STORM_HOUR_THRESHOLD
         }
 
@@ -317,13 +317,14 @@ class StreamingDetectorSuite:
         # bucket) order, so the float sums add up in the same order.
         stats = self._stats
         for sid in sorted(stats):
-            totals = by_region = None
-            for (region, bucket), row in sorted(stats[sid].items()):
-                if (bucket, region) in storm_hours:
-                    continue
-                if totals is None:
-                    totals = folded[sid] = [0, 0, 0, 0, 0.0]
-                    by_region = regions_of[sid] = {}
+            items = stats[sid].items()
+            if storm_hours:
+                items = [item for item in items if item[0] not in storm_hours]
+            if not items:
+                continue
+            totals = folded[sid] = [0, 0, 0, 0, 0.0]
+            by_region = regions_of[sid] = {}
+            for (region, _bucket), row in sorted(items):
                 totals[0] += row[0]
                 totals[1] += row[1]
                 totals[2] += row[2]
@@ -430,7 +431,7 @@ class StreamingDetectorSuite:
         return {
             "strategies": self.strategies,
             "stat_rows": sum(len(rows) for rows in self._stats.values()),
-            "emerging": self.sketch.emerging_count,
+            "emerging": len(self.sketch.flags),
             "findings": {
                 pattern: len(items) for pattern, items in findings.items()
             },
@@ -462,10 +463,13 @@ class StreamingDetectorSuite:
                 service, last_at in state["catalog"]
         }
         self._stats = {}
+        self._hour_totals = hour_totals = {}
         for (sid, region, bucket, count, transient, manual, cleared,
              duration_sum, times) in state["stats"]:
-            self._stats.setdefault(str(sid), {})[str(region), int(bucket)] = [
+            key = (str(region), int(bucket))
+            self._stats.setdefault(str(sid), {})[key] = [
                 int(count), int(transient), int(manual), int(cleared),
                 float(duration_sum), [float(at) for at in times],
             ]
+            hour_totals[key] = hour_totals.get(key, 0) + int(count)
         self.sketch.restore_state(state["sketch"])

@@ -9,10 +9,12 @@ round-trips.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.ml import sketch as sketch_module
 from repro.ml.sketch import (
     DEFAULT_SKETCH_BUCKETS,
     HashingTopicSketch,
@@ -114,6 +116,11 @@ class TestHashingTopicSketch:
         sketch = HashingTopicSketch(n_buckets=16)
         with pytest.raises(ValidationError, match="total"):
             sketch.restore_state({"counts": [[2, 3], [5, 4]], "total": 8})
+
+
+def _top_set_holds(scorer) -> bool:
+    """The threshold's top set is every history value at or above its cut."""
+    return scorer._top == sorted(v for v in scorer._history if v >= scorer._cut)
 
 
 def _doc(at: float, strategy: str, text: str, n_buckets=DEFAULT_SKETCH_BUCKETS):
@@ -227,12 +234,17 @@ class TestSketchWindowScorer:
         assert first._window_index > 2
         assert len(state["history"]) == 12
         resumed = self._scorer()
-        resumed.restore_state(state)
-        assert resumed._ranked == sorted(resumed._history)
-        for doc in docs[cut:]:
-            resumed.add(doc)
-            resumed.advance(doc[0])
-        resumed.finish()
+        # A slack below the history cap, so the restored run's top set
+        # is derived, outgrown and re-derived, not the whole history.
+        with mock.patch.object(sketch_module, "_TOP_SLACK", 2):
+            resumed.restore_state(state)
+            assert _top_set_holds(resumed)
+            for doc in docs[cut:]:
+                resumed.add(doc)
+                resumed.advance(doc[0])
+                assert _top_set_holds(resumed)
+            resumed.finish()
+        assert len(resumed._top) < len(resumed._history)
         assert any(flag.occurred_at >= docs[cut][0] for flag in straight.flags)
         assert resumed.flags == straight.flags
         assert resumed.export_state() == straight.export_state()
@@ -279,6 +291,15 @@ class TestSketchWindowScorer:
         state["window_index"] = -1
         with pytest.raises(ValidationError, match="window_index"):
             SketchWindowScorer(window_seconds=100.0).restore_state(state)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_restore_refuses_a_non_finite_history_value(self, value):
+        scorer = SketchWindowScorer(window_seconds=100.0)
+        state = scorer.export_state()
+        state["history"] = [1.5, float(value), 2.5]
+        with pytest.raises(ValidationError, match="non-finite"):
+            scorer.restore_state(state)
+        assert scorer.export_state()["history"] == []
 
     @pytest.mark.parametrize("ids, counts", [
         ([], []),

@@ -1,17 +1,21 @@
 """Property test: the R4 sketch's window-close kernel against a naive loop.
 
-``SketchWindowScorer`` reads its threshold from a sorted mirror of the
-novelty history, splits its buffer once per ``advance``, skips empty
-windows by index arithmetic, and scores, flags and folds every window an
-``advance`` closes in one array kernel over an interned document table.
-These properties pin all of it against the plain definitions: the
-mirror's quantile is ``np.quantile`` bitwise, the mirror is
-``sorted(history)`` after any sequence of windows and evictions, and
-every flag, novelty and history entry equals a naive model that closes
-one window at a time with two buffer scans, ``np.quantile`` and one
-``HashingTopicSketch.score`` call per document — over wide documents,
-value-equal copies and empty documents, under any advance schedule, and
-across rebuilds of the document table.
+``SketchWindowScorer`` reads its threshold from a top set of the
+novelty history (its sorted values at or above a cut), splits its buffer
+once per ``advance``, skips empty windows by index arithmetic, and
+scores, flags and folds every window an ``advance`` closes in one array
+kernel over an interned document table.  These properties pin all of it
+against the plain definitions: the top set's quantile is ``np.quantile``
+bitwise, over small histories and over 300-5000-value histories with
+ties and drift, the set is ``sorted(v for v in history if v >= cut)``
+after any sequence of windows and evictions, and every flag, novelty and
+history entry equals a naive model that closes one window at a time with
+two buffer scans, ``np.quantile`` and one ``HashingTopicSketch.score``
+call per document — over wide documents, value-equal copies and empty
+documents, under any advance schedule, and across rebuilds of the
+document table.  The top set's slack is drawn small as well as at its
+module value, so the small histories cross its cut, its re-derivations
+and its slack bound too.
 """
 
 from unittest import mock
@@ -39,6 +43,18 @@ QUANTILES = st.one_of(
     st.sampled_from([0.0, 0.5, 0.99, 1.0]),
     st.floats(min_value=0.0, max_value=1.0),
 )
+# Slacks far below the histories drawn here, and the module's own.
+SLACKS = st.sampled_from([1, 3, sketch_module._TOP_SLACK])
+
+
+def top_set_holds(scorer):
+    """The threshold's top set is every history value at or above its cut."""
+    return scorer._top == sorted(v for v in scorer._history if v >= scorer._cut)
+
+
+def small_slack(slack):
+    """Run with the top set's slack patched to ``slack``."""
+    return mock.patch.object(sketch_module, "_TOP_SLACK", slack)
 
 
 class NaiveScorer:
@@ -118,39 +134,74 @@ def streams(draw):
         min_size=1, max_size=300,
     ),
     QUANTILES,
+    SLACKS,
 )
 # At g = 0.5 numpy lerps from the upper neighbour; from the lower one
 # this pair would land one ulp higher.
-@example([2.4558498082097246, 130425.25193495094], 0.5)
+@example([2.4558498082097246, 130425.25193495094], 0.5, 1)
 @settings(deadline=None)
-def test_mirror_quantile_is_numpy_quantile_bitwise(history, quantile):
+def test_top_set_quantile_is_numpy_quantile_bitwise(history, quantile, slack):
     scorer = SketchWindowScorer(novelty_quantile=quantile)
     state = scorer.export_state()
     state["history"] = history
     scorer.restore_state(state)
     expected = float(np.quantile(history, quantile))
-    assert scorer._threshold().hex() == expected.hex()
+    with small_slack(slack):
+        assert scorer._threshold().hex() == expected.hex()
+    assert top_set_holds(scorer)
 
 
-@given(streams(), QUANTILES, st.integers(min_value=1, max_value=40))
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=300, max_value=5000),
+    st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    SLACKS,
+)
 @settings(deadline=None)
-def test_scorer_matches_the_naive_window_loop(events, quantile, limit):
+def test_top_set_threshold_is_numpy_quantile_over_large_histories(
+        seed, limit, quantile, drift, slack):
+    """Windows of novelties, a third of them from four tied values and
+    the rest spread around a drifting centre, fill a 300-5000-value
+    history and evict past it; so the top set is cut, outgrown and
+    drained, and after every window it holds and the threshold is
+    ``np.quantile`` bitwise."""
+    rng = np.random.default_rng(seed)
+    ties = rng.normal(size=4)
+    scorer = SketchWindowScorer(novelty_quantile=quantile, history_limit=limit)
+    with small_slack(slack):
+        for window in range(32):
+            size = int(rng.integers(limit // 16 + 1, limit // 6 + 2))
+            values = rng.normal(drift * window / 8, 1.0, size)
+            tied = rng.random(size) < 0.3
+            values[tied] = rng.choice(ties, int(tied.sum()))
+            scorer._remember(values.tolist())
+            expected = float(np.quantile(scorer._history, quantile))
+            assert scorer._threshold().hex() == expected.hex()
+            assert top_set_holds(scorer)
+    assert len(scorer._history) == limit
+
+
+@given(streams(), QUANTILES, st.integers(min_value=1, max_value=40), SLACKS)
+@settings(deadline=None)
+def test_scorer_matches_the_naive_window_loop(events, quantile, limit, slack):
     scorer = SketchWindowScorer(
         n_buckets=N_BUCKETS, window_seconds=WINDOW, warmup_windows=2,
         novelty_quantile=quantile, min_novelty_gap=0.0, history_limit=limit,
     )
     naive = NaiveScorer(quantile, 0.0, limit)
-    for (at, strategy, (ids, counts)), watermark in events:
-        scorer.add((at, strategy, ids, counts))
-        naive.add((at, strategy, (ids, counts)))
-        scorer.advance(watermark)
-        naive.advance(watermark)
-        assert scorer._window_index == naive.index
-        assert scorer._history == naive.history
-        assert scorer._ranked == sorted(scorer._history)
-        # The retained buffer keeps its arrival order (checkpoint bytes).
-        assert scorer._buffer == naive.buffer
-    scorer.finish()
+    with small_slack(slack):
+        for (at, strategy, (ids, counts)), watermark in events:
+            scorer.add((at, strategy, ids, counts))
+            naive.add((at, strategy, (ids, counts)))
+            scorer.advance(watermark)
+            naive.advance(watermark)
+            assert scorer._window_index == naive.index
+            assert scorer._history == naive.history
+            assert top_set_holds(scorer)
+            # The retained buffer keeps its arrival order (checkpoint bytes).
+            assert scorer._buffer == naive.buffer
+        scorer.finish()
     if naive.buffer:
         naive.close(None)
     assert [(f.strategy_id, f.occurred_at, f.novelty.hex(), f.window_index)
@@ -159,7 +210,7 @@ def test_scorer_matches_the_naive_window_loop(events, quantile, limit):
          for f in naive.flags]
     assert [value.hex() for value in scorer._history] == \
         [value.hex() for value in naive.history]
-    assert scorer._ranked == sorted(scorer._history)
+    assert top_set_holds(scorer)
     assert scorer.sketch.export_state() == naive.sketch.export_state()
 
 
@@ -167,23 +218,26 @@ def test_scorer_matches_the_naive_window_loop(events, quantile, limit):
     st.lists(st.integers(min_value=0, max_value=300), min_size=1,
              max_size=12),
     st.integers(min_value=1, max_value=150),
+    SLACKS,
 )
 @settings(deadline=None)
-def test_mirror_tracks_history_through_bulk_windows(sizes, limit):
-    """Windows of up to 300 documents cross the mirror's rebuild cut-off
-    in both directions; the mirror stays ``sorted(history)``."""
+def test_top_set_tracks_history_through_bulk_windows(sizes, limit, slack):
+    """Windows of up to 300 documents, more than a whole history, enter
+    and evict across the top set's cut; the set stays every history
+    value at or above it."""
     scorer = SketchWindowScorer(
         n_buckets=N_BUCKETS, window_seconds=WINDOW, warmup_windows=1,
         history_limit=limit,
     )
-    for window, size in enumerate(sizes):
-        for offset in range(size):
-            ids, counts = DOCUMENTS[(window + offset) % len(DOCUMENTS)]
-            scorer.add((window * WINDOW + offset * WINDOW / 400, "s-1",
-                        ids, counts))
-        scorer.advance((window + 1) * WINDOW)
-        assert len(scorer._history) <= limit
-        assert scorer._ranked == sorted(scorer._history)
+    with small_slack(slack):
+        for window, size in enumerate(sizes):
+            for offset in range(size):
+                ids, counts = DOCUMENTS[(window + offset) % len(DOCUMENTS)]
+                scorer.add((window * WINDOW + offset * WINDOW / 400, "s-1",
+                            ids, counts))
+            scorer.advance((window + 1) * WINDOW)
+            assert len(scorer._history) <= limit
+            assert top_set_holds(scorer)
 
 
 def documents(n_buckets):
@@ -239,30 +293,33 @@ def wide_flushes(draw):
     return n_buckets, flushes
 
 
-@given(wide_flushes(), QUANTILES, st.integers(min_value=1, max_value=40))
+@given(wide_flushes(), QUANTILES, st.integers(min_value=1, max_value=40),
+       SLACKS)
 @settings(deadline=None)
-def test_wide_documents_match_the_naive_window_loop(drawn, quantile, limit):
+def test_wide_documents_match_the_naive_window_loop(
+        drawn, quantile, limit, slack):
     n_buckets, flushes = drawn
     scorer = SketchWindowScorer(
         n_buckets=n_buckets, window_seconds=WINDOW, warmup_windows=2,
         novelty_quantile=quantile, min_novelty_gap=0.0, history_limit=limit,
     )
     naive = NaiveScorer(quantile, 0.0, limit, n_buckets=n_buckets)
-    for rows, watermark in flushes:
-        # The suite's per-flush form: a docs table and rows indexing it.
-        docs = [content for _, _, content in rows]
-        scorer.add_rows(docs, [
-            (at, strategy, index)
-            for index, (at, strategy, _) in enumerate(rows)
-        ])
-        for at, strategy, content in rows:
-            naive.add((at, strategy, content))
-        scorer.advance(watermark)
-        naive.advance(watermark)
-        assert scorer._window_index == naive.index
-        assert scorer._buffer == naive.buffer
-        assert scorer._ranked == sorted(scorer._history)
-    scorer.finish()
+    with small_slack(slack):
+        for rows, watermark in flushes:
+            # The suite's per-flush form: a docs table and rows indexing it.
+            docs = [content for _, _, content in rows]
+            scorer.add_rows(docs, [
+                (at, strategy, index)
+                for index, (at, strategy, _) in enumerate(rows)
+            ])
+            for at, strategy, content in rows:
+                naive.add((at, strategy, content))
+            scorer.advance(watermark)
+            naive.advance(watermark)
+            assert scorer._window_index == naive.index
+            assert scorer._buffer == naive.buffer
+            assert top_set_holds(scorer)
+        scorer.finish()
     if naive.buffer:
         naive.close(None)
     assert verdicts(scorer.flags, scorer._history) == \

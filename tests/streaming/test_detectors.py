@@ -18,6 +18,7 @@ from repro.common.errors import ValidationError
 from repro.common.timeutil import HOUR
 from repro.core.antipatterns.base import DetectorThresholds
 from repro.streaming import AlertGateway, StreamingDetectorSuite
+from repro.streaming.detectors import STORM_HOUR_THRESHOLD
 from tests.streaming.conftest import make_alert
 
 _ids = itertools.count()
@@ -193,6 +194,15 @@ def _severity_fixture():
     return alerts
 
 
+def _resummed_storm_hours(suite):
+    """Storm hours re-summed from scratch over every stat row."""
+    totals: dict[tuple[str, int], int] = {}
+    for rows in suite._stats.values():
+        for key, row in rows.items():
+            totals[key] = totals.get(key, 0) + row[0]
+    return {key for key, count in totals.items() if count > STORM_HOUR_THRESHOLD}
+
+
 class TestSeverityFindings:
     def test_misfit_is_the_only_a2_finding(self):
         suite = StreamingDetectorSuite()
@@ -213,6 +223,35 @@ class TestSeverityFindings:
         suite = StreamingDetectorSuite()
         suite.observe([alerts])
         assert suite.findings()["A2"] == []
+
+    def test_storm_hour_totals_survive_a_restore_inside_the_hour(self):
+        # (region-A, bucket 0) holds the fixture's 28 alerts plus 70
+        # flood alerts before the restore and 80 after: a storm only
+        # once both halves are summed.  (region-B, bucket 5) is a storm
+        # before the restore already.
+        flood = _bucket("s-flood", bucket=0, count=150,
+                        severity=Severity.WARNING,
+                        times=[20.0 * i for i in range(150)])
+        before = _severity_fixture() + flood[:70] + _bucket(
+            "s-flood-b", region="region-B", bucket=5, count=120,
+            times=[5 * HOUR + 20.0 * i for i in range(120)],
+        )
+        straight = StreamingDetectorSuite()
+        for batch in (before, flood[70:]):
+            straight.observe([batch])
+        first = StreamingDetectorSuite()
+        first.observe([before])
+        assert first._storm_hours() == {("region-B", 5)}
+        assert [f.subject for f in first.findings()["A2"]] == ["s-misfit"]
+        resumed = StreamingDetectorSuite()
+        resumed.restore_state(first.export_state())
+        assert resumed._storm_hours() == _resummed_storm_hours(resumed)
+        resumed.observe([flood[70:]])
+        assert resumed._storm_hours() == _resummed_storm_hours(resumed) \
+            == {("region-A", 0), ("region-B", 5)}
+        assert resumed.findings() == straight.findings()
+        assert resumed.findings()["A2"] == []
+        assert resumed.export_state() == straight.export_state()
 
     def test_repeat_dominated_strategies_are_gated(self):
         # Hand the misfit one full bucket: cap-many events inside an
