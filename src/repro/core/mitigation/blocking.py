@@ -13,7 +13,7 @@ strategy or to one (strategy, region) pair, and can expire, modelling the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.alerting.alert import Alert
@@ -79,10 +79,13 @@ class AlertBlocker:
         # A4/A5 findings is unconditional), and it turns the per-event
         # hot-path test into a single set membership.
         self._unconditional: set[str] = set()
+        #: (ruled, unconditional) frozen until the table changes.
+        self._views: tuple[frozenset[str], frozenset[str]] | None = None
         for rule in self._rules:
             self._index(rule)
 
     def _index(self, rule: BlockingRule) -> None:
+        self._views = None
         self._by_strategy.setdefault(rule.strategy_id, []).append(rule)
         if rule.region is None and rule.expires_at is None:
             self._unconditional.add(rule.strategy_id)
@@ -145,6 +148,7 @@ class AlertBlocker:
             return False
         rules.remove(rule)
         self._rules.remove(rule)
+        self._views = None
         if not rules:
             del self._by_strategy[rule.strategy_id]
         if rule.region is None and rule.expires_at is None and not any(
@@ -168,6 +172,7 @@ class AlertBlocker:
             return 0
         self._rules = [r for r in self._rules if r.strategy_id != strategy_id]
         self._unconditional.discard(strategy_id)
+        self._views = None
         return len(dropped)
 
     @property
@@ -178,7 +183,7 @@ class AlertBlocker:
         strategies have none, and membership here lets callers skip the
         per-rule scan entirely for them.
         """
-        return frozenset(self._by_strategy)
+        return self._frozen()[0]
 
     @property
     def unconditional_strategies(self) -> frozenset[str]:
@@ -187,7 +192,12 @@ class AlertBlocker:
         A subset of :attr:`ruled_strategies`: membership here decides
         :meth:`is_blocked` without a call, the streaming R1 fast path.
         """
-        return frozenset(self._unconditional)
+        return self._frozen()[1]
+
+    def _frozen(self) -> tuple[frozenset[str], frozenset[str]]:
+        if self._views is None:
+            self._views = frozenset(self._by_strategy), frozenset(self._unconditional)
+        return self._views
 
     def is_blocked(self, alert: Alert) -> bool:
         """Whether any rule blocks ``alert``."""
@@ -203,10 +213,11 @@ class AlertBlocker:
         return False
 
     def apply(self, trace: AlertTrace) -> tuple[AlertTrace, list[Alert]]:
-        """Split a trace into (passed, blocked)."""
-        blocked = [a for a in trace.alerts if self.is_blocked(a)]
-        passed = trace.filter(lambda a: not self.is_blocked(a), label=f"{trace.label}+R1")
-        return passed, blocked
+        """Split a trace into (passed, blocked), one rule test per alert."""
+        passed, blocked = [], []
+        for alert in trace.alerts:
+            (blocked if self.is_blocked(alert) else passed).append(alert)
+        return replace(trace, alerts=passed, label=f"{trace.label}+R1"), blocked
 
     def reduction(self, trace: AlertTrace) -> float:
         """Fraction of the trace's alerts the rules remove."""

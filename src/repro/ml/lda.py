@@ -16,7 +16,6 @@ streams keep introducing new component names.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import psi
 
 from repro.common.errors import ValidationError
 from repro.common.validation import require_positive
@@ -29,6 +28,9 @@ BowDoc = tuple[np.ndarray, np.ndarray]
 
 def _dirichlet_expectation(alpha: np.ndarray) -> np.ndarray:
     """E[log theta] for theta ~ Dir(alpha), rows independent."""
+    # Imported here: scipy would cost every process a quarter second.
+    from scipy.special import psi
+
     if alpha.ndim == 1:
         return psi(alpha) - psi(alpha.sum())
     return psi(alpha) - psi(alpha.sum(axis=1))[:, np.newaxis]

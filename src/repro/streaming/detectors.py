@@ -98,7 +98,7 @@ class StreamingDetectorSuite:
         #: dominate the fold; a text change re-hashes (derived, so not
         #: checkpointed).
         self._doc_cache: dict[str, tuple] = {}
-        self.sketch = SketchWindowScorer(
+        self._sketch_options = dict(
             n_buckets=sketch_buckets,
             smoothing=sketch_smoothing,
             window_seconds=window_seconds,
@@ -106,6 +106,7 @@ class StreamingDetectorSuite:
             novelty_quantile=novelty_quantile,
             min_novelty_gap=min_novelty_gap,
         )
+        self.sketch = SketchWindowScorer(**self._sketch_options)
 
     # ------------------------------------------------------------------
     # ingestion (flush/drain barriers)
@@ -452,8 +453,9 @@ class StreamingDetectorSuite:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt state captured by :meth:`export_state` (exact)."""
-        self._catalog = {
+        """Adopt state captured by :meth:`export_state` (exact); a refused
+        state leaves the suite as it was."""
+        catalog = {
             str(sid): [
                 float(first_at), str(first_id), str(title),
                 str(description), int(severity), str(service),
@@ -462,14 +464,16 @@ class StreamingDetectorSuite:
             for sid, first_at, first_id, title, description, severity,
                 service, last_at in state["catalog"]
         }
-        self._stats = {}
-        self._hour_totals = hour_totals = {}
+        stats, hour_totals = {}, {}
         for (sid, region, bucket, count, transient, manual, cleared,
              duration_sum, times) in state["stats"]:
             key = (str(region), int(bucket))
-            self._stats.setdefault(str(sid), {})[key] = [
+            stats.setdefault(str(sid), {})[key] = [
                 int(count), int(transient), int(manual), int(cleared),
                 float(duration_sum), [float(at) for at in times],
             ]
             hour_totals[key] = hour_totals.get(key, 0) + int(count)
-        self.sketch.restore_state(state["sketch"])
+        sketch = SketchWindowScorer(**self._sketch_options)
+        sketch.restore_state(state["sketch"])
+        self._catalog, self._stats = catalog, stats
+        self._hour_totals, self.sketch = hour_totals, sketch

@@ -42,7 +42,7 @@ them.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.alerting.alert import Alert
@@ -308,29 +308,26 @@ class RegionPlane:
         feed R3 and the counters directly; an ``AggregatedAlert`` is
         built only to retain it.
         """
+        regions = [alert.region for alert in alerts]
         if self._detector is not None:
-            self._detector.ingest_batch(alerts, in_warmup)
-        # Per-region processed counts, run-compressed (one dict touch
-        # per contiguous same-region run, not per event).
+            self._detector.ingest_batch(alerts, in_warmup, regions)
+        # Per-region processed counts: one dict touch per region.
         region_counts = self._region_counts
-        n = len(alerts)
-        index = 0
-        while index < n:
-            region = alerts[index].region
-            stop = index + 1
-            while stop < n and alerts[stop].region == region:
-                stop += 1
-            region_counts[region][0] += stop - index
-            index = stop
-        blocked_by_region: dict[str, int] = {}
-        blocked, closed = self.processor.ingest_batch(
-            alerts, blocked_by_region,
+        batch_regions = (
+            {regions[0]: len(regions)}
+            if regions and regions.count(regions[0]) == len(regions)
+            else Counter(regions)
+        )
+        for region, count in batch_regions.items():
+            region_counts[region][0] += count
+        blocked_by_region, closed = self.processor.ingest_batch(
+            alerts, batch_regions,
         )
         for region, count in blocked_by_region.items():
             region_counts[region][1] += count
         self._close_sessions(closed)
         self.processed += len(alerts)
-        self.blocked += blocked
+        self.blocked += sum(blocked_by_region.values())
         self._since_finalize += len(alerts)
         if self._since_finalize >= self._config.finalize_every and watermark is not None:
             self._since_finalize = 0

@@ -20,6 +20,8 @@ plane-local ``OnlineStormDetector`` over the raw sub-stream are exact.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.alerting.alert import Alert
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.streaming.dedup import OnlineAggregator, OpenSession
@@ -51,39 +53,39 @@ class StreamProcessor:
     def ingest_batch(
         self,
         alerts: list[Alert],
-        blocked_by_region: dict[str, int],
-    ) -> tuple[int, list[OpenSession]]:
-        """Process one micro-batch.
+        batch_regions: dict[str, int],
+    ) -> tuple[dict[str, int], list[OpenSession]]:
+        """One micro-batch; returns ``(blocked per region, closed sessions)``.
 
-        Returns ``(blocked_count, closed sessions)``.  R1 blocks strategies
-        with an unconditional rule on one set probe and skips the rule scan
-        for strategies no rule targets; R2 folds the survivors grouped by key.
-        ``blocked_by_region`` accumulates the per-region blocked counts
-        (one dict increment per *blocked* alert only) — the owning
-        plane's per-region accounting, which checkpoints carry.
+        R1 keeps the survivors in one comprehension (a second pass through
+        the rule scan only for conditional rules) and R2 folds them
+        grouped by key.  A region's blocked count, the plane's accounting,
+        is its ``batch_regions`` count less its survivors.
         """
-        ruled = self._blocker.ruled_strategies
-        unconditional = self._blocker.unconditional_strategies
-        is_blocked = self._blocker.is_blocked
-        blocked = 0
-        if ruled:
-            survivors = []
-            append = survivors.append
-            for alert in alerts:
-                strategy = alert.strategy_id
-                if strategy in unconditional or (
-                    strategy in ruled and is_blocked(alert)
-                ):
-                    blocked += 1
-                    region = alert.region
-                    blocked_by_region[region] = (
-                        blocked_by_region.get(region, 0) + 1
-                    )
-                else:
-                    append(alert)
+        blocker = self._blocker
+        ruled = blocker.ruled_strategies
+        if not ruled:
+            return {}, self._aggregator.ingest_batch(alerts)
+        unconditional = blocker.unconditional_strategies
+        survivors = [
+            alert for alert in alerts if alert.strategy_id not in unconditional
+        ]
+        if len(ruled) > len(unconditional):
+            is_blocked = blocker.is_blocked
+            survivors = [
+                alert for alert in survivors
+                if alert.strategy_id not in ruled or not is_blocked(alert)
+            ]
+        blocked = len(alerts) - len(survivors)
+        if blocked and len(batch_regions) > 1:
+            kept = Counter([alert.region for alert in survivors])
+            blocked_by_region = {
+                region: count - kept[region]
+                for region, count in batch_regions.items()
+            }
         else:
-            survivors = alerts
-        return blocked, self._aggregator.ingest_batch(survivors)
+            blocked_by_region = dict.fromkeys(batch_regions, blocked)
+        return blocked_by_region, self._aggregator.ingest_batch(survivors)
 
     def sessions_by_region(self) -> dict[str, list[OpenSession]]:
         """Open R2 sessions per region, read-only (checkpointing)."""

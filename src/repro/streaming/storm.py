@@ -21,11 +21,17 @@ region, all of it in one :class:`RegionStormState` record:
   §III-C [R4] describes.  Strategies are remembered per region with a
   bounded recency map, so one quiet for longer than ``novelty_horizon``
   counts as new again.
+
+A batch folds one region at a time, on integers: each rate bound is the
+smallest ring total that reaches it, a head-bucket event skips the
+bucket division, and the float rate is formed only for an episode peak.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.alerting.alert import Alert
 from repro.common.timeutil import HOUR
@@ -72,6 +78,30 @@ class RegionStormState:
 DEFAULT_WARMUP_ALERTS = 50
 
 
+def _head_interval(head: int, width: float) -> tuple[float, float]:
+    """``low <= t < high`` makes ``int(t / width) == head`` certain: the
+    1e-12 margin is thousands of ulps, far past any rounding here."""
+    return head * width * (1 + 1e-12), (head + 1) * width * (1 - 1e-12)
+
+
+@lru_cache(maxsize=64)
+def _cutoffs(threshold: int, width: float, size: int) -> tuple[float, int, int, int]:
+    """``(scale, open, close, rising)`` for one ring shape: ``scale``
+    turns a ring total into the hourly rate, and the others are the
+    smallest totals whose rate reaches the threshold, half and a quarter
+    of it.  ``T * scale`` never decreases as ``T`` grows, so ``total >=
+    open`` is exactly ``total * scale >= threshold``, and so on."""
+    scale = 3600.0 / (width * size)
+    least = []
+    for bound in (threshold, threshold / 2, threshold / 4):
+        # One below the rounded quotient cannot overshoot the answer.
+        total = max(int(bound / scale) - 1, 0)
+        while total * scale < bound:
+            total += 1
+        least.append(total)
+    return scale, *least
+
+
 class OnlineStormDetector:
     """Streaming detector for floods and their precursors.
 
@@ -107,7 +137,8 @@ class OnlineStormDetector:
         self.episode_count = 0
         self.emerging_count = 0
 
-    def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None) -> None:
+    def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None,
+                     regions: list[str] | None = None) -> None:
         """Advance the counters with one in-order pre-R1 micro-batch.
 
         R4 watches the raw flood: planes feed it every alert of their
@@ -115,21 +146,18 @@ class OnlineStormDetector:
         notifications but not the storm it is part of — the flood rate
         and the first-seen precursors must not depend on the rule table.
 
-        Event-for-event equivalent to feeding the alerts one at a time.
-        Each contiguous same-region run is one fused pass over the
-        region's record: the ring update, the episode hysteresis and the
-        novelty check share one bucket computation and one rate per
-        event, and the ring slots are written only when an event leaves
-        the head bucket.  On a plane that owns whole regions, a flood is
-        one long run.
+        Event-for-event equivalent to feeding the alerts one at a time:
+        regions share no state, so each region's events, in order, are
+        one :meth:`_fold`.  A plane passes ``regions``, each alert's.
 
         ``in_warmup`` is the number of leading events that fall inside
         the *stream-global* warmup.  ``None`` (standalone use) derives it
         from this instance's own ingest count; a plane-partitioned
         gateway passes the prefix computed from its global input counter,
         which is what keeps per-plane detectors bitwise-equal to one
-        shared instance.  The recency sweep runs once per batch instead
-        of per event — identical behaviour below the sweep's size floor.
+        shared instance; a region's share is its count among them.  The
+        recency sweep runs once per batch instead of per event —
+        identical behaviour below the sweep's size floor.
         """
         n = len(alerts)
         if n == 0:
@@ -137,92 +165,25 @@ class OnlineStormDetector:
         if in_warmup is None:
             in_warmup = min(max(self._warmup - self._ingested, 0), n)
         self._ingested += n
-        threshold = self._threshold
-        half_threshold = threshold / 2
-        quarter_threshold = threshold / 4
-        horizon = self._horizon
-        regions = self._regions
-        episodes = 0
-        emerging = 0
-        index = 0
-        while index < n:
-            region = alerts[index].region
-            stop = index + 1
-            while stop < n and alerts[stop].region == region:
-                stop += 1
-            state = regions.get(region)
+        if regions is None:
+            regions = [alert.region for alert in alerts]
+        groups = {regions[0]: alerts}
+        if regions.count(regions[0]) != n:
+            groups = {}
+            for alert, region in zip(alerts, regions):
+                groups.setdefault(region, []).append(alert)
+        warm = Counter(regions[:in_warmup]) if in_warmup else {}
+        states = self._regions
+        for region, group in groups.items():
+            state = states.get(region)
             if state is None:
-                state = regions[region] = self._empty(region)
-            bucket_seconds = state.bucket_seconds
-            counts = state.counts
-            if counts is None:
-                counts = state.counts = [0] * max(int(HOUR / bucket_seconds), 1)
-            size = len(counts)
-            scale = 3600.0 / (bucket_seconds * size)
-            total = state.total
-            head = state.head
-            if head is None:
-                head = int(alerts[index].occurred_at / bucket_seconds)
-            head_slot = head % size
-            at_head = counts[head_slot]
-            started_at = state.episode_started_at
-            peak_rate = state.episode_peak_rate
-            last_seen = state.last_seen
-            run_episodes = 0
-            run_emerging = 0
-            for position in range(index, stop):
-                alert = alerts[position]
-                occurred_at = alert.occurred_at
-                # int() == floor for the non-negative times Alert validates.
-                bucket = int(occurred_at / bucket_seconds)
-                if bucket == head:
-                    at_head += 1
-                    total += 1
-                elif bucket > head:
-                    counts[head_slot] = at_head
-                    for offset in range(1, min(bucket - head, size) + 1):
-                        slot = (head + offset) % size
-                        total -= counts[slot]
-                        counts[slot] = 0
-                    head = bucket
-                    head_slot = bucket % size
-                    at_head = 1
-                    total += 1
-                elif bucket > head - size:
-                    counts[bucket % size] += 1
-                    total += 1
-                # else: older than the ring, so not recorded.
-                rate = total * scale
-                if started_at is None:
-                    if rate >= threshold:
-                        started_at = occurred_at
-                        peak_rate = rate
-                        run_episodes += 1
-                else:
-                    if rate > peak_rate:
-                        peak_rate = rate
-                    if rate < half_threshold:
-                        started_at = None
-                        peak_rate = 0.0
-                strategy = alert.strategy_id
-                if quarter_threshold <= rate < threshold and position >= in_warmup:
-                    last = last_seen.get(strategy)
-                    if last is None or occurred_at - last > horizon:
-                        run_emerging += 1
-                last_seen[strategy] = occurred_at
-            counts[head_slot] = at_head
-            state.total = total
-            state.head = head
-            state.episode_started_at = started_at
-            state.episode_peak_rate = peak_rate
-            state.ingested += stop - index
-            state.episode_count += run_episodes
-            state.emerging_count += run_emerging
-            episodes += run_episodes
-            emerging += run_emerging
-            index = stop
-        self.episode_count += episodes
-        self.emerging_count += emerging
+                state = states[region] = self._empty(region)
+            quiet = warm.get(region, 0)
+            if quiet:
+                self._fold(state, group[:quiet], novelty=False)
+                group = group[quiet:]
+            if group:
+                self._fold(state, group, novelty=True)
         if n > in_warmup:
             self._sweep(alerts[-1].occurred_at)
 
@@ -289,6 +250,86 @@ class OnlineStormDetector:
             emerging_count=0,
             ingested=0,
         )
+
+    def _fold(self, state: RegionStormState, alerts: list[Alert], novelty: bool) -> None:
+        """One region's events, in order, through its record.
+
+        Ring, episode and novelty share one ``total`` compared against
+        :func:`_cutoffs`; an event inside :func:`_head_interval` skips
+        the division, and skipped ring slots are cleared by slices.
+        ``novelty=False`` keeps warmup events' recency but flags none.
+        """
+        width = state.bucket_seconds
+        counts = state.counts
+        if counts is None:
+            counts = state.counts = [0] * max(int(HOUR / width), 1)
+        size = len(counts)
+        scale, open_at, close_below, rising_from = _cutoffs(self._threshold, width, size)
+        if not novelty:
+            rising_from = open_at
+        total = state.total
+        head = state.head
+        if head is None:
+            head = int(alerts[0].occurred_at / width)
+        head_slot = head % size
+        # The head bucket holds total - beneath: a head event bumps total.
+        beneath = total - counts[head_slot]
+        low, high = _head_interval(head, width)
+        started_at = state.episode_started_at
+        peak_rate = state.episode_peak_rate
+        peak_total = 0
+        last_seen = state.last_seen
+        episodes = emerging = 0
+        for alert in alerts:
+            occurred_at = alert.occurred_at
+            # int() == floor for the non-negative times Alert validates.
+            if low <= occurred_at < high or (
+                bucket := int(occurred_at / width)
+            ) == head:
+                total += 1
+            elif bucket > head:
+                # Only here does the total fall: an open episode's peak
+                # is the total just before, and only here can it close.
+                if started_at is not None and total > peak_total:
+                    peak_total = total
+                counts[head_slot] = total - beneath
+                start = head_slot + 1
+                stop = start + min(bucket - head, size)
+                if stop > size:  # the skipped slots wrap around
+                    total -= sum(counts[:stop - size])
+                    counts[:stop - size] = [0] * (stop - size)
+                    stop = size
+                total -= sum(counts[start:stop])
+                counts[start:stop] = [0] * (stop - start)
+                head, head_slot, beneath = bucket, bucket % size, total
+                total += 1
+                low, high = _head_interval(head, width)
+                if started_at is not None and total < close_below:
+                    started_at, peak_rate, peak_total = None, 0.0, 0
+            elif bucket > head - size:
+                counts[bucket % size] += 1
+                beneath += 1
+                total += 1
+            # else: older than the ring, so not recorded.
+            if started_at is None and total >= open_at:
+                started_at, peak_rate, peak_total = occurred_at, 0.0, total
+                episodes += 1
+            strategy = alert.strategy_id
+            if total < open_at and total >= rising_from:
+                last = last_seen.get(strategy)
+                if last is None or occurred_at - last > self._horizon:
+                    emerging += 1
+            last_seen[strategy] = occurred_at
+        counts[head_slot] = total - beneath
+        state.total, state.head, state.episode_started_at = total, head, started_at
+        state.episode_peak_rate = 0.0 if started_at is None else max(
+            peak_rate, max(peak_total, total) * scale,
+        )
+        state.ingested += len(alerts)
+        state.episode_count += episodes
+        state.emerging_count += emerging
+        self.episode_count += episodes
+        self.emerging_count += emerging
 
     def _sweep(self, now: float) -> None:
         """Bound the recency maps: forget strategies quiet past the horizon.

@@ -84,3 +84,38 @@ class TestBlocker:
         blocker = AlertBlocker()
         blocker.add(BlockingRule(strategy_id="s-signal"))
         assert blocker.is_blocked(trace.alerts[2])
+
+    def test_apply_splits_as_the_two_pass_form(self):
+        trace = AlertTrace(seed=7, label="t")
+        trace.extend_alerts([
+            make_alert(f"a-{index}", 100.0 * index,
+                       strategy_id=f"s-{index % 4}",
+                       region=("region-A", "region-B")[index % 3 == 0])
+            for index in range(24)
+        ])
+        blocker = AlertBlocker([
+            BlockingRule(strategy_id="s-0"),
+            BlockingRule(strategy_id="s-1", region="region-B"),
+            BlockingRule(strategy_id="s-2", expires_at=1200.0),
+        ])
+        passed, blocked = blocker.apply(trace)
+        assert blocked == [a for a in trace.alerts if blocker.is_blocked(a)]
+        assert passed.alerts == [
+            a for a in trace.alerts if not blocker.is_blocked(a)
+        ]
+        assert 0 < len(blocked) < len(trace.alerts)
+        assert passed.label == "t+R1" and passed.seed == 7
+
+    def test_strategy_views_follow_the_rule_table(self):
+        blocker = AlertBlocker([BlockingRule(strategy_id="s-1", region="r")])
+        assert blocker.ruled_strategies is blocker.ruled_strategies
+        assert blocker.unconditional_strategies == frozenset()
+        blocker.add(BlockingRule(strategy_id="s-2"))
+        assert blocker.ruled_strategies == {"s-1", "s-2"}
+        assert blocker.unconditional_strategies == {"s-2"}
+        blocker.remove_rule(BlockingRule(strategy_id="s-2"))
+        assert blocker.ruled_strategies == {"s-1"}
+        assert blocker.unconditional_strategies == frozenset()
+        blocker.add_rules([BlockingRule(strategy_id="s-3")])
+        blocker.remove_strategy("s-1")
+        assert blocker.ruled_strategies == blocker.unconditional_strategies == {"s-3"}

@@ -1,8 +1,14 @@
 """Tests for online variational LDA."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.common.errors import ValidationError
 from repro.ml.lda import OnlineLDA
 from repro.ml.tokenize import tokenize
@@ -118,3 +124,15 @@ class TestValidation:
         lda = OnlineLDA(n_topics=2, vocab_size=3, seed=1)
         with pytest.raises(ValidationError):
             lda.perplexity([(np.empty(0, dtype=int), np.empty(0, dtype=int))])
+
+
+def test_the_gateway_and_service_do_not_import_scipy():
+    """scipy is only for fitting LDA: importing it would cost every
+    gateway and service process a quarter second at start."""
+    probe = (
+        "import sys, repro, repro.streaming.gateway, repro.serving.service; "
+        "sys.exit('scipy' in sys.modules)"
+    )
+    source = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": source}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

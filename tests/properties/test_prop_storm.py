@@ -1,11 +1,13 @@
-"""Property: R4's fused per-region pass equals the per-alert reference.
+"""Property: R4's per-region fold equals the per-alert reference.
 
-``OnlineStormDetector.ingest_batch`` folds each same-region run in one
-pass over the region's record: the ring update is inlined (the head
-bucket's count lives in a local until an event leaves it), the episode
-hysteresis and the novelty check read the rate as a local, and the
-novelty recency map is keyed per region.  The reference below is the
-straightforward per-alert form: a standalone ring counter (add, then
+``OnlineStormDetector.ingest_batch`` splits a batch into region groups
+and folds each in one pass over the region's record: the ring update is
+inlined (the head bucket's count stays implicit in the running total
+until an event leaves it, an event inside the head bucket's certain
+interval skips the division, skipped slots are cleared by slices), the
+episode hysteresis and the novelty band compare the ring total against
+integer cutoffs, and the novelty recency map is keyed per region.  The
+reference below is the straightforward per-alert form: a standalone ring counter (add, then
 rate) per region, one ``_Episode`` object per episode, and one
 ``(strategy, region)`` recency key per alert, with the recency sweep run
 once per batch like the detector's.
@@ -18,7 +20,10 @@ captures, which change nothing, adopted as copies into fresh
 detectors, some regions onto another one) — both must hold the same
 ring, open episode, recency map and per-region counts at every cut,
 and fed one alert at a time they must produce the same episodes to the
-last bit (``float.hex``).
+last bit (``float.hex``).  Two exhaustive checks pin the arithmetic
+the fold relies on: the integer cutoffs decide exactly as the float rate
+compares, and the head-bucket interval never holds a time of another
+bucket.
 """
 
 from __future__ import annotations
@@ -27,10 +32,17 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.common.timeutil import HOUR
-from repro.streaming.storm import OnlineStormDetector, RegionStormState
+from repro.streaming.storm import (
+    OnlineStormDetector,
+    RegionStormState,
+    _cutoffs,
+    _head_interval,
+)
 from tests.streaming.conftest import make_alert
 
 _REGIONS = ("region-A", "region-B", "region-C", "region-D", "region-E")
@@ -308,8 +320,51 @@ def cases(draw):
     return config, regions, alerts, bounds, n_detectors, standalone, moves
 
 
+def _edge_case():
+    """Times on, one ulp around and just inside the head interval's
+    ends of 0.3 s buckets (``k * 0.3`` is rarely exact), two regions
+    interleaved, cut mid-stream."""
+    width = 0.3
+    times = []
+    for k in (72_000, 72_001, 72_002, 72_005, 72_100, 84_000):
+        at = k * width
+        low, high = _head_interval(k, width)
+        times += [
+            math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf),
+            low, math.nextafter(low, -math.inf), (k + 0.5) * width,
+            math.nextafter(high, -math.inf), high,
+        ]
+    alerts = [
+        make_alert(at, strategy_id=f"s-{index % 3}", region=_REGIONS[index % 2])
+        for index, at in enumerate(times)
+    ]
+    config = dict(flood_hourly_threshold=3, bucket_seconds=width,
+                  novelty_horizon=60.0, warmup_alerts=1)
+    return (config, _REGIONS[:2], alerts, [0, 17, len(alerts)], 1, False,
+            [[], []])
+
+
+def _warmup_case(standalone):
+    """A warmup prefix of 7 over three interleaved regions that ends
+    inside the second batch, with the regions split over two detectors;
+    threshold 4 puts every first event in the rising band."""
+    alerts = [
+        make_alert(6 * HOUR + index, strategy_id=f"s-{index}",
+                   region=_REGIONS[index % 3])
+        for index in range(15)
+    ]
+    config = dict(flood_hourly_threshold=4, bucket_seconds=60.0,
+                  novelty_horizon=HOUR, warmup_alerts=7)
+    n_detectors = 1 if standalone else 2
+    return (config, _REGIONS[:3], alerts, [0, 4, 15], n_detectors,
+            standalone, [[], []])
+
+
 @settings(max_examples=_EXAMPLES, deadline=None, derandomize=_CHAOS_PROFILE)
 @given(case=cases())
+@example(case=_edge_case())
+@example(case=_warmup_case(standalone=False))
+@example(case=_warmup_case(standalone=True))
 def test_fused_batches_and_restores_match_the_reference(case):
     config, regions, alerts, bounds, n_detectors, standalone, moves = case
     reference = _Reference(
@@ -357,6 +412,7 @@ def test_fused_batches_and_restores_match_the_reference(case):
 
 @settings(max_examples=_EXAMPLES, deadline=None, derandomize=_CHAOS_PROFILE)
 @given(case=cases())
+@example(case=_edge_case())
 def test_per_alert_episodes_match_the_reference_bitwise(case):
     config, regions, alerts = case[:3]
     reference = _Reference(
@@ -420,3 +476,51 @@ def test_recency_sweep_counts_entries_over_all_regions():
             assert _observe(detector, region) == reference.view(region)
     assert reference.last_sweep_at is not None
     assert detector.emerging_count == reference.emerging_count
+
+
+@pytest.mark.parametrize("width", (0.3, 1.0, 7.0, 60.0, 61.7))
+def test_integer_cutoffs_decide_as_the_float_rate(width):
+    """For every threshold 1-100 and every ring total up to four rings'
+    worth, ``total >= open``, ``total < close`` and ``total >= rising``
+    agree with the rate compares the fold replaced."""
+    size = max(int(HOUR / width), 1)
+    totals = np.arange(4 * size + 1)
+    scale = 3600.0 / (width * size)
+    # The rates as the fold's arithmetic forms them, in Python floats.
+    rates = np.array([total * scale for total in range(len(totals))])
+    for threshold in range(1, 101):
+        cut_scale, open_at, close_below, rising_from = _cutoffs(
+            threshold, width, size,
+        )
+        assert cut_scale == scale
+        assert ((totals >= open_at) == (rates >= threshold)).all()
+        assert ((totals < close_below) == (rates < threshold / 2)).all()
+        assert ((totals >= rising_from) == (rates >= threshold / 4)).all()
+
+
+@settings(max_examples=_EXAMPLES * 5, deadline=None, derandomize=_CHAOS_PROFILE)
+@given(
+    width=st.one_of(
+        st.sampled_from((0.3, 1.0, 7.0, 60.0, 61.7)),
+        st.floats(min_value=0.3, max_value=HOUR),
+    ),
+    k=st.one_of(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=0, max_value=10**10),
+    ),
+    ulps=st.integers(min_value=-64, max_value=64),
+)
+def test_head_interval_never_misplaces_an_event(width, k, ulps):
+    """A time ``k * w`` moved 0-64 ulps either way lies in the interval
+    of bucket ``k - 1`` or ``k`` only if ``int(t / w)`` is that bucket."""
+    at = k * width
+    for _ in range(abs(ulps)):
+        at = math.nextafter(at, math.copysign(math.inf, ulps))
+    assume(at >= 0.0)
+    for head in (k - 1, k):
+        if head < 0:
+            continue
+        low, high = _head_interval(head, width)
+        assert low <= (head + 0.5) * width < high
+        if low <= at < high:
+            assert int(at / width) == head

@@ -9,6 +9,8 @@ state round trips through the gateway's checkpoint path.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import time
 
 import pytest
@@ -318,6 +320,19 @@ class TestStateRoundTrip:
         clone.restore_state(suite.export_state())
         assert clone.export_state() == suite.export_state()
         assert clone.summary() == suite.summary()
+
+    def test_a_refused_restore_leaves_the_suite_unchanged(self):
+        source = StreamingDetectorSuite()
+        source.observe([_severity_fixture()], watermark=15 * HOUR)
+        state = source.export_state()
+        assert len(state["catalog"]) == 7
+        state["sketch"]["history"].append(math.nan)
+        suite = StreamingDetectorSuite()
+        suite.observe([[_alert("s-only", 0.0)]], watermark=HOUR)
+        before = json.dumps(suite.export_state(), sort_keys=True)
+        with pytest.raises(ValidationError):
+            suite.restore_state(state)
+        assert json.dumps(suite.export_state(), sort_keys=True) == before
 
 
 class TestGatewayIntegration:
