@@ -678,8 +678,29 @@ class SketchWindowScorer:
         buffered document without a window start, a buffered document
         that is empty or names a bucket outside the sketch, and any
         histogram :meth:`HashingTopicSketch.restore_state` refuses, and a
-        non-finite history value (it would mis-order the top set).
+        non-finite history value (it would mis-order the top set).  Every
+        field is parsed before any is assigned, and a malformed one
+        raises :class:`ValidationError`, so a refused state leaves the
+        scorer as it was.
         """
+        try:
+            parsed = self._parse_state(state)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed sketch state: {exc!r}") from exc
+        (sketch, start, window_index, buffer, history, flags) = parsed
+        self.sketch = sketch
+        self._start = start
+        self._window_index = window_index
+        self._buffer = buffer
+        self._rebuild_table()
+        self._history = history
+        self._cut, self._top, self._top_limit = math.inf, [], 0
+        self.flags = flags
+
+    def _parse_state(self, state: dict) -> tuple:
+        """Every field of :meth:`restore_state`'s state, as locals."""
         window_index = int(state["window_index"])
         if window_index < 0:
             raise ValidationError(
@@ -687,6 +708,7 @@ class SketchWindowScorer:
             )
         if state["buffer"] and state["start"] is None:
             raise ValidationError("sketch buffer holds documents but no start")
+        start = None if state["start"] is None else float(state["start"])
         history = [float(value) for value in state["history"]]
         if not all(map(math.isfinite, history)):
             raise ValidationError("sketch history holds a non-finite novelty")
@@ -698,16 +720,9 @@ class SketchWindowScorer:
              interned.intern(_checked_content(ids, counts, n_buckets)))
             for at, strategy_id, ids, counts in state["buffer"]
         ]
-        self.sketch.restore_state(state["sketch"])
-        self._start = (
-            None if state["start"] is None else float(state["start"])
-        )
-        self._window_index = window_index
-        self._buffer = buffer
-        self._rebuild_table()
-        self._history = history
-        self._cut, self._top, self._top_limit = math.inf, [], 0
-        self.flags = [
+        sketch = HashingTopicSketch(self.sketch.n_buckets, self.sketch.smoothing)
+        sketch.restore_state(state["sketch"])
+        flags = [
             SketchFlag(
                 strategy_id=str(strategy_id),
                 occurred_at=float(at),
@@ -716,6 +731,7 @@ class SketchWindowScorer:
             )
             for strategy_id, at, novelty, index in state["flags"]
         ]
+        return sketch, start, window_index, buffer, history, flags
 
 
 class SketchEmergingDetector:

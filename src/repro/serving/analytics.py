@@ -219,8 +219,11 @@ def render_detection(status: dict, limit: int = 15) -> str:
     found = detection.get("findings", {})
     lines = [
         f"  strategies observed {detection.get('strategies', 0):,}  "
-        f"stat rows {detection.get('stat_rows', 0):,}  "
         f"sketch-R4 flags {detection.get('emerging', 0):,}",
+        f"  A2 open rows {detection.get('open_rows', 0):,}  "
+        f"folded (strategy, region) totals "
+        f"{detection.get('folded_keys', 0):,}  "
+        f"late alerts skipped {detection.get('a2_late', 0):,}",
         f"  A1 unclear titles {found.get('A1', 0):,}   "
         f"A2 misconfigured severity {found.get('A2', 0):,}   "
         f"A3 stale/duplicate definitions {found.get('A3', 0):,}",

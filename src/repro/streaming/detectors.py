@@ -13,16 +13,38 @@ verdict depends on the plane count.  It can answer at any barrier:
   TitleQualityScorer` over the catalog's title/description, the same
   scorer and cutoff the batch detector applies to strategy metadata;
 * **A2 (misconfigured severity)** — the batch detector's impact-proxy
-  pipeline reconstructed from per-(strategy, region, hour) counters:
-  storm hours excluded by the same >100 volume rule (each (region,
-  hour)'s volume is kept as a running total by the fold), transient- and
-  repeat-dominated strategies excluded by the same gates, class centers
-  from the same medians.  The repeat-window check stays *exact* because
-  each hour bucket either retains every raw event time (when it holds
-  fewer than ``repeat_window_count``) or is itself proof of a
-  repeat-sized run (``repeat_window_count`` events within one hour
-  always fit inside ``repeat_window``; the suite requires
-  ``repeat_window >= 1h`` for this argument to hold);
+  pipeline rebuilt from lifecycle counters, without a row per alert.
+  An alert lands in its hour's open row for its (strategy, region),
+  ``[count, transient, steady_manual, steady_cleared,
+  steady_duration_sum, times]``, whose ``times`` keep the row's first
+  ``repeat_window_count`` event times.  An hour is *final* once a
+  barrier's watermark has entered a later hour.  Each barrier folds
+  every final hour in hour order and drops its rows: a storm hour (its
+  region's summed volume above the same >100 rule) is dropped whole;
+  any other hour adds each row into its (strategy, region)'s totals.
+  The repeat-window check runs at that fold and sets a **sticky
+  per-strategy flag**: a row at ``repeat_window_count`` is itself a
+  repeat-sized run (the cap many events inside one hour <=
+  ``repeat_window``; the suite requires ``repeat_window >= 1h``), and
+  otherwise the row's times are merged behind the times the key
+  retained and every window ending at one of them is scanned with the
+  batch rule's exact ``t_j - t_i > repeat_window`` test — a run that
+  ends in an earlier hour was scanned when that hour folded, and fewer
+  than ``repeat_window_count`` times cannot hold one.  The
+  **retained-times horizon** is the start of the next hour: the fold
+  keeps a time ``t`` only while ``next_start - t <= repeat_window``,
+  and since float subtraction is monotone no later time can pair with
+  a dropped one (the barrier's frontier is too late a bound: hours
+  folded later in the same pass, and the open hour below the watermark,
+  can still pair with such a time).  A key's times are pruned when its
+  next row folds, so a key holds fewer than ``repeat_window_count`` of
+  them, and a key's retained times depend on its own rows only — never
+  on the order of an hour's keys.  Verdicts read the folded totals plus
+  the open rows, whose repeat check runs over the retained times the
+  same way, so detection state is bounded by the (strategy, region)
+  pairs instead of growing with the stream.  An alert whose hour was
+  already final when its barrier began is left out of A2 and counted
+  (``a2_late``); the catalog, A1/A3 and the sketch still see it;
 * **A3 (stale/duplicate definition)** — the shared
   :func:`~repro.core.antipatterns.definitions.definition_findings`
   rule over catalog-derived records;
@@ -31,13 +53,20 @@ verdict depends on the plane count.  It can answer at any barrier:
   gateway's event-time watermark and closed at drain.
 
 Because A1/A3 funnel through the exact batch code and A2 reconstructs
-the batch statistics (float summation order is the only difference),
-``tests/streaming/test_differential.py`` can assert online-vs-batch
-verdict parity on golden traces; the suite's full dynamic state exports
-JSON-safe for the serving checkpoints.
+the batch statistics (float summation order is the only difference:
+duration sums add per (strategy, region) in hour order, then region by
+region), ``tests/streaming/test_differential.py`` can assert
+online-vs-batch verdict parity on golden traces; the suite's full
+dynamic state exports JSON-safe for the serving checkpoints.  A state
+written before the final-hour fold, with one ``stats`` row per
+(strategy, region, hour), restores into open hours that the next
+barrier folds.
 """
 
 from __future__ import annotations
+
+import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,6 +88,8 @@ __all__ = ["STORM_HOUR_THRESHOLD", "StreamingDetectorSuite"]
 #: Same flood-volume cut as :func:`~repro.core.antipatterns.base.
 #: storm_hour_keys` — an (hour, region) bucket above this is a storm.
 STORM_HOUR_THRESHOLD = 100
+
+_COUNT = itemgetter(0)
 
 
 class StreamingDetectorSuite:
@@ -84,15 +115,25 @@ class StreamingDetectorSuite:
         #: sid -> [first_at, first_alert_id, title, description,
         #: severity_int, service, last_at]
         self._catalog: dict[str, list] = {}
-        #: sid -> {(region, hour bucket): [count, transient,
-        #: steady_manual, steady_cleared, steady_duration_sum, times]} —
-        #: nested per sid, so every ordered pass sorts the few hundred
-        #: sids and then each sid's own few keys instead of one flat
-        #: (sid, region, bucket) index.
-        self._stats: dict[str, dict[tuple[str, int], list]] = {}
-        #: (region, hour bucket) -> alert count over every sid, the A2
-        #: storm-hour volume (derived: kept by the merge, not checkpointed).
-        self._hour_totals: dict[tuple[str, int], int] = {}
+        #: hour bucket -> {(sid, region): [count, transient,
+        #: steady_manual, steady_cleared, steady_duration_sum, times]}
+        #: for every hour not yet final.
+        self._open: dict[int, dict[tuple[str, str], list]] = {}
+        #: Hour buckets below this one are final: folded and dropped.
+        self._final_hour = 0
+        #: (sid, region) -> [count, transient, steady_manual,
+        #: steady_cleared, steady_duration_sum, times] over the final
+        #: non-storm hours, added in hour order; ``times`` are the sorted
+        #: final event times the next hour could still pair with inside
+        #: ``repeat_window``.
+        self._folded: dict[tuple[str, str], list] = {}
+        #: sids whose final hours hold a repeat-sized run (sticky).
+        self._repeating: set[str] = set()
+        #: Alerts left out of A2: their hour was final at their barrier.
+        self._a2_late = 0
+        #: (title, description) -> A1 clarity, for the catalog's current
+        #: texts only (derived, so not checkpointed).
+        self._clarity: dict[tuple[str, str], float] = {}
         #: sid -> (name, title, description, microservice, service,
         #: hashed (ids, counts)): re-tokenising every alert would
         #: dominate the fold; a text change re-hashes (derived, so not
@@ -117,10 +158,10 @@ class StreamingDetectorSuite:
         """Fold one flush's pre-R1 batches; advance the R4 watermark once.
 
         ``batches`` are the flush's per-plane alert lists in plane order.
-        Their A2 rows are summed per (strategy, region, hour) over the
-        flush first and merged into the running rows once: a region
-        belongs to one plane, so each key's partial sum is the same at
-        any plane count.  The sketch closes windows only after every
+        Each alert adds straight into its open A2 row: a region belongs to
+        one plane, so every row sums its alerts in stream order at any
+        plane count and flush size.  Then every hour the watermark has
+        left is folded.  The sketch closes windows only after every
         plane's documents are buffered, so no document can arrive for a
         window an earlier plane already closed.
         """
@@ -132,9 +173,14 @@ class StreamingDetectorSuite:
         hour = HOUR
         manual_state = AlertState.CLEARED_MANUAL
         auto_state = AlertState.CLEARED_AUTO
+        open_hours = self._open
+        final_hour = self._final_hour
+        late = 0
+        # The open rows of the hour the previous alert fell in (None for
+        # a final hour): in-order streams change hour rarely.
+        row_hour, rows = None, None
         # One dict probe per alert: sid -> [first-seen alert, latest
-        # occurred_at, cached doc, doc-table entry,
-        # {(region, bucket): partial stat row}].
+        # occurred_at, cached doc, doc-table entry].
         per_sid: dict[str, list] = {}
         docs: list[tuple] = []
         doc_rows: list[tuple] = []
@@ -142,11 +188,9 @@ class StreamingDetectorSuite:
             for alert in alerts:
                 sid = alert.strategy_id
                 at = alert.occurred_at
-                state = alert.state
-                cleared = alert.cleared_at
                 srec = per_sid.get(sid)
                 if srec is None:
-                    per_sid[sid] = srec = [alert, at, cache.get(sid), None, {}]
+                    per_sid[sid] = srec = [alert, at, cache.get(sid), None]
                 else:
                     # First-seen metadata: smallest (event time, id) wins.
                     held = srec[0]
@@ -156,27 +200,43 @@ class StreamingDetectorSuite:
                         srec[0] = alert
                     if at > srec[1]:
                         srec[1] = at
-                key = (alert.region, int(at // hour))
-                row = srec[4].get(key)
-                if row is None:
-                    srec[4][key] = row = [0, 0, 0, 0, 0.0, []]
-                row[0] += 1
-                # ``Alert.is_transient``, inlined for the hot loop.
-                if (
-                    state is auto_state
-                    and cleared is not None
-                    and cleared - at < threshold
-                ):
-                    row[1] += 1
+                bucket = int(at // hour)
+                if bucket != row_hour:
+                    row_hour = bucket
+                    if bucket < final_hour:
+                        rows = None
+                    else:
+                        rows = open_hours.get(bucket)
+                        if rows is None:
+                            rows = open_hours[bucket] = {}
+                if rows is None:
+                    late += 1
                 else:
-                    # Steady-alert lifecycle evidence (the A2 impact proxy).
-                    if state is manual_state:
-                        row[2] += 1
-                    if cleared is not None:
-                        row[3] += 1
-                        row[4] += cleared - at
-                if len(row[5]) < cap:
-                    row[5].append(at)
+                    key = (sid, alert.region)
+                    row = rows.get(key)
+                    if row is None:
+                        rows[key] = row = [1, 0, 0, 0, 0.0, [at]]
+                    else:
+                        row[0] += 1
+                        if len(row[5]) < cap:
+                            row[5].append(at)
+                    state = alert.state
+                    cleared = alert.cleared_at
+                    # ``Alert.is_transient``, inlined for the hot loop.
+                    if (
+                        state is auto_state
+                        and cleared is not None
+                        and cleared - at < threshold
+                    ):
+                        row[1] += 1
+                    else:
+                        # Steady-alert lifecycle evidence (the A2 impact
+                        # proxy).
+                        if state is manual_state:
+                            row[2] += 1
+                        if cleared is not None:
+                            row[3] += 1
+                            row[4] += cleared - at
                 cached = srec[2]
                 if (
                     cached is None
@@ -202,9 +262,9 @@ class StreamingDetectorSuite:
                     srec[3] = entry = (content, len(docs))
                     docs.append(content)
                 doc_rows.append((at, sid, entry[1]))
+        self._a2_late += late
         catalog = self._catalog
-        stats, hour_totals = self._stats, self._hour_totals
-        for sid, (first, last_at, _doc, _entry, partial) in per_sid.items():
+        for sid, (first, last_at, _doc, _entry) in per_sid.items():
             row = catalog.get(sid)
             if row is None:
                 catalog[sid] = [
@@ -221,23 +281,66 @@ class StreamingDetectorSuite:
                     row[4], row[5] = first.severity.value, first.service
                 if last_at > row[6]:
                     row[6] = last_at
-            rows = stats.setdefault(sid, {})
-            for key, part in partial.items():
-                hour_totals[key] = hour_totals.get(key, 0) + part[0]
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = part
-                    continue
-                for slot in range(5):
-                    row[slot] += part[slot]
-                # Below the cap every contribution is complete, so the
-                # merged list holds *all* of the bucket's event times;
-                # at the cap the count alone settles the repeat check.
-                if len(row[5]) < cap:
-                    row[5].extend(part[5])
-                    del row[5][cap:]
+        if watermark is not None and watermark // hour > final_hour:
+            self._fold(int(watermark // hour))
         self.sketch.add_rows(docs, doc_rows)
         self.sketch.advance(watermark)
+
+    def _fold(self, final_hour: int) -> None:
+        """Fold every open hour below ``final_hour``, in hour order."""
+        thresholds = self._thresholds
+        cap = thresholds.repeat_window_count
+        window = thresholds.repeat_window
+        folded, repeating = self._folded, self._repeating
+        open_hours = self._open
+        for bucket in sorted(b for b in open_hours if b < final_hour):
+            rows = open_hours.pop(bucket)
+            storms = _storm_regions(rows)
+            start = bucket * HOUR
+            next_start = start + HOUR
+            for key, row in rows.items():
+                if storms and key[1] in storms:
+                    continue
+                count = row[0]
+                totals = folded.get(key)
+                if totals is None:
+                    # The dropped row becomes the key's totals, and its
+                    # times (all inside this hour) the retained ones.
+                    folded[key] = totals = row
+                    held = None
+                else:
+                    totals[0] += count
+                    totals[1] += row[1]
+                    totals[2] += row[2]
+                    totals[3] += row[3]
+                    totals[4] += row[4]
+                    held = totals[5]
+                # Each key's retained times depend on its own rows only,
+                # so the order of an hour's keys cannot change them.
+                if count >= cap:
+                    repeating.add(key[0])
+                    totals[5] = []
+                    continue
+                times = row[5]
+                if count > 1:
+                    times.sort()
+                # Held times all too old for this hour pair with nothing.
+                if not held or start - held[-1] > window:
+                    totals[5] = times
+                    continue
+                if len(held) + count >= cap and _has_run(
+                    held + times, len(held), cap, window,
+                ):
+                    repeating.add(key[0])
+                    totals[5] = []
+                    continue
+                # Keep what the next hour can still pair with.
+                keep = 0
+                while keep < len(held) and next_start - held[keep] > window:
+                    keep += 1
+                del held[:keep]
+                held += times
+        self._final_hour = final_hour
 
     def finish(self, watermark: float | None = None) -> None:
         """End of stream: close the R4 sketch's final partial window."""
@@ -270,10 +373,17 @@ class StreamingDetectorSuite:
     def _title_findings(self) -> list[AntiPatternFinding]:
         """A1 over the catalog — the batch detector's exact rule."""
         cutoff = self._thresholds.unclear_title_cutoff
+        held, memo = self._clarity, {}
         findings = []
         for sid in sorted(self._catalog):
             row = self._catalog[sid]
-            clarity = self._scorer.clarity(row[2], row[3])
+            text = (row[2], row[3])
+            clarity = memo.get(text)
+            if clarity is None:
+                clarity = held.get(text)
+                if clarity is None:
+                    clarity = self._scorer.clarity(*text)
+                memo[text] = clarity
             if clarity < cutoff:
                 findings.append(AntiPatternFinding(
                     pattern="A1",
@@ -283,6 +393,7 @@ class StreamingDetectorSuite:
                              f"for title {row[2]!r}",
                     details={"clarity": clarity},
                 ))
+        self._clarity = memo
         return findings
 
     def _definition_findings(self) -> list[AntiPatternFinding]:
@@ -299,50 +410,53 @@ class StreamingDetectorSuite:
         ]
         return definition_findings(records, self.stream_end, self._thresholds)
 
-    def _storm_hours(self) -> set[tuple[str, int]]:
-        """(region, hour bucket) keys carrying flood-level volume."""
-        return {
-            key for key, count in self._hour_totals.items()
-            if count > STORM_HOUR_THRESHOLD
-        }
-
-    def _severity_findings(self) -> list[AntiPatternFinding]:
-        """A2 reconstructed from the lifecycle statistics."""
+    def _proxies(self) -> dict[str, float]:
+        """sid -> A2 impact proxy, from the folded totals plus the open
+        rows, for every sid the evidence gates let through."""
         thresholds = self._thresholds
-        storm_hours = self._storm_hours()
-        # Per sid over non-storm buckets: totals plus the per-region
-        # bucket evidence the repeat check needs.
-        folded: dict[str, list] = {}
-        regions_of: dict[str, dict[str, list[tuple[int, list[float]]]]] = {}
-        # Sorted sids, then each sid's sorted keys: the (sid, region,
-        # bucket) order, so the float sums add up in the same order.
-        stats = self._stats
-        for sid in sorted(stats):
-            items = stats[sid].items()
-            if storm_hours:
-                items = [item for item in items if item[0] not in storm_hours]
-            if not items:
-                continue
-            totals = folded[sid] = [0, 0, 0, 0, 0.0]
-            by_region = regions_of[sid] = {}
-            for (region, _bucket), row in sorted(items):
-                totals[0] += row[0]
-                totals[1] += row[1]
-                totals[2] += row[2]
-                totals[3] += row[3]
-                totals[4] += row[4]
-                evidence = by_region.get(region)
-                if evidence is None:
-                    evidence = by_region[region] = []
-                evidence.append((row[0], row[5]))
+        # sid -> region -> [folded totals or None, open non-storm rows in
+        # hour order].
+        evidence: dict[str, dict[str, list]] = {}
+        for (sid, region), totals in self._folded.items():
+            evidence.setdefault(sid, {})[region] = [totals, []]
+        for bucket in sorted(self._open):
+            rows = self._open[bucket]
+            storms = _storm_regions(rows)
+            for (sid, region), row in rows.items():
+                if region not in storms:
+                    regions = evidence.setdefault(sid, {})
+                    held = regions.get(region)
+                    if held is None:
+                        held = regions[region] = [None, []]
+                    held[1].append(row)
         proxies: dict[str, float] = {}
-        for sid, totals in folded.items():
-            total, transient, manual, cleared, duration_sum = totals
+        for sid in sorted(evidence):
+            regions = evidence[sid]
+            total = transient = manual = cleared = 0
+            duration_sum = 0.0
+            for region in sorted(regions):
+                totals, rows = regions[region]
+                region_duration = 0.0
+                if totals is not None:
+                    total += totals[0]
+                    transient += totals[1]
+                    manual += totals[2]
+                    cleared += totals[3]
+                    region_duration = totals[4]
+                for row in rows:
+                    total += row[0]
+                    transient += row[1]
+                    manual += row[2]
+                    cleared += row[3]
+                    region_duration += row[4]
+                duration_sum += region_duration
             if not total:
                 continue
             if transient / total >= thresholds.transient_fraction:
                 continue
-            if self._is_repeat_dominated(regions_of[sid]):
+            if sid in self._repeating or _open_repeats(
+                regions.values(), thresholds,
+            ):
                 continue
             steady = total - transient
             if steady < thresholds.severity_min_alerts:
@@ -352,6 +466,12 @@ class StreamingDetectorSuite:
             proxies[sid] = (
                 0.60 * manual_share + 0.40 * min(mean_duration / 7200.0, 1.0)
             )
+        return proxies
+
+    def _severity_findings(self) -> list[AntiPatternFinding]:
+        """A2: the batch rule's class centers over :meth:`_proxies`."""
+        thresholds = self._thresholds
+        proxies = self._proxies()
         if not proxies:
             return []
         by_class: dict[Severity, list[float]] = {}
@@ -401,28 +521,6 @@ class StreamingDetectorSuite:
             ))
         return findings
 
-    def _is_repeat_dominated(
-        self, by_region: dict[str, list[tuple[int, list[float]]]],
-    ) -> bool:
-        """Exact repeat-window check from the bucketed evidence."""
-        thresholds = self._thresholds
-        cap = thresholds.repeat_window_count
-        for buckets in by_region.values():
-            # A bucket at the cap is itself a repeat-sized run (the cap
-            # many events inside one hour <= repeat_window).
-            if any(count >= cap for count, _ in buckets):
-                return True
-            times = sorted(
-                at for _, bucket_times in buckets for at in bucket_times
-            )
-            left = 0
-            for right in range(len(times)):
-                while times[right] - times[left] > thresholds.repeat_window:
-                    left += 1
-                if right - left + 1 >= cap:
-                    return True
-        return False
-
     # ------------------------------------------------------------------
     # snapshots and checkpointing
     # ------------------------------------------------------------------
@@ -431,7 +529,9 @@ class StreamingDetectorSuite:
         findings = self.findings()
         return {
             "strategies": self.strategies,
-            "stat_rows": sum(len(rows) for rows in self._stats.values()),
+            "open_rows": sum(len(rows) for rows in self._open.values()),
+            "folded_keys": len(self._folded),
+            "a2_late": self._a2_late,
             "emerging": len(self.sketch.flags),
             "findings": {
                 pattern: len(items) for pattern, items in findings.items()
@@ -444,36 +544,147 @@ class StreamingDetectorSuite:
             "catalog": [
                 [sid, *row] for sid, row in sorted(self._catalog.items())
             ],
-            "stats": [
+            "final_hour": self._final_hour,
+            "open": [
                 [sid, region, bucket, *row[:5], list(row[5])]
-                for sid, rows in sorted(self._stats.items())
-                for (region, bucket), row in sorted(rows.items())
+                for bucket, rows in sorted(self._open.items())
+                for (sid, region), row in sorted(rows.items())
             ],
+            "folded": [
+                [sid, region, *totals[:5], list(totals[5])]
+                for (sid, region), totals in sorted(self._folded.items())
+            ],
+            "repeating": sorted(self._repeating),
+            "a2_late": self._a2_late,
             "sketch": self.sketch.export_state(),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt state captured by :meth:`export_state` (exact); a refused
-        state leaves the suite as it was."""
+        """Adopt state captured by :meth:`export_state` (exact).
+
+        A state from before the final-hour fold holds one ``stats`` row
+        per (strategy, region, hour) and nothing folded: its rows become
+        open hours, which the next barrier folds.  A refused state raises
+        :class:`ValidationError` and leaves the suite as it was.
+        """
+        try:
+            parsed = self._parse_state(state)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed detector state: {exc!r}") from exc
+        (self._catalog, self._final_hour, self._open, self._folded,
+         self._repeating, self._a2_late, self.sketch) = parsed
+
+    def _parse_state(self, state: dict) -> tuple:
+        """Every field of :meth:`restore_state`'s state, as locals."""
         catalog = {
             str(sid): [
                 float(first_at), str(first_id), str(title),
-                str(description), int(severity), str(service),
-                float(last_at),
+                str(description), Severity(int(severity)).value,
+                str(service), float(last_at),
             ]
             for sid, first_at, first_id, title, description, severity,
                 service, last_at in state["catalog"]
         }
-        stats, hour_totals = {}, {}
-        for (sid, region, bucket, count, transient, manual, cleared,
-             duration_sum, times) in state["stats"]:
-            key = (str(region), int(bucket))
-            stats.setdefault(str(sid), {})[key] = [
-                int(count), int(transient), int(manual), int(cleared),
-                float(duration_sum), [float(at) for at in times],
-            ]
-            hour_totals[key] = hour_totals.get(key, 0) + int(count)
+        legacy = "open" not in state
+        open_hours: dict[int, dict[tuple[str, str], list]] = {}
+        for (sid, region, bucket, *counts, times) in state[
+            "stats" if legacy else "open"
+        ]:
+            bucket = int(bucket)
+            row = [*_counters(counts), _times(times, ordered=False)]
+            if (
+                not row[5] or len(row[5]) > row[0]
+                or any(at // HOUR != bucket for at in row[5])
+            ):
+                raise ValidationError(f"A2 row {row!r} is not a fold's")
+            open_hours.setdefault(bucket, {})[(str(sid), str(region))] = row
+        if legacy:
+            final_hour, folded, repeating, late = 0, {}, set(), 0
+        else:
+            final_hour = int(state["final_hour"])
+            folded = {
+                (str(sid), str(region)): [
+                    *_counters(counts), _times(times, ordered=True),
+                ]
+                for sid, region, *counts, times in state["folded"]
+            }
+            repeating = {str(sid) for sid in state["repeating"]}
+            late = int(state["a2_late"])
+            if late < 0:
+                raise ValidationError(f"detector a2_late {late} is negative")
+        unknown = {
+            sid for keys in (folded, *open_hours.values()) for sid, _ in keys
+        } - catalog.keys()
+        if unknown:
+            raise ValidationError(
+                f"A2 rows for strategies outside the catalog: {sorted(unknown)[:5]}"
+            )
         sketch = SketchWindowScorer(**self._sketch_options)
         sketch.restore_state(state["sketch"])
-        self._catalog, self._stats = catalog, stats
-        self._hour_totals, self.sketch = hour_totals, sketch
+        return catalog, final_hour, open_hours, folded, repeating, late, sketch
+
+
+def _storm_regions(rows: dict[tuple[str, str], list]) -> set[str]:
+    """Regions whose summed volume over one hour's rows is a storm."""
+    if sum(map(_COUNT, rows.values())) <= STORM_HOUR_THRESHOLD:
+        return set()
+    volume: dict[str, int] = {}
+    for (_sid, region), row in rows.items():
+        volume[region] = volume.get(region, 0) + row[0]
+    return {
+        region for region, count in volume.items()
+        if count > STORM_HOUR_THRESHOLD
+    }
+
+
+def _open_repeats(evidence, thresholds: DetectorThresholds) -> bool:
+    """The fold's repeat check over one sid's ``[totals, open rows]``
+    per region: the open rows' times behind the retained ones."""
+    cap = thresholds.repeat_window_count
+    for totals, rows in evidence:
+        if not rows:
+            continue
+        if any(row[0] >= cap for row in rows):
+            return True
+        held = totals[5] if totals is not None else []
+        times = held + sorted(at for row in rows for at in row[5])
+        if len(times) >= cap and _has_run(
+            times, len(held), cap, thresholds.repeat_window,
+        ):
+            return True
+    return False
+
+
+def _has_run(times: list[float], first: int, cap: int, window: float) -> bool:
+    """Whether a window ending at one of ``times[first:]`` holds ``cap``
+    times within ``window`` (``times`` sorted) — the batch rule's exact
+    ``t_j - t_i > window`` sliding test."""
+    left = 0
+    for right in range(max(first, cap - 1), len(times)):
+        while times[right] - times[left] > window:
+            left += 1
+        if right - left + 1 >= cap:
+            return True
+    return False
+
+
+def _counters(values: list) -> list:
+    """``[count, transient, manual, cleared, duration_sum]``, or refuse."""
+    count, transient, manual, cleared, duration_sum = values
+    counts = [int(count), int(transient), int(manual), int(cleared)]
+    duration_sum = float(duration_sum)
+    if min(counts) < 0 or not math.isfinite(duration_sum):
+        raise ValidationError(f"A2 counters {values!r} are not a fold's")
+    return [*counts, duration_sum]
+
+
+def _times(values: list, ordered: bool) -> list[float]:
+    """A2 event times (sorted when ``ordered``), or refuse."""
+    times = [float(at) for at in values]
+    if not all(map(math.isfinite, times)) or (
+        ordered and times != sorted(times)
+    ):
+        raise ValidationError(f"A2 event times {values!r} are not a fold's")
+    return times

@@ -317,6 +317,33 @@ class TestSketchWindowScorer:
         with pytest.raises(ValidationError, match="buffer document"):
             SketchWindowScorer(window_seconds=100.0).restore_state(state)
 
+    @pytest.mark.parametrize("field, value", [
+        ("flags", [["s", "not-a-float", 1.0, 2]]),
+        ("flags", [["s", 1.0, 2.0]]),
+        ("sketch", {"counts": [[3, 2]], "total": 5}),
+        ("sketch", {"counts": "oops", "total": 0}),
+        ("history", None),
+        ("window_index", "x"),
+    ])
+    def test_a_refused_restore_leaves_the_scorer_as_it_was(
+            self, field, value):
+        # Every field but the bad one is valid and differs from the
+        # target's, so a field assigned before the refusal would show.
+        source = SketchWindowScorer(window_seconds=100.0, warmup_windows=1)
+        for index in range(6):
+            source.add(_doc(index * 100.0 + 1.0, "s-1",
+                            f"routine latency alert {index}"))
+            source.advance(index * 100.0 + 1.0)
+        state = source.export_state()
+        assert state["window_index"] == 5 and state["history"]
+        state[field] = value
+        target = SketchWindowScorer(window_seconds=100.0, warmup_windows=1)
+        target.add(_doc(7.0, "s-2", "disk usage over threshold"))
+        before = target.export_state()
+        with pytest.raises(ValidationError):
+            target.restore_state(state)
+        assert target.export_state() == before
+
     def test_far_future_watermark_skips_empty_windows(self):
         scorer = SketchWindowScorer(window_seconds=3600.0)
         scorer.add(_doc(0.0, "s-1", "disk usage over threshold"))

@@ -7,7 +7,7 @@ manually cleared and uncleared alerts; transients; one strategy whose
 title changes mid-stream, so its cached document must be re-hashed; an
 optional burst of never-seen vocabulary — and a drawn flush size and
 forced-flush cut schedule, a gateway with 1, 2, 3 or 4 planes must drain
-to the identical catalog and stat rows, ``summary()``, sketch history and
+to the identical catalog and A2 state, ``summary()``, sketch history and
 flags, and those flags must equal the one-shot ``SketchEmergingDetector``
 over the same alerts.
 """
@@ -134,10 +134,8 @@ def _drained(alerts, n_planes, flush_size, cuts):
     gateway.drain()
     suite = gateway.detectors
     state = suite.export_state()
-    return (
-        state["catalog"], state["stats"], suite.summary(),
-        state["sketch"]["history"], suite.sketch.flags,
-    )
+    sketch = state.pop("sketch")
+    return state, suite.summary(), sketch["history"], suite.sketch.flags
 
 
 @given(cases())

@@ -16,6 +16,7 @@ from repro.serving import (
     checkpoint_of_gateway,
     decode_checkpoint,
     encode_checkpoint,
+    render_detection,
     status_of_checkpoint,
 )
 from repro.streaming import AlertGateway
@@ -82,3 +83,15 @@ def test_cold_detection_judges_with_the_recorded_thresholds():
     assert live["findings"]["A2"] > 0
     assert cold["gateway"]["detection"] == live
     assert len(cold["detection_detail"]) == sum(live["findings"].values())
+
+
+def test_detection_view_prints_the_a2_live_sizes():
+    summary = {
+        "strategies": 400, "open_rows": 41, "folded_keys": 1199,
+        "a2_late": 3, "emerging": 2,
+        "findings": {"A1": 50, "A2": 30, "A3": 126},
+    }
+    text = render_detection({"gateway": {"detection": summary}})
+    assert "A2 open rows 41" in text
+    assert "folded (strategy, region) totals 1,199" in text
+    assert "late alerts skipped 3" in text

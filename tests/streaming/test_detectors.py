@@ -2,8 +2,9 @@
 
 The differential harness proves online-vs-batch parity end to end; these
 tests pin the suite's own contracts — deterministic folding of flush
-batches, the A2 evidence gates, storm-hour exclusion, and bit-exact
-state round trips through the gateway's checkpoint path.
+batches, the final-hour A2 fold and its late-alert rule, the A2
+evidence gates, storm-hour exclusion, and bit-exact state round trips
+through the gateway's checkpoint path.
 """
 
 from __future__ import annotations
@@ -115,17 +116,19 @@ class TestFolding:
         suite.observe([_bucket("s-1", count=5, times=first)])
         suite.observe([_bucket("s-1", count=6, times=second)])
         [[_sid, _region, _bucket_id, count, *_mid, times]] = \
-            suite.export_state()["stats"]
+            suite.export_state()["open"]
         assert count == 11
         assert len(times) == cap
         assert times == list(first + second)[:cap]
 
-    def test_stats_export_equals_a_flat_sorted_reference(self):
+    def test_open_rows_and_folded_totals_equal_a_flat_reference(self):
         # Flushes whose alerts interleave sids, regions and buckets out
         # of order and revisit keys, split into per-region batches the
-        # way planes hand them over; the nested fold must export the
-        # rows a flat (sid, region, bucket) map would, in sorted order,
-        # with each flush's partial sums merged once.
+        # way planes hand them over.  Without a watermark nothing folds,
+        # so the open rows must export the rows a flat (sid, region,
+        # bucket) map summed in stream order would, in (bucket, sid,
+        # region) order; a watermark past the last hour then folds every
+        # row into per-(sid, region) totals, added in hour order.
         thresholds = DetectorThresholds()
         cap = thresholds.repeat_window_count
         regions = ("region-B", "region-A", "region-C")
@@ -146,34 +149,130 @@ class TestFolding:
                 for region in sorted(regions)
             ])
         reference: dict[tuple, list] = {}
-        for batches in flushes:
-            partial: dict[tuple, list] = {}
-            for alert in itertools.chain.from_iterable(batches):
-                at = alert.occurred_at
-                row = partial.setdefault(
-                    (alert.strategy_id, alert.region, int(at // HOUR)),
-                    [0, 0, 0, 0, 0.0, []],
-                )
-                row[0] += 1
-                if alert.is_transient(thresholds.intermittent_threshold):
-                    row[1] += 1
-                else:
-                    row[2] += alert.state is AlertState.CLEARED_MANUAL
-                    row[3] += 1
-                    row[4] += alert.cleared_at - at
+        for alert in itertools.chain.from_iterable(
+                itertools.chain.from_iterable(flushes)):
+            at = alert.occurred_at
+            row = reference.setdefault(
+                (int(at // HOUR), alert.strategy_id, alert.region),
+                [0, 0, 0, 0, 0.0, []],
+            )
+            row[0] += 1
+            if alert.is_transient(thresholds.intermittent_threshold):
+                row[1] += 1
+            else:
+                row[2] += alert.state is AlertState.CLEARED_MANUAL
+                row[3] += 1
+                row[4] += alert.cleared_at - at
+            if len(row[5]) < cap:
                 row[5].append(at)
-            for key, part in partial.items():
-                row = reference.setdefault(key, [0, 0, 0, 0, 0.0, []])
-                for slot in range(5):
-                    row[slot] += part[slot]
-                row[5] = (row[5] + part[5])[:cap]
         suite = StreamingDetectorSuite()
         for batches in flushes:
             suite.observe(batches)
-        assert suite.export_state()["stats"] == [
-            [*key, *row] for key, row in sorted(reference.items())
+        assert suite.export_state()["open"] == [
+            [sid, region, bucket, *row]
+            for (bucket, sid, region), row in sorted(reference.items())
         ]
-        assert suite.summary()["stat_rows"] == len(reference)
+        summary = suite.summary()
+        assert (summary["open_rows"], summary["folded_keys"]) == \
+            (len(reference), 0)
+        totals: dict[tuple, list] = {}
+        for (_bucket_id, sid, region), row in sorted(reference.items()):
+            held = totals.setdefault((sid, region), [0, 0, 0, 0, 0.0])
+            for slot in range(5):
+                held[slot] += row[slot]
+        suite.observe([], watermark=9 * HOUR)
+        state = suite.export_state()
+        assert state["open"] == []
+        assert state["final_hour"] == 9
+        assert [row[:-1] for row in state["folded"]] == [
+            [*key, *held] for key, held in sorted(totals.items())
+        ]
+        assert suite.summary()["folded_keys"] == len(totals)
+
+
+class TestFinalHourFold:
+    def test_only_hours_the_watermark_has_left_fold(self):
+        suite = StreamingDetectorSuite()
+        suite.observe([_bucket("s-1", bucket=0) + _bucket("s-1", bucket=2)],
+                      watermark=2 * HOUR + 1.0)
+        state = suite.export_state()
+        assert state["final_hour"] == 2
+        assert [row[2] for row in state["open"]] == [2]
+        assert state["folded"] == \
+            [["s-1", "region-A", 4, 0, 0, 4, 3600.0, [0.0, 900.0, 1800.0, 2700.0]]]
+        # A watermark inside the same hour folds nothing more.
+        suite.observe([], watermark=3 * HOUR - 1.0)
+        assert suite.export_state()["final_hour"] == 2
+
+    def test_a_storm_hour_is_dropped_at_the_fold(self):
+        suite = StreamingDetectorSuite()
+        flood = _bucket("s-flood", count=STORM_HOUR_THRESHOLD + 1,
+                        times=[10.0 * i for i in range(STORM_HOUR_THRESHOLD + 1)])
+        suite.observe([_bucket("s-1", bucket=0) + flood
+                       + _bucket("s-1", region="region-B", bucket=0)],
+                      watermark=HOUR)
+        state = suite.export_state()
+        assert state["open"] == []
+        assert [row[:3] for row in state["folded"]] == [["s-1", "region-B", 4]]
+
+    def test_a_run_across_hours_sets_the_sticky_flag(self):
+        # Four alerts late in hour 0 and four early in hour 1: no hour
+        # holds the cap, but the eight fit inside one repeat window.
+        cap = DetectorThresholds().repeat_window_count
+        half = cap // 2
+        times = ([HOUR - 100.0 * (half - i) for i in range(half)]
+                 + [HOUR + 100.0 * i for i in range(cap - half)])
+        suite = StreamingDetectorSuite()
+        suite.observe([_bucket("s-1", count=cap, times=times)],
+                      watermark=HOUR + 1.0)
+        assert suite.export_state()["repeating"] == []
+        assert _retained(suite) == [["s-1", "region-A", times[:half]]]
+        suite.observe([], watermark=2 * HOUR)
+        assert suite.export_state()["repeating"] == ["s-1"]
+        assert _retained(suite) == []
+
+    def test_retained_times_stop_at_the_repeat_window(self):
+        times = [0.0, 2 * HOUR - 1.0, 3 * HOUR + 10.0]
+        suite = StreamingDetectorSuite()
+        suite.observe([[_alert("s-1", at) for at in times[:2]]],
+                      watermark=2 * HOUR)
+        # The next hour starts at 2h, within the 3h window of both times.
+        assert _retained(suite) == [["s-1", "region-A", times[:2]]]
+        suite.observe([[_alert("s-1", times[2])]], watermark=4 * HOUR)
+        # Folding hour 3 prunes against 4h: 4h - 0.0 > 3h drops the
+        # first time, 4h - (2h - 1) <= 3h keeps the second.
+        assert _retained(suite) == [["s-1", "region-A", times[1:]]]
+        # Times wait for their key's next row: folding it drops every
+        # time that row's next hour could not pair with.
+        suite.observe([], watermark=7 * HOUR)
+        assert _retained(suite) == [["s-1", "region-A", times[1:]]]
+        suite.observe([[_alert("s-1", 7 * HOUR + 5.0)]], watermark=8 * HOUR)
+        assert _retained(suite) == [["s-1", "region-A", [7 * HOUR + 5.0]]]
+
+    def test_a_late_alert_skips_a2_but_reaches_the_catalog_and_sketch(self):
+        suite = StreamingDetectorSuite()
+        suite.observe([_bucket("s-1", bucket=0) + _bucket("s-1", bucket=3)],
+                      watermark=3 * HOUR + 1.0)
+        before = suite.export_state()
+        late = _alert("s-late", 2 * HOUR + 5.0, title="late title")
+        on_time = _alert("s-1", 3 * HOUR + 7.0)
+        suite.observe([[late, on_time]], watermark=3 * HOUR + 7.0)
+        state = suite.export_state()
+        assert suite.summary()["a2_late"] == 1
+        assert state["folded"] == before["folded"]
+        assert [row[:4] for row in state["open"]] == \
+            [["s-1", "region-A", 3, 5]]
+        assert "s-late" in {row[0] for row in state["catalog"]}
+        assert "s-late" in {row[1] for row in state["sketch"]["buffer"]}
+        # The late alert's hour stays final, whatever the next barrier.
+        suite.observe([[_alert("s-1", HOUR)]])
+        assert suite.summary()["a2_late"] == 2
+
+
+def _retained(suite):
+    """``[sid, region, times]`` of every folded key retaining times."""
+    return [row[:2] + row[-1:] for row in suite.export_state()["folded"]
+            if row[-1]]
 
 
 def _severity_fixture():
@@ -196,12 +295,11 @@ def _severity_fixture():
     return alerts
 
 
-def _resummed_storm_hours(suite):
-    """Storm hours re-summed from scratch over every stat row."""
+def _open_storm_hours(suite):
+    """Storm (region, hour) keys among the suite's open rows."""
     totals: dict[tuple[str, int], int] = {}
-    for rows in suite._stats.values():
-        for key, row in rows.items():
-            totals[key] = totals.get(key, 0) + row[0]
+    for _sid, region, bucket, count, *_rest in suite.export_state()["open"]:
+        totals[region, bucket] = totals.get((region, bucket), 0) + count
     return {key for key, count in totals.items() if count > STORM_HOUR_THRESHOLD}
 
 
@@ -243,14 +341,12 @@ class TestSeverityFindings:
             straight.observe([batch])
         first = StreamingDetectorSuite()
         first.observe([before])
-        assert first._storm_hours() == {("region-B", 5)}
+        assert _open_storm_hours(first) == {("region-B", 5)}
         assert [f.subject for f in first.findings()["A2"]] == ["s-misfit"]
         resumed = StreamingDetectorSuite()
         resumed.restore_state(first.export_state())
-        assert resumed._storm_hours() == _resummed_storm_hours(resumed)
         resumed.observe([flood[70:]])
-        assert resumed._storm_hours() == _resummed_storm_hours(resumed) \
-            == {("region-A", 0), ("region-B", 5)}
+        assert _open_storm_hours(resumed) == {("region-A", 0), ("region-B", 5)}
         assert resumed.findings() == straight.findings()
         assert resumed.findings()["A2"] == []
         assert resumed.export_state() == straight.export_state()
@@ -333,6 +429,52 @@ class TestStateRoundTrip:
         with pytest.raises(ValidationError):
             suite.restore_state(state)
         assert json.dumps(suite.export_state(), sort_keys=True) == before
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state.pop("final_hour"),
+        lambda state: state["catalog"][0].pop(),
+        lambda state: state["catalog"][0].__setitem__(5, 9),
+        lambda state: state["open"][0].__setitem__(3, "many"),
+        lambda state: state["open"][0].__setitem__(4, -1),
+        lambda state: state["open"][0][-1].append(math.inf),
+        lambda state: state["open"].append(["s-ghost", "region-A", 30, 1, 0,
+                                            0, 0, 0.0, [0.0]]),
+        lambda state: state["folded"][0].__setitem__(-1, math.nan),
+        lambda state: state["folded"][0].pop(),
+        lambda state: state["folded"][0].pop(),
+        lambda state: state["folded"][0].__setitem__(-1, [2.0, 1.0]),
+        lambda state: state["open"][0].__setitem__(-1, []),
+        lambda state: state.__setitem__("repeating", 5),
+        lambda state: state.__setitem__("a2_late", -1),
+        lambda state: state["sketch"]["flags"].append(
+            ["s", "not-a-float", 1.0, 2]),
+    ])
+    def test_a_hostile_state_is_refused_and_changes_nothing(self, corrupt):
+        source = StreamingDetectorSuite()
+        source.observe([_severity_fixture()], watermark=11 * HOUR)
+        state = json.loads(json.dumps(source.export_state()))
+        assert state["open"] and state["folded"][0][-1]
+        corrupt(state)
+        suite = StreamingDetectorSuite()
+        suite.observe([[_alert("s-only", 0.0)]], watermark=2 * HOUR)
+        before = json.dumps(suite.export_state(), sort_keys=True)
+        with pytest.raises(ValidationError):
+            suite.restore_state(state)
+        assert json.dumps(suite.export_state(), sort_keys=True) == before
+
+    def test_a1_clarity_follows_a_first_seen_title_change(self):
+        # A memoised clarity must not outlive the catalog text it scored:
+        # an earlier alert replaces the first-seen title.
+        suite = StreamingDetectorSuite()
+        suite.observe([[_alert("s-1", 100.0, title="Instance x is abnormal",
+                               description="hmm")]])
+        assert [f.subject for f in suite.findings()["A1"]] == ["s-1"]
+        suite.observe([[_alert("s-1", 50.0)]])
+        assert suite.findings()["A1"] == []
+        # The memo holds the catalog's current texts only.
+        assert list(suite._clarity) == [
+            ("database-api-01: failed to commit changes", "details for s-1"),
+        ]
 
 
 class TestGatewayIntegration:
