@@ -17,11 +17,15 @@ verdict depends on the plane count.  It can answer at any barrier:
   An alert lands in its hour's open row for its (strategy, region),
   ``[count, transient, steady_manual, steady_cleared,
   steady_duration_sum, times]``, whose ``times`` keep the row's first
-  ``repeat_window_count`` event times.  An hour is *final* once a
-  barrier's watermark has entered a later hour.  Each barrier folds
-  every final hour in hour order and drops its rows: a storm hour (its
-  region's summed volume above the same >100 rule) is dropped whole;
-  any other hour adds each row into its (strategy, region)'s totals.
+  ``repeat_window_count`` event times.  An hour is *final* once a later
+  hour holds rows and the barrier's watermark is in a later hour still:
+  each barrier folds, in hour order, every open hour below the newest
+  open hour under the watermark's own, and drops its rows.  So the fold
+  trails the stream by at least an hour, and a lone far-future alert
+  (its hour is then the watermark's own) cannot finalise the hours the
+  stream is still in.  A storm hour (its region's summed volume above
+  the same >100 rule) is dropped whole; any other hour adds each row
+  into its (strategy, region)'s totals.
   The repeat-window check runs at that fold and sets a **sticky
   per-strategy flag**: a row at ``repeat_window_count`` is itself a
   repeat-sized run (the cap many events inside one hour <=
@@ -34,9 +38,9 @@ verdict depends on the plane count.  It can answer at any barrier:
   **retained-times horizon** is the start of the next hour: the fold
   keeps a time ``t`` only while ``next_start - t <= repeat_window``,
   and since float subtraction is monotone no later time can pair with
-  a dropped one (the barrier's frontier is too late a bound: hours
-  folded later in the same pass, and the open hour below the watermark,
-  can still pair with such a time).  A key's times are pruned when its
+  a dropped one (the fold's upper bound is too late a horizon: hours
+  folded later in the same pass, and the open hours, can still pair
+  with such a time).  A key's times are pruned when its
   next row folds, so a key holds fewer than ``repeat_window_count`` of
   them, and a key's retained times depend on its own rows only — never
   on the order of an hour's keys.  Verdicts read the folded totals plus
@@ -44,7 +48,12 @@ verdict depends on the plane count.  It can answer at any barrier:
   same way, so detection state is bounded by the (strategy, region)
   pairs instead of growing with the stream.  An alert whose hour was
   already final when its barrier began is left out of A2 and counted
-  (``a2_late``); the catalog, A1/A3 and the sketch still see it;
+  (``a2_late``); the catalog, A1/A3 and the sketch still see it.  So
+  A2 is exact, and independent of where the barriers fall, on in-order
+  streams, on streams whose alerts arrive less than an hour behind the
+  watermark, and on in-order streams with one far-future alert — not
+  beyond: an alert more than an hour late may be left out, and so is
+  every alert behind the present once far-future alerts hold two hours;
 * **A3 (stale/duplicate definition)** — the shared
   :func:`~repro.core.antipatterns.definitions.definition_findings`
   rule over catalog-derived records;
@@ -131,9 +140,6 @@ class StreamingDetectorSuite:
         self._repeating: set[str] = set()
         #: Alerts left out of A2: their hour was final at their barrier.
         self._a2_late = 0
-        #: (title, description) -> A1 clarity, for the catalog's current
-        #: texts only (derived, so not checkpointed).
-        self._clarity: dict[tuple[str, str], float] = {}
         #: sid -> (name, title, description, microservice, service,
         #: hashed (ids, counts)): re-tokenising every alert would
         #: dominate the fold; a text change re-hashes (derived, so not
@@ -160,10 +166,10 @@ class StreamingDetectorSuite:
         ``batches`` are the flush's per-plane alert lists in plane order.
         Each alert adds straight into its open A2 row: a region belongs to
         one plane, so every row sums its alerts in stream order at any
-        plane count and flush size.  Then every hour the watermark has
-        left is folded.  The sketch closes windows only after every
-        plane's documents are buffered, so no document can arrive for a
-        window an earlier plane already closed.
+        plane count and flush size.  Then every hour that is final (see
+        the module docstring) is folded.  The sketch closes windows only
+        after every plane's documents are buffered, so no document can
+        arrive for a window an earlier plane already closed.
         """
         thresholds = self._thresholds
         cap = thresholds.repeat_window_count
@@ -281,8 +287,17 @@ class StreamingDetectorSuite:
                     row[4], row[5] = first.severity.value, first.service
                 if last_at > row[6]:
                     row[6] = last_at
-        if watermark is not None and watermark // hour > final_hour:
-            self._fold(int(watermark // hour))
+        if watermark is not None:
+            # Fold below the newest hour that holds rows under the
+            # watermark's own hour: the fold trails the stream by an hour,
+            # and a lone far-future alert cannot finalise the present.
+            current = int(watermark // hour)
+            target = max(
+                (bucket for bucket in open_hours if bucket < current),
+                default=final_hour,
+            )
+            if target > final_hour:
+                self._fold(target)
         self.sketch.add_rows(docs, doc_rows)
         self.sketch.advance(watermark)
 
@@ -373,17 +388,10 @@ class StreamingDetectorSuite:
     def _title_findings(self) -> list[AntiPatternFinding]:
         """A1 over the catalog — the batch detector's exact rule."""
         cutoff = self._thresholds.unclear_title_cutoff
-        held, memo = self._clarity, {}
         findings = []
         for sid in sorted(self._catalog):
             row = self._catalog[sid]
-            text = (row[2], row[3])
-            clarity = memo.get(text)
-            if clarity is None:
-                clarity = held.get(text)
-                if clarity is None:
-                    clarity = self._scorer.clarity(*text)
-                memo[text] = clarity
+            clarity = self._scorer.clarity(row[2], row[3])
             if clarity < cutoff:
                 findings.append(AntiPatternFinding(
                     pattern="A1",
@@ -393,7 +401,6 @@ class StreamingDetectorSuite:
                              f"for title {row[2]!r}",
                     details={"clarity": clarity},
                 ))
-        self._clarity = memo
         return findings
 
     def _definition_findings(self) -> list[AntiPatternFinding]:
@@ -588,11 +595,16 @@ class StreamingDetectorSuite:
                 service, last_at in state["catalog"]
         }
         legacy = "open" not in state
+        final_hour = 0 if legacy else int(state["final_hour"])
         open_hours: dict[int, dict[tuple[str, str], list]] = {}
         for (sid, region, bucket, *counts, times) in state[
             "stats" if legacy else "open"
         ]:
             bucket = int(bucket)
+            if bucket < final_hour:
+                raise ValidationError(
+                    f"A2 open hour {bucket} is below final hour {final_hour}"
+                )
             row = [*_counters(counts), _times(times, ordered=False)]
             if (
                 not row[5] or len(row[5]) > row[0]
@@ -601,9 +613,8 @@ class StreamingDetectorSuite:
                 raise ValidationError(f"A2 row {row!r} is not a fold's")
             open_hours.setdefault(bucket, {})[(str(sid), str(region))] = row
         if legacy:
-            final_hour, folded, repeating, late = 0, {}, set(), 0
+            folded, repeating, late = {}, set(), 0
         else:
-            final_hour = int(state["final_hour"])
             folded = {
                 (str(sid), str(region)): [
                     *_counters(counts), _times(times, ordered=True),

@@ -9,24 +9,31 @@ cleared, duration_sum, times]`` row per (strategy, region, hour), storm
 hours re-summed from every row, and the sliding repeat window re-run
 over every row's sorted times.  Here its rows hold every event time.
 
-Drawn in-order streams carry storm hours (more than 100 alerts in one
+Drawn streams carry storm hours (more than 100 alerts in one
 region-hour, and exactly 100, which is not one), repeat runs that
 straddle hour edges, dense hours at the repeat cap, and two alerts a
 gap of exactly ``repeat_window`` or one ulp either side of it apart with
-the rest of a repeat-sized run between them.  Each stream is played
-through gateways with 1-4 planes, drawn flush sizes and an optional
-capture -> restore cut.  Every run must give the reference's A2 proxies
-(to 1e-9: sums add in another order) and verdicts, and every run's A2
-state must be bitwise equal: rows add alerts in stream order and totals
-add rows in hour order, whatever the flush schedule.
+the rest of a repeat-sized run between them.  They arrive in order,
+with each alert up to a drawn lag (under an hour) late, or in order
+with one far-future alert.  Each stream is played through gateways with
+1-4 planes, drawn flush sizes and an optional capture -> restore cut.
+Every run must give the reference's A2 proxies (to 1e-9: sums add in
+another order) and verdicts, leave no alert out of A2, and end in
+bitwise-equal A2 state: rows add alerts in arrival order and totals add
+rows in hour order, whatever the flush schedule.
+
+Each example plays two or three gateways, so under the seeded CI
+profile a failure is reported unshrunk rather than shrunk for minutes;
+run the test under the default profile to shrink it.
 """
 
 import json
 import math
 import os
+import random
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.timeutil import HOUR
@@ -37,6 +44,10 @@ from repro.topology.graph import DependencyGraph
 
 _CHAOS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE") == "scale_chaos"
 _EXAMPLES = 200 if _CHAOS_PROFILE else 40
+_PHASES = tuple(
+    phase for phase in Phase
+    if not (_CHAOS_PROFILE and phase is Phase.shrink)
+)
 
 REGIONS = ("region-a", "region-b", "region-c")
 #: Lifecycles, weighted so that most strategies pass the transient gate.
@@ -80,50 +91,6 @@ class NaiveA2:
                     row[4] += alert.cleared_at - at
             row[5].append(at)
 
-    def proxies(self) -> dict[str, float]:
-        """The proxy half of ``_severity_findings`` below, verbatim."""
-        thresholds = self._thresholds
-        storm_hours = self._storm_hours()
-        folded: dict[str, list] = {}
-        regions_of: dict[str, dict[str, list[tuple[int, list[float]]]]] = {}
-        stats = self._stats
-        for sid in sorted(stats):
-            items = stats[sid].items()
-            if storm_hours:
-                items = [item for item in items if item[0] not in storm_hours]
-            if not items:
-                continue
-            totals = folded[sid] = [0, 0, 0, 0, 0.0]
-            by_region = regions_of[sid] = {}
-            for (region, _bucket), row in sorted(items):
-                totals[0] += row[0]
-                totals[1] += row[1]
-                totals[2] += row[2]
-                totals[3] += row[3]
-                totals[4] += row[4]
-                evidence = by_region.get(region)
-                if evidence is None:
-                    evidence = by_region[region] = []
-                evidence.append((row[0], row[5]))
-        proxies: dict[str, float] = {}
-        for sid, totals in folded.items():
-            total, transient, manual, cleared, duration_sum = totals
-            if not total:
-                continue
-            if transient / total >= thresholds.transient_fraction:
-                continue
-            if self._is_repeat_dominated(regions_of[sid]):
-                continue
-            steady = total - transient
-            if steady < thresholds.severity_min_alerts:
-                continue
-            manual_share = manual / steady
-            mean_duration = duration_sum / cleared if cleared else 0.0
-            proxies[sid] = (
-                0.60 * manual_share + 0.40 * min(mean_duration / 7200.0, 1.0)
-            )
-        return proxies
-
     def _storm_hours(self) -> set[tuple[str, int]]:
         """(region, hour bucket) keys carrying flood-level volume."""
         return {
@@ -131,8 +98,8 @@ class NaiveA2:
             if count > STORM_HOUR_THRESHOLD
         }
 
-    def _severity_findings(self) -> list[AntiPatternFinding]:
-        """A2 reconstructed from the lifecycle statistics."""
+    def proxies(self) -> dict[str, float]:
+        """The proxy half of the former ``_severity_findings``, verbatim."""
         thresholds = self._thresholds
         storm_hours = self._storm_hours()
         # Per sid over non-storm buckets: totals plus the per-region
@@ -177,6 +144,12 @@ class NaiveA2:
             proxies[sid] = (
                 0.60 * manual_share + 0.40 * min(mean_duration / 7200.0, 1.0)
             )
+        return proxies
+
+    def _severity_findings(self) -> list[AntiPatternFinding]:
+        """A2 reconstructed from the lifecycle statistics."""
+        thresholds = self._thresholds
+        proxies = self.proxies()
         if not proxies:
             return []
         by_class: dict[Severity, list[float]] = {}
@@ -279,7 +252,8 @@ def _ticks(value: float) -> float:
 
 @st.composite
 def streams(draw):
-    """``(alerts, thresholds)``: an in-order stream and the A2 knobs."""
+    """``(alerts, thresholds)``: a stream in arrival order and the A2
+    knobs."""
     window = draw(st.sampled_from([HOUR, 3 * HOUR]))
     cap = draw(st.sampled_from([3, 4, 8]))
     thresholds = DetectorThresholds(
@@ -364,6 +338,18 @@ def streams(draw):
             t = (hour + 1) * HOUR
     events.sort(key=lambda event: event[0])
     alerts = [_alert(index, *event) for index, event in enumerate(events)]
+    # Each alert arrives less than ``lag`` late, so never an hour behind
+    # the watermark; or the stream is in order but for one alert far in
+    # the future, which pins the watermark from its arrival on.
+    lag = draw(st.sampled_from([0.0, 0.0, HOUR / 4, HOUR - 1.0]))
+    if lag:
+        jitter = random.Random(draw(st.integers(0, 2**32))).random
+        alerts.sort(key=lambda alert: alert.occurred_at + lag * jitter())
+    elif draw(st.booleans()):
+        alerts.insert(draw(st.integers(0, len(alerts))), _alert(
+            len(alerts), 1e12, draw(st.sampled_from(sids)),
+            draw(st.sampled_from(REGIONS)), "auto", 0.0,
+        ))
     return alerts, thresholds
 
 
@@ -405,7 +391,8 @@ def _drained(alerts, thresholds, n_planes, flush_size, cut):
 
 
 @given(streams(), runs)
-@settings(deadline=None, max_examples=_EXAMPLES)
+@settings(deadline=None, max_examples=_EXAMPLES, phases=_PHASES,
+          report_multiple_bugs=False)
 def test_a2_fold_equals_the_naive_rows(stream, schedule):
     alerts, thresholds = stream
     naive = NaiveA2(alerts, thresholds)

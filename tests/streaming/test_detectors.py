@@ -128,7 +128,8 @@ class TestFolding:
         # so the open rows must export the rows a flat (sid, region,
         # bucket) map summed in stream order would, in (bucket, sid,
         # region) order; a watermark past the last hour then folds every
-        # row into per-(sid, region) totals, added in hour order.
+        # row below it into per-(sid, region) totals, added in hour
+        # order, and keeps the last hour open.
         thresholds = DetectorThresholds()
         cap = thresholds.repeat_window_count
         regions = ("region-B", "region-A", "region-C")
@@ -175,15 +176,21 @@ class TestFolding:
         summary = suite.summary()
         assert (summary["open_rows"], summary["folded_keys"]) == \
             (len(reference), 0)
+        last = max(bucket for bucket, _sid, _region in reference)
         totals: dict[tuple, list] = {}
-        for (_bucket_id, sid, region), row in sorted(reference.items()):
-            held = totals.setdefault((sid, region), [0, 0, 0, 0, 0.0])
-            for slot in range(5):
-                held[slot] += row[slot]
-        suite.observe([], watermark=9 * HOUR)
+        for (bucket, sid, region), row in sorted(reference.items()):
+            if bucket < last:
+                held = totals.setdefault((sid, region), [0, 0, 0, 0, 0.0])
+                for slot in range(5):
+                    held[slot] += row[slot]
+        suite.observe([], watermark=(last + 1) * HOUR)
         state = suite.export_state()
-        assert state["open"] == []
-        assert state["final_hour"] == 9
+        assert state["final_hour"] == last
+        assert state["open"] == [
+            [sid, region, bucket, *row]
+            for (bucket, sid, region), row in sorted(reference.items())
+            if bucket == last
+        ]
         assert [row[:-1] for row in state["folded"]] == [
             [*key, *held] for key, held in sorted(totals.items())
         ]
@@ -191,28 +198,35 @@ class TestFolding:
 
 
 class TestFinalHourFold:
-    def test_only_hours_the_watermark_has_left_fold(self):
+    def test_an_hour_folds_once_a_later_hour_below_the_watermark_holds_rows(self):
         suite = StreamingDetectorSuite()
         suite.observe([_bucket("s-1", bucket=0) + _bucket("s-1", bucket=2)],
                       watermark=2 * HOUR + 1.0)
+        # Hour 2 is the watermark's own: nothing below it holds rows
+        # after hour 0, so hour 0 stays open.
+        assert suite.export_state()["final_hour"] == 0
+        suite.observe([_bucket("s-1", bucket=3)], watermark=3 * HOUR + 1.0)
         state = suite.export_state()
         assert state["final_hour"] == 2
-        assert [row[2] for row in state["open"]] == [2]
+        assert [row[2] for row in state["open"]] == [2, 3]
         assert state["folded"] == \
             [["s-1", "region-A", 4, 0, 0, 4, 3600.0, [0.0, 900.0, 1800.0, 2700.0]]]
-        # A watermark inside the same hour folds nothing more.
-        suite.observe([], watermark=3 * HOUR - 1.0)
-        assert suite.export_state()["final_hour"] == 2
+        # A watermark further on folds nothing until a later hour holds
+        # rows below it.
+        suite.observe([], watermark=9 * HOUR)
+        assert suite.export_state()["final_hour"] == 3
+        suite.observe([], watermark=10 * HOUR)
+        assert suite.export_state()["final_hour"] == 3
 
     def test_a_storm_hour_is_dropped_at_the_fold(self):
         suite = StreamingDetectorSuite()
         flood = _bucket("s-flood", count=STORM_HOUR_THRESHOLD + 1,
                         times=[10.0 * i for i in range(STORM_HOUR_THRESHOLD + 1)])
         suite.observe([_bucket("s-1", bucket=0) + flood
-                       + _bucket("s-1", region="region-B", bucket=0)],
-                      watermark=HOUR)
+                       + _bucket("s-1", region="region-B", bucket=0)])
+        _fold_below(suite, 1)
         state = suite.export_state()
-        assert state["open"] == []
+        assert [row[2] for row in state["open"]] == [1]
         assert [row[:3] for row in state["folded"]] == [["s-1", "region-B", 4]]
 
     def test_a_run_across_hours_sets_the_sticky_flag(self):
@@ -223,56 +237,92 @@ class TestFinalHourFold:
         times = ([HOUR - 100.0 * (half - i) for i in range(half)]
                  + [HOUR + 100.0 * i for i in range(cap - half)])
         suite = StreamingDetectorSuite()
-        suite.observe([_bucket("s-1", count=cap, times=times)],
-                      watermark=HOUR + 1.0)
+        suite.observe([_bucket("s-1", count=cap, times=times)])
+        _fold_below(suite, 1)
         assert suite.export_state()["repeating"] == []
         assert _retained(suite) == [["s-1", "region-A", times[:half]]]
-        suite.observe([], watermark=2 * HOUR)
+        _fold_below(suite, 2)
         assert suite.export_state()["repeating"] == ["s-1"]
         assert _retained(suite) == []
 
     def test_retained_times_stop_at_the_repeat_window(self):
         times = [0.0, 2 * HOUR - 1.0, 3 * HOUR + 10.0]
         suite = StreamingDetectorSuite()
-        suite.observe([[_alert("s-1", at) for at in times[:2]]],
-                      watermark=2 * HOUR)
+        suite.observe([[_alert("s-1", at) for at in times[:2]]])
+        _fold_below(suite, 2)
         # The next hour starts at 2h, within the 3h window of both times.
         assert _retained(suite) == [["s-1", "region-A", times[:2]]]
-        suite.observe([[_alert("s-1", times[2])]], watermark=4 * HOUR)
+        suite.observe([[_alert("s-1", times[2])]])
+        _fold_below(suite, 4)
         # Folding hour 3 prunes against 4h: 4h - 0.0 > 3h drops the
         # first time, 4h - (2h - 1) <= 3h keeps the second.
         assert _retained(suite) == [["s-1", "region-A", times[1:]]]
         # Times wait for their key's next row: folding it drops every
         # time that row's next hour could not pair with.
-        suite.observe([], watermark=7 * HOUR)
+        _fold_below(suite, 7)
         assert _retained(suite) == [["s-1", "region-A", times[1:]]]
-        suite.observe([[_alert("s-1", 7 * HOUR + 5.0)]], watermark=8 * HOUR)
+        suite.observe([[_alert("s-1", 7 * HOUR + 5.0)]])
+        _fold_below(suite, 8)
         assert _retained(suite) == [["s-1", "region-A", [7 * HOUR + 5.0]]]
 
     def test_a_late_alert_skips_a2_but_reaches_the_catalog_and_sketch(self):
         suite = StreamingDetectorSuite()
-        suite.observe([_bucket("s-1", bucket=0) + _bucket("s-1", bucket=3)],
+        suite.observe([_bucket("s-1", bucket=0) + _bucket("s-1", bucket=2)
+                       + _bucket("s-1", bucket=3)],
                       watermark=3 * HOUR + 1.0)
         before = suite.export_state()
-        late = _alert("s-late", 2 * HOUR + 5.0, title="late title")
+        assert before["final_hour"] == 2
+        late = _alert("s-late", HOUR + 5.0, title="late title")
+        # An hour behind the watermark, but in an open hour: counted.
+        behind = _alert("s-1", 2 * HOUR + 5.0)
         on_time = _alert("s-1", 3 * HOUR + 7.0)
-        suite.observe([[late, on_time]], watermark=3 * HOUR + 7.0)
+        suite.observe([[late, behind, on_time]], watermark=3 * HOUR + 7.0)
         state = suite.export_state()
         assert suite.summary()["a2_late"] == 1
         assert state["folded"] == before["folded"]
         assert [row[:4] for row in state["open"]] == \
-            [["s-1", "region-A", 3, 5]]
+            [["s-1", "region-A", 2, 5], ["s-1", "region-A", 3, 5]]
         assert "s-late" in {row[0] for row in state["catalog"]}
         assert "s-late" in {row[1] for row in state["sketch"]["buffer"]}
         # The late alert's hour stays final, whatever the next barrier.
         suite.observe([[_alert("s-1", HOUR)]])
         assert suite.summary()["a2_late"] == 2
 
+    def test_a_lone_far_future_alert_does_not_finalise_the_present(self):
+        # One alert at 1e12 pins the watermark for the rest of the
+        # stream; the fold keeps following the hours that hold rows, so
+        # A2 still counts every later alert and equals a suite that
+        # never folds.
+        alerts = sorted(_severity_fixture(), key=lambda alert: alert.occurred_at)
+        alerts.insert(5, _alert("s-far", 1e12))
+        suite, unfolded = StreamingDetectorSuite(), StreamingDetectorSuite()
+        watermark = -math.inf
+        for start in range(0, len(alerts), 7):
+            flush = alerts[start:start + 7]
+            watermark = max(watermark, *(alert.occurred_at for alert in flush))
+            suite.observe([flush], watermark=watermark)
+        unfolded.observe([alerts])
+        state = suite.export_state()
+        assert state["a2_late"] == 0
+        assert state["final_hour"] == 20
+        assert [row[2] for row in state["open"]][-1] == int(1e12 // HOUR)
+        assert suite._proxies() == unfolded._proxies()
+        assert suite.findings() == unfolded.findings()
+        assert [f.subject for f in suite.findings()["A2"]] == ["s-misfit"]
+
+
+def _fold_below(suite, hour):
+    """Fold every open hour below ``hour``: one alert of an unrelated
+    strategy makes ``hour`` the newest open hour under the watermark's."""
+    suite.observe([[_alert("s-clock", hour * HOUR, region="region-Z")]],
+                  watermark=(hour + 1) * HOUR)
+
 
 def _retained(suite):
-    """``[sid, region, times]`` of every folded key retaining times."""
+    """``[sid, region, times]`` of every folded key retaining times,
+    ``_fold_below``'s clock strategy aside."""
     return [row[:2] + row[-1:] for row in suite.export_state()["folded"]
-            if row[-1]]
+            if row[-1] and row[0] != "s-clock"]
 
 
 def _severity_fixture():
@@ -439,6 +489,8 @@ class TestStateRoundTrip:
         lambda state: state["open"][0][-1].append(math.inf),
         lambda state: state["open"].append(["s-ghost", "region-A", 30, 1, 0,
                                             0, 0, 0.0, [0.0]]),
+        lambda state: state["open"].append(["s-low-0", "region-A", 3, 1, 0,
+                                            0, 0, 0.0, [3 * HOUR]]),
         lambda state: state["folded"][0].__setitem__(-1, math.nan),
         lambda state: state["folded"][0].pop(),
         lambda state: state["folded"][0].pop(),
@@ -461,20 +513,6 @@ class TestStateRoundTrip:
         with pytest.raises(ValidationError):
             suite.restore_state(state)
         assert json.dumps(suite.export_state(), sort_keys=True) == before
-
-    def test_a1_clarity_follows_a_first_seen_title_change(self):
-        # A memoised clarity must not outlive the catalog text it scored:
-        # an earlier alert replaces the first-seen title.
-        suite = StreamingDetectorSuite()
-        suite.observe([[_alert("s-1", 100.0, title="Instance x is abnormal",
-                               description="hmm")]])
-        assert [f.subject for f in suite.findings()["A1"]] == ["s-1"]
-        suite.observe([[_alert("s-1", 50.0)]])
-        assert suite.findings()["A1"] == []
-        # The memo holds the catalog's current texts only.
-        assert list(suite._clarity) == [
-            ("database-api-01: failed to commit changes", "details for s-1"),
-        ]
 
 
 class TestGatewayIntegration:
