@@ -344,12 +344,3 @@ def _incident_overlap_fraction(alerts: list[Alert], trace: AlertTrace) -> float:
         if any(w.contains(alert.occurred_at) for w in windows):
             hits += 1
     return hits / len(alerts)
-
-
-def _to_quantiles(values: dict[str, float]) -> dict[str, float]:
-    """Map values to their empirical quantile in [0, 1]."""
-    items = sorted(values.items(), key=lambda kv: kv[1])
-    n = len(items)
-    if n == 1:
-        return {items[0][0]: 0.5}
-    return {key: index / (n - 1) for index, (key, _) in enumerate(items)}

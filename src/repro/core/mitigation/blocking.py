@@ -132,10 +132,6 @@ class AlertBlocker:
         for rule in rules:
             self.add(rule)
 
-    def has_rule(self, rule: BlockingRule) -> bool:
-        """Whether an identical rule (field equality) is registered."""
-        return rule in self._by_strategy.get(rule.strategy_id, ())
-
     def remove_rule(self, rule: BlockingRule) -> bool:
         """Remove one specific rule (field equality); returns success.
 

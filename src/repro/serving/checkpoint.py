@@ -2,16 +2,19 @@
 
 A snapshot is one self-describing file::
 
-    RCK1 | u32 header length | header JSON | region blobs | blake2b-16
+    RCK1 | u32 header length | header JSON | plane blobs | blake2b-16
 
 The JSON header carries everything JSON-safe the gateway captured —
 router assignments, the full R1 rule table, learner windows/timeline,
 QoA counters, stats — plus the gateway's construction-time configuration
-and a blob directory ``[plane, region, length]``.  The binary tail is
-the wire-packed per-(plane, region) state
+and a blob directory ``[plane, length]`` (header ``version`` 2).  The
+binary tail is one wire-packed state per plane
 (:func:`~repro.streaming.wire.pack_plane_state` blobs), concatenated in
 directory order.  The trailing 16-byte ``blake2b`` digest covers every
-byte before it.
+byte before it.  Version 1 files, whose directory rows are ``[plane,
+region, length]`` with one blob per region, still decode: their blobs
+come back as ``(plane, blob)`` rows, several per plane, and each is
+added into its plane on restore.
 
 Loading is strict by construction: the digest is verified over the raw
 bytes *before a single field is parsed*, so a truncated, flipped, or
@@ -47,7 +50,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"RCK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: Header versions this build decodes: 1 had a per-region blob directory.
+_READABLE_VERSIONS = (1, 2)
 
 #: blake2b digest size of the file trailer.
 _DIGEST_SIZE = 16
@@ -77,9 +82,9 @@ class GatewayCheckpoint:
     created_at: float
     config: dict
     state: dict
-    #: ``(plane, region, packed bytes)`` in first-seen region order —
-    #: the order ``state["regions"]`` records and restore preserves.
-    blobs: list[tuple[int, str, bytes]] = field(default_factory=list)
+    #: ``(plane, packed bytes)``, planes ascending (a version-1 file
+    #: holds one row per region, in its first-seen region order).
+    blobs: list[tuple[int, bytes]] = field(default_factory=list)
 
     @property
     def input_alerts(self) -> int:
@@ -94,18 +99,15 @@ class GatewayCheckpoint:
     def restore_state(self) -> dict:
         """The gateway-facing state dict (blobs re-attached)."""
         state = dict(self.state)
-        state["regions"] = [[plane, region] for plane, region, _ in self.blobs]
-        state["blobs"] = [blob for _, _, blob in self.blobs]
+        state["planes"] = [plane for plane, _ in self.blobs]
+        state["blobs"] = [blob for _, blob in self.blobs]
         return state
 
 
 def checkpoint_of_gateway(gateway, seq: int, created_at: float | None = None) -> GatewayCheckpoint:
     """Capture ``gateway`` (at a flush barrier) as a checkpoint object."""
     state = gateway.checkpoint_state()
-    blobs = [
-        (plane, region, blob)
-        for (plane, region), blob in zip(state.pop("regions"), state.pop("blobs"))
-    ]
+    blobs = list(zip(state.pop("planes"), state.pop("blobs")))
     return GatewayCheckpoint(
         seq=int(seq),
         created_at=time.time() if created_at is None else float(created_at),
@@ -117,9 +119,7 @@ def checkpoint_of_gateway(gateway, seq: int, created_at: float | None = None) ->
 
 def encode_checkpoint(checkpoint: GatewayCheckpoint) -> bytes:
     """Serialise a checkpoint to its durable byte form."""
-    directory = [
-        [plane, region, len(blob)] for plane, region, blob in checkpoint.blobs
-    ]
+    directory = [[plane, len(blob)] for plane, blob in checkpoint.blobs]
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "seq": checkpoint.seq,
@@ -129,7 +129,7 @@ def encode_checkpoint(checkpoint: GatewayCheckpoint) -> bytes:
         "blobs": directory,
     }, ensure_ascii=False).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, _U32.pack(len(header)), header]
-    parts.extend(blob for _, _, blob in checkpoint.blobs)
+    parts.extend(blob for _, blob in checkpoint.blobs)
     body = b"".join(parts)
     return body + blake2b(body, digest_size=_DIGEST_SIZE).digest()
 
@@ -163,15 +163,17 @@ def decode_checkpoint(data: bytes) -> GatewayCheckpoint:
     (header_len,) = _U32.unpack_from(body, offset)
     offset += _U32.size
     header = json.loads(body[offset:offset + header_len].decode("utf-8"))
-    if header["version"] != CHECKPOINT_VERSION:
+    if header["version"] not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"unsupported checkpoint version {header['version']} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
+            f"(this build reads versions {_READABLE_VERSIONS})"
         )
     offset += header_len
-    blobs: list[tuple[int, str, bytes]] = []
-    for plane, region, length in header["blobs"]:
-        blobs.append((int(plane), region, body[offset:offset + length]))
+    blobs: list[tuple[int, bytes]] = []
+    for row in header["blobs"]:
+        # Version 1 rows are [plane, region, length]: the region goes.
+        plane, length = row[0], row[-1]
+        blobs.append((int(plane), body[offset:offset + length]))
         offset += length
     if offset != len(body):
         raise CheckpointError(

@@ -16,8 +16,7 @@ Choosing a backend (``AlertGateway(backend=...)``):
 * ``serial`` (default) — planes run inline.  Lowest latency per event,
   zero moving parts; right for tests, simulations, and modest volumes.
   Pair with ``ingest_batch`` + ``flush_size`` ≥ 256 to amortise
-  per-event overhead; on multi-region streams add planes so R4 sees
-  contiguous per-region runs instead of interleavings.
+  per-event overhead.
 * ``process`` — planes partitioned across worker processes; batches
   cross the pipe in the struct-packed :mod:`~repro.streaming.wire`
   format and flush replies are bare counters.  Escapes the GIL for the
@@ -43,6 +42,15 @@ workers over zero-copy shared-memory rings
 (:mod:`~repro.streaming.rings`; ``lane_transport="pipe"`` restores the
 classic pickled hand-off) — identical end-of-run accounting.  ``serial``
 always runs one lane: lane threads under the GIL only slow it down.
+
+Checkpoints (``AlertGateway.checkpoint_state`` / ``adopt_checkpoint``,
+made durable by :mod:`repro.serving`) capture one wire-packed
+:class:`PlaneState` blob per plane that has been routed a region: the
+plane's lifetime counters and finalize countdown, its open R2 sessions,
+R3 components, timeline ties and sweep memory, and R4 region records
+with the detector's last sweep time, under one string table.  A fresh
+gateway that adopts the blobs continues, and captures again, byte for
+byte like the captured one.
 """
 
 from repro.streaming.backends import (
@@ -69,8 +77,8 @@ from repro.streaming.learning import (
 from repro.streaming.qoa import StreamQoA, StreamQoAScorer, measure_stream_qoa
 from repro.streaming.plane import (
     PlaneConfig,
-    PlaneRegionState,
     PlaneReport,
+    PlaneState,
     RegionPlane,
 )
 from repro.streaming.processor import StreamProcessor
@@ -104,7 +112,7 @@ __all__ = [
     "make_backend",
     "PlaneConfig",
     "PlaneReport",
-    "PlaneRegionState",
+    "PlaneState",
     "RegionPlane",
     "PlaneRouter",
     "OnlineAggregator",

@@ -109,27 +109,28 @@ class PlaneBackend(Protocol):
         """
         ...
 
-    def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
-        """Wire-pack every (plane, region) slice; a pure read.
+    def checkpoint(self, planes: Sequence[int]) -> list[bytes]:
+        """Wire-pack each listed plane's whole state; a pure read.
 
-        A barrier (the gateway flushes first).  Each pair's region state
-        is read off its plane and packed; nothing on the plane changes,
-        and the returned blobs (in ``pairs`` order) are a complete
-        durable image of all plane-resident state.  That a capture
-        cannot be observed in the continued run, nor in the bytes of a
-        later capture, is pinned by the capture-invisibility tests in
+        A barrier (the gateway flushes first).  Each plane's state is
+        read and packed into one blob (in ``planes`` order); nothing on
+        the plane changes, and the blobs are a complete durable image of
+        all plane-resident state.  That a capture cannot be observed in
+        the continued run, nor in the bytes of a later capture, is
+        pinned by the capture-invisibility tests in
         ``tests/serving/test_checkpoint_fuzz.py``.  The blocker table is
         not in the blobs: the checkpoint records it once, gateway-level.
         """
         ...
 
     def restore(self, adopts: Sequence[tuple[int, bytes]]) -> None:
-        """Install checkpointed region blobs onto a *fresh* backend.
+        """Install checkpointed plane blobs onto a *fresh* backend.
 
-        ``adopts`` rows are ``(plane, packed state)`` in the checkpoint's
-        first-seen region order.  Only valid before any event has
-        flowed; the process backend spawns its workers here so the
-        state lands in the processes that will run it.
+        ``adopts`` rows are ``(plane, packed state)``; a legacy
+        checkpoint may hold several rows per plane, one per region, each
+        added in turn.  Only valid before any event has flowed; the
+        process backend spawns its workers here so the state lands in
+        the processes that will run it.
         """
         ...
 
@@ -140,23 +141,6 @@ class PlaneBackend(Protocol):
     def close(self) -> None:
         """Release workers; idempotent."""
         ...
-
-
-def _pack_pairs(planes, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
-    """Wire-pack every (plane, region) slice read-only, in ``pairs`` order.
-
-    ``planes`` maps plane id to plane.  Regions are grouped per plane so
-    each plane reads its R2 sessions and retained artifacts once per
-    capture (:meth:`RegionPlane.pack_regions`).
-    """
-    regions_of: dict[int, list[str]] = {}
-    for plane, region in pairs:
-        regions_of.setdefault(plane, []).append(region)
-    blob_of: dict[tuple[int, str], bytes] = {}
-    for plane, regions in regions_of.items():
-        blobs = planes[plane].pack_regions(regions)
-        blob_of.update(zip(((plane, region) for region in regions), blobs))
-    return [blob_of[pair] for pair in pairs]
 
 
 class SerialPlaneBackend:
@@ -183,12 +167,12 @@ class SerialPlaneBackend:
             for plane, alerts, in_warmup in batches
         ]
 
-    def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
-        return _pack_pairs(self.planes, pairs)
+    def checkpoint(self, planes: Sequence[int]) -> list[bytes]:
+        return [self.planes[plane].pack() for plane in planes]
 
     def restore(self, adopts: Sequence[tuple[int, bytes]]) -> None:
         for plane, blob in adopts:
-            self.planes[plane].adopt_region(unpack_plane_state(blob))
+            self.planes[plane].adopt(unpack_plane_state(blob))
 
     def drain(self, watermark: float | None) -> list[PlaneReport]:
         return [plane.drain(watermark) for plane in self.planes]
@@ -255,14 +239,14 @@ def _plane_worker_commands(connection, planes, rings) -> None:
                 ]
                 connection.send(("ok", results))
             elif kind == "checkpoint":
-                # Read-only capture: one blob per (plane, region) pair
-                # in request order; the planes are left untouched.
-                connection.send(("ok", _pack_pairs(planes, payload)))
+                # Read-only capture: one blob per requested plane, in
+                # request order; the planes are left untouched.
+                connection.send(("ok", [planes[plane].pack() for plane in payload]))
             elif kind == "adopt":
-                # Checkpoint restore: install packed region states on
+                # Checkpoint restore: install packed plane states on
                 # this worker's freshly-built planes.
                 for plane, blob in payload:
-                    planes[plane].adopt_region(unpack_plane_state(blob))
+                    planes[plane].adopt(unpack_plane_state(blob))
                 connection.send(("ok", None))
             elif kind == "drain":
                 replies = []
@@ -557,34 +541,31 @@ class ProcessPlaneBackend:
             results.extend(reply)
         return results
 
-    def checkpoint(self, pairs: Sequence[tuple[int, str]]) -> list[bytes]:
+    def checkpoint(self, planes: Sequence[int]) -> list[bytes]:
         if self._closed:
             raise ValidationError("process backend already closed")
-        if not pairs:
+        if not planes:
             return []
         if self._workers is None:
             # No events have flowed, so no plane owns state yet — but a
-            # region pair implies the gateway routed something, which
-            # means a flush must have spawned the fleet first.
+            # plane to capture implies the gateway routed something,
+            # which means a flush must have spawned the fleet first.
             raise ValidationError(
-                "checkpoint requested for regions but no worker has run; "
+                "checkpoint requested for planes but no worker has run; "
                 "flush before checkpointing"
             )
-        per_worker: dict[int, list[tuple[int, str]]] = {}
-        for plane, region in pairs:
-            per_worker.setdefault(self._worker_of(plane), []).append(
-                (plane, region)
-            )
+        per_worker: dict[int, list[int]] = {}
+        for plane in planes:
+            per_worker.setdefault(self._worker_of(plane), []).append(plane)
         worker_ids = sorted(per_worker)
         replies = self._roundtrip(
             worker_ids,
             [("checkpoint", per_worker[w]) for w in worker_ids],
         )
-        blob_of: dict[tuple[int, str], bytes] = {}
+        blob_of: dict[int, bytes] = {}
         for worker_id, reply in zip(worker_ids, replies):
-            for pair, blob in zip(per_worker[worker_id], reply):
-                blob_of[pair] = blob
-        return [blob_of[(plane, region)] for plane, region in pairs]
+            blob_of.update(zip(per_worker[worker_id], reply))
+        return [blob_of[plane] for plane in planes]
 
     def restore(self, adopts: Sequence[tuple[int, bytes]]) -> None:
         if self._closed:

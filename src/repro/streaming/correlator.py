@@ -34,7 +34,7 @@ Keeping members.  With ``keep_members`` (the gateway's
 becomes an :class:`~repro.core.mitigation.correlation.AlertCluster` via
 the batch analyzer's :meth:`build_cluster`, which is what makes the
 retained artefacts equal :class:`~repro.core.mitigation.pipeline.MitigationReport`'s.
-Without it a finalised component is only counted for its region, and a
+Without it a finalised component is only counted, and a
 member that is below ``watermark - window`` and outside every pending
 span is evicted while its component stays open: nothing can reach it
 any more.  Eviction is amortised: a region is swept only once its
@@ -85,7 +85,7 @@ and one with evidence one dict probe more:
   ``(occurred_at, seq)`` order and a union keeps the older component's
   root as first argument, so member-list order — and with it
   ``build_cluster``'s stable sort on timestamp ties, the chosen
-  ``root_alert`` and what :meth:`OnlineCorrelator.region_components` reads —
+  ``root_alert`` and what :meth:`OnlineCorrelator.export` reads —
   is the order a direct pair-by-pair scan produces.
 """
 
@@ -93,8 +93,11 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable
+from itertools import chain, groupby
+from operator import itemgetter
 
 from repro.alerting.alert import Alert
+from repro.common.errors import ValidationError
 from repro.core.mitigation.correlation import AlertCluster, CorrelationAnalyzer
 
 __all__ = ["OnlineCorrelator"]
@@ -149,7 +152,7 @@ class OnlineCorrelator:
         keep_members: bool = True,
     ) -> None:
         """``keep_members=False`` evicts members no future representative
-        can reach and finalises components as per-region counts, without
+        can reach and finalises components as a count, without
         building their clusters (see the module docstring)."""
         self._analyzer = analyzer
         self._keep = keep_members
@@ -250,70 +253,100 @@ class OnlineCorrelator:
         times.insert(at, time)
         items.insert(at, (seq, signature))
 
-    def region_components(self, region: str) -> list[tuple[list[Alert], float]]:
-        """One region's open components, read-only (checkpointing).
+    def export(
+        self,
+    ) -> tuple[list[tuple[list[Alert], float]], list[list[int]], dict[str, int]]:
+        """The correlator's whole state, read-only (checkpointing).
 
-        Correlation evidence requires equal regions, so a component
-        never spans regions and a region's slice of the correlator —
-        its timeline plus every component rooted in it — reads off
-        cleanly.  Returns ``(member representatives, component max
-        event time)`` pairs, components in first-retained order and
-        members in union order; :meth:`adopt_region` on a restored
-        correlator reconstructs the identical union-find state under
-        fresh sequence numbers.  Nothing here changes: sequence numbers
-        and the region's sweep memory stay as they were.
+        Returns ``(components, ties, swept)``: the open components in
+        creation order, each as its member representatives in union
+        order plus its max event time; the ties whose timeline order
+        :meth:`adopt` could not read off ``components`` (members of one
+        region at one time, as positions in the concatenated member
+        lists, in timeline order); and the sweep memory.  Sequence
+        numbers do not travel: a member's timeline rank and a
+        component's creation rank are all that later adds,
+        finalisations and sweeps read of them, so :meth:`adopt` on a
+        fresh correlator continues exactly like this one, and captures
+        the same.
         """
-        timeline = self._timelines.get(region)
-        if timeline is None:
-            return []
-        roots = dict.fromkeys(self._parent[seq] for seq, _ in timeline[1])
         alerts = self._alerts
-        return [
-            ([alerts[seq] for seq in self._members[root]], self._max_time[root])
-            for root in roots
+        max_time = self._max_time
+        members = self._members
+        components = [
+            ([alerts[seq] for seq in seqs], max_time[root])
+            for root, seqs in members.items()
         ]
+        ties = []
+        position: dict[int, int] = {}
+        for region in sorted(self._timelines):
+            times, items = self._timelines[region]
+            if len(set(times)) == len(times):
+                continue  # no two members at one time
+            if not position:
+                position = {seq: at for at, seq in enumerate(
+                    chain.from_iterable(members.values()))}
+            for _, run in groupby(zip(times, items), key=itemgetter(0)):
+                group = [position[seq] for _, (seq, _) in run]
+                if group != sorted(group):
+                    ties.append(group)
+        return components, ties, dict(sorted(self._swept.items()))
 
-    def adopt_region(
-        self, region: str, components: list[tuple[list[Alert], float]],
+    def adopt(
+        self,
+        components: list[tuple[list[Alert], float]],
+        ties: list[list[int]],
+        swept: dict[str, int],
     ) -> None:
-        """Install components unpacked from a checkpoint (restore).
+        """Install state :meth:`export` read (restore).
 
-        Members keep their captured (union) order under fresh sequence
-        numbers; future merges behave exactly as if every member had
-        been :meth:`add`-ed here, because connected components — and the
-        batch analyzer's cluster finalisation — do not depend on
-        insertion order.  Evidence rows do not travel: adopted members
-        are interned here and their rows built afresh.
+        Members take fresh sequence numbers in ``components`` order,
+        except that each tie's members share out their numbers in the
+        tie's order, and the components take fresh labels after them, so
+        timeline ties and finalisation order come out as captured.  (A
+        legacy per-region capture carries no ties: sorting by (time, new
+        number) then gives what adding its members in order would.)
+        Evidence rows do not travel: they are built afresh here.
         """
-        times, items = self._timelines.setdefault(region, ([], []))
-        for alerts, max_time in components:
-            root_seq: int | None = None
-            for alert in alerts:
-                seq = self._seq
-                self._seq += 1
+        base = self._seq
+        count = sum(len(members) for members, _ in components)
+        self._seq = base + count + len(components)
+        seq_of = list(range(base, base + count))
+        for tie in ties:
+            for position, seq in zip(tie, sorted(seq_of[at] for at in tie)):
+                seq_of[position] = seq
+        rows: dict[str, list[tuple[float, int, int]]] = {}
+        start = 0
+        for label, (members, max_time) in enumerate(components, base + count):
+            seqs = seq_of[start:start + len(members)]
+            start += len(members)
+            self._members[label] = seqs
+            self._max_time[label] = max_time
+            for seq, alert in zip(seqs, members):
+                self._parent[seq] = label
                 self._alerts[seq] = alert
-                if root_seq is None:
-                    root_seq = seq
-                    self._members[seq] = [seq]
-                    self._max_time[seq] = max_time
-                else:
-                    self._members[root_seq].append(seq)
-                self._parent[seq] = root_seq
-                # Fresh seqs ascend, so each goes after every equal time.
-                at = bisect.bisect_right(times, alert.occurred_at)
-                times.insert(at, alert.occurred_at)
-                items.insert(at, (seq, self._intern(alert)))
+                rows.setdefault(alert.region, []).append(
+                    (alert.occurred_at, seq, self._intern(alert)))
+        for region, region_rows in rows.items():
+            if region in self._timelines:
+                raise ValidationError(f"region {region!r} already correlated")
+            region_rows.sort()
+            self._timelines[region] = (
+                [time for time, _, _ in region_rows],
+                [(seq, signature) for _, seq, signature in region_rows],
+            )
+        self._swept.update(swept)
 
     def finalize_ready(
         self, watermark: float, pending: Iterable[Alert],
-    ) -> tuple[dict[str, int], list[AlertCluster]]:
+    ) -> tuple[int, list[AlertCluster]]:
         """Close components no future representative can join.
 
         The contract: every representative still to be added either is
         in ``pending`` or occurs at or after ``watermark``, and
-        ``watermark`` never decreases between calls.  Returns the closed
-        components counted per region and, with ``keep_members``, their
-        clusters (otherwise an empty list).
+        ``watermark`` never decreases between calls.  Returns the number
+        of closed components and, with ``keep_members``, their clusters
+        (otherwise an empty list).
         """
         safe_before = watermark - self._window
         spans = _pending_spans(pending, self._window)
@@ -334,7 +367,7 @@ class OnlineCorrelator:
             self._evict(safe_before, spans)
         return finalized
 
-    def drain(self) -> tuple[dict[str, int], list[AlertCluster]]:
+    def drain(self) -> tuple[int, list[AlertCluster]]:
         """Finalise every remaining component (end of stream)."""
         return self._finalize(list(self._members))
 
@@ -390,10 +423,7 @@ class OnlineCorrelator:
         self._signature_limit = max(_MAX_SIGNATURES, 2 * len(self._signatures))
         self._memo_version = self._analyzer.evidence_version
 
-    def _finalize(
-        self, roots: list[int],
-    ) -> tuple[dict[str, int], list[AlertCluster]]:
-        closed: dict[str, int] = {}
+    def _finalize(self, roots: list[int]) -> tuple[int, list[AlertCluster]]:
         clusters: list[AlertCluster] = []
         closed_seqs: dict[str, set[int]] = {}
         for root in roots:
@@ -403,9 +433,7 @@ class OnlineCorrelator:
                 del self._parent[seq]
             alerts = [self._alerts.pop(seq) for seq in member_seqs]
             # A component never spans regions: only its bucket shrinks.
-            region = alerts[0].region
-            closed[region] = closed.get(region, 0) + 1
-            closed_seqs.setdefault(region, set()).update(member_seqs)
+            closed_seqs.setdefault(alerts[0].region, set()).update(member_seqs)
             if self._keep:
                 clusters.append(self._analyzer.build_cluster(alerts))
         for region, gone in closed_seqs.items():
@@ -418,7 +446,7 @@ class OnlineCorrelator:
                 del self._timelines[region]
                 self._swept.pop(region, None)
         clusters.sort(key=lambda c: (c.alerts[0].occurred_at, -c.size))
-        return closed, clusters
+        return len(roots), clusters
 
     def _evict(
         self,

@@ -141,19 +141,14 @@ class OnlineAggregator:
             self._fold(groups, high, closed)
         return closed
 
-    def sessions_by_region(self) -> dict[str, list[OpenSession]]:
-        """The open sessions grouped by region, each region's in key
-        order (checkpointing).
+    def sessions(self) -> list[OpenSession]:
+        """The open sessions in key order (checkpointing).
 
-        One pass over the sessions, however many regions a capture
-        packs, and nothing moves: the lists hold the live sessions, so
-        a caller packs them and never hands them to another
-        aggregator's :meth:`adopt`.
+        Nothing moves: the list holds the live sessions, so a caller
+        packs them and never hands them to another aggregator's
+        :meth:`adopt`.
         """
-        by_region: dict[str, list[OpenSession]] = {}
-        for key, session in sorted(self._sessions.items()):
-            by_region.setdefault(key[1], []).append(session)
-        return by_region
+        return [session for _, session in sorted(self._sessions.items())]
 
     def adopt(self, sessions: list[OpenSession]) -> None:
         """Install sessions unpacked from a checkpoint (restore).
@@ -173,7 +168,7 @@ class OnlineAggregator:
 
     def drain(self) -> list[OpenSession]:
         """Close every open session (end of stream), in key order."""
-        closed = [session for _, session in sorted(self._sessions.items())]
+        closed = self.sessions()
         self._sessions.clear()
         self._expiry.clear()
         return closed

@@ -384,11 +384,13 @@ class AlertGateway:
         like one that never did.  Only valid at a flush barrier
         (:attr:`at_flush_barrier`): the capture is then a consistent
         cut — every counter, the router map, the blocker table,
-        learner/QoA state, and one wire-packed blob per (plane,
-        region) — from which :meth:`adopt_checkpoint` on a fresh,
-        identically-configured gateway continues the stream
-        bit-identically.  ``blobs`` holds raw bytes; everything else is
-        JSON-safe (the serving layer writes the two parts separately).
+        learner/QoA state, and one wire-packed blob for each plane that
+        has been routed a region (``planes``, ascending, beside
+        ``blobs``) — from which :meth:`adopt_checkpoint` on a fresh,
+        identically-configured gateway continues the stream, and
+        captures again, byte for byte like this one.  ``blobs`` holds
+        raw bytes; everything else is JSON-safe (the serving layer
+        writes the two parts separately).
         """
         if self._drained:
             raise ValidationError("gateway already drained; nothing to checkpoint")
@@ -402,13 +404,12 @@ class AlertGateway:
                 f"between batches)"
             )
         assignments = self._plane_router.assignments
-        pairs = [(plane, region) for region, plane in assignments.items()]
-        blobs = self._backend.checkpoint(pairs)
+        planes = sorted(set(assignments.values()))
         return {
             "assignments": [[region, plane] for region, plane in assignments.items()],
             "rules": [rule_to_dict(rule) for rule in self._blocker.rules],
-            "regions": [[plane, region] for plane, region in pairs],
-            "blobs": blobs,
+            "planes": planes,
+            "blobs": self._backend.checkpoint(planes),
             "stats": self.stats.export_state(),
             "learner": (
                 self.learner.export_state() if self.learner is not None else None
@@ -428,8 +429,10 @@ class AlertGateway:
         the checkpoint's recorded configuration.  Order matters: the
         blocker table is rebuilt first, so the process backend's workers
         — spawned during the backend restore — inherit it; then the
-        router map, counters, learner/QoA state, and finally every
-        plane's packed region state.
+        router map, counters, learner/QoA state, and finally each
+        plane's packed state, adopted by the plane of the same id (a
+        legacy checkpoint holds one blob per region, each added into
+        its plane in turn).
         """
         if self._drained:
             raise ValidationError("gateway already drained; create a new one")
@@ -477,10 +480,7 @@ class AlertGateway:
         self._last_flush_watermark = (
             float(watermark) if watermark is not None else None
         )
-        self._backend.restore([
-            (plane, blob)
-            for (plane, _region), blob in zip(state["regions"], state["blobs"])
-        ])
+        self._backend.restore(list(zip(state["planes"], state["blobs"])))
 
     # ------------------------------------------------------------------
     # introspection

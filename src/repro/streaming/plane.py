@@ -38,11 +38,18 @@ end-of-run accounting is identical to the flat gateway for in-order
 streams.  Without ``retain_artifacts`` the correlator also evicts the
 members nothing can reach any more and counts clusters without building
 them.
+
+The plane is also the checkpoint unit: :meth:`RegionPlane.pack` reads
+its whole state into one :class:`PlaneState` blob (one string table for
+its sessions, R3 components and timeline ties, R4 region records and
+retained artifacts, beside the lifetime counters, the finalize countdown
+and R3's and R4's sweep memory), and :meth:`RegionPlane.adopt` installs
+that record on a fresh plane, which then runs and captures exactly as
+the captured plane would.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.alerting.alert import Alert
@@ -64,7 +71,7 @@ from repro.topology.graph import DependencyGraph
 __all__ = [
     "PlaneConfig",
     "PlaneReport",
-    "PlaneRegionState",
+    "PlaneState",
     "RegionPlane",
 ]
 
@@ -157,36 +164,38 @@ class PlaneReport:
 
 
 @dataclass(slots=True)
-class PlaneRegionState:
-    """One region's complete slice of a plane — the checkpoint unit.
+class PlaneState:
+    """A plane's complete state — the checkpoint unit.
 
-    A checkpoint builds this from the region's live plane state and
-    wire-packs it at once (:meth:`RegionPlane.pack_regions`), leaving
-    the plane untouched; a restore adopts the unpacked record onto the
-    plane of a fresh gateway, in-process or in a worker.  It carries
-    *everything* plane-resident the region's events ever touched: open
-    R2 sessions, open R3 components (window + union-find), the R4
-    detector's region record
-    (:class:`~repro.streaming.storm.RegionStormState`), the region's
-    lifetime counter slice and any retained artifacts.  No rule table:
-    every plane reads the one blocker the gateway configured (or the
-    copy a worker forked with), so the rules never need to travel.
+    A checkpoint builds this from live state and wire-packs it at once
+    (:meth:`RegionPlane.pack`); a restore adopts the unpacked record
+    onto the plane of the same id in a fresh gateway, in-process or in a
+    worker.  It carries *everything* plane-resident (R3's part is
+    :meth:`~repro.streaming.correlator.OnlineCorrelator.export`'s, R4's
+    :class:`~repro.streaming.storm.RegionStormState` records).  No rule
+    table: every plane reads the one blocker the gateway configured (or
+    the copy a worker forked with).
     """
 
-    region: str
     #: [processed, blocked, aggregates, clusters] lifetime counts.
     counters: list[int]
+    #: Events since the plane last finalised R3 components.
+    since_finalize: int
+    #: Open R2 sessions in key order.
     sessions: list[OpenSession]
-    #: R3 components: (member representatives in union order, max time).
+    #: R3's open components in creation order: (member representatives
+    #: in union order, max event time).
     components: list[tuple[list[Alert], float]]
-    storm: RegionStormState | None
+    #: R3's ties whose timeline order differs from ``components`` order.
+    ties: list[list[int]]
+    #: R3's sweep memory: region -> below-horizon entries its last sweep kept.
+    swept: dict[str, int]
+    #: R4 region records, regions sorted (empty without storm detection).
+    storm: list[RegionStormState]
+    #: Event time of R4's last recency sweep (``None`` before the first).
+    storm_swept_at: float | None
     retained_aggregates: list[AggregatedAlert] = field(default_factory=list)
     retained_clusters: list[AlertCluster] = field(default_factory=list)
-
-
-def _new_region_row() -> list[int]:
-    """A fresh [processed, blocked, aggregates, clusters] counter row."""
-    return [0, 0, 0, 0]
 
 
 class RegionPlane:
@@ -206,7 +215,6 @@ class RegionPlane:
         "clusters_finalized",
         "aggregates",
         "clusters",
-        "_region_counts",
     )
 
     def __init__(self, plane_id: int, config: PlaneConfig) -> None:
@@ -239,11 +247,6 @@ class RegionPlane:
         self.clusters_finalized = 0
         self.aggregates: list[AggregatedAlert] = []
         self.clusters: list[AlertCluster] = []
-        # Per-region slices of the four lifetime counters above
-        # ([processed, blocked, aggregates, clusters]): what lets a
-        # checkpoint carry a region's whole accounting history with its
-        # state.
-        self._region_counts: dict[str, list[int]] = defaultdict(_new_region_row)
 
     # ------------------------------------------------------------------
     # introspection
@@ -262,15 +265,6 @@ class RegionPlane:
     def open_sessions(self) -> int:
         """In-flight R2 sessions on this plane."""
         return self.processor.open_sessions
-
-    def regions(self) -> list[str]:
-        """Regions with recorded history on this plane, sorted.
-
-        The keys of the per-region counter slices — exactly the regions
-        whose state (and accounting) a checkpoint of the plane must
-        capture.
-        """
-        return sorted(self._region_counts)
 
     def report(self, **payload) -> PlaneReport:
         """This plane's accounting now, carrying ``payload`` fields."""
@@ -308,26 +302,12 @@ class RegionPlane:
         feed R3 and the counters directly; an ``AggregatedAlert`` is
         built only to retain it.
         """
-        regions = [alert.region for alert in alerts]
         if self._detector is not None:
-            self._detector.ingest_batch(alerts, in_warmup, regions)
-        # Per-region processed counts: one dict touch per region.
-        region_counts = self._region_counts
-        batch_regions = (
-            {regions[0]: len(regions)}
-            if regions and regions.count(regions[0]) == len(regions)
-            else Counter(regions)
-        )
-        for region, count in batch_regions.items():
-            region_counts[region][0] += count
-        blocked_by_region, closed = self.processor.ingest_batch(
-            alerts, batch_regions,
-        )
-        for region, count in blocked_by_region.items():
-            region_counts[region][1] += count
+            self._detector.ingest_batch(alerts, in_warmup)
+        blocked, closed = self.processor.ingest_batch(alerts)
         self._close_sessions(closed)
         self.processed += len(alerts)
-        self.blocked += sum(blocked_by_region.values())
+        self.blocked += blocked
         self._since_finalize += len(alerts)
         if self._since_finalize >= self._config.finalize_every and watermark is not None:
             self._since_finalize = 0
@@ -351,13 +331,9 @@ class RegionPlane:
     def _close_sessions(self, closed: list[OpenSession]) -> None:
         """Hand R2's closed sessions to R3 and the counters (and build
         their ``AggregatedAlert`` only when artifacts are retained)."""
-        correlator = self._correlator
-        region_counts = self._region_counts
+        add = self._correlator.add
         for session in closed:
-            correlator.add(session.representative)
-            # A session may close flushes (or a restore) after its
-            # region's last alert here, so rows appear on demand.
-            region_counts[session.region][2] += 1
+            add(session.representative)
         self.aggregates_emitted += len(closed)
         if self._retain:
             self.aggregates.extend(session.emit() for session in closed)
@@ -368,75 +344,62 @@ class RegionPlane:
             watermark, self.processor.open_representatives(),
         ))
 
-    def _count_clusters(
-        self, closed: dict[str, int], clusters: list[AlertCluster],
-    ) -> None:
-        """Fold finalised components into plane and per-region counters
-        (and their clusters, when artifacts are retained)."""
-        region_counts = self._region_counts
-        for region, count in closed.items():
-            self.clusters_finalized += count
-            region_counts[region][3] += count
+    def _count_clusters(self, closed: int, clusters: list[AlertCluster]) -> None:
+        """Count finalised components (and keep their clusters, when
+        artifacts are retained)."""
+        self.clusters_finalized += closed
         self.clusters.extend(clusters)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def pack_regions(self, regions: list[str]) -> list[bytes]:
-        """Wire-pack each region's whole slice of this plane (checkpointing).
+    def pack(self) -> bytes:
+        """Wire-pack this plane's whole state (checkpointing).
 
-        A pure read: every region's :class:`PlaneRegionState` is built
-        from live state and packed
-        (:func:`~repro.streaming.wire.pack_plane_state`) at once, so no
-        view of the plane escapes it and nothing the plane runs on
-        changes.  R2's sessions and the retained artifacts are grouped
-        by region in one pass per capture, not one per region.  Blobs
-        come back in ``regions`` order.
+        A pure read: the :class:`PlaneState` is built from live state and
+        packed (:func:`~repro.streaming.wire.pack_plane_state`) at once,
+        so no view of the plane escapes it and nothing the plane runs on
+        changes.
         """
-        sessions = self.processor.sessions_by_region()
-        # The plane keeps artifacts only when it retains them.
-        aggregates: dict[str, list[AggregatedAlert]] = {}
-        for aggregate in self.aggregates:
-            aggregates.setdefault(aggregate.region, []).append(aggregate)
-        clusters: dict[str, list[AlertCluster]] = {}
-        for cluster in self.clusters:
-            clusters.setdefault(cluster.alerts[0].region, []).append(cluster)
-        detector = self._detector
-        return [
-            pack_plane_state(PlaneRegionState(
-                region=region,
-                counters=self._region_counts.get(region) or _new_region_row(),
-                sessions=sessions.get(region, []),
-                components=self._correlator.region_components(region),
-                storm=(
-                    detector.region_state(region)
-                    if detector is not None else None
-                ),
-                retained_aggregates=aggregates.get(region, []),
-                retained_clusters=clusters.get(region, []),
-            ))
-            for region in regions
-        ]
+        components, ties, swept = self._correlator.export()
+        storm, swept_at = (
+            self._detector.export() if self._detector is not None else ([], None)
+        )
+        return pack_plane_state(PlaneState(
+            counters=[
+                self.processed, self.blocked,
+                self.aggregates_emitted, self.clusters_finalized,
+            ],
+            since_finalize=self._since_finalize,
+            sessions=self.processor.sessions(),
+            components=components,
+            ties=ties,
+            swept=swept,
+            storm=storm,
+            storm_swept_at=swept_at,
+            retained_aggregates=self.aggregates,
+            retained_clusters=self.clusters,
+        ))
 
-    def adopt_region(self, state: PlaneRegionState) -> None:
-        """Install a region's slice unpacked from a checkpoint (restore).
+    def adopt(self, state: PlaneState) -> None:
+        """Add a record unpacked from a checkpoint into this plane (restore).
 
-        Sessions, components and R4 state are installed verbatim; the
-        counter slice joins this plane's totals.
+        Sessions, components and R4 records are installed verbatim and
+        the counters and countdown join this plane's.  A fresh plane
+        that adopts its own capture continues exactly as the captured
+        plane would; a legacy checkpoint adopts one record per region,
+        each added in turn.
         """
-        region = state.region
         self.processor.adopt(state.sessions)
-        self._correlator.adopt_region(region, state.components)
-        if self._detector is not None and state.storm is not None:
-            self._detector.adopt_region(state.storm)
-        counters = state.counters
-        row = self._region_counts[region]
-        for slot in range(4):
-            row[slot] += counters[slot]
-        self.processed += counters[0]
-        self.blocked += counters[1]
-        self.aggregates_emitted += counters[2]
-        self.clusters_finalized += counters[3]
+        self._correlator.adopt(state.components, state.ties, state.swept)
+        if self._detector is not None:
+            self._detector.adopt(state.storm, state.storm_swept_at)
+        processed, blocked, aggregates, clusters = state.counters
+        self.processed += processed
+        self.blocked += blocked
+        self.aggregates_emitted += aggregates
+        self.clusters_finalized += clusters
+        self._since_finalize += state.since_finalize
         if self._retain:
             self.aggregates.extend(state.retained_aggregates)
             self.clusters.extend(state.retained_clusters)

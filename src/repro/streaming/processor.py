@@ -20,8 +20,6 @@ plane-local ``OnlineStormDetector`` over the raw sub-stream are exact.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.alerting.alert import Alert
 from repro.core.mitigation.blocking import AlertBlocker
 from repro.streaming.dedup import OnlineAggregator, OpenSession
@@ -51,21 +49,18 @@ class StreamProcessor:
         return self._aggregator.open_representatives()
 
     def ingest_batch(
-        self,
-        alerts: list[Alert],
-        batch_regions: dict[str, int],
-    ) -> tuple[dict[str, int], list[OpenSession]]:
-        """One micro-batch; returns ``(blocked per region, closed sessions)``.
+        self, alerts: list[Alert],
+    ) -> tuple[int, list[OpenSession]]:
+        """One micro-batch; returns ``(blocked, closed sessions)``.
 
         R1 keeps the survivors in one comprehension (a second pass through
         the rule scan only for conditional rules) and R2 folds them
-        grouped by key.  A region's blocked count, the plane's accounting,
-        is its ``batch_regions`` count less its survivors.
+        grouped by key.
         """
         blocker = self._blocker
         ruled = blocker.ruled_strategies
         if not ruled:
-            return {}, self._aggregator.ingest_batch(alerts)
+            return 0, self._aggregator.ingest_batch(alerts)
         unconditional = blocker.unconditional_strategies
         survivors = [
             alert for alert in alerts if alert.strategy_id not in unconditional
@@ -76,20 +71,14 @@ class StreamProcessor:
                 alert for alert in survivors
                 if alert.strategy_id not in ruled or not is_blocked(alert)
             ]
-        blocked = len(alerts) - len(survivors)
-        if blocked and len(batch_regions) > 1:
-            kept = Counter([alert.region for alert in survivors])
-            blocked_by_region = {
-                region: count - kept[region]
-                for region, count in batch_regions.items()
-            }
-        else:
-            blocked_by_region = dict.fromkeys(batch_regions, blocked)
-        return blocked_by_region, self._aggregator.ingest_batch(survivors)
+        return (
+            len(alerts) - len(survivors),
+            self._aggregator.ingest_batch(survivors),
+        )
 
-    def sessions_by_region(self) -> dict[str, list[OpenSession]]:
-        """Open R2 sessions per region, read-only (checkpointing)."""
-        return self._aggregator.sessions_by_region()
+    def sessions(self) -> list[OpenSession]:
+        """Open R2 sessions in key order, read-only (checkpointing)."""
+        return self._aggregator.sessions()
 
     def adopt(self, sessions: list[OpenSession]) -> None:
         """Install R2 sessions unpacked from a checkpoint (restore)."""

@@ -137,8 +137,9 @@ class OnlineStormDetector:
         self.episode_count = 0
         self.emerging_count = 0
 
-    def ingest_batch(self, alerts: list[Alert], in_warmup: int | None = None,
-                     regions: list[str] | None = None) -> None:
+    def ingest_batch(
+        self, alerts: list[Alert], in_warmup: int | None = None,
+    ) -> None:
         """Advance the counters with one in-order pre-R1 micro-batch.
 
         R4 watches the raw flood: planes feed it every alert of their
@@ -148,7 +149,7 @@ class OnlineStormDetector:
 
         Event-for-event equivalent to feeding the alerts one at a time:
         regions share no state, so each region's events, in order, are
-        one :meth:`_fold`.  A plane passes ``regions``, each alert's.
+        one :meth:`_fold`.
 
         ``in_warmup`` is the number of leading events that fall inside
         the *stream-global* warmup.  ``None`` (standalone use) derives it
@@ -165,8 +166,7 @@ class OnlineStormDetector:
         if in_warmup is None:
             in_warmup = min(max(self._warmup - self._ingested, 0), n)
         self._ingested += n
-        if regions is None:
-            regions = [alert.region for alert in alerts]
+        regions = [alert.region for alert in alerts]
         groups = {regions[0]: alerts}
         if regions.count(regions[0]) != n:
             groups = {}
@@ -196,41 +196,39 @@ class OnlineStormDetector:
     # ------------------------------------------------------------------
     # checkpoint capture / restore
     # ------------------------------------------------------------------
-    def region_state(self, region: str) -> RegionStormState:
-        """One region's whole R4 record, read-only (checkpointing).
+    def export(self) -> tuple[list[RegionStormState], float | None]:
+        """Every region's record, regions sorted, and the event time of
+        the last recency sweep (checkpointing).
 
-        The live record itself, so a caller packs it and never hands it
-        to another detector's :meth:`adopt_region`; the detector's
-        lifetime counts are untouched.  A region never seen reads as an
-        empty record.
+        The live records themselves, so a caller packs them and never
+        hands them to another detector's :meth:`adopt`; nothing here
+        changes.
         """
-        state = self._regions.get(region)
-        return state if state is not None else self._empty(region)
+        return (
+            [self._regions[region] for region in sorted(self._regions)],
+            self._last_sweep_at,
+        )
 
-    def adopt_region(self, state: RegionStormState) -> None:
-        """Install a region's R4 record unpacked from a checkpoint (restore).
+    def adopt(
+        self, states: list[RegionStormState], swept_at: float | None = None,
+    ) -> None:
+        """Install records unpacked from a checkpoint (restore).
 
-        The record itself becomes this instance's live state (the
-        caller hands it over), and its lifetime counts join this
-        instance's.  An open episode continues on the adopting detector;
-        it was already counted, and its count travels with the record,
-        so it is not counted again.
+        The records themselves become this instance's live state (the
+        caller hands them over), and their lifetime counts join this
+        instance's: an open episode continues, already counted once.
+        ``swept_at``, when given, is the captured last sweep time.
         """
-        region = state.region
-        if region in self._regions:
-            raise ValueError(f"region {region!r} already owned by this detector")
-        if state.counts is None:
-            state.bucket_seconds = self._bucket_seconds
-            state.total = 0
-            state.head = None
-        if state.episode_started_at is None:
-            state.episode_peak_rate = 0.0
-        if state == self._empty(region):
-            return
-        self._regions[region] = state
-        self.episode_count += state.episode_count
-        self.emerging_count += state.emerging_count
-        self._ingested += state.ingested
+        for state in states:
+            if state.region in self._regions:
+                raise ValueError(
+                    f"region {state.region!r} already owned by this detector")
+            self._regions[state.region] = state
+            self.episode_count += state.episode_count
+            self.emerging_count += state.emerging_count
+            self._ingested += state.ingested
+        if swept_at is not None:
+            self._last_sweep_at = swept_at
 
     # ------------------------------------------------------------------
     # internals

@@ -11,10 +11,11 @@ module replaces that with a compact tuple/columnar format:
 * **columnar arrays** for the per-record fields: one ``array`` of u32
   string references per attribute plus packed severity/state bytes and
   f64 timestamps, instead of per-object pickle opcodes;
-* shared framing for the three payloads that cross the process
-  boundary: raw ``Alert`` batches (gateway → worker, every flush) and
-  the end-of-run aggregate/cluster snapshots (worker → gateway, once at
-  drain when artifacts are retained).
+* shared framing for the payloads that cross the process boundary: raw
+  ``Alert`` batches (gateway → worker, every flush), the end-of-run
+  aggregate/cluster snapshots (worker → gateway, once at drain when
+  artifacts are retained) and the plane-state checkpoint blob (one per
+  plane, one string table for everything the plane holds).
 
 Encoding is byte-deterministic for a given input, versioned by a magic
 header, and validated by round-trip tests in
@@ -33,6 +34,8 @@ from repro.common.errors import ValidationError
 from repro.common.timeutil import TimeWindow
 from repro.core.mitigation.aggregation import AggregatedAlert
 from repro.core.mitigation.correlation import AlertCluster
+from repro.streaming.dedup import OpenSession
+from repro.streaming.storm import RegionStormState
 
 __all__ = [
     "AlertBatchBuilder",
@@ -49,10 +52,9 @@ __all__ = [
 _MAGIC_ALERTS = b"RWA1"
 _MAGIC_AGGREGATES = b"RWG1"
 _MAGIC_CLUSTERS = b"RWC1"
-#: The rule table plane-state blobs still embed, always empty: magic,
-#: no strings, one empty section.  Kept so blob bytes stay stable.
-_EMPTY_RULES = b"RWR1" + bytes(8)
-_MAGIC_PLANE = b"RWP1"
+_MAGIC_PLANE = b"RWP2"
+#: Legacy per-region plane-state blobs (read only).
+_MAGIC_REGION = b"RWP1"
 
 #: u32 sentinel for "no string" (optional fields like ``fault_id``).
 _NONE_REF = 0xFFFFFFFF
@@ -151,6 +153,23 @@ def _read_array(typecode: str, payload: bytes) -> array:
     values = array(typecode)
     values.frombytes(payload)
     return values
+
+
+def _write_ragged(writer: _Writer, typecode: str, rows) -> None:
+    """Variable-length rows as an offsets section plus one flat array."""
+    offsets = [0]
+    flat: list = []
+    for row in rows:
+        flat.extend(row)
+        offsets.append(len(flat))
+    writer.section(_array_bytes("I", offsets))
+    writer.section(_array_bytes(typecode, flat))
+
+
+def _read_ragged(reader: _Reader, typecode: str) -> list[array]:
+    offsets = _read_array("I", reader.section())
+    flat = _read_array(typecode, reader.section())
+    return [flat[start:end] for start, end in zip(offsets, offsets[1:])]
 
 
 # ----------------------------------------------------------------------
@@ -417,13 +436,11 @@ def unpack_alerts(data) -> list[Alert]:
 _AGGREGATE_FIXED = struct.Struct("<IIIBddI")
 
 
-def pack_aggregates(aggregates: Sequence[AggregatedAlert]) -> bytes:
-    """Encode an aggregate snapshot; representatives share one alert block."""
-    writer = _Writer(_MAGIC_AGGREGATES)
+def _write_aggregates(writer: _Writer, aggregates: Sequence[AggregatedAlert]) -> None:
+    """Aggregates into ``writer``; representatives share one alert block."""
     _write_alert_block(writer, [a.representative for a in aggregates])
     fixed = bytearray()
-    id_offsets: list[int] = []
-    id_refs: list[int] = []
+    ids: list[list[int]] = []
     for aggregate in aggregates:
         fixed += _AGGREGATE_FIXED.pack(
             writer.ref(aggregate.strategy_id),
@@ -434,30 +451,20 @@ def pack_aggregates(aggregates: Sequence[AggregatedAlert]) -> bytes:
             aggregate.window.end,
             aggregate.count,
         )
-        id_offsets.append(len(id_refs))
-        id_refs.extend(writer.ref(alert_id) for alert_id in aggregate.alert_ids)
-    id_offsets.append(len(id_refs))
+        ids.append([writer.ref(alert_id) for alert_id in aggregate.alert_ids])
     writer.section(bytes(fixed))
-    writer.section(_array_bytes("I", id_offsets))
-    writer.section(_array_bytes("I", id_refs))
-    return writer.finish()
+    _write_ragged(writer, "I", ids)
 
 
-def unpack_aggregates(data: bytes) -> list[AggregatedAlert]:
-    """Decode a snapshot produced by :func:`pack_aggregates`."""
-    reader = _Reader(data, _MAGIC_AGGREGATES)
+def _read_aggregates(reader: _Reader) -> list[AggregatedAlert]:
     representatives = _read_alert_block(reader)
     fixed = reader.section()
-    id_offsets = _read_array("I", reader.section())
-    id_refs = _read_array("I", reader.section())
+    id_refs = _read_ragged(reader, "I")
     strings = reader.strings
     aggregates: list[AggregatedAlert] = []
     for index, row in enumerate(_AGGREGATE_FIXED.iter_unpack(fixed)):
         strategy_ref, name_ref, region_ref, severity, start, end, count = row
-        ids = tuple(
-            strings[ref]
-            for ref in id_refs[id_offsets[index]:id_offsets[index + 1]]
-        )
+        ids = tuple(strings[ref] for ref in id_refs[index])
         aggregates.append(AggregatedAlert(
             strategy_id=strings[strategy_ref],
             strategy_name=strings[name_ref],
@@ -471,15 +478,26 @@ def unpack_aggregates(data: bytes) -> list[AggregatedAlert]:
     return aggregates
 
 
+def pack_aggregates(aggregates: Sequence[AggregatedAlert]) -> bytes:
+    """Encode an aggregate snapshot; representatives share one alert block."""
+    writer = _Writer(_MAGIC_AGGREGATES)
+    _write_aggregates(writer, aggregates)
+    return writer.finish()
+
+
+def unpack_aggregates(data: bytes) -> list[AggregatedAlert]:
+    """Decode a snapshot produced by :func:`pack_aggregates`."""
+    return _read_aggregates(_Reader(data, _MAGIC_AGGREGATES))
+
+
 # ----------------------------------------------------------------------
 # clusters (R3 snapshots shipped back at drain)
 # ----------------------------------------------------------------------
 _CLUSTER_FIXED = struct.Struct("<iId")
 
 
-def pack_clusters(clusters: Sequence[AlertCluster]) -> bytes:
-    """Encode a cluster snapshot; all member alerts share one alert block."""
-    writer = _Writer(_MAGIC_CLUSTERS)
+def _write_clusters(writer: _Writer, clusters: Sequence[AlertCluster]) -> None:
+    """Clusters into ``writer``; all member alerts share one alert block."""
     members: list[Alert] = []
     rows: list[tuple[int, str | None, float]] = []
     offsets: list[int] = []
@@ -504,12 +522,9 @@ def pack_clusters(clusters: Sequence[AlertCluster]) -> bytes:
         )
     writer.section(bytes(fixed))
     writer.section(_array_bytes("I", offsets))
-    return writer.finish()
 
 
-def unpack_clusters(data: bytes) -> list[AlertCluster]:
-    """Decode a snapshot produced by :func:`pack_clusters`."""
-    reader = _Reader(data, _MAGIC_CLUSTERS)
+def _read_clusters(reader: _Reader) -> list[AlertCluster]:
     members = _read_alert_block(reader)
     fixed = reader.section()
     offsets = _read_array("I", reader.section())
@@ -527,195 +542,228 @@ def unpack_clusters(data: bytes) -> list[AlertCluster]:
     return clusters
 
 
+def pack_clusters(clusters: Sequence[AlertCluster]) -> bytes:
+    """Encode a cluster snapshot; all member alerts share one alert block."""
+    writer = _Writer(_MAGIC_CLUSTERS)
+    _write_clusters(writer, clusters)
+    return writer.finish()
+
+
+def unpack_clusters(data: bytes) -> list[AlertCluster]:
+    """Decode a snapshot produced by :func:`pack_clusters`."""
+    return _read_clusters(_Reader(data, _MAGIC_CLUSTERS))
+
+
 # ----------------------------------------------------------------------
-# plane-state snapshots (one region's whole plane state, for checkpoints)
+# plane-state snapshots (one plane's whole state, for checkpoints)
 # ----------------------------------------------------------------------
-_SESSION_FIXED = struct.Struct("<IIddI")
+#: first_at, last_at, count; a session's strategy and region are its
+#: representative's.
+_SESSION_FIXED = struct.Struct("<ddI")
+#: A legacy region blob's session row: strategy and region refs first.
+_REGION_SESSION = struct.Struct("<IIddI")
 #: bucket_seconds, head, total, episode_started_at, episode_peak_rate,
 #: episode_count, emerging_count, ingested.
 _STORM_FIXED = struct.Struct("<dqqddqqq")
+#: processed, blocked, aggregates, clusters, finalize countdown, R4's
+#: last sweep time.
+_PLANE_FIXED = struct.Struct("<qqqqqd")
+#: Head sentinel for "no bucket yet" (real heads are >= 0); an absent
+#: time is ``_NO_TIME`` and absent ring counts are an empty run.
+_NO_HEAD = -1
 
-_PLANE_FLAG_STORM = 1
-_PLANE_FLAG_COUNTER = 2
-_PLANE_FLAG_EPISODE = 4
-_PLANE_FLAG_HEAD = 8
+#: A legacy region blob's header flags.
+_REGION_FLAG_STORM = 1
+_REGION_FLAG_COUNTER = 2
+_REGION_FLAG_EPISODE = 4
+_REGION_FLAG_HEAD = 8
 
 
-def pack_plane_state(state) -> bytes:
-    """Encode one region's whole plane state (a checkpoint blob).
-
-    ``state`` is a :class:`~repro.streaming.plane.PlaneRegionState`:
-    open R2 sessions, open R3 components (member representatives plus
-    union-find grouping), the R4 region state, the region's lifetime
-    counter slice and retained artifacts.  Sessions and components share
-    the outer string table; the artifact payloads are embedded as their
-    own framed blobs so the aggregate/cluster codecs are reused
-    verbatim.  The last section is an empty rule table, a constant that
-    keeps the layout of blobs written when regions carried their rules.
-    Byte-deterministic for a given input, like every wire payload.
-    """
-    storm = state.storm
-    writer = _Writer(_MAGIC_PLANE)
-    flags = 0
-    if storm is not None:
-        flags |= _PLANE_FLAG_STORM
-        if storm.counts is not None:
-            flags |= _PLANE_FLAG_COUNTER
-        if storm.episode_started_at is not None:
-            flags |= _PLANE_FLAG_EPISODE
-        if storm.head is not None:
-            flags |= _PLANE_FLAG_HEAD
-    writer.section(struct.pack(
-        "<IBqqqq",
-        writer.ref(state.region),
-        flags,
-        *state.counters,
-    ))
-    # -- open R2 sessions ------------------------------------------------
-    _write_alert_block(writer, [s.representative for s in state.sessions])
+def _write_sessions(writer: _Writer, sessions) -> None:
+    _write_alert_block(writer, [s.representative for s in sessions])
     fixed = bytearray()
-    id_offsets: list[int] = []
-    id_refs: list[int] = []
-    id_refs_append = id_refs.append
+    ids: list[list[int]] = []
     index_of = writer._index
     strings = writer._strings
-    for session in state.sessions:
+    for session in sessions:
         fixed += _SESSION_FIXED.pack(
-            writer.ref(session.strategy_id),
-            writer.ref(session.region),
-            session.first_at,
-            session.last_at,
-            session.count,
+            session.first_at, session.last_at, session.count,
         )
-        id_offsets.append(len(id_refs))
         # Inlined interning: alert-id lists dominate the session payload.
+        refs = []
         for alert_id in session.alert_ids:
             ref = index_of.get(alert_id)
             if ref is None:
                 ref = index_of[alert_id] = len(strings)
                 strings.append(alert_id)
-            id_refs_append(ref)
-    id_offsets.append(len(id_refs))
+            refs.append(ref)
+        ids.append(refs)
     writer.section(bytes(fixed))
-    writer.section(_array_bytes("I", id_offsets))
-    writer.section(_array_bytes("I", id_refs))
-    # -- open R3 components ---------------------------------------------
+    _write_ragged(writer, "I", ids)
+
+
+def _read_sessions(reader: _Reader, row=_SESSION_FIXED) -> list[OpenSession]:
+    strings = reader.strings
+    representatives = _read_alert_block(reader)
+    session_fixed = reader.section()
+    ids = _read_ragged(reader, "I")
+    return [
+        OpenSession(
+            representative.strategy_id, representative.region,
+            *fields[-3:], representative, [strings[ref] for ref in refs],
+        )
+        for representative, fields, refs in zip(
+            representatives, row.iter_unpack(session_fixed), ids)
+    ]
+
+
+def _write_components(writer: _Writer, components) -> None:
+    """R3 components: one alert block, offsets, max times."""
+    offsets = [0]
     members: list[Alert] = []
-    offsets: list[int] = []
-    max_times: list[float] = []
-    for alerts, max_time in state.components:
+    for component, _ in components:
+        members.extend(component)
         offsets.append(len(members))
-        members.extend(alerts)
-        max_times.append(max_time)
-    offsets.append(len(members))
     _write_alert_block(writer, members)
     writer.section(_array_bytes("I", offsets))
-    writer.section(_array_bytes("d", max_times))
-    # -- R4 region state -------------------------------------------------
-    if storm is not None:
-        writer.section(_STORM_FIXED.pack(
-            storm.bucket_seconds,
-            storm.head if storm.head is not None else 0,
-            storm.total,
-            storm.episode_started_at
-            if storm.episode_started_at is not None else 0.0,
-            storm.episode_peak_rate,
-            storm.episode_count,
-            storm.emerging_count,
-            storm.ingested,
-        ))
-        writer.section(_array_bytes("q", storm.counts or []))
-        strategies = sorted(storm.last_seen)
-        writer.section(_array_bytes(
-            "I", [writer.ref(strategy) for strategy in strategies]
-        ))
-        writer.section(_array_bytes(
-            "d", [storm.last_seen[strategy] for strategy in strategies]
-        ))
-    # -- embedded artifact blobs ----------------------------------------
-    writer.section(pack_aggregates(state.retained_aggregates))
-    writer.section(pack_clusters(state.retained_clusters))
-    writer.section(_EMPTY_RULES)
+    writer.section(_array_bytes("d", [t for _, t in components]))
+
+
+def _read_components(reader: _Reader) -> list[tuple[list[Alert], float]]:
+    members = _read_alert_block(reader)
+    offsets = _read_array("I", reader.section())
+    return [
+        (members[offsets[index]:offsets[index + 1]], max_time)
+        for index, max_time in enumerate(_read_array("d", reader.section()))
+    ]
+
+
+def _storm_record(region: str, row, counts, last_seen) -> RegionStormState:
+    """An R4 record from a fixed row with sentinels for absent fields."""
+    (bucket_seconds, head, total, started_at, peak_rate,
+     episode_count, emerging_count, ingested) = row
+    return RegionStormState(
+        region, bucket_seconds, list(counts) or None, total,
+        None if head == _NO_HEAD else head,
+        None if started_at == _NO_TIME else started_at,
+        peak_rate, last_seen, episode_count, emerging_count, ingested,
+    )
+
+
+def pack_plane_state(state) -> bytes:
+    """Encode one plane's whole state (a checkpoint blob).
+
+    ``state`` is a :class:`~repro.streaming.plane.PlaneState`: the
+    plane's lifetime counters and finalize countdown, its open R2
+    sessions, R3's open components, ties and sweep memory,
+    every R4 region record with the detector's last sweep time, and the
+    retained artifacts.  Everything shares one string table and one
+    framing.  Byte-deterministic for a given input, like every wire
+    payload.
+    """
+    writer = _Writer(_MAGIC_PLANE)
+    swept_at = state.storm_swept_at
+    writer.section(_PLANE_FIXED.pack(
+        *state.counters, state.since_finalize,
+        _NO_TIME if swept_at is None else swept_at,
+    ))
+    _write_sessions(writer, state.sessions)
+    # -- R3: open components, ties, sweep memory -------------------------
+    _write_components(writer, state.components)
+    _write_ragged(writer, "I", state.ties)
+    writer.section(_array_bytes("I", [writer.ref(r) for r in state.swept]))
+    writer.section(_array_bytes("q", list(state.swept.values())))
+    # -- R4 region records -----------------------------------------------
+    storms = state.storm
+    writer.section(_array_bytes("I", [writer.ref(s.region) for s in storms]))
+    writer.section(b"".join([
+        _STORM_FIXED.pack(
+            s.bucket_seconds, _NO_HEAD if s.head is None else s.head, s.total,
+            _NO_TIME if s.episode_started_at is None else s.episode_started_at,
+            s.episode_peak_rate, s.episode_count, s.emerging_count, s.ingested,
+        )
+        for s in storms
+    ]))
+    _write_ragged(writer, "q", [s.counts or () for s in storms])
+    seen = [sorted(s.last_seen) for s in storms]
+    _write_ragged(writer, "I", [[writer.ref(k) for k in row] for row in seen])
+    writer.section(_array_bytes("d", [
+        s.last_seen[k] for s, row in zip(storms, seen) for k in row
+    ]))
+    _write_aggregates(writer, state.retained_aggregates)
+    _write_clusters(writer, state.retained_clusters)
     return writer.finish()
 
 
 def unpack_plane_state(data: bytes):
-    """Decode a snapshot produced by :func:`pack_plane_state`.
+    """Decode a blob produced by :func:`pack_plane_state`.
 
-    The rule-table section is skipped undecoded: planes read the
-    gateway's blocker.  Blobs written while planes were sharded end in
-    two more sections (strategy → shard pins); sections are read front
-    to back and trailing bytes are never checked, so those decode
-    unchanged.
+    A legacy per-region blob (``RWP1``, written while a checkpoint held
+    one blob per region) decodes into the same record: its region's
+    counter slice, sessions, components and R4 record, a zero
+    finalize countdown, no ties, no sweep memory and no sweep time.
     """
-    from repro.streaming.dedup import OpenSession
-    from repro.streaming.plane import PlaneRegionState
-    from repro.streaming.storm import RegionStormState
+    from repro.streaming.plane import PlaneState
 
+    if bytes(data[:4]) == _MAGIC_REGION:
+        return _unpack_region_state(data, PlaneState)
     reader = _Reader(data, _MAGIC_PLANE)
     strings = reader.strings
-    region_ref, flags, *counters = struct.unpack("<IBqqqq", reader.section())
-    representatives = _read_alert_block(reader)
-    session_fixed = reader.section()
-    id_offsets = _read_array("I", reader.section())
-    id_refs = _read_array("I", reader.section())
-    sessions: list = []
-    for index, row in enumerate(_SESSION_FIXED.iter_unpack(session_fixed)):
-        strategy_ref, session_region_ref, first_at, last_at, count = row
-        sessions.append(OpenSession(
-            strategy_id=strings[strategy_ref],
-            region=strings[session_region_ref],
-            first_at=first_at,
-            last_at=last_at,
-            count=count,
-            representative=representatives[index],
-            alert_ids=[
-                strings[ref]
-                for ref in id_refs[id_offsets[index]:id_offsets[index + 1]]
-            ],
-        ))
-    members = _read_alert_block(reader)
-    offsets = _read_array("I", reader.section())
-    max_times = _read_array("d", reader.section())
-    components = [
-        (members[offsets[index]:offsets[index + 1]], max_times[index])
-        for index in range(len(max_times))
-    ]
-    storm = None
-    if flags & _PLANE_FLAG_STORM:
-        (bucket_seconds, head, total, episode_started_at, episode_peak_rate,
-         episode_count, emerging_count, ingested) = _STORM_FIXED.unpack(
-            reader.section()
+    *counters, since_finalize, swept_at = _PLANE_FIXED.unpack(reader.section())
+    sessions = _read_sessions(reader)
+    components = _read_components(reader)
+    ties = [list(tie) for tie in _read_ragged(reader, "I")]
+    swept_refs, swept_counts, region_refs = (
+        _read_array(typecode, reader.section()) for typecode in "IqI"
+    )
+    rows = list(_STORM_FIXED.iter_unpack(reader.section()))
+    counts = _read_ragged(reader, "q")
+    seen_refs = _read_ragged(reader, "I")
+    seen_times = iter(_read_array("d", reader.section()))
+    storms = [
+        _storm_record(
+            strings[ref], rows[index], counts[index],
+            {strings[key]: next(seen_times) for key in seen_refs[index]},
         )
-        counts = list(_read_array("q", reader.section()))
+        for index, ref in enumerate(region_refs)
+    ]
+    return PlaneState(
+        counters, since_finalize, sessions, components, ties,
+        {strings[ref]: count for ref, count in zip(swept_refs, swept_counts)},
+        storms, None if swept_at == _NO_TIME else swept_at,
+        _read_aggregates(reader), _read_clusters(reader),
+    )
+
+
+def _unpack_region_state(data: bytes, record):
+    """Decode a legacy ``RWP1`` per-region blob into a ``record``.
+
+    The rule-table section and, in blobs written while planes were
+    sharded, two more sections (strategy → shard pins) follow the
+    artifacts; sections are read front to back and trailing bytes are
+    never checked, so they are skipped undecoded.
+    """
+    reader = _Reader(data, _MAGIC_REGION)
+    strings = reader.strings
+    region_ref, flags, *counters = struct.unpack("<IBqqqq", reader.section())
+    sessions = _read_sessions(reader, _REGION_SESSION)
+    components = _read_components(reader)
+    storms = []
+    if flags & _REGION_FLAG_STORM:
+        row = list(_STORM_FIXED.unpack(reader.section()))
+        if not flags & _REGION_FLAG_HEAD:
+            row[1] = _NO_HEAD
+        if not flags & _REGION_FLAG_EPISODE:
+            row[3] = _NO_TIME
+        counts = _read_array("q", reader.section())
         strategy_refs = _read_array("I", reader.section())
         times = _read_array("d", reader.section())
-        storm = RegionStormState(
-            region=strings[region_ref],
-            bucket_seconds=bucket_seconds,
-            counts=counts if flags & _PLANE_FLAG_COUNTER else None,
-            total=total,
-            head=head if flags & _PLANE_FLAG_HEAD else None,
-            episode_started_at=(
-                episode_started_at if flags & _PLANE_FLAG_EPISODE else None
-            ),
-            episode_peak_rate=episode_peak_rate,
-            last_seen={
-                strings[ref]: times[index]
-                for index, ref in enumerate(strategy_refs)
-            },
-            episode_count=episode_count,
-            emerging_count=emerging_count,
-            ingested=ingested,
-        )
-    retained_aggregates = unpack_aggregates(reader.section())
-    retained_clusters = unpack_clusters(reader.section())
-    return PlaneRegionState(
-        region=strings[region_ref],
-        counters=list(counters),
-        sessions=sessions,
-        components=components,
-        storm=storm,
-        retained_aggregates=retained_aggregates,
-        retained_clusters=retained_clusters,
+        storms.append(_storm_record(
+            strings[region_ref], row,
+            counts if flags & _REGION_FLAG_COUNTER else (),
+            {strings[ref]: time for ref, time in zip(strategy_refs, times)},
+        ))
+    return record(
+        counters, 0, sessions, components, [], {}, storms, None,
+        unpack_aggregates(reader.section()), unpack_clusters(reader.section()),
     )

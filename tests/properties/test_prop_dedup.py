@@ -123,16 +123,15 @@ def _run(chunks, restore_before, keep_ids=True):
     for index, chunk in enumerate(chunks):
         if index == restore_before:
             # Checkpoint restore: capture (which must change nothing),
-            # then adopt copies region by region into a fresh aggregator.
+            # then adopt copies into a fresh aggregator.
             before = _live(online)
-            captured = online.sessions_by_region()
+            captured = online.sessions()
             assert _live(online) == before
             target = OnlineAggregator(WINDOW, keep_ids)
-            for region in REGIONS:
-                target.adopt([
-                    replace(session, alert_ids=list(session.alert_ids))
-                    for session in captured.get(region, [])
-                ])
+            target.adopt([
+                replace(session, alert_ids=list(session.alert_ids))
+                for session in captured
+            ])
             online = target
             _check_state(online, model, keep_ids)
         got.extend(aggregate_row(s.emit()) for s in online.ingest_batch(chunk))

@@ -15,9 +15,9 @@ once per batch like the detector's.
 Over drawn streams — 1–5 interleaved regions, equal timestamps, late
 events inside and beyond the ring, far-future jumps, bucket widths
 0.3–60 s, thresholds 2–100, novelty horizons, warmup prefixes and cut
-schedules, with checkpoint restores at the cuts (``region_state``
-captures, which change nothing, adopted as copies into fresh
-detectors, some regions onto another one) — both must hold the same
+schedules, with checkpoint restores at the cuts (``export`` captures,
+which change nothing, adopted as copies into fresh detectors, some
+regions onto another one) — both must hold the same
 ring, open episode, recency map and per-region counts at every cut,
 and fed one alert at a time they must produce the same episodes to the
 last bit (``float.hex``).  Two exhaustive checks pin the arithmetic
@@ -215,8 +215,10 @@ def _view(state: RegionStormState) -> tuple:
 
 
 def _observe(detector: OnlineStormDetector, region: str) -> tuple:
-    """A region's record, read through the read-only capture."""
-    return _view(detector.region_state(region))
+    """A region's record, read through the read-only capture (an empty
+    record for a region the detector has not seen)."""
+    states = {state.region: state for state in detector.export()[0]}
+    return _view(states.get(region) or detector._empty(region))
 
 
 def _totals(detector: OnlineStormDetector) -> tuple:
@@ -388,16 +390,15 @@ def test_fused_batches_and_restores_match_the_reference(case):
                 ))
         if moves[segment]:
             before = [_totals(detector) for detector in detectors]
-            captured = {
-                region: detectors[owner[region]].region_state(region)
-                for region in regions
-            }
+            captured = [
+                state for detector in detectors for state in detector.export()[0]
+            ]
             assert [_totals(detector) for detector in detectors] == before
             for region_index, target in moves[segment]:
                 owner[regions[region_index]] = target
             detectors = [OnlineStormDetector(**config) for _ in range(n_detectors)]
-            for region, state in captured.items():
-                detectors[owner[region]].adopt_region(_restored(state))
+            for state in captured:
+                detectors[owner[state.region]].adopt([_restored(state)])
         for region in regions:
             assert _observe(detectors[owner[region]], region) == reference.view(region)
         assert sum(d.episode_count for d in detectors) == reference.episode_count

@@ -1,9 +1,9 @@
 """Schedule parity harness for checkpoint capture and restore.
 
-A gateway's plane count is fixed for life; what moves region state
-between plane objects is the checkpoint: a *capture* reads every
-region's slice off its plane and wire-packs it, changing nothing, and a
-*restore* adopts the packed slices onto the planes of a fresh gateway
+A gateway's plane count is fixed for life; what moves plane state
+between plane objects is the checkpoint: a *capture* reads each plane's
+whole state and wire-packs it into one blob, changing nothing, and a
+*restore* adopts the packed blobs onto the planes of a fresh gateway
 (in-process or in a worker).  Both promise invisibility: any schedule of
 captures and restores interleaved with ingestion and mid-stream flushes
 must drain to exactly the same volume accounting, aggregates, clusters,
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.alerting.alert import Alert, Severity
 from repro.common.errors import ValidationError
@@ -40,6 +40,8 @@ from repro.core.mitigation.blocking import AlertBlocker
 from repro.serving import decode_checkpoint, encode_checkpoint, restore_gateway
 from repro.serving.checkpoint import checkpoint_of_gateway
 from repro.streaming import AlertGateway, LearnerConfig
+from repro.topology import TopologyConfig, generate_topology
+from repro.workload import StormConfig, build_multi_region_storm
 
 from tests.streaming.multiregion import (
     aggregate_fingerprint,
@@ -78,6 +80,7 @@ def _build(
     learn: bool = False,
     retain: bool = True,
     blocker: AlertBlocker | None = None,
+    finalize_every: int = 16,
 ) -> AlertGateway:
     return AlertGateway(
         golden_graph(),
@@ -93,7 +96,7 @@ def _build(
         # on the planes, not only open sessions and components.
         aggregation_window=120.0,
         correlation_window=120.0,
-        finalize_every=16,
+        finalize_every=finalize_every,
         retain_artifacts=retain,
         learn_rules=learn,
         enable_qoa=learn,
@@ -121,8 +124,15 @@ def _run_schedule(
     flush_size: int = 32,
     learn: bool = False,
     retain: bool = True,
+    finalize_every: int = 16,
+    images: list[dict] | None = None,
 ):
-    gateway = _build(n_planes, backend, flush_size, learn, retain)
+    """Run ``schedule``; with ``images``, append the gateway's
+    ``checkpoint_state()`` at every barrier, after the barrier's op."""
+    gateway = _build(
+        n_planes, backend, flush_size, learn, retain,
+        finalize_every=finalize_every,
+    )
     cursor = 0
     try:
         for position, op in sorted(schedule, key=lambda row: row[0]):
@@ -139,6 +149,8 @@ def _run_schedule(
             elif op == "restore":
                 gateway = _restored(gateway)
                 assert gateway.stats.input_alerts == cursor
+            if images is not None:
+                images.append(gateway.checkpoint_state())
         gateway.ingest_batch(alerts[cursor:])
         stats = gateway.drain()
     finally:
@@ -149,6 +161,21 @@ def _run_schedule(
 def _mirrored(schedule: Schedule) -> Schedule:
     """The reference schedule: the same flush barriers, no checkpoints."""
     return [(position, "flush") for position, _ in schedule]
+
+
+def _assert_restores_invisible(
+    schedule: Schedule, subject: list[dict], reference: list[dict],
+) -> None:
+    """From the first restore on, every barrier's whole capture — plane
+    blobs, stats, router map, rules, learner and QoA state — equals the
+    barrier-mirrored reference's: a restored gateway continues byte for
+    byte like one that never stopped."""
+    ops = [op for _, op in sorted(schedule, key=lambda row: row[0])]
+    assert len(subject) == len(reference) == len(ops)
+    first = ops.index("restore") if "restore" in ops else len(ops)
+    for barrier in range(first, len(ops)):
+        assert subject[barrier]["blobs"] == reference[barrier]["blobs"], barrier
+        assert subject[barrier] == reference[barrier], barrier
 
 
 def _assert_same_run(subject, reference) -> None:
@@ -222,7 +249,7 @@ def test_checkpoints_with_learning_leave_the_timeline_untouched():
 
 
 def test_retained_artifacts_survive_restore_across_processes():
-    """A plane's retained aggregates/clusters travel in its region blobs
+    """A plane's retained aggregates/clusters travel in its plane blob
     — out of one worker and into a fresh one — instead of dying with the
     worker-side plane object."""
     alerts = multiregion_trace()
@@ -265,21 +292,61 @@ def test_capture_is_a_pure_barrier():
     assert counts(stats) == counts(reference.drain())
 
 
-def test_restore_before_any_ingestion():
-    """An empty capture restores to a gateway that runs exactly like a
-    fresh one, workers included."""
-    fresh = _build(3, "process", retain=False)
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_restore_before_any_ingestion(backend):
+    """An empty capture holds no plane blob and restores to a gateway
+    that runs exactly like a fresh one, workers included."""
+    fresh = _build(3, backend, retain=False)
     state = fresh.checkpoint_state()
-    assert state["blobs"] == [] and state["assignments"] == []
+    assert state["blobs"] == [] and state["planes"] == []
+    assert state["assignments"] == []
     restored = _restored(fresh)
     assert restored.n_planes == 3
     alerts = multiregion_trace(120)
     restored.ingest_batch(alerts)
     stats = restored.drain()
-    reference = _build(3, "process", retain=False)
+    reference = _build(3, backend, retain=False)
     reference.ingest_batch(alerts)
     assert counts(stats) == counts(reference.drain())
     _assert_planes_partition(stats)
+
+
+def test_restored_storm_captures_like_an_uninterrupted_one():
+    """One storm wave (11 004 alerts) on two planes without retained
+    artifacts, restored through the durable path at barriers 6 and 13:
+    every later capture equals the uninterrupted run's.  The wave is
+    long enough for R3 to sweep its timelines, which the drawn
+    schedules below are too short for."""
+    topology = generate_topology(TopologyConfig(seed=44))
+    alerts = list(build_multi_region_storm(
+        StormConfig(seed=44), topology,
+    ).iter_ordered())
+    flush = 512
+
+    def images(restore_at: set[int]) -> list[dict]:
+        gateway = AlertGateway(
+            topology.graph, n_planes=2, flush_size=flush,
+            retain_artifacts=False,
+        )
+        captured = []
+        try:
+            for barrier in range(1, len(alerts) // flush + 1):
+                gateway.ingest_batch(alerts[(barrier - 1) * flush:barrier * flush])
+                if barrier in restore_at:
+                    encoded = encode_checkpoint(
+                        checkpoint_of_gateway(gateway, seq=1, created_at=0.0))
+                    gateway.close()
+                    gateway = restore_gateway(
+                        decode_checkpoint(encoded), topology.graph)
+                captured.append(gateway.checkpoint_state())
+        finally:
+            gateway.close()
+        return captured
+
+    restored, uninterrupted = images({6, 13}), images(set())
+    assert len(restored) == 21
+    assert [barrier for barrier in range(21)
+            if restored[barrier] != uninterrupted[barrier]] == []
 
 
 def test_checkpoint_after_drain_is_rejected():
@@ -346,15 +413,31 @@ schedules = st.lists(
     schedule=schedules,
     n_planes=st.integers(min_value=1, max_value=4),
     flush_size=st.sampled_from((1, 7, 64)),
+    finalize_every=st.integers(min_value=1, max_value=24),
+    retain=st.booleans(),
 )
-def test_schedule_parity(alerts, schedule, n_planes, flush_size):
+# A restore at event 26 that drops the planes' finalize countdown: by
+# the next barrier the restored gateway has finalised 2 clusters, the
+# uninterrupted one 1.
+@example(alerts=multiregion_trace(80), schedule=[(26, "restore"), (53, "flush")],
+         n_planes=2, flush_size=7, finalize_every=8, retain=False)
+def test_schedule_parity(
+    alerts, schedule, n_planes, flush_size, finalize_every, retain,
+):
     """Any interleaving of ingest/capture/restore/flush drains equal to a
     *clean* run (learning off — accounting is flush-schedule-invariant,
-    so the reference needs no barriers)."""
-    _assert_same_run(
-        _run_schedule(alerts, schedule, n_planes, "serial", flush_size),
-        _run_schedule(alerts, [], n_planes, "serial", flush_size),
-    )
+    so the reference needs no barriers), and from the first restore on
+    every barrier captures exactly what the barrier-mirrored reference
+    captures.  A small ``finalize_every`` makes R3's finalize countdown
+    cross restores."""
+    run = dict(backend="serial", flush_size=flush_size, retain=retain,
+               finalize_every=finalize_every)
+    subject_images: list[dict] = []
+    mirrored_images: list[dict] = []
+    subject = _run_schedule(alerts, schedule, n_planes, images=subject_images, **run)
+    _run_schedule(alerts, _mirrored(schedule), n_planes, images=mirrored_images, **run)
+    _assert_restores_invisible(schedule, subject_images, mirrored_images)
+    _assert_same_run(subject, _run_schedule(alerts, [], n_planes, **run))
 
 
 @pytest.mark.scale_chaos
@@ -364,9 +447,16 @@ def test_schedule_parity(alerts, schedule, n_planes, flush_size):
 def test_schedule_backend_equivalence(alerts, schedule):
     """The same schedule is backend-invariant: process execution, with
     its captures and restores crossing the worker boundary, reproduces
-    the serial run exactly."""
-    serial_gw, serial = _run_schedule(alerts, schedule, 2, "serial")
-    pooled_gw, pooled = _run_schedule(alerts, schedule, 2, "process")
+    the serial run exactly, and both capture byte-identical plane blobs
+    at every barrier."""
+    serial_images: list[dict] = []
+    pooled_images: list[dict] = []
+    serial_gw, serial = _run_schedule(
+        alerts, schedule, 2, "serial", images=serial_images)
+    pooled_gw, pooled = _run_schedule(
+        alerts, schedule, 2, "process", images=pooled_images)
+    assert [image["blobs"] for image in serial_images] == [
+        image["blobs"] for image in pooled_images]
     assert counts(serial) == counts(pooled)
     assert aggregate_fingerprint(serial_gw) == aggregate_fingerprint(pooled_gw)
     assert cluster_fingerprint(serial_gw) == cluster_fingerprint(pooled_gw)
@@ -379,17 +469,21 @@ def test_schedule_backend_equivalence(alerts, schedule):
     alerts=schedule_traces(),
     schedule=schedules,
     n_planes=st.integers(min_value=1, max_value=3),
+    finalize_every=st.integers(min_value=1, max_value=24),
 )
-def test_schedule_parity_with_learning(alerts, schedule, n_planes):
+def test_schedule_parity_with_learning(alerts, schedule, n_planes, finalize_every):
     """With online rule learning + QoA, the learned timeline and scores
-    match the barrier-mirrored reference exactly."""
+    match the barrier-mirrored reference exactly, and so does every
+    capture from the first restore on."""
+    run = dict(backend="serial", learn=True, retain=False,
+               finalize_every=finalize_every)
+    subject_images: list[dict] = []
+    reference_images: list[dict] = []
     subject_gw, subject = _run_schedule(
-        alerts, schedule, n_planes, "serial", learn=True, retain=False,
-    )
+        alerts, schedule, n_planes, images=subject_images, **run)
     reference_gw, reference = _run_schedule(
-        alerts, _mirrored(schedule), n_planes, "serial", learn=True,
-        retain=False,
-    )
+        alerts, _mirrored(schedule), n_planes, images=reference_images, **run)
+    _assert_restores_invisible(schedule, subject_images, reference_images)
     assert counts(subject) == counts(reference)
     assert subject_gw.learner.events == reference_gw.learner.events
     assert subject.qoa == reference.qoa

@@ -1,4 +1,4 @@
-"""The RCK1 checkpoint format: round-trip, corruption, retention.
+"""The RCK1 checkpoint container: round-trip, corruption, retention.
 
 The durability contract under test: a checkpoint either decodes to
 exactly what was written, or fails loudly — a damaged file must never
@@ -8,10 +8,15 @@ would silently diverge from its own history forever after.
 
 from __future__ import annotations
 
+import json
+import struct
+from hashlib import blake2b
+
 import pytest
 
 from repro.serving.checkpoint import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointLoader,
     CheckpointWriter,
@@ -36,9 +41,16 @@ def _sample_checkpoint(seq: int = 1) -> GatewayCheckpoint:
             "qoa": None,
             "last_flush_watermark": 2560.0,
         },
-        blobs=[(0, "region-A", b"\x00\x01plane-zero"),
-               (1, "r\xc3\xa9gion-\xce\xb2", b"")],
+        blobs=[(0, b"\x00\x01plane-zero"), (1, b"")],
     )
+
+
+def _framed(header: dict, blobs: list[bytes]) -> bytes:
+    """A container with a hand-written header: magic, header, blobs,
+    digest — how an older build laid out the same file."""
+    raw = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack(">I", len(raw)), raw, *blobs])
+    return body + blake2b(body, digest_size=16).digest()
 
 
 class TestEncodeDecode:
@@ -54,9 +66,43 @@ class TestEncodeDecode:
     def test_restore_state_reattaches_blobs(self):
         decoded = decode_checkpoint(encode_checkpoint(_sample_checkpoint()))
         state = decoded.restore_state()
-        assert state["regions"] == [[0, "region-A"],
-                                    [1, "r\xc3\xa9gion-\xce\xb2"]]
+        assert state["planes"] == [0, 1]
         assert state["blobs"] == [b"\x00\x01plane-zero", b""]
+
+    def test_the_directory_lists_one_plane_and_length_per_blob(self):
+        data = encode_checkpoint(_sample_checkpoint())
+        (length,) = struct.unpack_from(">I", data, 4)
+        header = json.loads(data[8:8 + length])
+        assert header["version"] == CHECKPOINT_VERSION == 2
+        assert header["blobs"] == [[0, 12], [1, 0]]
+        assert "planes" not in header["state"] and "blobs" not in header["state"]
+
+    def test_a_version_1_per_region_directory_still_decodes(self):
+        """Version 1 wrote one blob per (plane, region): its rows come
+        back as ``(plane, blob)``, several per plane, in file order."""
+        original = _sample_checkpoint()
+        blobs = [b"region-A blob", b"r\xc3\xa9gion-\xce\xb2 blob", b"plane-one"]
+        data = _framed({
+            "version": 1, "seq": 1, "created_at": original.created_at,
+            "config": original.config, "state": original.state,
+            "blobs": [[0, "region-A", len(blobs[0])],
+                      [0, "r\xc3\xa9gion-\xce\xb2", len(blobs[1])],
+                      [1, "region-C", len(blobs[2])]],
+        }, blobs)
+        decoded = decode_checkpoint(data)
+        assert decoded.blobs == [(0, blobs[0]), (0, blobs[1]), (1, blobs[2])]
+        assert decoded.state == original.state
+        state = decoded.restore_state()
+        assert state["planes"] == [0, 0, 1] and state["blobs"] == blobs
+
+    def test_an_unknown_version_is_refused(self):
+        original = _sample_checkpoint()
+        data = _framed({
+            "version": 3, "seq": 1, "created_at": 0.0, "config": {},
+            "state": original.state, "blobs": [],
+        }, [])
+        with pytest.raises(CheckpointError, match="version 3"):
+            decode_checkpoint(data)
 
     def test_properties(self):
         checkpoint = _sample_checkpoint()

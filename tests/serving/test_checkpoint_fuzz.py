@@ -7,7 +7,7 @@ file format must agree on encodings), live TTL'd blocking rules
 deep correlator components built over multi-hop dependency chains —
 then asserts the continued run is indistinguishable from one that was
 never checkpointed.  A second property pins capture invisibility: a
-capture only reads every region's plane state, so a gateway that
+capture only reads each plane's state, so a gateway that
 captured must carry on — and capture again, byte for byte — exactly
 like one that never did; a deterministic storm case pins the bytes at
 every barrier.  A third fuzzes corruption positions: no damaged

@@ -72,6 +72,9 @@ def test_fixture_holds_per_hour_stats_rows(expected):
     assert max(volume.values()) > STORM_HOUR_THRESHOLD
     for findings in expected.values():
         assert all(findings[pattern] for pattern in ("A1", "A2", "A3"))
+    # A version-1 directory: one blob per region, two of them on plane
+    # 0, which a restore adds into that plane one after the other.
+    assert [plane for plane, _blob in checkpoint.blobs] == [0, 1, 0]
 
 
 def test_legacy_rows_open_and_fold_at_the_next_barrier():

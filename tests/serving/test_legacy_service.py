@@ -5,13 +5,13 @@ the golden trace, written by a checkout that still split each plane's
 keys across four consistent-hash shards (regenerate it with
 ``tests/serving/legacy_service_fixture.py``, whose docstring has the
 recipe).  It carries every legacy shape at once: a configuration record
-with ``n_shards``, stats with ``rebalances``, and plane blobs ending in
-strategy → shard pin sections.  Its record and stats also carry the
-keys of the process fleet's retired in-place recovery
-(``worker_recovery``, ``worker_checkpoint_every``, ``worker_deaths``,
-``worker_recoveries``).  The current code must restore it,
-continue the stream and drain to the golden counts, and render it in the
-operator views — also after a second crash, when its epoch holds the
+with ``n_shards``, stats with ``rebalances``, and a version-1 directory
+of per-region blobs ending in strategy → shard pin sections.  Its record
+and stats also carry the keys of the process fleet's retired in-place
+recovery (``worker_recovery``, ``worker_checkpoint_every``,
+``worker_deaths``, ``worker_recoveries``).  The current code must
+restore it, continue the stream and drain to the golden counts, and
+render it in the operator views — also after a second crash, when its epoch holds the
 legacy ``RCJ1`` journal part next to an ``RCJ2`` part the current code
 wrote.  A last test covers the keys checkpoints carried while planes
 could be rescaled at runtime.
@@ -62,10 +62,15 @@ def test_fixture_carries_every_legacy_shape():
     assert "rebalances" in checkpoint.state["stats"]
     assert {"worker_recovery", "worker_checkpoint_every"} <= set(checkpoint.config)
     assert {"worker_deaths", "worker_recoveries"} <= set(checkpoint.state["stats"])
-    assert checkpoint.blobs
-    for _plane, _region, blob in checkpoint.blobs:
-        # Re-packing drops the trailing pin sections.
-        assert len(pack_plane_state(unpack_plane_state(blob))) < len(blob)
+    assert [plane for plane, _blob in checkpoint.blobs] == [0, 1]
+    for _plane, blob in checkpoint.blobs:
+        # One per-region blob each (version 1), ending in the pin
+        # sections, which decode skips.
+        assert blob[:4] == b"RWP1"
+        state = unpack_plane_state(blob)
+        assert len(state.storm) == 1 and state.since_finalize == 0
+        # Re-packed, the record is a plane blob of the current format.
+        assert unpack_plane_state(pack_plane_state(state)) == state
 
 
 def test_legacy_directory_restores_and_drains_to_golden_counts(legacy_copy):

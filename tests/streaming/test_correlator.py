@@ -81,7 +81,7 @@ class TestFinalisation:
         online.add(make_alert(100.0, strategy_id="s-derived"))
         # Watermark far past the window, nothing pending: safe to close.
         closed, clusters = online.finalize_ready(watermark=10_000.0, pending=[])
-        assert closed == {"region-A": 1}
+        assert closed == 1
         assert [c.size for c in clusters] == [2]
         assert online.retained == 0
 
@@ -91,12 +91,12 @@ class TestFinalisation:
         # An open session's representative at t=200 could still be
         # emitted within the window of the retained entry.
         pending = [make_alert(200.0, strategy_id="s-derived")]
-        assert online.finalize_ready(watermark=10_000.0, pending=pending) == ({}, [])
+        assert online.finalize_ready(watermark=10_000.0, pending=pending) == (0, [])
         assert online.retained == 1
         # A pending representative of another region cannot reach it.
         elsewhere = [make_alert(200.0, strategy_id="s-derived", region="region-B")]
         closed, _ = online.finalize_ready(watermark=10_000.0, pending=elsewhere)
-        assert closed == {"region-A": 1}
+        assert closed == 1
 
     def test_old_pending_representative_pins_only_its_window(self, analyzer):
         """A session that never closes pins the members within one window
@@ -111,7 +111,7 @@ class TestFinalisation:
             online.add(make_alert(30_000.0, strategy_id="s-derived"))     # recent
             pending = [make_alert(600.0, strategy_id="s-derived")]
             closed, clusters = online.finalize_ready(watermark=30_000.0, pending=pending)
-            assert closed == {"region-A": 2}
+            assert closed == 2
             if keep:
                 assert sorted(c.size for c in clusters) == [1, 2]
             else:
@@ -132,7 +132,7 @@ class TestFinalisation:
             online.add(alert)
         pending = make_alert(3_000.0, strategy_id="s-source")
         closed, _ = online.finalize_ready(watermark=11_700.0, pending=[pending])
-        assert closed == {}
+        assert closed == 0
         assert online.active_components == 1
         # Within one window of the watermark (10 800 .. 11 700) or of the
         # pending representative (2 100 .. 3 900).
@@ -143,14 +143,15 @@ class TestFinalisation:
         online.add(pending)
         online.add(make_alert(12_000.0, strategy_id="s-source"))
         assert online.active_components == 1
-        assert online.drain() == ({"region-A": 1}, [])
+        assert online.drain() == (1, [])
 
     def test_capture_changes_nothing_and_restores_onto_a_fresh_correlator(
         self, analyzer, monkeypatch,
     ):
-        """``region_components`` is a pure read — sequence numbers and
-        the sweep memory included — and adopting what it read into a
-        fresh correlator (the restore path) drains to the same count."""
+        """``export`` is a pure read — sequence numbers and the sweep
+        memory included — and adopting what it read into a fresh
+        correlator (the restore path) exports the same again and drains
+        to the same count."""
         monkeypatch.setattr(correlator_module, "_MIN_SWEEP", 1)
         chain = [
             make_alert(300.0 * index, strategy_id=("s-source", "s-derived")[index % 2])
@@ -159,6 +160,7 @@ class TestFinalisation:
         online = OnlineCorrelator(analyzer, keep_members=False)
         for alert in chain:
             online.add(alert)
+        online.add(make_alert(11_500.0, strategy_id="s-other", region="region-B"))
         pending = make_alert(3_000.0, strategy_id="s-source")
         online.finalize_ready(watermark=11_700.0, pending=[pending])
         assert online._swept
@@ -173,17 +175,63 @@ class TestFinalisation:
             )
 
         before = internals()
-        components = online.region_components("region-A")
-        assert online.region_components("region-B") == []
+        captured = online.export()
         assert internals() == before
-        assert [len(members) for members, _ in components] == [online.retained]
+        components, ties, swept = captured
+        assert [len(members) for members, _ in components] == [
+            online.retained - 1, 1]
+        assert components[1][0][0].region == "region-B"
+        assert ties == [] and swept == online._swept
         restored = OnlineCorrelator(analyzer, keep_members=False)
-        restored.adopt_region("region-A", components)
-        assert restored.region_components("region-A") == components
+        restored.adopt(*captured)
+        assert restored.export() == captured
         for correlator in (online, restored):
             correlator.add(pending)
             correlator.add(make_alert(12_000.0, strategy_id="s-source"))
-            assert correlator.drain() == ({"region-A": 1}, [])
+            assert correlator.drain() == (2, [])
+
+    def test_restore_keeps_timeline_ties_and_component_order(self):
+        """Members with equal times keep their timeline order, and
+        components their creation order, whatever sequence numbers the
+        capturing correlator held.  Here component A (``a``, created
+        first) and component B (``b1``, ``b2``) tie at t=100 with ``a``
+        first; a new member linked to both scans ``a`` first, so B's
+        member list ends ``a``, ``new``.  Numbering B's members first,
+        as a per-region capture did, scanned ``b2`` first and ended it
+        ``new``, ``a``.  At t=99 ``c2`` precedes ``c1`` on the timeline
+        but ``c1`` joined the older component D, so the capture lists
+        that tie."""
+        rulebook = DependencyRuleBook()
+        for source, derived in (("s-b", "s-y"), ("s-a", "s-x"), ("s-y", "s-x"),
+                                ("s-d", "s-c")):
+            rulebook.add(source, derived)
+        analyzer = CorrelationAnalyzer(DependencyGraph(), rulebook=rulebook,
+                                       max_hops=2, time_window=900.0)
+        online = OnlineCorrelator(analyzer)
+        # Distinct off-graph microservices: evidence is the rules only.
+        a, b1, b2 = (make_alert(100.0, strategy_id="s-a", microservice="m-a"),
+                     make_alert(50.0, strategy_id="s-b", microservice="m-b1"),
+                     make_alert(100.0, strategy_id="s-y", microservice="m-b2"))
+        d, c2, c1 = (make_alert(10.0, strategy_id="s-d", microservice="m-d"),
+                     make_alert(99.0, strategy_id="s-e", microservice="m-c2"),
+                     make_alert(99.0, strategy_id="s-c", microservice="m-c1"))
+        for alert in (a, b1, b2, d, c2, c1):
+            online.add(alert)
+        captured = online.export()
+        components, ties, _ = captured
+        assert [members for members, _ in components] == [
+            [a], [b1, b2], [d, c1], [c2]]
+        assert ties == [[5, 4]]
+        restored = OnlineCorrelator(analyzer)
+        restored._seq = 1_000  # a correlator that already numbered others
+        restored.adopt(*captured)
+        assert restored.export() == captured
+        new = make_alert(110.0, strategy_id="s-x", microservice="m-new")
+        for correlator in (online, restored):
+            correlator.add(new)
+            assert correlator.export()[0][0] == ([b1, b2, a, new], 110.0)
+        assert restored.export() == online.export()
+        assert online.drain() == restored.drain()
 
     def test_early_finalisation_preserves_parity(self, analyzer, small_topology):
         alerts = _graph_stream(small_topology)
@@ -360,7 +408,7 @@ class TestFinalizeTouchesOnlyShrunkRegions:
         online.add(make_alert(5_000.0, region="region-B"))
         untouched = online._timelines["region-B"]
         closed, clusters = online.finalize_ready(watermark=5_000.0, pending=[])
-        assert closed == {"region-A": 1}
+        assert closed == 1
         assert [c.alerts[0].region for c in clusters] == ["region-A"]
         assert online._timelines == {"region-B": untouched}
         assert online._timelines["region-B"] is untouched  # not rebuilt

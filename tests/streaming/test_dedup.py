@@ -185,7 +185,7 @@ class TestPinnedWork:
 
 
 class TestSessionCapture:
-    def test_capture_groups_by_region_in_key_order_and_changes_nothing(self):
+    def test_capture_lists_sessions_in_key_order_and_changes_nothing(self):
         online = OnlineAggregator(900.0)
         online.ingest_batch([
             make_alert(float(i), strategy_id=f"s-{7 - i}", region=f"region-{'AB'[i % 2]}")
@@ -193,9 +193,10 @@ class TestSessionCapture:
         ])
         sessions = dict(online._sessions)
         expiry = list(online._expiry)
-        captured = online.sessions_by_region()
-        assert sorted(captured) == ["region-A", "region-B"]
-        assert [s.strategy_id for s in captured["region-A"]] == ["s-1", "s-3", "s-5", "s-7"]
+        captured = online.sessions()
+        assert [(s.strategy_id, s.region) for s in captured] == sorted(sessions)
+        assert [s.strategy_id for s in captured if s.region == "region-A"] == [
+            "s-1", "s-3", "s-5", "s-7"]
         assert online._sessions == sessions and list(online._sessions) == list(sessions)
         assert online._expiry == expiry
         assert len(online._expiry) == online.open_sessions == 8
@@ -212,7 +213,7 @@ class TestSessionRestore:
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
         source.ingest_batch([make_alert(200.0, strategy_id="s-b")])
-        sessions = _restored(source.sessions_by_region()["region-A"])
+        sessions = _restored(source.sessions())
         assert source.open_sessions == 2
         assert [s.strategy_id for s in sessions] == ["s-a", "s-b"]
         target = OnlineAggregator(900.0)
@@ -230,7 +231,7 @@ class TestSessionRestore:
     def test_adopt_into_an_id_less_aggregator_drops_ids_keeps_count(self):
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(t, strategy_id="s-a") for t in (100.0, 200.0)])
-        [session] = _restored(source.sessions_by_region()["region-A"])
+        [session] = _restored(source.sessions())
         assert len(session.alert_ids) == session.count == 2
         target = OnlineAggregator(900.0, keep_ids=False)
         target.adopt([session])
@@ -246,7 +247,7 @@ class TestSessionRestore:
 
         source = OnlineAggregator(900.0)
         source.ingest_batch([make_alert(100.0, strategy_id="s-a")])
-        sessions = _restored(source.sessions_by_region()["region-A"])
+        sessions = _restored(source.sessions())
         target = OnlineAggregator(900.0)
         target.ingest_batch([make_alert(50.0, strategy_id="s-a")])
         with pytest.raises(ValidationError):

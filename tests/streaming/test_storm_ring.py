@@ -6,7 +6,7 @@ rolling hourly volume in its :class:`RegionStormState` record: ``counts``
 absolute bucket ``head`` and a running ``total``.  The property suite
 compares whole streams against a per-alert reference; these cases pin
 the ring's edges one at a time, reading the record through
-``region_state`` (what a checkpoint packs).
+``export`` (what a checkpoint packs).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ def _ring(times: list[float], **options):
     detector = OnlineStormDetector(**options)
     for occurred_at in times:
         detector.ingest_batch([make_alert(occurred_at, region="r")])
-    return detector.region_state("r")
+    [state], _ = detector.export()
+    return state
 
 
 class TestStormRateRing:
@@ -80,27 +81,59 @@ class TestStormRateRing:
         assert state.episode_started_at == again[-1]
 
     def test_capture_changes_nothing_and_a_copy_restores(self):
-        """``region_state`` reads the live record and leaves the detector
-        as it was; a copy of it (what a checkpoint's pack and unpack
-        hand a restore) continues on a fresh detector exactly as the
-        original does."""
+        """``export`` reads the live records and leaves the detector as
+        it was; copies of them (what a checkpoint's pack and unpack hand
+        a restore) continue on a fresh detector exactly as the originals
+        do."""
         flood = [10.0 * index for index in range(120)]
         detector = OnlineStormDetector(flood_hourly_threshold=100)
         for occurred_at in flood:
-            detector.ingest_batch([make_alert(occurred_at, region="r")])
+            detector.ingest_batch([
+                make_alert(occurred_at, region="r"),
+                make_alert(occurred_at, region="q", strategy_id="s-q"),
+            ])
         counts = (detector.episode_count, detector.emerging_count, detector._ingested)
-        state = detector.region_state("r")
-        assert state is detector.region_state("r")
+        states, swept_at = detector.export()
+        assert [state.region for state in states] == ["q", "r"]
+        assert states[1] is detector.export()[0][1]
         assert (detector.episode_count, detector.emerging_count, detector._ingested) == counts
-        assert detector.region_state("elsewhere").counts is None
         restored = OnlineStormDetector(flood_hourly_threshold=100)
-        restored.adopt_region(replace(
-            state, counts=list(state.counts), last_seen=dict(state.last_seen),
-        ))
+        restored.adopt([
+            replace(state, counts=list(state.counts), last_seen=dict(state.last_seen))
+            for state in states
+        ], swept_at)
         assert (restored.episode_count, restored.emerging_count, restored._ingested) == counts
         for instance in (detector, restored):
             instance.ingest_batch([make_alert(10_000.0, region="r")])
-        assert restored.region_state("r") == detector.region_state("r")
+        assert restored.export() == detector.export()
+
+    def test_the_sweep_time_travels_with_the_records(self):
+        """A restored detector keeps the captured sweep time, so its next
+        recency sweep falls where the captured detector's does: not
+        within a quarter horizon of the last one."""
+        detector = OnlineStormDetector(novelty_horizon=100.0, warmup_alerts=1)
+        detector.ingest_batch([
+            make_alert(0.001 * index, region="r", strategy_id=f"s-{index}")
+            for index in range(4_095)
+        ])
+        # The 4 096th entry arms the sweep; nothing is past the horizon.
+        detector.ingest_batch([make_alert(90.0, region="r", strategy_id="s-late")])
+        states, swept_at = detector.export()
+        assert swept_at == 90.0 and len(states[0].last_seen) == 4_096
+
+        def copy():
+            return [replace(states[0], counts=list(states[0].counts),
+                            last_seen=dict(states[0].last_seen))]
+
+        restored = OnlineStormDetector(novelty_horizon=100.0, warmup_alerts=1)
+        restored.adopt(copy(), swept_at)
+        forgetful = OnlineStormDetector(novelty_horizon=100.0, warmup_alerts=1)
+        forgetful.adopt(copy())
+        for instance in (detector, restored, forgetful):
+            instance.ingest_batch([make_alert(110.0, region="r")])
+        assert restored.export() == detector.export()
+        assert len(detector.export()[0][0].last_seen) == 4_097
+        assert len(forgetful.export()[0][0].last_seen) == 2
 
     def test_rejects_nonpositive_settings(self):
         with pytest.raises(ValidationError, match="bucket_seconds"):

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.alerting.alert import Alert, AlertState, Severity
 from repro.common.errors import ValidationError
 from repro.core.mitigation import MitigationPipeline
+from repro.core.mitigation.correlation import AlertCluster
 from repro.streaming import (
     OpenSession,
-    PlaneRegionState,
+    PlaneState,
     RegionStormState,
     iter_jsonl_alerts,
     pack_aggregates,
@@ -187,7 +188,7 @@ class TestSnapshotRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# plane-state snapshots (live plane scale-out migration payloads)
+# plane-state snapshots (one checkpoint blob per plane)
 # ----------------------------------------------------------------------
 _TEXT = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
@@ -216,13 +217,57 @@ def _session(index: int, region: str, strategy: str, title: str,
     )
 
 
+def _plane_state(**fields) -> PlaneState:
+    """A record with every field empty unless given."""
+    return PlaneState(**{
+        "counters": [0, 0, 0, 0], "since_finalize": 0, "sessions": [],
+        "components": [], "ties": [], "swept": {}, "storm": [],
+        "storm_swept_at": None, **fields,
+    })
+
+
+@st.composite
+def _storm_records(draw, region: str):
+    has_counter = draw(st.booleans())
+    counts = (
+        draw(st.lists(st.integers(min_value=0, max_value=10_000),
+                      min_size=1, max_size=60))
+        if has_counter else None
+    )
+    return RegionStormState(
+        region=region,
+        bucket_seconds=60.0,
+        counts=counts,
+        total=sum(counts) if counts else 0,
+        head=draw(st.integers(min_value=0, max_value=10**9))
+        if has_counter and draw(st.booleans()) else None,
+        episode_started_at=draw(st.one_of(
+            st.none(),
+            st.floats(min_value=0, max_value=1e6, allow_nan=False),
+        )),
+        episode_peak_rate=draw(st.floats(
+            min_value=0, max_value=1e6, allow_nan=False,
+        )),
+        last_seen={
+            strategy: draw(st.floats(
+                min_value=0, max_value=1e6, allow_nan=False,
+            ))
+            for strategy in draw(st.lists(_TEXT, max_size=4, unique=True))
+        },
+        episode_count=draw(st.integers(min_value=0, max_value=50)),
+        emerging_count=draw(st.integers(min_value=0, max_value=50)),
+        ingested=draw(st.integers(min_value=0, max_value=10**6)),
+    )
+
+
 @st.composite
 def plane_states(draw):
-    """Randomized region slices: unicode vocab, deep components, rules."""
-    region = draw(_TEXT)
+    """Randomized planes: several regions, unicode vocab, deep components."""
+    regions = sorted(draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True)))
     strategies = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     sessions = [
-        _session(index, region, draw(st.sampled_from(strategies)),
+        _session(index, draw(st.sampled_from(regions)),
+                 draw(st.sampled_from(strategies)),
                  draw(_TEXT), draw(st.integers(min_value=0, max_value=6)))
         for index in range(draw(st.integers(min_value=0, max_value=4)))
     ]
@@ -235,99 +280,98 @@ def plane_states(draw):
             make_alert(
                 occurred_at=1000.0 * component + 10.0 * position,
                 strategy_id=draw(st.sampled_from(strategies)),
-                region=region,
+                region=draw(st.sampled_from(regions)),
                 title=draw(_TEXT),
             )
             for position in range(size)
         ]
         components.append((members, members[-1].occurred_at))
-    storm = None
-    if draw(st.booleans()):
-        has_counter = draw(st.booleans())
-        counts = (
-            draw(st.lists(st.integers(min_value=0, max_value=10_000),
-                          min_size=1, max_size=60))
-            if has_counter else None
-        )
-        storm = RegionStormState(
-            region=region,
-            bucket_seconds=60.0,
-            counts=counts,
-            total=sum(counts) if counts else 0,
-            head=draw(st.integers(min_value=0, max_value=10**9))
-            if has_counter and draw(st.booleans()) else None,
-            episode_started_at=draw(st.one_of(
-                st.none(),
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            )),
-            episode_peak_rate=draw(st.floats(
-                min_value=0, max_value=1e6, allow_nan=False,
-            )),
-            last_seen={
-                strategy: draw(st.floats(
-                    min_value=0, max_value=1e6, allow_nan=False,
-                ))
-                for strategy in draw(st.lists(
-                    _TEXT, max_size=4, unique=True,
-                ))
-            },
-            episode_count=draw(st.integers(min_value=0, max_value=50)),
-            emerging_count=draw(st.integers(min_value=0, max_value=50)),
-            ingested=draw(st.integers(min_value=0, max_value=10**6)),
-        )
-    return PlaneRegionState(
-        region=region,
+    n_members = sum(len(members) for members, _ in components)
+    ties = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=max(n_members - 1, 0)),
+                 min_size=2, max_size=4, unique=True),
+        max_size=2,
+    )) if n_members > 1 else []
+    storm_regions = draw(st.lists(st.sampled_from(regions), unique=True))
+    return _plane_state(
         counters=[
             draw(st.integers(min_value=0, max_value=10**9)) for _ in range(4)
         ],
+        since_finalize=draw(st.integers(min_value=0, max_value=10**6)),
         sessions=sessions,
         components=components,
-        storm=storm,
+        ties=ties,
+        swept={
+            region: draw(st.integers(min_value=0, max_value=10**6))
+            for region in draw(st.lists(st.sampled_from(regions), unique=True))
+        },
+        storm=[draw(_storm_records(region)) for region in sorted(storm_regions)],
+        storm_swept_at=draw(st.one_of(
+            st.none(), st.floats(min_value=0, max_value=1e6, allow_nan=False),
+        )),
     )
+
+
+def _plane(plane_id: int = 0, retain: bool = True):
+    from repro.streaming import PlaneConfig, RegionPlane
+
+    return RegionPlane(plane_id, PlaneConfig(
+        graph=golden_graph(), blocker=golden_blocker(),
+        rulebook=None, aggregation_window=WINDOW,
+        correlation_window=WINDOW, correlation_max_hops=4,
+        enable_storm_detection=True, retain_artifacts=retain,
+        finalize_every=256,
+    ))
 
 
 class TestPlaneStateRoundTrip:
     def test_empty_plane_state(self):
-        state = PlaneRegionState(
-            region="region-∅", counters=[0, 0, 0, 0], sessions=[],
-            components=[], storm=None,
-        )
+        state = _plane_state()
         assert unpack_plane_state(pack_plane_state(state)) == state
 
     def test_unicode_titles_and_regions_survive(self):
         session = _session(0, "région-α", "stratégie-β", "queue ∞ saturée", 3)
-        state = PlaneRegionState(
-            region="région-α", counters=[7, 1, 2, 1], sessions=[session],
+        state = _plane_state(
+            counters=[7, 1, 2, 1], since_finalize=5, sessions=[session],
             components=[([session.representative], 100.0)],
-            storm=None,
+            swept={"région-α": 1}, storm_swept_at=3600.0,
         )
         assert unpack_plane_state(pack_plane_state(state)) == state
 
-    def test_rule_table_section_stays_the_constant_empty_one(self):
-        """Planes read the gateway's blocker, so a blob carries no rules;
-        its last section is still the empty rule table, so blob bytes
-        match those written when regions carried their rules."""
-        state = PlaneRegionState(
-            region="region-B", counters=[1, 0, 0, 0], sessions=[],
-            components=[], storm=None,
+    def test_everything_shares_one_string_table(self):
+        """Sessions, R3 members, R4 records and retained artifacts of a
+        plane intern into one table: a string they all carry is stored
+        once."""
+        session = _session(0, "region-Z", "s-shared", "title-once", 0)
+        aggregate = session.emit()
+        cluster = AlertCluster(
+            alerts=[session.representative], root_alert=None,
+            root_microservice=None, coverage=0.0,
         )
-        empty_table = b"RWR1" + bytes(8)
+        state = _plane_state(
+            sessions=[session], components=[([session.representative], 0.0)],
+            swept={"region-Z": 1},
+            storm=[RegionStormState(
+                region="region-Z", bucket_seconds=60.0, counts=None,
+                total=0, head=None, episode_started_at=None,
+                episode_peak_rate=0.0, last_seen={"s-shared": 0.0},
+                episode_count=0, emerging_count=0, ingested=1,
+            )],
+            retained_aggregates=[aggregate], retained_clusters=[cluster],
+        )
         blob = pack_plane_state(state)
-        assert blob.endswith(struct.pack("<I", len(empty_table)) + empty_table)
+        for value in (b"region-Z", b"s-shared", b"title-once"):
+            assert blob.count(struct.pack("<I", len(value)) + value) == 1
+        assert unpack_plane_state(blob) == state
 
     def test_magic_mismatch_rejected(self):
-        state = PlaneRegionState(
-            region="r", counters=[0, 0, 0, 0], sessions=[], components=[],
-            storm=None,
-        )
         with pytest.raises(ValidationError, match="magic"):
-            unpack_alerts(pack_plane_state(state))
+            unpack_alerts(pack_plane_state(_plane_state()))
 
     def test_deterministic_bytes(self):
-        state = PlaneRegionState(
-            region="region-A", counters=[5, 1, 1, 0],
+        state = _plane_state(
+            counters=[5, 1, 1, 0],
             sessions=[_session(0, "region-A", "s-api", "latency 42 ms", 2)],
-            components=[], storm=None,
         )
         assert pack_plane_state(state) == pack_plane_state(state)
 
@@ -336,22 +380,14 @@ class TestPlaneStateRoundTrip:
     def test_fuzz_round_trip_exactly(self, state):
         assert unpack_plane_state(pack_plane_state(state)) == state
 
-    def test_captured_state_restores_onto_a_fresh_plane(self):
-        """End to end: capture every region of a real plane, unpack and
-        adopt the blobs into a fresh plane (the exact path a restore
-        takes), and drain it to the accounting and artifacts of a plane
-        that never captured; the capturing plane drains to them too."""
-        from repro.streaming import PlaneConfig, RegionPlane
-
-        def build_plane(plane_id=0):
-            return RegionPlane(plane_id, PlaneConfig(
-                graph=golden_graph(), blocker=golden_blocker(),
-                rulebook=None, aggregation_window=WINDOW,
-                correlation_window=WINDOW, correlation_max_hops=4,
-                enable_storm_detection=True, retain_artifacts=True,
-                finalize_every=256,
-            ))
-
+    @pytest.mark.parametrize("n_regions", [2, 400])
+    def test_captured_state_restores_onto_a_fresh_plane(self, n_regions):
+        """End to end: capture a real plane, unpack and adopt the blob
+        into a fresh plane (the exact path a restore takes), and drain
+        it to the accounting and artifacts of a plane that never
+        captured; the capturing plane drains to them too.  The restored
+        plane captures the same bytes, for a plane holding two regions
+        and one holding hundreds."""
         def drained(plane):
             report = plane.drain(alerts[-1].occurred_at)
             return (
@@ -360,29 +396,25 @@ class TestPlaneStateRoundTrip:
                 [[a.alert_id for a in c.alerts] for c in report.retained_clusters],
             )
 
-        alerts = sorted(
-            [
-                make_alert(occurred_at=60.0 * index,
-                           strategy_id=f"s-{index % 3}",
-                           region=("region-A", "region-B")[index % 2],
-                           microservice=("m-1", "m-2")[index % 2])
-                for index in range(80)
-            ],
-            key=lambda alert: alert.occurred_at,
-        )
-        regions = ["region-A", "region-B"]
-        source = build_plane()
+        alerts = [
+            make_alert(occurred_at=60.0 * index,
+                       strategy_id=f"s-{index % 3}",
+                       region=f"region-{index % n_regions:03d}",
+                       microservice=("m-1", "m-2")[index % 2])
+            for index in range(max(80, 2 * n_regions))
+        ]
+        source = _plane()
         source.process_batch(alerts, in_warmup=0, watermark=alerts[-1].occurred_at)
-        blobs = source.pack_regions(regions)
-        assert source.pack_regions(regions) == blobs
-        target = build_plane(plane_id=1)
-        for blob in blobs:
-            target.adopt_region(unpack_plane_state(blob))
-        assert target.pack_regions(regions) == blobs
-        whole = build_plane(plane_id=2)
+        blob = source.pack()
+        assert source.pack() == blob
+        state = unpack_plane_state(blob)
+        assert len(state.storm) == n_regions
+        target = _plane(plane_id=1)
+        target.adopt(state)
+        assert target.pack() == blob
+        whole = _plane(plane_id=2)
         whole.process_batch(alerts, in_warmup=0, watermark=alerts[-1].occurred_at)
         want = drained(whole)
         assert want[0]["aggregates"] > 0 and want[1]
         assert drained(source) == want
         assert drained(target) == want
-
